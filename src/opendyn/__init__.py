@@ -49,6 +49,7 @@ from .deterministic import (
     DetLens,
     DetSquare,
     DetSystem,
+    Machine,
     SquareResult,
     chart_hom_set,
     check_matrix_theorem,

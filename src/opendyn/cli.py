@@ -21,6 +21,7 @@ from .deterministic import (
     DetLens,
     DetSquare,
     DetSystem,
+    Machine,
     check_matrix_theorem,
     check_square,
     lens_to_span,
@@ -41,14 +42,13 @@ from .laws import (
 )
 from .ode import OdeLens, OdeSystem, ParamSignal, compose_lens_ode, rk4_solve, tensor_ode
 from .project import (
-    DOCTRINE_DET,
-    DOCTRINE_STOCH,
+    DOCTRINE_ODE,
     ProjectFile,
     doctrine_of,
     load_project,
     save_project,
 )
-from .stochastic import StochSystem, compose_lens_stoch, simulate_stoch, tensor_stoch
+from .stochastic import simulate_stoch
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
@@ -75,17 +75,13 @@ def cmd_compose(args) -> int:
     project = load_project(args.project)
     lens = project.lens(args.lens)
     sys_entry = project.system(args.system)
-    lens_kind = doctrine_of(lens)
-    sys_kind = doctrine_of(sys_entry)
-    if isinstance(lens, DetLens) and isinstance(sys_entry, DetSystem):
+    if isinstance(lens, DetLens) and isinstance(sys_entry, Machine):
         composed = compose_lens_system(lens, sys_entry)
-    elif isinstance(lens, DetLens) and isinstance(sys_entry, StochSystem):
-        composed = compose_lens_stoch(lens, sys_entry)
     elif isinstance(lens, OdeLens) and isinstance(sys_entry, OdeSystem):
         composed = compose_lens_ode(lens, sys_entry)
     else:
         raise ValidationError(
-            f"cannot apply a {lens_kind} lens to a {sys_kind} system"
+            f"cannot apply a {doctrine_of(lens)} lens to a {doctrine_of(sys_entry)} system"
         )
     name = args.name or f"{args.system}_{args.lens}"
     save_project(ProjectFile(systems={name: composed}), args.out)
@@ -100,12 +96,7 @@ def cmd_tensor(args) -> int:
     kind_a, kind_b = doctrine_of(a), doctrine_of(b)
     if kind_a != kind_b:
         raise ValidationError(f"cannot tensor a {kind_a} system with a {kind_b} system")
-    if kind_a == DOCTRINE_DET:
-        combined = tensor_systems(a, b)
-    elif kind_a == DOCTRINE_STOCH:
-        combined = tensor_stoch(a, b)
-    else:
-        combined = tensor_ode(a, b)
+    combined = tensor_ode(a, b) if kind_a == DOCTRINE_ODE else tensor_systems(a, b)
     name = args.name or f"{args.a}_{args.b}"
     save_project(ProjectFile(systems={name: combined}), args.out)
     print(f"wrote {args.out}")

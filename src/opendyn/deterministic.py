@@ -1,7 +1,9 @@
 """Finite deterministic machines composed by lenses.
 
-A system here is a Moore machine: states S, interface (inputs I, outputs O),
-a readout S -> O and an update S x I -> S. Lenses rewire interfaces (a
+A system here is a Moore machine: states S, interface (inputs I, outputs O), a
+readout S -> O and an update S x I -> effect(S). `Machine` is the shape shared
+by `DetSystem` (identity effect: the update is S x I -> S) and the stochastic
+module's `StochSystem` (distribution effect). Lenses rewire interfaces (a
 forward map on outputs plus a backward map that fills inputs from outputs),
 charts push interfaces forward covariantly, and squares witness that a lens
 pair and a chart pair are compatible.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Optional
+from typing import ClassVar, Mapping, Optional
 
 from .errors import BoundaryError, ValidationError
 from .finset import (
@@ -29,40 +31,36 @@ from .finset import (
     Span,
     families_isomorphic,
     apply_span_to_family,
+    expect_str,
     join_labels,
     product_finset,
 )
 
 
+@dataclass(frozen=True)
 class DetInterface:
     """An interface: the input and output alphabets a machine exposes."""
 
-    __slots__ = ("inputs", "outputs")
-
-    def __init__(self, inputs: FinSet, outputs: FinSet):
-        self.inputs = inputs
-        self.outputs = outputs
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DetInterface)
-            and self.inputs == other.inputs
-            and self.outputs == other.outputs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.inputs, self.outputs))
+    inputs: FinSet
+    outputs: FinSet
 
     def __repr__(self) -> str:
         return f"DetInterface(inputs={self.inputs}, outputs={self.outputs})"
 
 
-def _check_nested_table(table: Mapping, rows: FinSet, cols: FinSet, values: FinSet, what: str) -> dict:
-    """Validate a (rows x cols) -> values table given as nested dicts."""
+def _label_problem(value, values: FinSet) -> Optional[str]:
+    return None if value in values else f"= {value!r} is not in {values}"
+
+
+def _check_nested_table(
+    table: Mapping, rows: FinSet, cols: FinSet, values: FinSet, what: str, cell_problem=_label_problem
+) -> dict:
+    """Validate a (rows x cols) table given as nested dicts; `cell_problem(cell,
+    values)` says what is wrong with one entry, or None."""
     for key in table:
         if key not in rows:
             raise ValidationError(f"{what} has a row for unknown element {key!r}")
-    normalized: dict[str, dict[str, str]] = {}
+    normalized: dict[str, dict] = {}
     for r in rows:
         if r not in table:
             raise ValidationError(f"{what} is missing a row for {r!r}")
@@ -70,29 +68,62 @@ def _check_nested_table(table: Mapping, rows: FinSet, cols: FinSet, values: FinS
         for key in row:
             if key not in cols:
                 raise ValidationError(f"{what}[{r!r}] has an entry for unknown element {key!r}")
-        normalized_row: dict[str, str] = {}
+        normalized_row = {}
         for c in cols:
             if c not in row:
                 raise ValidationError(f"{what}[{r!r}] is missing an entry for {c!r}")
             v = row[c]
-            if v not in values:
-                raise ValidationError(f"{what}[{r!r}][{c!r}] = {v!r} is not in {values}")
+            problem = cell_problem(v, values)
+            if problem:
+                raise ValidationError(f"{what}[{r!r}][{c!r}] {problem}")
             normalized_row[c] = v
         normalized[r] = normalized_row
     return normalized
 
 
-class DetSystem:
-    """A Moore machine: readout S -> O, update S x I -> S."""
+class Identity:
+    """The identity effect: a deterministic update cell is the next state itself.
+
+    An effect says what a machine's update lands in. The shared machine code
+    calls its static methods: `cell_problem(cell, states)` says what is wrong
+    with one update cell, or None; `product(a, b, states)` is the cell of two
+    machines run side by side, on the product states; `is_unit_at(cell, s)`
+    says whether the cell stays at s for sure; `cell_to_obj` and
+    `cell_from_obj(value, states, what)` are the JSON codec of one cell.
+    """
+
+    cell_problem = staticmethod(_label_problem)
+
+    @staticmethod
+    def product(a: str, b: str, states: FinSet) -> str:
+        return join_labels(a, b)
+
+    @staticmethod
+    def is_unit_at(cell: str, state: str) -> bool:
+        return cell == state
+
+    @staticmethod
+    def cell_to_obj(cell: str) -> str:
+        return cell
+
+    @staticmethod
+    def cell_from_obj(value, states: FinSet, what: str) -> str:
+        return expect_str(value, what)
+
+
+class Machine:
+    """A Moore machine whose update lands in an effect: readout S -> O,
+    update S x I -> effect(S). Subclasses differ only in their `effect`."""
 
     __slots__ = ("states", "interface", "readout", "update")
+    effect: ClassVar[type]
 
     def __init__(
         self,
         states: FinSet,
         interface: DetInterface,
         readout: FinMap,
-        update: Mapping[str, Mapping[str, str]],
+        update: Mapping[str, Mapping[str, object]],
     ):
         if readout.dom != states or readout.cod != interface.outputs:
             raise ValidationError(
@@ -101,18 +132,21 @@ class DetSystem:
         self.states = states
         self.interface = interface
         self.readout = readout
-        self.update = _check_nested_table(update, states, interface.inputs, states, "update")
+        self.update = _check_nested_table(
+            update, states, interface.inputs, states, "update", self.effect.cell_problem
+        )
 
-    def step(self, state: str, inp: str) -> str:
-        if state not in self.states:
-            raise ValidationError(f"unknown state {state!r}")
-        if inp not in self.interface.inputs:
-            raise ValidationError(f"unknown input {inp!r}")
-        return self.update[state][inp]
+    def check_run(self, s0: str, word: list[str]) -> None:
+        """Refuse a run from an unknown start state or over an unknown input."""
+        if s0 not in self.states:
+            raise ValidationError(f"unknown start state {s0!r}")
+        for w in word:
+            if w not in self.interface.inputs:
+                raise ValidationError(f"unknown input {w!r}")
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, DetSystem)
+            type(other) is type(self)
             and self.states == other.states
             and self.interface == other.interface
             and self.readout == other.readout
@@ -120,13 +154,45 @@ class DetSystem:
         )
 
     def __repr__(self) -> str:
-        return f"DetSystem(states={self.states}, interface={self.interface!r})"
+        return f"{type(self).__name__}(states={self.states}, interface={self.interface!r})"
 
 
-class DetLens:
+class DetSystem(Machine):
+    """A deterministic Moore machine: update S x I -> S."""
+
+    __slots__ = ()
+    effect = Identity
+
+
+class _Rewiring:
+    """What a lens and a chart share: an interface map given by `fwd` on
+    outputs plus one input table, whose attribute name is `table`."""
+
+    __slots__ = ("source", "target", "fwd")
+    table: ClassVar[str]
+
+    def __init__(self, source: DetInterface, target: DetInterface, fwd: FinMap, word: str):
+        if fwd.dom != source.outputs or fwd.cod != target.outputs:
+            raise ValidationError(f"{word} fwd must map {source.outputs} to {target.outputs}")
+        self.source = source
+        self.target = target
+        self.fwd = fwd
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.source == other.source
+            and self.target == other.target
+            and self.fwd == other.fwd
+            and getattr(self, self.table) == getattr(other, self.table)
+        )
+
+
+class DetLens(_Rewiring):
     """Interface rewiring: fwd on outputs, bwd filling old inputs from (output, new input)."""
 
-    __slots__ = ("source", "target", "fwd", "bwd")
+    __slots__ = ("bwd",)
+    table = "bwd"
 
     def __init__(
         self,
@@ -135,34 +201,18 @@ class DetLens:
         fwd: FinMap,
         bwd: Mapping[str, Mapping[str, str]],
     ):
-        if fwd.dom != source.outputs or fwd.cod != target.outputs:
-            raise ValidationError(
-                f"lens fwd must map {source.outputs} to {target.outputs}"
-            )
-        self.source = source
-        self.target = target
-        self.fwd = fwd
-        self.bwd = _check_nested_table(
-            bwd, source.outputs, target.inputs, source.inputs, "bwd"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DetLens)
-            and self.source == other.source
-            and self.target == other.target
-            and self.fwd == other.fwd
-            and self.bwd == other.bwd
-        )
+        super().__init__(source, target, fwd, "lens")
+        self.bwd = _check_nested_table(bwd, source.outputs, target.inputs, source.inputs, "bwd")
 
     def __repr__(self) -> str:
         return f"DetLens({self.source!r} => {self.target!r})"
 
 
-class DetChart:
+class DetChart(_Rewiring):
     """Covariant interface map: fwd on outputs, push sending old inputs forward."""
 
-    __slots__ = ("source", "target", "fwd", "push")
+    __slots__ = ("push",)
+    table = "push"
 
     def __init__(
         self,
@@ -171,25 +221,8 @@ class DetChart:
         fwd: FinMap,
         push: Mapping[str, Mapping[str, str]],
     ):
-        if fwd.dom != source.outputs or fwd.cod != target.outputs:
-            raise ValidationError(
-                f"chart fwd must map {source.outputs} to {target.outputs}"
-            )
-        self.source = source
-        self.target = target
-        self.fwd = fwd
-        self.push = _check_nested_table(
-            push, source.outputs, source.inputs, target.inputs, "push"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DetChart)
-            and self.source == other.source
-            and self.target == other.target
-            and self.fwd == other.fwd
-            and self.push == other.push
-        )
+        super().__init__(source, target, fwd, "chart")
+        self.push = _check_nested_table(push, source.outputs, source.inputs, target.inputs, "push")
 
     def __repr__(self) -> str:
         return f"DetChart({self.source!r} -> {self.target!r})"
@@ -256,8 +289,8 @@ def compose_charts(c1: DetChart, c2: DetChart) -> DetChart:
     return DetChart(c1.source, c2.target, c1.fwd.then(c2.fwd), push)
 
 
-def compose_lens_system(lens: DetLens, sys: DetSystem) -> DetSystem:
-    """Run the machine behind the lens: same states, rewired interface."""
+def compose_lens_system(lens: DetLens, sys: Machine) -> Machine:
+    """Run the machine behind the lens: same states and update cells, rewired interface."""
     if lens.source != sys.interface:
         raise BoundaryError(
             f"lens source {lens.source!r} does not match system interface {sys.interface!r}"
@@ -266,11 +299,14 @@ def compose_lens_system(lens: DetLens, sys: DetSystem) -> DetSystem:
         s: {i2: sys.update[s][lens.bwd[sys.readout(s)][i2]] for i2 in lens.target.inputs}
         for s in sys.states
     }
-    return DetSystem(sys.states, lens.target, sys.readout.then(lens.fwd), update)
+    return type(sys)(sys.states, lens.target, sys.readout.then(lens.fwd), update)
 
 
-def tensor_systems(a: DetSystem, b: DetSystem) -> DetSystem:
-    """Run two machines side by side; everything is the componentwise product."""
+def tensor_systems(a: Machine, b: Machine) -> Machine:
+    """Run two machines side by side; everything is the componentwise product,
+    and update cells multiply in the machines' shared effect."""
+    if type(a) is not type(b):
+        raise BoundaryError(f"cannot tensor a {type(a).__name__} with a {type(b).__name__}")
     states = product_finset(a.states, b.states)
     iface = DetInterface(
         product_finset(a.interface.inputs, b.interface.inputs),
@@ -285,16 +321,17 @@ def tensor_systems(a: DetSystem, b: DetSystem) -> DetSystem:
             for sb in b.states
         },
     )
+    cell_product = a.effect.product
     update = {
         join_labels(sa, sb): {
-            join_labels(ia, ib): join_labels(a.update[sa][ia], b.update[sb][ib])
+            join_labels(ia, ib): cell_product(a.update[sa][ia], b.update[sb][ib], states)
             for ia in a.interface.inputs
             for ib in b.interface.inputs
         }
         for sa in a.states
         for sb in b.states
     }
-    return DetSystem(states, iface, readout, update)
+    return type(a)(states, iface, readout, update)
 
 
 @dataclass
@@ -461,18 +498,20 @@ def representable_span(rep: DetSystem, sys: DetSystem) -> Family:
     return Family(base, total, FinMap(total, base, proj))
 
 
-def steady_span(sys: DetSystem) -> Family:
-    """States fixed by their input, fibered over (output, input) pairs.
+def steady_span(sys: Machine) -> Family:
+    """States whose update stays put for sure, fibered over (output, input) pairs.
 
-    Identical to representable_span(walking_cycle(1), sys), including the
-    label encoding, but computed by direct enumeration of S x I.
+    On a deterministic machine this is representable_span(walking_cycle(1),
+    sys), including the label encoding, computed by direct enumeration of
+    S x I; on a Markov machine the update must be the point distribution.
     """
+    is_unit_at = sys.effect.is_unit_at
     base = product_finset(sys.interface.outputs, sys.interface.inputs)
     labels: list[str] = []
     proj: dict[str, str] = {}
     for s in sys.states:
         for i in sys.interface.inputs:
-            if sys.update[s][i] == s:
+            if is_unit_at(sys.update[s][i], s):
                 label = join_labels(s, i)
                 labels.append(label)
                 proj[label] = join_labels(sys.readout(s), i)
@@ -542,11 +581,7 @@ def check_matrix_theorem(lens: DetLens, sys: DetSystem, k: int) -> FamilyMatch:
 
 def run_word(sys: DetSystem, s0: str, word: list[str]) -> list[tuple[str, str]]:
     """Drive the machine from s0 along a word; returns every (state, output) visited."""
-    if s0 not in sys.states:
-        raise ValidationError(f"unknown start state {s0!r}")
-    for w in word:
-        if w not in sys.interface.inputs:
-            raise ValidationError(f"unknown input {w!r}")
+    sys.check_run(s0, word)
     state = s0
     path = [(state, sys.readout(state))]
     for w in word:

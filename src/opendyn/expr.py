@@ -9,6 +9,7 @@ Grammar (whitespace insignificant):
     atom    := NUMBER | IDENT | IDENT '(' sum ')' | '(' sum ')'
 
 so '^' binds tighter than unary minus, which binds tighter than '*' and '/'.
+Parentheses, calls, unary minus and exponents nest at most MAX_NESTING deep.
 The only functions are sin, cos, exp, log. There are no binders, so
 substitution is plain simultaneous replacement.
 """
@@ -25,6 +26,10 @@ from .errors import ExprEvalError, ExprSyntaxError
 FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
 
 IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
+
+#: Deepest nesting of parentheses, calls, unary minus and exponents that the
+#: recursive-descent parser accepts; deeper text would exhaust Python's stack.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -131,11 +137,17 @@ class _Parser:
                 return expr
 
     def factor(self) -> Expr:
-        kind, value, _ = self.peek()
+        kind, value, position = self.peek()
+        if self.nesting == MAX_NESTING:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_NESTING} levels", position)
+        self.nesting += 1
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            expr = Neg(self.factor())
+        else:
+            expr = self.power()
+        self.nesting -= 1
+        return expr
 
     def power(self) -> Expr:
         base = self.atom()

@@ -78,15 +78,6 @@ class FinSet:
         except KeyError:
             raise ValidationError(f"{label!r} is not an element of {self}") from None
 
-    def to_obj(self) -> list[str]:
-        return list(self.elements)
-
-    @staticmethod
-    def from_obj(obj: object) -> "FinSet":
-        if not isinstance(obj, list):
-            raise ValidationError(f"finite set must be a JSON array, got {type(obj).__name__}")
-        return FinSet(obj)
-
 
 def product_finset(a: FinSet, b: FinSet) -> FinSet:
     """Cartesian product with "x|y" labels, a-major order."""
@@ -146,15 +137,6 @@ class FinMap:
     def __repr__(self) -> str:
         return f"FinMap({self.dom!r}, {self.cod!r}, {self.table!r})"
 
-    def to_obj(self) -> dict:
-        return {"dom": self.dom.to_obj(), "cod": self.cod.to_obj(), "table": dict(self.table)}
-
-    @staticmethod
-    def from_obj(obj: object) -> "FinMap":
-        if not isinstance(obj, dict) or set(obj) != {"dom", "cod", "table"}:
-            raise ValidationError("map must be an object with fields dom, cod, table")
-        return FinMap(FinSet.from_obj(obj["dom"]), FinSet.from_obj(obj["cod"]), obj["table"])
-
 
 class Span:
     """Two legs out of a common apex: source <- apex -> target."""
@@ -187,29 +169,6 @@ class Span:
     def __repr__(self) -> str:
         return f"Span(source={self.source!r}, target={self.target!r}, apex={self.apex!r})"
 
-    def to_obj(self) -> dict:
-        return {
-            "source": self.source.to_obj(),
-            "target": self.target.to_obj(),
-            "apex": self.apex.to_obj(),
-            "left": self.left.to_obj(),
-            "right": self.right.to_obj(),
-        }
-
-    @staticmethod
-    def from_obj(obj: object) -> "Span":
-        if not isinstance(obj, dict) or set(obj) != {"source", "target", "apex", "left", "right"}:
-            raise ValidationError(
-                "span must be an object with fields source, target, apex, left, right"
-            )
-        return Span(
-            FinSet.from_obj(obj["source"]),
-            FinSet.from_obj(obj["target"]),
-            FinSet.from_obj(obj["apex"]),
-            FinMap.from_obj(obj["left"]),
-            FinMap.from_obj(obj["right"]),
-        )
-
 
 class Family:
     """A finite set fibered over a base: proj sends each element to its base point."""
@@ -230,11 +189,15 @@ class Family:
             raise ValidationError(f"{base_label!r} is not in the base {self.base}")
         return [z for z in self.total if self.proj(z) == base_label]
 
-    def fiber_sizes(self) -> dict[str, int]:
-        sizes = {b: 0 for b in self.base}
+    def fibers(self) -> dict[str, list[str]]:
+        """Every base point's fiber, each in canonical element order."""
+        over: dict[str, list[str]] = {b: [] for b in self.base}
         for z in self.total:
-            sizes[self.proj(z)] += 1
-        return sizes
+            over[self.proj(z)].append(z)
+        return over
+
+    def fiber_sizes(self) -> dict[str, int]:
+        return {b: len(zs) for b, zs in self.fibers().items()}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -246,19 +209,6 @@ class Family:
 
     def __repr__(self) -> str:
         return f"Family(base={self.base!r}, total={self.total!r})"
-
-    def to_obj(self) -> dict:
-        return {"base": self.base.to_obj(), "total": self.total.to_obj(), "proj": self.proj.to_obj()}
-
-    @staticmethod
-    def from_obj(obj: object) -> "Family":
-        if not isinstance(obj, dict) or set(obj) != {"base", "total", "proj"}:
-            raise ValidationError("family must be an object with fields base, total, proj")
-        return Family(
-            FinSet.from_obj(obj["base"]),
-            FinSet.from_obj(obj["total"]),
-            FinMap.from_obj(obj["proj"]),
-        )
 
 
 def identity_span(a: FinSet) -> Span:
@@ -311,9 +261,7 @@ def apply_span_to_family(s: Span, fam: Family) -> Family:
         raise BoundaryError(
             f"family base {fam.base} differs from span source {s.source}"
         )
-    over: dict[str, list[str]] = {b: [] for b in fam.base}
-    for z in fam.total:
-        over[fam.proj(z)].append(z)
+    over = fam.fibers()
     labels: list[str] = []
     proj: dict[str, str] = {}
     for x in s.apex:
@@ -346,15 +294,30 @@ class FamilyMatch:
 def families_isomorphic(f1: Family, f2: Family) -> FamilyMatch:
     if f1.base != f2.base:
         raise BoundaryError(f"family bases differ: {f1.base} vs {f2.base}")
-    fibers1: dict[str, list[str]] = {b: [] for b in f1.base}
-    fibers2: dict[str, list[str]] = {b: [] for b in f2.base}
-    for z in f1.total:
-        fibers1[f1.proj(z)].append(z)
-    for z in f2.total:
-        fibers2[f2.proj(z)].append(z)
+    fibers1, fibers2 = f1.fibers(), f2.fibers()
     table: dict[str, str] = {}
     for b in f1.base:
         if len(fibers1[b]) != len(fibers2[b]):
             return FamilyMatch(None, mismatch=b, counts=(len(fibers1[b]), len(fibers2[b])))
         table.update(zip(fibers1[b], fibers2[b]))
     return FamilyMatch(FinMap(f1.total, f2.total, table))
+
+
+# JSON shape checks for decoding project documents; `what` names the place.
+
+
+def expect_obj(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be an object")
+    return value
+
+
+def expect_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string")
+    return value
+
+
+def str_table(value, what: str) -> dict[str, str]:
+    table = expect_obj(value, what)
+    return {k: expect_str(v, f"{what}[{k!r}]") for k, v in table.items()}

@@ -194,6 +194,10 @@ def _suite_rng(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}|{name}")
 
 
+def _failed(name: str, case: int, why: str) -> SuiteResult:
+    return SuiteResult(name, False, case + 1, f"case {case}: {why}")
+
+
 def lens_law_suite(seed: int, cases: int, max_size: int = 4) -> SuiteResult:
     """Units, associativity, and action functoriality of lens composition."""
     rng = _suite_rng(seed, "lens-laws")
@@ -204,21 +208,17 @@ def lens_law_suite(seed: int, cases: int, max_size: int = 4) -> SuiteResult:
         l3 = random_lens(rng, ifaces[2], ifaces[3])
         sys = random_system(rng, ifaces[0])
         if compose_lenses(identity_lens(ifaces[0]), l1) != l1:
-            return SuiteResult("lens-laws", False, case + 1, f"case {case}: left unit broken")
+            return _failed("lens-laws", case, "left unit broken")
         if compose_lenses(l1, identity_lens(ifaces[1])) != l1:
-            return SuiteResult("lens-laws", False, case + 1, f"case {case}: right unit broken")
+            return _failed("lens-laws", case, "right unit broken")
         if compose_lenses(compose_lenses(l1, l2), l3) != compose_lenses(
             l1, compose_lenses(l2, l3)
         ):
-            return SuiteResult(
-                "lens-laws", False, case + 1, f"case {case}: associativity broken"
-            )
+            return _failed("lens-laws", case, "associativity broken")
         if compose_lens_system(compose_lenses(l1, l2), sys) != compose_lens_system(
             l2, compose_lens_system(l1, sys)
         ):
-            return SuiteResult(
-                "lens-laws", False, case + 1, f"case {case}: action functoriality broken"
-            )
+            return _failed("lens-laws", case, "action functoriality broken")
     return SuiteResult("lens-laws", True, cases)
 
 
@@ -228,35 +228,23 @@ def square_suite(seed: int, cases: int, max_size: int = 4) -> SuiteResult:
     for case in range(cases):
         sq = random_square(rng, max_size)
         if not check_square(sq):
-            return SuiteResult(
-                "squares", False, case + 1, f"case {case}: generated square fails"
-            )
+            return _failed("squares", case, "generated square fails")
         beside = random_square_from(rng, sq.right)
         if not check_square(paste_horizontal(sq, beside)):
-            return SuiteResult(
-                "squares", False, case + 1, f"case {case}: horizontal pasting fails"
-            )
+            return _failed("squares", case, "horizontal pasting fails")
         below = random_square_from(
             rng, random_lens(rng, sq.bottom.source, random_interface(rng, max_size)),
             top=sq.bottom,
         )
         if not check_square(paste_vertical(sq, below)):
-            return SuiteResult(
-                "squares", False, case + 1, f"case {case}: vertical pasting fails"
-            )
+            return _failed("squares", case, "vertical pasting fails")
         mutated, (o, a3) = mutate_square(rng, sq)
         verdict = check_square(mutated)
         if verdict.holds:
-            return SuiteResult(
-                "squares", False, case + 1, f"case {case}: mutation not caught"
-            )
+            return _failed("squares", case, "mutation not caught")
         if not _witness_hits_mutation(mutated, verdict.witness, (o, a3)):
-            return SuiteResult(
-                "squares",
-                False,
-                case + 1,
-                f"case {case}: witness {verdict.witness} does not reach the mutated cell",
-            )
+            why = f"witness {verdict.witness} does not reach the mutated cell"
+            return _failed("squares", case, why)
     return SuiteResult("squares", True, cases)
 
 

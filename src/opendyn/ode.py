@@ -317,12 +317,15 @@ class ParamSignal:
     def __init__(self, times: Sequence[float], rows: Sequence[Sequence[float]]):
         if len(times) != len(rows) or not times:
             raise ValidationError("signal needs matching, nonempty times and rows")
+        times = tuple(float(t) for t in times)
+        if not all(map(math.isfinite, times)):
+            raise ValidationError("signal sample times must be finite")
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise ValidationError("signal sample times must be strictly increasing")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValidationError("signal rows must all have the same width")
-        self.times = tuple(float(t) for t in times)
+        self.times = times
         self.rows = tuple(tuple(float(x) for x in row) for row in rows)
         self.width = width
 
@@ -362,6 +365,8 @@ FieldFn = Callable[[float, tuple[float, ...]], tuple[float, ...]]
 
 
 def _grid(t0: float, t1: float, h: float) -> list[float]:
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValidationError(f"time span must be finite, got [{t0}, {t1}]")
     if not (t1 > t0):
         raise ValidationError(f"need t1 > t0, got [{t0}, {t1}]")
     if not (h > 0) or h > t1 - t0:

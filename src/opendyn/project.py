@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
-from .deterministic import DetChart, DetInterface, DetLens, DetSystem
+from .deterministic import DetChart, DetInterface, DetLens, DetSystem, Machine
 from .errors import OpendynError, ValidationError
 from .expr import to_text
-from .finset import FinMap, FinSet
+from .finset import FinMap, FinSet, expect_obj, expect_str, str_table
 from .ode import OdeLens, OdeSystem
-from .stochastic import Dist, StochSystem
+from .stochastic import StochSystem
 
 SystemEntry = Union[DetSystem, StochSystem, OdeSystem]
 LensEntry = Union[DetLens, OdeLens]
@@ -27,6 +27,7 @@ LensEntry = Union[DetLens, OdeLens]
 DOCTRINE_DET = "deterministic"
 DOCTRINE_STOCH = "stochastic"
 DOCTRINE_ODE = "ode"
+_MACHINES = {DOCTRINE_DET: DetSystem, DOCTRINE_STOCH: StochSystem}
 
 
 def doctrine_of(entry: object) -> str:
@@ -64,18 +65,6 @@ class ProjectFile:
         return self.charts[name]
 
 
-def _expect_obj(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"{what} must be an object")
-    return value
-
-
-def _expect_str(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"{what} must be a string")
-    return value
-
-
 def _expect_str_list(value, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ValidationError(f"{what} must be an array of strings")
@@ -94,73 +83,52 @@ def _take(obj: dict, what: str, required: tuple[str, ...]) -> dict:
     return out
 
 
-def _str_table(value, what: str) -> dict[str, str]:
-    table = _expect_obj(value, what)
-    return {k: _expect_str(v, f"{what}[{k!r}]") for k, v in table.items()}
-
-
 def _nested_table(value, what: str) -> dict[str, dict[str, str]]:
-    table = _expect_obj(value, what)
-    return {k: _str_table(v, f"{what}[{k!r}]") for k, v in table.items()}
+    table = expect_obj(value, what)
+    return {k: str_table(v, f"{what}[{k!r}]") for k, v in table.items()}
 
 
 def _finmap(dom: FinSet, cod: FinSet, value, what: str) -> FinMap:
-    return FinMap(dom, cod, _str_table(value, what))
+    return FinMap(dom, cod, str_table(value, what))
 
 
-def det_system_to_obj(sys: DetSystem) -> dict:
+def _finset(fields: dict, key: str, what: str) -> FinSet:
+    return FinSet(_expect_str_list(fields[key], f"{what}.{key}"))
+
+
+def _interface(fields: dict, inputs: str, outputs: str, what: str) -> DetInterface:
+    return DetInterface(_finset(fields, inputs, what), _finset(fields, outputs, what))
+
+
+def machine_to_obj(sys: Machine) -> dict:
+    """A finite machine of any effect; update cells go through the effect's codec."""
+    cell_to_obj = sys.effect.cell_to_obj
     return {
-        "kind": DOCTRINE_DET,
-        "states": list(sys.states),
-        "inputs": list(sys.interface.inputs),
-        "outputs": list(sys.interface.outputs),
-        "readout": {s: sys.readout(s) for s in sys.states},
-        "update": {s: dict(row) for s, row in sys.update.items()},
-    }
-
-
-def det_system_from_obj(obj: dict, what: str) -> DetSystem:
-    fields = _take(obj, what, ("states", "inputs", "outputs", "readout", "update"))
-    states = FinSet(_expect_str_list(fields["states"], f"{what}.states"))
-    iface = DetInterface(
-        FinSet(_expect_str_list(fields["inputs"], f"{what}.inputs")),
-        FinSet(_expect_str_list(fields["outputs"], f"{what}.outputs")),
-    )
-    readout = _finmap(states, iface.outputs, fields["readout"], f"{what}.readout")
-    update = _nested_table(fields["update"], f"{what}.update")
-    return DetSystem(states, iface, readout, update)
-
-
-def stoch_system_to_obj(sys: StochSystem) -> dict:
-    return {
-        "kind": DOCTRINE_STOCH,
+        "kind": doctrine_of(sys),
         "states": list(sys.states),
         "inputs": list(sys.interface.inputs),
         "outputs": list(sys.interface.outputs),
         "readout": {s: sys.readout(s) for s in sys.states},
         "update": {
-            s: {i: d.to_obj() for i, d in row.items()} for s, row in sys.update.items()
+            s: {i: cell_to_obj(c) for i, c in row.items()} for s, row in sys.update.items()
         },
     }
 
 
-def stoch_system_from_obj(obj: dict, what: str) -> StochSystem:
+def machine_from_obj(obj: dict, what: str, cls: type) -> Machine:
     fields = _take(obj, what, ("states", "inputs", "outputs", "readout", "update"))
-    states = FinSet(_expect_str_list(fields["states"], f"{what}.states"))
-    iface = DetInterface(
-        FinSet(_expect_str_list(fields["inputs"], f"{what}.inputs")),
-        FinSet(_expect_str_list(fields["outputs"], f"{what}.outputs")),
-    )
+    states = _finset(fields, "states", what)
+    iface = _interface(fields, "inputs", "outputs", what)
     readout = _finmap(states, iface.outputs, fields["readout"], f"{what}.readout")
-    raw = _expect_obj(fields["update"], f"{what}.update")
+    cell_from_obj = cls.effect.cell_from_obj
     update = {
         s: {
-            i: Dist(states, _str_table(w, f"{what}.update[{s!r}][{i!r}]"))
-            for i, w in _expect_obj(row, f"{what}.update[{s!r}]").items()
+            i: cell_from_obj(c, states, f"{what}.update[{s!r}][{i!r}]")
+            for i, c in expect_obj(row, f"{what}.update[{s!r}]").items()
         }
-        for s, row in raw.items()
+        for s, row in expect_obj(fields["update"], f"{what}.update").items()
     }
-    return StochSystem(states, iface, readout, update)
+    return cls(states, iface, readout, update)
 
 
 def ode_system_to_obj(sys: OdeSystem) -> dict:
@@ -180,71 +148,37 @@ def ode_system_from_obj(obj: dict, what: str) -> OdeSystem:
         _expect_str_list(fields["stateVars"], f"{what}.stateVars"),
         _expect_str_list(fields["outputVars"], f"{what}.outputVars"),
         _expect_str_list(fields["paramVars"], f"{what}.paramVars"),
-        _str_table(fields["readout"], f"{what}.readout"),
-        _str_table(fields["field"], f"{what}.field"),
+        str_table(fields["readout"], f"{what}.readout"),
+        str_table(fields["field"], f"{what}.field"),
     )
 
 
-def det_lens_to_obj(lens: DetLens) -> dict:
+def rewiring_to_obj(arrow: Union[DetLens, DetChart]) -> dict:
+    """A finite lens or chart. They differ only in their input table, whose
+    field name is the class's `table`: `bwd` for a lens, `push` for a chart."""
+    table = arrow.table
     return {
         "kind": DOCTRINE_DET,
-        "sourceInputs": list(lens.source.inputs),
-        "sourceOutputs": list(lens.source.outputs),
-        "targetInputs": list(lens.target.inputs),
-        "targetOutputs": list(lens.target.outputs),
-        "fwd": {o: lens.fwd(o) for o in lens.source.outputs},
-        "bwd": {o: dict(row) for o, row in lens.bwd.items()},
+        "sourceInputs": list(arrow.source.inputs),
+        "sourceOutputs": list(arrow.source.outputs),
+        "targetInputs": list(arrow.target.inputs),
+        "targetOutputs": list(arrow.target.outputs),
+        "fwd": {o: arrow.fwd(o) for o in arrow.source.outputs},
+        table: {o: dict(row) for o, row in getattr(arrow, table).items()},
     }
 
 
-def det_lens_from_obj(obj: dict, what: str) -> DetLens:
+def rewiring_from_obj(obj: dict, what: str, cls: type) -> Union[DetLens, DetChart]:
+    table = cls.table
     fields = _take(
         obj,
         what,
-        ("sourceInputs", "sourceOutputs", "targetInputs", "targetOutputs", "fwd", "bwd"),
+        ("sourceInputs", "sourceOutputs", "targetInputs", "targetOutputs", "fwd", table),
     )
-    source = DetInterface(
-        FinSet(_expect_str_list(fields["sourceInputs"], f"{what}.sourceInputs")),
-        FinSet(_expect_str_list(fields["sourceOutputs"], f"{what}.sourceOutputs")),
-    )
-    target = DetInterface(
-        FinSet(_expect_str_list(fields["targetInputs"], f"{what}.targetInputs")),
-        FinSet(_expect_str_list(fields["targetOutputs"], f"{what}.targetOutputs")),
-    )
+    source = _interface(fields, "sourceInputs", "sourceOutputs", what)
+    target = _interface(fields, "targetInputs", "targetOutputs", what)
     fwd = _finmap(source.outputs, target.outputs, fields["fwd"], f"{what}.fwd")
-    bwd = _nested_table(fields["bwd"], f"{what}.bwd")
-    return DetLens(source, target, fwd, bwd)
-
-
-def det_chart_to_obj(chart: DetChart) -> dict:
-    return {
-        "kind": DOCTRINE_DET,
-        "sourceInputs": list(chart.source.inputs),
-        "sourceOutputs": list(chart.source.outputs),
-        "targetInputs": list(chart.target.inputs),
-        "targetOutputs": list(chart.target.outputs),
-        "fwd": {o: chart.fwd(o) for o in chart.source.outputs},
-        "push": {o: dict(row) for o, row in chart.push.items()},
-    }
-
-
-def det_chart_from_obj(obj: dict, what: str) -> DetChart:
-    fields = _take(
-        obj,
-        what,
-        ("sourceInputs", "sourceOutputs", "targetInputs", "targetOutputs", "fwd", "push"),
-    )
-    source = DetInterface(
-        FinSet(_expect_str_list(fields["sourceInputs"], f"{what}.sourceInputs")),
-        FinSet(_expect_str_list(fields["sourceOutputs"], f"{what}.sourceOutputs")),
-    )
-    target = DetInterface(
-        FinSet(_expect_str_list(fields["targetInputs"], f"{what}.targetInputs")),
-        FinSet(_expect_str_list(fields["targetOutputs"], f"{what}.targetOutputs")),
-    )
-    fwd = _finmap(source.outputs, target.outputs, fields["fwd"], f"{what}.fwd")
-    push = _nested_table(fields["push"], f"{what}.push")
-    return DetChart(source, target, fwd, push)
+    return cls(source, target, fwd, _nested_table(fields[table], f"{what}.{table}"))
 
 
 def ode_lens_to_obj(lens: OdeLens) -> dict:
@@ -277,49 +211,42 @@ def ode_lens_from_obj(obj: dict, what: str) -> OdeLens:
         _expect_str_list(fields["sourceParamVars"], f"{what}.sourceParamVars"),
         _expect_str_list(fields["targetOutputVars"], f"{what}.targetOutputVars"),
         _expect_str_list(fields["targetParamVars"], f"{what}.targetParamVars"),
-        _str_table(fields["fwd"], f"{what}.fwd"),
-        _str_table(fields["bwd"], f"{what}.bwd"),
+        str_table(fields["fwd"], f"{what}.fwd"),
+        str_table(fields["bwd"], f"{what}.bwd"),
     )
 
 
 def system_to_obj(sys: SystemEntry) -> dict:
-    kind = doctrine_of(sys)
-    if kind == DOCTRINE_DET:
-        return det_system_to_obj(sys)
-    if kind == DOCTRINE_STOCH:
-        return stoch_system_to_obj(sys)
-    return ode_system_to_obj(sys)
+    return ode_system_to_obj(sys) if isinstance(sys, OdeSystem) else machine_to_obj(sys)
 
 
 def system_from_obj(obj: dict, what: str) -> SystemEntry:
-    kind = _expect_str(_expect_obj(obj, what).get("kind"), f"{what}.kind")
-    if kind == DOCTRINE_DET:
-        return det_system_from_obj(obj, what)
-    if kind == DOCTRINE_STOCH:
-        return stoch_system_from_obj(obj, what)
+    kind = expect_str(expect_obj(obj, what).get("kind"), f"{what}.kind")
+    if kind in _MACHINES:
+        return machine_from_obj(obj, what, _MACHINES[kind])
     if kind == DOCTRINE_ODE:
         return ode_system_from_obj(obj, what)
     raise ValidationError(f"{what}: unknown kind {kind!r}")
 
 
 def lens_to_obj(lens: LensEntry) -> dict:
-    return det_lens_to_obj(lens) if isinstance(lens, DetLens) else ode_lens_to_obj(lens)
+    return rewiring_to_obj(lens) if isinstance(lens, DetLens) else ode_lens_to_obj(lens)
 
 
 def lens_from_obj(obj: dict, what: str) -> LensEntry:
-    kind = _expect_str(_expect_obj(obj, what).get("kind"), f"{what}.kind")
+    kind = expect_str(expect_obj(obj, what).get("kind"), f"{what}.kind")
     if kind == DOCTRINE_DET:
-        return det_lens_from_obj(obj, what)
+        return rewiring_from_obj(obj, what, DetLens)
     if kind == DOCTRINE_ODE:
         return ode_lens_from_obj(obj, what)
     raise ValidationError(f"{what}: unknown kind {kind!r}")
 
 
 def chart_from_obj(obj: dict, what: str) -> DetChart:
-    kind = _expect_str(_expect_obj(obj, what).get("kind"), f"{what}.kind")
+    kind = expect_str(expect_obj(obj, what).get("kind"), f"{what}.kind")
     if kind != DOCTRINE_DET:
         raise ValidationError(f"{what}: charts exist only in the deterministic doctrine")
-    return det_chart_from_obj(obj, what)
+    return rewiring_from_obj(obj, what, DetChart)
 
 
 def project_to_obj(project: ProjectFile) -> dict:
@@ -329,12 +256,12 @@ def project_to_obj(project: ProjectFile) -> dict:
     if project.lenses:
         obj["lenses"] = {name: lens_to_obj(l) for name, l in project.lenses.items()}
     if project.charts:
-        obj["charts"] = {name: det_chart_to_obj(c) for name, c in project.charts.items()}
+        obj["charts"] = {name: rewiring_to_obj(c) for name, c in project.charts.items()}
     return obj
 
 
 def project_from_obj(obj) -> ProjectFile:
-    top = _expect_obj(obj, "project")
+    top = expect_obj(obj, "project")
     for key in top:
         if key not in ("version", "systems", "lenses", "charts"):
             raise ValidationError(f"project has an unknown field {key!r}")
@@ -344,10 +271,10 @@ def project_from_obj(obj) -> ProjectFile:
 
     def load_section(section: str, loader) -> dict:
         out: dict = {}
-        for name, entry in _expect_obj(top.get(section, {}), section).items():
+        for name, entry in expect_obj(top.get(section, {}), section).items():
             what = f"{section[:-1]} {name!r}"
             try:
-                out[name] = loader(_expect_obj(entry, what), what)
+                out[name] = loader(expect_obj(entry, what), what)
             except OpendynError as exc:
                 raise ValidationError(f"{what}: {exc}") from None
         return out

@@ -1,7 +1,9 @@
 """Finite Markov machines with exact rational transition weights.
 
-Same interface discipline as the deterministic doctrine (readouts are still
-functions), but the update lands in probability distributions. Weights are
+A `StochSystem` is the shared finite `Machine` with the distribution effect:
+readouts are still functions, but the update lands in probability
+distributions. Rewiring, tensor and steady states are the shared machine
+functions, bound here under their stochastic names. Weights are
 `fractions.Fraction` throughout, so normalization and the embedding laws are
 exact equalities rather than tolerance checks. The deterministic doctrine
 embeds by sending each transition to the point distribution on its result.
@@ -11,11 +13,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
-from .deterministic import DetInterface, DetSystem, DetLens
-from .errors import BoundaryError, ValidationError
-from .finset import Family, FinMap, FinSet, join_labels, product_finset
+from .deterministic import DetSystem, Machine, compose_lens_system, steady_span, tensor_systems
+from .errors import ValidationError
+from .finset import FinSet, join_labels, str_table
 
 WeightLike = Union[Fraction, int, str]
 
@@ -90,75 +92,52 @@ class Dist:
         return f"Dist({{{inner}}})"
 
 
-class StochSystem:
+class DistEffect:
+    """The distribution effect: a Markov update cell is a Dist on the states.
+
+    Cells of two machines run side by side multiply as independent
+    distributions; a cell stays at s for sure when it is the point
+    distribution on s. See `deterministic.Identity` for the protocol.
+    """
+
+    @staticmethod
+    def cell_problem(cell, states: FinSet) -> Optional[str]:
+        if isinstance(cell, Dist) and cell.support == states:
+            return None
+        return f"must be a distribution on {states}"
+
+    @staticmethod
+    def product(da: Dist, db: Dist, states: FinSet) -> Dist:
+        return Dist(
+            states,
+            {
+                join_labels(ta, tb): wa * wb
+                for ta, wa in da.weights.items()
+                for tb, wb in db.weights.items()
+            },
+        )
+
+    is_unit_at = staticmethod(Dist.is_dirac_at)
+    cell_to_obj = staticmethod(Dist.to_obj)
+
+    @staticmethod
+    def cell_from_obj(value, states: FinSet, what: str) -> Dist:
+        return Dist(states, str_table(value, what))
+
+
+class StochSystem(Machine):
     """A Markov machine: readout S -> O, update S x I -> Dist(S)."""
 
-    __slots__ = ("states", "interface", "readout", "update")
-
-    def __init__(
-        self,
-        states: FinSet,
-        interface: DetInterface,
-        readout: FinMap,
-        update: Mapping[str, Mapping[str, Dist]],
-    ):
-        if readout.dom != states or readout.cod != interface.outputs:
-            raise ValidationError(
-                f"readout must map states {states} to outputs {interface.outputs}"
-            )
-        for key in update:
-            if key not in states:
-                raise ValidationError(f"update has a row for unknown state {key!r}")
-        normalized: dict[str, dict[str, Dist]] = {}
-        for s in states:
-            if s not in update:
-                raise ValidationError(f"update is missing a row for {s!r}")
-            row = update[s]
-            for key in row:
-                if key not in interface.inputs:
-                    raise ValidationError(
-                        f"update[{s!r}] has an entry for unknown input {key!r}"
-                    )
-            normalized_row: dict[str, Dist] = {}
-            for i in interface.inputs:
-                if i not in row:
-                    raise ValidationError(f"update[{s!r}] is missing an entry for {i!r}")
-                d = row[i]
-                if not isinstance(d, Dist) or d.support != states:
-                    raise ValidationError(
-                        f"update[{s!r}][{i!r}] must be a distribution on {states}"
-                    )
-                normalized_row[i] = d
-            normalized[s] = normalized_row
-        self.states = states
-        self.interface = interface
-        self.readout = readout
-        self.update = normalized
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, StochSystem)
-            and self.states == other.states
-            and self.interface == other.interface
-            and self.readout == other.readout
-            and self.update == other.update
-        )
-
-    def __repr__(self) -> str:
-        return f"StochSystem(states={self.states}, interface={self.interface!r})"
+    __slots__ = ()
+    effect = DistEffect
 
 
-def compose_lens_stoch(lens: DetLens, sys: StochSystem) -> StochSystem:
-    """Rewire a Markov machine; transition weights are untouched."""
-    if lens.source != sys.interface:
-        raise BoundaryError(
-            f"lens source {lens.source!r} does not match system interface {sys.interface!r}"
-        )
-    update = {
-        s: {i2: sys.update[s][lens.bwd[sys.readout(s)][i2]] for i2 in lens.target.inputs}
-        for s in sys.states
-    }
-    return StochSystem(sys.states, lens.target, sys.readout.then(lens.fwd), update)
+# Rewiring leaves transition weights untouched; the product of two Markov
+# machines multiplies weights; a steady state's update is the point
+# distribution on itself. One definition each serves every effect.
+compose_lens_stoch = compose_lens_system
+tensor_stoch = tensor_systems
+dirac_steady_span = steady_span
 
 
 def step_dist(sys: StochSystem, d: Dist, inp: str) -> Dist:
@@ -190,12 +169,8 @@ def _sample(dist: Dist, rng: random.Random) -> str:
 
 def simulate_stoch(sys: StochSystem, s0: str, word: Iterable[str], seed: int) -> list[str]:
     """Sample a state path; the same (system, s0, word, seed) gives the same path."""
-    if s0 not in sys.states:
-        raise ValidationError(f"unknown start state {s0!r}")
     word = list(word)
-    for w in word:
-        if w not in sys.interface.inputs:
-            raise ValidationError(f"unknown input {w!r}")
+    sys.check_run(s0, word)
     rng = random.Random(seed)
     state = s0
     path = [state]
@@ -212,54 +187,3 @@ def embed_det(sys: DetSystem) -> StochSystem:
         for s in sys.states
     }
     return StochSystem(sys.states, sys.interface, sys.readout, update)
-
-
-def tensor_stoch(a: StochSystem, b: StochSystem) -> StochSystem:
-    """Independent product: weights multiply componentwise."""
-    states = product_finset(a.states, b.states)
-    iface = DetInterface(
-        product_finset(a.interface.inputs, b.interface.inputs),
-        product_finset(a.interface.outputs, b.interface.outputs),
-    )
-    readout = FinMap(
-        states,
-        iface.outputs,
-        {
-            join_labels(sa, sb): join_labels(a.readout(sa), b.readout(sb))
-            for sa in a.states
-            for sb in b.states
-        },
-    )
-    update: dict[str, dict[str, Dist]] = {}
-    for sa in a.states:
-        for sb in b.states:
-            row: dict[str, Dist] = {}
-            for ia in a.interface.inputs:
-                for ib in b.interface.inputs:
-                    da = a.update[sa][ia]
-                    db = b.update[sb][ib]
-                    row[join_labels(ia, ib)] = Dist(
-                        states,
-                        {
-                            join_labels(ta, tb): wa * wb
-                            for ta, wa in da.weights.items()
-                            for tb, wb in db.weights.items()
-                        },
-                    )
-            update[join_labels(sa, sb)] = row
-    return StochSystem(states, iface, readout, update)
-
-
-def dirac_steady_span(sys: StochSystem) -> Family:
-    """States whose update is the point distribution on themselves, over (output, input)."""
-    base = product_finset(sys.interface.outputs, sys.interface.inputs)
-    labels: list[str] = []
-    proj: dict[str, str] = {}
-    for s in sys.states:
-        for i in sys.interface.inputs:
-            if sys.update[s][i].is_dirac_at(s):
-                label = join_labels(s, i)
-                labels.append(label)
-                proj[label] = join_labels(sys.readout(s), i)
-    total = FinSet(labels)
-    return Family(base, total, FinMap(total, base, proj))

@@ -207,6 +207,38 @@ class TestSimulate:
         assert main(["simulate", FLIPFLOP, "--system", "flipflop", "--start", "zz",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("window", [["--t1", "inf"], ["--t0=-inf", "--t1", "1"]])
+    def test_non_finite_time_exits_2_without_a_traceback(self, tmp_path, window):
+        proc = subprocess.run(
+            [sys.executable, "-m", "opendyn.cli", "simulate", LV, "--system", "lotka_volterra",
+             "--init", "1,1", "--params", "1,1,1,1", *window, "--out", str(tmp_path / "x.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestDeepExpressions:
+    def test_deeply_nested_field_exits_2_without_a_traceback(self, tmp_path):
+        deep = "(" * 400 + "x" + ")" * 400
+        project = tmp_path / "deep.json"
+        project.write_text(json.dumps({"version": 1, "systems": {"deep": {
+            "kind": "ode", "stateVars": ["x"], "outputVars": ["y"], "paramVars": [],
+            "readout": {"y": "x"}, "field": {"x": deep},
+        }}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "opendyn.cli", "steady", str(project), "--system", "deep",
+             "--out", str(tmp_path / "x.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "nests deeper" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestCheck:
     def test_passing_project_exits_0(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opendyn import ExprEvalError, ExprSyntaxError, evaluate, free_vars, parse, substitute, to_text
-from opendyn.expr import BinOp, Call, Neg, Num, Var
+from opendyn.expr import MAX_NESTING, BinOp, Call, Neg, Num, Var
 
 
 class TestParsing:
@@ -75,6 +75,25 @@ class TestParseErrors:
         with pytest.raises(ExprSyntaxError) as err:
             parse("a $ b")
         assert err.value.position == 2
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("(" * 5000 + "x" + ")" * 5000, MAX_NESTING),
+            ("-" * 5000 + "x", MAX_NESTING),
+            ("x^" * 5000 + "x", 2 * MAX_NESTING),
+            ("sin(" * 5000 + "x" + ")" * 5000, 4 * MAX_NESTING),
+        ],
+    )
+    def test_nesting_past_the_limit_reports_position(self, text, position):
+        with pytest.raises(ExprSyntaxError, match="nests deeper") as err:
+            parse(text)
+        assert err.value.position == position
+
+    def test_nesting_up_to_the_limit_parses(self):
+        depth = MAX_NESTING - 1
+        assert parse("(" * depth + "x" + ")" * depth) == Var("x")
+        assert evaluate(parse("-" * depth + "1"), {}) == -1.0
 
 
 class TestEvaluation:

@@ -188,6 +188,13 @@ class TestParamSignal:
         with pytest.raises(ValidationError):
             ParamSignal((0.0, 1.0), ((1.0,), (2.0, 3.0)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_sample_times_must_be_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            ParamSignal((bad,), ((1.0,),))
+        with pytest.raises(ValidationError, match="finite"):
+            ParamSignal((0.0, bad), ((1.0,), (2.0,)))
+
 
 class TestTrajectoryValidation:
     def test_times_must_increase(self):
@@ -233,6 +240,13 @@ class TestRk4Solve:
             rk4_solve(plain_exp(), (1.0,), NO_PARAMS, 1.0, 1.0, 1e-3)
         with pytest.raises(ValidationError):
             rk4_solve(plain_exp(), (1.0,), NO_PARAMS, 0.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "t0, t1", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)]
+    )
+    def test_non_finite_windows_are_rejected(self, t0, t1):
+        with pytest.raises(ValidationError, match="finite"):
+            rk4_solve(plain_exp(), (1.0,), NO_PARAMS, t0, t1, 1e-3)
 
     def test_wrong_vector_lengths_are_rejected(self):
         with pytest.raises(ValidationError, match="initial"):

@@ -147,6 +147,16 @@ class TestRoundTrip:
         save_project(load_project(str(first)), second)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize(
+        "name",
+        ["flipflop.json", "lv.json", "stoch.json", "square_ok.json", "square_broken.json"],
+    )
+    def test_bundled_fixture_resaves_to_its_own_bytes(self, tmp_path, name):
+        out = tmp_path / name
+        save_project(load_project(fixture_path(name)), out)
+        with open(fixture_path(name), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
     def test_object_round_trip_preserves_every_entry(self):
         for name in ("flipflop.json", "lv.json", "stoch.json", "square_ok.json"):
             project = load_project(fixture_path(name))

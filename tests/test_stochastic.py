@@ -7,6 +7,7 @@ import pytest
 
 from opendyn import (
     DetInterface,
+    DetSystem,
     Dist,
     FinMap,
     FinSet,
@@ -82,6 +83,17 @@ class TestStochSystem:
         bad = Dist.dirac(other, "x")
         with pytest.raises(ValidationError, match="distribution"):
             StochSystem(s, iface, readout, {"a": {"i": bad}, "b": {"i": bad}})
+
+    def test_shares_the_finite_machine_code(self):
+        assert compose_lens_stoch is compose_lens_system
+        assert tensor_stoch is tensor_systems
+        assert dirac_steady_span is steady_span
+
+    def test_never_equals_a_deterministic_machine_with_the_same_fields(self):
+        ff = flipflop()
+        assert StochSystem.__init__ is DetSystem.__init__
+        assert embed_det(ff) != ff and ff != embed_det(ff)
+        assert repr(embed_det(ff)).startswith("StochSystem(")
 
 
 class TestComposeLensStoch:
@@ -204,6 +216,12 @@ class TestEmbedDet:
 
 
 class TestTensorStoch:
+    def test_mixed_effects_are_a_boundary_error(self):
+        from opendyn import BoundaryError
+
+        with pytest.raises(BoundaryError, match="DetSystem with a StochSystem"):
+            tensor_stoch(flipflop(), chain())
+
     def test_weights_multiply(self):
         sys = chain()
         both = tensor_stoch(sys, sys)
