@@ -64,6 +64,7 @@ from .deterministic import (
     paste_horizontal,
     paste_vertical,
     periodic_orbit_span,
+    periodic_orbits,
     representable_span,
     run_word,
     steady_span,

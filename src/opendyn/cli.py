@@ -25,7 +25,7 @@ from .deterministic import (
     check_matrix_theorem,
     check_square,
     lens_to_span,
-    periodic_orbit_span,
+    periodic_orbits,
     run_word,
     tensor_systems,
     walking_cycle,
@@ -112,8 +112,7 @@ def cmd_steady(args) -> int:
         )
     if args.k < 1:
         raise ValidationError(f"k must be at least 1, got {args.k}")
-    family = periodic_orbit_span(sys_entry, args.k)
-    rows = [(family.proj(e), e) for e in family.total]
+    rows = list(periodic_orbits(sys_entry, args.k))
     _write_csv(args.out, ("chart", "element"), rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

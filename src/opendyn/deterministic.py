@@ -14,13 +14,16 @@ into a span between these chart sets, and `check_matrix_theorem` verifies
 that rewiring a machine and then collecting its orbits agrees, up to a
 fiberwise bijection, with applying that span to the orbits of the original
 machine. That is span (= matrix-of-sets) arithmetic acting on behaviors.
+Orbits are found by walking a start state and an input word, and the
+theorem is checked on the charts that carry orbits, never on whole chart
+sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import ClassVar, Mapping, Optional
+from typing import ClassVar, Iterator, Mapping, Optional, Sequence
 
 from .errors import BoundaryError, ValidationError
 from .finset import (
@@ -29,8 +32,6 @@ from .finset import (
     FinMap,
     FinSet,
     Span,
-    families_isomorphic,
-    apply_span_to_family,
     expect_str,
     join_labels,
     product_finset,
@@ -452,6 +453,76 @@ def _readout_is_identity(sys: DetSystem) -> bool:
     )
 
 
+def _maps_into(rep: DetSystem, sys: DetSystem) -> Iterator[tuple[str, ...]]:
+    """Every (phi, isharp) from `rep` into `sys` as a slot tuple.
+
+    The slots are phi(s) followed by isharp(s, i) for every rep input i, for
+    every rep state s in canonical order. The search fills them depth first,
+    each running in canonical order, so the tuples come out in the product
+    order over the slots. A branch is cut as soon as the three slots of one
+    constraint phi(update_rep(s, i)) = update(phi(s), isharp(s, i)) are
+    filled and disagree; a slot phi(s') whose constraint has its other two
+    slots earlier is computed rather than searched. On a walking k-cycle this
+    walks a start state and an input word: |S| * |I|^k tuples tried, not
+    (|S| * |I|)^k.
+    """
+    rep_states = rep.states.elements
+    rep_inputs = rep.interface.inputs.elements
+    width = 1 + len(rep_inputs)
+    phi_slot = {s: pos * width for pos, s in enumerate(rep_states)}
+    n = len(rep_states) * width
+    domains = [
+        sys.states.elements if slot % width == 0 else sys.interface.inputs.elements
+        for slot in range(n)
+    ]
+    # forced[slot]: the (phi(s), isharp(s, i)) slots that fix phi(s') there;
+    # checks[slot]: the constraints whose last slot is this one
+    forced: list[Optional[tuple[int, int]]] = [None] * n
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for s in rep_states:
+        for ipos, i in enumerate(rep_inputs):
+            src, inp, dst = phi_slot[s], phi_slot[s] + 1 + ipos, phi_slot[rep.update[s][i]]
+            if dst > inp and forced[dst] is None:
+                forced[dst] = (src, inp)
+            else:
+                checks[max(inp, dst)].append((src, inp, dst))
+    update = sys.update
+
+    def candidates(slot: int):
+        if forced[slot] is None:
+            return iter(domains[slot])
+        src, inp = forced[slot]
+        return iter((update[combo[src]][combo[inp]],))
+
+    if n == 0:
+        yield ()
+        return
+    combo: list[str] = [""] * n
+    stack = [candidates(0)]
+    while stack:
+        slot = len(stack) - 1
+        tests = checks[slot]
+        for value in stack[-1]:
+            combo[slot] = value
+            if not tests or all(combo[d] == update[combo[s]][combo[i]] for s, i, d in tests):
+                break
+        else:
+            stack.pop()
+            continue
+        if slot + 1 == n:
+            yield tuple(combo)
+        else:
+            stack.append(candidates(slot + 1))
+
+
+def _chart_slots(combo: tuple[str, ...], width: int, readout: FinMap) -> list[str]:
+    """The chart a slot tuple lies over: each phi(s) replaced by its output."""
+    parts = list(combo)
+    for pos in range(0, len(parts), width):
+        parts[pos] = readout(parts[pos])
+    return parts
+
+
 def representable_span(rep: DetSystem, sys: DetSystem) -> Family:
     """All ways of mapping `rep` into `sys`, fibered over the chart used.
 
@@ -465,35 +536,13 @@ def representable_span(rep: DetSystem, sys: DetSystem) -> Family:
     if not _readout_is_identity(rep):
         raise ValidationError("representing system must expose its entire state")
     base = chart_hom_set(rep.interface, sys.interface)
-    rep_states = rep.states.elements
-    rep_inputs = rep.interface.inputs.elements
-    domains: list[tuple[str, ...]] = []
-    for _s in rep_states:
-        domains.append(sys.states.elements)
-        for _i in rep_inputs:
-            domains.append(sys.interface.inputs.elements)
-    width = 1 + len(rep_inputs)
+    width = 1 + len(rep.interface.inputs)
     labels: list[str] = []
     proj: dict[str, str] = {}
-    for combo in product(*domains):
-        phi = {s: combo[pos * width] for pos, s in enumerate(rep_states)}
-        isharp = {
-            (s, i): combo[pos * width + 1 + ipos]
-            for pos, s in enumerate(rep_states)
-            for ipos, i in enumerate(rep_inputs)
-        }
-        if all(
-            phi[rep.update[s][i]] == sys.update[phi[s]][isharp[(s, i)]]
-            for s in rep_states
-            for i in rep_inputs
-        ):
-            label = join_labels(*combo)
-            base_parts: list[str] = []
-            for pos, s in enumerate(rep_states):
-                base_parts.append(sys.readout(phi[s]))
-                base_parts.extend(combo[pos * width + 1 : (pos + 1) * width])
-            labels.append(label)
-            proj[label] = join_labels(*base_parts)
+    for combo in _maps_into(rep, sys):
+        label = join_labels(*combo)
+        labels.append(label)
+        proj[label] = join_labels(*_chart_slots(combo, width, sys.readout))
     total = FinSet(labels)
     return Family(base, total, FinMap(total, base, proj))
 
@@ -519,11 +568,23 @@ def steady_span(sys: Machine) -> Family:
     return Family(base, total, FinMap(total, base, proj))
 
 
-def periodic_orbit_span(sys: DetSystem, k: int) -> Family:
-    """Orbits of period dividing k, fibered over k-tuples of (output, input) pairs."""
+def _check_period(k: int) -> None:
     if k < 1:
         raise ValidationError(f"orbit period must be at least 1, got {k}")
+
+
+def periodic_orbit_span(sys: DetSystem, k: int) -> Family:
+    """Orbits of period dividing k, fibered over k-tuples of (output, input) pairs."""
+    _check_period(k)
     return representable_span(walking_cycle(k), sys)
+
+
+def periodic_orbits(sys: DetSystem, k: int) -> Iterator[tuple[str, str]]:
+    """The (chart, element) labels of `periodic_orbit_span(sys, k)`, element
+    by element in its total order, without building its chart base."""
+    _check_period(k)
+    for combo in _maps_into(walking_cycle(k), sys):
+        yield join_labels(*_chart_slots(combo, 2, sys.readout)), join_labels(*combo)
 
 
 def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
@@ -562,21 +623,92 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
     return Span(source, target, apex, FinMap(apex, source, left), FinMap(apex, target, right))
 
 
+def _match_fibers(
+    total1: list[str],
+    fibers1: Mapping[tuple[str, ...], list[str]],
+    total2: list[str],
+    fibers2: Mapping[tuple[str, ...], list[str]],
+    chart_key,
+) -> FamilyMatch:
+    """`families_isomorphic` on two families given sparsely: each total in its
+    canonical order, and its nonempty fibers keyed by chart tuple. Charts are
+    visited in the order of `chart_key`, the base's canonical order, so a
+    mismatch names the same chart with the same counts."""
+    differ = [
+        c for c in fibers1.keys() | fibers2.keys()
+        if len(fibers1.get(c, ())) != len(fibers2.get(c, ()))
+    ]
+    if differ:
+        chart = min(differ, key=chart_key)
+        counts = (len(fibers1.get(chart, ())), len(fibers2.get(chart, ())))
+        return FamilyMatch(None, mismatch=join_labels(*chart), counts=counts)
+    table: dict[str, str] = {}
+    for chart, zs in fibers1.items():
+        table.update(zip(zs, fibers2[chart]))
+    return FamilyMatch(FinMap(FinSet(total1), FinSet(total2), table))
+
+
 def check_matrix_theorem(lens: DetLens, sys: DetSystem, k: int) -> FamilyMatch:
     """Orbits of the rewired machine vs the lens span applied to the original orbits.
 
     The two families must always be fiberwise bijective; a mismatch on any
-    valid input is a defect, not a data problem.
+    valid input is a defect, not a data problem. The result equals
+    `families_isomorphic(periodic_orbit_span(compose_lens_system(lens, sys), k),
+    apply_span_to_family(lens_to_span(lens, walking_cycle(k).interface),
+    periodic_orbit_span(sys, k)))`, but neither chart set nor the span is built:
+    each orbit of `sys` over the chart (o_j, i_j)_j goes to the apex elements
+    (o_j, i'_j)_j with bwd[o_j][i'_j] = i_j, whose right leg is
+    (fwd(o_j), i'_j)_j, and fibers are compared chart by chart.
     """
     if lens.source != sys.interface:
         raise BoundaryError(
             f"lens source {lens.source!r} does not match system interface {sys.interface!r}"
         )
-    rewired_orbits = periodic_orbit_span(compose_lens_system(lens, sys), k)
-    pushed_orbits = apply_span_to_family(
-        lens_to_span(lens, walking_cycle(k).interface), periodic_orbit_span(sys, k)
+    rewired = compose_lens_system(lens, sys)
+    _check_period(k)
+    cycle = walking_cycle(k)
+    outputs, new_outputs, new_inputs = (
+        {x: n for n, x in enumerate(labels)}
+        for labels in (lens.source.outputs, lens.target.outputs, lens.target.inputs)
     )
-    return families_isomorphic(rewired_orbits, pushed_orbits)
+
+    def key(pairs: Sequence[str], outs: Mapping[str, int]) -> tuple[int, ...]:
+        """Positions of interleaved (output, new input) labels: canonical order."""
+        return tuple((outs if pos % 2 == 0 else new_inputs)[x] for pos, x in enumerate(pairs))
+
+    rewired_total: list[str] = []
+    rewired_fibers: dict[tuple[str, ...], list[str]] = {}
+    for combo in _maps_into(cycle, rewired):
+        label = join_labels(*combo)
+        rewired_total.append(label)
+        rewired_fibers.setdefault(tuple(_chart_slots(combo, 2, rewired.readout)), []).append(label)
+
+    # preimages[o][i]: the new inputs i' with bwd[o][i'] = i, in canonical order
+    preimages = {o: {i: [] for i in lens.source.inputs} for o in lens.source.outputs}
+    for o, row in lens.bwd.items():
+        for i2, i in row.items():
+            preimages[o][i].append(i2)
+    # Pushed elements "apex|orbit" in apply_span_to_family's order: by apex
+    # position tuple, then by orbit.
+    pushed: list[tuple[tuple[int, ...], int, str, tuple[str, ...]]] = []
+    for index, combo in enumerate(_maps_into(cycle, sys)):
+        orbit = join_labels(*combo)
+        outs = [sys.readout(combo[pos]) for pos in range(0, 2 * k, 2)]
+        for word in product(*(preimages[o][combo[2 * j + 1]] for j, o in enumerate(outs))):
+            apex = [x for pair in zip(outs, word) for x in pair]
+            chart = tuple(x for o, i2 in zip(outs, word) for x in (lens.fwd(o), i2))
+            pushed.append((key(apex, outputs), index, join_labels(*apex, orbit), chart))
+    pushed.sort()
+    pushed_fibers: dict[tuple[str, ...], list[str]] = {}
+    for _key, _index, label, chart in pushed:
+        pushed_fibers.setdefault(chart, []).append(label)
+    return _match_fibers(
+        rewired_total,
+        rewired_fibers,
+        [p[2] for p in pushed],
+        pushed_fibers,
+        lambda chart: key(chart, new_outputs),
+    )
 
 
 def run_word(sys: DetSystem, s0: str, word: list[str]) -> list[tuple[str, str]]:

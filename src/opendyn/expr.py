@@ -9,7 +9,9 @@ Grammar (whitespace insignificant):
     atom    := NUMBER | IDENT | IDENT '(' sum ')' | '(' sum ')'
 
 so '^' binds tighter than unary minus, which binds tighter than '*' and '/'.
-Parentheses, calls, unary minus and exponents nest at most MAX_NESTING deep.
+Parentheses, calls, unary minus and exponents nest at most MAX_NESTING deep,
+and a parsed tree is at most MAX_DEPTH nodes deep, long flat chains such as
+`x+x+...+x` included.
 The only functions are sin, cos, exp, log. There are no binders, so
 substitution is plain simultaneous replacement.
 """
@@ -30,6 +32,11 @@ IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
 #: Deepest nesting of parentheses, calls, unary minus and exponents that the
 #: recursive-descent parser accepts; deeper text would exhaust Python's stack.
 MAX_NESTING = 100
+
+#: Deepest tree, in nodes from the root to a leaf, that `parse` builds. The
+#: tree walkers below and the nodes' equality and hashing recurse once per
+#: level; real fields are a few dozen levels deep even after deep wiring.
+MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -109,72 +116,81 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", position)
         self.advance()
 
+    # Each rule returns the tree it parsed together with the tree's depth.
+
     def parse(self) -> Expr:
-        expr = self.sum()
+        expr, _ = self.sum()
         kind, value, position = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected {value!r} after expression", position)
         return expr
 
-    def sum(self) -> Expr:
-        expr = self.product()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                expr = BinOp(value, expr, self.product())
-            else:
-                return expr
+    @staticmethod
+    def node(expr: Expr, depth: int, position: int) -> tuple[Expr, int]:
+        """A new inner node `depth` levels deep, built at the operator at `position`."""
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression is deeper than {MAX_DEPTH} levels", position)
+        return expr, depth
 
-    def product(self) -> Expr:
-        expr = self.factor()
+    def chain(self, ops: str, operand) -> tuple[Expr, int]:
+        """operand ((op in ops) operand)*, associating to the left."""
+        expr, depth = operand()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                expr = BinOp(value, expr, self.factor())
-            else:
-                return expr
+            kind, value, position = self.peek()
+            if kind != "op" or value not in ops:
+                return expr, depth
+            self.advance()
+            right, right_depth = operand()
+            depth = 1 + max(depth, right_depth)
+            expr, depth = self.node(BinOp(value, expr, right), depth, position)
 
-    def factor(self) -> Expr:
+    def sum(self) -> tuple[Expr, int]:
+        return self.chain("+-", self.product)
+
+    def product(self) -> tuple[Expr, int]:
+        return self.chain("*/", self.factor)
+
+    def factor(self) -> tuple[Expr, int]:
         kind, value, position = self.peek()
         if self.nesting == MAX_NESTING:
             raise ExprSyntaxError(f"expression nests deeper than {MAX_NESTING} levels", position)
         self.nesting += 1
         if kind == "op" and value == "-":
             self.advance()
-            expr = Neg(self.factor())
+            arg, depth = self.factor()
+            result = self.node(Neg(arg), 1 + depth, position)
         else:
-            expr = self.power()
+            result = self.power()
         self.nesting -= 1
-        return expr
+        return result
 
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, value, _ = self.peek()
+    def power(self) -> tuple[Expr, int]:
+        base, depth = self.atom()
+        kind, value, position = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return BinOp("^", base, self.factor())
-        return base
+            exponent, exponent_depth = self.factor()
+            return self.node(BinOp("^", base, exponent), 1 + max(depth, exponent_depth), position)
+        return base, depth
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         kind, value, position = self.advance()
         if kind == "num":
-            return Num(float(value))
+            return Num(float(value)), 1
         if kind == "ident":
             peek_kind, peek_value, _ = self.peek()
             if peek_kind == "op" and peek_value == "(":
                 if value not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {value!r}", position)
                 self.advance()
-                arg = self.sum()
+                arg, depth = self.sum()
                 self.expect_op(")")
-                return Call(value, arg)
-            return Var(value)
+                return self.node(Call(value, arg), 1 + depth, position)
+            return Var(value), 1
         if kind == "op" and value == "(":
-            expr = self.sum()
+            result = self.sum()
             self.expect_op(")")
-            return expr
+            return result
         shown = value if value else "end of input"
         raise ExprSyntaxError(f"expected a value, got {shown!r}", position)
 

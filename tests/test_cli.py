@@ -240,6 +240,24 @@ class TestDeepExpressions:
         assert "Traceback" not in proc.stderr
 
 
+    def test_three_thousand_term_field_exits_2_without_a_traceback(self, tmp_path):
+        long_sum = "+".join(["x"] * 3000)
+        project = tmp_path / "long.json"
+        project.write_text(json.dumps({"version": 1, "systems": {"long": {
+            "kind": "ode", "stateVars": ["x"], "outputVars": ["y"], "paramVars": [],
+            "readout": {"y": "x"}, "field": {"x": long_sum},
+        }}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "opendyn.cli", "steady", str(project), "--system", "long",
+             "--out", str(tmp_path / "x.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "deeper than" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestCheck:
     def test_passing_project_exits_0(self, tmp_path, capsys):
         code = main(["check", SQUARE_OK, "--cases", "5"])

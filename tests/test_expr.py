@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opendyn import ExprEvalError, ExprSyntaxError, evaluate, free_vars, parse, substitute, to_text
-from opendyn.expr import MAX_NESTING, BinOp, Call, Neg, Num, Var
+from opendyn.expr import MAX_DEPTH, MAX_NESTING, BinOp, Call, Neg, Num, Var
 
 
 class TestParsing:
@@ -94,6 +94,64 @@ class TestParseErrors:
         depth = MAX_NESTING - 1
         assert parse("(" * depth + "x" + ")" * depth) == Var("x")
         assert evaluate(parse("-" * depth + "1"), {}) == -1.0
+
+
+
+def tree_depth(e) -> int:
+    """Nodes on the longest root-to-leaf path, found without recursion."""
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in vars(node).values() if isinstance(
+            child, (Num, Var, Neg, BinOp, Call)))
+    return deepest
+
+
+def flat_sum(terms: int) -> str:
+    return "+".join(["x"] * terms)
+
+
+class TestDepthLimit:
+    def test_a_flat_chain_at_the_limit_works_in_every_walker(self):
+        e = parse(flat_sum(MAX_DEPTH))
+        assert tree_depth(e) == MAX_DEPTH
+        assert free_vars(e) == {"x"}
+        assert evaluate(e, {"x": 1.0}) == MAX_DEPTH
+        assert parse(to_text(e)) == e
+        assert hash(parse(flat_sum(MAX_DEPTH))) == hash(e)
+        doubled = substitute(e, {"x": parse("2*y")})
+        assert tree_depth(doubled) == MAX_DEPTH + 1
+        assert evaluate(doubled, {"y": 1.0}) == 2 * MAX_DEPTH
+        assert repr(e).startswith("BinOp(")
+
+    def test_one_past_the_limit_names_the_operator_that_crosses_it(self):
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels") as err:
+            parse(flat_sum(MAX_DEPTH + 1))
+        # the last '+' of "x+x+...+x" would build the tree's root
+        assert err.value.position == 2 * MAX_DEPTH - 1
+
+    def test_three_thousand_terms_are_refused(self):
+        with pytest.raises(ExprSyntaxError, match="deeper than") as err:
+            parse(flat_sum(3000))
+        assert err.value.position == 2 * MAX_DEPTH - 1
+
+    @pytest.mark.parametrize("op", ["-", "*", "/"])
+    def test_every_left_associative_chain_counts(self, op):
+        assert tree_depth(parse(op.join(["x"] * MAX_DEPTH))) == MAX_DEPTH
+        with pytest.raises(ExprSyntaxError, match="deeper than"):
+            parse(op.join(["x"] * (MAX_DEPTH + 1)))
+
+    def test_nesting_and_chains_add_up(self):
+        wraps = 40  # each "-(" is two nesting levels
+        inner = flat_sum(MAX_DEPTH - wraps)
+        assert tree_depth(parse("-(" * wraps + inner + ")" * wraps)) == MAX_DEPTH
+        with pytest.raises(ExprSyntaxError, match="deeper than") as err:
+            parse("-(" * wraps + inner + "+x" + ")" * wraps)
+        assert err.value.position == 0  # the outermost minus
+        with pytest.raises(ExprSyntaxError, match="deeper than") as err:
+            parse("sin(" * wraps + inner + "+x" + ")" * wraps)
+        assert err.value.position == 0
 
 
 class TestEvaluation:
