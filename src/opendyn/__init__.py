@@ -37,6 +37,7 @@ from .expr import (
     Num,
     Neg,
     Var,
+    compile_table,
     evaluate,
     free_vars,
     parse,

@@ -581,10 +581,24 @@ def periodic_orbit_span(sys: DetSystem, k: int) -> Family:
 
 def periodic_orbits(sys: DetSystem, k: int) -> Iterator[tuple[str, str]]:
     """The (chart, element) labels of `periodic_orbit_span(sys, k)`, element
-    by element in its total order, without building its chart base."""
+    by element in its total order, without building its chart base.
+
+    Labels join their parts with `|`, so parts that contain it can make two
+    elements, or two charts, print alike; like the span's `FinSet`s, this
+    raises `duplicate element label` then.
+    """
     _check_period(k)
+    charts: dict[str, list[str]] = {}
+    elements: set[str] = set()
     for combo in _maps_into(walking_cycle(k), sys):
-        yield join_labels(*_chart_slots(combo, 2, sys.readout)), join_labels(*combo)
+        parts = _chart_slots(combo, 2, sys.readout)
+        chart, element = join_labels(*parts), join_labels(*combo)
+        if element in elements:
+            raise ValidationError(f"duplicate element label {element!r}")
+        if charts.setdefault(chart, parts) != parts:
+            raise ValidationError(f"duplicate element label {chart!r}")
+        elements.add(element)
+        yield chart, element
 
 
 def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:

@@ -14,6 +14,11 @@ and a parsed tree is at most MAX_DEPTH nodes deep, long flat chains such as
 `x+x+...+x` included.
 The only functions are sin, cos, exp, log. There are no binders, so
 substitution is plain simultaneous replacement.
+
+`compile_table` turns a table of expressions into one Python function of
+positional values, which is how `opendyn.ode` evaluates fields. `evaluate`,
+the recursive tree walk, defines what that function must compute, bit for
+bit and error for error, and is the reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import ExprEvalError, ExprSyntaxError
 
@@ -303,3 +308,162 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
         raise ExprEvalError(f"{left!r}^{right!r} is undefined") from None
     except OverflowError:
         raise ExprEvalError(f"{left!r}^{right!r} overflows") from None
+
+
+# -- compilation -------------------------------------------------------------
+#
+# `compile_table` turns a table of expressions into straight-line Python: one
+# statement per distinct inner node, in the post-order `evaluate` visits them,
+# so no generated line nests and any tree depth compiles. Equal subtrees are
+# interned bottom-up on (operator, operand local, operand local) keys and get
+# one local, bound where the tree walk would first evaluate them; reusing a
+# pure value keeps results bit-identical, and a reused subtree evaluated
+# without error once cannot raise later, so the first error is the same one.
+
+
+def _checked_call(name: str, fn):
+    def call(arg):
+        try:
+            return fn(arg)
+        except ValueError:
+            raise ExprEvalError(f"{name}({arg!r}) is undefined") from None
+        except OverflowError:
+            raise ExprEvalError(f"{name}({arg!r}) overflows") from None
+
+    return call
+
+
+def _pow(left, right):
+    try:
+        return math.pow(left, right)
+    except ValueError:
+        raise ExprEvalError(f"{left!r}^{right!r} is undefined") from None
+    except OverflowError:
+        raise ExprEvalError(f"{left!r}^{right!r} overflows") from None
+
+
+def _div(node: BinOp):
+    raise ExprEvalError(f"division by zero: {to_text(node)}")
+
+
+def _unbound(name: str):
+    raise ExprEvalError(f"unbound variable {name!r}")
+
+
+_HELPERS = {
+    "_Err": ExprEvalError,
+    "_pow": _pow,
+    "_div": _div,
+    "_unbound": _unbound,
+    **{f"_{name}": _checked_call(name, fn) for name, fn in FUNCTIONS.items()},
+}
+
+
+class _Emitter:
+    """Statements and interned locals for one generated function."""
+
+    def __init__(self, args: Sequence[str]):
+        # a name listed twice reads its last value, as a dict built in order would
+        self.arg_of = {name: f"_a{j}" for j, name in enumerate(args)}
+        self.namespace = dict(_HELPERS)
+        self.by_key: dict[tuple, str] = {}
+        self.by_id: dict[int, str] = {}
+        self.lines: list[str] = []
+
+    def const(self, value) -> str:
+        name = f"_k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def local(self, key: tuple, e: Expr, operands: Sequence[str]) -> str:
+        """The local holding the node interned as `key`; the first time, a new
+        local and the statement that computes it."""
+        local = self.by_key.get(key)
+        if local is None:
+            if isinstance(e, Num):
+                local = self.const(e.value)
+            else:
+                local = f"_v{len(self.lines)}"
+                self.lines.append(f"        {local} = {self.rhs(e, operands)}")
+            self.by_key[key] = local
+        return local
+
+    def rhs(self, e: Expr, operands: Sequence[str]) -> str:
+        if isinstance(e, Var):
+            return f"_unbound({self.const(e.name)})"
+        if isinstance(e, Neg):
+            return f"-{operands[0]}"
+        if isinstance(e, Call):
+            if e.fn not in FUNCTIONS:
+                raise KeyError(e.fn)
+            return f"_{e.fn}({operands[0]})"
+        left, right = operands
+        if e.op == "/":
+            return f"_div({self.const(e)}) if {right} == 0.0 else {left} / {right}"
+        if e.op == "^":
+            return f"_pow({left}, {right})"
+        return f"{left} {e.op} {right}"
+
+    def node(self, e: Expr, operands: list[str]) -> str:
+        if isinstance(e, Num):
+            return self.local(("num", type(e.value), repr(e.value)), e, operands)
+        if isinstance(e, Var):
+            return self.arg_of.get(e.name) or self.local(("var", e.name), e, operands)
+        if isinstance(e, BinOp):
+            return self.local((e.op, *operands), e, operands)
+        if isinstance(e, Call):
+            return self.local(("call", e.fn, *operands), e, operands)
+        return self.local(("neg", *operands), e, operands)
+
+    def visit(self, root: Expr) -> str:
+        """The local holding `root`, emitting statements in evaluate's post-order."""
+        by_id = self.by_id
+        stack = [root]
+        while stack:
+            e = stack[-1]
+            if id(e) in by_id:
+                stack.pop()
+                continue
+            if isinstance(e, BinOp):
+                children = (e.left, e.right)
+            elif isinstance(e, (Neg, Call)):
+                children = (e.arg,)
+            else:
+                children = ()
+            pending = [c for c in children if id(c) not in by_id]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            stack.pop()
+            by_id[id(e)] = self.node(e, [by_id[id(c)] for c in children])
+        return by_id[id(root)]
+
+
+def compile_table(
+    table: Mapping[str, Expr], keys: Sequence[str], args: Sequence[str], what: str
+) -> Callable[..., tuple[float, ...]]:
+    """One function of the values of `args`, positionally, returning the
+    tuple of `table[key]` for each key.
+
+    It computes what `evaluate` computes on each expression with `args`
+    bound, bit for bit, and raises the same first error, its message
+    prefixed `<what> component '<key>': `.
+    """
+    emitter = _Emitter(args)
+    body: list[str] = []
+    results: list[str] = []
+    for key in keys:
+        start = len(emitter.lines)
+        results.append(emitter.visit(table[key]))
+        if len(emitter.lines) > start:
+            prefix = emitter.const(f"{what} component {key!r}: ")
+            body.append("    try:")
+            body.extend(emitter.lines[start:])
+            body.append("    except _Err as _e:")
+            body.append(f"        raise _Err({prefix} + str(_e)) from None")
+    params = ", ".join(f"_a{j}" for j in range(len(args)))
+    returned = "".join(f"{local}, " for local in results)
+    source = "\n".join([f"def _compiled({params}):", *body, f"    return ({returned})", ""])
+    namespace = emitter.namespace
+    exec(compile(source, f"<compiled {what}>", "exec"), namespace)
+    return namespace["_compiled"]

@@ -8,11 +8,19 @@ the old outputs and the new parameters. Composition is textbook simultaneous
 substitution, so wiring two populations into a predator-prey loop literally
 produces the expected right-hand sides.
 
-Solving is fixed-step classical RK4. `check_residual` replays a trajectory
-against the field with central differences; `check_solve_functoriality`
-compares substitute-then-solve against solving with parameters filled in on
-the fly at every integrator stage. Both integrations share one stepping
-routine, so the two paths differ only by where expressions are evaluated.
+Every evaluation runs straight-line Python that `expr.compile_table`
+generates: a system compiles its field and readout once, on first use, with
+each repeated subtree of a deeply wired field computed once. The results
+and error messages are those of the tree walk `expr.evaluate`, which stays
+the reference.
+
+Solving is fixed-step classical RK4 on a grid of at most MAX_STEPS steps; an
+evaluation error names the stage time and state it happened at.
+`check_residual` replays a trajectory against the field with central
+differences; `check_solve_functoriality` compares substitute-then-solve
+against solving with parameters filled in on the fly at every integrator
+stage. Both integrations share one stepping routine, so the two paths differ
+only by where expressions are evaluated.
 """
 
 from __future__ import annotations
@@ -24,9 +32,14 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import ExprEvalError, IntegrationError, ValidationError
-from .expr import Expr, Var, evaluate, free_vars, parse, substitute
+from .expr import Expr, Var, compile_table, free_vars, parse, substitute
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: Most steps a fixed-step time grid may take; `_grid` refuses a longer one
+#: before building it. A step holds a state and an output row, so this keeps
+#: a run's memory in the hundreds of megabytes.
+MAX_STEPS = 1_000_000
 
 ExprLike = Union[Expr, str]
 
@@ -81,7 +94,7 @@ def _check_expr_table(
 class OdeSystem:
     """ds/dt = field(s, params), outputs = readout(s), all coordinatewise."""
 
-    __slots__ = ("state_vars", "output_vars", "param_vars", "readout", "field")
+    __slots__ = ("state_vars", "output_vars", "param_vars", "readout", "field", "_compiled")
 
     def __init__(
         self,
@@ -106,6 +119,19 @@ class OdeSystem:
         self.field = _check_expr_table(
             field, self.state_vars, states | set(self.param_vars), "field"
         )
+        self._compiled = None
+
+    def compiled(self) -> tuple[Callable[..., tuple[float, ...]], Callable[..., tuple[float, ...]]]:
+        """The field, over state then parameter values, and the readout, over
+        state values, as compiled functions; built on first use."""
+        if self._compiled is None:
+            self._compiled = (
+                compile_table(
+                    self.field, self.state_vars, self.state_vars + self.param_vars, "field"
+                ),
+                compile_table(self.readout, self.output_vars, self.state_vars, "readout"),
+            )
+        return self._compiled
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -264,18 +290,6 @@ def tensor_ode(a: OdeSystem, b: OdeSystem) -> OdeSystem:
     )
 
 
-def _eval_table(
-    table: Mapping[str, Expr], keys: Sequence[str], env: Mapping[str, float], what: str
-) -> tuple[float, ...]:
-    out = []
-    for key in keys:
-        try:
-            out.append(evaluate(table[key], env))
-        except ExprEvalError as exc:
-            raise ExprEvalError(f"{what} component {key!r}: {exc}") from None
-    return tuple(out)
-
-
 def eval_field(
     sys: OdeSystem, state: Sequence[float], params: Sequence[float]
 ) -> tuple[float, ...]:
@@ -288,9 +302,7 @@ def eval_field(
         raise ValidationError(
             f"expected {len(sys.param_vars)} parameter values, got {len(params)}"
         )
-    env = dict(zip(sys.state_vars, state))
-    env.update(zip(sys.param_vars, params))
-    return _eval_table(sys.field, sys.state_vars, env, "field")
+    return sys.compiled()[0](*state, *params)
 
 
 def eval_readout(sys: OdeSystem, state: Sequence[float]) -> tuple[float, ...]:
@@ -299,8 +311,7 @@ def eval_readout(sys: OdeSystem, state: Sequence[float]) -> tuple[float, ...]:
         raise ValidationError(
             f"expected {len(sys.state_vars)} state values, got {len(state)}"
         )
-    env = dict(zip(sys.state_vars, state))
-    return _eval_table(sys.readout, sys.output_vars, env, "readout")
+    return sys.compiled()[1](*state)
 
 
 class ParamSignal:
@@ -371,7 +382,13 @@ def _grid(t0: float, t1: float, h: float) -> list[float]:
         raise ValidationError(f"need t1 > t0, got [{t0}, {t1}]")
     if not (h > 0) or h > t1 - t0:
         raise ValidationError(f"step must satisfy 0 < h <= t1 - t0, got {h}")
-    n = int(math.floor((t1 - t0) / h))
+    steps = (t1 - t0) / h
+    if not steps <= MAX_STEPS:
+        raise ValidationError(
+            f"time grid [{t0}, {t1}] at step {h} needs about {steps:.6g} steps, "
+            f"more than MAX_STEPS = {MAX_STEPS}"
+        )
+    n = int(math.floor(steps))
     while t0 + (n + 1) * h <= t1:
         n += 1
     times = [t0 + j * h for j in range(n + 1)]
@@ -380,18 +397,32 @@ def _grid(t0: float, t1: float, h: float) -> list[float]:
     return times
 
 
-def _integrate(f: FieldFn, y0: Sequence[float], t0: float, t1: float, h: float):
-    """Classical RK4 over the fixed grid; the last step is shortened to land on t1."""
+def _integrate(
+    f: FieldFn, names: Sequence[str], y0: Sequence[float], t0: float, t1: float, h: float
+):
+    """Classical RK4 over the fixed grid; the last step is shortened to land on t1.
+
+    An evaluation error in `f` gains the stage time and the state, coordinates
+    named by `names`, that it was evaluated at.
+    """
     times = _grid(t0, t1, h)
     y = tuple(float(x) for x in y0)
     values = [y]
     for t, t_next in zip(times, times[1:]):
         step = t_next - t
         half = step / 2.0
-        k1 = f(t, y)
-        k2 = f(t + half, tuple(yi + half * ki for yi, ki in zip(y, k1)))
-        k3 = f(t + half, tuple(yi + half * ki for yi, ki in zip(y, k2)))
-        k4 = f(t_next, tuple(yi + step * ki for yi, ki in zip(y, k3)))
+        ts, ys = t, y
+        try:
+            k1 = f(ts, ys)
+            ts, ys = t + half, tuple(yi + half * ki for yi, ki in zip(y, k1))
+            k2 = f(ts, ys)
+            ys = tuple(yi + half * ki for yi, ki in zip(y, k2))
+            k3 = f(ts, ys)
+            ts, ys = t_next, tuple(yi + step * ki for yi, ki in zip(y, k3))
+            k4 = f(ts, ys)
+        except ExprEvalError as exc:
+            state = ", ".join(f"{name}={v!r}" for name, v in zip(names, ys))
+            raise ExprEvalError(f"{exc} at t={ts!r} in state ({state})") from None
         y = tuple(
             yi + step / 6.0 * (a + 2.0 * b + 2.0 * c + d)
             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
@@ -424,7 +455,7 @@ def rk4_solve(
     def f(t: float, y: tuple[float, ...]) -> tuple[float, ...]:
         return eval_field(sys, y, param_signal(t))
 
-    times, values = _integrate(f, s0, t0, t1, h)
+    times, values = _integrate(f, sys.state_vars, s0, t0, t1, h)
     outputs = [eval_readout(sys, y) for y in values]
     return Trajectory(tuple(times), tuple(values), tuple(outputs))
 
@@ -502,15 +533,14 @@ def check_solve_functoriality(
     composed = compose_lens_ode(lens, sys)
     path_a = rk4_solve(composed, s0, outer_signal, t0, t1, h)
 
-    def f(t: float, y: tuple[float, ...]) -> tuple[float, ...]:
-        env = dict(zip(sys.state_vars, y))
-        outs = _eval_table(sys.readout, sys.output_vars, env, "readout")
-        penv = dict(zip(sys.output_vars, outs))
-        penv.update(zip(lens.target_params, outer_signal(t)))
-        inner = _eval_table(lens.bwd, sys.param_vars, penv, "bwd")
-        return eval_field(sys, y, inner)
+    readout = sys.compiled()[1]
+    # a target parameter named like an output shadows it, as a later binding would
+    bwd = compile_table(lens.bwd, sys.param_vars, sys.output_vars + lens.target_params, "bwd")
 
-    times, values = _integrate(f, s0, t0, t1, h)
+    def f(t: float, y: tuple[float, ...]) -> tuple[float, ...]:
+        return eval_field(sys, y, bwd(*readout(*y), *outer_signal(t)))
+
+    times, values = _integrate(f, sys.state_vars, s0, t0, t1, h)
     worst = 0.0
     worst_time = t0
     for t, row_a, row_b in zip(times, path_a.values, values):

@@ -130,6 +130,26 @@ class TestSteady:
                      "--out", str(tmp_path / "y.csv")]) == 2
         assert "deterministic" in capsys.readouterr().err
 
+    def test_labels_that_join_alike_exit_2(self, tmp_path):
+        # elements (a|b, c) and (a, b|c) both print as a|b|c
+        project = tmp_path / "pipes.json"
+        project.write_text(json.dumps({"version": 1, "systems": {"m": {
+            "kind": "deterministic", "states": ["a|b", "a"], "inputs": ["c", "b|c"],
+            "outputs": ["o"], "readout": {"a|b": "o", "a": "o"},
+            "update": {"a|b": {"c": "a|b", "b|c": "a|b"}, "a": {"c": "a", "b|c": "a"}},
+        }}}))
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "opendyn.cli", "steady", str(project), "--system", "m",
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: duplicate element label 'a|b|c'")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestMatrix:
     def test_feedback_lens_matrix_dump(self, tmp_path):
@@ -217,6 +237,20 @@ class TestSimulate:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_a_grid_past_max_steps_exits_2_at_once(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "opendyn.cli", "simulate", LV, "--system", "lotka_volterra",
+             "--init", "1,1", "--params", "1,1,1,1", "--t1", "10", "--h", "1e-300",
+             "--out", str(tmp_path / "x.csv")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "MAX_STEPS" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 

@@ -2,10 +2,12 @@
 
 import math
 import random
+import re
 
 import pytest
 
 from opendyn import (
+    ExprEvalError,
     IntegrationError,
     OdeLens,
     OdeSystem,
@@ -26,6 +28,7 @@ from opendyn import (
     to_text,
 )
 from opendyn.laws import _lv_fixture
+from opendyn.ode import MAX_STEPS, _grid
 
 
 def predator_prey():
@@ -247,6 +250,31 @@ class TestRk4Solve:
     def test_non_finite_windows_are_rejected(self, t0, t1):
         with pytest.raises(ValidationError, match="finite"):
             rk4_solve(plain_exp(), (1.0,), NO_PARAMS, t0, t1, 1e-3)
+
+    @pytest.mark.parametrize(
+        "t0, t1, h", [(0.0, 10.0, 1e-300), (0.0, 1.0, 0.99 / MAX_STEPS), (-1e308, 1e308, 1.0)]
+    )
+    def test_a_grid_past_max_steps_is_refused_before_it_is_built(self, t0, t1, h):
+        with pytest.raises(ValidationError, match=f"steps, more than MAX_STEPS = {MAX_STEPS}"):
+            rk4_solve(plain_exp(), (1.0,), NO_PARAMS, t0, t1, h)
+
+    def test_a_grid_of_max_steps_is_allowed(self):
+        assert len(_grid(0.0, 1.0, 1.0 / MAX_STEPS)) == MAX_STEPS + 1
+
+    def test_an_evaluation_error_names_the_stage_time_and_state(self):
+        # x falls at unit speed from 0.5, so log(x) fails once a stage reaches x <= 0
+        sys = OdeSystem(["x", "y"], ["o"], [], {"o": "x"}, {"x": "-1 + 0*log(x)", "y": "x"})
+        with pytest.raises(ExprEvalError) as err:
+            rk4_solve(sys, (0.5, 1.0), NO_PARAMS, 0.0, 1.0, 0.2)
+        message = str(err.value)
+        match = re.fullmatch(
+            r"field component 'x': log\((\S+)\) is undefined at t=(\S+) in state \(x=(\S+), y=(\S+)\)",
+            message,
+        )
+        assert match, message
+        arg, t, x, _ = map(float, match.groups())
+        assert arg == x <= 0.0
+        assert 0.4 <= t <= 0.6
 
     def test_wrong_vector_lengths_are_rejected(self):
         with pytest.raises(ValidationError, match="initial"):

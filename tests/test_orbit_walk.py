@@ -130,6 +130,25 @@ class TestErrors:
         with pytest.raises(BoundaryError):
             check_matrix_theorem(feedback_lens(), oscillator(), 0)
 
+    @pytest.mark.parametrize(
+        "states, readout",
+        [
+            # elements (a|b, c) and (a, b|c) print alike
+            (["a|b", "a"], {"a|b": "o", "a": "o"}),
+            # elements differ, but charts (a|b, c) and (a, b|c) print alike
+            (["p", "q"], {"p": "a|b", "q": "a"}),
+        ],
+    )
+    def test_labels_that_join_alike_are_refused(self, states, readout):
+        states = FinSet(states)
+        iface = DetInterface(FinSet(["c", "b|c"]), FinSet(sorted(set(readout.values()))))
+        update = {s: {i: s for i in iface.inputs} for s in states}
+        sys = DetSystem(states, iface, FinMap(states, iface.outputs, readout), update)
+        with pytest.raises(ValidationError, match=r"^duplicate element label 'a\|b\|c'$"):
+            list(periodic_orbits(sys, 1))
+        with pytest.raises(ValidationError, match="^duplicate element label"):
+            periodic_orbit_span(sys, 1)
+
 
 class TestFiberComparison:
     """The count comparison on hand-built fibers, against families_isomorphic."""
