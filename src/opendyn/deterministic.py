@@ -14,16 +14,16 @@ into a span between these chart sets, and `check_matrix_theorem` verifies
 that rewiring a machine and then collecting its orbits agrees, up to a
 fiberwise bijection, with applying that span to the orbits of the original
 machine. That is span (= matrix-of-sets) arithmetic acting on behaviors.
-Orbits are found by walking a start state and an input word, and the
-theorem is checked on the charts that carry orbits, never on whole chart
-sets.
+One orbit walk, one apex construction (from the preimages of the one-step
+`bwd` table) and one fiber match serve every step, all on slot tuples; labels
+are joined with `|` only where a Family, Span or FamilyMatch is handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import ClassVar, Iterator, Mapping, Optional, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Optional
 
 from .errors import BoundaryError, ValidationError
 from .finset import (
@@ -32,6 +32,9 @@ from .finset import (
     FinMap,
     FinSet,
     Span,
+    _family,
+    _fibers,
+    _match_fibers,
     expect_str,
     join_labels,
     product_finset,
@@ -447,12 +450,6 @@ def chart_hom_set(rep: DetInterface, iface: DetInterface) -> FinSet:
     return FinSet(join_labels(*combo) for combo in product(*domains))
 
 
-def _readout_is_identity(sys: DetSystem) -> bool:
-    return sys.interface.outputs == sys.states and all(
-        sys.readout(s) == s for s in sys.states
-    )
-
-
 def _maps_into(rep: DetSystem, sys: DetSystem) -> Iterator[tuple[str, ...]]:
     """Every (phi, isharp) from `rep` into `sys` as a slot tuple.
 
@@ -515,12 +512,16 @@ def _maps_into(rep: DetSystem, sys: DetSystem) -> Iterator[tuple[str, ...]]:
             stack.append(candidates(slot + 1))
 
 
-def _chart_slots(combo: tuple[str, ...], width: int, readout: FinMap) -> list[str]:
-    """The chart a slot tuple lies over: each phi(s) replaced by its output."""
-    parts = list(combo)
-    for pos in range(0, len(parts), width):
-        parts[pos] = readout(parts[pos])
-    return parts
+def _orbits(rep: DetSystem, sys: DetSystem) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Every map from `rep` into `sys` as a (chart, element) row of slot
+    tuples, in `_maps_into`'s order: the element is the map's slot tuple, and
+    its chart is that tuple with each phi(s) replaced by its output."""
+    width = 1 + len(rep.interface.inputs)
+    for element in _maps_into(rep, sys):
+        chart = list(element)
+        for pos in range(0, len(chart), width):
+            chart[pos] = sys.readout(chart[pos])
+        yield tuple(chart), element
 
 
 def representable_span(rep: DetSystem, sys: DetSystem) -> Family:
@@ -533,18 +534,9 @@ def representable_span(rep: DetSystem, sys: DetSystem) -> Family:
     element label interleaves phi(s) with the isharp values slot by slot,
     mirroring the base encoding.
     """
-    if not _readout_is_identity(rep):
+    if rep.interface.outputs != rep.states or any(rep.readout(s) != s for s in rep.states):
         raise ValidationError("representing system must expose its entire state")
-    base = chart_hom_set(rep.interface, sys.interface)
-    width = 1 + len(rep.interface.inputs)
-    labels: list[str] = []
-    proj: dict[str, str] = {}
-    for combo in _maps_into(rep, sys):
-        label = join_labels(*combo)
-        labels.append(label)
-        proj[label] = join_labels(*_chart_slots(combo, width, sys.readout))
-    total = FinSet(labels)
-    return Family(base, total, FinMap(total, base, proj))
+    return _family(chart_hom_set(rep.interface, sys.interface), _orbits(rep, sys))
 
 
 def steady_span(sys: Machine) -> Family:
@@ -555,17 +547,13 @@ def steady_span(sys: Machine) -> Family:
     S x I; on a Markov machine the update must be the point distribution.
     """
     is_unit_at = sys.effect.is_unit_at
-    base = product_finset(sys.interface.outputs, sys.interface.inputs)
-    labels: list[str] = []
-    proj: dict[str, str] = {}
-    for s in sys.states:
-        for i in sys.interface.inputs:
-            if is_unit_at(sys.update[s][i], s):
-                label = join_labels(s, i)
-                labels.append(label)
-                proj[label] = join_labels(sys.readout(s), i)
-    total = FinSet(labels)
-    return Family(base, total, FinMap(total, base, proj))
+    rows = (
+        ((sys.readout(s), i), (s, i))
+        for s in sys.states
+        for i in sys.interface.inputs
+        if is_unit_at(sys.update[s][i], s)
+    )
+    return _family(product_finset(sys.interface.outputs, sys.interface.inputs), rows)
 
 
 def _check_period(k: int) -> None:
@@ -588,17 +576,39 @@ def periodic_orbits(sys: DetSystem, k: int) -> Iterator[tuple[str, str]]:
     raises `duplicate element label` then.
     """
     _check_period(k)
-    charts: dict[str, list[str]] = {}
+    charts: dict[str, tuple[str, ...]] = {}
     elements: set[str] = set()
-    for combo in _maps_into(walking_cycle(k), sys):
-        parts = _chart_slots(combo, 2, sys.readout)
-        chart, element = join_labels(*parts), join_labels(*combo)
+    for chart, combo in _orbits(walking_cycle(k), sys):
+        chart_label, element = join_labels(*chart), join_labels(*combo)
         if element in elements:
             raise ValidationError(f"duplicate element label {element!r}")
-        if charts.setdefault(chart, parts) != parts:
-            raise ValidationError(f"duplicate element label {chart!r}")
+        if charts.setdefault(chart_label, chart) != chart:
+            raise ValidationError(f"duplicate element label {chart_label!r}")
         elements.add(element)
-        yield chart, element
+        yield chart_label, element
+
+
+def _lens_apex(lens: DetLens, charts: Iterable[tuple[str, ...]]) -> list[tuple]:
+    """The elements of a lens's period-k span over the given source charts
+    (o_j, i_j)_j, as (apex, left, right) slot tuples in the whole apex's
+    product order; the left leg is the chart. The span is the one-step span
+    of `bwd` taken position by position: over (o, i) lie the (o, i') with
+    bwd(o, i') = i, and their right leg is (fwd(o), i')."""
+    # steps[o, i]: the one-step elements over (o, i) as (positions of o and
+    # i', apex slots, right leg slots); `bwd` is normalized to canonical row
+    # and column order, so concatenated positions sort in the apex's order
+    steps = {(o, i): [] for o in lens.source.outputs for i in lens.source.inputs}
+    for m, (o, row) in enumerate(lens.bwd.items()):
+        for n, (i2, i) in enumerate(row.items()):
+            steps[o, i].append(((m, n), (o, i2), (lens.fwd(o), i2)))
+    elements = []
+    for chart in charts:
+        over = [((), (), ())]
+        for pair in zip(chart[::2], chart[1::2]):
+            over = [(k + k1, a + a1, r + r1) for k, a, r in over for k1, a1, r1 in steps[pair]]
+        elements.extend((key, apex, chart, right) for key, apex, right in over)
+    elements.sort()
+    return [(apex, chart, right) for _key, apex, chart, right in elements]
 
 
 def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
@@ -608,6 +618,8 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
     new input i'. The left leg fills the old input as bwd(o, i'); the right
     leg pushes the output forward as fwd(o). Both legs are functions of the
     apex, so the matrix of this span has exactly one 1 per apex element.
+    The apex is `_lens_apex` over the source charts that apex elements lie
+    over: those with (o, bwd(o, i')) at every position.
     """
     if len(rep_interface.inputs) != 1:
         raise ValidationError(
@@ -615,51 +627,13 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
         )
     source = chart_hom_set(rep_interface, lens.source)
     target = chart_hom_set(rep_interface, lens.target)
-    domains: list[tuple[str, ...]] = []
-    for _o in rep_interface.outputs:
-        domains.append(lens.source.outputs.elements)
-        domains.append(lens.target.inputs.elements)
-    labels: list[str] = []
-    left: dict[str, str] = {}
-    right: dict[str, str] = {}
-    for combo in product(*domains):
-        label = join_labels(*combo)
-        left_parts: list[str] = []
-        right_parts: list[str] = []
-        for pos in range(len(rep_interface.outputs)):
-            o, i2 = combo[2 * pos], combo[2 * pos + 1]
-            left_parts.extend((o, lens.bwd[o][i2]))
-            right_parts.extend((lens.fwd(o), i2))
-        labels.append(label)
-        left[label] = join_labels(*left_parts)
-        right[label] = join_labels(*right_parts)
-    apex = FinSet(labels)
+    hit = dict.fromkeys((o, i) for o, row in lens.bwd.items() for i in row.values())
+    charts = (sum(pairs, ()) for pairs in product(hit, repeat=len(rep_interface.outputs)))
+    elements = _lens_apex(lens, charts)
+    apex = FinSet(join_labels(*element) for element, _, _ in elements)
+    left = {z: join_labels(*down) for z, (_, down, _) in zip(apex, elements)}
+    right = {z: join_labels(*up) for z, (_, _, up) in zip(apex, elements)}
     return Span(source, target, apex, FinMap(apex, source, left), FinMap(apex, target, right))
-
-
-def _match_fibers(
-    total1: list[str],
-    fibers1: Mapping[tuple[str, ...], list[str]],
-    total2: list[str],
-    fibers2: Mapping[tuple[str, ...], list[str]],
-    chart_key,
-) -> FamilyMatch:
-    """`families_isomorphic` on two families given sparsely: each total in its
-    canonical order, and its nonempty fibers keyed by chart tuple. Charts are
-    visited in the order of `chart_key`, the base's canonical order, so a
-    mismatch names the same chart with the same counts."""
-    differ = [
-        c for c in fibers1.keys() | fibers2.keys()
-        if len(fibers1.get(c, ())) != len(fibers2.get(c, ()))
-    ]
-    if differ:
-        chart = min(differ, key=chart_key)
-        counts = (len(fibers1.get(chart, ())), len(fibers2.get(chart, ())))
-        return FamilyMatch(None, mismatch=join_labels(*chart), counts=counts)
-    table: dict[str, str] = {}
-    for chart, zs in fibers1.items():
-        table.update(zip(zs, fibers2[chart]))
-    return FamilyMatch(FinMap(FinSet(total1), FinSet(total2), table))
 
 
 def check_matrix_theorem(lens: DetLens, sys: DetSystem, k: int) -> FamilyMatch:
@@ -669,59 +643,28 @@ def check_matrix_theorem(lens: DetLens, sys: DetSystem, k: int) -> FamilyMatch:
     valid input is a defect, not a data problem. The result equals
     `families_isomorphic(periodic_orbit_span(compose_lens_system(lens, sys), k),
     apply_span_to_family(lens_to_span(lens, walking_cycle(k).interface),
-    periodic_orbit_span(sys, k)))`, but neither chart set nor the span is built:
-    each orbit of `sys` over the chart (o_j, i_j)_j goes to the apex elements
-    (o_j, i'_j)_j with bwd[o_j][i'_j] = i_j, whose right leg is
-    (fwd(o_j), i'_j)_j, and fibers are compared chart by chart.
+    periodic_orbit_span(sys, k)))`, but no chart set is built: both sides come
+    from the one orbit walk, the span's apex is built over the charts that
+    carry orbits only, and fibers are compared where they are nonempty.
     """
-    if lens.source != sys.interface:
-        raise BoundaryError(
-            f"lens source {lens.source!r} does not match system interface {sys.interface!r}"
-        )
-    rewired = compose_lens_system(lens, sys)
+    rewired = compose_lens_system(lens, sys)  # refuses a lens whose source is not sys's
     _check_period(k)
     cycle = walking_cycle(k)
-    outputs, new_outputs, new_inputs = (
-        {x: n for n, x in enumerate(labels)}
-        for labels in (lens.source.outputs, lens.target.outputs, lens.target.inputs)
+    _, orbit_fibers = _fibers(_orbits(cycle, sys))
+    # apply_span_to_family's elements "apex|orbit": by apex, then by orbit
+    pushed = _fibers(
+        (up, (*apex, orbit))
+        for apex, down, up in _lens_apex(lens, orbit_fibers)
+        for orbit in orbit_fibers[down]
     )
 
-    def key(pairs: Sequence[str], outs: Mapping[str, int]) -> tuple[int, ...]:
+    def order(chart: tuple[str, ...]) -> tuple[int, ...]:
         """Positions of interleaved (output, new input) labels: canonical order."""
-        return tuple((outs if pos % 2 == 0 else new_inputs)[x] for pos, x in enumerate(pairs))
+        sets = (lens.target.outputs, lens.target.inputs)
+        return tuple(sets[pos % 2].position(x) for pos, x in enumerate(chart))
 
-    rewired_total: list[str] = []
-    rewired_fibers: dict[tuple[str, ...], list[str]] = {}
-    for combo in _maps_into(cycle, rewired):
-        label = join_labels(*combo)
-        rewired_total.append(label)
-        rewired_fibers.setdefault(tuple(_chart_slots(combo, 2, rewired.readout)), []).append(label)
-
-    # preimages[o][i]: the new inputs i' with bwd[o][i'] = i, in canonical order
-    preimages = {o: {i: [] for i in lens.source.inputs} for o in lens.source.outputs}
-    for o, row in lens.bwd.items():
-        for i2, i in row.items():
-            preimages[o][i].append(i2)
-    # Pushed elements "apex|orbit" in apply_span_to_family's order: by apex
-    # position tuple, then by orbit.
-    pushed: list[tuple[tuple[int, ...], int, str, tuple[str, ...]]] = []
-    for index, combo in enumerate(_maps_into(cycle, sys)):
-        orbit = join_labels(*combo)
-        outs = [sys.readout(combo[pos]) for pos in range(0, 2 * k, 2)]
-        for word in product(*(preimages[o][combo[2 * j + 1]] for j, o in enumerate(outs))):
-            apex = [x for pair in zip(outs, word) for x in pair]
-            chart = tuple(x for o, i2 in zip(outs, word) for x in (lens.fwd(o), i2))
-            pushed.append((key(apex, outputs), index, join_labels(*apex, orbit), chart))
-    pushed.sort()
-    pushed_fibers: dict[tuple[str, ...], list[str]] = {}
-    for _key, _index, label, chart in pushed:
-        pushed_fibers.setdefault(chart, []).append(label)
     return _match_fibers(
-        rewired_total,
-        rewired_fibers,
-        [p[2] for p in pushed],
-        pushed_fibers,
-        lambda chart: key(chart, new_outputs),
+        _fibers(_orbits(cycle, rewired)), pushed, order, lambda chart: join_labels(*chart)
     )
 
 

@@ -16,7 +16,7 @@ byte-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import BoundaryError, ValidationError
 
@@ -211,6 +211,30 @@ class Family:
         return f"Family(base={self.base!r}, total={self.total!r})"
 
 
+#: A row of a family: the parts of a base point and of an element over it.
+_Row = tuple[tuple[str, ...], Sequence[str]]
+
+
+def _fibers(rows: Iterable[_Row]) -> tuple[list[str], dict[tuple[str, ...], list[str]]]:
+    """Element labels in row order, and the same labels grouped by base point."""
+    total: list[str] = []
+    fibers: dict[tuple[str, ...], list[str]] = {}
+    for point, element in rows:
+        label = join_labels(*element)
+        total.append(label)
+        fibers.setdefault(point, []).append(label)
+    return total, fibers
+
+
+def _family(base: FinSet, rows: Iterable[_Row]) -> Family:
+    """The family over `base` whose elements are the rows' element labels,
+    in row order, each over its base point's label."""
+    labels, fibers = _fibers(rows)
+    total = FinSet(labels)
+    proj = {z: join_labels(*point) for point, zs in fibers.items() for z in zs}
+    return Family(base, total, FinMap(total, base, proj))
+
+
 def identity_span(a: FinSet) -> Span:
     ident = FinMap.identity(a)
     return Span(a, a, a, ident, ident)
@@ -262,15 +286,7 @@ def apply_span_to_family(s: Span, fam: Family) -> Family:
             f"family base {fam.base} differs from span source {s.source}"
         )
     over = fam.fibers()
-    labels: list[str] = []
-    proj: dict[str, str] = {}
-    for x in s.apex:
-        for z in over[s.left(x)]:
-            xz = join_labels(x, z)
-            labels.append(xz)
-            proj[xz] = s.right(x)
-    total = FinSet(labels)
-    return Family(s.target, total, FinMap(total, s.target, proj))
+    return _family(s.target, (((s.right(x),), (x, z)) for x in s.apex for z in over[s.left(x)]))
 
 
 @dataclass
@@ -294,13 +310,27 @@ class FamilyMatch:
 def families_isomorphic(f1: Family, f2: Family) -> FamilyMatch:
     if f1.base != f2.base:
         raise BoundaryError(f"family bases differ: {f1.base} vs {f2.base}")
-    fibers1, fibers2 = f1.fibers(), f2.fibers()
+    return _match_fibers((f1.total, f1.fibers()), (f2.total, f2.fibers()), f1.base.position, str)
+
+
+def _match_fibers(side1: tuple, side2: tuple, order: Callable, name: Callable) -> FamilyMatch:
+    """Compare two families, each given as its total in canonical order and
+    its fibers keyed by base point. A base point missing from the fibers has
+    an empty fiber, so only the nonempty ones need be given. A mismatch is
+    the base point first in `order` whose counts differ, labelled by `name`."""
+    (total1, fibers1), (total2, fibers2) = side1, side2
+    differ = [
+        b for b in fibers1.keys() | fibers2.keys()
+        if len(fibers1.get(b, ())) != len(fibers2.get(b, ()))
+    ]
+    if differ:
+        b = min(differ, key=order)
+        counts = (len(fibers1.get(b, ())), len(fibers2.get(b, ())))
+        return FamilyMatch(None, mismatch=name(b), counts=counts)
     table: dict[str, str] = {}
-    for b in f1.base:
-        if len(fibers1[b]) != len(fibers2[b]):
-            return FamilyMatch(None, mismatch=b, counts=(len(fibers1[b]), len(fibers2[b])))
-        table.update(zip(fibers1[b], fibers2[b]))
-    return FamilyMatch(FinMap(f1.total, f2.total, table))
+    for b, zs in fibers1.items():
+        table.update(zip(zs, fibers2.get(b, ())))
+    return FamilyMatch(FinMap(FinSet(total1), FinSet(total2), table))
 
 
 # JSON shape checks for decoding project documents; `what` names the place.

@@ -179,6 +179,13 @@ class OdeLens:
         self.source_params = _check_vars(source_params, "source parameter variables")
         self.target_outputs = _check_vars(target_outputs, "target output variables")
         self.target_params = _check_vars(target_params, "target parameter variables")
+        # bwd reads both, and substitution and live wiring read a shared name differently
+        _check_disjoint(
+            {
+                "source output variables": self.source_outputs,
+                "target parameter variables": self.target_params,
+            }
+        )
         self.fwd = _check_expr_table(
             fwd, self.target_outputs, set(self.source_outputs), "fwd"
         )
@@ -534,7 +541,6 @@ def check_solve_functoriality(
     path_a = rk4_solve(composed, s0, outer_signal, t0, t1, h)
 
     readout = sys.compiled()[1]
-    # a target parameter named like an output shadows it, as a later binding would
     bwd = compile_table(lens.bwd, sys.param_vars, sys.output_vars + lens.target_params, "bwd")
 
     def f(t: float, y: tuple[float, ...]) -> tuple[float, ...]:

@@ -269,19 +269,19 @@ def project_from_obj(obj) -> ProjectFile:
         raise ValidationError(f"unsupported project version {top.get('version')!r}")
     project = ProjectFile(version=1)
 
-    def load_section(section: str, loader) -> dict:
+    def load_section(section: str, noun: str, loader) -> dict:
         out: dict = {}
         for name, entry in expect_obj(top.get(section, {}), section).items():
-            what = f"{section[:-1]} {name!r}"
+            what = f"{noun} {name!r}"
             try:
                 out[name] = loader(expect_obj(entry, what), what)
             except OpendynError as exc:
                 raise ValidationError(f"{what}: {exc}") from None
         return out
 
-    project.systems = load_section("systems", system_from_obj)
-    project.lenses = load_section("lenses", lens_from_obj)
-    project.charts = load_section("charts", chart_from_obj)
+    project.systems = load_section("systems", "system", system_from_obj)
+    project.lenses = load_section("lenses", "lens", lens_from_obj)
+    project.charts = load_section("charts", "chart", chart_from_obj)
     return project
 
 

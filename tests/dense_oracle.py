@@ -1,10 +1,12 @@
-"""The dense orbit enumeration and matrix-theorem check, kept as an oracle.
+"""The dense orbit enumeration, lens span and matrix-theorem check, kept as an oracle.
 
-`opendyn.deterministic` finds orbits by a depth-first walk and compares the
-matrix theorem's two sides fiber by fiber without building chart sets or
-lens spans. The functions here are the direct definitions it replaced: test
-every state/input combination, and compose `lens_to_span`,
-`apply_span_to_family` and `families_isomorphic`. They cost (|S|·|I|)^k and
+`opendyn.deterministic` finds orbits by a depth-first walk, builds a lens's
+span from the preimages of its one-step `bwd` table, and compares the
+matrix theorem's two sides fiber by fiber on the charts that carry orbits.
+The functions here are the direct definitions it replaced: test every
+state/input combination, enumerate every chart and every apex element in
+product order, pull a family back and push it forward element by element,
+and compare every fiber of the base. They cost (|S|·|I|)^k and
 (|O|·|I'|)^k, so they serve only small differential tests.
 """
 
@@ -13,21 +15,88 @@ from __future__ import annotations
 from itertools import product
 
 from opendyn import (
+    DetInterface,
     DetLens,
     DetSystem,
     Family,
     FamilyMatch,
     FinMap,
     FinSet,
-    apply_span_to_family,
-    chart_hom_set,
+    Span,
     compose_lens_system,
-    families_isomorphic,
-    lens_to_span,
     walking_cycle,
 )
 from opendyn.errors import BoundaryError, ValidationError
 from opendyn.finset import join_labels
+
+
+def dense_chart_hom_set(rep: DetInterface, iface: DetInterface) -> FinSet:
+    """All charts rep -> iface as labels, in the product order over their slots."""
+    domains: list[tuple[str, ...]] = []
+    for _o in rep.outputs:
+        domains.append(iface.outputs.elements)
+        for _i in rep.inputs:
+            domains.append(iface.inputs.elements)
+    return FinSet(join_labels(*combo) for combo in product(*domains))
+
+
+def dense_lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
+    """Every apex element (o_j, i'_j)_j in product order, with both legs."""
+    if len(rep_interface.inputs) != 1:
+        raise ValidationError(
+            "representing interface must have a single input (a walking cycle)"
+        )
+    source = dense_chart_hom_set(rep_interface, lens.source)
+    target = dense_chart_hom_set(rep_interface, lens.target)
+    domains: list[tuple[str, ...]] = []
+    for _o in rep_interface.outputs:
+        domains.append(lens.source.outputs.elements)
+        domains.append(lens.target.inputs.elements)
+    labels: list[str] = []
+    left: dict[str, str] = {}
+    right: dict[str, str] = {}
+    for combo in product(*domains):
+        label = join_labels(*combo)
+        left_parts: list[str] = []
+        right_parts: list[str] = []
+        for pos in range(len(rep_interface.outputs)):
+            o, i2 = combo[2 * pos], combo[2 * pos + 1]
+            left_parts.extend((o, lens.bwd[o][i2]))
+            right_parts.extend((lens.fwd(o), i2))
+        labels.append(label)
+        left[label] = join_labels(*left_parts)
+        right[label] = join_labels(*right_parts)
+    apex = FinSet(labels)
+    return Span(source, target, apex, FinMap(apex, source, left), FinMap(apex, target, right))
+
+
+def dense_apply_span_to_family(s: Span, fam: Family) -> Family:
+    """Every apex element paired with every element over its left leg."""
+    if fam.base != s.source:
+        raise BoundaryError(f"family base {fam.base} differs from span source {s.source}")
+    over = fam.fibers()
+    labels: list[str] = []
+    proj: dict[str, str] = {}
+    for x in s.apex:
+        for z in over[s.left(x)]:
+            xz = join_labels(x, z)
+            labels.append(xz)
+            proj[xz] = s.right(x)
+    total = FinSet(labels)
+    return Family(s.target, total, FinMap(total, s.target, proj))
+
+
+def dense_families_isomorphic(f1: Family, f2: Family) -> FamilyMatch:
+    """Every fiber of the base compared in canonical order."""
+    if f1.base != f2.base:
+        raise BoundaryError(f"family bases differ: {f1.base} vs {f2.base}")
+    fibers1, fibers2 = f1.fibers(), f2.fibers()
+    table: dict[str, str] = {}
+    for b in f1.base:
+        if len(fibers1[b]) != len(fibers2[b]):
+            return FamilyMatch(None, mismatch=b, counts=(len(fibers1[b]), len(fibers2[b])))
+        table.update(zip(fibers1[b], fibers2[b]))
+    return FamilyMatch(FinMap(f1.total, f2.total, table))
 
 
 def dense_representable_span(rep: DetSystem, sys: DetSystem) -> Family:
@@ -36,7 +105,7 @@ def dense_representable_span(rep: DetSystem, sys: DetSystem) -> Family:
         rep.interface.outputs == rep.states and all(rep.readout(s) == s for s in rep.states)
     ):
         raise ValidationError("representing system must expose its entire state")
-    base = chart_hom_set(rep.interface, sys.interface)
+    base = dense_chart_hom_set(rep.interface, sys.interface)
     rep_states = rep.states.elements
     rep_inputs = rep.interface.inputs.elements
     domains: list[tuple[str, ...]] = []
@@ -89,7 +158,7 @@ def dense_check_matrix_theorem(lens: DetLens, sys: DetSystem, k: int) -> FamilyM
             f"lens source {lens.source!r} does not match system interface {sys.interface!r}"
         )
     rewired_orbits = dense_periodic_orbit_span(compose_lens_system(lens, sys), k)
-    pushed_orbits = apply_span_to_family(
-        lens_to_span(lens, walking_cycle(k).interface), dense_periodic_orbit_span(sys, k)
+    pushed_orbits = dense_apply_span_to_family(
+        dense_lens_to_span(lens, walking_cycle(k).interface), dense_periodic_orbit_span(sys, k)
     )
-    return families_isomorphic(rewired_orbits, pushed_orbits)
+    return dense_families_isomorphic(rewired_orbits, pushed_orbits)

@@ -72,6 +72,30 @@ class TestCompose:
         assert "ghost" in capsys.readouterr().err
 
 
+    def test_lens_reading_an_output_and_a_parameter_of_one_name_exits_2(self, tmp_path):
+        project = tmp_path / "clash.json"
+        project.write_text(json.dumps({"version": 1, "systems": {"s": {
+            "kind": "ode", "stateVars": ["s"], "outputVars": ["y"], "paramVars": ["p"],
+            "readout": {"y": "2*s"}, "field": {"s": "p - s"},
+        }}, "lenses": {"clash": {
+            "kind": "ode", "sourceOutputVars": ["y"], "sourceParamVars": ["p"],
+            "targetOutputVars": ["y2"], "targetParamVars": ["y"],
+            "fwd": {"y2": "y"}, "bwd": {"p": "y"},
+        }}}))
+        out = tmp_path / "out.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "opendyn.cli", "compose", str(project), "--lens", "clash",
+             "--system", "s", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "lens 'clash': identifier 'y' appears in both" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
 class TestTensor:
     def test_two_latches_side_by_side(self, tmp_path):
         out = tmp_path / "pair.json"

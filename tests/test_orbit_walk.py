@@ -1,6 +1,7 @@
-"""The orbit walk against the dense oracle, and the sparse matrix-theorem check."""
+"""The orbit walk, the lens span and the matrix-theorem check against the dense oracle."""
 
 import csv
+import json
 import random
 
 import pytest
@@ -14,8 +15,10 @@ from opendyn import (
     FinMap,
     FinSet,
     ValidationError,
+    apply_span_to_family,
     check_matrix_theorem,
     families_isomorphic,
+    lens_to_span,
     periodic_orbit_span,
     periodic_orbits,
     product_finset,
@@ -23,15 +26,19 @@ from opendyn import (
     random_system,
     representable_span,
     save_project,
+    span_to_matrix,
     walking_cycle,
 )
 from opendyn.cli import main
-from opendyn.deterministic import _match_fibers
+from opendyn.finset import _match_fibers
 from opendyn.laws import random_interface
 from opendyn.project import ProjectFile
 
 from dense_oracle import (
+    dense_apply_span_to_family,
     dense_check_matrix_theorem,
+    dense_families_isomorphic,
+    dense_lens_to_span,
     dense_representable_span,
     dense_steady_rows,
 )
@@ -151,7 +158,7 @@ class TestErrors:
 
 
 class TestFiberComparison:
-    """The count comparison on hand-built fibers, against families_isomorphic."""
+    """The fiber comparison on hand-built fibers, against the dense comparison."""
 
     outputs = FinSet(["p", "q"])
     inputs = FinSet(["u", "v"])
@@ -166,8 +173,8 @@ class TestFiberComparison:
         return Family(base, total_set, FinMap(total_set, base, over))
 
     def both(self, total1, fibers1, total2, fibers2):
-        sparse = _match_fibers(total1, fibers1, total2, fibers2, self.chart_key)
-        dense = families_isomorphic(
+        sparse = _match_fibers((total1, fibers1), (total2, fibers2), self.chart_key, "|".join)
+        dense = dense_families_isomorphic(
             self.as_family(total1, fibers1), self.as_family(total2, fibers2)
         )
         return sparse, dense
@@ -193,6 +200,123 @@ class TestFiberComparison:
         sparse, dense = self.both(["a", "b", "c"], fibers1, ["x", "y", "z"], fibers2)
         assert sparse and sparse.witness.table == {"a": "y", "b": "z", "c": "x"}
         assert_same_match(sparse, dense)
+
+
+    def test_families_isomorphic_equals_the_dense_comparison(self):
+        """Random families over one base, most with some differing fiber."""
+        rng = random.Random(8)
+        mismatches = 0
+        for _case in range(300):
+            base = FinSet(f"b{n}" for n in range(rng.randint(1, 6)))
+            f1, f2 = (random_family(rng, base, tag) for tag in "xy")
+            match = families_isomorphic(f1, f2)
+            mismatches += not match
+            assert_same_match(match, dense_families_isomorphic(f1, f2))
+        assert 50 < mismatches < 300
+
+
+def random_family(rng: random.Random, base: FinSet, tag: str) -> Family:
+    total = FinSet(f"{tag}{n}" for n in range(rng.randint(0, 2 * len(base))))
+    proj = FinMap(total, base, {z: rng.choice(base.elements) for z in total})
+    return Family(base, total, proj)
+
+
+def preimages_out_of_order(lens: DetLens) -> bool:
+    """Does some bwd row list its new inputs, grouped by the old input they
+    fill (in canonical order), out of canonical order?"""
+    for row in lens.bwd.values():
+        grouped = [i2 for i in lens.source.inputs for i2, filled in row.items() if filled == i]
+        if grouped != list(lens.target.inputs):
+            return True
+    return False
+
+
+def assert_same_span(span, dense) -> None:
+    assert span.source.elements == dense.source.elements
+    assert span.target.elements == dense.target.elements
+    assert span.apex.elements == dense.apex.elements
+    assert list(span.left.table.items()) == list(dense.left.table.items())
+    assert list(span.right.table.items()) == list(dense.right.table.items())
+
+
+def crossed_lens() -> DetLens:
+    """bwd fills old input a from new input y and b from x: the preimages of
+    (a, b) come in the order (y, x), against the new inputs' order (x, y)."""
+    source = DetInterface(FinSet(["a", "b"]), FinSet(["o", "p"]))
+    target = DetInterface(FinSet(["x", "y", "z"]), FinSet(["q"]))
+    bwd = {"o": {"x": "b", "y": "a", "z": "b"}, "p": {"x": "a", "y": "a", "z": "a"}}
+    fwd = FinMap(source.outputs, target.outputs, {"o": "q", "p": "q"})
+    return DetLens(source, target, fwd, bwd)
+
+
+class TestLensSpan:
+    def test_crossed_preimages_come_out_in_product_order(self):
+        lens = crossed_lens()
+        assert preimages_out_of_order(lens)
+        for k in (1, 2, 3):
+            rep = walking_cycle(k).interface
+            assert_same_span(lens_to_span(lens, rep), dense_lens_to_span(lens, rep))
+        span = lens_to_span(lens, walking_cycle(1).interface)
+        assert span.apex.elements == ("o|x", "o|y", "o|z", "p|x", "p|y", "p|z")
+
+    def test_equals_the_dense_span_on_seeded_lenses(self):
+        """The span, and its action on the orbits of a random machine."""
+        rng, machines = random.Random(9), random.Random(11)
+        crossed = 0
+        for case in range(200):
+            k = 1 + case % 3
+            iface = random_interface(rng, 3)
+            lens = random_lens(rng, iface, random_interface(rng, 3, tag="t"))
+            crossed += preimages_out_of_order(lens)
+            rep = walking_cycle(k).interface
+            span = lens_to_span(lens, rep)
+            assert_same_span(span, dense_lens_to_span(lens, rep))
+            orbits = periodic_orbit_span(random_system(machines, iface, 3), k)
+            assert_same_family(
+                apply_span_to_family(span, orbits), dense_apply_span_to_family(span, orbits)
+            )
+        assert 50 < crossed < 200
+
+
+def matrix_bytes(lens: DetLens, name: str, k: int) -> bytes:
+    """What `opendyn matrix` writes, computed from the dense span."""
+    span = dense_lens_to_span(lens, walking_cycle(k).interface)
+    obj = {
+        "version": 1,
+        "lens": name,
+        "k": k,
+        "source": list(span.source),
+        "target": list(span.target),
+        "matrix": span_to_matrix(span),
+    }
+    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+
+class TestMatrixBytes:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_latch_fixture_bytes(self, tmp_path, k):
+        out = tmp_path / "matrix.json"
+        code = main(["matrix", fixture_path("flipflop.json"), "--lens", "feedback",
+                     "--k", str(k), "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == matrix_bytes(feedback_lens(), "feedback", k)
+
+    def test_random_lens_bytes(self, tmp_path):
+        rng = random.Random(10)
+        lenses = {
+            f"l{n}": random_lens(rng, random_interface(rng, 2), random_interface(rng, 2, tag="t"))
+            for n in range(6)
+        }
+        lenses["crossed"] = crossed_lens()
+        project = tmp_path / "lenses.json"
+        save_project(ProjectFile(lenses=lenses), str(project))
+        out = tmp_path / "matrix.json"
+        for name, lens in lenses.items():
+            for k in (1, 2, 3):
+                code = main(["matrix", str(project), "--lens", name, "--k", str(k),
+                             "--out", str(out)])
+                assert code == 0
+                assert out.read_bytes() == matrix_bytes(lens, name, k), (name, k)
 
 
 def write_rows(path, rows) -> None:
