@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -152,9 +153,9 @@ def cmd_simulate(args) -> int:
         signal = ParamSignal.constant(params)
         traj = rk4_solve(sys_entry, init, signal, args.t0, args.t1, args.h)
         header = ("time", *sys_entry.state_vars, *sys_entry.output_vars)
+        # csv writes a float as str(x), which is repr(x): the shortest round trip
         rows = [
-            (repr(t), *(repr(x) for x in vals), *(repr(x) for x in outs))
-            for t, vals, outs in zip(traj.times, traj.values, traj.outputs)
+            (t, *vals, *outs) for t, vals, outs in zip(traj.times, traj.values, traj.outputs)
         ]
         _write_csv(args.out, header, rows)
         print(f"wrote {args.out} ({len(rows)} rows)")
@@ -324,8 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves no state in it, and building it
+    costs about a millisecond, which in-process callers would pay per call."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except OpendynError as exc:

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from opendyn import load_project, save_project
+from opendyn import OdeSystem, load_project, save_project
+from opendyn import cli
 from opendyn.cli import main
 from opendyn.project import ProjectFile
 
@@ -264,6 +265,49 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    def test_csv_cells_are_the_shortest_round_trip_of_each_float(self, tmp_path):
+        project = tmp_path / "edge.json"
+        edge = OdeSystem(
+            ["s", "z"], ["neg", "tiny", "big", "nan"], [],
+            {"neg": "-0*s", "tiny": "s", "big": "1e308*10", "nan": "1e308*10 - 1e308*10"},
+            {"s": "0", "z": "0"},
+        )
+        save_project(ProjectFile(1, {"edge": edge}, {}, {}), project)
+        out = tmp_path / "edge.csv"
+        assert main(["simulate", str(project), "--system", "edge", "--init=1e-300,-0.0",
+                     "--t1", "1", "--h", "0.5", "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"time,s,z,neg,tiny,big,nan\r\n"
+            b"0.0,1e-300,-0.0,-0.0,1e-300,inf,nan\r\n"
+            b"0.5,1e-300,0.0,-0.0,1e-300,inf,nan\r\n"
+            b"1.0,1e-300,0.0,-0.0,1e-300,inf,nan\r\n"
+        )
+
+    @pytest.mark.parametrize(
+        "init, message",
+        [
+            ("nan,1", "error: initial value of 'r' must be finite, got nan\n"),
+            ("1,-inf", "error: initial value of 'f' must be finite, got -inf\n"),
+            (
+                "1e200,1e200",
+                "error: state became non-finite in the step from t=0.0 to t=0.001: "
+                "(r=1e+200, f=1e+200) -> (r=nan, f=nan)\n",
+            ),
+        ],
+        ids=["nan", "-inf", "blow-up"],
+    )
+    def test_a_non_finite_state_exits_2_naming_it(self, tmp_path, init, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "opendyn.cli", "simulate", LV, "--system", "lotka_volterra",
+             f"--init={init}", "--params", "1,0.5,0.2,0.4", "--t1", "1",
+             "--out", str(tmp_path / "x.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == message
+        assert not (tmp_path / "x.csv").exists()
+
     def test_a_grid_past_max_steps_exits_2_at_once(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "opendyn.cli", "simulate", LV, "--system", "lotka_volterra",
@@ -351,6 +395,37 @@ class TestDriver:
     def test_usage_error_raises_system_exit(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_one_parser_serves_successive_calls_like_a_fresh_one(self, tmp_path, capsys):
+        runs = [
+            ["steady", FLIPFLOP, "--system", "flipflop", "--k", "2", "--out", "{out}"],
+            ["simulate", "--t1"],
+            ["simulate", LV, "--system", "lotka_volterra", "--init", "2,1",
+             "--params", "1,0.5,0.2,0.4", "--t1", "0.05", "--out", "{out}"],
+            ["matrix", FLIPFLOP, "--lens", "feedback", "--k", "3", "--out", "{out}"],
+            ["steady", FLIPFLOP, "--system", "flipflop", "--out", "{out}"],
+            ["compose", FLIPFLOP, "--lens", "feedback", "--system", "flipflop",
+             "--out", "{out}"],
+        ]
+
+        def fresh(argv):
+            args = cli.build_parser().parse_args(argv)
+            return args.func(args)
+
+        def run(call, argv, out):
+            try:
+                code = call([a.replace("{out}", str(out)) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr(), out.read_bytes() if out.exists() else None
+
+        for j, argv in enumerate(runs):
+            cached = run(main, argv, tmp_path / f"a{j}")
+            expected = run(fresh, argv, tmp_path / f"b{j}")
+            assert cached[0] == expected[0] and cached[2] == expected[2]
+            assert cached[1].err == expected[1].err
+            assert cached[1].out.replace(f"a{j}", f"b{j}") == expected[1].out
+        assert cli._parser() is cli._parser()
 
     def test_console_script_is_installed(self):
         proc = subprocess.run(

@@ -49,30 +49,52 @@ def eval_readout(sys: OdeSystem, state) -> tuple[float, ...]:
     return eval_table(sys.readout, sys.output_vars, dict(zip(sys.state_vars, state)), "readout")
 
 
-def integrate(f, y0, t0: float, t1: float, h: float):
-    """Classical RK4 over `opendyn.ode`'s grid, each stage written out."""
+def _state(names, values) -> str:
+    return ", ".join(f"{name}={v!r}" for name, v in zip(names, values))
+
+
+def integrate(f, names, y0, t0: float, t1: float, h: float):
+    """Classical RK4 over `opendyn.ode`'s grid, each stage written out.
+
+    Errors carry the context `opendyn.ode` gives them: an evaluation error
+    the stage time and state, a blow-up the step and the states around it.
+    """
+
+    def stage(ts, ys):
+        try:
+            return f(ts, ys)
+        except ExprEvalError as exc:
+            raise ExprEvalError(f"{exc} at t={ts!r} in state ({_state(names, ys)})") from None
+
     times = _grid(t0, t1, h)
     y = tuple(float(x) for x in y0)
     values = [y]
     for t, t_next in zip(times, times[1:]):
         step = t_next - t
         half = step / 2.0
-        k1 = f(t, y)
-        k2 = f(t + half, tuple(yi + half * ki for yi, ki in zip(y, k1)))
-        k3 = f(t + half, tuple(yi + half * ki for yi, ki in zip(y, k2)))
-        k4 = f(t_next, tuple(yi + step * ki for yi, ki in zip(y, k3)))
-        y = tuple(
+        k1 = stage(t, y)
+        k2 = stage(t + half, tuple(yi + half * ki for yi, ki in zip(y, k1)))
+        k3 = stage(t + half, tuple(yi + half * ki for yi, ki in zip(y, k2)))
+        k4 = stage(t_next, tuple(yi + step * ki for yi, ki in zip(y, k3)))
+        new = tuple(
             yi + step / 6.0 * (a + 2.0 * b + 2.0 * c + d)
             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
         )
-        if not all(map(math.isfinite, y)):
-            raise IntegrationError("state became non-finite", time=t_next)
+        if not all(map(math.isfinite, new)):
+            raise IntegrationError(
+                f"state became non-finite in the step from t={t!r} to t={t_next!r}: "
+                f"({_state(names, y)}) -> ({_state(names, new)})",
+                time=t_next,
+            )
+        y = new
         values.append(y)
     return times, values
 
 
 def rk4_solve(sys: OdeSystem, s0, signal: ParamSignal, t0: float, t1: float, h: float):
-    times, values = integrate(lambda t, y: eval_field(sys, y, signal(t)), s0, t0, t1, h)
+    times, values = integrate(
+        lambda t, y: eval_field(sys, y, signal(t)), sys.state_vars, s0, t0, t1, h
+    )
     outputs = [eval_readout(sys, y) for y in values]
     return Trajectory(tuple(times), tuple(values), tuple(outputs))
 
@@ -89,7 +111,7 @@ def check_solve_functoriality(
         penv.update(zip(lens.target_params, outer(t)))
         return eval_field(sys, y, eval_table(lens.bwd, sys.param_vars, penv, "bwd"))
 
-    times, values = integrate(f, s0, t0, t1, h)
+    times, values = integrate(f, sys.state_vars, s0, t0, t1, h)
     worst, worst_time = 0.0, t0
     for t, row_a, row_b in zip(times, path_a.values, values):
         for a, b in zip(row_a, row_b):
