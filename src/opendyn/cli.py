@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 import sys
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -325,15 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """One parser per process: parsing leaves no state in it, and building it
-    costs about a millisecond, which in-process callers would pay per call."""
-    return build_parser()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OpendynError as exc:

@@ -31,7 +31,6 @@ differ only by where expressions are evaluated.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -389,10 +388,15 @@ class Trajectory:
         n = len(self.times)
         if len(self.values) != n or len(self.outputs) != n:
             raise ValidationError("trajectory rows must match the time grid")
-        if any(map(operator.ge, self.times, self.times[1:])):
+        if any(t1 >= t2 for t1, t2 in zip(self.times, self.times[1:])):
             raise ValidationError("trajectory times must be strictly increasing")
-        if len(set(map(len, self.values))) > 1 or len(set(map(len, self.outputs))) > 1:
-            raise ValidationError("trajectory rows must have uniform widths")
+        if n:
+            vw = len(self.values[0])
+            ow = len(self.outputs[0])
+            if any(len(row) != vw for row in self.values) or any(
+                len(row) != ow for row in self.outputs
+            ):
+                raise ValidationError("trajectory rows must have uniform widths")
 
 
 def _grid(t0: float, t1: float, h: float) -> list[float]:

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from opendyn import OdeSystem, load_project, save_project
-from opendyn import cli
 from opendyn.cli import main
 from opendyn.project import ProjectFile
 
@@ -395,37 +394,6 @@ class TestDriver:
     def test_usage_error_raises_system_exit(self):
         with pytest.raises(SystemExit):
             main([])
-
-    def test_one_parser_serves_successive_calls_like_a_fresh_one(self, tmp_path, capsys):
-        runs = [
-            ["steady", FLIPFLOP, "--system", "flipflop", "--k", "2", "--out", "{out}"],
-            ["simulate", "--t1"],
-            ["simulate", LV, "--system", "lotka_volterra", "--init", "2,1",
-             "--params", "1,0.5,0.2,0.4", "--t1", "0.05", "--out", "{out}"],
-            ["matrix", FLIPFLOP, "--lens", "feedback", "--k", "3", "--out", "{out}"],
-            ["steady", FLIPFLOP, "--system", "flipflop", "--out", "{out}"],
-            ["compose", FLIPFLOP, "--lens", "feedback", "--system", "flipflop",
-             "--out", "{out}"],
-        ]
-
-        def fresh(argv):
-            args = cli.build_parser().parse_args(argv)
-            return args.func(args)
-
-        def run(call, argv, out):
-            try:
-                code = call([a.replace("{out}", str(out)) for a in argv])
-            except SystemExit as exc:
-                code = exc.code
-            return code, capsys.readouterr(), out.read_bytes() if out.exists() else None
-
-        for j, argv in enumerate(runs):
-            cached = run(main, argv, tmp_path / f"a{j}")
-            expected = run(fresh, argv, tmp_path / f"b{j}")
-            assert cached[0] == expected[0] and cached[2] == expected[2]
-            assert cached[1].err == expected[1].err
-            assert cached[1].out.replace(f"a{j}", f"b{j}") == expected[1].out
-        assert cli._parser() is cli._parser()
 
     def test_console_script_is_installed(self):
         proc = subprocess.run(

@@ -3,14 +3,16 @@
 `rk4_solve` and both paths of `check_solve_functoriality` run one loop that
 `opendyn.ode` generates per system. Each case here runs three ways (a
 constant signal, a sampled signal, and live wiring through a lens) and must
-give what the unfused loop in `unfused_rk4` and the tree walk in
-`tree_walk_oracle` give: the same trajectory bits and deviation bits, or the
+give what the plain loop of `tree_walk_oracle` gives, over opendyn's compiled
+evaluators and over the tree walk: the same trajectory bits and deviation bits, or the
 same error class and message.
 """
 
 import math
 import re
 import struct
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +33,15 @@ from opendyn import (
 from opendyn.expr import Num, Var
 
 import tree_walk_oracle
-import unfused_rk4
 from test_compiled_expr import _extend, trees
 
-ORACLES = (unfused_rk4, tree_walk_oracle)
+UNFUSED = SimpleNamespace(
+    rk4_solve=partial(tree_walk_oracle.rk4_solve, evaluators=tree_walk_oracle.COMPILED),
+    check_solve_functoriality=partial(
+        tree_walk_oracle.check_solve_functoriality, evaluators=tree_walk_oracle.COMPILED
+    ),
+)
+ORACLES = (UNFUSED, tree_walk_oracle)
 
 # Trees from the expression tests, over x, y (states) and z (the parameter);
 # the unbound `w` of those tests becomes a constant. The tame ones keep most
@@ -164,7 +171,7 @@ def stage_records(s0):
         step["j"] += step["s"] == 0
         return (y[0], -y[1])
 
-    unfused_rk4.integrate(f, ("x", "y"), s0, 0.0, 2.0, H)
+    tree_walk_oracle.integrate(f, ("x", "y"), s0, 0.0, 2.0, H)
     return records
 
 

@@ -1,10 +1,15 @@
-"""Field evaluation and RK4 by the recursive tree walk, kept as an oracle.
+"""Field evaluation by the recursive tree walk and RK4 as a plain loop, kept as oracles.
 
 `opendyn.ode` evaluates fields, readouts and lens `bwd` tables through
-functions that `opendyn.expr.compile_table` generates. The functions here are
-the direct definitions it replaced: bind each coordinate by name and call
-`evaluate` on every expression, at every integrator stage. They serve the
-differential tests, which require bit-identical trajectories and deviations.
+functions that `opendyn.expr.compile_table` generates, and steps RK4 in a
+loop it generates per system. The functions here are the direct definitions
+they replaced: `eval_table` binds each coordinate by name and calls
+`evaluate` on every expression, and `integrate` is the RK4 loop that builds a
+state tuple per stage. `rk4_solve` and `check_solve_functoriality` run that
+loop over a choice of evaluators: `TREE_WALK` (the default) or `COMPILED`,
+opendyn's own compiled functions, which isolates the stepping. They serve the
+differential tests, which require bit-identical trajectories and deviations
+and the same errors, messages included.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
+import opendyn
 from opendyn import (
     ExprEvalError,
     FunctorialityResult,
@@ -20,6 +26,7 @@ from opendyn import (
     OdeSystem,
     ParamSignal,
     Trajectory,
+    compile_table,
     compose_lens_ode,
     evaluate,
 )
@@ -91,25 +98,47 @@ def integrate(f, names, y0, t0: float, t1: float, h: float):
     return times, values
 
 
-def rk4_solve(sys: OdeSystem, s0, signal: ParamSignal, t0: float, t1: float, h: float):
+def tree_walk_bwd(lens: OdeLens, sys: OdeSystem):
+    def bwd(outs, outer_values):
+        penv = dict(zip(sys.output_vars, outs))
+        penv.update(zip(lens.target_params, outer_values))
+        return eval_table(lens.bwd, sys.param_vars, penv, "bwd")
+
+    return bwd
+
+
+def compiled_bwd(lens: OdeLens, sys: OdeSystem):
+    table = compile_table(lens.bwd, sys.param_vars, sys.output_vars + lens.target_params, "bwd")
+    return lambda outs, outer_values: table(*outs, *outer_values)
+
+
+# (field, readout, bwd builder)
+TREE_WALK = (eval_field, eval_readout, tree_walk_bwd)
+COMPILED = (opendyn.eval_field, opendyn.eval_readout, compiled_bwd)
+
+
+def rk4_solve(
+    sys: OdeSystem, s0, signal: ParamSignal, t0: float, t1: float, h: float,
+    evaluators=TREE_WALK,
+):
+    field, readout, _ = evaluators
     times, values = integrate(
-        lambda t, y: eval_field(sys, y, signal(t)), sys.state_vars, s0, t0, t1, h
+        lambda t, y: field(sys, y, signal(t)), sys.state_vars, s0, t0, t1, h
     )
-    outputs = [eval_readout(sys, y) for y in values]
+    outputs = [readout(sys, y) for y in values]
     return Trajectory(tuple(times), tuple(values), tuple(outputs))
 
 
 def check_solve_functoriality(
     lens: OdeLens, sys: OdeSystem, s0, outer: ParamSignal, t0: float, t1: float, h: float,
-    tol: float,
+    tol: float, evaluators=TREE_WALK,
 ) -> FunctorialityResult:
-    path_a = rk4_solve(compose_lens_ode(lens, sys), s0, outer, t0, t1, h)
+    field, readout, make_bwd = evaluators
+    path_a = rk4_solve(compose_lens_ode(lens, sys), s0, outer, t0, t1, h, evaluators)
+    bwd = make_bwd(lens, sys)
 
     def f(t, y):
-        outs = eval_readout(sys, y)
-        penv = dict(zip(sys.output_vars, outs))
-        penv.update(zip(lens.target_params, outer(t)))
-        return eval_field(sys, y, eval_table(lens.bwd, sys.param_vars, penv, "bwd"))
+        return field(sys, y, bwd(readout(sys, y), outer(t)))
 
     times, values = integrate(f, sys.state_vars, s0, t0, t1, h)
     worst, worst_time = 0.0, t0
