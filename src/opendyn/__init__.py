@@ -12,6 +12,7 @@ from .errors import (
     BoundaryError,
     ExprEvalError,
     ExprSyntaxError,
+    FileAccessError,
     IntegrationError,
     OpendynError,
     ValidationError,

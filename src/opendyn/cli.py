@@ -3,8 +3,13 @@
 Subcommands: compose, tensor, steady, matrix, simulate, check. All outputs
 are deterministic for a fixed invocation (no timestamps, seeded randomness,
 canonical float and JSON formatting), so repeated runs are byte-identical.
+`matrix` output and the projects `compose` and `tensor` write are the bytes
+of `json.dumps(obj, indent=2)` plus a newline, from one writer,
+`project.write_json`. `matrix` refuses a span whose matrix would have more
+than `deterministic.MAX_MATRIX_ENTRIES` entries before building it.
 Exit codes: 0 success, 1 a check reported a failure, 2 usage or validation
-problems.
+problems, a project file that cannot be read (missing, a directory, not
+UTF-8) or an output file that cannot be written; each names the path.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -46,13 +50,15 @@ from .project import (
     ProjectFile,
     doctrine_of,
     load_project,
+    open_output,
     save_project,
+    write_json,
 )
 from .stochastic import simulate_stoch
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with open_output(path) as f:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)
@@ -136,7 +142,7 @@ def cmd_matrix(args) -> int:
         "target": list(span.target),
         "matrix": span_to_matrix(span),
     }
-    Path(args.out).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    write_json(obj, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -258,7 +264,8 @@ def cmd_check(args) -> int:
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
+        with open_output(args.out) as f:
+            f.write(report)
     return 0 if overall == "PASS" else 1
 
 

@@ -40,6 +40,13 @@ from .finset import (
     product_finset,
 )
 
+#: Most entries a lens span's matrix may have, and most charts either side of
+#: it may have; `lens_to_span` refuses a larger span before it builds a chart
+#: set. At k = 3 a lens from 3 outputs x 3 inputs to 4 outputs x 5 inputs
+#: has 729 x 8,000 = 5,832,000 entries, and `opendyn matrix` writes them as
+#: 53 MB of JSON.
+MAX_MATRIX_ENTRIES = 10_000_000
+
 
 @dataclass(frozen=True)
 class DetInterface:
@@ -619,11 +626,22 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
     leg pushes the output forward as fwd(o). Both legs are functions of the
     apex, so the matrix of this span has exactly one 1 per apex element.
     The apex is `_lens_apex` over the source charts that apex elements lie
-    over: those with (o, bwd(o, i')) at every position.
+    over: those with (o, bwd(o, i')) at every position. A span whose matrix
+    would have more than `MAX_MATRIX_ENTRIES` entries is a `ValidationError`
+    that states its size.
     """
     if len(rep_interface.inputs) != 1:
         raise ValidationError(
             "representing interface must have a single input (a walking cycle)"
+        )
+    k = len(rep_interface.outputs)
+    n_source, n_target = (
+        (len(iface.outputs) * len(iface.inputs)) ** k for iface in (lens.source, lens.target)
+    )
+    if max(n_source * n_target, n_source, n_target) > MAX_MATRIX_ENTRIES:
+        raise ValidationError(
+            f"the lens span at period {k} is {n_source} x {n_target} charts, a matrix of "
+            f"{n_source * n_target} entries; more than MAX_MATRIX_ENTRIES = {MAX_MATRIX_ENTRIES}"
         )
     source = chart_hom_set(rep_interface, lens.source)
     target = chart_hom_set(rep_interface, lens.target)

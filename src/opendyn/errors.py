@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps ValidationError/BoundaryError/ExprSyntaxError to exit code 2
-(bad input) and keeps exit code 1 for genuine check failures.
+The CLI maps every OpendynError to exit code 2 (bad input, or a file that
+cannot be read or written) and keeps exit code 1 for genuine check failures.
 """
 
 
@@ -15,6 +15,10 @@ class ValidationError(OpendynError):
 
 class BoundaryError(OpendynError):
     """Two pieces of data that must share a boundary do not (set or interface mismatch)."""
+
+
+class FileAccessError(OpendynError):
+    """A project file could not be read, or an output file written. Names the path."""
 
 
 class ExprSyntaxError(OpendynError):

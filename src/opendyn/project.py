@@ -10,12 +10,15 @@ so identical projects produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Union
+from typing import Iterator, TextIO, Union
 
 from .deterministic import DetChart, DetInterface, DetLens, DetSystem, Machine
-from .errors import OpendynError, ValidationError
+from .errors import FileAccessError, OpendynError, ValidationError
 from .expr import to_text
 from .finset import FinMap, FinSet, expect_obj, expect_str, str_table
 from .ode import OdeLens, OdeSystem
@@ -287,7 +290,12 @@ def project_from_obj(obj) -> ProjectFile:
 
 def load_project(path: Union[str, Path]) -> ProjectFile:
     """Read and fully validate a project file."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FileAccessError(f"{path}: cannot read the file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise FileAccessError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -300,8 +308,91 @@ def load_project(path: Union[str, Path]) -> ProjectFile:
         raise ValidationError(f"{path}: {exc}") from None
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_lines(value, indent: str, put) -> None:
+    """Put the text of `value`, nested at `indent` ("\n" plus its spaces)."""
+    if isinstance(value, str):
+        put(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            put(sep + _quote(key) + ": ")
+            _json_lines(item, inner, put)
+            sep = "," + inner
+        put(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:
+            put("[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _json_lines(item, inner, put)
+            sep = "," + inner
+        put(indent + "]")
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, float):
+        put(_float_text(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_text(obj) -> str:
+    """The text of `json.dumps(obj, indent=2)`, for the values opendyn writes:
+    dicts with string keys, lists, strings, ints, floats, bools and None.
+
+    `json.dumps` falls back to its pure-Python encoder whenever `indent` is
+    set; this writer emits the same bytes, and writes a list of plain ints,
+    such as a matrix row, with one `join`.
+    """
+    parts: list[str] = []
+    _json_lines(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+@contextmanager
+def open_output(path: Union[str, Path]) -> Iterator[TextIO]:
+    """An output file open for UTF-8 text, written as it is (no newline
+    translation). A file that cannot be opened or written is a
+    `FileAccessError` naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            yield f
+    except OSError as exc:
+        raise FileAccessError(f"{path}: cannot write the file: {exc.strerror}") from None
+
+
+def write_json(obj, path: Union[str, Path]) -> None:
+    """Write `json.dumps(obj, indent=2)`'s bytes and a newline to `path`."""
+    text = json_text(obj) + "\n"
+    with open_output(path) as f:
+        f.write(text)
+
+
 def save_project(project: ProjectFile, path: Union[str, Path]) -> None:
     """Write a project deterministically (stable key order, trailing newline)."""
-    Path(path).write_text(
-        json.dumps(project_to_obj(project), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(project_to_obj(project), path)

@@ -18,7 +18,7 @@ from opendyn import (
     StochSystem,
     compose_lens_system,
 )
-from opendyn.laws import random_interface
+from opendyn.laws import random_interface, random_lens
 
 
 def fixture_path(name: str) -> str:
@@ -60,6 +60,14 @@ def chain() -> StochSystem:
         "b": {"go": Dist(states, {"a": "1/3", "b": "2/3"}), "stay": Dist.dirac(states, "b")},
     }
     return StochSystem(states, iface, readout, update)
+
+
+def wide_lens(seed: int) -> DetLens:
+    """A random lens from 3 outputs x 3 inputs to 4 outputs x 5 inputs, the
+    shape of the `wire` benchmark's lenses: 81 x 400 charts at k = 2."""
+    source = DetInterface(FinSet(["a0", "a1", "a2"]), FinSet(["b0", "b1", "b2"]))
+    target = DetInterface(FinSet(["c0", "c1", "c2", "c3"]), FinSet(["e0", "e1", "e2", "e3", "e4"]))
+    return random_lens(random.Random(seed), source, target)
 
 
 def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

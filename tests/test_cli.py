@@ -7,11 +7,12 @@ import sys
 
 import pytest
 
+import opendyn.deterministic as det
 from opendyn import OdeSystem, load_project, save_project
 from opendyn.cli import main
 from opendyn.project import ProjectFile
 
-from helpers import feedback_lens, fixture_path, flipflop, oscillator
+from helpers import feedback_lens, fixture_path, flipflop, oscillator, wide_lens
 
 FLIPFLOP = fixture_path("flipflop.json")
 LV = fixture_path("lv.json")
@@ -403,3 +404,80 @@ class TestDriver:
         )
         assert proc.returncode == 0
         assert "compose" in proc.stdout
+
+
+def run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "opendyn.cli", *map(str, argv)], capture_output=True, text=True
+    )
+
+
+def assert_named_error(proc, path, text):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert f"{path}: {text}" in proc.stderr
+
+
+class TestFileErrors:
+    def test_missing_project(self, tmp_path):
+        project, out = tmp_path / "missing.json", tmp_path / "out.csv"
+        proc = run_cli("steady", project, "--system", "flipflop", "--out", out)
+        assert_named_error(proc, project, "cannot read the file: No such file or directory")
+        assert not out.exists()
+
+    def test_project_path_is_a_directory(self, tmp_path):
+        out = tmp_path / "out.json"
+        proc = run_cli("compose", tmp_path, "--lens", "feedback", "--system", "flipflop",
+                       "--out", out)
+        assert_named_error(proc, tmp_path, "cannot read the file: Is a directory")
+        assert not out.exists()
+
+    def test_project_is_not_utf8(self, tmp_path):
+        project, out = tmp_path / "latin1.json", tmp_path / "out.json"
+        project.write_bytes('{"version": 1, "systems": {"café": {}}}'.encode("latin-1"))
+        proc = run_cli("matrix", project, "--lens", "feedback", "--out", out)
+        assert_named_error(proc, project, "not UTF-8 text (byte 31)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", FLIPFLOP, "--lens", "feedback", "--system", "flipflop", "--out"],
+            ["tensor", FLIPFLOP, "--a", "flipflop", "--b", "flipflop", "--out"],
+            ["matrix", FLIPFLOP, "--lens", "feedback", "--out"],
+            ["steady", FLIPFLOP, "--system", "flipflop", "--out"],
+            ["check", FLIPFLOP, "--cases", "0", "--out"],
+        ],
+        ids=["compose", "tensor", "matrix", "steady", "check"],
+    )
+    def test_out_in_a_missing_directory(self, tmp_path, argv):
+        out = tmp_path / "no" / "such" / "dir" / "out"
+        proc = run_cli(*argv, out)
+        assert_named_error(proc, out, "cannot write the file: No such file or directory")
+        assert not out.parent.exists()
+
+
+class TestMatrixSizeBound:
+    def test_k4_exits_2_before_building_a_chart_set(self, tmp_path, capsys, monkeypatch):
+        def no_chart_sets(*args):
+            raise AssertionError("a chart set was built")
+
+        monkeypatch.setattr(det, "chart_hom_set", no_chart_sets)
+        project, out = tmp_path / "lens.json", tmp_path / "matrix.json"
+        save_project(ProjectFile(lenses={"l0": wide_lens(5)}), project)
+        assert main(["matrix", str(project), "--lens", "l0", "--k", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "6561 x 160000 charts, a matrix of 1049760000 entries" in err
+        assert not out.exists()
+
+    def test_bound_is_inclusive(self, tmp_path, monkeypatch):
+        out = tmp_path / "matrix.json"
+        argv = ["matrix", FLIPFLOP, "--lens", "feedback", "--out", str(out)]
+        monkeypatch.setattr(det, "MAX_MATRIX_ENTRIES", 6)  # 6 source charts x 1 target chart
+        assert main(argv) == 0
+        monkeypatch.setattr(det, "MAX_MATRIX_ENTRIES", 5)
+        out.unlink()
+        assert main(argv) == 2
+        assert not out.exists()
