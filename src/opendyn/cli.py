@@ -6,7 +6,8 @@ canonical float and JSON formatting), so repeated runs are byte-identical.
 `matrix` output and the projects `compose` and `tensor` write are the bytes
 of `json.dumps(obj, indent=2)` plus a newline, from one writer,
 `project.write_json`. `matrix` refuses a span whose matrix would have more
-than `deterministic.MAX_MATRIX_ENTRIES` entries before building it.
+than `deterministic.MAX_MATRIX_ENTRIES` entries before building it, and
+`steady` an orbit walk of more than `deterministic.MAX_WALK` tuples.
 Exit codes: 0 success, 1 a check reported a failure, 2 usage or validation
 problems, a project file that cannot be read (missing, a directory, not
 UTF-8) or an output file that cannot be written; each names the path.
@@ -116,8 +117,6 @@ def cmd_steady(args) -> int:
         raise ValidationError(
             f"steady enumeration needs a deterministic system, got {doctrine_of(sys_entry)}"
         )
-    if args.k < 1:
-        raise ValidationError(f"k must be at least 1, got {args.k}")
     rows = list(periodic_orbits(sys_entry, args.k))
     _write_csv(args.out, ("chart", "element"), rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
@@ -131,8 +130,6 @@ def cmd_matrix(args) -> int:
         raise ValidationError(
             f"matrix dump needs a deterministic lens, got {doctrine_of(lens)}"
         )
-    if args.k < 1:
-        raise ValidationError(f"k must be at least 1, got {args.k}")
     span = lens_to_span(lens, walking_cycle(args.k).interface)
     obj = {
         "version": 1,

@@ -47,6 +47,11 @@ from .finset import (
 #: 53 MB of JSON.
 MAX_MATRIX_ENTRIES = 10_000_000
 
+#: Most tuples, |S|·|I|^k, that the period-k walk of `periodic_orbits` may
+#: try; it tries them all however few orbits it finds. On a 2-CPU VM,
+#: 2·3^12 = 1,062,882 tuples took 10.9 s and 364 MB.
+MAX_WALK = 1_000_000
+
 
 @dataclass(frozen=True)
 class DetInterface:
@@ -580,9 +585,16 @@ def periodic_orbits(sys: DetSystem, k: int) -> Iterator[tuple[str, str]]:
 
     Labels join their parts with `|`, so parts that contain it can make two
     elements, or two charts, print alike; like the span's `FinSet`s, this
-    raises `duplicate element label` then.
+    raises `duplicate element label` then. A walk of more than `MAX_WALK`
+    tuples is a `ValidationError` that states its length.
     """
     _check_period(k)
+    n_states, n_inputs = len(sys.states), len(sys.interface.inputs)
+    if n_states * n_inputs**k > MAX_WALK:
+        raise ValidationError(
+            f"the period-{k} orbit walk tries |S|*|I|^k = {n_states}*{n_inputs}^{k} = "
+            f"{n_states * n_inputs**k} tuples; more than MAX_WALK = {MAX_WALK}"
+        )
     charts: dict[str, tuple[str, ...]] = {}
     elements: set[str] = set()
     for chart, combo in _orbits(walking_cycle(k), sys):

@@ -18,7 +18,9 @@ substitution is plain simultaneous replacement.
 `compile_table` turns a table of expressions into one Python function of
 positional values, which is how `opendyn.ode` evaluates fields. `evaluate`,
 the recursive tree walk, defines what that function must compute, bit for
-bit and error for error, and is the reference the tests compare it against.
+bit, and is the reference the tests compare it against. The generated code
+only computes; when it fails, it replays the table through `evaluate`, so
+every expression error is explained by the tree walk alone.
 """
 
 from __future__ import annotations
@@ -316,47 +318,14 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
 # statement per distinct inner node, in the post-order `evaluate` visits them,
 # so no generated line nests and any tree depth compiles. Equal subtrees are
 # interned bottom-up on (operator, operand local, operand local) keys and get
-# one local, bound where the tree walk would first evaluate them; reusing a
-# pure value keeps results bit-identical, and a reused subtree evaluated
-# without error once cannot raise later, so the first error is the same one.
+# one local, bound where the tree walk would first evaluate them, so values
+# are bit-identical. The code only computes, with `math` called directly and
+# an unbound name read from an empty dict. It raises where `evaluate` first
+# raises, since it skips only subtrees that already succeeded and Python's `/`
+# raises on exactly the divisors `evaluate` refuses (0.0, -0.0 and 0); its
+# one `except` replays the table through `evaluate`, which forms the message.
 
-
-def _checked_call(name: str, fn):
-    def call(arg):
-        try:
-            return fn(arg)
-        except ValueError:
-            raise ExprEvalError(f"{name}({arg!r}) is undefined") from None
-        except OverflowError:
-            raise ExprEvalError(f"{name}({arg!r}) overflows") from None
-
-    return call
-
-
-def _pow(left, right):
-    try:
-        return math.pow(left, right)
-    except ValueError:
-        raise ExprEvalError(f"{left!r}^{right!r} is undefined") from None
-    except OverflowError:
-        raise ExprEvalError(f"{left!r}^{right!r} overflows") from None
-
-
-def _div(node: BinOp):
-    raise ExprEvalError(f"division by zero: {to_text(node)}")
-
-
-def _unbound(name: str):
-    raise ExprEvalError(f"unbound variable {name!r}")
-
-
-_HELPERS = {
-    "_Err": ExprEvalError,
-    "_pow": _pow,
-    "_div": _div,
-    "_unbound": _unbound,
-    **{f"_{name}": _checked_call(name, fn) for name, fn in FUNCTIONS.items()},
-}
+_HELPERS = {"_pow": math.pow, "_unbound": {}, **{f"_{name}": fn for name, fn in FUNCTIONS.items()}}
 
 
 class _Emitter:
@@ -390,7 +359,7 @@ class _Emitter:
 
     def rhs(self, e: Expr, operands: Sequence[str]) -> str:
         if isinstance(e, Var):
-            return f"_unbound({self.const(e.name)})"
+            return f"_unbound[{self.const(e.name)}]"
         if isinstance(e, Neg):
             return f"-{operands[0]}"
         if isinstance(e, Call):
@@ -398,8 +367,6 @@ class _Emitter:
                 raise KeyError(e.fn)
             return f"_{e.fn}({operands[0]})"
         left, right = operands
-        if e.op == "/":
-            return f"_div({self.const(e)}) if {right} == 0.0 else {left} / {right}"
         if e.op == "^":
             return f"_pow({left}, {right})"
         return f"{left} {e.op} {right}"
@@ -446,24 +413,33 @@ def compile_table(
     tuple of `table[key]` for each key.
 
     It computes what `evaluate` computes on each expression with `args`
-    bound, bit for bit, and raises the same first error, its message
-    prefixed `<what> component '<key>': `.
+    bound, bit for bit. When it fails, `evaluate` replays the table and
+    raises its first error, prefixed `<what> component '<key>': `.
     """
     emitter = _Emitter(args)
-    body: list[str] = []
-    results: list[str] = []
-    for key in keys:
-        start = len(emitter.lines)
-        results.append(emitter.visit(table[key]))
-        if len(emitter.lines) > start:
-            prefix = emitter.const(f"{what} component {key!r}: ")
-            body.append("    try:")
-            body.extend(emitter.lines[start:])
-            body.append("    except _Err as _e:")
-            body.append(f"        raise _Err({prefix} + str(_e)) from None")
+    results = [emitter.visit(table[key]) for key in keys]
+
+    def explain(*values) -> None:
+        env = dict(zip(args, values))
+        for key in keys:
+            try:
+                evaluate(table[key], env)
+            except ExprEvalError as exc:
+                raise ExprEvalError(f"{what} component {key!r}: {exc}") from None
+
+    emitter.namespace["_explain"] = explain
     params = ", ".join(f"_a{j}" for j in range(len(args)))
     returned = "".join(f"{local}, " for local in results)
-    source = "\n".join([f"def _compiled({params}):", *body, f"    return ({returned})", ""])
+    source = "\n".join([
+        f"def _compiled({params}):",
+        "    try:",
+        *emitter.lines,
+        f"        return ({returned})",
+        "    except (ArithmeticError, ValueError, LookupError):",
+        f"        _explain({params})",
+        "        raise",
+        "",
+    ])
     namespace = emitter.namespace
     exec(compile(source, f"<compiled {what}>", "exec"), namespace)
     return namespace["_compiled"]

@@ -10,9 +10,10 @@ produces the expected right-hand sides.
 
 Every evaluation runs straight-line Python that `expr.compile_table`
 generates: a system compiles its field and readout once, on first use, with
-each repeated subtree of a deeply wired field computed once. The results
-and error messages are those of the tree walk `expr.evaluate`, which stays
-the reference.
+each repeated subtree of a deeply wired field computed once. The generated
+code only computes, and its results are those of the tree walk
+`expr.evaluate`, which stays the reference; when it fails, `evaluate`
+replays the table and explains the failure.
 
 Solving is fixed-step classical RK4 on a grid of at most MAX_STEPS steps, by
 one loop generated per system and built on first use (`OdeSystem.integrator`):

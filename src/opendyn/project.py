@@ -302,6 +302,8 @@ def load_project(path: Union[str, Path]) -> ProjectFile:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nests too deeply to decode") from None
     try:
         return project_from_obj(obj)
     except OpendynError as exc:

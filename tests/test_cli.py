@@ -8,7 +8,16 @@ import sys
 import pytest
 
 import opendyn.deterministic as det
-from opendyn import OdeSystem, load_project, save_project
+from opendyn import (
+    DetInterface,
+    DetSystem,
+    FinMap,
+    FinSet,
+    OdeSystem,
+    ValidationError,
+    load_project,
+    save_project,
+)
 from opendyn.cli import main
 from opendyn.project import ProjectFile
 
@@ -440,6 +449,13 @@ class TestFileErrors:
         assert_named_error(proc, project, "not UTF-8 text (byte 31)")
         assert not out.exists()
 
+    def test_deeply_nested_json(self, tmp_path):
+        project, out = tmp_path / "deep.json", tmp_path / "out.csv"
+        project.write_text("[" * 100_000 + "]" * 100_000)
+        proc = run_cli("steady", project, "--system", "x", "--out", out)
+        assert_named_error(proc, project, "JSON nests too deeply to decode")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -481,3 +497,37 @@ class TestMatrixSizeBound:
         out.unlink()
         assert main(argv) == 2
         assert not out.exists()
+
+
+def swap() -> DetSystem:
+    """Two states that swap under every input: no orbit at odd periods."""
+    states = FinSet(["s0", "s1"])
+    iface = DetInterface(FinSet(["a", "b", "c"]), FinSet(["o"]))
+    readout = FinMap(states, iface.outputs, {"s0": "o", "s1": "o"})
+    update = {"s0": dict.fromkeys("abc", "s1"), "s1": dict.fromkeys("abc", "s0")}
+    return DetSystem(states, iface, readout, update)
+
+
+class TestWalkBound:
+    def test_k40_exits_2_before_walking(self, tmp_path, capsys, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the orbit walk started")
+
+        monkeypatch.setattr(det, "_maps_into", no_walk)
+        out = tmp_path / "orbits.csv"
+        argv = ["steady", FLIPFLOP, "--system", "flipflop", "--k", "40", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "|S|*|I|^k = 2*3^40 = 24315330918113857602 tuples" in err
+        assert not out.exists()
+
+    def test_bound_is_inclusive_and_counts_the_walk(self, monkeypatch):
+        monkeypatch.setattr(det, "MAX_WALK", 2 * 3**3)
+        assert len(list(det.periodic_orbits(flipflop(), 3))) > 0
+        assert list(det.periodic_orbits(swap(), 3)) == []
+        monkeypatch.setattr(det, "MAX_WALK", 2 * 3**3 - 1)
+        refused = r"2\*3\^3 = 54 tuples; more than MAX_WALK = 53$"
+        for machine in (flipflop(), swap()):
+            with pytest.raises(ValidationError, match=refused):
+                list(det.periodic_orbits(machine, 3))

@@ -40,7 +40,8 @@ from helpers import fixture_path
 ARGS = ("x", "y", "z")
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 710.0, 1e308, 5e-324, math.inf, -math.inf, math.nan]
-numbers = st.one_of(st.sampled_from(SPECIAL), st.floats())
+# small ints, 0 among them: Python's own `/` must fail on an int 0 divisor too
+numbers = st.one_of(st.sampled_from(SPECIAL), st.floats(), st.integers(-3, 3))
 # "w" is never bound, so some trees raise `unbound variable 'w'`
 leaves = st.one_of(numbers.map(Num), st.sampled_from(ARGS * 3 + ("w",)).map(Var))
 
