@@ -5,14 +5,21 @@ readouts are still functions, but the update lands in probability
 distributions. Rewiring, tensor and steady states are the shared machine
 functions, bound here under their stochastic names. Weights are
 `fractions.Fraction` throughout, so normalization and the embedding laws are
-exact equalities rather than tolerance checks. The deterministic doctrine
-embeds by sending each transition to the point distribution on its result.
+exact equalities rather than tolerance checks. The arithmetic runs on their
+integer numerators over a common denominator rather than through `Fraction`
+operators: the sum check in `Dist`, the products of `DistEffect.product` and
+`step_dist`, and the comparisons of the sampler. Weight strings are parsed
+through one bounded memo, so a string that repeats across a document is
+parsed once. The deterministic doctrine embeds by sending each transition to
+the point distribution on its result.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Union
 
 from .deterministic import DetSystem, Machine, compose_lens_system, steady_span, tensor_systems
@@ -22,16 +29,23 @@ from .finset import FinSet, join_labels, str_table
 WeightLike = Union[Fraction, int, str]
 
 
-def _as_fraction(value: WeightLike, where: str) -> Fraction:
+# A document repeats a few weight strings many times, so parsing goes through
+# one bounded memo of the constructor: the same forms, values and errors.
+_parse_weight = lru_cache(maxsize=4096)(Fraction)
+
+
+def _as_fraction(value: WeightLike, label: str) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
         try:
-            return Fraction(value)
+            return _parse_weight(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"{where}: bad rational {value!r} ({exc})") from None
+            raise ValidationError(
+                f"weight of {label!r}: bad rational {value!r} ({exc})"
+            ) from None
     raise ValidationError(
-        f"{where}: weights must be exact rationals (int, Fraction, or 'p/q' string), got {type(value).__name__}"
+        f"weight of {label!r}: weights must be exact rationals (int, Fraction, or 'p/q' string), got {type(value).__name__}"
     )
 
 
@@ -50,18 +64,18 @@ class Dist:
             if label not in support:
                 raise ValidationError(f"distribution weight on unknown label {label!r}")
         cleaned: dict[str, Fraction] = {}
-        total = Fraction(0)
-        for label in support:
-            if label not in weights:
-                continue
-            w = _as_fraction(weights[label], f"weight of {label!r}")
-            if w < 0:
+        # In support order, whatever order the weights were given in.
+        for label in sorted(weights, key=support.position):
+            w = _as_fraction(weights[label], label)
+            if w.numerator < 0:
                 raise ValidationError(f"negative weight {w} on {label!r}")
-            total += w
-            if w != 0:
+            if w.numerator:
                 cleaned[label] = w
-        if total != 1:
-            raise ValidationError(f"weights must sum to 1 exactly, got {total}")
+        # The sum, over the least common denominator of the nonzero weights.
+        den = math.lcm(*(w.denominator for w in cleaned.values()))
+        num = sum(w.numerator * (den // w.denominator) for w in cleaned.values())
+        if num != den:
+            raise ValidationError(f"weights must sum to 1 exactly, got {Fraction(num, den)}")
         self.support = support
         self.weights = cleaned
 
@@ -111,7 +125,9 @@ class DistEffect:
         return Dist(
             states,
             {
-                join_labels(ta, tb): wa * wb
+                join_labels(ta, tb): Fraction(
+                    wa.numerator * wb.numerator, wa.denominator * wb.denominator
+                )
                 for ta, wa in da.weights.items()
                 for tb, wb in db.weights.items()
             },
@@ -146,22 +162,32 @@ def step_dist(sys: StochSystem, d: Dist, inp: str) -> Dist:
         raise ValidationError(f"distribution must live on the state set {sys.states}")
     if inp not in sys.interface.inputs:
         raise ValidationError(f"unknown input {inp!r}")
-    acc: dict[str, Fraction] = {}
-    for s, w in d.weights.items():
-        for t, wt in sys.update[s][inp].weights.items():
-            acc[t] = acc.get(t, Fraction(0)) + w * wt
-    return Dist(sys.states, acc)
+    terms = [
+        (t, w.numerator * wt.numerator, w.denominator * wt.denominator)
+        for s, w in d.weights.items()
+        for t, wt in sys.update[s][inp].weights.items()
+    ]
+    den = math.lcm(*(q for _, _, q in terms))
+    acc: dict[str, int] = {}
+    for t, p, q in terms:
+        acc[t] = acc.get(t, 0) + p * (den // q)
+    return Dist(sys.states, {t: Fraction(n, den) for t, n in acc.items()})
 
 
 def _sample(dist: Dist, rng: random.Random) -> str:
-    """Inverse-CDF sampling over the canonical element order, compared exactly."""
-    u = Fraction(rng.random())
-    cum = Fraction(0)
+    """Inverse-CDF sampling over the canonical element order, compared exactly:
+    with u = a/b and the weights over their common denominator `den`, the
+    cumulative weight c/den exceeds u exactly when c*b > a*den."""
+    a, b = rng.random().as_integer_ratio()
+    weights = dist.weights
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    bound = a * den
+    cum = 0
     last = None
-    for label, w in dist.weights.items():
-        cum += w
+    for label, w in weights.items():
+        cum += w.numerator * (den // w.denominator)
         last = label
-        if cum > u:
+        if cum * b > bound:
             return label
     assert last is not None
     return last

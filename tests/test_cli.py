@@ -1,6 +1,7 @@
 """The command-line driver: exit codes, output files, and report layout."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -531,3 +532,87 @@ class TestWalkBound:
         for machine in (flipflop(), swap()):
             with pytest.raises(ValidationError, match=refused):
                 list(det.periodic_orbits(machine, 3))
+
+
+# Two Markov machines with weight denominators 2 to 7, some given out of state
+# order, unreduced, padded or zero, and a lens that rewires the first.
+STOCH_PAIR = {
+    "version": 1,
+    "systems": {
+        "p": {
+            "kind": "stochastic",
+            "states": ["x0", "x1", "x2"],
+            "inputs": ["u", "v"],
+            "outputs": ["lo", "hi"],
+            "readout": {"x0": "lo", "x1": "hi", "x2": "hi"},
+            "update": {
+                "x0": {"u": {"x2": "1/2", "x0": "2/4"}, "v": {"x0": "1/3", "x1": "1/6", "x2": "1/2"}},
+                "x1": {"u": {"x1": "2/7", "x2": "5/7"}, "v": {"x1": "2/5", "x2": "0", "x0": " 3/5 "}},
+                "x2": {"u": {"x0": "1/4", "x1": "3/4"}, "v": {"x2": "1"}},
+            },
+        },
+        "q": {
+            "kind": "stochastic",
+            "states": ["y0", "y1"],
+            "inputs": ["w", "z"],
+            "outputs": ["e"],
+            "readout": {"y0": "e", "y1": "e"},
+            "update": {
+                "y0": {"w": {"y0": "4/7", "y1": "3/7"}, "z": {"y1": "1"}},
+                "y1": {"w": {"y0": "5/6", "y1": "1/6"}, "z": {"y0": "2/3", "y1": "1/3"}},
+            },
+        },
+    },
+    "lenses": {
+        "flip": {
+            "kind": "deterministic",
+            "sourceInputs": ["u", "v"],
+            "sourceOutputs": ["lo", "hi"],
+            "targetInputs": ["tick", "tock"],
+            "targetOutputs": ["out"],
+            "fwd": {"lo": "out", "hi": "out"},
+            "bwd": {"lo": {"tick": "u", "tock": "v"}, "hi": {"tick": "v", "tock": "v"}},
+        }
+    },
+}
+
+
+class TestStochasticBytes:
+    """Output bytes of the stochastic commands, pinned: a changed sampler or
+    changed weight arithmetic shows here even when two runs still agree."""
+
+    @staticmethod
+    def digest(path) -> tuple[int, str]:
+        data = path.read_bytes()
+        return len(data), hashlib.sha256(data).hexdigest()
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(STOCH_PAIR, indent=2))
+        return str(path)
+
+    def test_simulate_chain(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", STOCH, "--system", "chain", "--start", "a",
+                "--word", ",".join(["go"] * 40), "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        states = "".join(row[2] for row in read_csv(out)[1:])
+        assert states == "aabbbbaabaabbbbbabbbbbabbaabbbbbbbbbbbaaa"
+        assert self.digest(out) == (
+            505, "e36a89d1f845237eeb7d55bbaf844fc582c8659e4d4201d7478bdf585a9c21a6"
+        )
+
+    def test_tensor(self, tmp_path, pair):
+        out = tmp_path / "tensor.json"
+        assert main(["tensor", pair, "--a", "p", "--b", "q", "--out", str(out)]) == 0
+        assert self.digest(out) == (
+            3876, "ae6d4fe62a6ac6089da2f9edb01fe4b66cc1bd60b292977ced25a0ac09b68478"
+        )
+
+    def test_compose(self, tmp_path, pair):
+        out = tmp_path / "compose.json"
+        assert main(["compose", pair, "--lens", "flip", "--system", "p", "--out", str(out)]) == 0
+        assert self.digest(out) == (
+            913, "b9d95f64f02ee8d68b9bcd04d6bf9a6257cc4aa585ee18aa82fd5a0539738f12"
+        )

@@ -27,8 +27,9 @@ from opendyn import (
     tensor_ode,
     to_text,
 )
+from opendyn.expr import BinOp, Num, Var, depth, free_vars, substitute
 from opendyn.laws import _lv_fixture
-from opendyn.ode import MAX_STEPS, _grid
+from opendyn.ode import MAX_STEPS, MAX_TREE_DEPTH, _grid
 
 
 def predator_prey():
@@ -392,3 +393,51 @@ class TestConvergenceOrder:
             errors[h] = abs(traj.values[-1][0] - math.e)
         assert 12.0 <= errors[1e-2] / errors[5e-3] <= 20.0
         assert 12.0 <= errors[5e-3] / errors[2.5e-3] <= 20.0
+
+
+
+def chain_of(levels: int, name: str = "x"):
+    """`x + 1 + 1 + ...`, built without the parser, `levels` nodes deep."""
+    e = Var(name)
+    for _ in range(levels - 1):
+        e = BinOp("+", e, Num(1.0))
+    return e
+
+
+class TestTreeDepthBound:
+    def test_every_walker_runs_at_the_bound(self):
+        e = chain_of(MAX_TREE_DEPTH)
+        assert depth(e) == MAX_TREE_DEPTH
+        sys = OdeSystem(["x"], ["u"], [], {"u": e}, {"x": e})
+        assert sys == OdeSystem(["x"], ["u"], [], {"u": e}, {"x": e})
+        assert e == chain_of(MAX_TREE_DEPTH) and hash(e) == hash(chain_of(MAX_TREE_DEPTH))
+        assert free_vars(e) == {"x"}
+        assert to_text(e).count("+") == MAX_TREE_DEPTH - 1
+        assert evaluate(e, {"x": 0.5}) == 0.5 + (MAX_TREE_DEPTH - 1)
+        assert substitute(e, {"x": Var("y")}) == chain_of(MAX_TREE_DEPTH, "y")
+
+    def test_one_level_past_the_bound_is_refused(self):
+        levels = MAX_TREE_DEPTH + 1
+        refused = f"is {levels} levels deep; more than MAX_TREE_DEPTH = {MAX_TREE_DEPTH}"
+        with pytest.raises(ValidationError, match=re.escape(f"readout['u'] {refused}")):
+            OdeSystem(["x"], ["u"], [], {"u": chain_of(levels)}, {"x": "x"})
+        with pytest.raises(ValidationError, match=re.escape(f"fwd['u'] {refused}")):
+            OdeLens(["v"], [], ["u"], [], {"u": chain_of(levels, "v")}, {})
+
+    def test_repeated_wiring_is_refused_before_the_recursive_walk(self):
+        # 500 chained substitutions nest 1,003 levels: past Python's recursion
+        # limit for `free_vars`, which raised RecursionError here before.
+        e = parse("log(x - x)")
+        for _ in range(500):
+            e = substitute(parse("0.5*x + y"), {"x": e})
+        with pytest.raises(ValidationError, match=r"^field\['x'\] is 1003 levels deep"):
+            OdeSystem(["x", "y"], [], [], {}, {"x": e, "y": "0"})
+
+    def test_shared_subtrees_are_measured_once_per_level(self):
+        # x*x squared 300 times: 301 levels and 2^300 root-to-leaf paths.
+        e = Var("x")
+        for _ in range(300):
+            e = BinOp("*", e, e)
+        assert depth(e) == 301
+        with pytest.raises(ValidationError, match="is 301 levels deep"):
+            OdeSystem(["x"], [], [], {}, {"x": e})
