@@ -261,26 +261,6 @@ def free_vars(e: Expr) -> set[str]:
     return free_vars(e.left) | free_vars(e.right)
 
 
-def depth(e: Expr) -> int:
-    """Nodes on the longest root-to-leaf path, as `parse` counts them, found
-    level by level without recursion: trees built by `substitute` can be
-    deeper than the recursive walkers here reach. A subtree that several
-    parents share is kept once per level."""
-    level = [e]
-    levels = 0
-    while level:
-        levels += 1
-        below = []
-        for node in level:
-            if isinstance(node, BinOp):
-                below.append(node.left)
-                below.append(node.right)
-            elif isinstance(node, (Neg, Call)):
-                below.append(node.arg)
-        level = list({id(node): node for node in below}.values())
-    return levels
-
-
 def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     """Simultaneous replacement of variables by expressions."""
     if isinstance(e, Num):

@@ -15,10 +15,6 @@ code only computes, and its results are those of the tree walk
 `expr.evaluate`, which stays the reference; when it fails, `evaluate`
 replays the table and explains the failure.
 
-A table entry deeper than MAX_TREE_DEPTH levels is refused on construction,
-measured without recursion, so the recursive tree walkers keep stack to
-spare on any system or lens.
-
 Solving is fixed-step classical RK4 on a grid of at most MAX_STEPS steps, by
 one loop generated per system and built on first use (`OdeSystem.integrator`):
 a local per coordinate and stage, the compiled field called on unpacked
@@ -44,7 +40,7 @@ from types import CodeType, FunctionType
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import ExprEvalError, IntegrationError, ValidationError
-from .expr import Expr, Var, compile_table, depth, free_vars, parse, substitute
+from .expr import Expr, Var, compile_table, free_vars, parse, substitute
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -52,16 +48,6 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: before building it. A step holds a state and an output row, so this keeps
 #: a run's memory in the hundreds of megabytes.
 MAX_STEPS = 1_000_000
-
-#: Deepest expression tree, in nodes from the root to a leaf, that a system or
-#: lens table accepts. Under Python's default recursion limit of 1,000 and
-#: from a shallow stack, tree equality runs up to 332 levels, hashing up to
-#: 498, and `free_vars`, `to_text`, `evaluate` and `substitute` up to 995: the
-#: nodes' equality takes three frames per level, so at this depth it leaves
-#: about 250 frames to its caller. It is above `expr.MAX_DEPTH`, so every
-#: parsed expression passes; only trees built in Python, say by wiring the
-#: same system over and over, can exceed it.
-MAX_TREE_DEPTH = 250
 
 ExprLike = Union[Expr, str]
 
@@ -104,12 +90,10 @@ def _check_expr_table(
         if key not in table:
             raise ValidationError(f"{what} is missing an entry for {key!r}")
         e = _as_expr(table[key])
-        levels = depth(e)
-        if levels > MAX_TREE_DEPTH:
-            raise ValidationError(
-                f"{what}[{key!r}] is {levels} levels deep; more than MAX_TREE_DEPTH = {MAX_TREE_DEPTH}"
-            )
-        stray = free_vars(e) - allowed
+        try:
+            stray = free_vars(e) - allowed
+        except RecursionError:
+            raise ValidationError(f"{what}[{key!r}] nests too deeply") from None
         if stray:
             raise ValidationError(
                 f"{what}[{key!r}] uses identifiers outside its scope: {sorted(stray)}"

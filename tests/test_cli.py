@@ -20,6 +20,7 @@ from opendyn import (
     save_project,
 )
 from opendyn.cli import main
+from opendyn.expr import MAX_DEPTH
 from opendyn.project import ProjectFile
 
 from helpers import feedback_lens, fixture_path, flipflop, oscillator, wide_lens
@@ -368,6 +369,32 @@ class TestDeepExpressions:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "deeper than" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_composing_three_deepest_loadable_expressions_writes_the_result(self, tmp_path):
+        # The lens's bwd replaces p at the bottom of the field, and the
+        # readout replaces y at the bottom of that: 3 * MAX_DEPTH - 2 levels.
+        def chain(first: str, term: str) -> str:
+            return " + ".join([first] + [term] * (MAX_DEPTH - 1))
+
+        project = tmp_path / "deep_compose.json"
+        project.write_text(json.dumps({"version": 1, "systems": {"s": {
+            "kind": "ode", "stateVars": ["x"], "outputVars": ["y"], "paramVars": ["p"],
+            "readout": {"y": chain("x", "x")}, "field": {"x": chain("p", "x")},
+        }}, "lenses": {"l": {
+            "kind": "ode", "sourceOutputVars": ["y"], "sourceParamVars": ["p"],
+            "targetOutputVars": ["z"], "targetParamVars": ["q"],
+            "fwd": {"z": "y"}, "bwd": {"p": chain("y", "q")},
+        }}}))
+        out = tmp_path / "composed.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "opendyn.cli", "compose", str(project), "--lens", "l",
+             "--system", "s", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        field = json.loads(out.read_text())["systems"]["s_l"]["field"]["x"]
+        assert field == " + ".join(["x"] * MAX_DEPTH + ["q"] * (MAX_DEPTH - 1) + ["x"] * (MAX_DEPTH - 1))
 
 
 class TestCheck:

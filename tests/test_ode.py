@@ -27,9 +27,9 @@ from opendyn import (
     tensor_ode,
     to_text,
 )
-from opendyn.expr import BinOp, Num, Var, depth, free_vars, substitute
+from opendyn.expr import MAX_DEPTH, BinOp, Num, Var, substitute
 from opendyn.laws import _lv_fixture
-from opendyn.ode import MAX_STEPS, MAX_TREE_DEPTH, _grid
+from opendyn.ode import MAX_STEPS, _grid
 
 
 def predator_prey():
@@ -404,40 +404,28 @@ def chain_of(levels: int, name: str = "x"):
     return e
 
 
-class TestTreeDepthBound:
-    def test_every_walker_runs_at_the_bound(self):
-        e = chain_of(MAX_TREE_DEPTH)
-        assert depth(e) == MAX_TREE_DEPTH
-        sys = OdeSystem(["x"], ["u"], [], {"u": e}, {"x": e})
-        assert sys == OdeSystem(["x"], ["u"], [], {"u": e}, {"x": e})
-        assert e == chain_of(MAX_TREE_DEPTH) and hash(e) == hash(chain_of(MAX_TREE_DEPTH))
-        assert free_vars(e) == {"x"}
-        assert to_text(e).count("+") == MAX_TREE_DEPTH - 1
-        assert evaluate(e, {"x": 0.5}) == 0.5 + (MAX_TREE_DEPTH - 1)
-        assert substitute(e, {"x": Var("y")}) == chain_of(MAX_TREE_DEPTH, "y")
+class TestDeepTables:
+    def test_three_parsed_depths_build_and_run(self):
+        # A compose puts a bwd inside a field and readouts inside that, so a
+        # composed entry can be three parsed expressions deep.
+        levels = 3 * MAX_DEPTH
+        sys = OdeSystem(["x"], ["u"], [], {"u": chain_of(levels)}, {"x": chain_of(levels)})
+        assert eval_field(sys, (0.5,), ()) == (0.5 + (levels - 1),)
+        assert eval_readout(sys, (0.5,)) == (0.5 + (levels - 1),)
+        assert to_text(sys.field["x"]).count("+") == levels - 1
+        lens = OdeLens(["v"], [], ["u"], [], {"u": chain_of(levels, "v")}, {})
+        assert to_text(lens.fwd["u"]).count("+") == levels - 1
 
-    def test_one_level_past_the_bound_is_refused(self):
-        levels = MAX_TREE_DEPTH + 1
-        refused = f"is {levels} levels deep; more than MAX_TREE_DEPTH = {MAX_TREE_DEPTH}"
-        with pytest.raises(ValidationError, match=re.escape(f"readout['u'] {refused}")):
-            OdeSystem(["x"], ["u"], [], {"u": chain_of(levels)}, {"x": "x"})
-        with pytest.raises(ValidationError, match=re.escape(f"fwd['u'] {refused}")):
-            OdeLens(["v"], [], ["u"], [], {"u": chain_of(levels, "v")}, {})
-
-    def test_repeated_wiring_is_refused_before_the_recursive_walk(self):
+    def test_repeated_wiring_is_a_validation_error(self):
         # 500 chained substitutions nest 1,003 levels: past Python's recursion
         # limit for `free_vars`, which raised RecursionError here before.
-        e = parse("log(x - x)")
-        for _ in range(500):
-            e = substitute(parse("0.5*x + y"), {"x": e})
-        with pytest.raises(ValidationError, match=r"^field\['x'\] is 1003 levels deep"):
-            OdeSystem(["x", "y"], [], [], {}, {"x": e, "y": "0"})
+        def wired(x: str, y: str):
+            e = parse(f"log({x} - {x})")
+            for _ in range(500):
+                e = substitute(parse(f"0.5*{x} + {y}"), {x: e})
+            return e
 
-    def test_shared_subtrees_are_measured_once_per_level(self):
-        # x*x squared 300 times: 301 levels and 2^300 root-to-leaf paths.
-        e = Var("x")
-        for _ in range(300):
-            e = BinOp("*", e, e)
-        assert depth(e) == 301
-        with pytest.raises(ValidationError, match="is 301 levels deep"):
-            OdeSystem(["x"], [], [], {}, {"x": e})
+        with pytest.raises(ValidationError, match=r"^field\['x'\] nests too deeply$"):
+            OdeSystem(["x", "y"], [], [], {}, {"x": wired("x", "y"), "y": "0"})
+        with pytest.raises(ValidationError, match=r"^fwd\['u'\] nests too deeply$"):
+            OdeLens(["v"], [], ["u"], [], {"u": wired("v", "v")}, {})
