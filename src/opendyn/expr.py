@@ -10,71 +10,149 @@ Grammar (whitespace insignificant):
 
 so '^' binds tighter than unary minus, which binds tighter than '*' and '/'.
 Parentheses, calls, unary minus and exponents nest at most MAX_NESTING deep,
-and a parsed tree is at most MAX_DEPTH nodes deep, long flat chains such as
-`x+x+...+x` included.
+which bounds the recursive-descent parser's own stack. Nothing else bounds a
+tree's depth: a flat chain such as `x+x+...+x` is parsed by a loop.
 The only functions are sin, cos, exp, log. There are no binders, so
 substitution is plain simultaneous replacement.
 
-`compile_table` turns a table of expressions into one Python function of
-positional values, which is how `opendyn.ode` evaluates fields. `evaluate`,
-the recursive tree walk, defines what that function must compute, bit for
-bit, and is the reference the tests compare it against. The generated code
-only computes; when it fails, it replays the table through `evaluate`, so
-every expression error is explained by the tree walk alone.
+Every walk over expressions is a loop over one list, built without
+recursion: `Dag` lowers expressions to their distinct subtrees in post-order,
+equal subtrees sharing one entry. So no walk recurses, and a subtree that
+many paths reach, as wiring by substitution builds, is visited once.
+`compile_table` turns a table into the Python function `opendyn.ode`
+evaluates fields with; `evaluate` defines what it computes and explains
+every error it meets.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import ExprEvalError, ExprSyntaxError
 
 FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
-
-IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 #: Deepest nesting of parentheses, calls, unary minus and exponents that the
 #: recursive-descent parser accepts; deeper text would exhaust Python's stack.
 MAX_NESTING = 100
 
-#: Deepest tree, in nodes from the root to a leaf, that `parse` builds. The
-#: tree walkers below and the nodes' equality and hashing recurse once per
-#: level; real fields are a few dozen levels deep even after deep wiring.
-MAX_DEPTH = 200
+#: Most nodes one ODE table entry may have written out as a tree, as a project
+#: file stores it. A compose copies a bwd into every use of a parameter, so it
+#: multiplies sizes; `opendyn.ode` refuses a bigger entry before printing it.
+MAX_NODES = 1_000_000
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """Equality and hashing on the `Dag`: constants compare by type and repr,
+    so Num(0.0) != Num(-0.0) and Num(1) != Num(1.0)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Node) and Dag((self,)).index == Dag((other,)).index
+
+    def __hash__(self) -> int:
+        return hash(tuple(Dag((self,)).index))
+
+
+@dataclass(frozen=True, eq=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False)
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False)
+class Call(_Node):
     fn: str
     arg: "Expr"
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
+
+_DONE = object()  # on the lowering stack, above a node whose operands are being lowered
+
+
+class Dag:
+    """Expressions lowered to one list of their distinct subtrees, in post-order.
+
+    `index` keys each entry on its operator and its operands' positions, a
+    variable's name, or a constant's type and repr; `nodes[i]` is the first
+    node met with entry i's key, `operands[i]` its operands' positions, and
+    `roots` the positions of the expressions added. Entries come in the order
+    evaluation, operands left to right, first reaches each subtree.
+    """
+
+    __slots__ = ("nodes", "operands", "index", "roots")
+
+    def __init__(self, exprs: Iterable[Expr] = ()):
+        self.nodes: list[Expr] = []
+        self.operands: list[tuple[int, ...]] = []
+        self.index: dict[tuple, int] = {}
+        self.roots: list[int] = []
+        for e in exprs:
+            self.add(e)
+
+    def add(self, root: Expr) -> int:
+        """Lower `root` and return its position. A node object reached along
+        many paths is lowered once; anything that is not an expression node
+        raises TypeError."""
+        at: dict[int, int] = {}  # id of each node object lowered so far -> position
+        stack: list = [root]
+        while stack:
+            e = stack.pop()
+            if e is _DONE:  # the node under it has its operands lowered
+                e = stack.pop()
+                if isinstance(e, BinOp):
+                    ops = (at[id(e.left)], at[id(e.right)])
+                    key = (e.op, *ops)
+                else:
+                    ops = (at[id(e.arg)],)
+                    key = ("call", e.fn, *ops) if isinstance(e, Call) else ("neg", *ops)
+            elif id(e) in at:
+                continue
+            elif isinstance(e, BinOp):
+                stack += (e, _DONE, e.right, e.left)
+                continue
+            elif isinstance(e, (Neg, Call)):
+                stack += (e, _DONE, e.arg)
+                continue
+            elif isinstance(e, Var):
+                ops, key = (), ("var", e.name)
+            elif isinstance(e, Num):
+                ops, key = (), ("num", type(e.value), repr(e.value))
+            else:
+                raise TypeError(f"{e!r} is not an expression")
+            position = self.index.setdefault(key, len(self.nodes))
+            if position == len(self.nodes):
+                self.nodes.append(e)
+                self.operands.append(ops)
+            at[id(e)] = position
+        self.roots.append(at[id(root)])
+        return self.roots[-1]
+
+
+# -- parsing -----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -104,7 +182,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
@@ -123,77 +200,64 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", position)
         self.advance()
 
-    # Each rule returns the tree it parsed together with the tree's depth.
-
     def parse(self) -> Expr:
-        expr, _ = self.sum()
+        expr = self.sum()
         kind, value, position = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected {value!r} after expression", position)
         return expr
 
-    @staticmethod
-    def node(expr: Expr, depth: int, position: int) -> tuple[Expr, int]:
-        """A new inner node `depth` levels deep, built at the operator at `position`."""
-        if depth > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression is deeper than {MAX_DEPTH} levels", position)
-        return expr, depth
-
-    def chain(self, ops: str, operand) -> tuple[Expr, int]:
+    def chain(self, ops: str, operand) -> Expr:
         """operand ((op in ops) operand)*, associating to the left."""
-        expr, depth = operand()
+        expr = operand()
         while True:
-            kind, value, position = self.peek()
+            kind, value, _ = self.peek()
             if kind != "op" or value not in ops:
-                return expr, depth
+                return expr
             self.advance()
-            right, right_depth = operand()
-            depth = 1 + max(depth, right_depth)
-            expr, depth = self.node(BinOp(value, expr, right), depth, position)
+            expr = BinOp(value, expr, operand())
 
-    def sum(self) -> tuple[Expr, int]:
+    def sum(self) -> Expr:
         return self.chain("+-", self.product)
 
-    def product(self) -> tuple[Expr, int]:
+    def product(self) -> Expr:
         return self.chain("*/", self.factor)
 
-    def factor(self) -> tuple[Expr, int]:
+    def factor(self) -> Expr:
         kind, value, position = self.peek()
         if self.nesting == MAX_NESTING:
             raise ExprSyntaxError(f"expression nests deeper than {MAX_NESTING} levels", position)
         self.nesting += 1
         if kind == "op" and value == "-":
             self.advance()
-            arg, depth = self.factor()
-            result = self.node(Neg(arg), 1 + depth, position)
+            result = Neg(self.factor())
         else:
             result = self.power()
         self.nesting -= 1
         return result
 
-    def power(self) -> tuple[Expr, int]:
-        base, depth = self.atom()
-        kind, value, position = self.peek()
+    def power(self) -> Expr:
+        base = self.atom()
+        kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            exponent, exponent_depth = self.factor()
-            return self.node(BinOp("^", base, exponent), 1 + max(depth, exponent_depth), position)
-        return base, depth
+            return BinOp("^", base, self.factor())
+        return base
 
-    def atom(self) -> tuple[Expr, int]:
+    def atom(self) -> Expr:
         kind, value, position = self.advance()
         if kind == "num":
-            return Num(float(value)), 1
+            return Num(float(value))
         if kind == "ident":
             peek_kind, peek_value, _ = self.peek()
             if peek_kind == "op" and peek_value == "(":
                 if value not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {value!r}", position)
                 self.advance()
-                arg, depth = self.sum()
+                arg = self.sum()
                 self.expect_op(")")
-                return self.node(Call(value, arg), 1 + depth, position)
-            return Var(value), 1
+                return Call(value, arg)
+            return Var(value)
         if kind == "op" and value == "(":
             result = self.sum()
             self.expect_op(")")
@@ -206,218 +270,165 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
+# -- walks over the lowered list -----------------------------------------------
+
 # Precedence levels for the printer; higher binds tighter.
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 _ATOM_PREC = 5
 
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    return _ATOM_PREC
-
-
 def to_text(e: Expr) -> str:
     """Canonical printing: parse(to_text(e)) reproduces e exactly."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        inner = to_text(e.arg)
-        if _prec(e.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Call):
-        return f"{e.fn}({to_text(e.arg)})"
-    left, right = to_text(e.left), to_text(e.right)
-    if e.op == "^":
-        # right-associative: parenthesize the left child on ties
-        if _prec(e.left) <= _PREC["^"]:
-            left = f"({left})"
-        if _prec(e.right) < _PREC["^"]:
-            right = f"({right})"
-        return f"{left}^{right}"
-    if _prec(e.left) < _PREC[e.op]:
-        left = f"({left})"
-    if _prec(e.right) <= _PREC[e.op]:
-        right = f"({right})"
-    if e.op in "+-":
-        return f"{left} {e.op} {right}"
-    return f"{left}{e.op}{right}"
+    dag = Dag((e,))
+    prec: list[int] = []
+    # each entry's text: strings, and the positions of the operands whose
+    # text goes between them
+    parts: list[tuple] = []
+
+    def wrap(j: int, looser_than: int) -> tuple:
+        return ("(", j, ")") if prec[j] < looser_than else (j,)
+
+    for node, ops in zip(dag.nodes, dag.operands):
+        if isinstance(node, BinOp):
+            p = _PREC[node.op]
+            # '^' is right-associative: it parenthesizes its left operand on ties
+            left, right = (p + 1, p) if node.op == "^" else (p, p + 1)
+            op = f" {node.op} " if node.op in "+-" else node.op
+            part = (*wrap(ops[0], left), op, *wrap(ops[1], right))
+        elif isinstance(node, Neg):
+            p = _PREC["neg"]
+            part = ("-", *wrap(ops[0], p))
+        else:
+            p = _ATOM_PREC
+            if isinstance(node, Call):
+                part = (f"{node.fn}(", ops[0], ")")
+            else:
+                part = (str(node.name),) if isinstance(node, Var) else (repr(node.value),)
+        prec.append(p)
+        parts.append(part)
+    out = []
+    stack: list = [dag.roots[0]]
+    while stack:
+        item = stack.pop()
+        if type(item) is int:
+            stack += reversed(parts[item])
+        else:
+            out.append(item)
+    return "".join(out)
 
 
 def free_vars(e: Expr) -> set[str]:
-    if isinstance(e, Num):
-        return set()
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return free_vars(e.arg)
-    if isinstance(e, Call):
-        return free_vars(e.arg)
-    return free_vars(e.left) | free_vars(e.right)
+    return {node.name for node in Dag((e,)).nodes if isinstance(node, Var)}
 
 
 def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
-    """Simultaneous replacement of variables by expressions."""
-    if isinstance(e, Num):
-        return e
-    if isinstance(e, Var):
-        return bindings.get(e.name, e)
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, bindings))
-    if isinstance(e, Call):
-        return Call(e.fn, substitute(e.arg, bindings))
-    return BinOp(e.op, substitute(e.left, bindings), substitute(e.right, bindings))
+    """Simultaneous replacement of variables by expressions. Each distinct
+    subtree is rebuilt once, so the result shares what `e` shares."""
+    dag = Dag((e,))
+    new: list = []
+    for node, ops in zip(dag.nodes, dag.operands):
+        if isinstance(node, Var):
+            node = bindings.get(node.name, node)
+        elif isinstance(node, BinOp):
+            node = BinOp(node.op, new[ops[0]], new[ops[1]])
+        elif isinstance(node, Neg):
+            node = Neg(new[ops[0]])
+        elif isinstance(node, Call):
+            node = Call(node.fn, new[ops[0]])
+        new.append(node)
+    return new[dag.roots[0]]
 
 
 def evaluate(e: Expr, env: Mapping[str, float]) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise ExprEvalError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
-    if isinstance(e, Call):
-        arg = evaluate(e.arg, env)
-        try:
-            return FUNCTIONS[e.fn](arg)
-        except ValueError:
-            raise ExprEvalError(f"{e.fn}({arg!r}) is undefined") from None
-        except OverflowError:
-            raise ExprEvalError(f"{e.fn}({arg!r}) overflows") from None
-    left = evaluate(e.left, env)
-    right = evaluate(e.right, env)
-    if e.op == "+":
-        return left + right
-    if e.op == "-":
-        return left - right
-    if e.op == "*":
-        return left * right
-    if e.op == "/":
-        if right == 0.0:
-            raise ExprEvalError(f"division by zero: {to_text(e)}")
-        return left / right
-    try:
-        return math.pow(left, right)
-    except ValueError:
-        raise ExprEvalError(f"{left!r}^{right!r} is undefined") from None
-    except OverflowError:
-        raise ExprEvalError(f"{left!r}^{right!r} overflows") from None
+    """The value of `e` with its variables read from `env`, operands left to
+    right; the first failure raises ExprEvalError."""
+    dag = Dag((e,))
+    values: list = []
+    for node, ops in zip(dag.nodes, dag.operands):
+        args = [values[j] for j in ops]
+        if isinstance(node, Num):
+            value = node.value
+        elif isinstance(node, Var):
+            if node.name not in env:
+                raise ExprEvalError(f"unbound variable {node.name!r}")
+            value = env[node.name]
+        elif isinstance(node, Neg):
+            value = -args[0]
+        elif isinstance(node, BinOp) and node.op in _ARITHMETIC:
+            if node.op == "/" and args[1] == 0.0:
+                raise ExprEvalError(f"division by zero: {to_text(node)}")
+            value = _ARITHMETIC[node.op](*args)
+        else:  # a function call or a power, which `math` may refuse
+            if isinstance(node, Call):
+                fn, shown = FUNCTIONS[node.fn], f"{node.fn}({args[0]!r})"
+            else:
+                fn, shown = math.pow, f"{args[0]!r}^{args[1]!r}"
+            try:
+                value = fn(*args)
+            except ValueError:
+                raise ExprEvalError(f"{shown} is undefined") from None
+            except OverflowError:
+                raise ExprEvalError(f"{shown} overflows") from None
+        values.append(value)
+    return values[dag.roots[0]]
 
 
 # -- compilation -------------------------------------------------------------
-#
-# `compile_table` turns a table of expressions into straight-line Python: one
-# statement per distinct inner node, in the post-order `evaluate` visits them,
-# so no generated line nests and any tree depth compiles. Equal subtrees are
-# interned bottom-up on (operator, operand local, operand local) keys and get
-# one local, bound where the tree walk would first evaluate them, so values
-# are bit-identical. The code only computes, with `math` called directly and
-# an unbound name read from an empty dict. It raises where `evaluate` first
-# raises, since it skips only subtrees that already succeeded and Python's `/`
-# raises on exactly the divisors `evaluate` refuses (0.0, -0.0 and 0); its
-# one `except` replays the table through `evaluate`, which forms the message.
-
-_HELPERS = {"_pow": math.pow, "_unbound": {}, **{f"_{name}": fn for name, fn in FUNCTIONS.items()}}
-
-
-class _Emitter:
-    """Statements and interned locals for one generated function."""
-
-    def __init__(self, args: Sequence[str]):
-        # a name listed twice reads its last value, as a dict built in order would
-        self.arg_of = {name: f"_a{j}" for j, name in enumerate(args)}
-        self.namespace = dict(_HELPERS)
-        self.by_key: dict[tuple, str] = {}
-        self.by_id: dict[int, str] = {}
-        self.lines: list[str] = []
-
-    def const(self, value) -> str:
-        name = f"_k{len(self.namespace)}"
-        self.namespace[name] = value
-        return name
-
-    def local(self, key: tuple, e: Expr, operands: Sequence[str]) -> str:
-        """The local holding the node interned as `key`; the first time, a new
-        local and the statement that computes it."""
-        local = self.by_key.get(key)
-        if local is None:
-            if isinstance(e, Num):
-                local = self.const(e.value)
-            else:
-                local = f"_v{len(self.lines)}"
-                self.lines.append(f"        {local} = {self.rhs(e, operands)}")
-            self.by_key[key] = local
-        return local
-
-    def rhs(self, e: Expr, operands: Sequence[str]) -> str:
-        if isinstance(e, Var):
-            return f"_unbound[{self.const(e.name)}]"
-        if isinstance(e, Neg):
-            return f"-{operands[0]}"
-        if isinstance(e, Call):
-            if e.fn not in FUNCTIONS:
-                raise KeyError(e.fn)
-            return f"_{e.fn}({operands[0]})"
-        left, right = operands
-        if e.op == "^":
-            return f"_pow({left}, {right})"
-        return f"{left} {e.op} {right}"
-
-    def node(self, e: Expr, operands: list[str]) -> str:
-        if isinstance(e, Num):
-            return self.local(("num", type(e.value), repr(e.value)), e, operands)
-        if isinstance(e, Var):
-            return self.arg_of.get(e.name) or self.local(("var", e.name), e, operands)
-        if isinstance(e, BinOp):
-            return self.local((e.op, *operands), e, operands)
-        if isinstance(e, Call):
-            return self.local(("call", e.fn, *operands), e, operands)
-        return self.local(("neg", *operands), e, operands)
-
-    def visit(self, root: Expr) -> str:
-        """The local holding `root`, emitting statements in evaluate's post-order."""
-        by_id = self.by_id
-        stack = [root]
-        while stack:
-            e = stack[-1]
-            if id(e) in by_id:
-                stack.pop()
-                continue
-            if isinstance(e, BinOp):
-                children = (e.left, e.right)
-            elif isinstance(e, (Neg, Call)):
-                children = (e.arg,)
-            else:
-                children = ()
-            pending = [c for c in children if id(c) not in by_id]
-            if pending:
-                stack.extend(reversed(pending))
-                continue
-            stack.pop()
-            by_id[id(e)] = self.node(e, [by_id[id(c)] for c in children])
-        return by_id[id(root)]
 
 
 def compile_table(
-    table: Mapping[str, Expr], keys: Sequence[str], args: Sequence[str], what: str
+    table: Mapping[str, Expr],
+    keys: Sequence[str],
+    args: Sequence[str],
+    what: str,
+    dag: Dag | None = None,
 ) -> Callable[..., tuple[float, ...]]:
     """One function of the values of `args`, positionally, returning the
-    tuple of `table[key]` for each key.
+    tuple of `table[key]` for each key. A caller that has lowered the table
+    passes the `dag`, `table[keys[j]]` its root j.
 
-    It computes what `evaluate` computes on each expression with `args`
-    bound, bit for bit. When it fails, `evaluate` replays the table and
-    raises its first error, prefixed `<what> component '<key>': `.
+    The function is straight-line Python, a statement per entry of the Dag
+    that is neither a constant nor an argument, so any depth compiles and a
+    shared subtree is computed once. It only computes, with `math` called
+    directly and an unbound name read from an empty dict, giving what
+    `evaluate` gives, bit for bit. It raises exactly when some `evaluate`
+    raises, since Python's `/` refuses exactly the divisors it does (0.0,
+    -0.0 and 0); then `evaluate` replays the table and raises its first
+    error, prefixed `<what> component '<key>': `.
     """
-    emitter = _Emitter(args)
-    results = [emitter.visit(table[key]) for key in keys]
+    if dag is None:
+        dag = Dag(table[key] for key in keys)
+    # a name listed twice reads its last value, as a dict built in order would
+    arg_of = {name: f"_a{j}" for j, name in enumerate(args)}
+    namespace = {"_pow": math.pow, "_unbound": {}}
+    lines: list[str] = []
+    local: list[str] = []  # the local or constant holding each entry
+
+    def const(value) -> str:
+        name = f"_k{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    for node, ops in zip(dag.nodes, dag.operands):
+        operand = [local[j] for j in ops]
+        if isinstance(node, Num):
+            local.append(const(node.value))
+            continue
+        if isinstance(node, Var) and node.name in arg_of:
+            local.append(arg_of[node.name])
+            continue
+        if isinstance(node, Var):
+            rhs = f"_unbound[{const(node.name)}]"
+        elif isinstance(node, Neg):
+            rhs = f"-{operand[0]}"
+        elif isinstance(node, Call):
+            rhs = f"{const(FUNCTIONS[node.fn])}({operand[0]})"
+        elif node.op == "^":
+            rhs = f"_pow({operand[0]}, {operand[1]})"
+        else:
+            rhs = f"{operand[0]} {node.op} {operand[1]}"
+        local.append(f"_v{len(lines)}")
+        lines.append(f"        {local[-1]} = {rhs}")
 
     def explain(*values) -> None:
         env = dict(zip(args, values))
@@ -427,19 +438,18 @@ def compile_table(
             except ExprEvalError as exc:
                 raise ExprEvalError(f"{what} component {key!r}: {exc}") from None
 
-    emitter.namespace["_explain"] = explain
+    namespace["_explain"] = explain
     params = ", ".join(f"_a{j}" for j in range(len(args)))
-    returned = "".join(f"{local}, " for local in results)
+    returned = "".join(f"{local[root]}, " for root in dag.roots)
     source = "\n".join([
         f"def _compiled({params}):",
         "    try:",
-        *emitter.lines,
+        *lines,
         f"        return ({returned})",
         "    except (ArithmeticError, ValueError, LookupError):",
         f"        _explain({params})",
         "        raise",
         "",
     ])
-    namespace = emitter.namespace
     exec(compile(source, f"<compiled {what}>", "exec"), namespace)
     return namespace["_compiled"]

@@ -8,12 +8,12 @@ the old outputs and the new parameters. Composition is textbook simultaneous
 substitution, so wiring two populations into a predator-prey loop literally
 produces the expected right-hand sides.
 
-Every evaluation runs straight-line Python that `expr.compile_table`
-generates: a system compiles its field and readout once, on first use, with
-each repeated subtree of a deeply wired field computed once. The generated
-code only computes, and its results are those of the tree walk
-`expr.evaluate`, which stays the reference; when it fails, `evaluate`
-replays the table and explains the failure.
+A system lowers its field and readout to an `expr.Dag` once, when it is
+built: that checks each entry's scope and refuses one of more than
+`expr.MAX_NODES` nodes written out. Every evaluation runs straight-line
+Python that `expr.compile_table` generates from those lowerings on first
+use, each repeated subtree of a deeply wired field computed once. Its
+results are those of `expr.evaluate`, which explains any failure.
 
 Solving is fixed-step classical RK4 on a grid of at most MAX_STEPS steps, by
 one loop generated per system and built on first use (`OdeSystem.integrator`):
@@ -40,7 +40,7 @@ from types import CodeType, FunctionType
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import ExprEvalError, IntegrationError, ValidationError
-from .expr import Expr, Var, compile_table, free_vars, parse, substitute
+from .expr import MAX_NODES, Dag, Expr, Var, compile_table, parse, substitute
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -50,10 +50,6 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 MAX_STEPS = 1_000_000
 
 ExprLike = Union[Expr, str]
-
-
-def _as_expr(e: ExprLike) -> Expr:
-    return parse(e) if isinstance(e, str) else e
 
 
 def _check_vars(names: Sequence[str], what: str) -> tuple[str, ...]:
@@ -81,32 +77,46 @@ def _check_disjoint(groups: Mapping[str, Sequence[str]]) -> None:
 
 def _check_expr_table(
     table: Mapping[str, ExprLike], keys: tuple[str, ...], allowed: set[str], what: str
-) -> dict[str, Expr]:
+) -> tuple[dict[str, Expr], Dag]:
+    """The table's entries in `keys` order, parsed, and their lowering."""
     for key in table:
         if key not in keys:
             raise ValidationError(f"{what} has an entry for unknown identifier {key!r}")
     out: dict[str, Expr] = {}
+    dag = Dag()
+    sizes: list[int] = []  # nodes in the tree each entry of the Dag writes out to
     for key in keys:
         if key not in table:
             raise ValidationError(f"{what} is missing an entry for {key!r}")
-        e = _as_expr(table[key])
+        e = parse(table[key]) if isinstance(table[key], str) else table[key]
+        start = len(dag.nodes)
         try:
-            stray = free_vars(e) - allowed
-        except RecursionError:
-            raise ValidationError(f"{what}[{key!r}] nests too deeply") from None
+            root = dag.add(e)
+        except TypeError as exc:
+            raise ValidationError(f"{what}[{key!r}]: {exc}") from None
+        # an entry that an earlier key reaches too was checked with that key
+        stray = {n.name for n in dag.nodes[start:] if isinstance(n, Var)} - allowed
         if stray:
             raise ValidationError(
                 f"{what}[{key!r}] uses identifiers outside its scope: {sorted(stray)}"
             )
+        for ops in dag.operands[start:]:
+            sizes.append(1 + sum([sizes[j] for j in ops]))
+        if sizes[root] > MAX_NODES:
+            raise ValidationError(
+                f"{what}[{key!r}] has {sizes[root]} nodes written out, "
+                f"more than MAX_NODES = {MAX_NODES}"
+            )
         out[key] = e
-    return out
+    return out, dag
 
 
 class OdeSystem:
     """ds/dt = field(s, params), outputs = readout(s), all coordinatewise."""
 
     __slots__ = (
-        "state_vars", "output_vars", "param_vars", "readout", "field", "_compiled", "_rk4"
+        "state_vars", "output_vars", "param_vars", "readout", "field", "_dags", "_compiled",
+        "_rk4",
     )
 
     def __init__(
@@ -128,10 +138,13 @@ class OdeSystem:
             }
         )
         states = set(self.state_vars)
-        self.readout = _check_expr_table(readout, self.output_vars, states, "readout")
-        self.field = _check_expr_table(
+        self.readout, readout_dag = _check_expr_table(
+            readout, self.output_vars, states, "readout"
+        )
+        self.field, field_dag = _check_expr_table(
             field, self.state_vars, states | set(self.param_vars), "field"
         )
+        self._dags = (field_dag, readout_dag)
         self._compiled = None
         self._rk4 = None
 
@@ -139,11 +152,15 @@ class OdeSystem:
         """The field, over state then parameter values, and the readout, over
         state values, as compiled functions; built on first use."""
         if self._compiled is None:
+            field_dag, readout_dag = self._dags
             self._compiled = (
                 compile_table(
-                    self.field, self.state_vars, self.state_vars + self.param_vars, "field"
+                    self.field, self.state_vars, self.state_vars + self.param_vars, "field",
+                    field_dag,
                 ),
-                compile_table(self.readout, self.output_vars, self.state_vars, "readout"),
+                compile_table(
+                    self.readout, self.output_vars, self.state_vars, "readout", readout_dag
+                ),
             )
         return self._compiled
 
@@ -210,10 +227,10 @@ class OdeLens:
                 "target parameter variables": self.target_params,
             }
         )
-        self.fwd = _check_expr_table(
+        self.fwd, _ = _check_expr_table(
             fwd, self.target_outputs, set(self.source_outputs), "fwd"
         )
-        self.bwd = _check_expr_table(
+        self.bwd, _ = _check_expr_table(
             bwd,
             self.source_params,
             set(self.source_outputs) | set(self.target_params),
@@ -268,13 +285,10 @@ def compose_lens_ode(lens: OdeLens, sys: OdeSystem) -> OdeSystem:
             f"unmatched lens names: {missing}, unmatched system names: {extra}"
         )
     readout_binding = {o: sys.readout[o] for o in sys.output_vars}
-    field = {
-        v: substitute(
-            substitute(sys.field[v], {p: lens.bwd[p] for p in sys.param_vars}),
-            readout_binding,
-        )
-        for v in sys.state_vars
-    }
+    # a field holds no output, so wiring the readouts into each bwd first
+    # gives the same trees and substitutes into each field entry once
+    bwd = {p: substitute(lens.bwd[p], readout_binding) for p in sys.param_vars}
+    field = {v: substitute(sys.field[v], bwd) for v in sys.state_vars}
     readout = {
         o: substitute(lens.fwd[o], readout_binding) for o in lens.target_outputs
     }

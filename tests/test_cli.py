@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -16,11 +17,12 @@ from opendyn import (
     FinSet,
     OdeSystem,
     ValidationError,
+    compose_lens_ode,
     load_project,
     save_project,
 )
 from opendyn.cli import main
-from opendyn.expr import MAX_DEPTH
+from opendyn.expr import MAX_NODES
 from opendyn.project import ProjectFile
 
 from helpers import feedback_lens, fixture_path, flipflop, oscillator, wide_lens
@@ -353,48 +355,85 @@ class TestDeepExpressions:
         assert "Traceback" not in proc.stderr
 
 
-    def test_three_thousand_term_field_exits_2_without_a_traceback(self, tmp_path):
+    def test_three_thousand_term_field_simulates(self, tmp_path):
         long_sum = "+".join(["x"] * 3000)
         project = tmp_path / "long.json"
         project.write_text(json.dumps({"version": 1, "systems": {"long": {
             "kind": "ode", "stateVars": ["x"], "outputVars": ["y"], "paramVars": [],
-            "readout": {"y": "x"}, "field": {"x": long_sum},
+            "readout": {"y": long_sum}, "field": {"x": long_sum},
         }}}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "opendyn.cli", "steady", str(project), "--system", "long",
-             "--out", str(tmp_path / "x.csv")],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error:") and "deeper than" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        out = tmp_path / "x.csv"
+        proc = run_cli("simulate", project, "--system", "long", "--init", "1",
+                       "--t1", "0.001", "--h", "0.001", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        rows = read_csv(out)
+        assert rows[1] == ["0.0", "1.0", "3000.0"]
+        # one RK4 step of x' = 3000x at h = 0.001: 1 + 3 + 3^2/2 + 3^3/6 + 3^4/24
+        assert float(rows[2][1]) == pytest.approx(16.375, rel=1e-12)
 
-    def test_composing_three_deepest_loadable_expressions_writes_the_result(self, tmp_path):
-        # The lens's bwd replaces p at the bottom of the field, and the
-        # readout replaces y at the bottom of that: 3 * MAX_DEPTH - 2 levels.
+    @staticmethod
+    def compose_project(path, terms: int, field_term: str, bwd_term: str, join: str = " + "):
+        """A system and a lens whose field, bwd and readout are `terms`-term
+        sums: the field `p` and then `field_term`s, the bwd `y` and then
+        `bwd_term`s, the readout `x`s. Composing them puts the bwd in place of
+        p in the field, and the readout in place of y in that."""
+
         def chain(first: str, term: str) -> str:
-            return " + ".join([first] + [term] * (MAX_DEPTH - 1))
+            return join.join([first] + [term] * (terms - 1))
 
-        project = tmp_path / "deep_compose.json"
-        project.write_text(json.dumps({"version": 1, "systems": {"s": {
+        path.write_text(json.dumps({"version": 1, "systems": {"s": {
             "kind": "ode", "stateVars": ["x"], "outputVars": ["y"], "paramVars": ["p"],
-            "readout": {"y": chain("x", "x")}, "field": {"x": chain("p", "x")},
+            "readout": {"y": chain("x", "x")}, "field": {"x": chain("p", field_term)},
         }}, "lenses": {"l": {
             "kind": "ode", "sourceOutputVars": ["y"], "sourceParamVars": ["p"],
             "targetOutputVars": ["z"], "targetParamVars": ["q"],
-            "fwd": {"z": "y"}, "bwd": {"p": chain("y", "q")},
+            "fwd": {"z": "y"}, "bwd": {"p": chain("y", bwd_term)},
         }}}))
+        return path
+
+    def test_composing_three_deepest_loadable_expressions_writes_the_result(self, tmp_path):
+        # 200 terms each, once the deepest a parsed expression could be: the
+        # composed field is 3 * 200 - 2 levels deep.
+        levels = 200
+        project = self.compose_project(tmp_path / "deep_compose.json", levels, "x", "q")
         out = tmp_path / "composed.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "opendyn.cli", "compose", str(project), "--lens", "l",
-             "--system", "s", "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("compose", project, "--lens", "l", "--system", "s", "--out", out)
         assert proc.returncode == 0, proc.stderr
         field = json.loads(out.read_text())["systems"]["s_l"]["field"]["x"]
-        assert field == " + ".join(["x"] * MAX_DEPTH + ["q"] * (MAX_DEPTH - 1) + ["x"] * (MAX_DEPTH - 1))
+        assert field == " + ".join(["x"] * levels + ["q"] * (levels - 1) + ["x"] * (levels - 1))
+
+    def test_separately_composed_deep_systems_are_equal(self, tmp_path):
+        project = self.compose_project(tmp_path / "deep_compose.json", 200, "x", "q")
+        out = tmp_path / "composed.json"
+        assert main(["compose", str(project), "--lens", "l", "--system", "s",
+                     "--out", str(out)]) == 0
+        loaded = load_project(str(project))
+        composed = compose_lens_ode(loaded.lens("l"), loaded.system("s"))
+        written = load_project(str(out)).system("s_l")
+        assert composed == written and hash(composed.field["x"]) == hash(written.field["x"])
+        assert composed.readout == written.readout
+
+    def test_a_compose_past_max_nodes_exits_2_naming_the_size(self, tmp_path):
+        # p+...+p with y+...+y for p and x+...+x for y, n terms each, writes
+        # out to 2n^3 - 1 nodes: 1,999,999 for n = 100
+        project = self.compose_project(tmp_path / "big.json", 100, "p", "y", "+")
+        out = tmp_path / "composed.json"
+        start = time.perf_counter()
+        proc = run_cli("compose", project, "--lens", "l", "--system", "s", "--out", out)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: field['x'] has 1999999 nodes written out, more than MAX_NODES = {MAX_NODES}\n"
+        )
+        assert not out.exists()
+
+    def test_a_compose_within_max_nodes_writes_it_out(self, tmp_path):
+        project = self.compose_project(tmp_path / "big.json", 60, "p", "y", "+")
+        out = tmp_path / "composed.json"
+        proc = run_cli("compose", project, "--lens", "l", "--system", "s", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        field = json.loads(out.read_text())["systems"]["s_l"]["field"]["x"]
+        assert field.count("x") == 60**3 and field.count("+") == 2 * 60**3 - 1 - 60**3
 
 
 class TestCheck:

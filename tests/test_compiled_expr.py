@@ -32,7 +32,7 @@ from opendyn import (
     substitute,
     to_text,
 )
-from opendyn.expr import FUNCTIONS, MAX_DEPTH, BinOp, Call, Neg, Num, Var
+from opendyn.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var
 
 import tree_walk_oracle as oracle
 from helpers import fixture_path
@@ -59,7 +59,7 @@ trees = st.recursive(leaves, _extend, max_leaves=24)
 
 def _copy(e):
     """A structurally equal tree that shares no inner node with `e`."""
-    return substitute(e, {})
+    return oracle.substitute(e, {})
 
 
 # Components that share a subtree, as the same object or as an equal copy,
@@ -147,23 +147,28 @@ def _nodes(e) -> int:
     return 1 + sum(_nodes(getattr(e, f)) for f in ("arg", "left", "right") if hasattr(e, f))
 
 
+# Nesting levels of `_deep_chain`, each two levels deep: deep, yet within the
+# recursion limit of the oracle's tree walk.
+LEVELS = 200
+
+
 class TestDeepTrees:
     def test_past_max_depth_values_and_errors(self):
-        ok = _deep_chain(MAX_DEPTH, "sin(x)")
-        assert _depth(ok) > 2 * MAX_DEPTH and _nodes(ok) > 40_000
+        ok = _deep_chain(LEVELS, "sin(x)")
+        assert _depth(ok) > 2 * LEVELS and _nodes(ok) > 40_000
         assert isinstance(same_as_tree_walk({"e": ok}, (0.3, 1.5, -0.25)), list)
         for bottom in ("log(x - x)", "1/(z - z)", "x^1e9"):
-            same_as_tree_walk({"e": _deep_chain(MAX_DEPTH, bottom)}, (0.3, 1.5, -0.25))
+            same_as_tree_walk({"e": _deep_chain(LEVELS, bottom)}, (0.3, 1.5, -0.25))
 
     def test_division_by_zero_prints_a_deep_divisor(self):
-        deep = _deep_chain(MAX_DEPTH // 2, "x")
+        deep = _deep_chain(LEVELS // 2, "x")
         same_as_tree_walk({"e": BinOp("/", deep, BinOp("-", deep, deep))}, (0.3, 1.5, -0.25))
 
     def test_each_distinct_node_is_one_statement(self):
-        f = compile_table({"e": _deep_chain(MAX_DEPTH, "x")}, ["e"], ARGS, "t")
+        f = compile_table({"e": _deep_chain(LEVELS, "x")}, ["e"], ARGS, "t")
         temporaries = [v for v in f.__code__.co_varnames if v.startswith("_v")]
         # once: y*z, z/y, their difference and 25 sums; per level: 0.5*x and a sum
-        assert len(temporaries) == 3 + 25 + MAX_DEPTH * 2
+        assert len(temporaries) == 3 + 25 + LEVELS * 2
 
 
 class TestKeywordIdentifiers:

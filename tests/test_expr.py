@@ -7,8 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opendyn import ExprEvalError, ExprSyntaxError, evaluate, free_vars, parse, substitute, to_text
-from opendyn.expr import MAX_DEPTH, MAX_NESTING, BinOp, Call, Neg, Num, Var
+from opendyn import (
+    ExprEvalError,
+    ExprSyntaxError,
+    compile_table,
+    evaluate,
+    free_vars,
+    parse,
+    substitute,
+    to_text,
+)
+from opendyn.expr import MAX_NESTING, BinOp, Call, Neg, Num, Var
+
+import tree_walk_oracle as oracle
+from test_compiled_expr import ARGS, numbers, outcome, tables, trees
 
 
 class TestParsing:
@@ -112,46 +124,81 @@ def flat_sum(terms: int) -> str:
     return "+".join(["x"] * terms)
 
 
-class TestDepthLimit:
-    def test_a_flat_chain_at_the_limit_works_in_every_walker(self):
-        e = parse(flat_sum(MAX_DEPTH))
-        assert tree_depth(e) == MAX_DEPTH
+CHAIN = 3000  # terms: far past Python's recursion limit for a tree walk
+
+
+class TestLongChains:
+    def test_a_three_thousand_term_chain_works_in_every_walker(self):
+        e = parse(flat_sum(CHAIN))
+        assert tree_depth(e) == CHAIN
         assert free_vars(e) == {"x"}
-        assert evaluate(e, {"x": 1.0}) == MAX_DEPTH
-        assert parse(to_text(e)) == e
-        assert hash(parse(flat_sum(MAX_DEPTH))) == hash(e)
+        assert evaluate(e, {"x": 1.0}) == CHAIN
+        assert compile_table({"e": e}, ["e"], ["x"], "t")(1.0) == (CHAIN,)
+        text = to_text(e)
+        assert text == " + ".join(["x"] * CHAIN)
+        assert parse(text) == e
+        assert hash(parse(flat_sum(CHAIN))) == hash(e)
+        assert e != parse(flat_sum(CHAIN - 1) + "+y")
         doubled = substitute(e, {"x": parse("2*y")})
-        assert tree_depth(doubled) == MAX_DEPTH + 1
-        assert evaluate(doubled, {"y": 1.0}) == 2 * MAX_DEPTH
-        assert repr(e).startswith("BinOp(")
-
-    def test_one_past_the_limit_names_the_operator_that_crosses_it(self):
-        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels") as err:
-            parse(flat_sum(MAX_DEPTH + 1))
-        # the last '+' of "x+x+...+x" would build the tree's root
-        assert err.value.position == 2 * MAX_DEPTH - 1
-
-    def test_three_thousand_terms_are_refused(self):
-        with pytest.raises(ExprSyntaxError, match="deeper than") as err:
-            parse(flat_sum(3000))
-        assert err.value.position == 2 * MAX_DEPTH - 1
+        assert tree_depth(doubled) == CHAIN + 1
+        assert evaluate(doubled, {"y": 1.0}) == 2 * CHAIN
 
     @pytest.mark.parametrize("op", ["-", "*", "/"])
-    def test_every_left_associative_chain_counts(self, op):
-        assert tree_depth(parse(op.join(["x"] * MAX_DEPTH))) == MAX_DEPTH
-        with pytest.raises(ExprSyntaxError, match="deeper than"):
-            parse(op.join(["x"] * (MAX_DEPTH + 1)))
+    def test_every_left_associative_chain_parses(self, op):
+        e = parse(op.join(["x"] * CHAIN))
+        assert tree_depth(e) == CHAIN
+        assert parse(to_text(e)) == e
+        assert evaluate(e, {"x": 1.0}) == {"-": 2.0 - CHAIN, "*": 1.0, "/": 1.0}[op]
 
-    def test_nesting_and_chains_add_up(self):
-        wraps = 40  # each "-(" is two nesting levels
-        inner = flat_sum(MAX_DEPTH - wraps)
-        assert tree_depth(parse("-(" * wraps + inner + ")" * wraps)) == MAX_DEPTH
-        with pytest.raises(ExprSyntaxError, match="deeper than") as err:
-            parse("-(" * wraps + inner + "+x" + ")" * wraps)
-        assert err.value.position == 0  # the outermost minus
-        with pytest.raises(ExprSyntaxError, match="deeper than") as err:
-            parse("sin(" * wraps + inner + "+x" + ")" * wraps)
-        assert err.value.position == 0
+    def test_nesting_bounds_the_wraps_around_a_chain_not_the_chain(self):
+        wraps = MAX_NESTING // 2 - 1  # each "-(" is two nesting levels
+        e = parse("-(" * wraps + flat_sum(CHAIN) + ")" * wraps)
+        assert tree_depth(e) == wraps + CHAIN
+        assert evaluate(e, {"x": 1.0}) == (-1) ** wraps * CHAIN
+        with pytest.raises(ExprSyntaxError, match="nests deeper") as err:
+            parse("-(" * (wraps + 1) + flat_sum(CHAIN) + ")" * (wraps + 1))
+        assert err.value.position == MAX_NESTING
+
+
+class TestExactEquality:
+    def test_constants_compare_by_type_and_repr(self):
+        assert Num(0.0) != Num(-0.0)
+        assert Num(1) != Num(1.0)
+        assert Num(math.nan) == Num(math.nan)
+        assert parse("x*0") != BinOp("*", Var("x"), Num(-0.0))
+
+    def test_equal_trees_hash_alike_whatever_they_share(self):
+        shared = parse("x + y")
+        one, other = BinOp("*", shared, shared), parse("(x + y)*(x + y)")
+        assert one == other and hash(one) == hash(other)
+        assert len({one, other, parse("(x + y)*(y + x)")}) == 2
+
+    def test_a_node_is_not_equal_to_other_values(self):
+        assert Var("x") != "x"
+        assert Num(1.0) != 1.0
+
+
+class TestAgainstTreeWalk:
+    """Each walk against the recursive tree walk it replaced, in `tree_walk_oracle`."""
+
+    @staticmethod
+    def same(e, bindings, env):
+        assert free_vars(e) == oracle.free_vars(e)
+        assert to_text(e) == oracle.to_text(e)
+        got, want = substitute(e, bindings), oracle.substitute(e, bindings)
+        assert got == want and to_text(got) == oracle.to_text(want)
+        assert outcome(lambda: [evaluate(e, env)]) == outcome(lambda: [oracle.evaluate(e, env)])
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(trees, trees, st.tuples(numbers, numbers, numbers))
+    def test_one_expression(self, e, binding, values):
+        self.same(e, {"x": binding}, dict(zip(ARGS, values)))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(tables, trees, st.tuples(numbers, numbers, numbers))
+    def test_tables_with_shared_subtrees(self, table, binding, values):
+        for e in table.values():
+            self.same(e, {"y": binding, "z": Var("x")}, dict(zip(ARGS, values)))
 
 
 class TestEvaluation:

@@ -3,6 +3,8 @@
 import math
 import random
 import re
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -27,7 +29,7 @@ from opendyn import (
     tensor_ode,
     to_text,
 )
-from opendyn.expr import MAX_DEPTH, BinOp, Num, Var, substitute
+from opendyn.expr import MAX_NODES, BinOp, Neg, Num, Var, compile_table, free_vars, substitute
 from opendyn.laws import _lv_fixture
 from opendyn.ode import MAX_STEPS, _grid
 
@@ -70,6 +72,27 @@ class TestOdeSystemValidation:
     def test_missing_table_entry_is_rejected(self):
         with pytest.raises(ValidationError):
             OdeSystem(["s", "t"], ["y"], [], {"y": "s"}, {"s": "t"})
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(5, "5"), (None, "None"), (BinOp("+", Var("x"), 2.5), "2.5"), (["x"], "['x']")],
+    )
+    def test_a_value_that_is_not_an_expression_names_the_table_and_key(self, value, shown):
+        message = f"field['x']: {shown} is not an expression"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            OdeSystem(["x"], [], [], {}, {"x": value})
+        with pytest.raises(ValidationError, match=r"^bwd\['p'\]: None is not an expression$"):
+            OdeLens(["y"], ["p"], [], [], {}, {"p": None})
+
+    def test_a_subtree_shared_across_keys_is_scoped_by_each_key(self):
+        shared = parse("s*t + q")
+        with pytest.raises(ValidationError, match=r"^field\['s'\] .*\['q'\]$"):
+            OdeSystem(["s", "t"], [], ["p"], {}, {"s": shared, "t": BinOp("-", shared, Var("p"))})
+        with pytest.raises(ValidationError, match=r"^field\['t'\] .*\['q', 'r'\]$"):
+            OdeSystem(
+                ["s", "t"], [], ["p"], {},
+                {"s": parse("s*t"), "t": BinOp("-", parse("s*t + q"), Var("r"))},
+            )
 
 
 class TestComposeLensOde:
@@ -404,11 +427,39 @@ def chain_of(levels: int, name: str = "x"):
     return e
 
 
+@contextmanager
+def within(seconds: float):
+    """Fail the block, rather than let it hang, once it runs past `seconds`."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def sized(nodes: int):
+    """An expression in `x` that has exactly `nodes` nodes written out, built
+    from about 2 log2(nodes) distinct nodes by sharing."""
+    if nodes == 1:
+        return Var("x")
+    if nodes % 2 == 0:
+        return Neg(sized(nodes - 1))
+    half = sized(nodes // 2)
+    return BinOp("+", half, half)
+
+
 class TestDeepTables:
     def test_three_parsed_depths_build_and_run(self):
         # A compose puts a bwd inside a field and readouts inside that, so a
-        # composed entry can be three parsed expressions deep.
-        levels = 3 * MAX_DEPTH
+        # composed entry can be three parsed expressions deep: 600 levels
+        # for three 200-level ones.
+        levels = 600
         sys = OdeSystem(["x"], ["u"], [], {"u": chain_of(levels)}, {"x": chain_of(levels)})
         assert eval_field(sys, (0.5,), ()) == (0.5 + (levels - 1),)
         assert eval_readout(sys, (0.5,)) == (0.5 + (levels - 1),)
@@ -416,16 +467,55 @@ class TestDeepTables:
         lens = OdeLens(["v"], [], ["u"], [], {"u": chain_of(levels, "v")}, {})
         assert to_text(lens.fwd["u"]).count("+") == levels - 1
 
-    def test_repeated_wiring_is_a_validation_error(self):
+    def test_repeated_wiring_builds_and_its_error_is_explained(self):
         # 500 chained substitutions nest 1,003 levels: past Python's recursion
-        # limit for `free_vars`, which raised RecursionError here before.
+        # limit for a recursive tree walk.
         def wired(x: str, y: str):
             e = parse(f"log({x} - {x})")
             for _ in range(500):
                 e = substitute(parse(f"0.5*{x} + {y}"), {x: e})
             return e
 
-        with pytest.raises(ValidationError, match=r"^field\['x'\] nests too deeply$"):
-            OdeSystem(["x", "y"], [], [], {}, {"x": wired("x", "y"), "y": "0"})
-        with pytest.raises(ValidationError, match=r"^fwd\['u'\] nests too deeply$"):
+        sys = OdeSystem(["x", "y"], [], [], {}, {"x": wired("x", "y"), "y": "0"})
+        assert sys == OdeSystem(["x", "y"], [], [], {}, {"x": wired("x", "y"), "y": "0"})
+        with pytest.raises(ExprEvalError, match=r"^field component 'x': log\(0\.0\) is undefined$"):
+            eval_field(sys, (1.0, 2.0), ())
+        lens = OdeLens(["v", "w"], [], ["u"], [], {"u": wired("v", "w")}, {})
+        assert free_vars(lens.fwd["u"]) == {"v", "w"}
+        assert to_text(lens.fwd["u"]).count("0.5*") == 500
+        # wired("v", "v") puts the level below into both of its operands
+        nodes = 4
+        for _ in range(500):
+            nodes = 2 * nodes + 3
+        with within(1.0), pytest.raises(
+            ValidationError, match=rf"^fwd\['u'\] has {nodes} nodes written out"
+        ):
             OdeLens(["v"], [], ["u"], [], {"u": wired("v", "v")}, {})
+
+    def test_a_subtree_reached_along_many_paths_is_walked_once(self):
+        # 2^41 - 1 nodes written out, 41 distinct: a walk per path would not end
+        e = Var("x")
+        for _ in range(40):
+            e = BinOp("*", e, e)
+        with within(0.1):
+            assert free_vars(e) == {"x"}
+        with within(0.1):
+            substitute(e, {"x": Num(1.0)})
+        with within(0.1):
+            assert evaluate(e, {"x": 1.0}) == 1.0
+        with within(0.1):
+            assert compile_table({"e": e}, ["e"], ["x"], "t")(1.0) == (1.0,)
+        with within(0.1), pytest.raises(
+            ValidationError, match=rf"^field\['x'\] has {2**41 - 1} nodes"
+        ):
+            OdeSystem(["x"], [], [], {}, {"x": e})
+
+    def test_max_nodes_bounds_each_entry_written_out(self):
+        message = f"has {MAX_NODES + 1} nodes written out, more than MAX_NODES = {MAX_NODES}"
+        with within(1.0):
+            sys = OdeSystem(["x"], ["u"], [], {"u": sized(MAX_NODES)}, {"x": sized(MAX_NODES)})
+            assert eval_field(sys, (0.0,), ()) == (0.0,)
+            with pytest.raises(ValidationError, match=rf"^readout\['u'\] {message}$"):
+                OdeSystem(["x"], ["u"], [], {"u": sized(MAX_NODES + 1)}, {"x": "x"})
+            with pytest.raises(ValidationError, match=rf"^fwd\['u'\] {message}$"):
+                OdeLens(["x"], [], ["u"], [], {"u": sized(MAX_NODES + 1)}, {})

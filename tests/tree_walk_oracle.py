@@ -1,15 +1,22 @@
-"""Field evaluation by the recursive tree walk and RK4 as a plain loop, kept as oracles.
+"""Expression walks by recursion and RK4 as a plain loop, kept as oracles.
+
+`opendyn.expr` walks expressions as loops over one hash-consed post-order
+list. `free_vars`, `to_text`, `substitute` and `evaluate` here are the
+recursive tree walks they replaced: each visits a subtree once per path to
+it and needs a Python frame per level, so they serve trees within the
+recursion limit.
 
 `opendyn.ode` evaluates fields, readouts and lens `bwd` tables through
 functions that `opendyn.expr.compile_table` generates, and steps RK4 in a
 loop it generates per system. The functions here are the direct definitions
-they replaced: `eval_table` binds each coordinate by name and calls
-`evaluate` on every expression, and `integrate` is the RK4 loop that builds a
-state tuple per stage. `rk4_solve` and `check_solve_functoriality` run that
-loop over a choice of evaluators: `TREE_WALK` (the default) or `COMPILED`,
-opendyn's own compiled functions, which isolates the stepping. They serve the
-differential tests, which require bit-identical trajectories and deviations
-and the same errors, messages included.
+they replaced: `eval_table` binds each coordinate by name and calls the
+recursive `evaluate` on every expression, and `integrate` is the RK4 loop
+that builds a state tuple per stage. `rk4_solve` and
+`check_solve_functoriality` run that loop over a choice of evaluators:
+`TREE_WALK` (the default) or `COMPILED`, opendyn's own compiled functions,
+which isolates the stepping. They serve the differential tests, which
+require bit-identical trajectories and deviations and the same errors,
+messages included.
 """
 
 from __future__ import annotations
@@ -28,10 +35,114 @@ from opendyn import (
     Trajectory,
     compile_table,
     compose_lens_ode,
-    evaluate,
 )
-from opendyn.expr import Expr
+from opendyn.expr import FUNCTIONS, BinOp, Call, Expr, Neg, Num, Var
 from opendyn.ode import _grid
+
+# Precedence levels for the printer; higher binds tighter.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_ATOM_PREC = 5
+
+
+def _prec(e: Expr) -> int:
+    if isinstance(e, BinOp):
+        return _PREC[e.op]
+    if isinstance(e, Neg):
+        return _PREC["neg"]
+    return _ATOM_PREC
+
+
+def to_text(e: Expr) -> str:
+    """Canonical printing: parse(to_text(e)) reproduces e exactly."""
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Neg):
+        inner = to_text(e.arg)
+        if _prec(e.arg) < _PREC["neg"]:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(e, Call):
+        return f"{e.fn}({to_text(e.arg)})"
+    left, right = to_text(e.left), to_text(e.right)
+    if e.op == "^":
+        # right-associative: parenthesize the left child on ties
+        if _prec(e.left) <= _PREC["^"]:
+            left = f"({left})"
+        if _prec(e.right) < _PREC["^"]:
+            right = f"({right})"
+        return f"{left}^{right}"
+    if _prec(e.left) < _PREC[e.op]:
+        left = f"({left})"
+    if _prec(e.right) <= _PREC[e.op]:
+        right = f"({right})"
+    if e.op in "+-":
+        return f"{left} {e.op} {right}"
+    return f"{left}{e.op}{right}"
+
+
+def free_vars(e: Expr) -> set[str]:
+    if isinstance(e, Num):
+        return set()
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, Neg):
+        return free_vars(e.arg)
+    if isinstance(e, Call):
+        return free_vars(e.arg)
+    return free_vars(e.left) | free_vars(e.right)
+
+
+def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
+    """Simultaneous replacement of variables by expressions."""
+    if isinstance(e, Num):
+        return e
+    if isinstance(e, Var):
+        return bindings.get(e.name, e)
+    if isinstance(e, Neg):
+        return Neg(substitute(e.arg, bindings))
+    if isinstance(e, Call):
+        return Call(e.fn, substitute(e.arg, bindings))
+    return BinOp(e.op, substitute(e.left, bindings), substitute(e.right, bindings))
+
+
+def evaluate(e: Expr, env: Mapping[str, float]) -> float:
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise ExprEvalError(f"unbound variable {e.name!r}") from None
+    if isinstance(e, Neg):
+        return -evaluate(e.arg, env)
+    if isinstance(e, Call):
+        arg = evaluate(e.arg, env)
+        try:
+            return FUNCTIONS[e.fn](arg)
+        except ValueError:
+            raise ExprEvalError(f"{e.fn}({arg!r}) is undefined") from None
+        except OverflowError:
+            raise ExprEvalError(f"{e.fn}({arg!r}) overflows") from None
+    left = evaluate(e.left, env)
+    right = evaluate(e.right, env)
+    if e.op == "+":
+        return left + right
+    if e.op == "-":
+        return left - right
+    if e.op == "*":
+        return left * right
+    if e.op == "/":
+        if right == 0.0:
+            raise ExprEvalError(f"division by zero: {to_text(e)}")
+        return left / right
+    try:
+        return math.pow(left, right)
+    except ValueError:
+        raise ExprEvalError(f"{left!r}^{right!r} is undefined") from None
+    except OverflowError:
+        raise ExprEvalError(f"{left!r}^{right!r} overflows") from None
 
 
 def eval_table(
