@@ -69,6 +69,7 @@ from .deterministic import (
     periodic_orbits,
     representable_span,
     run_word,
+    simulate_system,
     steady_span,
     tensor_systems,
     walking_cycle,

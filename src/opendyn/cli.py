@@ -8,6 +8,8 @@ of `json.dumps(obj, indent=2)` plus a newline, from one writer,
 `project.write_json`. `matrix` refuses a span whose matrix would have more
 than `deterministic.MAX_MATRIX_ENTRIES` entries before building it, and
 `steady` an orbit walk of more than `deterministic.MAX_WALK` tuples.
+`steady`, `simulate` and `check`'s project scan run one code path for a
+deterministic and a Markov machine alike; an ODE system cannot be `steady`.
 Exit codes: 0 success, 1 a check reported a failure, 2 usage or validation
 problems, a project file that cannot be read (missing, a directory, not
 UTF-8) or an output file that cannot be written; each names the path.
@@ -25,13 +27,12 @@ from typing import Optional, Sequence
 from .deterministic import (
     DetLens,
     DetSquare,
-    DetSystem,
     Machine,
     check_matrix_theorem,
     check_square,
     lens_to_span,
     periodic_orbits,
-    run_word,
+    simulate_system,
     tensor_systems,
     walking_cycle,
     compose_lens_system,
@@ -55,7 +56,6 @@ from .project import (
     save_project,
     write_json,
 )
-from .stochastic import simulate_stoch
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
@@ -113,9 +113,9 @@ def cmd_tensor(args) -> int:
 def cmd_steady(args) -> int:
     project = load_project(args.project)
     sys_entry = project.system(args.system)
-    if not isinstance(sys_entry, DetSystem):
+    if not isinstance(sys_entry, Machine):
         raise ValidationError(
-            f"steady enumeration needs a deterministic system, got {doctrine_of(sys_entry)}"
+            f"steady enumeration needs a finite-state system, got {doctrine_of(sys_entry)}"
         )
     rows = list(periodic_orbits(sys_entry, args.k))
     _write_csv(args.out, ("chart", "element"), rows)
@@ -159,22 +159,17 @@ def cmd_simulate(args) -> int:
         rows = [
             (t, *vals, *outs) for t, vals, outs in zip(traj.times, traj.values, traj.outputs)
         ]
-        _write_csv(args.out, header, rows)
-        print(f"wrote {args.out} ({len(rows)} rows)")
-        return 0
-    if args.start is None:
-        raise ValidationError("finite-state simulation needs --start")
-    word = _parse_word(args.word)
-    if isinstance(sys_entry, DetSystem):
-        path = run_word(sys_entry, args.start, word)
-        states = [s for s, _ in path]
     else:
-        states = simulate_stoch(sys_entry, args.start, word, args.seed)
-    rows = []
-    for step, state in enumerate(states):
-        inp = word[step - 1] if step > 0 else ""
-        rows.append((step, inp, state, sys_entry.readout(state)))
-    _write_csv(args.out, ("step", "input", "state", "output"), rows)
+        if args.start is None:
+            raise ValidationError("finite-state simulation needs --start")
+        word = _parse_word(args.word)
+        states = simulate_system(sys_entry, args.start, word, args.seed)
+        header = ("step", "input", "state", "output")
+        rows = [
+            (step, inp, state, sys_entry.readout(state))
+            for step, (inp, state) in enumerate(zip(["", *word], states))
+        ]
+    _write_csv(args.out, header, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
@@ -216,9 +211,7 @@ def _project_matrix_scan(project: ProjectFile) -> SuiteResult:
         if not isinstance(lens, DetLens):
             continue
         for sn, sys_entry in project.systems.items():
-            if not isinstance(sys_entry, DetSystem):
-                continue
-            if lens.source != sys_entry.interface:
+            if not isinstance(sys_entry, Machine) or lens.source != sys_entry.interface:
                 continue
             checked += 1
             for k in (1, 2):

@@ -14,13 +14,16 @@ into a span between these chart sets, and `check_matrix_theorem` verifies
 that rewiring a machine and then collecting its orbits agrees, up to a
 fiberwise bijection, with applying that span to the orbits of the original
 machine. That is span (= matrix-of-sets) arithmetic acting on behaviors.
-One orbit walk, one apex construction (from the preimages of the one-step
-`bwd` table) and one fiber match serve every step, all on slot tuples; labels
-are joined with `|` only where a Family, Span or FamilyMatch is handed out.
+One orbit walk, reading update cells through the effect's `point`, one apex
+construction (from the preimages of the one-step `bwd` table) and one fiber
+match serve every step and every effect, all on slot tuples; labels are
+joined with `|` only where a Family, Span or FamilyMatch is handed out. One
+run loop, `simulate_system`, draws each step through the effect's `sample`.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import product
 from typing import ClassVar, Iterable, Iterator, Mapping, Optional
@@ -103,9 +106,9 @@ class Identity:
     An effect says what a machine's update lands in. The shared machine code
     calls its static methods: `cell_problem(cell, states)` says what is wrong
     with one update cell, or None; `product(a, b, states)` is the cell of two
-    machines run side by side, on the product states; `is_unit_at(cell, s)`
-    says whether the cell stays at s for sure; `cell_to_obj` and
-    `cell_from_obj(value, states, what)` are the JSON codec of one cell.
+    machines run side by side, on the product states; `point(cell)` is the
+    state the cell reaches for sure, or None; `sample(cell, rng)` draws one;
+    `cell_to_obj` and `cell_from_obj(value, states, what)` are its JSON codec.
     """
 
     cell_problem = staticmethod(_label_problem)
@@ -115,8 +118,12 @@ class Identity:
         return join_labels(a, b)
 
     @staticmethod
-    def is_unit_at(cell: str, state: str) -> bool:
-        return cell == state
+    def point(cell: str) -> str:
+        return cell
+
+    @staticmethod
+    def sample(cell: str, rng: random.Random) -> str:
+        return cell
 
     @staticmethod
     def cell_to_obj(cell: str) -> str:
@@ -151,14 +158,6 @@ class Machine:
         self.update = _check_nested_table(
             update, states, interface.inputs, states, "update", self.effect.cell_problem
         )
-
-    def check_run(self, s0: str, word: list[str]) -> None:
-        """Refuse a run from an unknown start state or over an unknown input."""
-        if s0 not in self.states:
-            raise ValidationError(f"unknown start state {s0!r}")
-        for w in word:
-            if w not in self.interface.inputs:
-                raise ValidationError(f"unknown input {w!r}")
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -318,6 +317,20 @@ def compose_lens_system(lens: DetLens, sys: Machine) -> Machine:
     return type(sys)(sys.states, lens.target, sys.readout.then(lens.fwd), update)
 
 
+def simulate_system(sys: Machine, s0: str, word: Iterable[str], seed: int = 0) -> list[str]:
+    """The states of a run from s0 along a word, each step drawn through the
+    effect from `random.Random(seed)`: the same arguments give the same path."""
+    if s0 not in sys.states:
+        raise ValidationError(f"unknown start state {s0!r}")
+    rng = random.Random(seed)
+    path = [s0]
+    for w in word:
+        if w not in sys.interface.inputs:
+            raise ValidationError(f"unknown input {w!r}")
+        path.append(sys.effect.sample(sys.update[path[-1]][w], rng))
+    return path
+
+
 def tensor_systems(a: Machine, b: Machine) -> Machine:
     """Run two machines side by side; everything is the componentwise product,
     and update cells multiply in the machines' shared effect."""
@@ -462,7 +475,7 @@ def chart_hom_set(rep: DetInterface, iface: DetInterface) -> FinSet:
     return FinSet(join_labels(*combo) for combo in product(*domains))
 
 
-def _maps_into(rep: DetSystem, sys: DetSystem) -> Iterator[tuple[str, ...]]:
+def _maps_into(rep: DetSystem, sys: Machine) -> Iterator[tuple[str, ...]]:
     """Every (phi, isharp) from `rep` into `sys` as a slot tuple.
 
     The slots are phi(s) followed by isharp(s, i) for every rep input i, for
@@ -473,7 +486,8 @@ def _maps_into(rep: DetSystem, sys: DetSystem) -> Iterator[tuple[str, ...]]:
     filled and disagree; a slot phi(s') whose constraint has its other two
     slots earlier is computed rather than searched. On a walking k-cycle this
     walks a start state and an input word: |S| * |I|^k tuples tried, not
-    (|S| * |I|)^k.
+    (|S| * |I|)^k. It reads each update cell through the effect's `point`,
+    so a cell that reaches no state for sure cuts the branch.
     """
     rep_states = rep.states.elements
     rep_inputs = rep.interface.inputs.elements
@@ -495,13 +509,15 @@ def _maps_into(rep: DetSystem, sys: DetSystem) -> Iterator[tuple[str, ...]]:
                 forced[dst] = (src, inp)
             else:
                 checks[max(inp, dst)].append((src, inp, dst))
-    update = sys.update
+    point = sys.effect.point
+    update = {s: {i: point(cell) for i, cell in row.items()} for s, row in sys.update.items()}
 
     def candidates(slot: int):
         if forced[slot] is None:
             return iter(domains[slot])
         src, inp = forced[slot]
-        return iter((update[combo[src]][combo[inp]],))
+        target = update[combo[src]][combo[inp]]
+        return iter(() if target is None else (target,))
 
     if n == 0:
         yield ()
@@ -524,7 +540,7 @@ def _maps_into(rep: DetSystem, sys: DetSystem) -> Iterator[tuple[str, ...]]:
             stack.append(candidates(slot + 1))
 
 
-def _orbits(rep: DetSystem, sys: DetSystem) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+def _orbits(rep: DetSystem, sys: Machine) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Every map from `rep` into `sys` as a (chart, element) row of slot
     tuples, in `_maps_into`'s order: the element is the map's slot tuple, and
     its chart is that tuple with each phi(s) replaced by its output."""
@@ -536,36 +552,28 @@ def _orbits(rep: DetSystem, sys: DetSystem) -> Iterator[tuple[tuple[str, ...], t
         yield tuple(chart), element
 
 
-def representable_span(rep: DetSystem, sys: DetSystem) -> Family:
+def representable_span(rep: DetSystem, sys: Machine) -> Family:
     """All ways of mapping `rep` into `sys`, fibered over the chart used.
 
     The base is every chart rep.interface -> sys.interface. An element is a
     state map phi together with an input assignment isharp such that
-    phi(update_rep(s, i)) = update(phi(s), isharp(s, i)) for all (s, i);
-    the output half of its chart is then forced to be readout . phi. The
-    element label interleaves phi(s) with the isharp values slot by slot,
-    mirroring the base encoding.
+    update(phi(s), isharp(s, i)) reaches phi(update_rep(s, i)) for sure, for
+    all (s, i); the output half of its chart is then forced to be
+    readout . phi. The element label interleaves phi(s) with the isharp
+    values slot by slot, mirroring the base encoding. `sys` may have any
+    effect; `rep` must be a DetSystem.
     """
+    if not isinstance(rep, DetSystem):
+        raise ValidationError(f"representing system must be deterministic, got {type(rep).__name__}")
     if rep.interface.outputs != rep.states or any(rep.readout(s) != s for s in rep.states):
         raise ValidationError("representing system must expose its entire state")
     return _family(chart_hom_set(rep.interface, sys.interface), _orbits(rep, sys))
 
 
 def steady_span(sys: Machine) -> Family:
-    """States whose update stays put for sure, fibered over (output, input) pairs.
-
-    On a deterministic machine this is representable_span(walking_cycle(1),
-    sys), including the label encoding, computed by direct enumeration of
-    S x I; on a Markov machine the update must be the point distribution.
-    """
-    is_unit_at = sys.effect.is_unit_at
-    rows = (
-        ((sys.readout(s), i), (s, i))
-        for s in sys.states
-        for i in sys.interface.inputs
-        if is_unit_at(sys.update[s][i], s)
-    )
-    return _family(product_finset(sys.interface.outputs, sys.interface.inputs), rows)
+    """States whose update stays put for sure, fibered over (output, input)
+    pairs: the maps into `sys` from the one-state walking cycle."""
+    return representable_span(walking_cycle(1), sys)
 
 
 def _check_period(k: int) -> None:
@@ -573,13 +581,13 @@ def _check_period(k: int) -> None:
         raise ValidationError(f"orbit period must be at least 1, got {k}")
 
 
-def periodic_orbit_span(sys: DetSystem, k: int) -> Family:
+def periodic_orbit_span(sys: Machine, k: int) -> Family:
     """Orbits of period dividing k, fibered over k-tuples of (output, input) pairs."""
     _check_period(k)
     return representable_span(walking_cycle(k), sys)
 
 
-def periodic_orbits(sys: DetSystem, k: int) -> Iterator[tuple[str, str]]:
+def periodic_orbits(sys: Machine, k: int) -> Iterator[tuple[str, str]]:
     """The (chart, element) labels of `periodic_orbit_span(sys, k)`, element
     by element in its total order, without building its chart base.
 
@@ -666,7 +674,7 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
     return Span(source, target, apex, FinMap(apex, source, left), FinMap(apex, target, right))
 
 
-def check_matrix_theorem(lens: DetLens, sys: DetSystem, k: int) -> FamilyMatch:
+def check_matrix_theorem(lens: DetLens, sys: Machine, k: int) -> FamilyMatch:
     """Orbits of the rewired machine vs the lens span applied to the original orbits.
 
     The two families must always be fiberwise bijective; a mismatch on any
@@ -700,10 +708,4 @@ def check_matrix_theorem(lens: DetLens, sys: DetSystem, k: int) -> FamilyMatch:
 
 def run_word(sys: DetSystem, s0: str, word: list[str]) -> list[tuple[str, str]]:
     """Drive the machine from s0 along a word; returns every (state, output) visited."""
-    sys.check_run(s0, word)
-    state = s0
-    path = [(state, sys.readout(state))]
-    for w in word:
-        state = sys.update[state][w]
-        path.append((state, sys.readout(state)))
-    return path
+    return [(state, sys.readout(state)) for state in simulate_system(sys, s0, word)]

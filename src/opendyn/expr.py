@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import ExprEvalError, ExprSyntaxError
@@ -59,30 +60,56 @@ class _Node:
     def __hash__(self) -> int:
         return hash(tuple(Dag((self,)).index))
 
+    def __repr__(self) -> str:
+        """The dataclass form, written without recursion or field checks. A
+        node object with operands that is reached along more than one path is
+        written once, after `where`, as `#j = ...`, and as `#j` where it
+        occurs; so the text grows with the node objects, not the paths."""
+        nodes, at, parts = [self], {id(self): 0}, []
+        for e in nodes:  # breadth first: `nodes` grows as operands are met
+            part = [f"{type(e).__name__}("]
+            for n, f in enumerate(fields(e)):
+                value = getattr(e, f.name)
+                if isinstance(value, _Node) and id(value) not in at:
+                    at[id(value)] = len(nodes)
+                    nodes.append(value)
+                shown = at[id(value)] if isinstance(value, _Node) else repr(value)
+                part += (f"{', ' if n else ''}{f.name}=", shown)
+            parts.append(part + [")"])
+        uses = Counter(p for part in parts for p in part if type(p) is int)
+        shared = [
+            j for j, part in enumerate(parts) if uses[j] > 1 and any(type(p) is int for p in part)
+        ]
+        names = {j: f"#{n}" for n, j in enumerate(shared, 1)}
+        parts = [[names.get(p, p) if type(p) is int else p for p in part] for part in parts]
+        text = _expand(parts, 0)
+        lets = ", ".join(f"{names[j]} = {_expand(parts, j)}" for j in shared)
+        return f"{text} where {lets}" if lets else text
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
     fn: str
     arg: "Expr"
@@ -115,8 +142,10 @@ class Dag:
 
     def add(self, root: Expr) -> int:
         """Lower `root` and return its position. A node object reached along
-        many paths is lowered once; anything that is not an expression node
-        raises TypeError."""
+        many paths is lowered once. Anything that is not an expression node
+        raises TypeError, and so does a node field outside the language: an
+        operator outside + - * / ^, a function outside FUNCTIONS, a variable
+        name that is not a string, a constant that is not an int or a float."""
         at: dict[int, int] = {}  # id of each node object lowered so far -> position
         stack: list = [root]
         while stack:
@@ -124,9 +153,13 @@ class Dag:
             if e is _DONE:  # the node under it has its operands lowered
                 e = stack.pop()
                 if isinstance(e, BinOp):
+                    if e.op not in ("+", "-", "*", "/", "^"):
+                        raise TypeError(f"operator {e.op!r} is not one of + - * / ^")
                     ops = (at[id(e.left)], at[id(e.right)])
                     key = (e.op, *ops)
                 else:
+                    if isinstance(e, Call) and not (isinstance(e.fn, str) and e.fn in FUNCTIONS):
+                        raise TypeError(f"function {e.fn!r} is not one of {', '.join(FUNCTIONS)}")
                     ops = (at[id(e.arg)],)
                     key = ("call", e.fn, *ops) if isinstance(e, Call) else ("neg", *ops)
             elif id(e) in at:
@@ -138,8 +171,12 @@ class Dag:
                 stack += (e, _DONE, e.arg)
                 continue
             elif isinstance(e, Var):
+                if not isinstance(e.name, str):
+                    raise TypeError(f"variable name {e.name!r} is not a string")
                 ops, key = (), ("var", e.name)
             elif isinstance(e, Num):
+                if type(e.value) not in (int, float):
+                    raise TypeError(f"constant {e.value!r} is not an int or a float")
                 ops, key = (), ("num", type(e.value), repr(e.value))
             else:
                 raise TypeError(f"{e!r} is not an expression")
@@ -306,8 +343,14 @@ def to_text(e: Expr) -> str:
                 part = (str(node.name),) if isinstance(node, Var) else (repr(node.value),)
         prec.append(p)
         parts.append(part)
+    return _expand(parts, dag.roots[0])
+
+
+def _expand(parts: list, root: int) -> str:
+    """The text of entry `root`: its parts, strings and the positions of the
+    entries whose text goes between them, written out without recursion."""
     out = []
-    stack: list = [dag.roots[0]]
+    stack: list = [root]
     while stack:
         item = stack.pop()
         if type(item) is int:

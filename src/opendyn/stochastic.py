@@ -2,8 +2,11 @@
 
 A `StochSystem` is the shared finite `Machine` with the distribution effect:
 readouts are still functions, but the update lands in probability
-distributions. Rewiring, tensor and steady states are the shared machine
-functions, bound here under their stochastic names. Weights are
+distributions. Rewiring, tensor, steady states, orbits and simulation are
+the shared machine functions, some bound here under their stochastic names:
+`DistEffect.point` reads a one-label distribution as the state it reaches
+for sure, so steady states and periodic orbits are those of the point
+transitions, and `DistEffect.sample` draws a step of a run. Weights are
 `fractions.Fraction` throughout, so normalization and the embedding laws are
 exact equalities rather than tolerance checks. The arithmetic runs on their
 integer numerators over a common denominator rather than through `Fraction`
@@ -20,9 +23,11 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
-from .deterministic import DetSystem, Machine, compose_lens_system, steady_span, tensor_systems
+from .deterministic import (
+    DetSystem, Machine, compose_lens_system, simulate_system, steady_span, tensor_systems
+)
 from .errors import ValidationError
 from .finset import FinSet, join_labels, str_table
 
@@ -88,9 +93,6 @@ class Dist:
             raise ValidationError(f"unknown label {label!r}")
         return self.weights.get(label, Fraction(0))
 
-    def is_dirac_at(self, label: str) -> bool:
-        return self.weights == {label: Fraction(1)}
-
     def to_obj(self) -> dict[str, str]:
         return {label: str(w) for label, w in self.weights.items()}
 
@@ -110,8 +112,8 @@ class DistEffect:
     """The distribution effect: a Markov update cell is a Dist on the states.
 
     Cells of two machines run side by side multiply as independent
-    distributions; a cell stays at s for sure when it is the point
-    distribution on s. See `deterministic.Identity` for the protocol.
+    distributions; a cell reaches a state for sure when it is the point
+    distribution on it. See `deterministic.Identity` for the protocol.
     """
 
     @staticmethod
@@ -133,7 +135,30 @@ class DistEffect:
             },
         )
 
-    is_unit_at = staticmethod(Dist.is_dirac_at)
+    @staticmethod
+    def point(dist: Dist) -> Optional[str]:
+        """The label of a one-label distribution; it has weight 1."""
+        return next(iter(dist.weights)) if len(dist.weights) == 1 else None
+
+    @staticmethod
+    def sample(dist: Dist, rng: random.Random) -> str:
+        """Inverse-CDF sampling over the canonical element order, compared
+        exactly: with u = a/b and the weights over their common denominator
+        `den`, the cumulative weight c/den exceeds u exactly when c*b > a*den."""
+        a, b = rng.random().as_integer_ratio()
+        weights = dist.weights
+        den = math.lcm(*(w.denominator for w in weights.values()))
+        bound = a * den
+        cum = 0
+        last = None
+        for label, w in weights.items():
+            cum += w.numerator * (den // w.denominator)
+            last = label
+            if cum * b > bound:
+                return label
+        assert last is not None
+        return last
+
     cell_to_obj = staticmethod(Dist.to_obj)
 
     @staticmethod
@@ -150,10 +175,12 @@ class StochSystem(Machine):
 
 # Rewiring leaves transition weights untouched; the product of two Markov
 # machines multiplies weights; a steady state's update is the point
-# distribution on itself. One definition each serves every effect.
+# distribution on itself; a run samples each step. One definition each
+# serves every effect.
 compose_lens_stoch = compose_lens_system
 tensor_stoch = tensor_systems
 dirac_steady_span = steady_span
+simulate_stoch = simulate_system
 
 
 def step_dist(sys: StochSystem, d: Dist, inp: str) -> Dist:
@@ -172,38 +199,6 @@ def step_dist(sys: StochSystem, d: Dist, inp: str) -> Dist:
     for t, p, q in terms:
         acc[t] = acc.get(t, 0) + p * (den // q)
     return Dist(sys.states, {t: Fraction(n, den) for t, n in acc.items()})
-
-
-def _sample(dist: Dist, rng: random.Random) -> str:
-    """Inverse-CDF sampling over the canonical element order, compared exactly:
-    with u = a/b and the weights over their common denominator `den`, the
-    cumulative weight c/den exceeds u exactly when c*b > a*den."""
-    a, b = rng.random().as_integer_ratio()
-    weights = dist.weights
-    den = math.lcm(*(w.denominator for w in weights.values()))
-    bound = a * den
-    cum = 0
-    last = None
-    for label, w in weights.items():
-        cum += w.numerator * (den // w.denominator)
-        last = label
-        if cum * b > bound:
-            return label
-    assert last is not None
-    return last
-
-
-def simulate_stoch(sys: StochSystem, s0: str, word: Iterable[str], seed: int) -> list[str]:
-    """Sample a state path; the same (system, s0, word, seed) gives the same path."""
-    word = list(word)
-    sys.check_run(s0, word)
-    rng = random.Random(seed)
-    state = s0
-    path = [state]
-    for w in word:
-        state = _sample(sys.update[state][w], rng)
-        path.append(state)
-    return path
 
 
 def embed_det(sys: DetSystem) -> StochSystem:

@@ -2,12 +2,15 @@
 
 `opendyn.deterministic` finds orbits by a depth-first walk, builds a lens's
 span from the preimages of its one-step `bwd` table, and compares the
-matrix theorem's two sides fiber by fiber on the charts that carry orbits.
-The functions here are the direct definitions it replaced: test every
-state/input combination, enumerate every chart and every apex element in
-product order, pull a family back and push it forward element by element,
-and compare every fiber of the base. They cost (|S|·|I|)^k and
-(|O|·|I'|)^k, so they serve only small differential tests.
+matrix theorem's two sides fiber by fiber on the charts that carry orbits;
+steady states are the orbits of period 1, and a Markov machine's orbits are
+read from its cells through `DistEffect.point`. The functions here are the
+direct definitions it replaced: test every state/input combination, enumerate
+every chart and every apex element in product order, pull a family back and
+push it forward element by element, and compare every fiber of the base. A
+cell of either effect is tested against a state by `_reaches`, which does not
+use the effects' code. They cost (|S|·|I|)^k and (|O|·|I'|)^k, so they serve
+only small differential tests.
 """
 
 from __future__ import annotations
@@ -18,16 +21,43 @@ from opendyn import (
     DetInterface,
     DetLens,
     DetSystem,
+    Dist,
     Family,
     FamilyMatch,
     FinMap,
     FinSet,
+    Machine,
     Span,
     compose_lens_system,
+    product_finset,
     walking_cycle,
 )
 from opendyn.errors import BoundaryError, ValidationError
 from opendyn.finset import join_labels
+
+
+def _reaches(cell, state: str) -> bool:
+    """Does the update cell reach `state` for sure: is it the state itself,
+    or a distribution with all its weight on it?"""
+    if isinstance(cell, Dist):
+        return cell.weights == {state: 1}
+    return cell == state
+
+
+def dense_steady_span(sys: Machine) -> Family:
+    """Every (state, input) pair whose update stays at the state for sure,
+    over its (output, input) pair, by enumeration of S x I."""
+    base = product_finset(sys.interface.outputs, sys.interface.inputs)
+    labels: list[str] = []
+    proj: dict[str, str] = {}
+    for s in sys.states:
+        for i in sys.interface.inputs:
+            if _reaches(sys.update[s][i], s):
+                label = join_labels(s, i)
+                labels.append(label)
+                proj[label] = join_labels(sys.readout(s), i)
+    total = FinSet(labels)
+    return Family(base, total, FinMap(total, base, proj))
 
 
 def dense_chart_hom_set(rep: DetInterface, iface: DetInterface) -> FinSet:
@@ -99,7 +129,7 @@ def dense_families_isomorphic(f1: Family, f2: Family) -> FamilyMatch:
     return FamilyMatch(FinMap(f1.total, f2.total, table))
 
 
-def dense_representable_span(rep: DetSystem, sys: DetSystem) -> Family:
+def dense_representable_span(rep: DetSystem, sys: Machine) -> Family:
     """Every (phi, isharp) combination tested against every constraint."""
     if not (
         rep.interface.outputs == rep.states and all(rep.readout(s) == s for s in rep.states)
@@ -124,7 +154,7 @@ def dense_representable_span(rep: DetSystem, sys: DetSystem) -> Family:
             for ipos, i in enumerate(rep_inputs)
         }
         if all(
-            phi[rep.update[s][i]] == sys.update[phi[s]][isharp[(s, i)]]
+            _reaches(sys.update[phi[s]][isharp[(s, i)]], phi[rep.update[s][i]])
             for s in rep_states
             for i in rep_inputs
         ):
@@ -139,19 +169,19 @@ def dense_representable_span(rep: DetSystem, sys: DetSystem) -> Family:
     return Family(base, total, FinMap(total, base, proj))
 
 
-def dense_periodic_orbit_span(sys: DetSystem, k: int) -> Family:
+def dense_periodic_orbit_span(sys: Machine, k: int) -> Family:
     if k < 1:
         raise ValidationError(f"orbit period must be at least 1, got {k}")
     return dense_representable_span(walking_cycle(k), sys)
 
 
-def dense_steady_rows(sys: DetSystem, k: int) -> list[tuple[str, str]]:
+def dense_steady_rows(sys: Machine, k: int) -> list[tuple[str, str]]:
     """The rows `opendyn steady` writes: (chart, element) in total order."""
     family = dense_periodic_orbit_span(sys, k)
     return [(family.proj(e), e) for e in family.total]
 
 
-def dense_check_matrix_theorem(lens: DetLens, sys: DetSystem, k: int) -> FamilyMatch:
+def dense_check_matrix_theorem(lens: DetLens, sys: Machine, k: int) -> FamilyMatch:
     """Rewired orbits against the lens span applied to the original orbits."""
     if lens.source != sys.interface:
         raise BoundaryError(

@@ -107,6 +107,27 @@ def random_dist(rng: random.Random, support: FinSet) -> Dist:
     return Dist(support, {s: Fraction(w, total) for s, w in zip(support, raw) if w})
 
 
+def random_markov_machine(
+    rng: random.Random, iface: DetInterface, max_states: int = 4
+) -> StochSystem:
+    """A Markov machine on `iface` whose update cells are point distributions
+    about half the time, so that it has orbits to find."""
+    states = random_finset(rng, "s", max_states)
+    readout = FinMap(
+        states, iface.outputs, {s: rng.choice(iface.outputs.elements) for s in states}
+    )
+    update = {
+        s: {
+            i: Dist.dirac(states, rng.choice(states.elements))
+            if rng.random() < 0.5
+            else random_dist(rng, states)
+            for i in iface.inputs
+        }
+        for s in states
+    }
+    return StochSystem(states, iface, readout, update)
+
+
 def random_stoch_system(rng: random.Random, max_size: int = 4) -> StochSystem:
     states = FinSet(f"s{n}" for n in range(rng.randint(1, max_size)))
     iface = random_interface(rng, max_size)

@@ -164,9 +164,10 @@ class TestSteady:
     def test_bad_period_and_wrong_doctrine_exit_2(self, tmp_path, capsys):
         assert main(["steady", FLIPFLOP, "--system", "flipflop", "--k", "0",
                      "--out", str(tmp_path / "x.csv")]) == 2
-        assert main(["steady", STOCH, "--system", "chain",
+        assert main(["steady", LV, "--system", "rabbit",
                      "--out", str(tmp_path / "y.csv")]) == 2
-        assert "deterministic" in capsys.readouterr().err
+        assert "needs a finite-state system, got ode" in capsys.readouterr().err
+        assert not (tmp_path / "y.csv").exists()
 
     def test_labels_that_join_alike_exit_2(self, tmp_path):
         # elements (a|b, c) and (a, b|c) both print as a|b|c
@@ -457,6 +458,13 @@ class TestCheck:
         empty.write_text('{"version": 1}\n')
         assert main(["check", str(empty), "--cases", "0"]) == 0
         assert "result: PASS" in capsys.readouterr().out
+
+    def test_project_scan_runs_the_theorem_on_a_markov_system(self, tmp_path, capsys):
+        # the lens `flip` rewires the Markov machine `p`; `q` has another interface
+        project = tmp_path / "pair.json"
+        project.write_text(json.dumps(STOCH_PAIR))
+        assert main(["check", str(project), "--cases", "0"]) == 0
+        assert "PASS project-matrix: 1 cases" in capsys.readouterr().out
 
     def test_report_file_matches_stdout(self, tmp_path, capsys):
         report = tmp_path / "report.txt"

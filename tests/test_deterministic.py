@@ -40,6 +40,7 @@ from opendyn.laws import (
     random_system,
 )
 
+from dense_oracle import dense_steady_span
 from helpers import feedback_lens, flipflop, oscillator
 
 
@@ -331,13 +332,13 @@ class TestSteadySpan:
         rng = random.Random(20)
         for _ in range(50):
             sys = random_system(rng, random_interface(rng, 4))
-            assert representable_span(walking_cycle(1), sys) == steady_span(sys)
+            assert representable_span(walking_cycle(1), sys) == dense_steady_span(sys)
 
 
 class TestPeriodicOrbitSpan:
     def test_period_one_is_the_steady_span(self):
         ff = flipflop()
-        assert periodic_orbit_span(ff, 1) == steady_span(ff)
+        assert periodic_orbit_span(ff, 1) == dense_steady_span(ff)
 
     def test_oscillator_period_two_fiber(self):
         fam = periodic_orbit_span(oscillator(), 2)

@@ -181,6 +181,32 @@ class TestExactEquality:
         assert Num(1.0) != 1.0
 
 
+class TestRepr:
+    def test_a_tree_prints_in_dataclass_form(self):
+        assert repr(parse("sin(x)*2 - -y")) == (
+            "BinOp(op='-', left=BinOp(op='*', left=Call(fn='sin', arg=Var(name='x')), "
+            "right=Num(value=2.0)), right=Neg(arg=Var(name='y')))"
+        )
+
+    def test_a_node_object_reached_twice_is_written_once(self):
+        shared = parse("a*b")
+        assert repr(BinOp("+", shared, Neg(shared))) == (
+            "BinOp(op='+', left=#1, right=Neg(arg=#1)) "
+            "where #1 = BinOp(op='*', left=Var(name='a'), right=Var(name='b'))"
+        )
+        x = Var("x")
+        assert repr(BinOp("*", x, x)) == "BinOp(op='*', left=Var(name='x'), right=Var(name='x'))"
+
+    def test_a_long_chain_prints_without_recursion(self):
+        text = repr(parse("+".join(["x"] * 600)))
+        assert text.startswith("BinOp(op='+', left=BinOp(op='+', left=")
+        assert text.count("Var(name='x')") == 600
+
+    def test_fields_outside_the_language_still_print(self):
+        assert repr(BinOp("%", Var("x"), 2.5)) == "BinOp(op='%', left=Var(name='x'), right=2.5)"
+        assert repr(Num("1")) == "Num(value='1')"
+
+
 class TestAgainstTreeWalk:
     """Each walk against the recursive tree walk it replaced, in `tree_walk_oracle`."""
 

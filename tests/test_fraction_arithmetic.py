@@ -16,7 +16,7 @@ import fraction_oracle as oracle
 from opendyn import DetInterface, Dist, FinMap, FinSet, StochSystem, ValidationError
 from opendyn import simulate_stoch, step_dist
 from opendyn.finset import product_finset
-from opendyn.stochastic import DistEffect, _sample
+from opendyn.stochastic import DistEffect
 
 DERANDOMIZED = dict(derandomize=True, deadline=None)
 
@@ -196,7 +196,9 @@ class TestSample:
     def test_draws_match_the_oracle(self, data):
         d = data.draw(dists(support_of(data.draw(st.integers(1, 6)))))
         seed = data.draw(st.integers(0, 2**32))
-        assert _sample(d, random.Random(seed)) == oracle.sample(d.weights, random.Random(seed))
+        assert DistEffect.sample(d, random.Random(seed)) == oracle.sample(
+            d.weights, random.Random(seed)
+        )
 
     def test_paths_over_200_seeds_match_the_oracle(self):
         # Weights over denominators up to 2^60, so cumulative sums and the
@@ -238,7 +240,7 @@ class TestSample:
     )
     def test_cumulative_boundaries_break_ties_upward(self, weights, u, label):
         d = Dist(support_of(3), weights)
-        assert _sample(d, Stub(u)) == oracle.sample(d.weights, Stub(u)) == label
+        assert DistEffect.sample(d, Stub(u)) == oracle.sample(d.weights, Stub(u)) == label
 
     @settings(max_examples=50, **DERANDOMIZED)
     @given(st.data())
@@ -255,4 +257,4 @@ class TestSample:
             cum += w
             u = float(cum)
             assert Fraction(u) == cum
-            assert _sample(dyadic, Stub(u)) == oracle.sample(dyadic.weights, Stub(u))
+            assert DistEffect.sample(dyadic, Stub(u)) == oracle.sample(dyadic.weights, Stub(u))

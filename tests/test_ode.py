@@ -29,7 +29,17 @@ from opendyn import (
     tensor_ode,
     to_text,
 )
-from opendyn.expr import MAX_NODES, BinOp, Neg, Num, Var, compile_table, free_vars, substitute
+from opendyn.expr import (
+    MAX_NODES,
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    Var,
+    compile_table,
+    free_vars,
+    substitute,
+)
 from opendyn.laws import _lv_fixture
 from opendyn.ode import MAX_STEPS, _grid
 
@@ -83,6 +93,25 @@ class TestOdeSystemValidation:
             OdeSystem(["x"], [], [], {}, {"x": value})
         with pytest.raises(ValidationError, match=r"^bwd\['p'\]: None is not an expression$"):
             OdeLens(["y"], ["p"], [], [], {}, {"p": None})
+
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            # compiled, x % 2 gave 1.0 at x = 7 where evaluate gave 49.0
+            (BinOp("%", Var("x"), Num(2.0)), "operator '%' is not one of + - * / ^"),
+            (Call("abs", Var("x")), "function 'abs' is not one of sin, cos, exp, log"),
+            (Num("1"), "constant '1' is not an int or a float"),
+            (BinOp("+", Var(3), Num(1.0)), "variable name 3 is not a string"),
+        ],
+    )
+    def test_a_node_field_outside_the_language_names_the_table_and_key(self, value, problem):
+        message = f"field['x']: {problem}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            OdeSystem(["x"], [], [], {}, {"x": value})
+        with pytest.raises(TypeError, match=f"^{re.escape(problem)}$"):
+            to_text(value)
+        with pytest.raises(TypeError, match=f"^{re.escape(problem)}$"):
+            compile_table({"x": value}, ["x"], ["x"], "field")
 
     def test_a_subtree_shared_across_keys_is_scoped_by_each_key(self):
         shared = parse("s*t + q")
@@ -509,6 +538,15 @@ class TestDeepTables:
             ValidationError, match=rf"^field\['x'\] has {2**41 - 1} nodes"
         ):
             OdeSystem(["x"], [], [], {}, {"x": e})
+
+    def test_repr_writes_a_subtree_reached_along_many_paths_once(self):
+        e = Var("x")
+        for _ in range(40):
+            e = BinOp("*", e, e)
+        with within(0.1):
+            text = repr(e)
+        assert text.startswith("BinOp(op='*', left=#1, right=#1) where #1 = ")
+        assert text.endswith(", #39 = BinOp(op='*', left=Var(name='x'), right=Var(name='x'))")
 
     def test_max_nodes_bounds_each_entry_written_out(self):
         message = f"has {MAX_NODES + 1} nodes written out, more than MAX_NODES = {MAX_NODES}"

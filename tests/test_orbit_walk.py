@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opendyn import (
     BoundaryError,
@@ -17,6 +19,7 @@ from opendyn import (
     ValidationError,
     apply_span_to_family,
     check_matrix_theorem,
+    embed_det,
     families_isomorphic,
     lens_to_span,
     periodic_orbit_span,
@@ -27,22 +30,25 @@ from opendyn import (
     representable_span,
     save_project,
     span_to_matrix,
+    steady_span,
     walking_cycle,
 )
 from opendyn.cli import main
 from opendyn.finset import _match_fibers
 from opendyn.laws import random_interface
-from opendyn.project import ProjectFile
+from opendyn.project import ProjectFile, load_project
 
 from dense_oracle import (
     dense_apply_span_to_family,
     dense_check_matrix_theorem,
     dense_families_isomorphic,
     dense_lens_to_span,
+    dense_periodic_orbit_span,
     dense_representable_span,
     dense_steady_rows,
+    dense_steady_span,
 )
-from helpers import feedback_lens, fixture_path, flipflop, oscillator
+from helpers import feedback_lens, fixture_path, flipflop, oscillator, random_markov_machine
 
 
 def assert_same_family(sparse: Family, dense: Family) -> None:
@@ -117,6 +123,17 @@ class TestAgainstTheDenseOracle:
             assert_same_match(
                 check_matrix_theorem(lens, empty, k), dense_check_matrix_theorem(lens, empty, k)
             )
+
+    def test_steady_spans_of_a_hundred_machines_of_each_effect(self):
+        rng = random.Random(12)
+        steady = 0
+        for case in range(200):
+            iface = random_interface(rng, 4)
+            sys = random_system(rng, iface, 4) if case % 2 else random_markov_machine(rng, iface)
+            fam = steady_span(sys)
+            steady += len(fam.total) > 0
+            assert_same_family(fam, dense_steady_span(sys))
+        assert 50 < steady < 200
 
     def test_known_witness_on_the_latch(self):
         for k in (1, 2, 3):
@@ -370,3 +387,35 @@ class TestScale:
         assert match, match.mismatch
         orbits = sum(1 for _ in periodic_orbits(sys, 5))
         assert len(match.witness.dom) > 0 and orbits > 0
+
+
+class TestMarkovMachines:
+    """A Markov machine's orbits are its point transitions' orbits: the walk
+    against the dense search, which tests each cell for a point mass."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3))
+    def test_orbits_and_the_matrix_theorem_match_the_dense_search(self, seed, k):
+        rng = random.Random(seed)
+        iface = random_interface(rng, 3)
+        sys = random_markov_machine(rng, iface, 3)
+        lens = random_lens(rng, iface, random_interface(rng, 3, tag="t"))
+        dense = dense_periodic_orbit_span(sys, k)
+        assert_same_family(periodic_orbit_span(sys, k), dense)
+        assert list(periodic_orbits(sys, k)) == [(dense.proj(e), e) for e in dense.total]
+        match = check_matrix_theorem(lens, sys, k)
+        assert match, match.mismatch
+        assert_same_match(match, dense_check_matrix_theorem(lens, sys, k))
+        det = random_system(rng, iface, 3)
+        assert list(periodic_orbits(embed_det(det), k)) == list(periodic_orbits(det, k))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_steady_on_the_chain_fixture_writes_the_dense_rows(self, tmp_path, k):
+        out, expected = tmp_path / "steady.csv", tmp_path / "dense.csv"
+        code = main(["steady", fixture_path("stoch.json"), "--system", "chain",
+                     "--k", str(k), "--out", str(out)])
+        assert code == 0
+        chain = load_project(fixture_path("stoch.json")).system("chain")
+        write_rows(expected, dense_steady_rows(chain, k))
+        assert out.read_bytes() == expected.read_bytes()
+        assert len(dense_steady_rows(chain, k)) == 2

@@ -18,14 +18,18 @@ from opendyn import (
     compose_lens_system,
     dirac_steady_span,
     embed_det,
+    periodic_orbits,
+    representable_span,
     run_word,
     simulate_stoch,
     steady_span,
     step_dist,
     tensor_stoch,
     tensor_systems,
+    walking_cycle,
 )
 from opendyn.laws import random_interface, random_lens, random_system
+from opendyn.stochastic import DistEffect
 
 from helpers import chain, feedback_lens, flipflop, oscillator, random_dist, random_stoch_system
 
@@ -60,7 +64,7 @@ class TestDist:
         d = Dist(s, {"a": 1, "b": 0})
         assert d.weights == {"a": Fraction(1)}
         assert d == Dist.dirac(s, "a")
-        assert d.is_dirac_at("a") and not d.is_dirac_at("b")
+        assert DistEffect.point(d) == "a"
 
     def test_serialized_weights_are_fraction_strings(self):
         d = Dist(FinSet(["a", "b"]), {"a": "1/3", "b": "2/3"})
@@ -192,7 +196,7 @@ class TestEmbedDet:
         ff = flipflop()
         emb = embed_det(ff)
         assert all(
-            emb.update[s][i].is_dirac_at(ff.update[s][i])
+            DistEffect.point(emb.update[s][i]) == ff.update[s][i]
             for s in ff.states
             for i in ff.interface.inputs
         )
@@ -243,6 +247,21 @@ class TestDiracSteadySpan:
         sizes = fam.fiber_sizes()
         assert {k: v for k, v in sizes.items() if v} == {"lo|stay": 1, "hi|stay": 1}
 
+    def test_orbits_of_a_chain_are_those_of_its_point_transitions(self):
+        # the orbit walk used to compare a Dist cell with a state label: it
+        # found nothing at k = 1 and hashed a Dist at k = 2
+        assert list(periodic_orbits(chain(), 1)) == [("lo|stay", "a|stay"), ("hi|stay", "b|stay")]
+        assert list(periodic_orbits(chain(), 2)) == [
+            ("lo|stay|lo|stay", "a|stay|a|stay"),
+            ("hi|stay|hi|stay", "b|stay|b|stay"),
+        ]
+
+    def test_a_markov_representing_system_is_refused(self):
+        with pytest.raises(
+            ValidationError, match="^representing system must be deterministic, got StochSystem$"
+        ):
+            representable_span(embed_det(walking_cycle(1)), flipflop())
+
     def test_matrix_theorem_through_the_embedding(self):
         rng = random.Random(27)
         for _ in range(10):
@@ -251,4 +270,4 @@ class TestDiracSteadySpan:
             lens = random_lens(rng, iface, random_interface(rng, 3, tag="t"))
             emb_composed = compose_lens_stoch(lens, embed_det(sys))
             assert emb_composed == embed_det(compose_lens_system(lens, sys))
-            assert check_matrix_theorem(lens, sys, 2)
+            assert check_matrix_theorem(lens, embed_det(sys), 2)

@@ -13,7 +13,7 @@ import pytest
 
 from opendyn import Family, FinSet, Span, walking_cycle
 
-from helpers import feedback_lens, flipflop
+from helpers import feedback_lens, fixture_path, flipflop
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -68,3 +68,18 @@ def test_install_wraps_and_uninstall_restores(tracer):
     assert det.lens_to_span is original
     assert t.counts["deterministic.lens_to_span.calls"] == 1
     assert t.counts["deterministic.lens_to_span.apex_elements"] == 2
+
+
+def test_a_markov_simulate_runs_through_the_simulate_stoch_wrapper(tracer, tmp_path):
+    cli = importlib.import_module("opendyn.cli")
+    argv = ["simulate", fixture_path("stoch.json"), "--system", "chain", "--start", "a",
+            "--word", "go,stay,go", "--out", str(tmp_path / "run.csv")]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = cli.main(argv)
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert t.counts["stochastic.simulate_stoch.calls"] == 1
+    assert t.counts["stochastic.simulate_stoch.steps"] == 3
