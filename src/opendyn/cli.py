@@ -5,9 +5,9 @@ are deterministic for a fixed invocation (no timestamps, seeded randomness,
 canonical float and JSON formatting), so repeated runs are byte-identical.
 `matrix` output and the projects `compose` and `tensor` write are the bytes
 of `json.dumps(obj, indent=2)` plus a newline, from one writer,
-`project.write_json`. `matrix` refuses a span whose matrix would have more
-than `deterministic.MAX_MATRIX_ENTRIES` entries before building it, and
-`steady` an orbit walk of more than `deterministic.MAX_WALK` tuples.
+`project.write_json`. `matrix` refuses a span whose matrix would have more than
+`deterministic.MAX_MATRIX_ENTRIES` entries before building it, and `steady` and
+`check`'s project scan an orbit walk of more than `deterministic.MAX_WALK` tuples.
 `steady`, `simulate` and `check`'s project scan run one code path for a
 deterministic and a Markov machine alike; an ODE system cannot be `steady`.
 Exit codes: 0 success, 1 a check reported a failure, 2 usage or validation
@@ -215,7 +215,10 @@ def _project_matrix_scan(project: ProjectFile) -> SuiteResult:
                 continue
             checked += 1
             for k in (1, 2):
-                match = check_matrix_theorem(lens, sys_entry, k)
+                try:
+                    match = check_matrix_theorem(lens, sys_entry, k)
+                except ValidationError as exc:
+                    raise ValidationError(f"lens {ln!r} on system {sn!r}, k={k}: {exc}") from None
                 if not match:
                     return SuiteResult(
                         "project-matrix",

@@ -38,7 +38,6 @@ from .finset import (
     _family,
     _fibers,
     _match_fibers,
-    expect_str,
     join_labels,
     product_finset,
 )
@@ -50,9 +49,9 @@ from .finset import (
 #: 53 MB of JSON.
 MAX_MATRIX_ENTRIES = 10_000_000
 
-#: Most tuples, |S|·|I|^k, that the period-k walk of `periodic_orbits` may
-#: try; it tries them all however few orbits it finds. On a 2-CPU VM,
-#: 2·3^12 = 1,062,882 tuples took 10.9 s and 364 MB.
+#: Most tuples, |S|·|I|^k, that a period-k orbit walk may try; it tries them
+#: all however few orbits it finds. On a 2-CPU VM, 2·3^12 = 1,062,882 tuples
+#: took 10.9 s and 364 MB.
 MAX_WALK = 1_000_000
 
 
@@ -107,8 +106,8 @@ class Identity:
     calls its static methods: `cell_problem(cell, states)` says what is wrong
     with one update cell, or None; `product(a, b, states)` is the cell of two
     machines run side by side, on the product states; `point(cell)` is the
-    state the cell reaches for sure, or None; `sample(cell, rng)` draws one;
-    `cell_to_obj` and `cell_from_obj(value, states, what)` are its JSON codec.
+    state the cell reaches for sure, or None; `sample(cell, rng)` draws one.
+    `opendyn.project` writes and reads the cells of each effect.
     """
 
     cell_problem = staticmethod(_label_problem)
@@ -124,14 +123,6 @@ class Identity:
     @staticmethod
     def sample(cell: str, rng: random.Random) -> str:
         return cell
-
-    @staticmethod
-    def cell_to_obj(cell: str) -> str:
-        return cell
-
-    @staticmethod
-    def cell_from_obj(value, states: FinSet, what: str) -> str:
-        return expect_str(value, what)
 
 
 class Machine:
@@ -570,21 +561,36 @@ def representable_span(rep: DetSystem, sys: Machine) -> Family:
     return _family(chart_hom_set(rep.interface, sys.interface), _orbits(rep, sys))
 
 
+def _period_walk(k: int, *machines: Machine) -> DetSystem:
+    """The walking k-cycle, whose maps into a machine are its period-k orbits, once k
+    is a period and the walk into each of `machines` (a machine, then that machine
+    rewired by a lens) tries at most `MAX_WALK` tuples, |S|·|I|^k. Every walk starts here."""
+    if k < 1:
+        raise ValidationError(f"orbit period must be at least 1, got {k}")
+    for whose, sys in zip(("", " of the rewired system"), machines):
+        n_states, n_inputs = len(sys.states), len(sys.interface.inputs)
+        # with k times |I|'s bit length past 256 the count passes 2^128 and is
+        # left uncomputed: at a large k, computing or printing it could fail or hang
+        huge = n_states and n_inputs > 1 and k * n_inputs.bit_length() > 256
+        if not huge and n_states * n_inputs**k <= MAX_WALK:
+            continue
+        count = "" if huge else f" = {n_states * n_inputs**k}"
+        raise ValidationError(
+            f"the period-{k} orbit walk{whose} tries |S|*|I|^k = {n_states}*{n_inputs}^{k}"
+            f"{count} tuples; more than MAX_WALK = {MAX_WALK}"
+        )
+    return walking_cycle(k)
+
+
 def steady_span(sys: Machine) -> Family:
     """States whose update stays put for sure, fibered over (output, input)
     pairs: the maps into `sys` from the one-state walking cycle."""
-    return representable_span(walking_cycle(1), sys)
-
-
-def _check_period(k: int) -> None:
-    if k < 1:
-        raise ValidationError(f"orbit period must be at least 1, got {k}")
+    return representable_span(_period_walk(1, sys), sys)
 
 
 def periodic_orbit_span(sys: Machine, k: int) -> Family:
     """Orbits of period dividing k, fibered over k-tuples of (output, input) pairs."""
-    _check_period(k)
-    return representable_span(walking_cycle(k), sys)
+    return representable_span(_period_walk(k, sys), sys)
 
 
 def periodic_orbits(sys: Machine, k: int) -> Iterator[tuple[str, str]]:
@@ -596,16 +602,9 @@ def periodic_orbits(sys: Machine, k: int) -> Iterator[tuple[str, str]]:
     raises `duplicate element label` then. A walk of more than `MAX_WALK`
     tuples is a `ValidationError` that states its length.
     """
-    _check_period(k)
-    n_states, n_inputs = len(sys.states), len(sys.interface.inputs)
-    if n_states * n_inputs**k > MAX_WALK:
-        raise ValidationError(
-            f"the period-{k} orbit walk tries |S|*|I|^k = {n_states}*{n_inputs}^{k} = "
-            f"{n_states * n_inputs**k} tuples; more than MAX_WALK = {MAX_WALK}"
-        )
     charts: dict[str, tuple[str, ...]] = {}
     elements: set[str] = set()
-    for chart, combo in _orbits(walking_cycle(k), sys):
+    for chart, combo in _orbits(_period_walk(k, sys), sys):
         chart_label, element = join_labels(*chart), join_labels(*combo)
         if element in elements:
             raise ValidationError(f"duplicate element label {element!r}")
@@ -683,11 +682,12 @@ def check_matrix_theorem(lens: DetLens, sys: Machine, k: int) -> FamilyMatch:
     apply_span_to_family(lens_to_span(lens, walking_cycle(k).interface),
     periodic_orbit_span(sys, k)))`, but no chart set is built: both sides come
     from the one orbit walk, the span's apex is built over the charts that
-    carry orbits only, and fibers are compared where they are nonempty.
+    carry orbits only, and fibers are compared where they are nonempty. That
+    apex has at most as many elements as the rewired machine has orbits, so a
+    walk of either machine past `MAX_WALK` tuples is refused first.
     """
     rewired = compose_lens_system(lens, sys)  # refuses a lens whose source is not sys's
-    _check_period(k)
-    cycle = walking_cycle(k)
+    cycle = _period_walk(k, sys, rewired)
     _, orbit_fibers = _fibers(_orbits(cycle, sys))
     # apply_span_to_family's elements "apex|orbit": by apex, then by orbit
     pushed = _fibers(

@@ -284,7 +284,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, value, position = self.advance()
         if kind == "num":
-            return Num(float(value))
+            number = float(value)
+            if number == math.inf:  # it would print as the name inf
+                raise ExprSyntaxError(f"numeral {value!r} is not a finite float", position)
+            return Num(number)
         if kind == "ident":
             peek_kind, peek_value, _ = self.peek()
             if peek_kind == "op" and peek_value == "(":

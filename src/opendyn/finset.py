@@ -332,22 +332,3 @@ def _match_fibers(side1: tuple, side2: tuple, order: Callable, name: Callable) -
         table.update(zip(zs, fibers2.get(b, ())))
     return FamilyMatch(FinMap(FinSet(total1), FinSet(total2), table))
 
-
-# JSON shape checks for decoding project documents; `what` names the place.
-
-
-def expect_obj(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"{what} must be an object")
-    return value
-
-
-def expect_str(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"{what} must be a string")
-    return value
-
-
-def str_table(value, what: str) -> dict[str, str]:
-    table = expect_obj(value, what)
-    return {k: expect_str(v, f"{what}[{k!r}]") for k, v in table.items()}

@@ -1,10 +1,11 @@
 """Project files: one JSON document holding named systems, lenses, and charts.
 
-Every entry carries a `kind` tag ("deterministic", "stochastic", or "ode")
-so wiring commands can refuse cross-doctrine combinations up front. Loading
-validates every module-level invariant and reports the offending entry by
-name; serialization is deterministic (construction order, fixed key order),
-so identical projects produce identical bytes.
+The one module that knows the format. Every entry carries a `kind` tag
+("deterministic", "stochastic", or "ode"); `KINDS` maps each section and kind
+to the entry's class and the codec of its shape. Loading checks an entry's
+JSON shape, naming the place that is wrong, then builds it, naming the entry
+ahead of any invariant it breaks. Saving is deterministic (construction
+order, fixed key order), so identical projects give identical bytes.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from sys import float_info
 from typing import Iterator, TextIO, Union
 
-from .deterministic import DetChart, DetInterface, DetLens, DetSystem, Machine
+from .deterministic import DetChart, DetInterface, DetLens, DetSystem, Identity, Machine
 from .errors import FileAccessError, OpendynError, ValidationError
-from .expr import to_text
-from .finset import FinMap, FinSet, expect_obj, expect_str, str_table
+from .expr import Dag, Expr, Num, to_text
+from .finset import FinMap, FinSet
 from .ode import OdeLens, OdeSystem
-from .stochastic import StochSystem
+from .stochastic import Dist, DistEffect, StochSystem
 
 SystemEntry = Union[DetSystem, StochSystem, OdeSystem]
 LensEntry = Union[DetLens, OdeLens]
@@ -30,17 +32,9 @@ LensEntry = Union[DetLens, OdeLens]
 DOCTRINE_DET = "deterministic"
 DOCTRINE_STOCH = "stochastic"
 DOCTRINE_ODE = "ode"
-_MACHINES = {DOCTRINE_DET: DetSystem, DOCTRINE_STOCH: StochSystem}
 
-
-def doctrine_of(entry: object) -> str:
-    if isinstance(entry, (DetSystem, DetLens, DetChart)):
-        return DOCTRINE_DET
-    if isinstance(entry, StochSystem):
-        return DOCTRINE_STOCH
-    if isinstance(entry, (OdeSystem, OdeLens)):
-        return DOCTRINE_ODE
-    raise ValidationError(f"not a project entry: {type(entry).__name__}")
+#: Each section of a project, and the noun that names one of its entries.
+SECTIONS = {"systems": "system", "lenses": "lens", "charts": "chart"}
 
 
 @dataclass
@@ -68,224 +62,198 @@ class ProjectFile:
         return self.charts[name]
 
 
-def _expect_str_list(value, what: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ValidationError(f"{what} must be an array of strings")
+def _shaped(value, shape: Union[type, int], what: str):
+    """`value`, checked to have `shape`: `dict`, an object; `list`, an array of
+    strings; an int d, d levels of objects around strings (0 is a string). A
+    mismatch names its place below `what`."""
+    if shape is list:
+        if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+            raise ValidationError(f"{what} must be an array of strings")
+    elif shape == 0:
+        if not isinstance(value, str):
+            raise ValidationError(f"{what} must be a string")
+    elif not isinstance(value, dict):
+        raise ValidationError(f"{what} must be an object")
+    elif shape is not dict:
+        for key, item in value.items():
+            if shape > 1 or not isinstance(item, str):
+                _shaped(item, shape - 1, f"{what}[{key!r}]")
     return value
 
 
-def _take(obj: dict, what: str, required: tuple[str, ...]) -> dict:
-    for key in obj:
-        if key not in required and key != "kind":
-            raise ValidationError(f"{what} has an unknown field {key!r}")
-    out = {}
-    for key in required:
-        if key not in obj:
-            raise ValidationError(f"{what} is missing the field {key!r}")
-        out[key] = obj[key]
-    return out
+# One codec per entry shape, three functions: `fields(cls)` gives each JSON
+# field with its shape, in the order `decode(cls, *values)` takes their
+# values to build the entry; `encode(cls, entry)` gives the fields' values.
+
+#: A finite machine's update cells, per effect: the shape of a cell, the cell
+#: from JSON given the machine's states, and the cell to JSON.
+CELLS = {
+    Identity: (0, lambda value, states: value, lambda cell: cell),
+    DistEffect: (1, lambda value, states: Dist(states, value), Dist.to_obj),
+}
 
 
-def _nested_table(value, what: str) -> dict[str, dict[str, str]]:
-    table = expect_obj(value, what)
-    return {k: str_table(v, f"{what}[{k!r}]") for k, v in table.items()}
+def _machine_fields(cls: type) -> dict:
+    cell = CELLS[cls.effect][0]
+    return {"states": list, "inputs": list, "outputs": list, "readout": 1, "update": 2 + cell}
 
 
-def _finmap(dom: FinSet, cod: FinSet, value, what: str) -> FinMap:
-    return FinMap(dom, cod, str_table(value, what))
+def _machine_from_obj(cls: type, states, inputs, outputs, readout, update) -> Machine:
+    states = FinSet(states)
+    iface = DetInterface(FinSet(inputs), FinSet(outputs))
+    readout = FinMap(states, iface.outputs, readout)
+    cell = CELLS[cls.effect][1]
+    update = {s: {i: cell(c, states) for i, c in row.items()} for s, row in update.items()}
+    return cls(states, iface, readout, update)
 
 
-def _finset(fields: dict, key: str, what: str) -> FinSet:
-    return FinSet(_expect_str_list(fields[key], f"{what}.{key}"))
-
-
-def _interface(fields: dict, inputs: str, outputs: str, what: str) -> DetInterface:
-    return DetInterface(_finset(fields, inputs, what), _finset(fields, outputs, what))
-
-
-def machine_to_obj(sys: Machine) -> dict:
-    """A finite machine of any effect; update cells go through the effect's codec."""
-    cell_to_obj = sys.effect.cell_to_obj
+def _machine_to_obj(cls: type, sys: Machine) -> dict:
+    cell = CELLS[cls.effect][2]
     return {
-        "kind": doctrine_of(sys),
         "states": list(sys.states),
         "inputs": list(sys.interface.inputs),
         "outputs": list(sys.interface.outputs),
         "readout": {s: sys.readout(s) for s in sys.states},
-        "update": {
-            s: {i: cell_to_obj(c) for i, c in row.items()} for s, row in sys.update.items()
-        },
+        "update": {s: {i: cell(c) for i, c in row.items()} for s, row in sys.update.items()},
     }
 
 
-def machine_from_obj(obj: dict, what: str, cls: type) -> Machine:
-    fields = _take(obj, what, ("states", "inputs", "outputs", "readout", "update"))
-    states = _finset(fields, "states", what)
-    iface = _interface(fields, "inputs", "outputs", what)
-    readout = _finmap(states, iface.outputs, fields["readout"], f"{what}.readout")
-    cell_from_obj = cls.effect.cell_from_obj
-    update = {
-        s: {
-            i: cell_from_obj(c, states, f"{what}.update[{s!r}][{i!r}]")
-            for i, c in expect_obj(row, f"{what}.update[{s!r}]").items()
-        }
-        for s, row in expect_obj(fields["update"], f"{what}.update").items()
-    }
-    return cls(states, iface, readout, update)
+# A finite lens or chart. They differ only in their input table, whose field
+# name is the class's `table`: `bwd` for a lens, `push` for a chart.
 
 
-def ode_system_to_obj(sys: OdeSystem) -> dict:
+def _rewiring_fields(cls: type) -> dict:
+    interfaces = ("sourceInputs", "sourceOutputs", "targetInputs", "targetOutputs")
+    return {**dict.fromkeys(interfaces, list), "fwd": 1, cls.table: 2}
+
+
+def _rewiring_from_obj(cls: type, source_in, source_out, target_in, target_out, fwd, table):
+    source = DetInterface(FinSet(source_in), FinSet(source_out))
+    target = DetInterface(FinSet(target_in), FinSet(target_out))
+    return cls(source, target, FinMap(source.outputs, target.outputs, fwd), table)
+
+
+def _rewiring_to_obj(cls: type, arrow: Union[DetLens, DetChart]) -> dict:
     return {
-        "kind": DOCTRINE_ODE,
-        "stateVars": list(sys.state_vars),
-        "outputVars": list(sys.output_vars),
-        "paramVars": list(sys.param_vars),
-        "readout": {v: to_text(sys.readout[v]) for v in sys.output_vars},
-        "field": {v: to_text(sys.field[v]) for v in sys.state_vars},
-    }
-
-
-def ode_system_from_obj(obj: dict, what: str) -> OdeSystem:
-    fields = _take(obj, what, ("stateVars", "outputVars", "paramVars", "readout", "field"))
-    return OdeSystem(
-        _expect_str_list(fields["stateVars"], f"{what}.stateVars"),
-        _expect_str_list(fields["outputVars"], f"{what}.outputVars"),
-        _expect_str_list(fields["paramVars"], f"{what}.paramVars"),
-        str_table(fields["readout"], f"{what}.readout"),
-        str_table(fields["field"], f"{what}.field"),
-    )
-
-
-def rewiring_to_obj(arrow: Union[DetLens, DetChart]) -> dict:
-    """A finite lens or chart. They differ only in their input table, whose
-    field name is the class's `table`: `bwd` for a lens, `push` for a chart."""
-    table = arrow.table
-    return {
-        "kind": DOCTRINE_DET,
         "sourceInputs": list(arrow.source.inputs),
         "sourceOutputs": list(arrow.source.outputs),
         "targetInputs": list(arrow.target.inputs),
         "targetOutputs": list(arrow.target.outputs),
         "fwd": {o: arrow.fwd(o) for o in arrow.source.outputs},
-        table: {o: dict(row) for o, row in getattr(arrow, table).items()},
+        cls.table: {o: dict(row) for o, row in getattr(arrow, cls.table).items()},
     }
 
 
-def rewiring_from_obj(obj: dict, what: str, cls: type) -> Union[DetLens, DetChart]:
-    table = cls.table
-    fields = _take(
-        obj,
-        what,
-        ("sourceInputs", "sourceOutputs", "targetInputs", "targetOutputs", "fwd", table),
-    )
-    source = _interface(fields, "sourceInputs", "sourceOutputs", what)
-    target = _interface(fields, "targetInputs", "targetOutputs", what)
-    fwd = _finmap(source.outputs, target.outputs, fields["fwd"], f"{what}.fwd")
-    return cls(source, target, fwd, _nested_table(fields[table], f"{what}.{table}"))
+#: An ODE entry's fields, JSON name -> attribute, in constructor order. A
+#: `...Vars` field is a list of names; the others are expression tables.
+_ODE_FIELDS = {
+    OdeSystem: dict(stateVars="state_vars", outputVars="output_vars", paramVars="param_vars",
+                    readout="readout", field="field"),
+    OdeLens: dict(sourceOutputVars="source_outputs", sourceParamVars="source_params",
+                  targetOutputVars="target_outputs", targetParamVars="target_params",
+                  fwd="fwd", bwd="bwd"),
+}
 
 
-def ode_lens_to_obj(lens: OdeLens) -> dict:
-    return {
-        "kind": DOCTRINE_ODE,
-        "sourceOutputVars": list(lens.source_outputs),
-        "sourceParamVars": list(lens.source_params),
-        "targetOutputVars": list(lens.target_outputs),
-        "targetParamVars": list(lens.target_params),
-        "fwd": {o: to_text(lens.fwd[o]) for o in lens.target_outputs},
-        "bwd": {p: to_text(lens.bwd[p]) for p in lens.source_params},
-    }
+def _ode_to_obj(cls: type, entry: Union[OdeSystem, OdeLens]) -> dict:
+    obj = {}
+    for key, attr in _ODE_FIELDS[cls].items():
+        value = getattr(entry, attr)
+        obj[key] = list(value) if key.endswith("Vars") else {
+            k: _expr_text(e, f"{key}[{k!r}]") for k, e in value.items()
+        }
+    return obj
 
 
-def ode_lens_from_obj(obj: dict, what: str) -> OdeLens:
-    fields = _take(
-        obj,
-        what,
-        (
-            "sourceOutputVars",
-            "sourceParamVars",
-            "targetOutputVars",
-            "targetParamVars",
-            "fwd",
-            "bwd",
-        ),
-    )
-    return OdeLens(
-        _expect_str_list(fields["sourceOutputVars"], f"{what}.sourceOutputVars"),
-        _expect_str_list(fields["sourceParamVars"], f"{what}.sourceParamVars"),
-        _expect_str_list(fields["targetOutputVars"], f"{what}.targetOutputVars"),
-        _expect_str_list(fields["targetParamVars"], f"{what}.targetParamVars"),
-        str_table(fields["fwd"], f"{what}.fwd"),
-        str_table(fields["bwd"], f"{what}.bwd"),
-    )
+def _expr_text(e: Expr, what: str) -> str:
+    """The text of `e`, which `parse` reads back as `e` when its constants are finite."""
+    for node in Dag((e,)).nodes:
+        if isinstance(node, Num) and not abs(node.value) <= float_info.max:
+            raise ValidationError(f"{what} has a constant that is not a finite float: {node.value!r}")
+    return to_text(e)
 
 
-def system_to_obj(sys: SystemEntry) -> dict:
-    return ode_system_to_obj(sys) if isinstance(sys, OdeSystem) else machine_to_obj(sys)
+_MACHINE = (_machine_fields, _machine_from_obj, _machine_to_obj)
+_REWIRING = (_rewiring_fields, _rewiring_from_obj, _rewiring_to_obj)
+_ODE = (
+    lambda cls: {key: list if key.endswith("Vars") else 1 for key in _ODE_FIELDS[cls]},
+    lambda cls, *values: cls(*values),
+    _ode_to_obj,
+)
+
+#: (section, kind) -> the entry's class and codec.
+KINDS = {
+    ("systems", DOCTRINE_DET): (DetSystem, _MACHINE),
+    ("systems", DOCTRINE_STOCH): (StochSystem, _MACHINE),
+    ("systems", DOCTRINE_ODE): (OdeSystem, _ODE),
+    ("lenses", DOCTRINE_DET): (DetLens, _REWIRING),
+    ("lenses", DOCTRINE_ODE): (OdeLens, _ODE),
+    ("charts", DOCTRINE_DET): (DetChart, _REWIRING),
+}
 
 
-def system_from_obj(obj: dict, what: str) -> SystemEntry:
-    kind = expect_str(expect_obj(obj, what).get("kind"), f"{what}.kind")
-    if kind in _MACHINES:
-        return machine_from_obj(obj, what, _MACHINES[kind])
-    if kind == DOCTRINE_ODE:
-        return ode_system_from_obj(obj, what)
-    raise ValidationError(f"{what}: unknown kind {kind!r}")
+def doctrine_of(entry: object) -> str:
+    for (_, kind), (cls, _) in KINDS.items():
+        if isinstance(entry, cls):
+            return kind
+    raise ValidationError(f"not a project entry: {type(entry).__name__}")
 
 
-def lens_to_obj(lens: LensEntry) -> dict:
-    return rewiring_to_obj(lens) if isinstance(lens, DetLens) else ode_lens_to_obj(lens)
-
-
-def lens_from_obj(obj: dict, what: str) -> LensEntry:
-    kind = expect_str(expect_obj(obj, what).get("kind"), f"{what}.kind")
-    if kind == DOCTRINE_DET:
-        return rewiring_from_obj(obj, what, DetLens)
-    if kind == DOCTRINE_ODE:
-        return ode_lens_from_obj(obj, what)
-    raise ValidationError(f"{what}: unknown kind {kind!r}")
-
-
-def chart_from_obj(obj: dict, what: str) -> DetChart:
-    kind = expect_str(expect_obj(obj, what).get("kind"), f"{what}.kind")
-    if kind != DOCTRINE_DET:
-        raise ValidationError(f"{what}: charts exist only in the deterministic doctrine")
-    return rewiring_from_obj(obj, what, DetChart)
+def _entry_from_obj(section: str, obj, what: str):
+    """The entry `what` of `section`; a class's refusal is prefixed `what: `."""
+    kind = _shaped(obj, dict, what).get("kind")
+    if not isinstance(kind, str):
+        raise ValidationError(f"{what}.kind must be a string")
+    if (section, kind) not in KINDS:
+        if section == "charts":
+            raise ValidationError(f"{what}: charts exist only in the deterministic doctrine")
+        raise ValidationError(f"{what}: unknown kind {kind!r}")
+    cls, (fields, decode, _) = KINDS[section, kind]
+    shapes = fields(cls)
+    for key in obj:
+        if key not in shapes and key != "kind":
+            raise ValidationError(f"{what} has an unknown field {key!r}")
+    for key in shapes:
+        if key not in obj:
+            raise ValidationError(f"{what} is missing the field {key!r}")
+    values = [_shaped(obj[key], shape, f"{what}.{key}") for key, shape in shapes.items()]
+    try:
+        return decode(cls, *values)
+    except OpendynError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
 
 
 def project_to_obj(project: ProjectFile) -> dict:
     obj: dict = {"version": project.version}
-    if project.systems:
-        obj["systems"] = {name: system_to_obj(s) for name, s in project.systems.items()}
-    if project.lenses:
-        obj["lenses"] = {name: lens_to_obj(l) for name, l in project.lenses.items()}
-    if project.charts:
-        obj["charts"] = {name: rewiring_to_obj(c) for name, c in project.charts.items()}
+    for section in SECTIONS:
+        entries = {}
+        for name, entry in getattr(project, section).items():
+            kind = doctrine_of(entry)
+            cls, (_, _, encode) = KINDS[section, kind]
+            try:
+                entries[name] = {"kind": kind, **encode(cls, entry)}
+            except OpendynError as exc:
+                raise ValidationError(f"{SECTIONS[section]} {name!r}: {exc}") from None
+        if entries:
+            obj[section] = entries
     return obj
 
 
 def project_from_obj(obj) -> ProjectFile:
-    top = expect_obj(obj, "project")
+    top = _shaped(obj, dict, "project")
     for key in top:
-        if key not in ("version", "systems", "lenses", "charts"):
+        if key != "version" and key not in SECTIONS:
             raise ValidationError(f"project has an unknown field {key!r}")
     if top.get("version") != 1:
         raise ValidationError(f"unsupported project version {top.get('version')!r}")
-    project = ProjectFile(version=1)
-
-    def load_section(section: str, noun: str, loader) -> dict:
-        out: dict = {}
-        for name, entry in expect_obj(top.get(section, {}), section).items():
-            what = f"{noun} {name!r}"
-            try:
-                out[name] = loader(expect_obj(entry, what), what)
-            except OpendynError as exc:
-                raise ValidationError(f"{what}: {exc}") from None
-        return out
-
-    project.systems = load_section("systems", "system", system_from_obj)
-    project.lenses = load_section("lenses", "lens", lens_from_obj)
-    project.charts = load_section("charts", "chart", chart_from_obj)
-    return project
+    sections = {
+        section: {
+            name: _entry_from_obj(section, entry, f"{noun} {name!r}")
+            for name, entry in _shaped(top.get(section, {}), dict, section).items()
+        }
+        for section, noun in SECTIONS.items()
+    }
+    return ProjectFile(1, **sections)
 
 
 def load_project(path: Union[str, Path]) -> ProjectFile:

@@ -29,7 +29,7 @@ from .deterministic import (
     DetSystem, Machine, compose_lens_system, simulate_system, steady_span, tensor_systems
 )
 from .errors import ValidationError
-from .finset import FinSet, join_labels, str_table
+from .finset import FinSet, join_labels
 
 WeightLike = Union[Fraction, int, str]
 
@@ -158,12 +158,6 @@ class DistEffect:
                 return label
         assert last is not None
         return last
-
-    cell_to_obj = staticmethod(Dist.to_obj)
-
-    @staticmethod
-    def cell_from_obj(value, states: FinSet, what: str) -> Dist:
-        return Dist(states, str_table(value, what))
 
 
 class StochSystem(Machine):

@@ -23,7 +23,7 @@ from opendyn import (
 )
 from opendyn.cli import main
 from opendyn.expr import MAX_NODES
-from opendyn.project import ProjectFile
+from opendyn.project import ProjectFile, project_from_obj
 
 from helpers import feedback_lens, fixture_path, flipflop, oscillator, wide_lens
 
@@ -606,6 +606,78 @@ class TestWalkBound:
         for machine in (flipflop(), swap()):
             with pytest.raises(ValidationError, match=refused):
                 list(det.periodic_orbits(machine, 3))
+
+
+def fan_in_project(new_inputs: int) -> dict:
+    """Two fixed states under one input, and a lens that feeds the input from
+    any of `new_inputs` new ones: the rewired walk is 2*new_inputs^k long."""
+    names = [f"n{j}" for j in range(new_inputs)]
+    return {"version": 1, "systems": {"s": {
+        "kind": "deterministic", "states": ["a", "b"], "inputs": ["x"], "outputs": ["o"],
+        "readout": {"a": "o", "b": "o"}, "update": {"a": {"x": "a"}, "b": {"x": "b"}},
+    }}, "lenses": {"wide": {
+        "kind": "deterministic", "sourceInputs": ["x"], "sourceOutputs": ["o"],
+        "targetInputs": names, "targetOutputs": ["o"], "fwd": {"o": "o"},
+        "bwd": {"o": dict.fromkeys(names, "x")},
+    }}}
+
+
+class TestEveryWalkIsBounded:
+    """`periodic_orbits` bounds its walk; the spans and the theorem, on both
+    the machine and the machine behind the lens, go through the same bound."""
+
+    def no_walk(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a walk or an apex was built")
+
+        monkeypatch.setattr(det, "_maps_into", fail)
+        monkeypatch.setattr(det, "_lens_apex", fail)
+
+    def test_check_refuses_a_wide_lens_naming_the_pair(self, tmp_path, capsys):
+        project = tmp_path / "wide.json"
+        project.write_text(json.dumps(fan_in_project(1500), indent=2))
+        out = tmp_path / "report.txt"
+        argv = ["check", str(project), "--cases", "0", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: lens 'wide' on system 's', k=2: the period-2 orbit walk of the rewired "
+            "system tries |S|*|I|^k = 2*1500^2 = 4500000 tuples; more than MAX_WALK = 1000000\n"
+        )
+        assert not out.exists()
+
+    def test_the_theorem_checks_both_machines_before_walking(self, monkeypatch):
+        project = project_from_obj(fan_in_project(4))
+        lens, sys = project.lens("wide"), project.system("s")
+        monkeypatch.setattr(det, "MAX_WALK", 2 * 4**2 - 1)
+        assert det.check_matrix_theorem(lens, sys, 1)
+        self.no_walk(monkeypatch)
+        rewired = r"walk of the rewired system tries \|S\|\*\|I\|\^k = 2\*4\^2 = 32 tuples"
+        with pytest.raises(ValidationError, match=rewired):
+            det.check_matrix_theorem(lens, sys, 2)
+        monkeypatch.setattr(det, "MAX_WALK", 1)
+        with pytest.raises(ValidationError, match=r"^the period-1 orbit walk tries .* = 2 tuples"):
+            det.check_matrix_theorem(lens, sys, 1)
+
+    def test_the_spans_are_bounded_like_the_rows(self, monkeypatch):
+        monkeypatch.setattr(det, "MAX_WALK", 2 * 3**3 - 1)
+        self.no_walk(monkeypatch)
+        refused = r"2\*3\^3 = 54 tuples; more than MAX_WALK = 53$"
+        with pytest.raises(ValidationError, match=refused):
+            det.periodic_orbit_span(flipflop(), 3)
+        monkeypatch.setattr(det, "MAX_WALK", 2 * 3 - 1)
+        with pytest.raises(ValidationError, match=r"2\*3\^1 = 6 tuples"):
+            det.steady_span(flipflop())
+
+    def test_a_walk_too_long_to_count_is_refused_without_its_count(self, tmp_path, capsys):
+        out = tmp_path / "orbits.csv"
+        argv = ["steady", FLIPFLOP, "--system", "flipflop", "--k", "100000", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the period-100000 orbit walk tries |S|*|I|^k = 2*3^100000 tuples; "
+            "more than MAX_WALK = 1000000\n"
+        )
+        assert not out.exists()
 
 
 # Two Markov machines with weight denominators 2 to 7, some given out of state

@@ -83,6 +83,13 @@ class TestParseErrors:
         with pytest.raises(ExprSyntaxError, match="after expression"):
             parse("1 + 2)")
 
+    @pytest.mark.parametrize("text, position", [("1e999", 0), ("-1e999", 1), ("2*1e309", 2)])
+    def test_a_numeral_past_the_floats_is_refused(self, text, position):
+        with pytest.raises(ExprSyntaxError, match="is not a finite float") as err:
+            parse(text)
+        assert err.value.position == position
+        assert parse("1e308") == Num(1e308)
+
     def test_unexpected_character(self):
         with pytest.raises(ExprSyntaxError) as err:
             parse("a $ b")
@@ -175,6 +182,13 @@ class TestExactEquality:
         one, other = BinOp("*", shared, shared), parse("(x + y)*(x + y)")
         assert one == other and hash(one) == hash(other)
         assert len({one, other, parse("(x + y)*(y + x)")}) == 2
+
+    def test_non_finite_constants_compare_hash_and_print(self):
+        for value in (math.inf, -math.inf, math.nan):
+            node = Neg(Num(value))
+            assert node == Neg(Num(value)) and hash(node) == hash(Neg(Num(value)))
+            assert repr(node) == f"Neg(arg=Num(value={value!r}))"
+        assert Num(math.inf) != Num(-math.inf)
 
     def test_a_node_is_not_equal_to_other_values(self):
         assert Var("x") != "x"

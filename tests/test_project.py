@@ -1,12 +1,17 @@
 """Loading, validating, and round-tripping project files."""
 
 import json
+import math
 
 import pytest
 
 from opendyn import (
+    BinOp,
+    Num,
     OdeSystem,
+    OpendynError,
     StochSystem,
+    Var,
     ValidationError,
     load_project,
     save_project,
@@ -133,6 +138,101 @@ class TestValidation:
         obj = {"version": 1, "systems": {"bad": det_entry(update={"s0": {}})}}
         with pytest.raises(ValidationError, match="update"):
             load_project(write_json(tmp_path, obj))
+
+
+def ode_entry(**overrides):
+    entry = {
+        "kind": "ode", "stateVars": ["x"], "outputVars": ["y"], "paramVars": [],
+        "readout": {"y": "x"}, "field": {"x": "-x"},
+    }
+    entry.update(overrides)
+    return entry
+
+
+def det_lens_entry(**overrides):
+    entry = {
+        "kind": "deterministic", "sourceInputs": ["i"], "sourceOutputs": ["o"],
+        "targetInputs": ["j"], "targetOutputs": ["o"], "fwd": {"o": "o"},
+        "bwd": {"o": {"j": "i"}},
+    }
+    entry.update(overrides)
+    return entry
+
+
+STOCH_ENTRY = det_entry(kind="stochastic", update={"s0": {"i": {"s0": 1}}})
+NO_OUTPUTS = {k: v for k, v in det_entry().items() if k != "outputs"}
+
+
+class TestLoadErrorsNameTheEntryOnce:
+    """Every refusal of an entry names it once: a wrong JSON shape at the
+    place that is wrong, anything else ahead of the reason."""
+
+    @pytest.mark.parametrize(
+        "section, entry, message",
+        [
+            ("systems", NO_OUTPUTS, "system 'e' is missing the field 'outputs'"),
+            ("systems", det_entry(surprise=True), "system 'e' has an unknown field 'surprise'"),
+            ("systems", [], "system 'e' must be an object"),
+            ("systems", det_entry(states="s0"), "system 'e'.states must be an array of strings"),
+            ("systems", det_entry(readout={"s0": 1}), "system 'e'.readout['s0'] must be a string"),
+            ("systems", det_entry(update={"s0": ["i"]}), "system 'e'.update['s0'] must be an object"),
+            ("systems", STOCH_ENTRY, "system 'e'.update['s0']['i']['s0'] must be a string"),
+            ("systems", ode_entry(field={"x": 1}), "system 'e'.field['x'] must be a string"),
+            ("lenses", det_lens_entry(bwd={"o": "i"}), "lens 'e'.bwd['o'] must be an object"),
+            ("systems", det_entry(kind=3), "system 'e'.kind must be a string"),
+            ("charts", {}, "chart 'e'.kind must be a string"),
+            ("systems", det_entry(kind="quantum"), "system 'e': unknown kind 'quantum'"),
+            ("lenses", det_lens_entry(kind="stochastic"), "lens 'e': unknown kind 'stochastic'"),
+            (
+                "charts",
+                det_lens_entry(kind="ode"),
+                "chart 'e': charts exist only in the deterministic doctrine",
+            ),
+            ("systems", det_entry(states=["s0", "s0"]), "system 'e': duplicate element label 's0'"),
+            (
+                "systems",
+                ode_entry(field={"x": "1e999*x"}),
+                "system 'e': numeral '1e999' is not a finite float (at position 0)",
+            ),
+        ],
+    )
+    def test_message(self, section, entry, message):
+        with pytest.raises(ValidationError) as err:
+            project_from_obj({"version": 1, section: {"e": entry}})
+        assert str(err.value) == message
+
+    def test_a_file_prefixes_its_path(self, tmp_path):
+        path = write_json(tmp_path, {"version": 1, "systems": {"e": det_entry(kind="quantum")}})
+        with pytest.raises(ValidationError) as err:
+            load_project(path)
+        assert str(err.value) == f"{path}: system 'e': unknown kind 'quantum'"
+
+
+class TestNonFiniteConstants:
+    """A numeral past the floats parses to inf, which would print as a name."""
+
+    @pytest.mark.parametrize("text", ["1e999*x", "-1e999"])
+    def test_a_numeral_past_the_floats_is_refused(self, text):
+        with pytest.raises(OpendynError, match="numeral '1e999' is not a finite float"):
+            OdeSystem(["x"], ["y"], [], {"y": "x"}, {"x": text})
+
+    def test_the_largest_floats_round_trip(self, tmp_path):
+        sys = OdeSystem(["x"], ["y"], [], {"y": "-1e308*x"}, {"x": "1.7976931348623157e308"})
+        path = tmp_path / "big.json"
+        save_project(ProjectFile(systems={"big": sys}), path)
+        assert load_project(str(path)).system("big") == sys
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_python_built_constant_is_refused_before_writing(self, tmp_path, value):
+        field = BinOp("*", Num(value), Var("x"))
+        sys = OdeSystem(["x"], ["y"], [], {"y": "x"}, {"x": field})
+        path = tmp_path / "inf.json"
+        with pytest.raises(ValidationError) as err:
+            save_project(ProjectFile(systems={"s": sys}), path)
+        assert str(err.value) == (
+            f"system 's': field['x'] has a constant that is not a finite float: {value!r}"
+        )
+        assert not path.exists()
 
 
 class TestRoundTrip:
