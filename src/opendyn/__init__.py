@@ -5,7 +5,10 @@ weights, and expression-defined ODE systems all share one wiring discipline:
 lenses rewire interfaces, tensor places systems side by side. Steady states
 and periodic orbits form families over chart sets, lenses induce spans
 (matrices of sets) between those chart sets, and `check_matrix_theorem`
-verifies that wiring commutes with collecting behaviors.
+verifies that wiring commutes with collecting behaviors. A chart set is a
+`ProductSet`, never listed unless its labels are asked for; an orbit family
+holds only the charts that carry orbits, and a lens span its one-step table
+and k, so the theorem, `steady` and `matrix` read these public objects alone.
 """
 
 from .errors import (
@@ -22,6 +25,7 @@ from .finset import (
     FamilyMatch,
     FinMap,
     FinSet,
+    ProductSet,
     Span,
     apply_span_to_family,
     compose_spans,
@@ -62,6 +66,7 @@ from .deterministic import (
     compose_lenses,
     identity_chart,
     identity_lens,
+    lens_matrix,
     lens_to_span,
     paste_horizontal,
     paste_vertical,

@@ -6,8 +6,10 @@ canonical float and JSON formatting), so repeated runs are byte-identical.
 `matrix` output and the projects `compose` and `tensor` write are the bytes
 of `json.dumps(obj, indent=2)` plus a newline, from one writer,
 `project.write_json`. `matrix` refuses a span whose matrix would have more than
-`deterministic.MAX_MATRIX_ENTRIES` entries before building it, and `steady` and
-`check`'s project scan an orbit walk of more than `deterministic.MAX_WALK` tuples.
+`deterministic.MAX_MATRIX_ENTRIES` entries before building anything of size k,
+and `steady` and `check`'s project scan an orbit walk of more than
+`deterministic.MAX_WALK` tuples; all three refuse a period past
+`deterministic.MAX_PERIOD`.
 `steady`, `simulate` and `check`'s project scan run one code path for a
 deterministic and a Markov machine alike; an ODE system cannot be `steady`.
 Exit codes: 0 success, 1 a check reported a failure, 2 usage or validation
@@ -30,15 +32,13 @@ from .deterministic import (
     Machine,
     check_matrix_theorem,
     check_square,
-    lens_to_span,
+    lens_matrix,
     periodic_orbits,
     simulate_system,
     tensor_systems,
-    walking_cycle,
     compose_lens_system,
 )
 from .errors import OpendynError, ValidationError
-from .finset import span_to_matrix
 from .laws import (
     lens_law_suite,
     matrix_suite,
@@ -117,7 +117,7 @@ def cmd_steady(args) -> int:
         raise ValidationError(
             f"steady enumeration needs a finite-state system, got {doctrine_of(sys_entry)}"
         )
-    rows = list(periodic_orbits(sys_entry, args.k))
+    rows = periodic_orbits(sys_entry, args.k)
     _write_csv(args.out, ("chart", "element"), rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -130,14 +130,14 @@ def cmd_matrix(args) -> int:
         raise ValidationError(
             f"matrix dump needs a deterministic lens, got {doctrine_of(lens)}"
         )
-    span = lens_to_span(lens, walking_cycle(args.k).interface)
+    source, target, matrix = lens_matrix(lens, args.k)
     obj = {
         "version": 1,
         "lens": args.lens,
         "k": args.k,
-        "source": list(span.source),
-        "target": list(span.target),
-        "matrix": span_to_matrix(span),
+        "source": list(source),
+        "target": list(target),
+        "matrix": matrix,
     }
     write_json(obj, args.out)
     print(f"wrote {args.out}")

@@ -14,10 +14,12 @@ into a span between these chart sets, and `check_matrix_theorem` verifies
 that rewiring a machine and then collecting its orbits agrees, up to a
 fiberwise bijection, with applying that span to the orbits of the original
 machine. That is span (= matrix-of-sets) arithmetic acting on behaviors.
-One orbit walk, reading update cells through the effect's `point`, one apex
-construction (from the preimages of the one-step `bwd` table) and one fiber
-match serve every step and every effect, all on slot tuples; labels are
-joined with `|` only where a Family, Span or FamilyMatch is handed out. One
+The theorem, `steady` and `matrix` all read these public objects. A chart set
+is a `ProductSet` and is never enumerated; an orbit family holds the rows of
+the one orbit walk, which reads update cells through the effect's `point`;
+a lens span holds its one-step `bwd` preimage table and k, and pushes a
+family through the charts that carry orbits only. Labels are joined with `|`
+only where a Family, Span or FamilyMatch hands them out. One
 run loop, `simulate_system`, draws each step through the effect's `sample`.
 """
 
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
 from typing import ClassVar, Iterable, Iterator, Mapping, Optional
 
 from .errors import BoundaryError, ValidationError
@@ -34,17 +37,19 @@ from .finset import (
     FamilyMatch,
     FinMap,
     FinSet,
+    ProductSet,
     Span,
     _family,
-    _fibers,
-    _match_fibers,
+    apply_span_to_family,
+    families_isomorphic,
     join_labels,
     product_finset,
+    span_to_matrix,
 )
 
 #: Most entries a lens span's matrix may have, and most charts either side of
-#: it may have; `lens_to_span` refuses a larger span before it builds a chart
-#: set. At k = 3 a lens from 3 outputs x 3 inputs to 4 outputs x 5 inputs
+#: it may have; `lens_matrix` refuses a larger matrix before it builds anything
+#: of size k. At k = 3 a lens from 3 outputs x 3 inputs to 4 outputs x 5 inputs
 #: has 729 x 8,000 = 5,832,000 entries, and `opendyn matrix` writes them as
 #: 53 MB of JSON.
 MAX_MATRIX_ENTRIES = 10_000_000
@@ -53,6 +58,11 @@ MAX_MATRIX_ENTRIES = 10_000_000
 #: all however few orbits it finds. On a 2-CPU VM, 2·3^12 = 1,062,882 tuples
 #: took 10.9 s and 364 MB.
 MAX_WALK = 1_000_000
+
+#: Most states a walking cycle may have, so the longest period an orbit walk
+#: or a lens span may have. Where |I| = 1, or |S| = 0, |S|·|I|^k does not grow
+#: with k, but each orbit still fills 2k slots and each chart label has 2k parts.
+MAX_PERIOD = 10_000
 
 
 @dataclass(frozen=True)
@@ -441,29 +451,30 @@ def walking_cycle(k: int) -> DetSystem:
     """The k-state cycle that exposes its entire state.
 
     Charts out of it pick out period-k orbits; k = 1 is the one-state machine
-    whose charts pick out steady states.
+    whose charts pick out steady states. A cycle of more than `MAX_PERIOD`
+    states is refused before it is built.
     """
     if k < 1:
         raise ValidationError(f"cycle length must be at least 1, got {k}")
+    if k > MAX_PERIOD:
+        raise ValidationError(f"cycle length {k} is more than MAX_PERIOD = {MAX_PERIOD}")
     states = FinSet(f"c{j}" for j in range(k))
     iface = DetInterface(FinSet(["*"]), states)
     update = {f"c{j}": {"*": f"c{(j + 1) % k}"} for j in range(k)}
     return DetSystem(states, iface, FinMap.identity(states), update)
 
 
-def chart_hom_set(rep: DetInterface, iface: DetInterface) -> FinSet:
-    """All charts rep -> iface as labels.
+def _charts(rep: DetInterface, iface: DetInterface) -> ProductSet:
+    """All charts rep -> iface, slot by slot: for every rep output o
+    (canonical order) its image g(o), followed by the pushed input g#(o, i)
+    for every rep input i."""
+    return ProductSet((iface.outputs, *[iface.inputs] * len(rep.inputs)) * len(rep.outputs))
 
-    Each chart is flattened slot by slot: for every rep output o (canonical
-    order) its image g(o), followed by the pushed input g#(o, i) for every
-    rep input i. Enumeration is the product order over these slots.
-    """
-    domains: list[tuple[str, ...]] = []
-    for _o in rep.outputs:
-        domains.append(iface.outputs.elements)
-        for _i in rep.inputs:
-            domains.append(iface.inputs.elements)
-    return FinSet(join_labels(*combo) for combo in product(*domains))
+
+def chart_hom_set(rep: DetInterface, iface: DetInterface) -> FinSet:
+    """All charts rep -> iface as labels, in the product order over their
+    slots: the label lists `opendyn matrix` writes."""
+    return FinSet(_charts(rep, iface))
 
 
 def _maps_into(rep: DetSystem, sys: Machine) -> Iterator[tuple[str, ...]]:
@@ -546,19 +557,27 @@ def _orbits(rep: DetSystem, sys: Machine) -> Iterator[tuple[tuple[str, ...], tup
 def representable_span(rep: DetSystem, sys: Machine) -> Family:
     """All ways of mapping `rep` into `sys`, fibered over the chart used.
 
-    The base is every chart rep.interface -> sys.interface. An element is a
-    state map phi together with an input assignment isharp such that
-    update(phi(s), isharp(s, i)) reaches phi(update_rep(s, i)) for sure, for
-    all (s, i); the output half of its chart is then forced to be
-    readout . phi. The element label interleaves phi(s) with the isharp
-    values slot by slot, mirroring the base encoding. `sys` may have any
-    effect; `rep` must be a DetSystem.
+    The base is every chart rep.interface -> sys.interface, a `ProductSet`
+    that is never enumerated; the family holds the walk's rows, so only the
+    charts that carry a map take room. An element is a state map phi
+    together with an input assignment isharp such that update(phi(s),
+    isharp(s, i)) reaches phi(update_rep(s, i)) for sure, for all (s, i); the
+    output half of its chart is then forced to be readout . phi. The element
+    label interleaves phi(s) with the isharp values slot by slot, mirroring
+    the base encoding. `sys` may have any effect; `rep` must be a DetSystem.
     """
     if not isinstance(rep, DetSystem):
         raise ValidationError(f"representing system must be deterministic, got {type(rep).__name__}")
     if rep.interface.outputs != rep.states or any(rep.readout(s) != s for s in rep.states):
         raise ValidationError("representing system must expose its entire state")
-    return _family(chart_hom_set(rep.interface, sys.interface), _orbits(rep, sys))
+    return _family(_charts(rep.interface, sys.interface), _orbits(rep, sys))
+
+
+def _power(base: int, k: int) -> Optional[int]:
+    """base^k, or None where k times base's bit length passes 256: the count
+    then passes 2^128 and is left uncomputed, since at a large k computing or
+    printing it could fail or hang."""
+    return None if base > 1 and k * base.bit_length() > 256 else base**k
 
 
 def _period_walk(k: int, *machines: Machine) -> DetSystem:
@@ -569,12 +588,10 @@ def _period_walk(k: int, *machines: Machine) -> DetSystem:
         raise ValidationError(f"orbit period must be at least 1, got {k}")
     for whose, sys in zip(("", " of the rewired system"), machines):
         n_states, n_inputs = len(sys.states), len(sys.interface.inputs)
-        # with k times |I|'s bit length past 256 the count passes 2^128 and is
-        # left uncomputed: at a large k, computing or printing it could fail or hang
-        huge = n_states and n_inputs > 1 and k * n_inputs.bit_length() > 256
-        if not huge and n_states * n_inputs**k <= MAX_WALK:
+        power = _power(n_inputs, k)
+        if not n_states or power is not None and n_states * power <= MAX_WALK:
             continue
-        count = "" if huge else f" = {n_states * n_inputs**k}"
+        count = "" if power is None else f" = {n_states * power}"
         raise ValidationError(
             f"the period-{k} orbit walk{whose} tries |S|*|I|^k = {n_states}*{n_inputs}^{k}"
             f"{count} tuples; more than MAX_WALK = {MAX_WALK}"
@@ -582,59 +599,82 @@ def _period_walk(k: int, *machines: Machine) -> DetSystem:
     return walking_cycle(k)
 
 
+def periodic_orbit_span(sys: Machine, k: int) -> Family:
+    """Orbits of period dividing k, fibered over k-tuples of (output, input) pairs.
+
+    Its labels are formed before it is returned: they join their parts with
+    `|`, so parts that contain it can make two elements, or two charts, print
+    alike, and this raises `duplicate element label` then. A walk of more than
+    `MAX_WALK` tuples is a `ValidationError` that states its length.
+    """
+    family = representable_span(_period_walk(k, sys), sys)
+    family.proj  # forms `total` and `proj`, refusing labels that print alike
+    return family
+
+
 def steady_span(sys: Machine) -> Family:
     """States whose update stays put for sure, fibered over (output, input)
     pairs: the maps into `sys` from the one-state walking cycle."""
-    return representable_span(_period_walk(1, sys), sys)
+    return periodic_orbit_span(sys, 1)
 
 
-def periodic_orbit_span(sys: Machine, k: int) -> Family:
-    """Orbits of period dividing k, fibered over k-tuples of (output, input) pairs."""
-    return representable_span(_period_walk(k, sys), sys)
-
-
-def periodic_orbits(sys: Machine, k: int) -> Iterator[tuple[str, str]]:
+def periodic_orbits(sys: Machine, k: int) -> list[tuple[str, str]]:
     """The (chart, element) labels of `periodic_orbit_span(sys, k)`, element
-    by element in its total order, without building its chart base.
-
-    Labels join their parts with `|`, so parts that contain it can make two
-    elements, or two charts, print alike; like the span's `FinSet`s, this
-    raises `duplicate element label` then. A walk of more than `MAX_WALK`
-    tuples is a `ValidationError` that states its length.
-    """
-    charts: dict[str, tuple[str, ...]] = {}
-    elements: set[str] = set()
-    for chart, combo in _orbits(_period_walk(k, sys), sys):
-        chart_label, element = join_labels(*chart), join_labels(*combo)
-        if element in elements:
-            raise ValidationError(f"duplicate element label {element!r}")
-        if charts.setdefault(chart_label, chart) != chart:
-            raise ValidationError(f"duplicate element label {chart_label!r}")
-        elements.add(element)
-        yield chart_label, element
+    by element in its total order: the rows `opendyn steady` writes."""
+    family = periodic_orbit_span(sys, k)
+    return [(family.proj(z), z) for z in family.total]
 
 
-def _lens_apex(lens: DetLens, charts: Iterable[tuple[str, ...]]) -> list[tuple]:
+def _lens_apex(steps: Mapping, charts: Iterable[tuple[str, ...]]) -> list[tuple]:
     """The elements of a lens's period-k span over the given source charts
     (o_j, i_j)_j, as (apex, left, right) slot tuples in the whole apex's
     product order; the left leg is the chart. The span is the one-step span
-    of `bwd` taken position by position: over (o, i) lie the (o, i') with
-    bwd(o, i') = i, and their right leg is (fwd(o), i')."""
-    # steps[o, i]: the one-step elements over (o, i) as (positions of o and
-    # i', apex slots, right leg slots); `bwd` is normalized to canonical row
-    # and column order, so concatenated positions sort in the apex's order
-    steps = {(o, i): [] for o in lens.source.outputs for i in lens.source.inputs}
-    for m, (o, row) in enumerate(lens.bwd.items()):
-        for n, (i2, i) in enumerate(row.items()):
-            steps[o, i].append(((m, n), (o, i2), (lens.fwd(o), i2)))
-    elements = []
+    of `bwd` taken position by position: `steps[o, i]` lists the (o, i')
+    with bwd(o, i') = i, and their right leg is (fwd(o), i')."""
+    elements, flat = [], chain.from_iterable
     for chart in charts:
-        over = [((), (), ())]
-        for pair in zip(chart[::2], chart[1::2]):
-            over = [(k + k1, a + a1, r + r1) for k, a, r in over for k1, a1, r1 in steps[pair]]
-        elements.extend((key, apex, chart, right) for key, apex, right in over)
+        for combo in product(*[steps[pair] for pair in zip(chart[::2], chart[1::2])]):
+            key, apex, right = zip(*combo)
+            elements.append((key, tuple(flat(apex)), chart, tuple(flat(right))))
     elements.sort()
     return [(apex, chart, right) for _key, apex, chart, right in elements]
+
+
+class _LensSpan(Span):
+    """A lens's span at period k, held as the one-step preimage table of
+    `bwd` and k. Its chart sets and apex are `ProductSet`s, its legs are
+    formed only when asked for, and applying it pushes a family through the
+    preimages of the family's nonempty charts only (`_lens_apex`)."""
+
+    def __init__(self, lens: DetLens, rep_interface: DetInterface):
+        self.k = len(rep_interface.outputs)
+        self.source = _charts(rep_interface, lens.source)
+        self.target = _charts(rep_interface, lens.target)
+        self.apex = ProductSet((lens.source.outputs, lens.target.inputs) * self.k)
+        # steps[o, i]: the one-step elements over (o, i) as (positions of o and
+        # i', apex slots, right leg slots); `bwd` is normalized to canonical row
+        # and column order, so the positions, position by position, sort in
+        # the apex's order
+        self.steps = {(o, i): [] for o in lens.source.outputs for i in lens.source.inputs}
+        for m, (o, row) in enumerate(lens.bwd.items()):
+            for n, (i2, i) in enumerate(row.items()):
+                self.steps[o, i].append(((m, n), (o, i2), (lens.fwd(o), i2)))
+
+    def _over(self, points=None) -> list[tuple]:
+        if points is None:  # every chart some apex element lies over
+            hit = [pair for pair, up in self.steps.items() if up]
+            points = (tuple(chain.from_iterable(pairs)) for pairs in product(hit, repeat=self.k))
+        return _lens_apex(self.steps, points)
+
+    @cached_property
+    def left(self) -> FinMap:
+        table = {join_labels(*apex): join_labels(*down) for apex, down, _ in self._over()}
+        return FinMap(self.apex, self.source, table)
+
+    @cached_property
+    def right(self) -> FinMap:
+        table = {join_labels(*apex): join_labels(*up) for apex, _, up in self._over()}
+        return FinMap(self.apex, self.target, table)
 
 
 def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
@@ -644,65 +684,61 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
     new input i'. The left leg fills the old input as bwd(o, i'); the right
     leg pushes the output forward as fwd(o). Both legs are functions of the
     apex, so the matrix of this span has exactly one 1 per apex element.
-    The apex is `_lens_apex` over the source charts that apex elements lie
-    over: those with (o, bwd(o, i')) at every position. A span whose matrix
-    would have more than `MAX_MATRIX_ENTRIES` entries is a `ValidationError`
-    that states its size.
+    Nothing of the apex's size is built here: the span holds the one-step
+    table of `bwd` and k.
     """
     if len(rep_interface.inputs) != 1:
         raise ValidationError(
             "representing interface must have a single input (a walking cycle)"
         )
-    k = len(rep_interface.outputs)
-    n_source, n_target = (
-        (len(iface.outputs) * len(iface.inputs)) ** k for iface in (lens.source, lens.target)
-    )
-    if max(n_source * n_target, n_source, n_target) > MAX_MATRIX_ENTRIES:
+    return _LensSpan(lens, rep_interface)
+
+
+def lens_matrix(lens: DetLens, k: int) -> tuple[FinSet, FinSet, list[list[int]]]:
+    """The lens's span at period k as `opendyn matrix` writes it: the source
+    and target chart labels and the counting matrix between them.
+
+    A matrix of more than `MAX_MATRIX_ENTRIES` entries, or with more charts
+    than that on either side, is a `ValidationError` that states its size,
+    raised before anything of size k is built; a count too large to print is
+    stated as its formula.
+    """
+    sides = [len(iface.outputs) * len(iface.inputs) for iface in (lens.source, lens.target)]
+    bases = [*sides, sides[0] * sides[1]]
+    counts = [_power(base, max(k, 0)) for base in bases]  # walking_cycle refuses k < 1
+    if any(count is None or count > MAX_MATRIX_ENTRIES for count in counts):
+        n_source, n_target, entries = (
+            f"{base}^{k}" if count is None else count for base, count in zip(bases, counts)
+        )
         raise ValidationError(
             f"the lens span at period {k} is {n_source} x {n_target} charts, a matrix of "
-            f"{n_source * n_target} entries; more than MAX_MATRIX_ENTRIES = {MAX_MATRIX_ENTRIES}"
+            f"{entries} entries; more than MAX_MATRIX_ENTRIES = {MAX_MATRIX_ENTRIES}"
         )
-    source = chart_hom_set(rep_interface, lens.source)
-    target = chart_hom_set(rep_interface, lens.target)
-    hit = dict.fromkeys((o, i) for o, row in lens.bwd.items() for i in row.values())
-    charts = (sum(pairs, ()) for pairs in product(hit, repeat=len(rep_interface.outputs)))
-    elements = _lens_apex(lens, charts)
-    apex = FinSet(join_labels(*element) for element, _, _ in elements)
-    left = {z: join_labels(*down) for z, (_, down, _) in zip(apex, elements)}
-    right = {z: join_labels(*up) for z, (_, _, up) in zip(apex, elements)}
-    return Span(source, target, apex, FinMap(apex, source, left), FinMap(apex, target, right))
+    rep = walking_cycle(k).interface
+    span = lens_to_span(lens, rep)
+    return chart_hom_set(rep, lens.source), chart_hom_set(rep, lens.target), span_to_matrix(span)
 
 
 def check_matrix_theorem(lens: DetLens, sys: Machine, k: int) -> FamilyMatch:
     """Orbits of the rewired machine vs the lens span applied to the original orbits.
 
     The two families must always be fiberwise bijective; a mismatch on any
-    valid input is a defect, not a data problem. The result equals
+    valid input is a defect, not a data problem. The result is
     `families_isomorphic(periodic_orbit_span(compose_lens_system(lens, sys), k),
     apply_span_to_family(lens_to_span(lens, walking_cycle(k).interface),
-    periodic_orbit_span(sys, k)))`, but no chart set is built: both sides come
-    from the one orbit walk, the span's apex is built over the charts that
-    carry orbits only, and fibers are compared where they are nonempty. That
-    apex has at most as many elements as the rewired machine has orbits, so a
-    walk of either machine past `MAX_WALK` tuples is refused first.
+    periodic_orbit_span(sys, k)))`, with `representable_span`, which forms no
+    label, in place of `periodic_orbit_span`: no chart set is enumerated and
+    no chart label is formed. The span is pushed through the charts that carry
+    orbits only, fibers are compared where they are nonempty, and element
+    labels are formed for the witness alone. The pushed family has at most as
+    many elements as the rewired machine has orbits, so a walk of either
+    machine past `MAX_WALK` tuples is refused first.
     """
     rewired = compose_lens_system(lens, sys)  # refuses a lens whose source is not sys's
     cycle = _period_walk(k, sys, rewired)
-    _, orbit_fibers = _fibers(_orbits(cycle, sys))
-    # apply_span_to_family's elements "apex|orbit": by apex, then by orbit
-    pushed = _fibers(
-        (up, (*apex, orbit))
-        for apex, down, up in _lens_apex(lens, orbit_fibers)
-        for orbit in orbit_fibers[down]
-    )
-
-    def order(chart: tuple[str, ...]) -> tuple[int, ...]:
-        """Positions of interleaved (output, new input) labels: canonical order."""
-        sets = (lens.target.outputs, lens.target.inputs)
-        return tuple(sets[pos % 2].position(x) for pos, x in enumerate(chart))
-
-    return _match_fibers(
-        _fibers(_orbits(cycle, rewired)), pushed, order, lambda chart: join_labels(*chart)
+    return families_isomorphic(
+        representable_span(cycle, rewired),
+        apply_span_to_family(lens_to_span(lens, cycle.interface), representable_span(cycle, sys)),
     )
 
 

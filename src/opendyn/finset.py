@@ -11,12 +11,23 @@ Composite elements are labelled by joining constituent labels with "|".
 Enumeration order of every composite is the product order, each coordinate
 running in its set's canonical (insertion) order, so repeated runs produce
 byte-identical output.
+
+A set of composites can be a `ProductSet`, given by the alphabets of its
+slots and never enumerated unless its labels are asked for. A family is
+stored as its rows, a (base key, element key) pair per element in total
+order, so only its nonempty fibers take room; a key is the tuple of parts
+whose join is the label (a `FinSet` element's key is its label alone).
+Spans act and families compare on keys; labels are joined, and two that
+print alike refused, only where a family or span hands one out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from itertools import product
+from math import prod
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import BoundaryError, ValidationError
 
@@ -26,6 +37,10 @@ SEPARATOR = "|"
 
 def join_labels(*parts: str) -> str:
     return SEPARATOR.join(parts)
+
+
+def _duplicate(label: str) -> ValidationError:
+    return ValidationError(f"duplicate element label {label!r}")
 
 
 class FinSet:
@@ -46,7 +61,7 @@ class FinSet:
                     f"finite-set elements must be non-empty strings, got {label!r}"
                 )
             if label in index:
-                raise ValidationError(f"duplicate element label {label!r}")
+                raise _duplicate(label)
             index[label] = pos
         self.elements = elements
         self._index = index
@@ -61,7 +76,9 @@ class FinSet:
         return len(self.elements)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FinSet) and self.elements == other.elements
+        if not isinstance(other, FinSet):
+            return NotImplemented
+        return self.elements == other.elements
 
     def __hash__(self) -> int:
         return hash(self.elements)
@@ -77,6 +94,100 @@ class FinSet:
             return self._index[label]
         except KeyError:
             raise ValidationError(f"{label!r} is not an element of {self}") from None
+
+    def key(self, label: str) -> tuple[str]:
+        """The key of an element: its label alone."""
+        self.position(label)
+        return (label,)
+
+    def position_of(self, key: tuple[str, ...]) -> int:
+        return self.position(join_labels(*key))
+
+
+class ProductSet:
+    """The tuples over a sequence of slot alphabets, in product order, each
+    labelled by joining its slots with "|" and keyed by the tuple itself.
+
+    Size, membership and position are computed slot by slot, so the set is
+    never enumerated unless its labels are asked for. Two ProductSets are
+    equal when their alphabets are; one equals a FinSet that lists its labels.
+    It is not hashable, since its hash would have to list them.
+    """
+
+    __slots__ = ("alphabets",)
+
+    def __init__(self, alphabets: Iterable[FinSet]):
+        self.alphabets = tuple(alphabets)
+
+    def __len__(self) -> int:
+        return prod(map(len, self.alphabets))
+
+    def __iter__(self) -> Iterator[str]:
+        return (join_labels(*key) for key in product(*self.alphabets))
+
+    @property
+    def elements(self) -> tuple[str, ...]:
+        return FinSet(self).elements
+
+    def __contains__(self, label: object) -> bool:
+        return isinstance(label, str) and self._parse(label) is not None
+
+    def _parse(self, label: str) -> Optional[tuple[str, ...]]:
+        """The tuple labelled `label`, or None. Slot values may contain "|",
+        so the label is read slot by slot, keeping every split that fits; a
+        label that two tuples share is refused as a duplicate."""
+        parts = tuple(label.split(SEPARATOR))
+        if len(parts) == len(self.alphabets):  # a slot spans a part or more: no other split
+            return parts if all(map(FinSet.__contains__, self.alphabets, parts)) else None
+        # ends[j][end]: the (start, value) of slot j where slots up to j spell
+        # label[:end - 1], or None where two ways do
+        ends: list[dict] = [{0: (0, "")}]
+        for alphabet in self.alphabets:
+            after: dict[int, Optional[tuple[int, str]]] = {}
+            for start, way in ends[-1].items():
+                for value in alphabet:
+                    end = start + len(value)
+                    if label.startswith(value, start) and label[end:end + 1] in ("", SEPARATOR):
+                        after[end + 1] = None if end + 1 in after or way is None else (start, value)
+            ends.append(after)
+        end = len(label) + 1
+        if end not in ends[-1]:
+            return None
+        if ends[-1][end] is None:
+            raise _duplicate(label)
+        values = []
+        for after in reversed(ends[1:]):
+            end, value = after[end]
+            values.append(value)
+        return tuple(reversed(values))
+
+    def key(self, label: str) -> tuple[str, ...]:
+        key = self._parse(label)
+        if key is None:
+            raise ValidationError(f"{label!r} is not an element of {self}")
+        return key
+
+    def position_of(self, key: tuple[str, ...]) -> int:
+        pos = 0
+        for alphabet, part in zip(self.alphabets, key):
+            pos = pos * len(alphabet) + alphabet.position(part)
+        return pos
+
+    def position(self, label: str) -> int:
+        return self.position_of(self.key(label))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ProductSet):
+            return self.alphabets == other.alphabets
+        if isinstance(other, FinSet):  # prod, not len, which fails past 2^63
+            return prod(map(len, self.alphabets)) == len(other) and tuple(self) == other.elements
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ProductSet({list(self.alphabets)!r})"
+
+    def __str__(self) -> str:
+        return " x ".join(map(str, self.alphabets))
 
 
 def product_finset(a: FinSet, b: FinSet) -> FinSet:
@@ -141,8 +252,6 @@ class FinMap:
 class Span:
     """Two legs out of a common apex: source <- apex -> target."""
 
-    __slots__ = ("source", "target", "apex", "left", "right")
-
     def __init__(self, source: FinSet, target: FinSet, apex: FinSet, left: FinMap, right: FinMap):
         if left.dom != apex or right.dom != apex:
             raise ValidationError("span legs must share the apex as their domain")
@@ -155,6 +264,14 @@ class Span:
         self.apex = apex
         self.left = left
         self.right = right
+
+    def _over(self, points: Optional[Mapping] = None) -> Iterator[tuple]:
+        """The apex elements as (apex, left, right) keys, in apex order; only
+        those whose left leg is one of `points` when they are given."""
+        for x in self.apex:
+            left = self.source.key(self.left(x))
+            if points is None or left in points:
+                yield self.apex.key(x), left, self.target.key(self.right(x))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -171,9 +288,14 @@ class Span:
 
 
 class Family:
-    """A finite set fibered over a base: proj sends each element to its base point."""
+    """A finite set fibered over a base: proj sends each element to its base point.
 
-    __slots__ = ("base", "total", "proj")
+    Every family is stored as its rows, (base key, element key) in total
+    order, so only nonempty fibers take room. `Family(base, total, proj)`
+    builds any family from labels; orbit and pushed families are built from
+    rows and form `total` and `proj` when first asked for, which is where two
+    labels that print alike are refused.
+    """
 
     def __init__(self, base: FinSet, total: FinSet, proj: FinMap):
         if proj.dom != total:
@@ -183,15 +305,33 @@ class Family:
         self.base = base
         self.total = total
         self.proj = proj
+        self._rows = [(base.key(proj(z)), (z,)) for z in total]
+
+    @cached_property
+    def total(self) -> FinSet:
+        return FinSet(join_labels(*element) for _, element in self._rows)
+
+    @cached_property
+    def proj(self) -> FinMap:
+        points = {z: join_labels(*point) for z, (point, _) in zip(self.total, self._rows)}
+        return FinMap(self.total, self.base, points)
+
+    def _rows_over(self, base) -> list[tuple]:
+        """The rows, with base points keyed as `base` keys them: `base` equals
+        this family's base but may be a FinSet where it is a ProductSet."""
+        if type(base) is type(self.base):
+            return self._rows
+        return [(base.key(join_labels(*point)), element) for point, element in self._rows]
 
     def fiber(self, base_label: str) -> list[str]:
         if base_label not in self.base:
             raise ValidationError(f"{base_label!r} is not in the base {self.base}")
-        return [z for z in self.total if self.proj(z) == base_label]
+        point = self.base.key(base_label)
+        return [z for z, (p, _) in zip(self.total, self._rows) if p == point]
 
     def fibers(self) -> dict[str, list[str]]:
         """Every base point's fiber, each in canonical element order."""
-        over: dict[str, list[str]] = {b: [] for b in self.base}
+        over: dict[str, list[str]] = {b: [] for b in self.base.elements}
         for z in self.total:
             over[self.proj(z)].append(z)
         return over
@@ -211,8 +351,15 @@ class Family:
         return f"Family(base={self.base!r}, total={self.total!r})"
 
 
-#: A row of a family: the parts of a base point and of an element over it.
-_Row = tuple[tuple[str, ...], Sequence[str]]
+#: A row of a family: the keys of a base point and of an element over it.
+_Row = tuple[tuple[str, ...], tuple[str, ...]]
+
+
+def _family(base, rows: Iterable[_Row]) -> Family:
+    """The family over `base` with these rows, in total order."""
+    family = Family.__new__(Family)
+    family.base, family._rows = base, list(rows)
+    return family
 
 
 def _fibers(rows: Iterable[_Row]) -> tuple[list[str], dict[tuple[str, ...], list[str]]]:
@@ -224,15 +371,6 @@ def _fibers(rows: Iterable[_Row]) -> tuple[list[str], dict[tuple[str, ...], list
         total.append(label)
         fibers.setdefault(point, []).append(label)
     return total, fibers
-
-
-def _family(base: FinSet, rows: Iterable[_Row]) -> Family:
-    """The family over `base` whose elements are the rows' element labels,
-    in row order, each over its base point's label."""
-    labels, fibers = _fibers(rows)
-    total = FinSet(labels)
-    proj = {z: join_labels(*point) for point, zs in fibers.items() for z in zs}
-    return Family(base, total, FinMap(total, base, proj))
 
 
 def identity_span(a: FinSet) -> Span:
@@ -269,9 +407,9 @@ def compose_spans(s1: Span, s2: Span) -> Span:
 
 def span_to_matrix(s: Span) -> list[list[int]]:
     """Fiber cardinalities as a |source| x |target| matrix of non-negative integers."""
-    matrix = [[0] * len(s.target) for _ in s.source]
-    for x in s.apex:
-        matrix[s.source.position(s.left(x))][s.target.position(s.right(x))] += 1
+    matrix = [[0] * len(s.target) for _ in range(len(s.source))]
+    for _, left, right in s._over():
+        matrix[s.source.position_of(left)][s.target.position_of(right)] += 1
     return matrix
 
 
@@ -279,14 +417,20 @@ def apply_span_to_family(s: Span, fam: Family) -> Family:
     """Pull the family back along the left leg, push it forward along the right.
 
     The result lives over the span's target; its elements are the matching
-    pairs "x|z" with x in the apex and z lying over left(x).
+    pairs "x|z" with x in the apex and z lying over left(x), by apex element
+    and then in the family's order. Only the apex over the family's nonempty
+    fibers is visited.
     """
     if fam.base != s.source:
         raise BoundaryError(
             f"family base {fam.base} differs from span source {s.source}"
         )
-    over = fam.fibers()
-    return _family(s.target, (((s.right(x),), (x, z)) for x in s.apex for z in over[s.left(x)]))
+    over: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    for point, element in fam._rows_over(s.source):
+        over.setdefault(point, []).append(element)
+    return _family(s.target, (
+        (right, apex + z) for apex, left, right in s._over(over) for z in over[left]
+    ))
 
 
 @dataclass
@@ -308,9 +452,13 @@ class FamilyMatch:
 
 
 def families_isomorphic(f1: Family, f2: Family) -> FamilyMatch:
+    """Compare fiber sizes where either family has elements."""
     if f1.base != f2.base:
         raise BoundaryError(f"family bases differ: {f1.base} vs {f2.base}")
-    return _match_fibers((f1.total, f1.fibers()), (f2.total, f2.fibers()), f1.base.position, str)
+    return _match_fibers(
+        _fibers(f1._rows), _fibers(f2._rows_over(f1.base)), f1.base.position_of,
+        lambda point: join_labels(*point),
+    )
 
 
 def _match_fibers(side1: tuple, side2: tuple, order: Callable, name: Callable) -> FamilyMatch:
@@ -331,4 +479,3 @@ def _match_fibers(side1: tuple, side2: tuple, order: Callable, name: Callable) -
     for b, zs in fibers1.items():
         table.update(zip(zs, fibers2.get(b, ())))
     return FamilyMatch(FinMap(FinSet(total1), FinSet(total2), table))
-

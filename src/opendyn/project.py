@@ -228,9 +228,13 @@ def project_to_obj(project: ProjectFile) -> dict:
     for section in SECTIONS:
         entries = {}
         for name, entry in getattr(project, section).items():
-            kind = doctrine_of(entry)
-            cls, (_, _, encode) = KINDS[section, kind]
             try:
+                kind = doctrine_of(entry)
+                if (section, kind) not in KINDS or not isinstance(entry, KINDS[section, kind][0]):
+                    raise ValidationError(
+                        f"an entry of class {type(entry).__name__} does not belong in {section}"
+                    )
+                cls, (_, _, encode) = KINDS[section, kind]
                 entries[name] = {"kind": kind, **encode(cls, entry)}
             except OpendynError as exc:
                 raise ValidationError(f"{SECTIONS[section]} {name!r}: {exc}") from None

@@ -573,6 +573,20 @@ class TestMatrixSizeBound:
         assert main(argv) == 2
         assert not out.exists()
 
+    def test_a_count_too_large_to_print_is_stated_as_its_formula(self, tmp_path, capsys, monkeypatch):
+        def no_cycle(k):
+            raise AssertionError("a walking cycle was built")
+
+        monkeypatch.setattr(det, "walking_cycle", no_cycle)
+        out = tmp_path / "matrix.json"
+        argv = ["matrix", FLIPFLOP, "--lens", "feedback", "--k", "10000", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the lens span at period 10000 is 6^10000 x 1 charts, a matrix of "
+            "6^10000 entries; more than MAX_MATRIX_ENTRIES = 10000000\n"
+        )
+        assert not out.exists()
+
 
 def swap() -> DetSystem:
     """Two states that swap under every input: no orbit at odd periods."""
@@ -620,6 +634,50 @@ def fan_in_project(new_inputs: int) -> dict:
         "targetInputs": names, "targetOutputs": ["o"], "fwd": {"o": "o"},
         "bwd": {"o": dict.fromkeys(names, "x")},
     }}}
+
+
+def one_state_project() -> dict:
+    """One state, one input and a one-to-one lens: every count is 1 at any k."""
+    return {"version": 1, "systems": {"one": {
+        "kind": "deterministic", "states": ["s"], "inputs": ["i"], "outputs": ["o"],
+        "readout": {"s": "o"}, "update": {"s": {"i": "s"}},
+    }}, "lenses": {"id": {
+        "kind": "deterministic", "sourceInputs": ["i"], "sourceOutputs": ["o"],
+        "targetInputs": ["j"], "targetOutputs": ["p"], "fwd": {"o": "p"},
+        "bwd": {"o": {"j": "i"}},
+    }}}
+
+
+class TestPeriodBound:
+    """Where |I| = 1 the walk's count stays |S| and a one-to-one lens's matrix
+    stays 1 x 1 at any k, so the period itself is bounded."""
+
+    def test_steady_and_matrix_past_max_period_exit_2_at_once(self, tmp_path, capsys, monkeypatch):
+        def nothing(*args):
+            raise AssertionError("a walk or a span was built")
+
+        monkeypatch.setattr(det, "_maps_into", nothing)
+        monkeypatch.setattr(det, "lens_to_span", nothing)
+        project, out = tmp_path / "one.json", tmp_path / "out"
+        project.write_text(json.dumps(one_state_project()))
+        for argv in (
+            ["steady", str(project), "--system", "one", "--k", "10000000", "--out", str(out)],
+            ["matrix", str(project), "--lens", "id", "--k", "10000000", "--out", str(out)],
+        ):
+            start = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr().err == (
+                "error: cycle length 10000000 is more than MAX_PERIOD = 10000\n"
+            )
+            assert not out.exists()
+
+    def test_the_bound_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(det, "MAX_PERIOD", 3)
+        machine = project_from_obj(one_state_project()).system("one")
+        assert det.periodic_orbits(machine, 3) == [("o|i|o|i|o|i", "s|i|s|i|s|i")]
+        with pytest.raises(ValidationError, match="^cycle length 4 is more than MAX_PERIOD = 3$"):
+            det.periodic_orbits(machine, 4)
 
 
 class TestEveryWalkIsBounded:

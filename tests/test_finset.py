@@ -1,6 +1,7 @@
 """Finite sets, maps, spans, families, and the span-composition kernel."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from opendyn import (
     Family,
     FinMap,
     FinSet,
+    ProductSet,
     Span,
     ValidationError,
     apply_span_to_family,
@@ -45,6 +47,48 @@ class TestFinSet:
     def test_product_order_is_lexicographic_in_the_factors(self):
         p = product_finset(FinSet(["a", "b"]), FinSet(["1", "2"]))
         assert p.elements == ("a|1", "a|2", "b|1", "b|2")
+
+
+class TestProductSet:
+    def test_agrees_with_the_enumerated_labels(self):
+        """Membership, position and keys against the listed labels, with slot
+        values that contain the separator, so that some labels are shared."""
+        rng = random.Random(9)
+        parts = ["a", "b", "c", "a|b", "b|a", "|c"]
+        shared = 0
+        for _ in range(300):
+            alphabets = [
+                FinSet(rng.sample(parts, rng.randint(1, 3))) for _ in range(rng.randint(1, 3))
+            ]
+            ps = ProductSet(alphabets)
+            labels = [join_labels(*key) for key in product(*alphabets)]
+            assert len(ps) == len(labels) and list(ps) == labels
+            if len(set(labels)) < len(labels):
+                with pytest.raises(ValidationError, match="^duplicate element label"):
+                    ps.elements
+            else:
+                assert ps == FinSet(labels) and FinSet(labels) == ps
+            others = {join_labels(*rng.choices(parts, k=rng.randint(1, 4))) for _ in range(6)}
+            for label in set(labels) | others:
+                count = labels.count(label)
+                if count > 1:
+                    shared += 1
+                    with pytest.raises(ValidationError, match="^duplicate element label"):
+                        label in ps
+                    continue
+                assert (label in ps) == (count == 1)
+                if count == 1:
+                    assert ps.position(label) == labels.index(label)
+                    assert join_labels(*ps.key(label)) == label
+        assert shared > 10
+
+    def test_equal_alphabets_make_equal_sets_without_listing_them(self):
+        big = FinSet(f"x{n}" for n in range(10))
+        a, b = ProductSet([big] * 18), ProductSet([FinSet(big)] * 18)
+        assert a == b and len(a) == 10**18
+        assert a != ProductSet([big] * 17)
+        assert a.position("|".join(["x9"] * 18)) == 10**18 - 1
+        assert str(ProductSet([FinSet(["p", "q"]), FinSet(["u"])])) == "{p, q} x {u}"
 
 
 class TestFinMap:

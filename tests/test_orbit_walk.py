@@ -1,6 +1,7 @@
 """The orbit walk, the lens span and the matrix-theorem check against the dense oracle."""
 
 import csv
+import itertools
 import json
 import random
 
@@ -33,6 +34,7 @@ from opendyn import (
     steady_span,
     walking_cycle,
 )
+import opendyn.deterministic as det
 from opendyn.cli import main
 from opendyn.finset import _match_fibers
 from opendyn.laws import random_interface
@@ -387,6 +389,93 @@ class TestScale:
         assert match, match.mismatch
         orbits = sum(1 for _ in periodic_orbits(sys, 5))
         assert len(match.witness.dom) > 0 and orbits > 0
+
+
+def each_machine(rng: random.Random, iface: DetInterface, case: int):
+    return random_system(rng, iface, 3) if case % 2 else random_markov_machine(rng, iface, 3)
+
+
+class TestSparseFamiliesAnswerAsTheDenseOnes:
+    """Families that hold only their rows, over chart sets that are never
+    listed, and the one-step lens span, against the dense objects: total
+    order, fibers and `==`, fiber matches with their mismatch, the theorem,
+    a dense span acting on a sparse family, and the matrix."""
+
+    def test_families_fibers_and_equality(self):
+        rng = random.Random(14)
+        for case in range(120):
+            k = 1 + case % 3
+            sys = each_machine(rng, random_interface(rng, 3), case)
+            sparse, dense = periodic_orbit_span(sys, k), dense_periodic_orbit_span(sys, k)
+            assert sparse == dense and dense == sparse
+            assert sparse.total.elements == dense.total.elements
+            assert sparse.fibers() == dense.fibers()
+        for sys in (flipflop(), embed_det(flipflop()), oscillator()):
+            sparse = representable_span(two_input_rep(), sys)
+            dense = dense_representable_span(two_input_rep(), sys)
+            assert sparse == dense and sparse.fibers() == dense.fibers()
+
+    def test_matches_and_the_theorem(self):
+        rng = random.Random(15)
+        mismatches = 0
+        for case in range(120):
+            k = 1 + case % 3
+            iface = random_interface(rng, 3)
+            sys, other = each_machine(rng, iface, case), each_machine(rng, iface, case)
+            lens = random_lens(rng, iface, random_interface(rng, 3, tag="t"))
+            assert_same_match(
+                check_matrix_theorem(lens, sys, k), dense_check_matrix_theorem(lens, sys, k)
+            )
+            match = families_isomorphic(periodic_orbit_span(sys, k), periodic_orbit_span(other, k))
+            mismatches += not match
+            assert_same_match(match, dense_families_isomorphic(
+                dense_periodic_orbit_span(sys, k), dense_periodic_orbit_span(other, k)))
+        assert 20 < mismatches < 120
+
+    def test_the_matrix_and_a_dense_span_acting_on_a_sparse_family(self):
+        rng = random.Random(16)
+        for case in range(60):
+            k = 1 + case % 3
+            iface = random_interface(rng, 3)
+            lens = random_lens(rng, iface, random_interface(rng, 3, tag="t"))
+            rep = walking_cycle(k).interface
+            dense = dense_lens_to_span(lens, rep)
+            assert span_to_matrix(lens_to_span(lens, rep)) == span_to_matrix(dense)
+            orbits = periodic_orbit_span(each_machine(rng, iface, case), k)
+            assert_same_family(
+                apply_span_to_family(dense, orbits), dense_apply_span_to_family(dense, orbits)
+            )
+
+
+def walked_rows(sys: DetSystem, k: int) -> list[tuple[str, str]]:
+    """Period-k orbits by running every start state on every input word."""
+    rows = []
+    for s0 in sys.states:
+        for word in itertools.product(sys.interface.inputs.elements, repeat=k):
+            path = [s0]
+            for i in word:
+                path.append(sys.update[path[-1]][i])
+            if path[-1] == s0:
+                chart = [part for s, i in zip(path, word) for part in (sys.readout(s), i)]
+                element = [part for s, i in zip(path, word) for part in (s, i)]
+                rows.append(("|".join(chart), "|".join(element)))
+    return rows
+
+
+class TestNoChartSetIsEnumerated:
+    def test_period_eight_on_the_latch(self, monkeypatch):
+        """Its chart base has 6^8 = 1,679,616 charts."""
+        def no_chart_sets(*args):
+            raise AssertionError("a chart set was built")
+
+        monkeypatch.setattr(det, "chart_hom_set", no_chart_sets)
+        family = periodic_orbit_span(flipflop(), 8)
+        assert len(family.base) == 6**8
+        rows = [(family.proj(z), z) for z in family.total]
+        assert rows == periodic_orbits(flipflop(), 8) == walked_rows(flipflop(), 8)
+        assert len(rows) > 0
+        for k in (1, 8):
+            assert check_matrix_theorem(feedback_lens(), flipflop(), k)
 
 
 class TestMarkovMachines:

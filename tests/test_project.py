@@ -7,17 +7,20 @@ import pytest
 
 from opendyn import (
     BinOp,
+    DetChart,
     Num,
     OdeSystem,
     OpendynError,
     StochSystem,
     Var,
     ValidationError,
+    identity_chart,
     load_project,
     save_project,
     tensor_systems,
     to_text,
 )
+from opendyn.laws import _lv_fixture
 from opendyn.project import ProjectFile, project_from_obj, project_to_obj
 
 from helpers import chain, feedback_lens, fixture_path, flipflop
@@ -278,3 +281,23 @@ class TestRoundTrip:
         path = tmp_path / "tensor.json"
         save_project(project, path)
         assert load_project(str(path)).system("both") == both
+
+
+class TestSaveRefusesAnEntryInTheWrongSection:
+    """A project built in Python can hold an entry under the wrong section;
+    saving names the section and the entry instead of crashing."""
+
+    def test_a_chart_under_systems(self, tmp_path):
+        chart = identity_chart(flipflop().interface)
+        assert isinstance(chart, DetChart)
+        path = tmp_path / "wrong.json"
+        with pytest.raises(ValidationError) as err:
+            save_project(ProjectFile(systems={"c": chart}), path)
+        assert str(err.value) == "system 'c': an entry of class DetChart does not belong in systems"
+        assert not path.exists()
+
+    def test_an_ode_lens_under_charts(self):
+        lens, _pair = _lv_fixture()
+        with pytest.raises(ValidationError) as err:
+            project_to_obj(ProjectFile(charts={"w": lens}))
+        assert str(err.value) == "chart 'w': an entry of class OdeLens does not belong in charts"

@@ -83,3 +83,21 @@ def test_a_markov_simulate_runs_through_the_simulate_stoch_wrapper(tracer, tmp_p
     assert code == 0
     assert t.counts["stochastic.simulate_stoch.calls"] == 1
     assert t.counts["stochastic.simulate_stoch.steps"] == 3
+
+
+def test_a_traced_theorem_goes_through_the_public_objects(tracer):
+    det = importlib.import_module("opendyn.deterministic")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        match = det.check_matrix_theorem(feedback_lens(), flipflop(), 2)
+    finally:
+        t.uninstall()
+    assert match
+    for name in (
+        "deterministic.representable_span.calls",
+        "finset.apply_span_to_family.calls",
+        "finset.families_isomorphic.calls",
+        "deterministic.lens_to_span.apex_elements",
+    ):
+        assert t.counts[name] > 0, name
