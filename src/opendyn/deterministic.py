@@ -40,6 +40,7 @@ from .finset import (
     ProductSet,
     Span,
     _family,
+    _finmap,
     apply_span_to_family,
     families_isomorphic,
     join_labels,
@@ -669,12 +670,12 @@ class _LensSpan(Span):
     @cached_property
     def left(self) -> FinMap:
         table = {join_labels(*apex): join_labels(*down) for apex, down, _ in self._over()}
-        return FinMap(self.apex, self.source, table)
+        return _finmap(self.apex, self.source, table)
 
     @cached_property
     def right(self) -> FinMap:
         table = {join_labels(*apex): join_labels(*up) for apex, _, up in self._over()}
-        return FinMap(self.apex, self.target, table)
+        return _finmap(self.apex, self.target, table)
 
 
 def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:

@@ -249,6 +249,15 @@ class FinMap:
         return f"FinMap({self.dom!r}, {self.cod!r}, {self.table!r})"
 
 
+def _finmap(dom, cod, table: dict[str, str]) -> FinMap:
+    """A map from a table known to be total on `dom`, in its order, and
+    valued in `cod`, formed without testing each value: on a ProductSet that
+    test reads every label back slot by slot."""
+    finmap = FinMap.__new__(FinMap)
+    finmap.dom, finmap.cod, finmap.table = dom, cod, table
+    return finmap
+
+
 class Span:
     """Two legs out of a common apex: source <- apex -> target."""
 
@@ -313,8 +322,10 @@ class Family:
 
     @cached_property
     def proj(self) -> FinMap:
-        points = {z: join_labels(*point) for z, (point, _) in zip(self.total, self._rows)}
-        return FinMap(self.total, self.base, points)
+        labels = {point: join_labels(*point) for point, _ in self._rows}
+        FinSet(labels.values())  # refuses two base points that print alike
+        points = {z: labels[point] for z, (point, _) in zip(self.total, self._rows)}
+        return _finmap(self.total, self.base, points)
 
     def _rows_over(self, base) -> list[tuple]:
         """The rows, with base points keyed as `base` keys them: `base` equals
