@@ -400,20 +400,14 @@ def compose_spans(s1: Span, s2: Span) -> Span:
         raise BoundaryError(
             f"cannot compose spans: first target {s1.target} differs from second source {s2.source}"
         )
-    by_middle: dict[str, list[str]] = {m: [] for m in s2.source}
-    for y in s2.apex:
-        by_middle[s2.left(y)].append(y)
-    labels: list[str] = []
-    left: dict[str, str] = {}
-    right: dict[str, str] = {}
-    for x in s1.apex:
-        for y in by_middle[s1.right(x)]:
-            xy = join_labels(x, y)
-            labels.append(xy)
-            left[xy] = s1.left(x)
-            right[xy] = s2.right(y)
-    apex = FinSet(labels)
-    return Span(s1.source, s2.target, apex, FinMap(apex, s1.source, left), FinMap(apex, s2.target, right))
+    by_middle: dict[str, list[tuple]] = {}
+    for y, middle, w in s2._over():
+        by_middle.setdefault(join_labels(*middle), []).append((y, w))
+    rows = [(x + y, v, w) for x, v, m in s1._over() for y, w in by_middle.get(join_labels(*m), ())]
+    apex = FinSet(join_labels(*xy) for xy, _, _ in rows)
+    left = {z: join_labels(*v) for z, (_, v, _) in zip(apex, rows)}
+    right = {z: join_labels(*w) for z, (_, _, w) in zip(apex, rows)}
+    return Span(s1.source, s2.target, apex, _finmap(apex, s1.source, left), _finmap(apex, s2.target, right))
 
 
 def span_to_matrix(s: Span) -> list[list[int]]:

@@ -20,6 +20,7 @@ from opendyn import (
     ValidationError,
     apply_span_to_family,
     check_matrix_theorem,
+    compose_spans,
     embed_det,
     families_isomorphic,
     lens_to_span,
@@ -432,15 +433,20 @@ class TestSparseFamiliesAnswerAsTheDenseOnes:
                 dense_periodic_orbit_span(sys, k), dense_periodic_orbit_span(other, k)))
         assert 20 < mismatches < 120
 
-    def test_the_matrix_and_a_dense_span_acting_on_a_sparse_family(self):
+    def test_the_matrix_composition_and_a_dense_span_acting_on_a_sparse_family(self):
         rng = random.Random(16)
         for case in range(60):
             k = 1 + case % 3
-            iface = random_interface(rng, 3)
+            iface, middle = random_interface(rng, 3), random_interface(rng, 2, tag="m")
             lens = random_lens(rng, iface, random_interface(rng, 3, tag="t"))
             rep = walking_cycle(k).interface
             dense = dense_lens_to_span(lens, rep)
             assert span_to_matrix(lens_to_span(lens, rep)) == span_to_matrix(dense)
+            first, second = random_lens(rng, iface, middle), random_lens(rng, middle, iface)
+            assert_same_span(
+                compose_spans(lens_to_span(first, rep), lens_to_span(second, rep)),
+                compose_spans(dense_lens_to_span(first, rep), dense_lens_to_span(second, rep)),
+            )
             orbits = periodic_orbit_span(each_machine(rng, iface, case), k)
             assert_same_family(
                 apply_span_to_family(dense, orbits), dense_apply_span_to_family(dense, orbits)
