@@ -584,7 +584,8 @@ def _power(base: int, k: int) -> Optional[int]:
 def _period_walk(k: int, *machines: Machine) -> DetSystem:
     """The walking k-cycle, whose maps into a machine are its period-k orbits, once k
     is a period and the walk into each of `machines` (a machine, then that machine
-    rewired by a lens) tries at most `MAX_WALK` tuples, |S|·|I|^k. Every walk starts here."""
+    rewired by a lens) tries at most `MAX_WALK` tuples, |S|·|I|^k; `walking_cycle`
+    then refuses a k past `MAX_PERIOD`. Every walk starts here."""
     if k < 1:
         raise ValidationError(f"orbit period must be at least 1, got {k}")
     for whose, sys in zip(("", " of the rewired system"), machines):
