@@ -19,8 +19,9 @@ is a `ProductSet` and is never enumerated; an orbit family holds the rows of
 the one orbit walk, which reads update cells through the effect's `point`;
 a lens span holds its one-step `bwd` preimage table and k, and pushes a
 family through the charts that carry orbits only. Labels are joined with `|`
-only where a Family, Span or FamilyMatch hands them out. One
-run loop, `simulate_system`, draws each step through the effect's `sample`.
+where a Family, Span or FamilyMatch hands them out, and print uniquely since
+a `FinSet`'s labels all have one number of parts. One run loop,
+`simulate_system`, draws each step through the effect's `sample`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .finset import (
     ProductSet,
     Span,
     _family,
-    _finmap,
     apply_span_to_family,
     families_isomorphic,
     join_labels,
@@ -64,6 +64,11 @@ MAX_WALK = 1_000_000
 #: or a lens span may have. Where |I| = 1, or |S| = 0, |S|·|I|^k does not grow
 #: with k, but each orbit still fills 2k slots and each chart label has 2k parts.
 MAX_PERIOD = 10_000
+
+#: Most slots, |S|·|I|^k·k, that a period-k orbit walk may fill: each tuple
+#: fills up to 2k and each orbit found keeps them. On a 2-CPU VM 300 states
+#: under one input at k = 10,000 (3,000,000 slots) took 9.8 s and 143 MB.
+MAX_SLOTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -490,7 +495,9 @@ def _maps_into(rep: DetSystem, sys: Machine) -> Iterator[tuple[str, ...]]:
     slots earlier is computed rather than searched. On a walking k-cycle this
     walks a start state and an input word: |S| * |I|^k tuples tried, not
     (|S| * |I|)^k. It reads each update cell through the effect's `point`,
-    so a cell that reaches no state for sure cuts the branch.
+    so a cell that reaches no state for sure cuts the branch. A walk that
+    would try more than `MAX_WALK` tuples, |S| per phi slot it searches
+    times |I| per input slot, is refused before it starts.
     """
     rep_states = rep.states.elements
     rep_inputs = rep.interface.inputs.elements
@@ -512,6 +519,13 @@ def _maps_into(rep: DetSystem, sys: Machine) -> Iterator[tuple[str, ...]]:
                 forced[dst] = (src, inp)
             else:
                 checks[max(inp, dst)].append((src, inp, dst))
+    phis, inputs = sum(forced[slot] is None for slot in phi_slot.values()), n - len(rep_states)
+    n_states, n_inputs = len(sys.states), len(sys.interface.inputs)
+    if n_states**phis * n_inputs**inputs > MAX_WALK:  # printed as its formula: it may be huge
+        raise ValidationError(
+            f"the walk from a {len(rep_states)}-state machine tries |S|^{phis}*|I|^{inputs} = "
+            f"{n_states}^{phis}*{n_inputs}^{inputs} tuples; more than MAX_WALK = {MAX_WALK}"
+        )
     point = sys.effect.point
     update = {s: {i: point(cell) for i, cell in row.items()} for s, row in sys.update.items()}
 
@@ -585,10 +599,12 @@ def _period_walk(k: int, *machines: Machine) -> DetSystem:
     """The walking k-cycle, whose maps into a machine are its period-k orbits, once k
     is a period and the walk into each of `machines` (a machine, then that machine
     rewired by a lens) tries at most `MAX_WALK` tuples, |S|·|I|^k; `walking_cycle`
-    then refuses a k past `MAX_PERIOD`. Every walk starts here."""
+    then refuses a k past `MAX_PERIOD`, and last a walk that fills more than
+    `MAX_SLOTS` slots, |S|·|I|^k·k, is refused. Every walk starts here."""
     if k < 1:
         raise ValidationError(f"orbit period must be at least 1, got {k}")
-    for whose, sys in zip(("", " of the rewired system"), machines):
+    named = list(zip(("", " of the rewired system"), machines))
+    for whose, sys in named:
         n_states, n_inputs = len(sys.states), len(sys.interface.inputs)
         power = _power(n_inputs, k)
         if not n_states or power is not None and n_states * power <= MAX_WALK:
@@ -598,20 +614,22 @@ def _period_walk(k: int, *machines: Machine) -> DetSystem:
             f"the period-{k} orbit walk{whose} tries |S|*|I|^k = {n_states}*{n_inputs}^{k}"
             f"{count} tuples; more than MAX_WALK = {MAX_WALK}"
         )
-    return walking_cycle(k)
+    cycle = walking_cycle(k)
+    for whose, sys in named:
+        n_states, n_inputs = len(sys.states), len(sys.interface.inputs)
+        slots = n_states * n_inputs**k * k
+        if slots > MAX_SLOTS:
+            raise ValidationError(
+                f"the period-{k} orbit walk{whose} fills |S|*|I|^k*k = "
+                f"{n_states}*{n_inputs}^{k}*{k} = {slots} slots; more than MAX_SLOTS = {MAX_SLOTS}"
+            )
+    return cycle
 
 
 def periodic_orbit_span(sys: Machine, k: int) -> Family:
-    """Orbits of period dividing k, fibered over k-tuples of (output, input) pairs.
-
-    Its labels are formed before it is returned: they join their parts with
-    `|`, so parts that contain it can make two elements, or two charts, print
-    alike, and this raises `duplicate element label` then. A walk of more than
-    `MAX_WALK` tuples is a `ValidationError` that states its length.
-    """
-    family = representable_span(_period_walk(k, sys), sys)
-    family.proj  # forms `total` and `proj`, refusing labels that print alike
-    return family
+    """Orbits of period dividing k, fibered over k-tuples of (output, input)
+    pairs; a walk past `_period_walk`'s bounds is a `ValidationError`."""
+    return representable_span(_period_walk(k, sys), sys)
 
 
 def steady_span(sys: Machine) -> Family:
@@ -671,12 +689,12 @@ class _LensSpan(Span):
     @cached_property
     def left(self) -> FinMap:
         table = {join_labels(*apex): join_labels(*down) for apex, down, _ in self._over()}
-        return _finmap(self.apex, self.source, table)
+        return FinMap(self.apex, self.source, table)
 
     @cached_property
     def right(self) -> FinMap:
         table = {join_labels(*apex): join_labels(*up) for apex, _, up in self._over()}
-        return _finmap(self.apex, self.target, table)
+        return FinMap(self.apex, self.target, table)
 
 
 def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
@@ -728,13 +746,9 @@ def check_matrix_theorem(lens: DetLens, sys: Machine, k: int) -> FamilyMatch:
     valid input is a defect, not a data problem. The result is
     `families_isomorphic(periodic_orbit_span(compose_lens_system(lens, sys), k),
     apply_span_to_family(lens_to_span(lens, walking_cycle(k).interface),
-    periodic_orbit_span(sys, k)))`, with `representable_span`, which forms no
-    label, in place of `periodic_orbit_span`: no chart set is enumerated and
-    no chart label is formed. The span is pushed through the charts that carry
-    orbits only, fibers are compared where they are nonempty, and element
-    labels are formed for the witness alone. The pushed family has at most as
-    many elements as the rewired machine has orbits, so a walk of either
-    machine past `MAX_WALK` tuples is refused first.
+    periodic_orbit_span(sys, k)))`: the span is pushed through the charts
+    that carry orbits only, and element labels are formed for the witness
+    alone. Both machines' walks are bounded before either starts.
     """
     rewired = compose_lens_system(lens, sys)  # refuses a lens whose source is not sys's
     cycle = _period_walk(k, sys, rewired)

@@ -7,25 +7,28 @@ set fibered over a base; applying a span to a family pulls the family back
 along the left leg and pushes it forward along the right leg. Everything
 here is immutable after construction and all operations are pure.
 
-Composite elements are labelled by joining constituent labels with "|".
-Enumeration order of every composite is the product order, each coordinate
-running in its set's canonical (insertion) order, so repeated runs produce
-byte-identical output.
+Composite elements are labelled by joining constituent labels with "|". The
+labels of a `FinSet` all have one number of "|"-separated parts, its `width`,
+so a join splits back one way only and no two composites print alike.
+Composites run in product order, each coordinate in its set's canonical
+(insertion) order, so repeated runs produce byte-identical output.
 
 A set of composites can be a `ProductSet`, given by the alphabets of its
 slots and never enumerated unless its labels are asked for. A family is
 stored as its rows, a (base key, element key) pair per element in total
 order, so only its nonempty fibers take room; a key is the tuple of parts
 whose join is the label (a `FinSet` element's key is its label alone).
-Spans act and families compare on keys; labels are joined, and two that
-print alike refused, only where a family or span hands one out.
+Spans act and families compare on keys; labels are joined only where a
+family or span hands one out.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
@@ -39,32 +42,36 @@ def join_labels(*parts: str) -> str:
     return SEPARATOR.join(parts)
 
 
-def _duplicate(label: str) -> ValidationError:
-    return ValidationError(f"duplicate element label {label!r}")
-
-
 class FinSet:
-    """An ordered finite set of distinct string labels.
+    """An ordered finite set of distinct string labels, all with the same
+    number of "|"-separated parts, its `width` (1 when it is empty).
 
     The order is part of the data: it fixes enumeration order for products,
     hom-sets, and serialized output, and is preserved by round-trips.
     """
 
-    __slots__ = ("elements", "_index")
+    __slots__ = ("elements", "_index", "width")
 
     def __init__(self, elements: Iterable[str]):
         elements = tuple(elements)
         index: dict[str, int] = {}
+        seps = elements[0].count(SEPARATOR) if elements and isinstance(elements[0], str) else 0
         for pos, label in enumerate(elements):
             if not isinstance(label, str) or label == "":
                 raise ValidationError(
                     f"finite-set elements must be non-empty strings, got {label!r}"
                 )
             if label in index:
-                raise _duplicate(label)
+                raise ValidationError(f"duplicate element label {label!r}")
+            if label.count(SEPARATOR) != seps:
+                raise ValidationError(
+                    f"labels {elements[0]!r} and {label!r} have different numbers of "
+                    f"{SEPARATOR!r}-separated parts"
+                )
             index[label] = pos
         self.elements = elements
         self._index = index
+        self.width = seps + 1
 
     def __contains__(self, label: object) -> bool:
         return label in self._index
@@ -120,7 +127,15 @@ class ProductSet:
         self.alphabets = tuple(alphabets)
 
     def __len__(self) -> int:
-        return prod(map(len, self.alphabets))
+        size = prod(map(len, self.alphabets))
+        if size > sys.maxsize:  # which len() cannot return: state it as powers
+            powers = Counter(n for n in map(len, self.alphabets) if n > 1)
+            raise ValidationError(
+                f"a product of {len(self.alphabets)} sets has "
+                f"{'*'.join(f'{n}^{count}' for n, count in powers.items())} elements; "
+                f"more than sys.maxsize = {sys.maxsize}, the most len() can return"
+            )
+        return size
 
     def __iter__(self) -> Iterator[str]:
         return (join_labels(*key) for key in product(*self.alphabets))
@@ -133,33 +148,16 @@ class ProductSet:
         return isinstance(label, str) and self._parse(label) is not None
 
     def _parse(self, label: str) -> Optional[tuple[str, ...]]:
-        """The tuple labelled `label`, or None. Slot values may contain "|",
-        so the label is read slot by slot, keeping every split that fits; a
-        label that two tuples share is refused as a duplicate."""
-        parts = tuple(label.split(SEPARATOR))
-        if len(parts) == len(self.alphabets):  # a slot spans a part or more: no other split
-            return parts if all(map(FinSet.__contains__, self.alphabets, parts)) else None
-        # ends[j][end]: the (start, value) of slot j where slots up to j spell
-        # label[:end - 1], or None where two ways do
-        ends: list[dict] = [{0: (0, "")}]
-        for alphabet in self.alphabets:
-            after: dict[int, Optional[tuple[int, str]]] = {}
-            for start, way in ends[-1].items():
-                for value in alphabet:
-                    end = start + len(value)
-                    if label.startswith(value, start) and label[end:end + 1] in ("", SEPARATOR):
-                        after[end + 1] = None if end + 1 in after or way is None else (start, value)
-            ends.append(after)
-        end = len(label) + 1
-        if end not in ends[-1]:
-            return None
-        if ends[-1][end] is None:
-            raise _duplicate(label)
-        values = []
-        for after in reversed(ends[1:]):
-            end, value = after[end]
-            values.append(value)
-        return tuple(reversed(values))
+        """The tuple labelled `label`, or None: each slot takes as many of its
+        "|"-separated parts as its alphabet's width."""
+        parts = label.split(SEPARATOR)
+        if len(parts) != len(self.alphabets):  # a slot is wider, or no tuple fits
+            ends = list(accumulate(alphabet.width for alphabet in self.alphabets))
+            if not ends or ends[-1] != len(parts):
+                return None
+            parts = [SEPARATOR.join(parts[start:end]) for start, end in zip([0, *ends], ends)]
+        key = tuple(parts)
+        return key if all(map(FinSet.__contains__, self.alphabets, key)) else None
 
     def key(self, label: str) -> tuple[str, ...]:
         key = self._parse(label)
@@ -249,15 +247,6 @@ class FinMap:
         return f"FinMap({self.dom!r}, {self.cod!r}, {self.table!r})"
 
 
-def _finmap(dom, cod, table: dict[str, str]) -> FinMap:
-    """A map from a table known to be total on `dom`, in its order, and
-    valued in `cod`, formed without testing each value: on a ProductSet that
-    test reads every label back slot by slot."""
-    finmap = FinMap.__new__(FinMap)
-    finmap.dom, finmap.cod, finmap.table = dom, cod, table
-    return finmap
-
-
 class Span:
     """Two legs out of a common apex: source <- apex -> target."""
 
@@ -302,8 +291,7 @@ class Family:
     Every family is stored as its rows, (base key, element key) in total
     order, so only nonempty fibers take room. `Family(base, total, proj)`
     builds any family from labels; orbit and pushed families are built from
-    rows and form `total` and `proj` when first asked for, which is where two
-    labels that print alike are refused.
+    rows and form `total` and `proj` when first asked for.
     """
 
     def __init__(self, base: FinSet, total: FinSet, proj: FinMap):
@@ -322,10 +310,8 @@ class Family:
 
     @cached_property
     def proj(self) -> FinMap:
-        labels = {point: join_labels(*point) for point, _ in self._rows}
-        FinSet(labels.values())  # refuses two base points that print alike
-        points = {z: labels[point] for z, (point, _) in zip(self.total, self._rows)}
-        return _finmap(self.total, self.base, points)
+        points = {z: join_labels(*point) for z, (point, _) in zip(self.total, self._rows)}
+        return FinMap(self.total, self.base, points)
 
     def _rows_over(self, base) -> list[tuple]:
         """The rows, with base points keyed as `base` keys them: `base` equals
@@ -335,9 +321,7 @@ class Family:
         return [(base.key(join_labels(*point)), element) for point, element in self._rows]
 
     def fiber(self, base_label: str) -> list[str]:
-        if base_label not in self.base:
-            raise ValidationError(f"{base_label!r} is not in the base {self.base}")
-        point = self.base.key(base_label)
+        point = self.base.key(base_label)  # refuses a label not in the base
         return [z for z, (p, _) in zip(self.total, self._rows) if p == point]
 
     def fibers(self) -> dict[str, list[str]]:
@@ -407,7 +391,8 @@ def compose_spans(s1: Span, s2: Span) -> Span:
     apex = FinSet(join_labels(*xy) for xy, _, _ in rows)
     left = {z: join_labels(*v) for z, (_, v, _) in zip(apex, rows)}
     right = {z: join_labels(*w) for z, (_, _, w) in zip(apex, rows)}
-    return Span(s1.source, s2.target, apex, _finmap(apex, s1.source, left), _finmap(apex, s2.target, right))
+    left_leg, right_leg = FinMap(apex, s1.source, left), FinMap(apex, s2.target, right)
+    return Span(s1.source, s2.target, apex, left_leg, right_leg)
 
 
 def span_to_matrix(s: Span) -> list[list[int]]:

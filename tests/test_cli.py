@@ -170,7 +170,8 @@ class TestSteady:
         assert not (tmp_path / "y.csv").exists()
 
     def test_labels_that_join_alike_exit_2(self, tmp_path):
-        # elements (a|b, c) and (a, b|c) both print as a|b|c
+        # elements (a|b, c) and (a, b|c) would both print as a|b|c, so the
+        # states, whose labels have different numbers of parts, are refused
         project = tmp_path / "pipes.json"
         project.write_text(json.dumps({"version": 1, "systems": {"m": {
             "kind": "deterministic", "states": ["a|b", "a"], "inputs": ["c", "b|c"],
@@ -185,7 +186,10 @@ class TestSteady:
             text=True,
         )
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: duplicate element label 'a|b|c'")
+        assert proc.stderr == (
+            f"error: {project}: system 'm': labels 'a|b' and 'a' have different numbers of "
+            "'|'-separated parts\n"
+        )
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
@@ -736,6 +740,92 @@ class TestEveryWalkIsBounded:
             "more than MAX_WALK = 1000000\n"
         )
         assert not out.exists()
+
+
+def fixed_states(n: int) -> DetSystem:
+    """`n` states that each stay put under the one input."""
+    states = FinSet(f"s{j}" for j in range(n))
+    iface = DetInterface(FinSet(["x"]), FinSet(["o"]))
+    readout = FinMap(states, iface.outputs, dict.fromkeys(states, "o"))
+    return DetSystem(states, iface, readout, {s: {"x": s} for s in states})
+
+
+def forbid_walks(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a walk was started")
+
+    monkeypatch.setattr(det, "_maps_into", fail)
+
+
+class TestWalkSlotsAreBounded:
+    """Where |I| = 1 the tuples stay |S| at any k, but each orbit fills 2k
+    slots: |S|*|I|^k*k is bounded once k is, before anything walks."""
+
+    def test_the_bound_is_inclusive_and_checked_before_walking(self, monkeypatch):
+        monkeypatch.setattr(det, "MAX_SLOTS", 2 * 5)
+        machine = fixed_states(2)
+        assert len(det.periodic_orbits(machine, 5)) == 2
+        forbid_walks(monkeypatch)
+        with pytest.raises(ValidationError) as err:
+            det.periodic_orbit_span(machine, 6)
+        assert str(err.value) == (
+            "the period-6 orbit walk fills |S|*|I|^k*k = 2*1^6*6 = 12 slots; "
+            "more than MAX_SLOTS = 10"
+        )
+
+    def test_the_theorem_bounds_the_rewired_slots_before_walking(self, monkeypatch):
+        project = project_from_obj(fan_in_project(4))
+        lens, sys = project.lens("wide"), project.system("s")
+        monkeypatch.setattr(det, "MAX_SLOTS", 2 * 4**2 * 2 - 1)
+        forbid_walks(monkeypatch)
+        with pytest.raises(ValidationError) as err:
+            det.check_matrix_theorem(lens, sys, 2)
+        assert str(err.value) == (
+            "the period-2 orbit walk of the rewired system fills |S|*|I|^k*k = 2*4^2*2 = 64 "
+            "slots; more than MAX_SLOTS = 63"
+        )
+
+    def test_many_states_at_a_long_period_are_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as err:
+            det.periodic_orbits(fixed_states(2_000), 10_000)
+        assert str(err.value) == (
+            "the period-10000 orbit walk fills |S|*|I|^k*k = 2000*1^10000*10000 = 20000000 "
+            "slots; more than MAX_SLOTS = 10000000"
+        )
+        assert time.perf_counter() - start < 1.0
+
+
+class TestRepresentableSpanIsBounded:
+    """`representable_span` counts the tuples its own walk tries: |S| per phi
+    slot it searches, times |I| per input slot."""
+
+    def test_a_long_cycle_into_the_latch_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as err:
+            det.representable_span(det.walking_cycle(24), flipflop())
+        assert str(err.value) == (
+            "the walk from a 24-state machine tries |S|^1*|I|^24 = 2^1*3^24 tuples; "
+            "more than MAX_WALK = 1000000"
+        )
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_count_skips_computed_slots_and_is_inclusive(self, monkeypatch):
+        # b's phi slot is computed from a's under x: one phi slot searched,
+        # four input slots
+        states = FinSet(["a", "b"])
+        iface = DetInterface(FinSet(["x", "y"]), states)
+        update = {"a": {"x": "b", "y": "a"}, "b": {"x": "a", "y": "b"}}
+        rep = DetSystem(states, iface, FinMap.identity(states), update)
+        monkeypatch.setattr(det, "MAX_WALK", 2 * 3**4)
+        assert len(det.representable_span(rep, flipflop()).total) > 0
+        monkeypatch.setattr(det, "MAX_WALK", 2 * 3**4 - 1)
+        with pytest.raises(ValidationError) as err:
+            det.representable_span(rep, flipflop())
+        assert str(err.value) == (
+            "the walk from a 2-state machine tries |S|^1*|I|^4 = 2^1*3^4 tuples; "
+            "more than MAX_WALK = 161"
+        )
 
 
 # Two Markov machines with weight denominators 2 to 7, some given out of state

@@ -1,6 +1,8 @@
 """Finite sets, maps, spans, families, and the span-composition kernel."""
 
 import random
+import sys
+import time
 from itertools import product
 
 import pytest
@@ -35,6 +37,17 @@ class TestFinSet:
         with pytest.raises(ValidationError, match="dup"):
             FinSet(["dup", "other", "dup"])
 
+    def test_labels_with_different_numbers_of_parts_are_refused(self):
+        with pytest.raises(ValidationError) as err:
+            FinSet(["a|b", "c|d", "a"])
+        assert str(err.value) == (
+            "labels 'a|b' and 'a' have different numbers of '|'-separated parts"
+        )
+        with pytest.raises(ValidationError, match="^labels 'a' and 'a\\|a' have different"):
+            FinSet(["a", "a|a"])
+        assert FinSet(["a|b", "c|d"]).width == 2
+        assert FinSet(["a"]).width == FinSet([]).width == 1
+
     def test_empty_label_rejected(self):
         with pytest.raises(ValidationError):
             FinSet([""])
@@ -52,35 +65,48 @@ class TestFinSet:
 class TestProductSet:
     def test_agrees_with_the_enumerated_labels(self):
         """Membership, position and keys against the listed labels, with slot
-        values that contain the separator, so that some labels are shared."""
+        values that contain the separator: each alphabet has one width, so
+        no label is shared."""
         rng = random.Random(9)
-        parts = ["a", "b", "c", "a|b", "b|a", "|c"]
-        shared = 0
+        by_width = [["a", "b", "c"], ["a|b", "b|a", "c|c", "a|a"], ["a|b|c", "c|a|a", "b|b|b"]]
+        parts = [part for values in by_width for part in values]
         for _ in range(300):
             alphabets = [
-                FinSet(rng.sample(parts, rng.randint(1, 3))) for _ in range(rng.randint(1, 3))
+                FinSet(rng.sample(rng.choice(by_width), rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 3))
             ]
             ps = ProductSet(alphabets)
-            labels = [join_labels(*key) for key in product(*alphabets)]
+            tuples = list(product(*alphabets))
+            keys = {join_labels(*key): key for key in tuples}
+            labels = list(keys)
+            assert len(labels) == len(tuples)
             assert len(ps) == len(labels) and list(ps) == labels
-            if len(set(labels)) < len(labels):
-                with pytest.raises(ValidationError, match="^duplicate element label"):
-                    ps.elements
-            else:
-                assert ps == FinSet(labels) and FinSet(labels) == ps
+            assert ps == FinSet(labels) and FinSet(labels) == ps
             others = {join_labels(*rng.choices(parts, k=rng.randint(1, 4))) for _ in range(6)}
             for label in set(labels) | others:
-                count = labels.count(label)
-                if count > 1:
-                    shared += 1
-                    with pytest.raises(ValidationError, match="^duplicate element label"):
-                        label in ps
-                    continue
-                assert (label in ps) == (count == 1)
-                if count == 1:
+                assert (label in ps) == (label in keys)
+                if label in keys:
                     assert ps.position(label) == labels.index(label)
-                    assert join_labels(*ps.key(label)) == label
-        assert shared > 10
+                    assert ps.key(label) == keys[label]
+
+    def test_a_long_label_is_read_in_one_pass(self):
+        """Ten thousand slots of width 2: a split and a lookup per slot."""
+        ps = ProductSet([FinSet(["a|a", "b|a"])] * 10_000)
+        label = join_labels(*["b|a"] * 10_000)
+        start = time.perf_counter()
+        assert label in ps and label + "|a" not in ps and "a|" + label not in ps
+        assert ps.key(label) == ("b|a",) * 10_000
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_size_past_sys_maxsize_is_stated_as_powers(self):
+        ps = ProductSet([FinSet(["p", "q"]), FinSet(["u"]), FinSet(["x", "y", "z"])] * 40)
+        with pytest.raises(ValidationError) as err:
+            len(ps)
+        assert str(err.value) == (
+            f"a product of 120 sets has 2^40*3^40 elements; more than sys.maxsize = "
+            f"{sys.maxsize}, the most len() can return"
+        )
+        assert len(ProductSet([FinSet(["p", "q"])] * 62)) == 2**62
 
     def test_equal_alphabets_make_equal_sets_without_listing_them(self):
         big = FinSet(f"x{n}" for n in range(10))

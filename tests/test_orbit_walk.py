@@ -17,6 +17,7 @@ from opendyn import (
     Family,
     FinMap,
     FinSet,
+    ProductSet,
     ValidationError,
     apply_span_to_family,
     check_matrix_theorem,
@@ -33,6 +34,7 @@ from opendyn import (
     save_project,
     span_to_matrix,
     steady_span,
+    tensor_systems,
     walking_cycle,
 )
 import opendyn.deterministic as det
@@ -51,7 +53,14 @@ from dense_oracle import (
     dense_steady_rows,
     dense_steady_span,
 )
-from helpers import feedback_lens, fixture_path, flipflop, oscillator, random_markov_machine
+from helpers import (
+    feedback_lens,
+    fixture_path,
+    flipflop,
+    matmul,
+    oscillator,
+    random_markov_machine,
+)
 
 
 def assert_same_family(sparse: Family, dense: Family) -> None:
@@ -160,21 +169,26 @@ class TestErrors:
     @pytest.mark.parametrize(
         "states, readout",
         [
-            # elements (a|b, c) and (a, b|c) print alike
+            # elements (a|b, c) and (a, b|c) would print alike
             (["a|b", "a"], {"a|b": "o", "a": "o"}),
-            # elements differ, but charts (a|b, c) and (a, b|c) print alike
+            # charts (a|b, c) and (a, b|c) would print alike
             (["p", "q"], {"p": "a|b", "q": "a"}),
         ],
     )
     def test_labels_that_join_alike_are_refused(self, states, readout):
-        states = FinSet(states)
-        iface = DetInterface(FinSet(["c", "b|c"]), FinSet(sorted(set(readout.values()))))
-        update = {s: {i: s for i in iface.inputs} for s in states}
-        sys = DetSystem(states, iface, FinMap(states, iface.outputs, readout), update)
-        with pytest.raises(ValidationError, match=r"^duplicate element label 'a\|b\|c'$"):
-            list(periodic_orbits(sys, 1))
-        with pytest.raises(ValidationError, match="^duplicate element label"):
-            periodic_orbit_span(sys, 1)
+        """The set whose labels have different numbers of parts, the states
+        or the outputs, is refused when it is built, and so are the inputs,
+        so no machine can have orbits or charts that print alike."""
+        outputs = sorted(set(readout.values()))
+        mixed = states if outputs == ["o"] else outputs
+        parts = " have different numbers of '|'-separated parts"
+        with pytest.raises(ValidationError) as err:
+            FinSet(states)
+            FinSet(outputs)
+        assert str(err.value) == f"labels {mixed[0]!r} and {mixed[1]!r}{parts}"
+        with pytest.raises(ValidationError) as err:
+            FinSet(["c", "b|c"])
+        assert str(err.value) == f"labels 'c' and 'b|c'{parts}"
 
 
 class TestFiberComparison:
@@ -450,6 +464,62 @@ class TestSparseFamiliesAnswerAsTheDenseOnes:
             orbits = periodic_orbit_span(each_machine(rng, iface, case), k)
             assert_same_family(
                 apply_span_to_family(dense, orbits), dense_apply_span_to_family(dense, orbits)
+            )
+
+
+def tensor_of_tensors(rng: random.Random, k: int, case: int):
+    """Three random machines of one effect tensored as (a x b) x c or
+    a x (b x c), so that every label has three `|`-separated parts; the
+    third is smaller at k = 3, to keep the dense search quick."""
+    make = random_system if case % 2 else random_markov_machine
+    a, b, c = (
+        make(rng, random_interface(rng, size, tag=tag), size)
+        for tag, size in zip("abc", (2, 2, 2 if k < 3 else 1))
+    )
+    if case % 4 < 2:
+        return tensor_systems(tensor_systems(a, b), c)
+    return tensor_systems(a, tensor_systems(b, c))
+
+
+def tensor_interface(rng: random.Random, tag: str, k: int) -> DetInterface:
+    """The tensor of two random interfaces, small enough at k = 2 and 3 for
+    the dense period-k matrices to multiply quickly."""
+    a = random_interface(rng, 2, tag=tag)
+    b = random_interface(rng, 2 if k == 1 else 1, tag=tag + "x")
+    return DetInterface(product_finset(a.inputs, b.inputs), product_finset(a.outputs, b.outputs))
+
+
+class TestOneWidthPerSet:
+    """Labels whose parts contain `|`: tensors of tensors, whose every set
+    has one width, so each composite label splits back one way."""
+
+    def test_orbit_labels_split_back_to_their_rows(self):
+        rng = random.Random(151)
+        rows = 0
+        for case in range(60):
+            k = 1 + case % 3
+            sys = tensor_of_tensors(rng, k, case)
+            assert sys.states.width == sys.interface.inputs.width == 3
+            family = periodic_orbit_span(sys, k)
+            elements = ProductSet([sys.states, sys.interface.inputs] * k)
+            for z, (chart, element) in zip(family.total, family._rows):
+                assert family.base.key(family.proj(z)) == chart
+                assert elements.key(z) == element
+            rows += len(family._rows)
+            assert_same_family(family, dense_periodic_orbit_span(sys, k))
+        assert rows > 100
+
+    def test_composed_lens_spans_multiply_their_matrices(self):
+        rng = random.Random(152)
+        for case in range(45):
+            k = 1 + case % 3
+            first, middle, last = (tensor_interface(rng, tag, k) for tag in "abc")
+            a, b = random_lens(rng, first, middle), random_lens(rng, middle, last)
+            rep = walking_cycle(k).interface
+            composed = compose_spans(lens_to_span(a, rep), lens_to_span(b, rep))
+            assert span_to_matrix(composed) == matmul(
+                span_to_matrix(dense_lens_to_span(a, rep)),
+                span_to_matrix(dense_lens_to_span(b, rep)),
             )
 
 

@@ -204,6 +204,20 @@ class TestLoadErrorsNameTheEntryOnce:
             project_from_obj({"version": 1, section: {"e": entry}})
         assert str(err.value) == message
 
+    def test_labels_with_different_numbers_of_parts_name_the_entry(self, tmp_path):
+        parts = "have different numbers of '|'-separated parts"
+        states = {"a|b": "o", "a": "o"}
+        system = det_entry(states=list(states), readout=states,
+                           update={s: {"i": s} for s in states})
+        path = write_json(tmp_path, {"version": 1, "systems": {"m": system}})
+        with pytest.raises(ValidationError) as err:
+            load_project(path)
+        assert str(err.value) == f"{path}: system 'm': labels 'a|b' and 'a' {parts}"
+        lens = det_lens_entry(targetInputs=["t", "t|u"])
+        with pytest.raises(ValidationError) as err:
+            project_from_obj({"version": 1, "lenses": {"w": lens}})
+        assert str(err.value) == f"lens 'w': labels 't' and 't|u' {parts}"
+
     def test_a_file_prefixes_its_path(self, tmp_path):
         path = write_json(tmp_path, {"version": 1, "systems": {"e": det_entry(kind="quantum")}})
         with pytest.raises(ValidationError) as err:
