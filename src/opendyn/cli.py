@@ -8,8 +8,8 @@ of `json.dumps(obj, indent=2)` plus a newline, from one writer,
 `project.write_json`. `matrix` refuses a span whose matrix would have more than
 `deterministic.MAX_MATRIX_ENTRIES` entries before building anything of size k,
 and `steady` and `check`'s project scan an orbit walk of more than
-`deterministic.MAX_WALK` tuples; all three refuse a period past
-`deterministic.MAX_PERIOD`.
+`deterministic.MAX_WALK` tuples or `deterministic.MAX_SLOTS` slots; all three
+refuse a period past `deterministic.MAX_PERIOD`.
 `steady`, `simulate` and `check`'s project scan run one code path for a
 deterministic and a Markov machine alike; an ODE system cannot be `steady`.
 Exit codes: 0 success, 1 a check reported a failure, 2 usage or validation

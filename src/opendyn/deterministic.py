@@ -55,9 +55,9 @@ from .finset import (
 #: 53 MB of JSON.
 MAX_MATRIX_ENTRIES = 10_000_000
 
-#: Most tuples, |S|·|I|^k, that a period-k orbit walk may try; it tries them
-#: all however few orbits it finds. On a 2-CPU VM, 2·3^12 = 1,062,882 tuples
-#: took 10.9 s and 364 MB.
+#: Most tuples a walk may try, |S|^phis·|I|^inputs (`_walk_size`): |S|·|I|^k for a
+#: period-k orbit walk, which tries them all however few orbits it finds. Unbounded,
+#: the latch's span at k = 12 (2·3^12 tuples) took 4.1-5.0 s and 298 MB on a 2-CPU VM.
 MAX_WALK = 1_000_000
 
 #: Most states a walking cycle may have, so the longest period an orbit walk
@@ -65,9 +65,8 @@ MAX_WALK = 1_000_000
 #: with k, but each orbit still fills 2k slots and each chart label has 2k parts.
 MAX_PERIOD = 10_000
 
-#: Most slots, |S|·|I|^k·k, that a period-k orbit walk may fill: each tuple
-#: fills up to 2k and each orbit found keeps them. On a 2-CPU VM 300 states
-#: under one input at k = 10,000 (3,000,000 slots) took 9.8 s and 143 MB.
+#: Most slots, tuples times representing states, a walk may fill (|S|·|I|^k·k at period
+#: k): on a 2-CPU VM, 300 states under one input at k = 10,000 took 9.8 s and 143 MB.
 MAX_SLOTS = 10_000_000
 
 
@@ -495,9 +494,8 @@ def _maps_into(rep: DetSystem, sys: Machine) -> Iterator[tuple[str, ...]]:
     slots earlier is computed rather than searched. On a walking k-cycle this
     walks a start state and an input word: |S| * |I|^k tuples tried, not
     (|S| * |I|)^k. It reads each update cell through the effect's `point`,
-    so a cell that reaches no state for sure cuts the branch. A walk that
-    would try more than `MAX_WALK` tuples, |S| per phi slot it searches
-    times |I| per input slot, is refused before it starts.
+    so a cell that reaches no state for sure cuts the branch. A walk past
+    `MAX_WALK` tuples or `MAX_SLOTS` slots (`_walk_size`) is refused first.
     """
     rep_states = rep.states.elements
     rep_inputs = rep.interface.inputs.elements
@@ -520,12 +518,15 @@ def _maps_into(rep: DetSystem, sys: Machine) -> Iterator[tuple[str, ...]]:
             else:
                 checks[max(inp, dst)].append((src, inp, dst))
     phis, inputs = sum(forced[slot] is None for slot in phi_slot.values()), n - len(rep_states)
-    n_states, n_inputs = len(sys.states), len(sys.interface.inputs)
-    if n_states**phis * n_inputs**inputs > MAX_WALK:  # printed as its formula: it may be huge
-        raise ValidationError(
-            f"the walk from a {len(rep_states)}-state machine tries |S|^{phis}*|I|^{inputs} = "
-            f"{n_states}^{phis}*{n_inputs}^{inputs} tuples; more than MAX_WALK = {MAX_WALK}"
-        )
+    tuples, slots = _walk_size(sys, phis, inputs, m := len(rep_states))
+    if tuples is None or tuples > MAX_WALK:  # printed as formulas: the counts may be huge
+        raise ValidationError(f"the walk from a {m}-state machine tries |S|^{phis}*|I|^{inputs} = "
+                              f"{len(sys.states)}^{phis}*{len(sys.interface.inputs)}^{inputs} "
+                              f"tuples; more than MAX_WALK = {MAX_WALK}")
+    if slots > MAX_SLOTS:
+        raise ValidationError(f"the walk from a {m}-state machine fills |S|^{phis}*|I|^{inputs}*"
+                              f"{m} = {len(sys.states)}^{phis}*{len(sys.interface.inputs)}^{inputs}*"
+                              f"{m} slots; more than MAX_SLOTS = {MAX_SLOTS}")
     point = sys.effect.point
     update = {s: {i: point(cell) for i, cell in row.items()} for s, row in sys.update.items()}
 
@@ -595,34 +596,34 @@ def _power(base: int, k: int) -> Optional[int]:
     return None if base > 1 and k * base.bit_length() > 256 else base**k
 
 
+def _walk_size(sys: Machine, phis: int, inputs: int, rep_states: int) -> tuple:
+    """The tuples a walk into `sys` tries, |S|^phis·|I|^inputs, and the slots they
+    fill, tuples·rep_states; both None where `_power` leaves a factor uncomputed."""
+    powers = _power(len(sys.states), phis), _power(len(sys.interface.inputs), inputs)
+    tuples = 0 if 0 in powers else None if None in powers else powers[0] * powers[1]
+    return tuples, None if tuples is None else tuples * rep_states
+
+
 def _period_walk(k: int, *machines: Machine) -> DetSystem:
-    """The walking k-cycle, whose maps into a machine are its period-k orbits, once k
-    is a period and the walk into each of `machines` (a machine, then that machine
-    rewired by a lens) tries at most `MAX_WALK` tuples, |S|·|I|^k; `walking_cycle`
-    then refuses a k past `MAX_PERIOD`, and last a walk that fills more than
-    `MAX_SLOTS` slots, |S|·|I|^k·k, is refused. Every walk starts here."""
+    """The walking k-cycle once each walk into `machines` (a machine, then it rewired
+    by a lens) is within `MAX_WALK`, k within `MAX_PERIOD` and each walk within
+    `MAX_SLOTS`, in that order, on `_walk_size`'s counts for the cycle."""
     if k < 1:
         raise ValidationError(f"orbit period must be at least 1, got {k}")
-    named = list(zip(("", " of the rewired system"), machines))
-    for whose, sys in named:
-        n_states, n_inputs = len(sys.states), len(sys.interface.inputs)
-        power = _power(n_inputs, k)
-        if not n_states or power is not None and n_states * power <= MAX_WALK:
-            continue
-        count = "" if power is None else f" = {n_states * power}"
-        raise ValidationError(
-            f"the period-{k} orbit walk{whose} tries |S|*|I|^k = {n_states}*{n_inputs}^{k}"
-            f"{count} tuples; more than MAX_WALK = {MAX_WALK}"
-        )
+    named = [(whose, m, *_walk_size(m, 1, k, k))
+             for whose, m in zip(("", " of the rewired system"), machines)]
+    for whose, m, tuples, _ in named:
+        if tuples is None or tuples > MAX_WALK:
+            count = "" if tuples is None else f" = {tuples}"
+            raise ValidationError(f"the period-{k} orbit walk{whose} tries |S|*|I|^k = "
+                                  f"{len(m.states)}*{len(m.interface.inputs)}^{k}{count} tuples; "
+                                  f"more than MAX_WALK = {MAX_WALK}")
     cycle = walking_cycle(k)
-    for whose, sys in named:
-        n_states, n_inputs = len(sys.states), len(sys.interface.inputs)
-        slots = n_states * n_inputs**k * k
+    for whose, m, _, slots in named:
         if slots > MAX_SLOTS:
-            raise ValidationError(
-                f"the period-{k} orbit walk{whose} fills |S|*|I|^k*k = "
-                f"{n_states}*{n_inputs}^{k}*{k} = {slots} slots; more than MAX_SLOTS = {MAX_SLOTS}"
-            )
+            raise ValidationError(f"the period-{k} orbit walk{whose} fills |S|*|I|^k*k = "
+                                  f"{len(m.states)}*{len(m.interface.inputs)}^{k}*{k} = {slots} "
+                                  f"slots; more than MAX_SLOTS = {MAX_SLOTS}")
     return cycle
 
 
@@ -641,8 +642,7 @@ def steady_span(sys: Machine) -> Family:
 def periodic_orbits(sys: Machine, k: int) -> list[tuple[str, str]]:
     """The (chart, element) labels of `periodic_orbit_span(sys, k)`, element
     by element in its total order: the rows `opendyn steady` writes."""
-    family = periodic_orbit_span(sys, k)
-    return [(family.proj(z), z) for z in family.total]
+    return [(join_labels(*chart), join_labels(*z)) for chart, z in periodic_orbit_span(sys, k)._rows]
 
 
 def _lens_apex(steps: Mapping, charts: Iterable[tuple[str, ...]]) -> list[tuple]:

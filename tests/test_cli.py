@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -19,13 +20,23 @@ from opendyn import (
     ValidationError,
     compose_lens_ode,
     load_project,
+    random_lens,
+    random_system,
     save_project,
 )
 from opendyn.cli import main
 from opendyn.expr import MAX_NODES
+from opendyn.laws import random_interface
 from opendyn.project import ProjectFile, project_from_obj
 
-from helpers import feedback_lens, fixture_path, flipflop, oscillator, wide_lens
+from helpers import (
+    feedback_lens,
+    fixture_path,
+    flipflop,
+    oscillator,
+    random_markov_machine,
+    wide_lens,
+)
 
 FLIPFLOP = fixture_path("flipflop.json")
 LV = fixture_path("lv.json")
@@ -826,6 +837,96 @@ class TestRepresentableSpanIsBounded:
             "the walk from a 2-state machine tries |S|^1*|I|^4 = 2^1*3^4 tuples; "
             "more than MAX_WALK = 161"
         )
+        # its 162 tuples fill 162 * 2 slots, one per rep state
+        monkeypatch.setattr(det, "MAX_WALK", 2 * 3**4)
+        monkeypatch.setattr(det, "MAX_SLOTS", 2 * 3**4 * 2)
+        assert len(det.representable_span(rep, flipflop()).total) > 0
+        monkeypatch.setattr(det, "MAX_SLOTS", 2 * 3**4 * 2 - 1)
+        with pytest.raises(ValidationError) as err:
+            det.representable_span(rep, flipflop())
+        assert str(err.value) == (
+            "the walk from a 2-state machine fills |S|^1*|I|^4*2 = 2^1*3^4*2 slots; "
+            "more than MAX_SLOTS = 323"
+        )
+
+    def test_many_fixed_states_on_a_long_cycle_are_refused_by_slots_at_once(self, monkeypatch):
+        def no_tuples(cell):
+            raise AssertionError("the walk read an update cell")
+
+        machine, cycle = fixed_states(2_000), det.walking_cycle(10_000)
+        monkeypatch.setattr(det.Identity, "point", staticmethod(no_tuples))
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as err:
+            det.representable_span(cycle, machine)
+        assert str(err.value) == (
+            "the walk from a 10000-state machine fills |S|^1*|I|^10000*10000 = "
+            "2000^1*1^10000*10000 slots; more than MAX_SLOTS = 10000000"
+        )
+        assert time.perf_counter() - start < 1.0
+
+
+class TestOneWalkBudget:
+    """`_walk_size` is the one count of a walk's tuples and slots: every entry
+    asks it before walking, and the period bound asks it for the counts the
+    walker itself checks, so the walker never refuses what the bound accepted."""
+
+    def test_every_walk_entry_asks_the_budget_before_walking(self, tmp_path, monkeypatch):
+        class Asked(Exception):
+            pass
+
+        def budget(*args):
+            raise Asked
+
+        def no_walk(cell):
+            raise AssertionError("the walk read an update cell")
+
+        monkeypatch.setattr(det, "_walk_size", budget)
+        monkeypatch.setattr(det.Identity, "point", staticmethod(no_walk))
+        latch, lens, out = flipflop(), feedback_lens(), tmp_path / "out"
+        entries = {
+            "representable_span": lambda: det.representable_span(det.walking_cycle(2), latch),
+            "periodic_orbit_span": lambda: det.periodic_orbit_span(latch, 2),
+            "steady_span": lambda: det.steady_span(latch),
+            "periodic_orbits": lambda: det.periodic_orbits(latch, 2),
+            "check_matrix_theorem": lambda: det.check_matrix_theorem(lens, latch, 2),
+            "steady": lambda: main(["steady", FLIPFLOP, "--system", "flipflop", "--k", "2",
+                                    "--out", str(out)]),
+            "check": lambda: main(["check", FLIPFLOP, "--cases", "0", "--out", str(out)]),
+        }
+        for name, entry in entries.items():
+            with pytest.raises(Asked):
+                entry()
+                pytest.fail(f"{name} did not ask the budget")
+        assert not out.exists()
+
+    def test_the_period_bound_asks_for_the_walkers_counts(self, monkeypatch):
+        asked = []
+        real = det._walk_size
+
+        def recorded(machine, *counts):
+            size = real(machine, *counts)
+            asked.append((machine, counts, size))
+            return size
+
+        monkeypatch.setattr(det, "_walk_size", recorded)
+        rng = random.Random(16)
+        for case in range(8):  # every other one a Markov machine
+            iface = random_interface(rng, 3)
+            machine = (random_system(rng, iface, 3) if case % 2
+                       else random_markov_machine(rng, iface, 3))
+            lens = random_lens(rng, iface, random_interface(rng, 3, "t"))
+            for k in range(1, 7):
+                asked.clear()
+                det.check_matrix_theorem(lens, machine, k)
+                by_machine = {}
+                for walked, counts, size in asked:
+                    by_machine.setdefault(id(walked), []).append((counts, size))
+                # the machine and the rewired one, each asked by the bound and by the walker
+                assert len(by_machine) == 2, (case, k)
+                for calls in by_machine.values():
+                    assert calls == [((1, k, k), calls[0][1])] * 2, (case, k)
+                tuples = len(machine.states) * len(iface.inputs) ** k
+                assert by_machine[id(machine)][0][1] == (tuples, tuples * k)
 
 
 # Two Markov machines with weight denominators 2 to 7, some given out of state

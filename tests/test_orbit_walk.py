@@ -361,7 +361,7 @@ def write_rows(path, rows) -> None:
 
 
 class TestSteadyRows:
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_latch_fixture_bytes(self, tmp_path, k):
         out, expected = tmp_path / "steady.csv", tmp_path / "dense.csv"
         code = main(["steady", fixture_path("flipflop.json"), "--system", "flipflop",
@@ -373,10 +373,14 @@ class TestSteadyRows:
     def test_random_machine_bytes(self, tmp_path):
         rng = random.Random(6)
         systems = {f"m{n}": random_system(rng, random_interface(rng, 3), 4) for n in range(8)}
+        periods = dict.fromkeys(systems, (1, 2, 3))
+        for n in range(12):  # every other one a Markov machine
+            systems[f"e{n}"] = each_machine(rng, random_interface(rng, 3), n)
+            periods[f"e{n}"] = (1, 2, 3, 4)
         project = tmp_path / "machines.json"
         save_project(ProjectFile(systems=systems), str(project))
         for name, sys in systems.items():
-            for k in (1, 2, 3):
+            for k in periods[name]:
                 out, expected = tmp_path / "steady.csv", tmp_path / "dense.csv"
                 code = main(["steady", str(project), "--system", name, "--k", str(k),
                              "--out", str(out)])
