@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -233,6 +234,8 @@ def cmd_check(args) -> int:
     project = load_project(args.project)
     if args.cases < 0:
         raise ValidationError(f"--cases must be nonnegative, got {args.cases}")
+    if not 0 <= args.tol < math.inf:  # also refuses NaN, which compares false
+        raise ValidationError(f"--tol must be finite and nonnegative, got {args.tol!r}")
     lines = [
         "opendyn check report",
         f"command: check {args.project} --seed {args.seed} --cases {args.cases} --tol {args.tol!r}",

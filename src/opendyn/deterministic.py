@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, compress, product
 from typing import ClassVar, Iterable, Iterator, Mapping, Optional
 
 from .errors import BoundaryError, ValidationError
@@ -57,7 +57,7 @@ MAX_MATRIX_ENTRIES = 10_000_000
 
 #: Most tuples a walk may try, |S|^phis·|I|^inputs (`_walk_size`): |S|·|I|^k for a
 #: period-k orbit walk, which tries them all however few orbits it finds. Unbounded,
-#: the latch's span at k = 12 (2·3^12 tuples) took 4.1-5.0 s and 298 MB on a 2-CPU VM.
+#: the latch's span at k = 12 (2·3^12 tuples) took 2.3-2.6 s and 302 MB on a 2-CPU VM.
 MAX_WALK = 1_000_000
 
 #: Most states a walking cycle may have, so the longest period an orbit walk
@@ -66,8 +66,12 @@ MAX_WALK = 1_000_000
 MAX_PERIOD = 10_000
 
 #: Most slots, tuples times representing states, a walk may fill (|S|·|I|^k·k at period
-#: k): on a 2-CPU VM, 300 states under one input at k = 10,000 took 9.8 s and 143 MB.
+#: k): on a 2-CPU VM, 300 states under one input at k = 10,000 took 2.5-2.8 s and 151 MB.
 MAX_SLOTS = 10_000_000
+
+#: Most cells, live rows times filled slots, one block of the orbit walk holds
+#: (`_maps_into`); it bounds the walk's columns, not the rows it hands out.
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -482,20 +486,26 @@ def chart_hom_set(rep: DetInterface, iface: DetInterface) -> FinSet:
     return FinSet(_charts(rep, iface))
 
 
-def _maps_into(rep: DetSystem, sys: Machine) -> Iterator[tuple[str, ...]]:
-    """Every (phi, isharp) from `rep` into `sys` as a slot tuple.
+def _maps_into(rep: DetSystem, sys: Machine) -> Iterator[list]:
+    """Every (phi, isharp) from `rep` into `sys`, as blocks of slot columns.
 
     The slots are phi(s) followed by isharp(s, i) for every rep input i, for
-    every rep state s in canonical order. The search fills them depth first,
-    each running in canonical order, so the tuples come out in the product
-    order over the slots. A branch is cut as soon as the three slots of one
-    constraint phi(update_rep(s, i)) = update(phi(s), isharp(s, i)) are
-    filled and disagree; a slot phi(s') whose constraint has its other two
-    slots earlier is computed rather than searched. On a walking k-cycle this
+    every rep state s in canonical order. A block holds one column per filled
+    slot over all of its live rows, and the walk fills one slot at a time
+    across the whole block: a searched slot repeats each row once per value
+    of its domain in canonical order, so the rows stay in the product order
+    over the slots. A slot phi(s') whose constraint phi(update_rep(s, i)) =
+    update(phi(s), isharp(s, i)) has its other two slots earlier is computed
+    rather than searched; every other constraint cuts the rows whose three
+    slots disagree once its last slot is filled. On a walking k-cycle this
     walks a start state and an input word: |S| * |I|^k tuples tried, not
     (|S| * |I|)^k. It reads each update cell through the effect's `point`,
-    so a cell that reaches no state for sure cuts the branch. A walk past
-    `MAX_WALK` tuples or `MAX_SLOTS` slots (`_walk_size`) is refused first.
+    so a cell that reaches no state for sure cuts its rows. A block whose
+    next slot would take it past `_BLOCK_CELLS` cells (rows times slots) is
+    split in half first, and the second half waits on a stack, so blocks come
+    out in row order. A walk from a machine with no states is one block with
+    no columns and one row. A walk past `MAX_WALK` tuples or `MAX_SLOTS`
+    slots (`_walk_size`) is refused first.
     """
     rep_states = rep.states.elements
     rep_inputs = rep.interface.inputs.elements
@@ -530,44 +540,65 @@ def _maps_into(rep: DetSystem, sys: Machine) -> Iterator[tuple[str, ...]]:
     point = sys.effect.point
     update = {s: {i: point(cell) for i, cell in row.items()} for s, row in sys.update.items()}
 
-    def candidates(slot: int):
-        if forced[slot] is None:
-            return iter(domains[slot])
-        src, inp = forced[slot]
-        target = update[combo[src]][combo[inp]]
-        return iter(() if target is None else (target,))
-
-    if n == 0:
-        yield ()
-        return
-    combo: list[str] = [""] * n
-    stack = [candidates(0)]
-    while stack:
-        slot = len(stack) - 1
-        tests = checks[slot]
-        for value in stack[-1]:
-            combo[slot] = value
-            if not tests or all(combo[d] == update[combo[s]][combo[i]] for s, i, d in tests):
+    blocks: list[tuple[int, list]] = [(1, [])]  # (rows, columns), the next block last
+    while blocks:
+        rows, cols = blocks.pop()
+        for slot in range(len(cols), n):
+            source = forced[slot]
+            grow = 1 if source else len(domains[slot])
+            while rows > 1 and rows * grow * (slot + 1) > _BLOCK_CELLS:
+                half = rows // 2
+                blocks.append((rows - half, [col[half:] for col in cols]))
+                rows, cols = half, [col[:half] for col in cols]
+            if source is None:
+                if grow > 1:
+                    cols = [_repeat(col, grow) for col in cols]
+                cols.append(domains[slot] * rows)
+            else:
+                cols.append([update[a][b] for a, b in zip(cols[source[0]], cols[source[1]])])
+                if None in cols[-1]:
+                    cols = _keep(cols, [cell is not None for cell in cols[-1]])
+            for s, i, d in checks[slot]:
+                keep = [c == update[a][b] for a, b, c in zip(cols[s], cols[i], cols[d])]
+                if False in keep:
+                    cols = _keep(cols, keep)
+            rows = len(cols[-1])
+            if not rows:
                 break
         else:
-            stack.pop()
-            continue
-        if slot + 1 == n:
-            yield tuple(combo)
-        else:
-            stack.append(candidates(slot + 1))
+            yield cols
+
+
+def _repeat(col: list, times: int) -> list:
+    """Each value of `col` `times` times over, in place: [a, b] -> [a, a, b, b]."""
+    out = [None] * (len(col) * times)
+    for j in range(times):
+        out[j::times] = col
+    return out
+
+
+def _keep(cols: list, keep: list[bool]) -> list:
+    """The rows of a block of columns where `keep` is true."""
+    return [list(compress(col, keep)) for col in cols]
 
 
 def _orbits(rep: DetSystem, sys: Machine) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Every map from `rep` into `sys` as a (chart, element) row of slot
     tuples, in `_maps_into`'s order: the element is the map's slot tuple, and
-    its chart is that tuple with each phi(s) replaced by its output."""
+    its chart is that tuple with each phi(s) replaced by its output, read off
+    each block by mapping the readout over the phi columns."""
     width = 1 + len(rep.interface.inputs)
-    for element in _maps_into(rep, sys):
-        chart = list(element)
-        for pos in range(0, len(chart), width):
-            chart[pos] = sys.readout(chart[pos])
-        yield tuple(chart), element
+    readout = sys.readout.table.__getitem__
+    for cols in _maps_into(rep, sys):
+        if not cols:  # a machine with no states: one map, with no slots
+            yield (), ()
+            continue
+        charts = list(zip(*[col if pos % width else map(readout, col) for pos, col in enumerate(cols)]))
+        elements = list(zip(*cols))
+        # free the columns before the rows are paired: small pairs allocated
+        # among them would keep their memory from being returned
+        cols.clear()
+        yield from zip(charts, elements)
 
 
 def representable_span(rep: DetSystem, sys: Machine) -> Family:

@@ -319,7 +319,11 @@ _ATOM_PREC = 5
 
 def to_text(e: Expr) -> str:
     """Canonical printing: parse(to_text(e)) reproduces e exactly."""
-    dag = Dag((e,))
+    return _dag_text(Dag((e,)))
+
+
+def _dag_text(dag: Dag) -> str:
+    """`to_text` of the first root of `dag`, for a caller that has lowered it."""
     prec: list[int] = []
     # each entry's text: strings, and the positions of the operands whose
     # text goes between them

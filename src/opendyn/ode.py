@@ -638,7 +638,10 @@ def check_solve_functoriality(
     tol: float,
 ) -> FunctorialityResult:
     """Integrate the composed system, then integrate the original system while
-    filling its parameters from the lens at every stage; compare the states."""
+    filling its parameters from the lens at every stage; compare the states.
+    A tolerance that is negative, infinite or NaN is refused first."""
+    if not 0 <= tol < math.inf:  # also refuses NaN, which compares false
+        raise ValidationError(f"tolerance must be finite and nonnegative, got {tol!r}")
     composed = compose_lens_ode(lens, sys)
     path_a = rk4_solve(composed, s0, outer_signal, t0, t1, h)
 

@@ -21,7 +21,7 @@ from typing import Iterator, TextIO, Union
 
 from .deterministic import DetChart, DetInterface, DetLens, DetSystem, Identity, Machine
 from .errors import FileAccessError, OpendynError, ValidationError
-from .expr import Dag, Expr, Num, to_text
+from .expr import Dag, Expr, Num, _dag_text
 from .finset import FinMap, FinSet
 from .ode import OdeLens, OdeSystem
 from .stochastic import Dist, DistEffect, StochSystem
@@ -167,10 +167,11 @@ def _ode_to_obj(cls: type, entry: Union[OdeSystem, OdeLens]) -> dict:
 
 def _expr_text(e: Expr, what: str) -> str:
     """The text of `e`, which `parse` reads back as `e` when its constants are finite."""
-    for node in Dag((e,)).nodes:
+    dag = Dag((e,))
+    for node in dag.nodes:
         if isinstance(node, Num) and not abs(node.value) <= float_info.max:
             raise ValidationError(f"{what} has a constant that is not a finite float: {node.value!r}")
-    return to_text(e)
+    return _dag_text(dag)
 
 
 _MACHINE = (_machine_fields, _machine_from_obj, _machine_to_obj)

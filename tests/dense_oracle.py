@@ -1,6 +1,6 @@
 """The dense orbit enumeration, lens span and matrix-theorem check, kept as an oracle.
 
-`opendyn.deterministic` finds orbits by a depth-first walk, builds a lens's
+`opendyn.deterministic` finds orbits by a column walk, builds a lens's
 span from the preimages of its one-step `bwd` table, and compares the
 matrix theorem's two sides fiber by fiber on the charts that carry orbits;
 steady states are the orbits of period 1, and a Markov machine's orbits are

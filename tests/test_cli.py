@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import time
 
 import pytest
 
+import opendyn.cli as cli
 import opendyn.deterministic as det
 from opendyn import (
     DetInterface,
@@ -17,7 +19,9 @@ from opendyn import (
     FinMap,
     FinSet,
     OdeSystem,
+    ParamSignal,
     ValidationError,
+    check_solve_functoriality,
     compose_lens_ode,
     load_project,
     random_lens,
@@ -26,7 +30,7 @@ from opendyn import (
 )
 from opendyn.cli import main
 from opendyn.expr import MAX_NODES
-from opendyn.laws import random_interface
+from opendyn.laws import _lv_fixture, random_interface
 from opendyn.project import ProjectFile, project_from_obj
 
 from helpers import (
@@ -488,6 +492,38 @@ class TestCheck:
 
     def test_negative_cases_exit_2(self, capsys):
         assert main(["check", SQUARE_OK, "--cases", "-1"]) == 2
+
+    @pytest.mark.parametrize("tol", ["-1", "-1e-300", "-inf", "inf", "nan"])
+    def test_a_nonsense_tolerance_exits_2_before_any_suite(self, tol, tmp_path, capsys, monkeypatch):
+        def no_suite(*args):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli, "lens_law_suite", no_suite)
+        out = tmp_path / "report.txt"
+        assert main(["check", SQUARE_OK, "--cases", "1", f"--tol={tol}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --tol must be finite and nonnegative, got {float(tol)!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", [-1.0, -math.inf, math.inf, math.nan])
+    def test_the_python_api_refuses_a_nonsense_tolerance(self, tol):
+        lens, pair = _lv_fixture()
+        with pytest.raises(ValidationError) as err:
+            check_solve_functoriality(
+                lens, pair, (2.0, 1.0), ParamSignal.constant((1.0, 0.5, 0.2, 0.4)), 0.0, 5.0, 1e-3, tol
+            )
+        assert str(err.value) == f"tolerance must be finite and nonnegative, got {tol!r}"
+
+    def test_valid_tolerances_give_the_same_report(self, capsys):
+        reports = {}
+        for tol in ("0", "1e-09", "0.5"):
+            assert main(["check", SQUARE_OK, "--cases", "2", "--tol", tol]) == 0
+            command, *rest = capsys.readouterr().out.splitlines()[1:]
+            assert command.endswith(f"--tol {float(tol)!r}")
+            assert "PASS ode-functoriality: 2 cases" in rest
+            reports[tol] = rest
+        assert reports["0"] == reports["1e-09"] == reports["0.5"]
 
 
 class TestDriver:

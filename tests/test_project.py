@@ -21,6 +21,8 @@ from opendyn import (
     to_text,
 )
 from opendyn.laws import _lv_fixture
+import opendyn.expr as expr_module
+import opendyn.project as project_module
 from opendyn.project import ProjectFile, project_from_obj, project_to_obj
 
 from helpers import chain, feedback_lens, fixture_path, flipflop
@@ -288,6 +290,28 @@ class TestRoundTrip:
         save_project(project, out)
         text = out.read_text()
         assert '"1/3"' in text and '"2/3"' in text
+
+    def test_each_saved_expression_is_lowered_once(self, monkeypatch):
+        project = load_project(fixture_path("lv.json"))
+        expected = json.dumps(project_to_obj(project))
+        lowered = []
+
+        class CountedDag(project_module.Dag):
+            def __init__(self, exprs=()):
+                lowered.append(tuple(exprs))
+                super().__init__(exprs)
+
+        monkeypatch.setattr(project_module, "Dag", CountedDag)
+        monkeypatch.setattr(expr_module, "Dag", CountedDag)
+        assert json.dumps(project_to_obj(project)) == expected
+        entries = [
+            e
+            for section in (project.systems, project.lenses)
+            for entry in section.values()
+            for table in ("readout", "field", "bwd", "fwd")
+            for e in getattr(entry, table, {}).values()
+        ]
+        assert entries and sorted(map(repr, lowered)) == sorted(repr((e,)) for e in entries)
 
     def test_composite_labels_round_trip(self, tmp_path):
         both = tensor_systems(flipflop(), flipflop())
