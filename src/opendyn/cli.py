@@ -75,6 +75,15 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
         raise ValidationError(f"{what} must be comma-separated numbers, got {text!r}")
 
 
+def _check_count(flag: str, values: Sequence[float], names: Sequence[str]) -> None:
+    if len(values) != len(names):
+        listed = f" ({', '.join(names)})" if names else ""
+        raise ValidationError(
+            f"{flag}: expected {len(names)} value{'s' * (len(names) != 1)}{listed}, "
+            f"got {len(values)}"
+        )
+
+
 def _parse_word(text: str) -> list[str]:
     return text.split(",") if text else []
 
@@ -153,6 +162,8 @@ def cmd_simulate(args) -> int:
             raise ValidationError("ode simulation needs --init and --t1")
         init = _parse_floats(args.init, "--init")
         params = _parse_floats(args.params, "--params")
+        _check_count("--init", init, sys_entry.state_vars)
+        _check_count("--params", params, sys_entry.param_vars)
         signal = ParamSignal.constant(params)
         traj = rk4_solve(sys_entry, init, signal, args.t0, args.t1, args.h)
         header = ("time", *sys_entry.state_vars, *sys_entry.output_vars)
@@ -265,70 +276,81 @@ def cmd_check(args) -> int:
     return 0 if overall == "PASS" else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+_K = {"type": int, "default": 1}
+
+# One spec per subcommand: name -> (help, handler, options after `project`).
+_COMMANDS = {
+    "compose": ("apply a lens to a system and write the result", cmd_compose, (
+        ("--lens", _REQUIRED),
+        ("--system", _REQUIRED),
+        ("--out", _REQUIRED),
+        ("--name", {"help": "name of the composed system (default <system>_<lens>)"}),
+    )),
+    "tensor": ("put two same-doctrine systems side by side", cmd_tensor, (
+        ("--a", _REQUIRED),
+        ("--b", _REQUIRED),
+        ("--out", _REQUIRED),
+        ("--name", {"help": "name of the combined system (default <a>_<b>)"}),
+    )),
+    "steady": ("enumerate steady states or period-k orbits as CSV", cmd_steady, (
+        ("--system", _REQUIRED),
+        ("--k", _K),
+        ("--out", _REQUIRED),
+    )),
+    "matrix": ("dump a lens's chart-set span as a counting matrix", cmd_matrix, (
+        ("--lens", _REQUIRED),
+        ("--k", _K),
+        ("--out", _REQUIRED),
+    )),
+    "simulate": ("run a system and write the trace as CSV", cmd_simulate, (
+        ("--system", _REQUIRED),
+        ("--out", _REQUIRED),
+        ("--init", {"help": "ode: comma-separated initial state values"}),
+        ("--params", {"default": "", "help": "ode: comma-separated parameter values"}),
+        ("--t0", {"type": float, "default": 0.0}),
+        ("--t1", {"type": float}),
+        ("--h", {"type": float, "default": 1e-3}),
+        ("--start", {"help": "deterministic/stochastic: start state"}),
+        ("--word", {"default": "", "help": "comma-separated input labels"}),
+        ("--seed", {"type": int, "default": 0}),
+    )),
+    "check": ("run law suites and project checks, report pass/fail", cmd_check, (
+        ("--seed", {"type": int, "default": 0}),
+        ("--cases", {"type": int, "default": 200}),
+        ("--tol", {"type": float, "default": 1e-9}),
+        ("--out", {"help": "also write the report to this file"}),
+    )),
+}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the one named `only`.
+
+    Both print the same texts for an argv that starts with `only`: the lean
+    parser's usage line lists all six commands by a metavar. The full parser
+    sets none, so its errors name the argument `command`."""
     parser = argparse.ArgumentParser(
         prog="opendyn",
         description="Compose, enumerate, simulate, and check open dynamical systems.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compose", help="apply a lens to a system and write the result")
-    p.add_argument("project")
-    p.add_argument("--lens", required=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--name", help="name of the composed system (default <system>_<lens>)")
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("tensor", help="put two same-doctrine systems side by side")
-    p.add_argument("project")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--name", help="name of the combined system (default <a>_<b>)")
-    p.set_defaults(func=cmd_tensor)
-
-    p = sub.add_parser("steady", help="enumerate steady states or period-k orbits as CSV")
-    p.add_argument("project")
-    p.add_argument("--system", required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_steady)
-
-    p = sub.add_parser("matrix", help="dump a lens's chart-set span as a counting matrix")
-    p.add_argument("project")
-    p.add_argument("--lens", required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_matrix)
-
-    p = sub.add_parser("simulate", help="run a system and write the trace as CSV")
-    p.add_argument("project")
-    p.add_argument("--system", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--init", help="ode: comma-separated initial state values")
-    p.add_argument("--params", default="", help="ode: comma-separated parameter values")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--h", type=float, default=1e-3)
-    p.add_argument("--start", help="deterministic/stochastic: start state")
-    p.add_argument("--word", default="", help="comma-separated input labels")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("check", help="run law suites and project checks, report pass/fail")
-    p.add_argument("project")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out", help="also write the report to this file")
-    p.set_defaults(func=cmd_check)
-
+    listed = {} if only is None else {"metavar": "{%s}" % ",".join(_COMMANDS)}
+    sub = parser.add_subparsers(dest="command", required=True, **listed)
+    for name, (help_text, func, options) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.add_argument("project")
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # build only the subcommand about to run; any other argv gets them all
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except OpendynError as exc:

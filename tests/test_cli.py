@@ -1,5 +1,6 @@
 """The command-line driver: exit codes, output files, and report layout."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -281,6 +282,28 @@ class TestSimulate:
                      "--out", str(tmp_path / "y.csv")]) == 2
         assert "--start" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "system, values, message",
+        [
+            ("lotka_volterra", ["--init", "1,1"],
+             "error: --params: expected 4 values (alpha, c, d, delta), got 0\n"),
+            ("lotka_volterra", ["--init", "1,1,1", "--params", "1,1,1,1"],
+             "error: --init: expected 2 values (r, f), got 3\n"),
+            ("decay", ["--init", "1", "--params", "1"], "error: --params: expected 0 values, got 1\n"),
+            ("decay", ["--init", "1,2"], "error: --init: expected 1 value (s), got 2\n"),
+        ],
+        ids=["params-missing", "init-too-long", "params-for-none", "init-for-one"],
+    )
+    def test_a_wrong_value_count_exits_2_naming_the_flag(self, tmp_path, capsys, system, values, message):
+        project = tmp_path / "both.json"
+        decay = OdeSystem(["s"], ["y"], [], {"y": "s"}, {"s": "-s"})
+        save_project(ProjectFile(1, {"decay": decay, **load_project(LV).systems}, {}, {}), project)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", str(project), "--system", system, *values, "--t1", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_unknown_start_state_exits_2(self, tmp_path):
         assert main(["simulate", FLIPFLOP, "--system", "flipflop", "--start", "zz",
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -531,14 +554,133 @@ class TestDriver:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_console_script_is_installed(self):
+    def test_console_script_is_installed(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
         proc = subprocess.run(
             [sys.executable, "-m", "opendyn.cli", "--help"],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0
-        assert "compose" in proc.stdout
+        assert proc.stdout == HELP
+
+
+# `opendyn --help` at 80 columns, as the parser built with every subcommand printed it
+HELP = """\
+usage: opendyn [-h] {compose,tensor,steady,matrix,simulate,check} ...
+
+Compose, enumerate, simulate, and check open dynamical systems.
+
+positional arguments:
+  {compose,tensor,steady,matrix,simulate,check}
+    compose             apply a lens to a system and write the result
+    tensor              put two same-doctrine systems side by side
+    steady              enumerate steady states or period-k orbits as CSV
+    matrix              dump a lens's chart-set span as a counting matrix
+    simulate            run a system and write the trace as CSV
+    check               run law suites and project checks, report pass/fail
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+COMMANDS = ["compose", "tensor", "steady", "matrix", "simulate", "check"]
+
+# argv that end in parsing: help, a usage error of the parent or of one subcommand
+PINNED_ARGV = [
+    [], ["-h"], ["--help"], ["--"], ["-x"], ["bogus"], ["--", "compose"],
+    *([command, "-h"] for command in COMMANDS),
+    ["compose", "p", "--lens", "l", "--system", "s"],
+    ["check"],
+    ["steady", "p", "--system", "s", "--out", "o", "--k", "two"],
+    ["matrix", "p", "--lens", "l", "--out", "o", "--k", "1.5"],
+    ["simulate", "p", "--system", "s", "--out", "o", "--t1", "x"],
+    ["steady", "p", "--system", "s", "--out", "o", "--bogus"],
+    ["check", "p", "extra"],
+    ["compose", "p", "--le"],
+    ["simulate", "p", "--s", "x"],
+]
+
+# argv that parse, with defaults, a prefix of a long option and an `=` value
+PARSED_ARGV = [
+    ["compose", "p", "--le", "l", "--system", "s", "--out", "o"],
+    ["tensor", "p", "--a", "x", "--b", "y", "--out", "o", "--name", "n"],
+    ["steady", "p", "--system", "s", "--out", "o", "--k", "3"],
+    ["matrix", "p", "--lens", "l", "--out", "o"],
+    ["simulate", "p", "--system", "s", "--out", "o", "--init=1,2", "--t1", "3", "--seed", "4"],
+    ["check", "p", "--tol", "0.5"],
+]
+
+
+def printed(parse, argv, capsys):
+    """Exit code, stdout and stderr of `parse(argv)`, which is to exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestLeanParser:
+    """`main` builds only the invoked subcommand's parser, and prints what the
+    parser of every subcommand prints."""
+
+    @pytest.fixture
+    def added(self, monkeypatch):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        return names
+
+    @pytest.mark.parametrize("argv", PINNED_ARGV, ids=lambda argv: " ".join(argv) or "<none>")
+    def test_main_prints_what_the_full_parser_prints(self, argv, capsys):
+        full = printed(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+        assert printed(main, argv, capsys) == full
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus' "
+                        "(choose from 'compose', 'tensor', 'steady', 'matrix', 'simulate', 'check')"),
+            (["steady", "p", "--system", "s", "--out", "o", "--bogus"],
+             "unrecognized arguments: --bogus"),
+        ],
+        ids=["none", "unknown", "extra"],
+    )
+    def test_the_parents_errors_keep_their_text(self, argv, error, capsys):
+        usage = HELP.splitlines(keepends=True)[0]
+        assert printed(main, argv, capsys) == (2, "", f"{usage}opendyn: error: {error}\n")
+
+    @pytest.mark.parametrize("argv", PARSED_ARGV, ids=lambda argv: argv[0])
+    def test_a_lean_parse_gives_the_full_namespace(self, argv):
+        lean = cli.build_parser(argv[0]).parse_args(argv)
+        assert vars(lean) == vars(cli.build_parser().parse_args(argv))
+
+    def test_a_known_command_builds_one_subparser(self, tmp_path, added):
+        out = tmp_path / "s.csv"
+        assert main(["steady", FLIPFLOP, "--system", "flipflop", "--out", str(out)]) == 0
+        assert added == ["steady"]
+        assert len(read_csv(out)) == 5
+
+    @pytest.mark.parametrize("argv", [["-h"], ["bogus"], []], ids=["-h", "unknown", "none"])
+    def test_any_other_argv_builds_all_six(self, argv, added, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert added == COMMANDS
+
+    def test_no_argv_reads_sys_argv(self, tmp_path, added, monkeypatch):
+        out = tmp_path / "s.csv"
+        monkeypatch.setattr(
+            sys, "argv", ["opendyn", "steady", FLIPFLOP, "--system", "flipflop", "--out", str(out)]
+        )
+        assert main() == 0
+        assert added == ["steady"]
+        assert len(read_csv(out)) == 5
 
 
 def run_cli(*argv):
