@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import math
 import sys
 from pathlib import Path
@@ -187,6 +186,8 @@ def cmd_simulate(args) -> int:
 
 
 def _digest(path: str) -> str:
+    import hashlib  # here, not at the top: only `check` needs it
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

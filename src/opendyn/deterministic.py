@@ -41,6 +41,7 @@ from .finset import (
     ProductSet,
     Span,
     _family,
+    _legs,
     apply_span_to_family,
     families_isomorphic,
     join_labels,
@@ -503,9 +504,8 @@ def _maps_into(rep: DetSystem, sys: Machine) -> Iterator[list]:
     so a cell that reaches no state for sure cuts its rows. A block whose
     next slot would take it past `_BLOCK_CELLS` cells (rows times slots) is
     split in half first, and the second half waits on a stack, so blocks come
-    out in row order. A walk from a machine with no states is one block with
-    no columns and one row. A walk past `MAX_WALK` tuples or `MAX_SLOTS`
-    slots (`_walk_size`) is refused first.
+    out in row order. A walk past `MAX_WALK` tuples or `MAX_SLOTS` slots
+    (`_walk_size`) is refused first.
     """
     rep_states = rep.states.elements
     rep_inputs = rep.interface.inputs.elements
@@ -590,9 +590,6 @@ def _orbits(rep: DetSystem, sys: Machine) -> Iterator[tuple[tuple[str, ...], tup
     width = 1 + len(rep.interface.inputs)
     readout = sys.readout.table.__getitem__
     for cols in _maps_into(rep, sys):
-        if not cols:  # a machine with no states: one map, with no slots
-            yield (), ()
-            continue
         charts = list(zip(*[col if pos % width else map(readout, col) for pos, col in enumerate(cols)]))
         elements = list(zip(*cols))
         # free the columns before the rows are paired: small pairs allocated
@@ -611,12 +608,16 @@ def representable_span(rep: DetSystem, sys: Machine) -> Family:
     isharp(s, i)) reaches phi(update_rep(s, i)) for sure, for all (s, i); the
     output half of its chart is then forced to be readout . phi. The element
     label interleaves phi(s) with the isharp values slot by slot, mirroring
-    the base encoding. `sys` may have any effect; `rep` must be a DetSystem.
+    the base encoding. `sys` may have any effect; `rep` must be a DetSystem
+    with at least one state, since a map from no states has no slots and so
+    no label.
     """
     if not isinstance(rep, DetSystem):
         raise ValidationError(f"representing system must be deterministic, got {type(rep).__name__}")
     if rep.interface.outputs != rep.states or any(rep.readout(s) != s for s in rep.states):
         raise ValidationError("representing system must expose its entire state")
+    if not rep.states:
+        raise ValidationError("representing system must have at least one state")
     return _family(_charts(rep.interface, sys.interface), _orbits(rep, sys))
 
 
@@ -673,7 +674,7 @@ def steady_span(sys: Machine) -> Family:
 def periodic_orbits(sys: Machine, k: int) -> list[tuple[str, str]]:
     """The (chart, element) labels of `periodic_orbit_span(sys, k)`, element
     by element in its total order: the rows `opendyn steady` writes."""
-    return [(join_labels(*chart), join_labels(*z)) for chart, z in periodic_orbit_span(sys, k)._rows]
+    return periodic_orbit_span(sys, k).labels()
 
 
 def _lens_apex(steps: Mapping, charts: Iterable[tuple[str, ...]]) -> list[tuple]:
@@ -693,9 +694,10 @@ def _lens_apex(steps: Mapping, charts: Iterable[tuple[str, ...]]) -> list[tuple]
 
 class _LensSpan(Span):
     """A lens's span at period k, held as the one-step preimage table of
-    `bwd` and k. Its chart sets and apex are `ProductSet`s, its legs are
-    formed only when asked for, and applying it pushes a family through the
-    preimages of the family's nonempty charts only (`_lens_apex`)."""
+    `bwd` and k. Its chart sets and apex are `ProductSet`s, its two legs are
+    formed together (`_legs`) only when asked for, and applying it pushes a
+    family through the preimages of the family's nonempty charts only
+    (`_lens_apex`)."""
 
     def __init__(self, lens: DetLens, rep_interface: DetInterface):
         self.k = len(rep_interface.outputs)
@@ -718,14 +720,11 @@ class _LensSpan(Span):
         return _lens_apex(self.steps, points)
 
     @cached_property
-    def left(self) -> FinMap:
-        table = {join_labels(*apex): join_labels(*down) for apex, down, _ in self._over()}
-        return FinMap(self.apex, self.source, table)
+    def _both_legs(self) -> tuple[FinMap, FinMap]:
+        return _legs(self.apex, self.source, self.target, self._over())
 
-    @cached_property
-    def right(self) -> FinMap:
-        table = {join_labels(*apex): join_labels(*up) for apex, _, up in self._over()}
-        return FinMap(self.apex, self.target, table)
+    left = property(lambda self: self._both_legs[0])
+    right = property(lambda self: self._both_legs[1])
 
 
 def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
@@ -736,12 +735,15 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
     leg pushes the output forward as fwd(o). Both legs are functions of the
     apex, so the matrix of this span has exactly one 1 per apex element.
     Nothing of the apex's size is built here: the span holds the one-step
-    table of `bwd` and k.
+    table of `bwd` and k. The interface must have one input and at least one
+    output, as a walking cycle's has.
     """
     if len(rep_interface.inputs) != 1:
         raise ValidationError(
             "representing interface must have a single input (a walking cycle)"
         )
+    if not rep_interface.outputs:
+        raise ValidationError("representing interface must have at least one output (a walking cycle)")
     return _LensSpan(lens, rep_interface)
 
 

@@ -18,8 +18,10 @@ slots and never enumerated unless its labels are asked for. A family is
 stored as its rows, a (base key, element key) pair per element in total
 order, so only its nonempty fibers take room; a key is the tuple of parts
 whose join is the label (a `FinSet` element's key is its label alone).
-Spans act and families compare on keys; labels are joined only where a
-family or span hands one out.
+Spans act and families compare on keys. A family's rows become labels in
+one place, `Family.labels()`, which its total, projection, fibers and
+equality read; `families_isomorphic` joins only the labels of its witness
+or mismatch, and a span's legs are labelled in one pass (`_legs`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
 from math import prod
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import BoundaryError, ValidationError
 
@@ -304,43 +306,43 @@ class Family:
         self.proj = proj
         self._rows = [(base.key(proj(z)), (z,)) for z in total]
 
+    def labels(self) -> list[tuple[str, str]]:
+        """The (base label, element label) pairs, in total order: the one
+        place where the family's rows become labels."""
+        return [(join_labels(*point), join_labels(*element)) for point, element in self._rows]
+
     @cached_property
     def total(self) -> FinSet:
-        return FinSet(join_labels(*element) for _, element in self._rows)
+        return FinSet(z for _, z in self.labels())
 
     @cached_property
     def proj(self) -> FinMap:
-        points = {z: join_labels(*point) for z, (point, _) in zip(self.total, self._rows)}
-        return FinMap(self.total, self.base, points)
+        return FinMap(self.total, self.base, {z: b for b, z in self.labels()})
 
     def _rows_over(self, base) -> list[tuple]:
         """The rows, with base points keyed as `base` keys them: `base` equals
-        this family's base but may be a FinSet where it is a ProductSet."""
+        this family's base but may be a FinSet where it is a ProductSet, or
+        the other way round."""
         if type(base) is type(self.base):
             return self._rows
-        return [(base.key(join_labels(*point)), element) for point, element in self._rows]
+        return [(base.key(b), (z,)) for b, z in self.labels()]
 
     def fiber(self, base_label: str) -> list[str]:
-        point = self.base.key(base_label)  # refuses a label not in the base
-        return [z for z, (p, _) in zip(self.total, self._rows) if p == point]
+        self.base.key(base_label)  # refuses a label not in the base
+        return [z for b, z in self.labels() if b == base_label]
 
     def fibers(self) -> dict[str, list[str]]:
         """Every base point's fiber, each in canonical element order."""
-        over: dict[str, list[str]] = {b: [] for b in self.base.elements}
-        for z in self.total:
-            over[self.proj(z)].append(z)
+        over: dict[str, list[str]] = {b: [] for b in self.base}
+        for b, z in self.labels():
+            over[b].append(z)
         return over
 
     def fiber_sizes(self) -> dict[str, int]:
         return {b: len(zs) for b, zs in self.fibers().items()}
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Family)
-            and self.base == other.base
-            and self.total == other.total
-            and self.proj == other.proj
-        )
+        return isinstance(other, Family) and self.base == other.base and self.labels() == other.labels()
 
     def __repr__(self) -> str:
         return f"Family(base={self.base!r}, total={self.total!r})"
@@ -355,17 +357,6 @@ def _family(base, rows: Iterable[_Row]) -> Family:
     family = Family.__new__(Family)
     family.base, family._rows = base, list(rows)
     return family
-
-
-def _fibers(rows: Iterable[_Row]) -> tuple[list[str], dict[tuple[str, ...], list[str]]]:
-    """Element labels in row order, and the same labels grouped by base point."""
-    total: list[str] = []
-    fibers: dict[tuple[str, ...], list[str]] = {}
-    for point, element in rows:
-        label = join_labels(*element)
-        total.append(label)
-        fibers.setdefault(point, []).append(label)
-    return total, fibers
 
 
 def identity_span(a: FinSet) -> Span:
@@ -389,10 +380,18 @@ def compose_spans(s1: Span, s2: Span) -> Span:
         by_middle.setdefault(join_labels(*middle), []).append((y, w))
     rows = [(x + y, v, w) for x, v, m in s1._over() for y, w in by_middle.get(join_labels(*m), ())]
     apex = FinSet(join_labels(*xy) for xy, _, _ in rows)
-    left = {z: join_labels(*v) for z, (_, v, _) in zip(apex, rows)}
-    right = {z: join_labels(*w) for z, (_, _, w) in zip(apex, rows)}
-    left_leg, right_leg = FinMap(apex, s1.source, left), FinMap(apex, s2.target, right)
-    return Span(s1.source, s2.target, apex, left_leg, right_leg)
+    return Span(s1.source, s2.target, apex, *_legs(apex, s1.source, s2.target, rows))
+
+
+def _legs(apex, source, target, rows: Iterable[tuple]) -> tuple[FinMap, FinMap]:
+    """The left and right legs of a span whose apex elements are these
+    (apex, left, right) key rows, labelled in one pass over them."""
+    left: dict[str, str] = {}
+    right: dict[str, str] = {}
+    for x, v, w in rows:
+        z = join_labels(*x)
+        left[z], right[z] = join_labels(*v), join_labels(*w)
+    return FinMap(apex, source, left), FinMap(apex, target, right)
 
 
 def span_to_matrix(s: Span) -> list[list[int]]:
@@ -442,30 +441,21 @@ class FamilyMatch:
 
 
 def families_isomorphic(f1: Family, f2: Family) -> FamilyMatch:
-    """Compare fiber sizes where either family has elements."""
+    """Compare fiber sizes where either family has elements, counted on base
+    keys. A mismatch is the first base point in base order whose counts
+    differ; the witness pairs each fiber's elements in row order."""
     if f1.base != f2.base:
         raise BoundaryError(f"family bases differ: {f1.base} vs {f2.base}")
-    return _match_fibers(
-        _fibers(f1._rows), _fibers(f2._rows_over(f1.base)), f1.base.position_of,
-        lambda point: join_labels(*point),
-    )
-
-
-def _match_fibers(side1: tuple, side2: tuple, order: Callable, name: Callable) -> FamilyMatch:
-    """Compare two families, each given as its total in canonical order and
-    its fibers keyed by base point. A base point missing from the fibers has
-    an empty fiber, so only the nonempty ones need be given. A mismatch is
-    the base point first in `order` whose counts differ, labelled by `name`."""
-    (total1, fibers1), (total2, fibers2) = side1, side2
-    differ = [
-        b for b in fibers1.keys() | fibers2.keys()
-        if len(fibers1.get(b, ())) != len(fibers2.get(b, ()))
-    ]
+    rows1, rows2 = f1._rows, f2._rows_over(f1.base)
+    counts1, counts2 = Counter(p for p, _ in rows1), Counter(p for p, _ in rows2)
+    differ = {b for b, _ in counts1.items() ^ counts2.items()}  # counted differently, or on one side
     if differ:
-        b = min(differ, key=order)
-        counts = (len(fibers1.get(b, ())), len(fibers2.get(b, ())))
-        return FamilyMatch(None, mismatch=name(b), counts=counts)
-    table: dict[str, str] = {}
-    for b, zs in fibers1.items():
-        table.update(zip(zs, fibers2.get(b, ())))
-    return FamilyMatch(FinMap(FinSet(total1), FinSet(total2), table))
+        b = min(differ, key=f1.base.position_of)
+        return FamilyMatch(None, mismatch=join_labels(*b), counts=(counts1[b], counts2[b]))
+    total2 = FinSet(join_labels(*element) for _, element in rows2)
+    over: dict[tuple[str, ...], list[str]] = {}
+    for (point, _), z in zip(rows2, total2):
+        over.setdefault(point, []).append(z)
+    fibers2 = {point: iter(zs) for point, zs in over.items()}
+    table = {join_labels(*element): next(fibers2[point]) for point, element in rows1}
+    return FamilyMatch(FinMap(FinSet(table), total2, table))

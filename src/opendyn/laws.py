@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 from .deterministic import (
@@ -31,15 +32,16 @@ from .deterministic import (
 )
 from .errors import ValidationError
 from .finset import FinMap, FinSet
-from .ode import OdeLens, OdeSystem, ParamSignal, check_solve_functoriality, tensor_ode
+from .ode import OdeLens, OdeSystem, ParamSignal, check_solve_functoriality
+from .project import load_project
 
 
 def _labels(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{k}" for k in range(n)]
 
 
-def random_finset(rng: random.Random, prefix: str, max_size: int, min_size: int = 1) -> FinSet:
-    return FinSet(_labels(prefix, rng.randint(min_size, max_size)))
+def random_finset(rng: random.Random, prefix: str, max_size: int) -> FinSet:
+    return FinSet(_labels(prefix, rng.randint(1, max_size)))
 
 
 def random_interface(rng: random.Random, max_size: int = 4, tag: str = "") -> DetInterface:
@@ -92,13 +94,12 @@ def random_injective_chart(
     return DetChart(source, target, fwd, push)
 
 
-def _grow(
-    rng: random.Random, iface: DetInterface, room: int = 2, min_inputs: int = 1
-) -> DetInterface:
-    """An interface at least as large as `iface` in both alphabets."""
+def _grow(rng: random.Random, iface: DetInterface, min_inputs: int = 1) -> DetInterface:
+    """An interface at least as large as `iface` in both alphabets, and up to
+    two larger in each."""
     return DetInterface(
-        FinSet(_labels("i", max(min_inputs, len(iface.inputs) + rng.randint(0, room)))),
-        FinSet(_labels("o", len(iface.outputs) + rng.randint(0, room))),
+        FinSet(_labels("i", max(min_inputs, len(iface.inputs) + rng.randint(0, 2)))),
+        FinSet(_labels("o", len(iface.outputs) + rng.randint(0, 2))),
     )
 
 
@@ -140,9 +141,9 @@ def random_square_from(
     return DetSquare(top, bottom, left, right)
 
 
-def random_square(rng: random.Random, max_size: int = 4) -> DetSquare:
-    iface1 = random_interface(rng, max_size)
-    iface3 = random_interface(rng, max_size)
+def random_square(rng: random.Random) -> DetSquare:
+    iface1 = random_interface(rng)
+    iface3 = random_interface(rng)
     return random_square_from(rng, random_lens(rng, iface1, iface3))
 
 
@@ -198,11 +199,11 @@ def _failed(name: str, case: int, why: str) -> SuiteResult:
     return SuiteResult(name, False, case + 1, f"case {case}: {why}")
 
 
-def lens_law_suite(seed: int, cases: int, max_size: int = 4) -> SuiteResult:
+def lens_law_suite(seed: int, cases: int) -> SuiteResult:
     """Units, associativity, and action functoriality of lens composition."""
     rng = _suite_rng(seed, "lens-laws")
     for case in range(cases):
-        ifaces = [random_interface(rng, max_size, tag=str(n)) for n in range(4)]
+        ifaces = [random_interface(rng, tag=str(n)) for n in range(4)]
         l1 = random_lens(rng, ifaces[0], ifaces[1])
         l2 = random_lens(rng, ifaces[1], ifaces[2])
         l3 = random_lens(rng, ifaces[2], ifaces[3])
@@ -222,18 +223,18 @@ def lens_law_suite(seed: int, cases: int, max_size: int = 4) -> SuiteResult:
     return SuiteResult("lens-laws", True, cases)
 
 
-def square_suite(seed: int, cases: int, max_size: int = 4) -> SuiteResult:
+def square_suite(seed: int, cases: int) -> SuiteResult:
     """Generated squares commute, pastings commute, mutations are caught."""
     rng = _suite_rng(seed, "squares")
     for case in range(cases):
-        sq = random_square(rng, max_size)
+        sq = random_square(rng)
         if not check_square(sq):
             return _failed("squares", case, "generated square fails")
         beside = random_square_from(rng, sq.right)
         if not check_square(paste_horizontal(sq, beside)):
             return _failed("squares", case, "horizontal pasting fails")
         below = random_square_from(
-            rng, random_lens(rng, sq.bottom.source, random_interface(rng, max_size)),
+            rng, random_lens(rng, sq.bottom.source, random_interface(rng)),
             top=sq.bottom,
         )
         if not check_square(paste_vertical(sq, below)):
@@ -267,17 +268,15 @@ def _witness_hits_mutation(
     return cell_w == cell_m
 
 
-def matrix_suite(
-    seed: int, cases: int, max_size: int = 5, max_states: int = 5, max_k: int = 3
-) -> SuiteResult:
-    """The composition theorem on random systems and lenses, for each period."""
+def matrix_suite(seed: int, cases: int) -> SuiteResult:
+    """The composition theorem on random systems and lenses, for periods 1 to 3."""
     rng = _suite_rng(seed, "matrix")
     for case in range(cases):
-        iface = random_interface(rng, max_size)
-        target = random_interface(rng, max_size)
-        sys = random_system(rng, iface, max_states)
+        iface = random_interface(rng, 5)
+        target = random_interface(rng, 5)
+        sys = random_system(rng, iface)
         lens = random_lens(rng, iface, target)
-        for k in range(1, max_k + 1):
+        for k in range(1, 4):
             match = check_matrix_theorem(lens, sys, k)
             if not match:
                 return SuiteResult(
@@ -290,22 +289,10 @@ def matrix_suite(
 
 
 def _lv_fixture() -> tuple[OdeLens, OdeSystem]:
-    rabbit = OdeSystem(
-        ["r"], ["r_out"], ["alpha", "beta"], {"r_out": "r"}, {"r": "alpha*r - beta*r"}
-    )
-    fox = OdeSystem(
-        ["f"], ["f_out"], ["gamma", "delta"], {"f_out": "f"}, {"f": "gamma*f - delta*f"}
-    )
-    pair = tensor_ode(rabbit, fox)
-    lens = OdeLens(
-        pair.output_vars,
-        pair.param_vars,
-        ["r_pop", "f_pop"],
-        ["alpha", "c", "d", "delta"],
-        {"r_pop": "r_out", "f_pop": "f_out"},
-        {"alpha": "alpha", "beta": "c*f_out", "gamma": "d*r_out", "delta": "delta"},
-    )
-    return lens, pair
+    """The predator-prey `wiring` lens and the `rabbit_fox` system it wires,
+    from the packaged fixture `lv.json`."""
+    project = load_project(Path(__file__).with_name("fixtures") / "lv.json")
+    return project.lens("wiring"), project.system("rabbit_fox")
 
 
 def ode_functoriality_suite(seed: int, tol: float) -> SuiteResult:

@@ -67,7 +67,7 @@ def report(line: str) -> None:
 def test_criterion_1_orbits_compose_by_matrix_arithmetic():
     """200 random system/lens pairs, periods 1..3, exact fiberwise bijections."""
     start = time.perf_counter()
-    result = matrix_suite(seed=0, cases=200, max_size=5, max_states=5, max_k=3)
+    result = matrix_suite(seed=0, cases=200)
     elapsed = time.perf_counter() - start
     assert result.passed, result.detail
     assert result.cases == 200

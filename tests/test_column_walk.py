@@ -8,7 +8,9 @@ not at all: rows and their order must equal the oracle's each time.
 import random
 import sys
 
-from opendyn import DetInterface, DetSystem, FinMap, FinSet, Machine, walking_cycle
+import pytest
+
+from opendyn import DetInterface, DetSystem, FinMap, FinSet, Machine, ValidationError, walking_cycle
 import opendyn.deterministic as det
 from opendyn.laws import random_interface, random_system
 
@@ -38,7 +40,9 @@ def tuples_at_most(rep: DetSystem, machine: Machine) -> int:
     return len(machine.states) ** m * len(machine.interface.inputs) ** (m * len(rep.interface.inputs))
 
 
-def empty_cases() -> list[tuple[DetSystem, Machine]]:
+def empty_cases() -> tuple[list[DetSystem], list[Machine]]:
+    """Representing machines (walking cycles, and one with no inputs) and
+    machines with no states, no inputs, or both."""
     none = FinSet([])
     one_input = DetInterface(FinSet(["i"]), FinSet(["o"]))
     no_states = DetSystem(none, one_input, FinMap(none, one_input.outputs, {}), {})
@@ -46,11 +50,9 @@ def empty_cases() -> list[tuple[DetSystem, Machine]]:
     no_input = DetInterface(none, FinSet(["o"]))
     no_inputs = DetSystem(states, no_input, FinMap(states, no_input.outputs, dict.fromkeys(states, "o")),
                           {"a": {}, "b": {}})
-    no_slots = DetSystem(none, DetInterface(FinSet(["x"]), none), FinMap(none, none, {}), {})
     rng = random.Random(3)
     latch_like = random_system(rng, random_interface(rng, 3), 3)
-    reps = [walking_cycle(1), walking_cycle(3), no_slots, exposing_rep(rng, 0)]
-    return [(rep, machine) for rep in reps for machine in (no_states, no_inputs, latch_like)]
+    return [walking_cycle(1), walking_cycle(3), exposing_rep(rng, 0)], [no_states, no_inputs, latch_like]
 
 
 def assert_walks_like_the_oracle(monkeypatch, rep: DetSystem, machine: Machine) -> None:
@@ -80,8 +82,16 @@ class TestAgainstTheDepthFirstOracle:
             walked += 1
 
     def test_empty_states_inputs_and_slots(self, monkeypatch):
-        for rep, machine in empty_cases():
-            assert_walks_like_the_oracle(monkeypatch, rep, machine)
+        """A representing machine with no states fills no slots, so its one
+        map would have no label: it is refused, into every machine."""
+        reps, machines = empty_cases()
+        none = FinSet([])
+        no_slots = DetSystem(none, DetInterface(FinSet(["x"]), none), FinMap(none, none, {}), {})
+        for machine in machines:
+            for rep in reps:
+                assert_walks_like_the_oracle(monkeypatch, rep, machine)
+            with pytest.raises(ValidationError, match="^representing system must have at least one state$"):
+                det.representable_span(no_slots, machine)
 
 
 def blocks_held(frame) -> list[list]:

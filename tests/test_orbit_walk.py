@@ -21,6 +21,7 @@ from opendyn import (
     ValidationError,
     apply_span_to_family,
     check_matrix_theorem,
+    compose_lens_system,
     compose_spans,
     embed_det,
     families_isomorphic,
@@ -39,7 +40,6 @@ from opendyn import (
 )
 import opendyn.deterministic as det
 from opendyn.cli import main
-from opendyn.finset import _match_fibers
 from opendyn.laws import random_interface
 from opendyn.project import ProjectFile, load_project
 
@@ -192,13 +192,10 @@ class TestErrors:
 
 
 class TestFiberComparison:
-    """The fiber comparison on hand-built fibers, against the dense comparison."""
+    """`families_isomorphic` on hand-built families, against the dense comparison."""
 
     outputs = FinSet(["p", "q"])
     inputs = FinSet(["u", "v"])
-
-    def chart_key(self, chart):
-        return (self.outputs.position(chart[0]), self.inputs.position(chart[1]))
 
     def as_family(self, total, fibers):
         base = product_finset(self.outputs, self.inputs)
@@ -207,11 +204,8 @@ class TestFiberComparison:
         return Family(base, total_set, FinMap(total_set, base, over))
 
     def both(self, total1, fibers1, total2, fibers2):
-        sparse = _match_fibers((total1, fibers1), (total2, fibers2), self.chart_key, "|".join)
-        dense = dense_families_isomorphic(
-            self.as_family(total1, fibers1), self.as_family(total2, fibers2)
-        )
-        return sparse, dense
+        f1, f2 = self.as_family(total1, fibers1), self.as_family(total2, fibers2)
+        return families_isomorphic(f1, f2), dense_families_isomorphic(f1, f2)
 
     def test_first_differing_chart_in_canonical_order(self):
         # dict order puts ("q", "u") first; canonical order puts ("p", "v") first
@@ -469,6 +463,85 @@ class TestSparseFamiliesAnswerAsTheDenseOnes:
             assert_same_family(
                 apply_span_to_family(dense, orbits), dense_apply_span_to_family(dense, orbits)
             )
+
+
+def listed_fibers(dense: Family) -> dict[str, list[str]]:
+    """Every base point's fiber, read off the total and projection a listed
+    family was built from."""
+    over: dict[str, list[str]] = {b: [] for b in dense.base}
+    for z in dense.total:
+        over[dense.proj(z)].append(z)
+    return over
+
+
+class TestFamilyLabels:
+    """`Family.labels()` is the one place where rows become labels: on seeded
+    orbit and pushed families, each reader of labels answers as the listed
+    (dense) family does, and the comparison and the push take a listed
+    family where the other side's base is a `ProductSet`, either way round."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3))
+    def test_sparse_families_read_and_compare_as_the_dense_ones(self, seed, k):
+        rng = random.Random(seed)
+        iface = random_interface(rng, 3)
+        sys, other = each_machine(rng, iface, seed), each_machine(rng, iface, seed + 1)
+        lens = random_lens(rng, iface, random_interface(rng, 3, tag="t"))
+        rep = walking_cycle(k).interface
+        span, dense_span = lens_to_span(lens, rep), dense_lens_to_span(lens, rep)
+        orbits, dense_orbits = periodic_orbit_span(sys, k), dense_periodic_orbit_span(sys, k)
+        others, dense_others = periodic_orbit_span(other, k), dense_periodic_orbit_span(other, k)
+        pushed = apply_span_to_family(span, orbits)
+        dense_pushed = dense_apply_span_to_family(dense_span, dense_orbits)
+        rewired = compose_lens_system(lens, sys)
+        rewired_orbits, dense_rewired = periodic_orbit_span(rewired, k), dense_periodic_orbit_span(rewired, k)
+
+        for sparse, dense in [(orbits, dense_orbits), (others, dense_others), (pushed, dense_pushed)]:
+            assert sparse.labels() == [(dense.proj(z), z) for z in dense.total]
+            assert sparse.total.elements == dense.total.elements
+            assert list(sparse.proj.table.items()) == list(dense.proj.table.items())
+            fibers = listed_fibers(dense)
+            assert sparse.fibers() == fibers
+            for b in {*dense.proj.table.values(), dense.base.elements[0], rng.choice(dense.base.elements)}:
+                assert sparse.fiber(b) == fibers[b]
+            assert sparse == dense and dense == sparse
+        same = dense_orbits.total == dense_others.total and dense_orbits.proj == dense_others.proj
+        assert (orbits == dense_others) == (dense_orbits == others) == same
+
+        # a listed family against a ProductSet-based one, each on either side
+        for (f1, f2), dense_pair in [
+            ((rewired_orbits, dense_pushed), (dense_rewired, dense_pushed)),
+            ((dense_rewired, pushed), (dense_rewired, dense_pushed)),
+            ((orbits, dense_others), (dense_orbits, dense_others)),
+            ((dense_orbits, others), (dense_orbits, dense_others)),
+        ]:
+            assert_same_match(families_isomorphic(f1, f2), dense_families_isomorphic(*dense_pair))
+        assert_same_family(apply_span_to_family(span, dense_orbits), dense_pushed)
+        assert_same_family(apply_span_to_family(dense_span, orbits), dense_pushed)
+
+
+class TestDegenerateRepresentingSystems:
+    """A representing interface with no outputs, or a representing system
+    with no states, has a chart or map with no slots, whose label would be
+    empty: each is refused by name, and the dense oracle refuses it too."""
+
+    def test_a_lens_span_out_of_no_outputs_is_refused(self):
+        no_outputs = DetInterface(FinSet(["*"]), FinSet([]))
+        text = r"^representing interface must have at least one output \(a walking cycle\)$"
+        with pytest.raises(ValidationError, match=text):
+            lens_to_span(feedback_lens(), no_outputs)
+        with pytest.raises(ValidationError):
+            dense_lens_to_span(feedback_lens(), no_outputs)
+
+    def test_a_representing_system_with_no_states_is_refused(self):
+        none = FinSet([])
+        for inputs in ([], ["*"], ["x", "y"]):
+            rep = DetSystem(none, DetInterface(FinSet(inputs), none), FinMap(none, none, {}), {})
+            for sys in (flipflop(), embed_det(flipflop()), oscillator()):
+                with pytest.raises(ValidationError, match="^representing system must have at least one state$"):
+                    representable_span(rep, sys)
+                with pytest.raises(ValidationError):
+                    dense_representable_span(rep, sys)
 
 
 def tensor_of_tensors(rng: random.Random, k: int, case: int):
