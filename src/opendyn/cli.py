@@ -166,10 +166,15 @@ def cmd_simulate(args) -> int:
         signal = ParamSignal.constant(params)
         traj = rk4_solve(sys_entry, init, signal, args.t0, args.t1, args.h)
         header = ("time", *sys_entry.state_vars, *sys_entry.output_vars)
-        # csv writes a float as str(x), which is repr(x): the shortest round trip
-        rows = [
-            (t, *vals, *outs) for t, vals, outs in zip(traj.times, traj.values, traj.outputs)
-        ]
+        rows = ((t, *vals, *outs) for t, vals, outs in zip(traj.times, traj.values, traj.outputs))
+        # the bytes csv writes: identifiers are never quoted, a float is its
+        # repr, and a row ends in "\r\n"; each row is one format, streamed
+        line = ",".join(["%r"] * len(header)) + "\r\n"
+        with open_output(args.out) as f:
+            f.write(",".join(header) + "\r\n")
+            f.writelines(map(line.__mod__, rows))
+        print(f"wrote {args.out} ({len(traj.times)} rows)")
+        return 0
     else:
         if args.start is None:
             raise ValidationError("finite-state simulation needs --start")

@@ -695,9 +695,10 @@ def _lens_apex(steps: Mapping, charts: Iterable[tuple[str, ...]]) -> list[tuple]
 class _LensSpan(Span):
     """A lens's span at period k, held as the one-step preimage table of
     `bwd` and k. Its chart sets and apex are `ProductSet`s, its two legs are
-    formed together (`_legs`) only when asked for, and applying it pushes a
+    formed together (`_legs`) only when asked for, applying it pushes a
     family through the preimages of the family's nonempty charts only
-    (`_lens_apex`)."""
+    (`_lens_apex`), and its matrix is the k-th Kronecker power of the
+    one-step matrix (`_matrix`)."""
 
     def __init__(self, lens: DetLens, rep_interface: DetInterface):
         self.k = len(rep_interface.outputs)
@@ -726,6 +727,28 @@ class _LensSpan(Span):
     left = property(lambda self: self._both_legs[0])
     right = property(lambda self: self._both_legs[1])
 
+    def _matrix(self) -> list[list[int]]:
+        """The k-th Kronecker power of the one-step 0/1 matrix, whose row
+        pos(o)*|I| + pos(i) has a 1 in column pos(fwd o)*|I'| + pos(i') for
+        each i' with bwd(o, i') = i. The charts' product order is the
+        Kronecker order, and the power stays 0/1, since an apex element is
+        fixed by its two legs: row (r, rest) of the power is row `rest` of
+        the lower power placed in the column blocks where row r of the
+        one-step matrix has a 1, and zeros elsewhere."""
+        columns = ProductSet(self.target.alphabets[:2])
+        ones = [[columns.position_of(right) for _, _, right in up] for up in self.steps.values()]
+        rows, size = [[1]], 1
+        for _ in range(self.k):
+            power = []
+            for blocks in ones:
+                for lower in rows:
+                    row = [0] * (len(columns) * size)
+                    for c in blocks:
+                        row[c * size:(c + 1) * size] = lower
+                    power.append(row)
+            rows, size = power, len(columns) * size
+        return rows
+
 
 def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
     """The span a lens induces between chart sets out of a walking-cycle interface.
@@ -735,7 +758,8 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
     leg pushes the output forward as fwd(o). Both legs are functions of the
     apex, so the matrix of this span has exactly one 1 per apex element.
     Nothing of the apex's size is built here: the span holds the one-step
-    table of `bwd` and k. The interface must have one input and at least one
+    table of `bwd` and k, and its matrix is the k-th Kronecker power of the
+    one-step matrix. The interface must have one input and at least one
     output, as a walking cycle's has.
     """
     if len(rep_interface.inputs) != 1:
@@ -749,7 +773,8 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
 
 def lens_matrix(lens: DetLens, k: int) -> tuple[FinSet, FinSet, list[list[int]]]:
     """The lens's span at period k as `opendyn matrix` writes it: the source
-    and target chart labels and the counting matrix between them.
+    and target chart labels and the counting matrix between them, the k-th
+    Kronecker power of the lens's one-step matrix; no apex element is listed.
 
     A matrix of more than `MAX_MATRIX_ENTRIES` entries, or with more charts
     than that on either side, is a `ValidationError` that states its size,

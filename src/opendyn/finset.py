@@ -273,6 +273,13 @@ class Span:
             if points is None or left in points:
                 yield self.apex.key(x), left, self.target.key(self.right(x))
 
+    def _matrix(self) -> list[list[int]]:
+        """Fiber cardinalities, counted over the apex element by element."""
+        matrix = [[0] * len(self.target) for _ in range(len(self.source))]
+        for _, left, right in self._over():
+            matrix[self.source.position_of(left)][self.target.position_of(right)] += 1
+        return matrix
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Span)
@@ -395,11 +402,10 @@ def _legs(apex, source, target, rows: Iterable[tuple]) -> tuple[FinMap, FinMap]:
 
 
 def span_to_matrix(s: Span) -> list[list[int]]:
-    """Fiber cardinalities as a |source| x |target| matrix of non-negative integers."""
-    matrix = [[0] * len(s.target) for _ in range(len(s.source))]
-    for _, left, right in s._over():
-        matrix[s.source.position_of(left)][s.target.position_of(right)] += 1
-    return matrix
+    """Fiber cardinalities as a |source| x |target| matrix of non-negative
+    integers, as the span computes them: a lens span takes a Kronecker power
+    of its one-step matrix, any other span counts its apex element by element."""
+    return s._matrix()
 
 
 def apply_span_to_family(s: Span, fam: Family) -> Family:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from sys import float_info
-from typing import Iterator, TextIO, Union
+from typing import Iterator, Optional, TextIO, Union
 
 from .deterministic import DetChart, DetInterface, DetLens, DetSystem, Identity, Machine
 from .errors import FileAccessError, OpendynError, ValidationError
@@ -293,6 +293,20 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
+#: Sends the bytes 0..9 to the digits "0".."9" and every other byte to "x".
+_DIGIT_BYTES = bytes(range(48, 58)).ljust(256, b"x")
+
+
+def _digits(ints: list[int]) -> Optional[str]:
+    """The digits of a list of ints that are all in 0..9, as one string with
+    a character per int, formed without a Python call per int; else None."""
+    try:
+        text = bytes(ints).translate(_DIGIT_BYTES)
+    except ValueError:  # an int outside 0..255
+        return None
+    return text.decode("ascii") if text.isdigit() else None
+
+
 def _json_lines(value, indent: str, put) -> None:
     """Put the text of `value`, nested at `indent` ("\n" plus its spaces)."""
     if isinstance(value, str):
@@ -314,7 +328,8 @@ def _json_lines(value, indent: str, put) -> None:
             return
         inner = indent + "  "
         if set(map(type, value)) == {int}:
-            put("[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]")
+            put("[" + inner + ("," + inner).join(_digits(value) or map(int.__repr__, value))
+                + indent + "]")
             return
         sep = "[" + inner
         for item in value:
@@ -342,7 +357,8 @@ def json_text(obj) -> str:
 
     `json.dumps` falls back to its pure-Python encoder whenever `indent` is
     set; this writer emits the same bytes, and writes a list of plain ints,
-    such as a matrix row, with one `join`.
+    such as a matrix row, with one `join`; a list of ints in 0..9 is turned
+    into its digits in one pass over a byte string, with no call per int.
     """
     parts: list[str] = []
     _json_lines(obj, "\n", parts.append)

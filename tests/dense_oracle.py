@@ -7,7 +7,8 @@ steady states are the orbits of period 1, and a Markov machine's orbits are
 read from its cells through `DistEffect.point`. The functions here are the
 direct definitions it replaced: test every state/input combination, enumerate
 every chart and every apex element in product order, pull a family back and
-push it forward element by element, and compare every fiber of the base. A
+push it forward element by element, and compare every fiber of the base,
+reading each family's fibers off its total set and projection table. A
 cell of either effect is tested against a state by `_reaches`, which does not
 use the effects' code. They cost (|S|·|I|)^k and (|O|·|I'|)^k, so they serve
 only small differential tests.
@@ -100,11 +101,20 @@ def dense_lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
     return Span(source, target, apex, FinMap(apex, source, left), FinMap(apex, target, right))
 
 
+def dense_fibers(fam: Family) -> dict[str, list[str]]:
+    """Every base point's fiber, read off the family's total set and
+    projection table element by element, not through its `fibers()`."""
+    over: dict[str, list[str]] = {b: [] for b in fam.base}
+    for z in fam.total:
+        over[fam.proj(z)].append(z)
+    return over
+
+
 def dense_apply_span_to_family(s: Span, fam: Family) -> Family:
     """Every apex element paired with every element over its left leg."""
     if fam.base != s.source:
         raise BoundaryError(f"family base {fam.base} differs from span source {s.source}")
-    over = fam.fibers()
+    over = dense_fibers(fam)
     labels: list[str] = []
     proj: dict[str, str] = {}
     for x in s.apex:
@@ -120,7 +130,7 @@ def dense_families_isomorphic(f1: Family, f2: Family) -> FamilyMatch:
     """Every fiber of the base compared in canonical order."""
     if f1.base != f2.base:
         raise BoundaryError(f"family bases differ: {f1.base} vs {f2.base}")
-    fibers1, fibers2 = f1.fibers(), f2.fibers()
+    fibers1, fibers2 = dense_fibers(f1), dense_fibers(f2)
     table: dict[str, str] = {}
     for b in f1.base:
         if len(fibers1[b]) != len(fibers2[b]):

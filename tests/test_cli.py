@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import random
@@ -27,6 +28,7 @@ from opendyn import (
     load_project,
     random_lens,
     random_system,
+    rk4_solve,
     save_project,
 )
 from opendyn.cli import main
@@ -41,6 +43,7 @@ from helpers import (
     oscillator,
     random_markov_machine,
     wide_lens,
+    wired,
 )
 
 FLIPFLOP = fixture_path("flipflop.json")
@@ -377,6 +380,66 @@ class TestSimulate:
         assert proc.stderr.startswith("error:") and "MAX_STEPS" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
+
+
+    def test_negative_values_are_read_in_the_equals_form(self, tmp_path):
+        out = tmp_path / "neg.csv"
+        assert main(["simulate", LV, "--system", "rabbit_fox", "--init=-1,2",
+                     "--params=1,-0.5,0.2,-0.4", "--t0=-1e-3", "--t1", "0.05", "--h", "0.01",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert rows[1][:3] == ["-0.001", "-1.0", "2.0"]
+        assert [row[0] for row in rows[2:4]] == ["0.009000000000000001", "0.019"]
+        assert rows[-1][0] == "0.05"
+
+
+def csv_writer_bytes(system: OdeSystem, init, params, t0: float, t1: float, h: float) -> bytes:
+    """The trajectory written by `csv.writer`, as `simulate` wrote it before
+    it formatted each row itself."""
+    traj = rk4_solve(system, init, ParamSignal.constant(params), t0, t1, h)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(("time", *system.state_vars, *system.output_vars))
+    writer.writerows((t, *vals, *outs) for t, vals, outs in zip(traj.times, traj.values, traj.outputs))
+    return text.getvalue().encode("utf-8")
+
+
+CSV_SYSTEMS = {
+    "wired4": wired(4),
+    "no_outputs": OdeSystem(["x", "y"], [], ["p"], {}, {"x": "p*y", "y": "-x"}),
+    "one_state": OdeSystem(["z"], ["w"], [], {"w": "z*z"}, {"z": "-0.5*z"}),
+    "edge": OdeSystem(["s", "z"], ["big", "huge", "neg"], [],
+                      {"big": "1e16", "huge": "1e22", "neg": "-0*s"}, {"s": "0", "z": "0*z"}),
+}
+
+
+class TestOdeCsvBytes:
+    """`simulate`'s ODE CSV against `csv.writer`, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "system, init, params, window",
+        [
+            ("lotka_volterra", (2.0, 1.0), (1.0, 0.5, 0.2, 0.4), (0.0, 2.0, 0.01)),
+            ("rabbit_fox", (-1.0, 2.0), (1.0, 0.5, 0.2, 0.4), (-1e-3, 1.0, 0.01)),
+            ("wired4", (-0.3, 0.7), (0.4, 0.9), (0.0, 1.0, 1 / 256)),
+            ("no_outputs", (1.0, -0.0), (0.5,), (2.5, 3.5, 0.1)),
+            ("one_state", (5e-324,), (), (0.0, 1.0, 0.25)),
+            ("one_state", (1e22,), (), (-3.0, -2.0, 0.125)),
+            ("edge", (-0.0, 5e-324), (), (0.0, 1.0, 0.5)),
+        ],
+        ids=["lv", "lv-negative", "wired-depth-4", "no-outputs", "one-state-tiny",
+             "one-state-huge", "edge-values"],
+    )
+    def test_rows_match_csv_writer(self, tmp_path, system, init, params, window):
+        project = tmp_path / "systems.json"
+        save_project(ProjectFile(1, {**load_project(LV).systems, **CSV_SYSTEMS}, {}, {}), project)
+        entry = load_project(project).system(system)
+        out = tmp_path / "run.csv"
+        t0, t1, h = window
+        assert main(["simulate", str(project), "--system", system,
+                     "--init=" + ",".join(map(repr, init)), "--params=" + ",".join(map(repr, params)),
+                     f"--t0={t0!r}", "--t1", repr(t1), "--h", repr(h), "--out", str(out)]) == 0
+        assert out.read_bytes() == csv_writer_bytes(entry, init, params, t0, t1, h)
 
 
 class TestDeepExpressions:

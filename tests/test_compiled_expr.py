@@ -35,7 +35,7 @@ from opendyn import (
 from opendyn.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var
 
 import tree_walk_oracle as oracle
-from helpers import fixture_path
+from helpers import fixture_path, ode_chain, wired
 
 ARGS = ("x", "y", "z")
 
@@ -183,39 +183,6 @@ class TestKeywordIdentifiers:
         assert rk4_solve(sys, (1.0, 0.0), signal, 0.0, 1.0, 0.01) == oracle.rk4_solve(
             sys, (1.0, 0.0), signal, 0.0, 1.0, 0.01
         )
-
-
-def ode_chain(rng: random.Random, depth: int) -> tuple[OdeSystem, list[OdeLens]]:
-    """A base system and `depth` lenses feeding the readout back into p: the
-    chain the benchmark's wired simulate ops compose."""
-
-    def coef(lo=0.2, hi=1.0):
-        return round(rng.uniform(lo, hi), 3)
-
-    a, c, e = coef(), coef(), coef()
-    base = OdeSystem(
-        ["x", "y"], ["u0"], ["p0", "q0"],
-        {"u0": f"sin(x*y) + {a}*x"},
-        {"x": f"p0*cos(y) - {c}*x", "y": f"q0*sin(x) - {e}*y"},
-    )
-    lenses = []
-    for j in range(1, depth + 1):
-        k, m = coef(0.05, 0.2), coef(0.9, 1.1)
-        lenses.append(
-            OdeLens(
-                [f"u{j - 1}"], [f"p{j - 1}", f"q{j - 1}"], [f"u{j}"], [f"p{j}", f"q{j}"],
-                {f"u{j}": f"u{j - 1}"},
-                {f"p{j - 1}": f"p{j} + {k}*u{j - 1}", f"q{j - 1}": f"{m}*q{j}"},
-            )
-        )
-    return base, lenses
-
-
-def wired(depth: int) -> OdeSystem:
-    system, lenses = ode_chain(random.Random(0), depth)
-    for lens in lenses:
-        system = compose_lens_ode(lens, system)
-    return system
 
 
 def _inner_subtrees(e, into: set) -> set:

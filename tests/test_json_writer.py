@@ -45,6 +45,12 @@ scalars = st.one_of(
     keys,
 )
 int_lists = st.lists(st.one_of(st.integers(), st.booleans()), max_size=8)
+# ints around the digit rows' byte path: 48 and 57 are the bytes of "0" and "9"
+digit_edges = st.sampled_from([10, 48, 57, 255, 256, -1, 2**70, True, False])
+digit_rows = st.one_of(
+    st.lists(st.integers(0, 9), min_size=1, max_size=400),
+    st.lists(st.one_of(st.integers(0, 9), digit_edges), min_size=1, max_size=12),
+)
 values = st.recursive(
     st.one_of(scalars, int_lists),
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(keys, inner, max_size=4)),
@@ -57,6 +63,21 @@ class TestAgainstJsonDumps:
     @given(values)
     def test_nested_values(self, value):
         assert json_text(value) == dumped(value)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(digit_rows, st.lists(digit_rows, max_size=4)))
+    def test_digit_rows(self, value):
+        assert json_text(value) == dumped(value)
+
+    def test_digit_row_edges(self):
+        rng = random.Random(20)
+        matrix = [[int(rng.random() < 0.05) for _ in range(400)] for _ in range(3)]
+        for value in (
+            [0], [9], [0] * 400, [1] * 400, matrix, {"matrix": matrix},
+            list(range(10)), [*range(10), 10], [48], [57], [0, 48, 57, 9], [255], [256, 0],
+            [-1, 0], [0, -1], [2**70, 1], [3, 2**70], [0, True], [False, 1], [True, False],
+        ):
+            assert json_text(value) == dumped(value), value
 
     def test_edge_values(self):
         for value in (

@@ -47,6 +47,7 @@ from dense_oracle import (
     dense_apply_span_to_family,
     dense_check_matrix_theorem,
     dense_families_isomorphic,
+    dense_fibers,
     dense_lens_to_span,
     dense_periodic_orbit_span,
     dense_representable_span,
@@ -465,15 +466,6 @@ class TestSparseFamiliesAnswerAsTheDenseOnes:
             )
 
 
-def listed_fibers(dense: Family) -> dict[str, list[str]]:
-    """Every base point's fiber, read off the total and projection a listed
-    family was built from."""
-    over: dict[str, list[str]] = {b: [] for b in dense.base}
-    for z in dense.total:
-        over[dense.proj(z)].append(z)
-    return over
-
-
 class TestFamilyLabels:
     """`Family.labels()` is the one place where rows become labels: on seeded
     orbit and pushed families, each reader of labels answers as the listed
@@ -500,7 +492,7 @@ class TestFamilyLabels:
             assert sparse.labels() == [(dense.proj(z), z) for z in dense.total]
             assert sparse.total.elements == dense.total.elements
             assert list(sparse.proj.table.items()) == list(dense.proj.table.items())
-            fibers = listed_fibers(dense)
+            fibers = dense_fibers(dense)
             assert sparse.fibers() == fibers
             for b in {*dense.proj.table.values(), dense.base.elements[0], rng.choice(dense.base.elements)}:
                 assert sparse.fiber(b) == fibers[b]
@@ -661,3 +653,35 @@ class TestMarkovMachines:
         write_rows(expected, dense_steady_rows(chain, k))
         assert out.read_bytes() == expected.read_bytes()
         assert len(dense_steady_rows(chain, k)) == 2
+
+
+def sized_lens(rng: random.Random) -> DetLens:
+    """A random lens between interfaces of 0 to 3 inputs and 0 to 3 outputs,
+    drawn so that fwd and bwd exist: a source with outputs needs a target
+    with outputs, and, where the target has inputs, inputs of its own."""
+    n_out, new_in = rng.randint(0, 3), rng.randint(0, 3)
+    new_out, n_in = rng.randint(1 if n_out else 0, 3), rng.randint(1 if n_out and new_in else 0, 3)
+
+    def iface(tag: str, inputs: int, outputs: int) -> DetInterface:
+        return DetInterface(FinSet(f"{tag}i{j}" for j in range(inputs)),
+                            FinSet(f"{tag}o{j}" for j in range(outputs)))
+
+    return random_lens(rng, iface("", n_in, n_out), iface("t", new_in, new_out))
+
+
+class TestLensMatrixPower:
+    """`lens_matrix`, the k-th Kronecker power of the one-step matrix, against
+    the dense span's matrix, counted over its apex element by element."""
+
+    def test_seeded_lenses_at_periods_one_to_three(self):
+        rng = random.Random(20)
+        empty = set()
+        for _ in range(300):
+            lens = sized_lens(rng)
+            for k in (1, 2, 3):
+                dense = dense_lens_to_span(lens, walking_cycle(k).interface)
+                assert det.lens_matrix(lens, k) == (dense.source, dense.target, span_to_matrix(dense))
+            for side in ("source", "target"):
+                iface = getattr(lens, side)
+                empty |= {(side, part) for part in ("inputs", "outputs") if not getattr(iface, part)}
+        assert len(empty) == 4  # each side has been drawn with no inputs and with no outputs
