@@ -22,6 +22,17 @@ family through the charts that carry orbits only. Labels are joined with `|`
 where a Family, Span or FamilyMatch hands them out, and print uniquely since
 a `FinSet`'s labels all have one number of parts. One run loop,
 `simulate_system`, draws each step through the effect's `sample`.
+
+The public constructors (`FinMap`, `DetSystem`, `StochSystem`, `DetLens`,
+`DetChart`) and the project loader check every table they are given and
+normalize it to canonical row and column order. The combinators that build
+their results from parts that were already checked, `FinMap.then` and
+`FinMap.identity`, `identity_lens`, `identity_chart`, `compose_lenses`,
+`compose_charts`, `compose_lens_system` and `tensor_systems`, and the
+generators of `opendyn.laws`, build through a trusted path instead
+(`finset._finmap`, `_machine`, `_rewiring`) that sets the same slots without
+checks: each writes its tables in canonical order, so the objects are the
+ones the public constructors would build.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from .finset import (
     ProductSet,
     Span,
     _family,
+    _finmap,
     _legs,
     apply_span_to_family,
     families_isomorphic,
@@ -183,6 +195,18 @@ class Machine:
         return f"{type(self).__name__}(states={self.states}, interface={self.interface!r})"
 
 
+def _machine(
+    cls: type, states: FinSet, interface: DetInterface, readout: FinMap, update: dict
+) -> Machine:
+    """The `cls` machine with these parts, set without checks: the readout must
+    map the states to the outputs, and the update have a row per state and a
+    cell per input, both in canonical order, each cell valid in `cls`'s effect."""
+    machine = cls.__new__(cls)
+    machine.states, machine.interface = states, interface
+    machine.readout, machine.update = readout, update
+    return machine
+
+
 class DetSystem(Machine):
     """A deterministic Moore machine: update S x I -> S."""
 
@@ -212,6 +236,18 @@ class _Rewiring:
             and self.fwd == other.fwd
             and getattr(self, self.table) == getattr(other, self.table)
         )
+
+
+def _rewiring(
+    cls: type, source: DetInterface, target: DetInterface, fwd: FinMap, table: dict
+) -> _Rewiring:
+    """The `cls` lens or chart with these parts, set without checks: `fwd` must
+    map the source outputs to the target outputs, and `table` be what `cls`'s
+    constructor would normalize its table to."""
+    rewiring = cls.__new__(cls)
+    rewiring.source, rewiring.target, rewiring.fwd = source, target, fwd
+    setattr(rewiring, cls.table, table)
+    return rewiring
 
 
 class DetLens(_Rewiring):
@@ -282,12 +318,12 @@ class DetSquare:
 
 def identity_lens(iface: DetInterface) -> DetLens:
     bwd = {o: {i: i for i in iface.inputs} for o in iface.outputs}
-    return DetLens(iface, iface, FinMap.identity(iface.outputs), bwd)
+    return _rewiring(DetLens, iface, iface, FinMap.identity(iface.outputs), bwd)
 
 
 def identity_chart(iface: DetInterface) -> DetChart:
     push = {o: {i: i for i in iface.inputs} for o in iface.outputs}
-    return DetChart(iface, iface, FinMap.identity(iface.outputs), push)
+    return _rewiring(DetChart, iface, iface, FinMap.identity(iface.outputs), push)
 
 
 def compose_lenses(l1: DetLens, l2: DetLens) -> DetLens:
@@ -300,7 +336,7 @@ def compose_lenses(l1: DetLens, l2: DetLens) -> DetLens:
         o: {i2: l1.bwd[o][l2.bwd[l1.fwd(o)][i2]] for i2 in l2.target.inputs}
         for o in l1.source.outputs
     }
-    return DetLens(l1.source, l2.target, l1.fwd.then(l2.fwd), bwd)
+    return _rewiring(DetLens, l1.source, l2.target, l1.fwd.then(l2.fwd), bwd)
 
 
 def compose_charts(c1: DetChart, c2: DetChart) -> DetChart:
@@ -312,7 +348,7 @@ def compose_charts(c1: DetChart, c2: DetChart) -> DetChart:
         o: {i: c2.push[c1.fwd(o)][c1.push[o][i]] for i in c1.source.inputs}
         for o in c1.source.outputs
     }
-    return DetChart(c1.source, c2.target, c1.fwd.then(c2.fwd), push)
+    return _rewiring(DetChart, c1.source, c2.target, c1.fwd.then(c2.fwd), push)
 
 
 def compose_lens_system(lens: DetLens, sys: Machine) -> Machine:
@@ -325,7 +361,7 @@ def compose_lens_system(lens: DetLens, sys: Machine) -> Machine:
         s: {i2: sys.update[s][lens.bwd[sys.readout(s)][i2]] for i2 in lens.target.inputs}
         for s in sys.states
     }
-    return type(sys)(sys.states, lens.target, sys.readout.then(lens.fwd), update)
+    return _machine(type(sys), sys.states, lens.target, sys.readout.then(lens.fwd), update)
 
 
 def simulate_system(sys: Machine, s0: str, word: Iterable[str], seed: int = 0) -> list[str]:
@@ -352,7 +388,7 @@ def tensor_systems(a: Machine, b: Machine) -> Machine:
         product_finset(a.interface.inputs, b.interface.inputs),
         product_finset(a.interface.outputs, b.interface.outputs),
     )
-    readout = FinMap(
+    readout = _finmap(
         states,
         iface.outputs,
         {
@@ -371,7 +407,7 @@ def tensor_systems(a: Machine, b: Machine) -> Machine:
         for sa in a.states
         for sb in b.states
     }
-    return type(a)(states, iface, readout, update)
+    return _machine(type(a), states, iface, readout, update)
 
 
 @dataclass
@@ -805,8 +841,10 @@ def check_matrix_theorem(lens: DetLens, sys: Machine, k: int) -> FamilyMatch:
     `families_isomorphic(periodic_orbit_span(compose_lens_system(lens, sys), k),
     apply_span_to_family(lens_to_span(lens, walking_cycle(k).interface),
     periodic_orbit_span(sys, k)))`: the span is pushed through the charts
-    that carry orbits only, and element labels are formed for the witness
-    alone. Both machines' walks are bounded before either starts.
+    that carry orbits only, and the verdict reads fiber counts on keys. No
+    element label is formed here: a match forms its witness, with its element
+    labels, when the witness is first read, and a mismatch joins its one
+    chart label. Both machines' walks are bounded before either starts.
     """
     rewired = compose_lens_system(lens, sys)  # refuses a lens whose source is not sys's
     cycle = _period_walk(k, sys, rewired)

@@ -20,15 +20,20 @@ order, so only its nonempty fibers take room; a key is the tuple of parts
 whose join is the label (a `FinSet` element's key is its label alone).
 Spans act and families compare on keys. A family's rows become labels in
 one place, `Family.labels()`, which its total, projection, fibers and
-equality read; `families_isomorphic` joins only the labels of its witness
-or mismatch, and a span's legs are labelled in one pass (`_legs`).
+equality read; `families_isomorphic` counts fibers on keys and joins only
+the label of a mismatch, and the labels of its witness when the witness is
+first read; a span's legs are labelled in one pass (`_legs`).
+
+`FinMap(dom, cod, table)` checks its table; `_finmap` sets the same slots
+without checks, for callers whose table has every domain element once, in
+domain order, and only codomain values, because they build it from checked
+maps and sets.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
 from math import prod
@@ -228,11 +233,11 @@ class FinMap:
             raise BoundaryError(
                 f"cannot compose maps: codomain {self.cod} differs from domain {other.dom}"
             )
-        return FinMap(self.dom, other.cod, {x: other(self(x)) for x in self.dom})
+        return _finmap(self.dom, other.cod, {x: other.table[y] for x, y in self.table.items()})
 
     @staticmethod
     def identity(a: FinSet) -> "FinMap":
-        return FinMap(a, a, {x: x for x in a})
+        return _finmap(a, a, {x: x for x in a})
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -247,6 +252,14 @@ class FinMap:
 
     def __repr__(self) -> str:
         return f"FinMap({self.dom!r}, {self.cod!r}, {self.table!r})"
+
+
+def _finmap(dom, cod, table: dict[str, str]) -> FinMap:
+    """The map with this table, set without checks: the table must send each
+    element of `dom`, in `dom`'s order, to an element of `cod`."""
+    fmap = FinMap.__new__(FinMap)
+    fmap.dom, fmap.cod, fmap.table = dom, cod, table
+    return fmap
 
 
 class Span:
@@ -428,28 +441,54 @@ def apply_span_to_family(s: Span, fam: Family) -> Family:
     ))
 
 
-@dataclass
 class FamilyMatch:
     """Result of comparing two families over the same base.
 
     When every fiber cardinality agrees the families are isomorphic (these
     are plain sets, so cardinality is a complete invariant) and `witness` is
-    a fiber-preserving bijection pairing elements in canonical order.
-    Otherwise `mismatch` names the first base point where the counts differ.
+    a fiber-preserving bijection pairing elements in canonical order. A match
+    that `families_isomorphic` returns forms its witness the first time it is
+    read, once. Otherwise `witness` is None and `mismatch` names the first
+    base point where the counts differ, and `counts` gives both counts.
     """
 
-    witness: Optional[FinMap]
-    mismatch: Optional[str] = None
-    counts: Optional[tuple[int, int]] = None
+    __slots__ = ("_witness", "_rows", "mismatch", "counts")
+
+    def __init__(
+        self,
+        witness: Optional[FinMap],
+        mismatch: Optional[str] = None,
+        counts: Optional[tuple[int, int]] = None,
+    ):
+        self._witness, self._rows = witness, None
+        self.mismatch, self.counts = mismatch, counts
+
+    @property
+    def witness(self) -> Optional[FinMap]:
+        if self._rows is not None:
+            self._witness, self._rows = _pair_fibers(*self._rows), None
+        return self._witness
 
     def __bool__(self) -> bool:
         return self.mismatch is None
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FamilyMatch) and (self.witness, self.mismatch, self.counts) == (
+            other.witness, other.mismatch, other.counts
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"FamilyMatch(witness={self.witness!r}, mismatch={self.mismatch!r}, "
+            f"counts={self.counts!r})"
+        )
 
 
 def families_isomorphic(f1: Family, f2: Family) -> FamilyMatch:
     """Compare fiber sizes where either family has elements, counted on base
     keys. A mismatch is the first base point in base order whose counts
-    differ; the witness pairs each fiber's elements in row order."""
+    differ. Otherwise the match holds both families' rows, and its witness
+    pairs each fiber's elements in row order when it is first read."""
     if f1.base != f2.base:
         raise BoundaryError(f"family bases differ: {f1.base} vs {f2.base}")
     rows1, rows2 = f1._rows, f2._rows_over(f1.base)
@@ -458,10 +497,18 @@ def families_isomorphic(f1: Family, f2: Family) -> FamilyMatch:
     if differ:
         b = min(differ, key=f1.base.position_of)
         return FamilyMatch(None, mismatch=join_labels(*b), counts=(counts1[b], counts2[b]))
+    match = FamilyMatch(None)
+    match._rows = rows1, rows2
+    return match
+
+
+def _pair_fibers(rows1: list[_Row], rows2: list[_Row]) -> FinMap:
+    """The bijection from the elements of rows1 to those of rows2 that pairs
+    each fiber's elements in row order; every fiber has one count on both."""
     total2 = FinSet(join_labels(*element) for _, element in rows2)
     over: dict[tuple[str, ...], list[str]] = {}
     for (point, _), z in zip(rows2, total2):
         over.setdefault(point, []).append(z)
     fibers2 = {point: iter(zs) for point, zs in over.items()}
     table = {join_labels(*element): next(fibers2[point]) for point, element in rows1}
-    return FamilyMatch(FinMap(FinSet(table), total2, table))
+    return _finmap(FinSet(table), total2, table)

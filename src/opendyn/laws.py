@@ -7,6 +7,11 @@ generator is constructive: it draws the left lens and both charts freely
 the one right-lens table that makes the square commute, so every generated
 square is commuting by construction and any mutation of a reached table cell
 must be caught.
+
+Every generator here draws each table cell from the sets it was given and
+writes its rows and columns in canonical order, so it builds through the
+trusted constructors (`finset._finmap`, `deterministic._machine`,
+`deterministic._rewiring`), which skip the public constructors' checks.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from .deterministic import (
     DetLens,
     DetSquare,
     DetSystem,
+    _machine,
+    _rewiring,
     check_matrix_theorem,
     check_square,
     compose_lens_system,
@@ -31,7 +38,7 @@ from .deterministic import (
     paste_vertical,
 )
 from .errors import ValidationError
-from .finset import FinMap, FinSet
+from .finset import FinMap, FinSet, _finmap
 from .ode import OdeLens, OdeSystem, ParamSignal, check_solve_functoriality
 from .project import load_project
 
@@ -53,7 +60,7 @@ def random_interface(rng: random.Random, max_size: int = 4, tag: str = "") -> De
 def random_map(rng: random.Random, dom: FinSet, cod: FinSet) -> FinMap:
     if len(cod) == 0 and len(dom) > 0:
         raise ValidationError("cannot draw a map into an empty set")
-    return FinMap(dom, cod, {x: rng.choice(cod.elements) for x in dom})
+    return _finmap(dom, cod, {x: rng.choice(cod.elements) for x in dom})
 
 
 def random_system(rng: random.Random, iface: DetInterface, max_states: int = 5) -> DetSystem:
@@ -62,7 +69,7 @@ def random_system(rng: random.Random, iface: DetInterface, max_states: int = 5) 
     update = {
         s: {i: rng.choice(states.elements) for i in iface.inputs} for s in states
     }
-    return DetSystem(states, iface, readout, update)
+    return _machine(DetSystem, states, iface, readout, update)
 
 
 def random_lens(rng: random.Random, source: DetInterface, target: DetInterface) -> DetLens:
@@ -71,7 +78,7 @@ def random_lens(rng: random.Random, source: DetInterface, target: DetInterface) 
         o: {i2: rng.choice(source.inputs.elements) for i2 in target.inputs}
         for o in source.outputs
     }
-    return DetLens(source, target, fwd, bwd)
+    return _rewiring(DetLens, source, target, fwd, bwd)
 
 
 def random_injective_chart(
@@ -86,12 +93,12 @@ def random_injective_chart(
     if len(target.outputs) < len(source.outputs) or len(target.inputs) < len(source.inputs):
         raise ValidationError("target interface too small for an injective chart")
     images = rng.sample(target.outputs.elements, len(source.outputs))
-    fwd = FinMap(source.outputs, target.outputs, dict(zip(source.outputs, images)))
+    fwd = _finmap(source.outputs, target.outputs, dict(zip(source.outputs, images)))
     push = {
         o: dict(zip(source.inputs, rng.sample(target.inputs.elements, len(source.inputs))))
         for o in source.outputs
     }
-    return DetChart(source, target, fwd, push)
+    return _rewiring(DetChart, source, target, fwd, push)
 
 
 def _grow(rng: random.Random, iface: DetInterface, min_inputs: int = 1) -> DetInterface:
@@ -135,8 +142,8 @@ def random_square_from(
         for a3 in iface3.inputs:
             i4 = bottom.push[left.fwd(o)][a3]
             bwd_table[o2][i4] = top.push[o][left.bwd[o][a3]]
-    right = DetLens(
-        iface2, iface4, FinMap(iface2.outputs, iface4.outputs, fwd_table), bwd_table
+    right = _rewiring(
+        DetLens, iface2, iface4, _finmap(iface2.outputs, iface4.outputs, fwd_table), bwd_table
     )
     return DetSquare(top, bottom, left, right)
 
@@ -169,10 +176,11 @@ def mutate_square(rng: random.Random, sq: DetSquare) -> tuple[DetSquare, tuple[s
         i4 = sq.bottom.push[sq.left.fwd(o)][a3]
         old = bwd_table[o2][i4]
         bwd_table[o2][i4] = rng.choice([x for x in sq.top.target.inputs if x != old])
-    right = DetLens(
+    right = _rewiring(
+        DetLens,
         sq.right.source,
         sq.right.target,
-        FinMap(sq.right.source.outputs, sq.right.target.outputs, fwd_table),
+        _finmap(sq.right.source.outputs, sq.right.target.outputs, fwd_table),
         bwd_table,
     )
     return DetSquare(sq.top, sq.bottom, sq.left, right), (o, a3)

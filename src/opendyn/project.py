@@ -378,10 +378,13 @@ def open_output(path: Union[str, Path]) -> Iterator[TextIO]:
 
 
 def write_json(obj, path: Union[str, Path]) -> None:
-    """Write `json.dumps(obj, indent=2)`'s bytes and a newline to `path`."""
-    text = json_text(obj) + "\n"
+    """Write `json.dumps(obj, indent=2)`'s bytes and a newline to `path`,
+    as the parts `json_text` would join, so the text is never held whole."""
+    parts: list[str] = []
+    _json_lines(obj, "\n", parts.append)
+    parts.append("\n")
     with open_output(path) as f:
-        f.write(text)
+        f.writelines(parts)
 
 
 def save_project(project: ProjectFile, path: Union[str, Path]) -> None:

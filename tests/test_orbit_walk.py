@@ -39,6 +39,7 @@ from opendyn import (
     walking_cycle,
 )
 import opendyn.deterministic as det
+import opendyn.finset as finset
 from opendyn.cli import main
 from opendyn.laws import random_interface
 from opendyn.project import ProjectFile, load_project
@@ -248,6 +249,48 @@ def random_family(rng: random.Random, base: FinSet, tag: str) -> Family:
     total = FinSet(f"{tag}{n}" for n in range(rng.randint(0, 2 * len(base))))
     proj = FinMap(total, base, {z: rng.choice(base.elements) for z in total})
     return Family(base, total, proj)
+
+
+class TestLazyWitness:
+    """A match forms its witness when `.witness` is first read, and only once."""
+
+    @pytest.fixture
+    def formed(self, monkeypatch) -> list:
+        """The row pairs each witness was formed from, in order."""
+        formed, pair = [], finset._pair_fibers
+        monkeypatch.setattr(finset, "_pair_fibers", lambda *rows: formed.append(rows) or pair(*rows))
+        return formed
+
+    def test_formed_once_on_first_read_as_the_dense_witness(self, formed):
+        rng = random.Random(21)
+        for case in range(60):
+            iface, target = random_interface(rng, 3), random_interface(rng, 3)
+            sys = random_system(rng, iface, 4) if case % 2 else random_markov_machine(rng, iface)
+            lens, k = random_lens(rng, iface, target), 1 + case % 3
+            match = check_matrix_theorem(lens, sys, k)
+            assert match and formed == []
+            witness = match.witness
+            assert len(formed) == 1
+            assert match.witness is witness and len(formed) == 1
+            assert_same_match(match, dense_check_matrix_theorem(lens, sys, k))
+            formed.clear()
+
+    def test_a_mismatch_forms_no_witness(self, formed):
+        """The orbits of two machines on one interface, which mostly differ:
+        a mismatch names the first differing chart and both counts, as the
+        dense comparison does, and its witness is None."""
+        rng = random.Random(22)
+        mismatches = 0
+        for case in range(60):
+            iface = random_interface(rng, 3)
+            f1, f2 = (periodic_orbit_span(each_machine(rng, iface, case), 1 + case % 2)
+                      for _ in range(2))
+            match = families_isomorphic(f1, f2)
+            mismatches += not match
+            assert_same_match(match, dense_families_isomorphic(f1, f2))
+            assert (match.witness is None) == (not match)
+        assert mismatches > 30
+        assert len(formed) == 60 - mismatches
 
 
 def preimages_out_of_order(lens: DetLens) -> bool:
