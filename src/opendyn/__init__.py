@@ -8,7 +8,8 @@ and periodic orbits form families over chart sets, lenses induce spans
 verifies that wiring commutes with collecting behaviors. A chart set is a
 `ProductSet`, never listed unless its labels are asked for; an orbit family
 holds only the charts that carry orbits, and a lens span its one-step table
-and k, so the theorem, `steady` and `matrix` read these public objects alone.
+and k. The theorem reads these public objects alone, and `steady` and
+`matrix` stream the same walk's rows and the same span's matrix rows.
 """
 
 from .errors import (

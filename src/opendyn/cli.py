@@ -4,12 +4,17 @@ Subcommands: compose, tensor, steady, matrix, simulate, check. All outputs
 are deterministic for a fixed invocation (no timestamps, seeded randomness,
 canonical float and JSON formatting), so repeated runs are byte-identical.
 `matrix` output and the projects `compose` and `tensor` write are the bytes
-of `json.dumps(obj, indent=2)` plus a newline, from one writer,
-`project.write_json`. `matrix` refuses a span whose matrix would have more than
-`deterministic.MAX_MATRIX_ENTRIES` entries before building anything of size k,
-and `steady` and `check`'s project scan an orbit walk of more than
-`deterministic.MAX_WALK` tuples or `deterministic.MAX_SLOTS` slots; all three
-refuse a period past `deterministic.MAX_PERIOD`.
+of `json.dumps(obj, indent=2)` plus a newline: the projects from
+`project.write_json`, and the matrix from `project.write_json_matrix`, which
+writes each row as the lens span forms it. `steady` sends each orbit row
+through `csv.writer` as the walk finds it, and `simulate` each ODE row as it
+is formed, so neither holds its rows. `matrix` refuses a span whose matrix
+would have more than `deterministic.MAX_MATRIX_ENTRIES` entries before
+building anything of size k, and `steady` and `check`'s project scan an
+orbit walk of more than `deterministic.MAX_WALK` tuples or
+`deterministic.MAX_SLOTS` slots; all three refuse a period past
+`deterministic.MAX_PERIOD`. Every refusal comes before an output file is
+opened, so a refused command leaves an existing file as it was.
 `steady`, `simulate` and `check`'s project scan run one code path for a
 deterministic and a Markov machine alike; an ODE system cannot be `steady`.
 Exit codes: 0 success, 1 a check reported a failure, 2 usage or validation
@@ -32,8 +37,8 @@ from .deterministic import (
     Machine,
     check_matrix_theorem,
     check_square,
-    lens_matrix,
-    periodic_orbits,
+    lens_matrix_rows,
+    periodic_orbit_rows,
     simulate_system,
     tensor_systems,
     compose_lens_system,
@@ -54,15 +59,19 @@ from .project import (
     load_project,
     open_output,
     save_project,
-    write_json,
+    write_json_matrix,
 )
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
+def _write_csv(path: str, header: Sequence[str], rows) -> int:
+    """Write the header and each row as it comes; the number of rows."""
+    count = 0
     with open_output(path) as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        writer.writerows(rows)
+        for count, row in enumerate(rows, 1):
+            writer.writerow(row)
+    return count
 
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
@@ -126,9 +135,9 @@ def cmd_steady(args) -> int:
         raise ValidationError(
             f"steady enumeration needs a finite-state system, got {doctrine_of(sys_entry)}"
         )
-    rows = periodic_orbits(sys_entry, args.k)
-    _write_csv(args.out, ("chart", "element"), rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    rows = periodic_orbit_rows(sys_entry, args.k)  # refuses an unbounded walk first
+    count = _write_csv(args.out, ("chart", "element"), rows)
+    print(f"wrote {args.out} ({count} rows)")
     return 0
 
 
@@ -139,16 +148,10 @@ def cmd_matrix(args) -> int:
         raise ValidationError(
             f"matrix dump needs a deterministic lens, got {doctrine_of(lens)}"
         )
-    source, target, matrix = lens_matrix(lens, args.k)
-    obj = {
-        "version": 1,
-        "lens": args.lens,
-        "k": args.k,
-        "source": list(source),
-        "target": list(target),
-        "matrix": matrix,
-    }
-    write_json(obj, args.out)
+    source, target, rows = lens_matrix_rows(lens, args.k)  # refuses an oversized matrix first
+    head = {"version": 1, "lens": args.lens, "k": args.k, "source": list(source),
+            "target": list(target)}
+    write_json_matrix(head, rows, len(target), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -185,8 +188,8 @@ def cmd_simulate(args) -> int:
             (step, inp, state, sys_entry.readout(state))
             for step, (inp, state) in enumerate(zip(["", *word], states))
         ]
-    _write_csv(args.out, header, rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    count = _write_csv(args.out, header, rows)
+    print(f"wrote {args.out} ({count} rows)")
     return 0
 
 

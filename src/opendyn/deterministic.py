@@ -14,13 +14,16 @@ into a span between these chart sets, and `check_matrix_theorem` verifies
 that rewiring a machine and then collecting its orbits agrees, up to a
 fiberwise bijection, with applying that span to the orbits of the original
 machine. That is span (= matrix-of-sets) arithmetic acting on behaviors.
-The theorem, `steady` and `matrix` all read these public objects. A chart set
-is a `ProductSet` and is never enumerated; an orbit family holds the rows of
-the one orbit walk, which reads update cells through the effect's `point`;
-a lens span holds its one-step `bwd` preimage table and k, and pushes a
-family through the charts that carry orbits only. Labels are joined with `|`
-where a Family, Span or FamilyMatch hands them out, and print uniquely since
-a `FinSet`'s labels all have one number of parts. One run loop,
+The theorem reads these public objects. A chart set is a `ProductSet` and
+is never enumerated; an orbit family holds the rows of the one orbit walk,
+which reads update cells through the effect's `point`; a lens span holds its
+one-step `bwd` preimage table and k, pushes a family through the charts that
+carry orbits only, and forms its matrix one row at a time. `steady` and
+`matrix` write the same walk's rows and the same span's matrix rows as they
+are formed (`periodic_orbit_rows`, `lens_matrix_rows`). Labels are joined
+with `|` where a Family, Span or FamilyMatch hands them out, or a row is
+streamed, and print uniquely since a `FinSet`'s labels all have one number
+of parts. One run loop,
 `simulate_system`, draws each step through the effect's `sample`.
 
 The public constructors (`FinMap`, `DetSystem`, `StochSystem`, `DetLens`,
@@ -53,6 +56,7 @@ from .finset import (
     Span,
     _family,
     _finmap,
+    _labelled,
     _legs,
     apply_span_to_family,
     families_isomorphic,
@@ -62,10 +66,10 @@ from .finset import (
 )
 
 #: Most entries a lens span's matrix may have, and most charts either side of
-#: it may have; `lens_matrix` refuses a larger matrix before it builds anything
-#: of size k. At k = 3 a lens from 3 outputs x 3 inputs to 4 outputs x 5 inputs
-#: has 729 x 8,000 = 5,832,000 entries, and `opendyn matrix` writes them as
-#: 53 MB of JSON.
+#: it may have; `lens_matrix` and `lens_matrix_rows` refuse a larger matrix
+#: before they build anything of size k. At k = 3 a lens from 3 outputs x 3
+#: inputs to 4 outputs x 5 inputs has 729 x 8,000 = 5,832,000 entries, and
+#: `opendyn matrix` writes them as 53 MB of JSON.
 MAX_MATRIX_ENTRIES = 10_000_000
 
 #: Most tuples a walk may try, |S|^phis·|I|^inputs (`_walk_size`): |S|·|I|^k for a
@@ -707,10 +711,17 @@ def steady_span(sys: Machine) -> Family:
     return periodic_orbit_span(sys, 1)
 
 
-def periodic_orbits(sys: Machine, k: int) -> list[tuple[str, str]]:
+def periodic_orbit_rows(sys: Machine, k: int) -> Iterator[tuple[str, str]]:
     """The (chart, element) labels of `periodic_orbit_span(sys, k)`, element
-    by element in its total order: the rows `opendyn steady` writes."""
-    return periodic_orbit_span(sys, k).labels()
+    by element in its total order, each formed as the walk finds it: the rows
+    `opendyn steady` streams. The walk's bounds (`_period_walk`) are checked
+    in this call, before any row is formed."""
+    return _labelled(_orbits(_period_walk(k, sys), sys))
+
+
+def periodic_orbits(sys: Machine, k: int) -> list[tuple[str, str]]:
+    """The rows of `periodic_orbit_rows(sys, k)`, as a list."""
+    return list(periodic_orbit_rows(sys, k))
 
 
 def _lens_apex(steps: Mapping, charts: Iterable[tuple[str, ...]]) -> list[tuple]:
@@ -731,10 +742,12 @@ def _lens_apex(steps: Mapping, charts: Iterable[tuple[str, ...]]) -> list[tuple]
 class _LensSpan(Span):
     """A lens's span at period k, held as the one-step preimage table of
     `bwd` and k. Its chart sets and apex are `ProductSet`s, its two legs are
-    formed together (`_legs`) only when asked for, applying it pushes a
+    formed together (`_legs`) only when asked for, and applying it pushes a
     family through the preimages of the family's nonempty charts only
-    (`_lens_apex`), and its matrix is the k-th Kronecker power of the
-    one-step matrix (`_matrix`)."""
+    (`_lens_apex`). Its matrix is the k-th Kronecker power of the one-step
+    matrix, read one row at a time as the sorted columns of the row's 1s
+    (`_ones`), from which `_matrix` fills dense rows and `opendyn matrix`
+    writes each row's text as it is formed."""
 
     def __init__(self, lens: DetLens, rep_interface: DetInterface):
         self.k = len(rep_interface.outputs)
@@ -763,27 +776,31 @@ class _LensSpan(Span):
     left = property(lambda self: self._both_legs[0])
     right = property(lambda self: self._both_legs[1])
 
-    def _matrix(self) -> list[list[int]]:
-        """The k-th Kronecker power of the one-step 0/1 matrix, whose row
-        pos(o)*|I| + pos(i) has a 1 in column pos(fwd o)*|I'| + pos(i') for
-        each i' with bwd(o, i') = i. The charts' product order is the
-        Kronecker order, and the power stays 0/1, since an apex element is
-        fixed by its two legs: row (r, rest) of the power is row `rest` of
-        the lower power placed in the column blocks where row r of the
-        one-step matrix has a 1, and zeros elsewhere."""
+    def _ones(self) -> Iterator[list[int]]:
+        """Each row of the k-th Kronecker power of the one-step 0/1 matrix, in
+        source order, as the ascending columns of its 1s. One-step row
+        pos(o)*|I| + pos(i) has its 1s at pos(fwd o)*|I'| + pos(i') for each
+        i' with bwd(o, i') = i. The row whose k digits are one-step rows
+        r_1..r_k has its 1s at c_1*n^(k-1) + ... + c_k, each c_j a 1 of r_j and
+        n the one-step column count, ascending when taken in product order.
+        The power stays 0/1, since an apex element is fixed by its two legs."""
         columns = ProductSet(self.target.alphabets[:2])
         ones = [[columns.position_of(right) for _, _, right in up] for up in self.steps.values()]
-        rows, size = [[1]], 1
-        for _ in range(self.k):
-            power = []
-            for blocks in ones:
-                for lower in rows:
-                    row = [0] * (len(columns) * size)
-                    for c in blocks:
-                        row[c * size:(c + 1) * size] = lower
-                    power.append(row)
-            rows, size = power, len(columns) * size
-        return rows
+        n = len(columns)
+        # digit j of a row, its one-step columns scaled to their place value
+        places = [[[c * n**j for c in row] for row in ones] for j in reversed(range(self.k))]
+        for digits in product(*places):
+            yield list(map(sum, product(*digits)))
+
+    def _matrix(self) -> list[list[int]]:
+        """The dense rows of `_ones`."""
+        matrix, width = [], len(self.target)
+        for ones in self._ones():
+            row = [0] * width
+            for c in ones:
+                row[c] = 1
+            matrix.append(row)
+        return matrix
 
 
 def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
@@ -807,16 +824,12 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
     return _LensSpan(lens, rep_interface)
 
 
-def lens_matrix(lens: DetLens, k: int) -> tuple[FinSet, FinSet, list[list[int]]]:
-    """The lens's span at period k as `opendyn matrix` writes it: the source
-    and target chart labels and the counting matrix between them, the k-th
-    Kronecker power of the lens's one-step matrix; no apex element is listed.
-
-    A matrix of more than `MAX_MATRIX_ENTRIES` entries, or with more charts
-    than that on either side, is a `ValidationError` that states its size,
-    raised before anything of size k is built; a count too large to print is
-    stated as its formula.
-    """
+def _period_lens_span(lens: DetLens, k: int) -> _LensSpan:
+    """The lens's span at period k. A matrix of more than
+    `MAX_MATRIX_ENTRIES` entries, or with more charts than that on either
+    side, is a `ValidationError` that states its size, raised before
+    anything of size k is built; a count too large to print is stated as its
+    formula."""
     sides = [len(iface.outputs) * len(iface.inputs) for iface in (lens.source, lens.target)]
     bases = [*sides, sides[0] * sides[1]]
     counts = [_power(base, max(k, 0)) for base in bases]  # walking_cycle refuses k < 1
@@ -828,9 +841,26 @@ def lens_matrix(lens: DetLens, k: int) -> tuple[FinSet, FinSet, list[list[int]]]
             f"the lens span at period {k} is {n_source} x {n_target} charts, a matrix of "
             f"{entries} entries; more than MAX_MATRIX_ENTRIES = {MAX_MATRIX_ENTRIES}"
         )
-    rep = walking_cycle(k).interface
-    span = lens_to_span(lens, rep)
-    return chart_hom_set(rep, lens.source), chart_hom_set(rep, lens.target), span_to_matrix(span)
+    return lens_to_span(lens, walking_cycle(k).interface)
+
+
+def lens_matrix(lens: DetLens, k: int) -> tuple[FinSet, FinSet, list[list[int]]]:
+    """The lens's span at period k as lists: the source and target chart
+    labels and the counting matrix between them that `opendyn matrix` writes,
+    the k-th Kronecker power of the lens's one-step matrix, with its rows
+    filled from `lens_matrix_rows`'s; no apex element is listed. A matrix
+    past `MAX_MATRIX_ENTRIES` is refused first (`_period_lens_span`)."""
+    span = _period_lens_span(lens, k)
+    return FinSet(span.source), FinSet(span.target), span_to_matrix(span)
+
+
+def lens_matrix_rows(lens: DetLens, k: int) -> tuple[ProductSet, ProductSet, Iterator[list[int]]]:
+    """The source and target chart sets of `lens_matrix(lens, k)`, and its
+    rows in order, each formed when it is asked for as the ascending columns
+    of its 1s: the rows `opendyn matrix` streams. A matrix past
+    `MAX_MATRIX_ENTRIES` is refused in this call, before any row is formed."""
+    span = _period_lens_span(lens, k)
+    return span.source, span.target, span._ones()
 
 
 def check_matrix_theorem(lens: DetLens, sys: Machine, k: int) -> FamilyMatch:

@@ -18,11 +18,12 @@ slots and never enumerated unless its labels are asked for. A family is
 stored as its rows, a (base key, element key) pair per element in total
 order, so only its nonempty fibers take room; a key is the tuple of parts
 whose join is the label (a `FinSet` element's key is its label alone).
-Spans act and families compare on keys. A family's rows become labels in
-one place, `Family.labels()`, which its total, projection, fibers and
-equality read; `families_isomorphic` counts fibers on keys and joins only
-the label of a mismatch, and the labels of its witness when the witness is
-first read; a span's legs are labelled in one pass (`_legs`).
+Spans act and families compare on keys. Rows become labels in one place,
+`_labelled`, which `Family.labels()` lists for the family's total,
+projection, fibers and equality, and which `opendyn steady` streams;
+`families_isomorphic` counts fibers on keys and joins only the label of a
+mismatch, and the labels of its witness when the witness is first read; a
+span's legs are labelled in one pass (`_legs`).
 
 `FinMap(dom, cod, table)` checks its table; `_finmap` sets the same slots
 without checks, for callers whose table has every domain element once, in
@@ -327,9 +328,9 @@ class Family:
         self._rows = [(base.key(proj(z)), (z,)) for z in total]
 
     def labels(self) -> list[tuple[str, str]]:
-        """The (base label, element label) pairs, in total order: the one
-        place where the family's rows become labels."""
-        return [(join_labels(*point), join_labels(*element)) for point, element in self._rows]
+        """The (base label, element label) pairs, in total order, as
+        `_labelled` forms them from the family's rows."""
+        return list(_labelled(self._rows))
 
     @cached_property
     def total(self) -> FinSet:
@@ -370,6 +371,14 @@ class Family:
 
 #: A row of a family: the keys of a base point and of an element over it.
 _Row = tuple[tuple[str, ...], tuple[str, ...]]
+
+
+def _labelled(rows: Iterable[_Row]) -> Iterator[tuple[str, str]]:
+    """Each row as its (base label, element label) pair, in row order: the
+    one place where rows become labels, for a family's `labels()` and for
+    rows streamed to a file as a walk finds them."""
+    join = SEPARATOR.join
+    return ((join(point), join(element)) for point, element in rows)
 
 
 def _family(base, rows: Iterable[_Row]) -> Family:

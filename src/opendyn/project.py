@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from sys import float_info
-from typing import Iterator, Optional, TextIO, Union
+from typing import Iterable, Iterator, TextIO, Union
 
 from .deterministic import DetChart, DetInterface, DetLens, DetSystem, Identity, Machine
 from .errors import FileAccessError, OpendynError, ValidationError
@@ -293,20 +293,6 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-#: Sends the bytes 0..9 to the digits "0".."9" and every other byte to "x".
-_DIGIT_BYTES = bytes(range(48, 58)).ljust(256, b"x")
-
-
-def _digits(ints: list[int]) -> Optional[str]:
-    """The digits of a list of ints that are all in 0..9, as one string with
-    a character per int, formed without a Python call per int; else None."""
-    try:
-        text = bytes(ints).translate(_DIGIT_BYTES)
-    except ValueError:  # an int outside 0..255
-        return None
-    return text.decode("ascii") if text.isdigit() else None
-
-
 def _json_lines(value, indent: str, put) -> None:
     """Put the text of `value`, nested at `indent` ("\n" plus its spaces)."""
     if isinstance(value, str):
@@ -327,10 +313,6 @@ def _json_lines(value, indent: str, put) -> None:
             put("[]")
             return
         inner = indent + "  "
-        if set(map(type, value)) == {int}:
-            put("[" + inner + ("," + inner).join(_digits(value) or map(int.__repr__, value))
-                + indent + "]")
-            return
         sep = "[" + inner
         for item in value:
             put(sep)
@@ -356,9 +338,7 @@ def json_text(obj) -> str:
     dicts with string keys, lists, strings, ints, floats, bools and None.
 
     `json.dumps` falls back to its pure-Python encoder whenever `indent` is
-    set; this writer emits the same bytes, and writes a list of plain ints,
-    such as a matrix row, with one `join`; a list of ints in 0..9 is turned
-    into its digits in one pass over a byte string, with no call per int.
+    set; this writer emits the same bytes.
     """
     parts: list[str] = []
     _json_lines(obj, "\n", parts.append)
@@ -385,6 +365,40 @@ def write_json(obj, path: Union[str, Path]) -> None:
     parts.append("\n")
     with open_output(path) as f:
         f.writelines(parts)
+
+
+#: One cell of a matrix row in `write_json_matrix`'s text, with the comma
+#: that follows it; its digit is at `_CELL_DIGIT`.
+_CELL = "\n      0,"
+_CELL_DIGIT = len(_CELL) - 2
+
+
+def write_json_matrix(head: dict, rows: Iterable[Iterable[int]], width: int,
+                      path: Union[str, Path]) -> None:
+    """Write `json.dumps({**head, "matrix": matrix}, indent=2)`'s bytes and a
+    newline to `path`, where `matrix` has a 0/1 row of `width` cells for each
+    item of `rows`, the ascending columns of that row's 1s.
+
+    The head goes through the JSON writer; then each row's text is written as
+    soon as it is formed, as runs of the all-zero row's text with a "1" put in
+    place of each 1's "0". Neither the matrix nor a list of rows is held.
+    """
+    text = json_text({**head, "matrix": []})
+    zeros = _CELL * width
+    close = "\n    ]" if width else "]"
+    with open_output(path) as f:
+        f.write(text[:-len('[]\n}')])
+        sep = "[\n    "
+        for ones in rows:
+            parts, start = [sep, "["], 0
+            for c in ones:
+                digit = c * len(_CELL) + _CELL_DIGIT
+                parts += zeros[start:digit], "1"
+                start = digit + 1
+            parts += zeros[start:-1], close
+            f.write("".join(parts))
+            sep = ",\n    "
+        f.write("[]\n}\n" if sep == "[\n    " else "\n  ]\n}\n")
 
 
 def save_project(project: ProjectFile, path: Union[str, Path]) -> None:

@@ -13,8 +13,10 @@ integer numerators over a common denominator rather than through `Fraction`
 operators: the sum check in `Dist`, the products of `DistEffect.product` and
 `step_dist`, and the comparisons of the sampler. Weight strings are parsed
 through one bounded memo, so a string that repeats across a document is
-parsed once. The deterministic doctrine embeds by sending each transition to
-the point distribution on its result.
+parsed once. `DistEffect.product` builds through `_dist`, which sets a
+`Dist`'s slots without its checks, since the product of two distributions
+is already normalized. The deterministic doctrine embeds by sending each
+transition to the point distribution on its result.
 """
 
 from __future__ import annotations
@@ -108,6 +110,15 @@ class Dist:
         return f"Dist({{{inner}}})"
 
 
+def _dist(support: FinSet, weights: dict[str, Fraction]) -> Dist:
+    """The distribution with these weights, set without checks: the weights
+    must be nonzero `Fraction`s on labels of `support`, in support order,
+    that sum to 1."""
+    dist = Dist.__new__(Dist)
+    dist.support, dist.weights = support, weights
+    return dist
+
+
 class DistEffect:
     """The distribution effect: a Markov update cell is a Dist on the states.
 
@@ -124,7 +135,11 @@ class DistEffect:
 
     @staticmethod
     def product(da: Dist, db: Dist, states: FinSet) -> Dist:
-        return Dist(
+        """The independent product on the states "ta|tb" of `tensor_systems`,
+        built without checks: taken in the order of both supports, the pairs
+        run in the product's support order, and the weights of two
+        distributions multiply to nonzero weights that sum to 1."""
+        return _dist(
             states,
             {
                 join_labels(ta, tb): Fraction(

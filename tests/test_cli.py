@@ -6,10 +6,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,22 @@ LV = fixture_path("lv.json")
 STOCH = fixture_path("stoch.json")
 SQUARE_OK = fixture_path("square_ok.json")
 SQUARE_BROKEN = fixture_path("square_broken.json")
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(*argv, **kwargs):
+    """`python -m opendyn.cli argv` in a child process with the repository's
+    `src` first on its PYTHONPATH, so that it runs without an installed package."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "opendyn.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )
 
 
 def read_csv(path):
@@ -116,12 +134,7 @@ class TestCompose:
             "fwd": {"y2": "y"}, "bwd": {"p": "y"},
         }}}))
         out = tmp_path / "out.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "opendyn.cli", "compose", str(project), "--lens", "clash",
-             "--system", "s", "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("compose", project, "--lens", "clash", "--system", "s", "--out", out)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "lens 'clash': identifier 'y' appears in both" in proc.stderr
@@ -198,12 +211,7 @@ class TestSteady:
             "update": {"a|b": {"c": "a|b", "b|c": "a|b"}, "a": {"c": "a", "b|c": "a"}},
         }}}))
         out = tmp_path / "x.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "opendyn.cli", "steady", str(project), "--system", "m",
-             "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("steady", project, "--system", "m", "--out", out)
         assert proc.returncode == 2
         assert proc.stderr == (
             f"error: {project}: system 'm': labels 'a|b' and 'a' have different numbers of "
@@ -313,12 +321,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("window", [["--t1", "inf"], ["--t0=-inf", "--t1", "1"]])
     def test_non_finite_time_exits_2_without_a_traceback(self, tmp_path, window):
-        proc = subprocess.run(
-            [sys.executable, "-m", "opendyn.cli", "simulate", LV, "--system", "lotka_volterra",
-             "--init", "1,1", "--params", "1,1,1,1", *window, "--out", str(tmp_path / "x.csv")],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("simulate", LV, "--system", "lotka_volterra", "--init", "1,1",
+                       "--params", "1,1,1,1", *window, "--out", tmp_path / "x.csv")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "finite" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -356,26 +360,16 @@ class TestSimulate:
         ids=["nan", "-inf", "blow-up"],
     )
     def test_a_non_finite_state_exits_2_naming_it(self, tmp_path, init, message):
-        proc = subprocess.run(
-            [sys.executable, "-m", "opendyn.cli", "simulate", LV, "--system", "lotka_volterra",
-             f"--init={init}", "--params", "1,0.5,0.2,0.4", "--t1", "1",
-             "--out", str(tmp_path / "x.csv")],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("simulate", LV, "--system", "lotka_volterra", f"--init={init}",
+                       "--params", "1,0.5,0.2,0.4", "--t1", "1", "--out", tmp_path / "x.csv")
         assert proc.returncode == 2
         assert proc.stderr == message
         assert not (tmp_path / "x.csv").exists()
 
     def test_a_grid_past_max_steps_exits_2_at_once(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "opendyn.cli", "simulate", LV, "--system", "lotka_volterra",
-             "--init", "1,1", "--params", "1,1,1,1", "--t1", "10", "--h", "1e-300",
-             "--out", str(tmp_path / "x.csv")],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_cli("simulate", LV, "--system", "lotka_volterra", "--init", "1,1",
+                       "--params", "1,1,1,1", "--t1", "10", "--h", "1e-300",
+                       "--out", tmp_path / "x.csv", timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "MAX_STEPS" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -450,12 +444,7 @@ class TestDeepExpressions:
             "kind": "ode", "stateVars": ["x"], "outputVars": ["y"], "paramVars": [],
             "readout": {"y": "x"}, "field": {"x": deep},
         }}}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "opendyn.cli", "steady", str(project), "--system", "deep",
-             "--out", str(tmp_path / "x.csv")],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("steady", project, "--system", "deep", "--out", tmp_path / "x.csv")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "nests deeper" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -619,11 +608,7 @@ class TestDriver:
 
     def test_console_script_is_installed(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        proc = subprocess.run(
-            [sys.executable, "-m", "opendyn.cli", "--help"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("--help")
         assert proc.returncode == 0
         assert proc.stdout == HELP
 
@@ -744,12 +729,6 @@ class TestLeanParser:
         assert main() == 0
         assert added == ["steady"]
         assert len(read_csv(out)) == 5
-
-
-def run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "opendyn.cli", *map(str, argv)], capture_output=True, text=True
-    )
 
 
 def assert_named_error(proc, path, text):
@@ -934,6 +913,36 @@ class TestPeriodBound:
         assert det.periodic_orbits(machine, 3) == [("o|i|o|i|o|i", "s|i|s|i|s|i")]
         with pytest.raises(ValidationError, match="^cycle length 4 is more than MAX_PERIOD = 3$"):
             det.periodic_orbits(machine, 4)
+
+
+class TestARefusalLeavesTheOutputAlone:
+    """`matrix` and `steady` write each row as it is formed, so every refusal
+    must come before the output file is opened: an existing --out file then
+    keeps its bytes."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["matrix", "{wide}", "--lens", "l0", "--k", "4"], "more than MAX_MATRIX_ENTRIES"),
+            (["matrix", LV, "--lens", "wiring"], "matrix dump needs a deterministic lens, got ode"),
+            (["steady", FLIPFLOP, "--system", "flipflop", "--k", "40"], "more than MAX_WALK"),
+            (["steady", "{one}", "--system", "one", "--k", "10001"], "more than MAX_PERIOD"),
+            (["steady", LV, "--system", "rabbit"], "needs a finite-state system, got ode"),
+            (["steady", FLIPFLOP, "--system", "nope"], "no system named 'nope'"),
+        ],
+        ids=["matrix-entries", "matrix-ode", "steady-walk", "steady-period", "steady-ode",
+             "steady-unknown"],
+    )
+    def test_an_existing_output_keeps_its_bytes(self, tmp_path, capsys, argv, error):
+        wide, one, out = tmp_path / "wide.json", tmp_path / "one.json", tmp_path / "out"
+        save_project(ProjectFile(lenses={"l0": wide_lens(5)}), wide)
+        one.write_text(json.dumps(one_state_project()))
+        before = b"an earlier run's output\r\n\x00\xff"
+        out.write_bytes(before)
+        argv = [arg.format(wide=wide, one=one) for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert error in capsys.readouterr().err
+        assert out.read_bytes() == before
 
 
 class TestEveryWalkIsBounded:

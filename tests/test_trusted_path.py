@@ -2,7 +2,8 @@
 
 The combinators and the law generators build from parts that were already
 checked, and set their results' slots without the public constructors'
-checks (`finset._finmap`, `deterministic._machine`, `deterministic._rewiring`).
+checks (`finset._finmap`, `deterministic._machine`, `deterministic._rewiring`,
+and `stochastic._dist` for the cells of a Markov tensor).
 Each result here is rebuilt through its public constructor, which checks
 every table and normalizes it to canonical order, and must be `==` to the
 trusted one with every table in the same order, since saved projects are
@@ -13,6 +14,7 @@ import random
 
 from opendyn import (
     DetSystem,
+    Dist,
     FinMap,
     StochSystem,
     compose_charts,
@@ -62,6 +64,15 @@ def assert_public_rewiring(rewiring) -> None:
     assert nested_order(getattr(again, rewiring.table)) == nested_order(table)
 
 
+def assert_public_cells(machine) -> None:
+    """Each update cell of a Markov machine rebuilt by `Dist`."""
+    for row in machine.update.values():
+        for cell in row.values():
+            again = Dist(cell.support, cell.weights)
+            assert again == cell
+            assert list(again.weights.items()) == list(cell.weights.items())
+
+
 def random_machine(rng: random.Random, iface, markov: bool):
     return random_markov_machine(rng, iface) if markov else random_system(rng, iface)
 
@@ -109,4 +120,7 @@ class TestTrustedResultsEqualPublicOnes:
             both = tensor_systems(sys, other)
             assert type(both) is type(sys)
             assert_public_machine(both)
+            if markov:
+                assert_public_cells(both)
+                assert_public_cells(tensor_systems(both, sys))
         assert kinds == {DetSystem: 100, StochSystem: 100}
