@@ -17,6 +17,11 @@ orbit walk of more than `deterministic.MAX_WALK` tuples or
 opened, so a refused command leaves an existing file as it was.
 `steady`, `simulate` and `check`'s project scan run one code path for a
 deterministic and a Markov machine alike; an ODE system cannot be `steady`.
+A command line of the usual shape is read straight off the `_COMMANDS`
+table by `_scan`; argparse is imported and built only for any other (help,
+a usage error, an abbreviated flag, a separated value such as `-1`), and
+prints and parses it as it always has. A `--` given as a value
+(`--out=--`) exits 2 naming the option.
 Exit codes: 0 success, 1 a check reported a failure, 2 usage or validation
 problems, a project file that cannot be read (missing, a directory, not
 UTF-8) or an output file that cannot be written; each names the path.
@@ -24,12 +29,12 @@ UTF-8) or an output file that cannot be written; each names the path.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .deterministic import (
     DetLens,
@@ -61,6 +66,9 @@ from .project import (
     save_project,
     write_json_matrix,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> int:
@@ -333,33 +341,97 @@ _COMMANDS = {
 }
 
 
-def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the one named `only`.
+def _dest(flag: str) -> str:
+    """The attribute argparse stores an argument under."""
+    return flag.lstrip("-").replace("-", "_")
 
-    Both print the same texts for an argv that starts with `only`: the lean
-    parser's usage line lists all six commands by a metavar. The full parser
-    sets none, so its errors name the argument `command`."""
+
+def _scan(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace `build_parser().parse_args(argv)` returns, for an argv
+    of the common shape, or None for any other.
+
+    That shape is a command name, one positional that starts with no `-`,
+    and options each given at most once, spelled exactly as listed, as
+    `--flag=value` or `--flag value` with a value that starts with no `-`;
+    no value is `--`, every required option is there, and every `type`
+    takes its value. An absent option takes its default, a string default
+    through `type`, as argparse does. Help, errors, abbreviated flags and a
+    separated value such as `-1` are left to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    spec = dict(options)
+    given = {}
+    project = None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if project is not None:
+                return None
+            project = token
+            continue
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        if flag not in spec or flag in given or value == "--":
+            return None
+        given[flag] = value
+    if project is None:
+        return None
+    args = SimpleNamespace(command=argv[0], project=project, func=func)
+    for flag, kwargs in options:
+        if flag in given:
+            value = given[flag]
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default")
+        convert = kwargs.get("type")
+        if convert is not None and isinstance(value, str):
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        setattr(args, _dest(flag), value)
+    return args
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every subcommand, built from `_COMMANDS`.
+
+    `main` builds it only for an argv that `_scan` declines: help, a usage
+    error or an unusual form, each of which it prints and parses as it
+    always has; and tests hold `_scan` to it."""
+    import argparse  # here, not at the top: a well-formed argv never needs it
+
     parser = argparse.ArgumentParser(
         prog="opendyn",
         description="Compose, enumerate, simulate, and check open dynamical systems.",
     )
-    listed = {} if only is None else {"metavar": "{%s}" % ",".join(_COMMANDS)}
-    sub = parser.add_subparsers(dest="command", required=True, **listed)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, options) in _COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            p.add_argument("project")
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("project")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # build only the subcommand about to run; any other argv gets them all
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _scan(argv)
+    if args is None:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        # argparse takes the `--` out of `--out=--` and stores [] (3.13 keeps "--")
+        for flag, _ in _COMMANDS[args.command][2]:
+            value = getattr(args, _dest(flag))
+            if isinstance(value, list) or value == "--":
+                parser.error(f"argument {flag}: expected one argument, got '--'")
     try:
         return args.func(args)
     except OpendynError as exc:

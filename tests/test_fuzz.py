@@ -165,7 +165,9 @@ def command_lines(draw, workdir):
     argv = [command, project]
     for flag, values in options[command].items():
         if flag == "--cases" or draw(st.integers(0, 9)) < (9 if flag in usual else 5):
-            argv.append(f"{flag}={draw(values)}")  # so "-inf" is a value, not a flag
+            # `=` so that "-inf" is a value, not a flag; `=--` is no value at all
+            value = "--" if draw(st.integers(0, 19)) == 0 else draw(values)
+            argv.append(f"{flag}={value}")
     if draw(st.integers(0, 9)) == 0:
         argv.append(draw(st.sampled_from(["--bogus", "extra", "-h"])))
     return argv
