@@ -35,7 +35,9 @@ their results from parts that were already checked, `FinMap.then` and
 generators of `opendyn.laws`, build through a trusted path instead
 (`finset._finmap`, `_machine`, `_rewiring`) that sets the same slots without
 checks: each writes its tables in canonical order, so the objects are the
-ones the public constructors would build.
+ones the public constructors would build. The project loader's accept pass
+builds a well-formed finite entry through the same path, once it has
+checked every table itself.
 """
 
 from __future__ import annotations
@@ -220,7 +222,8 @@ class DetSystem(Machine):
 
 class _Rewiring:
     """What a lens and a chart share: an interface map given by `fwd` on
-    outputs plus one input table, whose attribute name is `table`."""
+    outputs plus one input table, whose attribute name is `table` and whose
+    rows, columns and values `axes(source, target)` gives."""
 
     __slots__ = ("source", "target", "fwd")
     table: ClassVar[str]
@@ -268,7 +271,12 @@ class DetLens(_Rewiring):
         bwd: Mapping[str, Mapping[str, str]],
     ):
         super().__init__(source, target, fwd, "lens")
-        self.bwd = _check_nested_table(bwd, source.outputs, target.inputs, source.inputs, "bwd")
+        self.bwd = _check_nested_table(bwd, *self.axes(source, target), "bwd")
+
+    @staticmethod
+    def axes(source: DetInterface, target: DetInterface) -> tuple[FinSet, FinSet, FinSet]:
+        """The rows, columns and values of `bwd`."""
+        return source.outputs, target.inputs, source.inputs
 
     def __repr__(self) -> str:
         return f"DetLens({self.source!r} => {self.target!r})"
@@ -288,7 +296,12 @@ class DetChart(_Rewiring):
         push: Mapping[str, Mapping[str, str]],
     ):
         super().__init__(source, target, fwd, "chart")
-        self.push = _check_nested_table(push, source.outputs, source.inputs, target.inputs, "push")
+        self.push = _check_nested_table(push, *self.axes(source, target), "push")
+
+    @staticmethod
+    def axes(source: DetInterface, target: DetInterface) -> tuple[FinSet, FinSet, FinSet]:
+        """The rows, columns and values of `push`."""
+        return source.outputs, source.inputs, target.inputs
 
     def __repr__(self) -> str:
         return f"DetChart({self.source!r} -> {self.target!r})"

@@ -2,29 +2,46 @@
 
 The one module that knows the format. Every entry carries a `kind` tag
 ("deterministic", "stochastic", or "ode"); `KINDS` maps each section and kind
-to the entry's class and the codec of its shape. Loading checks an entry's
-JSON shape, naming the place that is wrong, then builds it, naming the entry
-ahead of any invariant it breaks. Saving is deterministic (construction
-order, fixed key order), so identical projects give identical bytes.
+to the entry's class and the codec of its shape. Saving is deterministic
+(construction order, fixed key order), so identical projects give identical
+bytes.
+
+Loading reads a finite entry (a machine of either effect, a lens, a chart)
+in one validating pass, the accept pass (`_accepted`): it walks the JSON
+once, checks everything the checked decode and the public constructors
+check (the exact field set; label lists of distinct non-empty strings with
+equal "|" counts; total tables whose values are members; weight strings
+that parse, are non-negative and sum to 1) and builds the entry through the
+trusted constructors (`_finmap`, `_machine`, `_rewiring`, `_dist`), tables in
+canonical order. Equal label lists of one document share one `FinSet`, held
+by a memo that lives for that load only. The accept pass never raises: an
+entry it declines, and every ODE entry, goes through the checked decode
+(`_decoded`), which checks the entry's JSON shape, naming the place that is
+wrong, then builds it through the public constructors, naming the entry ahead
+of any invariant it breaks. So a refused entry gets the same message, and
+the same first fault, as it would with no accept pass.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from sys import float_info
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
-from .deterministic import DetChart, DetInterface, DetLens, DetSystem, Identity, Machine
+from .deterministic import (
+    DetChart, DetInterface, DetLens, DetSystem, Identity, Machine, _machine, _rewiring
+)
 from .errors import FileAccessError, OpendynError, ValidationError
 from .expr import Dag, Expr, Num, _dag_text
-from .finset import FinMap, FinSet
+from .finset import FinMap, FinSet, _finmap
 from .ode import OdeLens, OdeSystem
-from .stochastic import Dist, DistEffect, StochSystem
+from .stochastic import Dist, DistEffect, StochSystem, _accepted_dist
 
 SystemEntry = Union[DetSystem, StochSystem, OdeSystem]
 LensEntry = Union[DetLens, OdeLens]
@@ -81,15 +98,75 @@ def _shaped(value, shape: Union[type, int], what: str):
     return value
 
 
-# One codec per entry shape, three functions: `fields(cls)` gives each JSON
+# The parts of the accept pass (`_accepted`). Each gives None where it
+# declines, and checks a value's type before it hashes the value.
+
+
+def _accepted_label(values: FinSet, value) -> Optional[str]:
+    return value if type(value) is str and value in values._index else None
+
+
+def _accepted_set(value, sets: dict) -> Optional[FinSet]:
+    """The `FinSet` of a label list, the one `sets` holds for an equal list if
+    there is one; None unless `value` is a list of distinct non-empty strings
+    with equal "|" counts."""
+    if type(value) is not list:
+        return None
+    for label in value:
+        if type(label) is not str:
+            return None
+    key = tuple(value)
+    labels = sets.get(key)
+    if labels is None:
+        try:
+            labels = sets[key] = FinSet(key)
+        except ValidationError:
+            return None
+    return labels
+
+
+def _accepted_row(row, cols: FinSet, values: FinSet, cell=_accepted_label) -> Optional[dict]:
+    """`row`, a JSON object, in `cols` order with each value through
+    `cell(values, value)`; None unless it has exactly the keys `cols` and
+    every cell is accepted."""
+    if type(row) is not dict or len(row) != len(cols):
+        return None
+    out = {}
+    for c in cols:
+        v = cell(values, row.get(c))
+        if v is None:
+            return None
+        out[c] = v
+    return out
+
+
+def _accepted_table(table, rows: FinSet, cols: FinSet, values: FinSet,
+                    cell=_accepted_label) -> Optional[dict]:
+    """`table`, a JSON object of rows, in `rows` order, each row as
+    `_accepted_row` takes it; None unless it has exactly the keys `rows` and
+    every row is accepted."""
+    if type(table) is not dict or len(table) != len(rows):
+        return None
+    out = {}
+    for r in rows:
+        row = _accepted_row(table.get(r), cols, values, cell)
+        if row is None:
+            return None
+        out[r] = row
+    return out
+
+
+# One codec per entry shape, four functions: `fields(cls)` gives each JSON
 # field with its shape, in the order `decode(cls, *values)` takes their
-# values to build the entry; `encode(cls, entry)` gives the fields' values.
+# values to build the entry; `encode(cls, entry)` gives the fields' values;
+# `accept(cls, obj, sets)`, None for ODE entries, is the accept pass.
 
 #: A finite machine's update cells, per effect: the shape of a cell, the cell
-#: from JSON given the machine's states, and the cell to JSON.
+#: from JSON given the machine's states, the cell to JSON, and the accept
+#: pass's cell from JSON given the states (None where it declines).
 CELLS = {
-    Identity: (0, lambda value, states: value, lambda cell: cell),
-    DistEffect: (1, lambda value, states: Dist(states, value), Dist.to_obj),
+    Identity: (0, lambda value, states: value, lambda cell: cell, _accepted_label),
+    DistEffect: (1, lambda value, states: Dist(states, value), Dist.to_obj, _accepted_dist),
 }
 
 
@@ -107,6 +184,20 @@ def _machine_from_obj(cls: type, states, inputs, outputs, readout, update) -> Ma
     return cls(states, iface, readout, update)
 
 
+def _machine_accepted(cls: type, obj: dict, sets: dict) -> Optional[Machine]:
+    states = _accepted_set(obj["states"], sets)
+    inputs = _accepted_set(obj["inputs"], sets)
+    outputs = _accepted_set(obj["outputs"], sets)
+    if states is None or inputs is None or outputs is None:
+        return None
+    readout = _accepted_row(obj["readout"], states, outputs)
+    update = _accepted_table(obj["update"], states, inputs, states, CELLS[cls.effect][3])
+    if readout is None or update is None:
+        return None
+    readout = _finmap(states, outputs, readout)
+    return _machine(cls, states, DetInterface(inputs, outputs), readout, update)
+
+
 def _machine_to_obj(cls: type, sys: Machine) -> dict:
     cell = CELLS[cls.effect][2]
     return {
@@ -122,15 +213,31 @@ def _machine_to_obj(cls: type, sys: Machine) -> dict:
 # name is the class's `table`: `bwd` for a lens, `push` for a chart.
 
 
+_INTERFACES = ("sourceInputs", "sourceOutputs", "targetInputs", "targetOutputs")
+
+
 def _rewiring_fields(cls: type) -> dict:
-    interfaces = ("sourceInputs", "sourceOutputs", "targetInputs", "targetOutputs")
-    return {**dict.fromkeys(interfaces, list), "fwd": 1, cls.table: 2}
+    return {**dict.fromkeys(_INTERFACES, list), "fwd": 1, cls.table: 2}
 
 
 def _rewiring_from_obj(cls: type, source_in, source_out, target_in, target_out, fwd, table):
     source = DetInterface(FinSet(source_in), FinSet(source_out))
     target = DetInterface(FinSet(target_in), FinSet(target_out))
     return cls(source, target, FinMap(source.outputs, target.outputs, fwd), table)
+
+
+def _rewiring_accepted(cls: type, obj: dict, sets: dict) -> Optional[Union[DetLens, DetChart]]:
+    parts = [_accepted_set(obj[key], sets) for key in _INTERFACES]
+    if None in parts:
+        return None
+    source_in, source_out, target_in, target_out = parts
+    source = DetInterface(source_in, source_out)
+    target = DetInterface(target_in, target_out)
+    fwd = _accepted_row(obj["fwd"], source_out, target_out)
+    table = _accepted_table(obj[cls.table], *cls.axes(source, target))
+    if fwd is None or table is None:
+        return None
+    return _rewiring(cls, source, target, _finmap(source_out, target_out, fwd), table)
 
 
 def _rewiring_to_obj(cls: type, arrow: Union[DetLens, DetChart]) -> dict:
@@ -174,12 +281,13 @@ def _expr_text(e: Expr, what: str) -> str:
     return _dag_text(dag)
 
 
-_MACHINE = (_machine_fields, _machine_from_obj, _machine_to_obj)
-_REWIRING = (_rewiring_fields, _rewiring_from_obj, _rewiring_to_obj)
+_MACHINE = (_machine_fields, _machine_from_obj, _machine_to_obj, _machine_accepted)
+_REWIRING = (_rewiring_fields, _rewiring_from_obj, _rewiring_to_obj, _rewiring_accepted)
 _ODE = (
     lambda cls: {key: list if key.endswith("Vars") else 1 for key in _ODE_FIELDS[cls]},
     lambda cls, *values: cls(*values),
     _ode_to_obj,
+    None,
 )
 
 #: (section, kind) -> the entry's class and codec.
@@ -192,6 +300,14 @@ KINDS = {
     ("charts", DOCTRINE_DET): (DetChart, _REWIRING),
 }
 
+#: (section, kind) -> the class, the exact field set and the accept function
+#: of each kind the accept pass takes.
+_ACCEPTS = {
+    key: (cls, {"kind", *fields(cls)}, accept)
+    for key, (cls, (fields, _, _, accept)) in KINDS.items()
+    if accept
+}
+
 
 def doctrine_of(entry: object) -> str:
     for (_, kind), (cls, _) in KINDS.items():
@@ -200,8 +316,29 @@ def doctrine_of(entry: object) -> str:
     raise ValidationError(f"not a project entry: {type(entry).__name__}")
 
 
-def _entry_from_obj(section: str, obj, what: str):
-    """The entry `what` of `section`; a class's refusal is prefixed `what: `."""
+def _entry_from_obj(section: str, name: str, obj, sets: dict):
+    """The entry `name` of `section`: the accept pass's, or where it declines,
+    the checked decode's."""
+    entry = _accepted(section, obj, sets)
+    return _decoded(section, obj, f"{SECTIONS[section]} {name!r}") if entry is None else entry
+
+
+def _accepted(section: str, obj, sets: dict):
+    """The accept pass: the finite entry `obj` of `section`, built through the
+    trusted constructors with label lists shared through `sets`, or None
+    unless the checked decode would build an equal entry. Never raises."""
+    if type(obj) is not dict:
+        return None
+    kind = obj.get("kind")
+    if type(kind) is not str or (section, kind) not in _ACCEPTS:
+        return None
+    cls, fields, accept = _ACCEPTS[section, kind]
+    return accept(cls, obj, sets) if obj.keys() == fields else None
+
+
+def _decoded(section: str, obj, what: str):
+    """The checked decode of the entry `what` of `section`, naming the place
+    of its first fault; a class's refusal is prefixed `what: `."""
     kind = _shaped(obj, dict, what).get("kind")
     if not isinstance(kind, str):
         raise ValidationError(f"{what}.kind must be a string")
@@ -209,7 +346,7 @@ def _entry_from_obj(section: str, obj, what: str):
         if section == "charts":
             raise ValidationError(f"{what}: charts exist only in the deterministic doctrine")
         raise ValidationError(f"{what}: unknown kind {kind!r}")
-    cls, (fields, decode, _) = KINDS[section, kind]
+    cls, (fields, decode, _, _) = KINDS[section, kind]
     shapes = fields(cls)
     for key in obj:
         if key not in shapes and key != "kind":
@@ -235,7 +372,7 @@ def project_to_obj(project: ProjectFile) -> dict:
                     raise ValidationError(
                         f"an entry of class {type(entry).__name__} does not belong in {section}"
                     )
-                cls, (_, _, encode) = KINDS[section, kind]
+                cls, (_, _, encode, _) = KINDS[section, kind]
                 entries[name] = {"kind": kind, **encode(cls, entry)}
             except OpendynError as exc:
                 raise ValidationError(f"{SECTIONS[section]} {name!r}: {exc}") from None
@@ -251,14 +388,36 @@ def project_from_obj(obj) -> ProjectFile:
             raise ValidationError(f"project has an unknown field {key!r}")
     if top.get("version") != 1:
         raise ValidationError(f"unsupported project version {top.get('version')!r}")
+    sets: dict = {}
     sections = {
         section: {
-            name: _entry_from_obj(section, entry, f"{noun} {name!r}")
+            name: _entry_from_obj(section, name, entry, sets)
             for name, entry in _shaped(top.get(section, {}), dict, section).items()
         }
-        for section, noun in SECTIONS.items()
+        for section in SECTIONS
     }
     return ProjectFile(1, **sections)
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _lone_surrogate(obj) -> Optional[str]:
+    """The first string of `obj`, key or value in document order, holding a
+    surrogate code point, or None. JSON decodes an escaped surrogate pair to
+    the one code point it encodes, so such a surrogate stands alone."""
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            if _SURROGATE.search(node):
+                return node
+        elif isinstance(node, dict):
+            for key, value in reversed(node.items()):
+                stack += value, key
+        elif isinstance(node, list):
+            stack += reversed(node)
+    return None
 
 
 def load_project(path: Union[str, Path]) -> ProjectFile:
@@ -275,8 +434,17 @@ def load_project(path: Union[str, Path]) -> ProjectFile:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:  # after its subclass JSONDecodeError: the int digit limit
+        raise ValidationError(f"{path}: JSON holds an integer too long to decode") from None
     except RecursionError:
         raise ValidationError(f"{path}: JSON nests too deeply to decode") from None
+    # Only a \u escape decodes to a surrogate: UTF-8 text holds none.
+    if "\\u" in text:
+        lone = _lone_surrogate(obj)
+        if lone is not None:
+            raise ValidationError(
+                f"{path}: {lone!r} holds a lone surrogate, which UTF-8 cannot encode"
+            )
     try:
         return project_from_obj(obj)
     except OpendynError as exc:

@@ -11,12 +11,15 @@ transitions, and `DistEffect.sample` draws a step of a run. Weights are
 exact equalities rather than tolerance checks. The arithmetic runs on their
 integer numerators over a common denominator rather than through `Fraction`
 operators: the sum check in `Dist`, the products of `DistEffect.product` and
-`step_dist`, and the comparisons of the sampler. Weight strings are parsed
-through one bounded memo, so a string that repeats across a document is
-parsed once. `DistEffect.product` builds through `_dist`, which sets a
-`Dist`'s slots without its checks, since the product of two distributions
-is already normalized. The deterministic doctrine embeds by sending each
-transition to the point distribution on its result.
+`step_dist`, the comparisons of the sampler, and the sum in
+`_accepted_dist`. Weight strings are parsed through one bounded memo, which
+keeps each weight's numerator and denominator with it, so a string that
+repeats across a document is parsed once. `DistEffect.product` builds
+through `_dist`, which sets a `Dist`'s slots without its checks, since the
+product of two distributions is already normalized; so does
+`_accepted_dist`, the project loader's reading of an update cell, which
+checks what `Dist` checks or declines. The deterministic doctrine embeds by
+sending each transition to the point distribution on its result.
 """
 
 from __future__ import annotations
@@ -36,9 +39,13 @@ from .finset import FinSet, join_labels
 WeightLike = Union[Fraction, int, str]
 
 
-# A document repeats a few weight strings many times, so parsing goes through
-# one bounded memo of the constructor: the same forms, values and errors.
-_parse_weight = lru_cache(maxsize=4096)(Fraction)
+@lru_cache(maxsize=4096)
+def _parse_weight(value: Union[int, str]) -> tuple[Fraction, int, int]:
+    """`Fraction(value)` with its numerator and denominator, raising what it
+    raises. A document repeats a few weight strings many times, so parsing
+    goes through this one bounded memo."""
+    w = Fraction(value)
+    return w, w.numerator, w.denominator
 
 
 def _as_fraction(value: WeightLike, label: str) -> Fraction:
@@ -46,7 +53,7 @@ def _as_fraction(value: WeightLike, label: str) -> Fraction:
         return value
     if isinstance(value, (int, str)):
         try:
-            return _parse_weight(value)
+            return _parse_weight(value)[0]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(
                 f"weight of {label!r}: bad rational {value!r} ({exc})"
@@ -108,6 +115,43 @@ class Dist:
     def __repr__(self) -> str:
         inner = ", ".join(f"{label}: {w}" for label, w in self.weights.items())
         return f"Dist({{{inner}}})"
+
+
+def _accepted_dist(support: FinSet, cell) -> Optional[Dist]:
+    """The distribution of a project file's update cell, a JSON object of
+    weight strings on labels of `support`; None where `Dist` or the shape
+    check would refuse it: a weight that is not a string, does not parse or
+    is negative, a label off the support, or a sum other than 1. Never raises."""
+    if type(cell) is not dict:
+        return None
+    index = support._index
+    weights = {}
+    # The sum so far is num/den, den the lcm of the denominators so far.
+    num, den, last, ordered = 0, 1, -1, True
+    for label, text in cell.items():
+        pos = index.get(label)
+        if pos is None or type(text) is not str:
+            return None
+        try:
+            w, n, q = _parse_weight(text)
+        except (ValueError, ZeroDivisionError):
+            return None
+        if n < 0:
+            return None
+        if n:
+            weights[label] = w
+            ordered = ordered and pos > last
+            last = pos
+            if q == den:
+                num += n
+            else:
+                lcm = math.lcm(den, q)
+                num, den = num * (lcm // den) + n * (lcm // q), lcm
+    if num != den:
+        return None
+    if not ordered:
+        weights = {label: weights[label] for label in sorted(weights, key=index.__getitem__)}
+    return _dist(support, weights)
 
 
 def _dist(support: FinSet, weights: dict[str, Fraction]) -> Dist:

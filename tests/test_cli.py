@@ -848,6 +848,40 @@ class TestFileErrors:
         assert_named_error(proc, project, "JSON nests too deeply to decode")
         assert not out.exists()
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts integers of any length",
+    )
+    def test_an_integer_too_long_to_decode(self, tmp_path):
+        project, out = tmp_path / "long.json", tmp_path / "out.csv"
+        project.write_text('{"version": ' + "1" * (sys.get_int_max_str_digits() + 1) + "}")
+        proc = run_cli("steady", project, "--system", "x", "--out", out)
+        assert_named_error(proc, project, "JSON holds an integer too long to decode")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["steady", "--system", "flipflop"],
+            ["simulate", "--system", "flipflop", "--start", "s0", "--word", "set,hold"],
+        ],
+        ids=["steady", "simulate"],
+    )
+    def test_a_lone_surrogate_is_refused_before_any_file_is_opened(self, tmp_path, command):
+        project, out = tmp_path / "surrogate.json", tmp_path / "out.csv"
+        project.write_text(Path(FLIPFLOP).read_text().replace('"s1"', '"\\ud800"'))
+        proc = run_cli(command[0], project, *command[1:], "--out", out)
+        assert_named_error(proc, project, "'\\ud800' holds a lone surrogate, which UTF-8 cannot encode")
+        assert not out.exists()
+
+    def test_a_surrogate_pair_loads(self, tmp_path):
+        project, out = tmp_path / "pair.json", tmp_path / "out.csv"
+        project.write_text(Path(FLIPFLOP).read_text().replace('"s1"', '"\\ud83d\\ude00"'))
+        assert load_project(project).system("flipflop").states.elements == ("s0", "\U0001f600")
+        proc = run_cli("steady", project, "--system", "flipflop", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert "\U0001f600|" in out.read_text(encoding="utf-8")
+
     @pytest.mark.parametrize(
         "argv",
         [
