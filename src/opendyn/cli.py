@@ -7,11 +7,13 @@ canonical float and JSON formatting), so repeated runs are byte-identical.
 of `json.dumps(obj, indent=2)` plus a newline: the projects from
 `project.write_json`, and the matrix from `project.write_json_matrix`, which
 writes each row as the lens span forms it. `steady` sends each orbit row
-through `csv.writer` as the walk finds it, and `simulate` each ODE row as it
-is formed, so neither holds its rows. `matrix` refuses a span whose matrix
-would have more than `deterministic.MAX_MATRIX_ENTRIES` entries before
-building anything of size k, and `steady` and `check`'s project scan an
-orbit walk of more than `deterministic.MAX_WALK` tuples or
+through `csv.writer` as the walk finds it, so it holds no rows. An ODE
+`simulate` integrates and reads out the whole run first, so every failure
+comes before its file is opened; it then formats the run a column at a
+time and writes it a block of rows at a time. `matrix` refuses a span
+whose matrix would have more than `deterministic.MAX_MATRIX_ENTRIES`
+entries before building anything of size k, and `steady` and `check`'s
+project scan an orbit walk of more than `deterministic.MAX_WALK` tuples or
 `deterministic.MAX_SLOTS` slots; all three refuse a period past
 `deterministic.MAX_PERIOD`. Every refusal comes before an output file is
 opened, so a refused command leaves an existing file as it was.
@@ -56,7 +58,9 @@ from .laws import (
     square_suite,
     SuiteResult,
 )
-from .ode import OdeLens, OdeSystem, ParamSignal, compose_lens_ode, rk4_solve, tensor_ode
+from .ode import (
+    OdeLens, OdeSystem, ParamSignal, Trajectory, compose_lens_ode, rk4_solve, tensor_ode
+)
 from .project import (
     DOCTRINE_ODE,
     ProjectFile,
@@ -80,6 +84,32 @@ def _write_csv(path: str, header: Sequence[str], rows) -> int:
         for count, row in enumerate(rows, 1):
             writer.writerow(row)
     return count
+
+
+#: Rows of an ODE trajectory that `simulate` formats and writes at a time.
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_ode_csv(path: str, system: OdeSystem, traj: Trajectory) -> None:
+    """Write the trajectory's bytes as `csv.writer` would: identifiers are
+    never quoted, a float is its repr, and a row ends in "\r\n".
+
+    A block of rows at a time is transposed into columns, and each column's
+    floats are formatted in one pass; an output that copies a state takes
+    that state's text, since it holds the same floats. A block is one write."""
+    copies = system.copied_states()
+    with open_output(path) as f:
+        f.write(",".join(("time", *system.state_vars, *system.output_vars)) + "\r\n")
+        for start in range(0, len(traj.times), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            states = [list(map(repr, col)) for col in zip(*traj.values[start:stop])]
+            outputs = list(zip(*traj.outputs[start:stop]))
+            columns = [list(map(repr, traj.times[start:stop])), *states]
+            columns += [
+                states[j] if j is not None else list(map(repr, outputs[k]))
+                for k, j in enumerate(copies)
+            ]
+            f.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
@@ -175,15 +205,9 @@ def cmd_simulate(args) -> int:
         _check_count("--init", init, sys_entry.state_vars)
         _check_count("--params", params, sys_entry.param_vars)
         signal = ParamSignal.constant(params)
+        # every integration and readout failure is raised here, before the file is opened
         traj = rk4_solve(sys_entry, init, signal, args.t0, args.t1, args.h)
-        header = ("time", *sys_entry.state_vars, *sys_entry.output_vars)
-        rows = ((t, *vals, *outs) for t, vals, outs in zip(traj.times, traj.values, traj.outputs))
-        # the bytes csv writes: identifiers are never quoted, a float is its
-        # repr, and a row ends in "\r\n"; each row is one format, streamed
-        line = ",".join(["%r"] * len(header)) + "\r\n"
-        with open_output(args.out) as f:
-            f.write(",".join(header) + "\r\n")
-            f.writelines(map(line.__mod__, rows))
+        _write_ode_csv(args.out, sys_entry, traj)
         print(f"wrote {args.out} ({len(traj.times)} rows)")
         return 0
     else:

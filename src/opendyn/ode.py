@@ -22,6 +22,12 @@ locals, and the stage formulas in their textbook float order. A constant
 parameter signal is bound once; a sampled one is called at each stage time.
 An evaluation error names the stage time and state it happened at, and a
 state that leaves the floats names the step and the states on both sides.
+`rk4_solve` builds its `Trajectory` through `_trajectory`, without the
+public constructor's O(rows) checks: `_grid` is strictly increasing (it
+refuses a step too small for the float spacing of its times) and the loop
+and readout give rows of fixed widths. `OdeSystem.copied_states` names the
+outputs whose readout is a bare state variable, whose values are then that
+state's very floats.
 `check_residual` replays a trajectory against the field with central
 differences; `check_solve_functoriality` compares substitute-then-solve
 against solving with parameters filled in on the fly at every integrator
@@ -32,12 +38,13 @@ differ only by where expressions are evaluated.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from types import CodeType, FunctionType
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import ExprEvalError, IntegrationError, ValidationError
 from .expr import MAX_NODES, Dag, Expr, Var, compile_table, parse, substitute
@@ -173,6 +180,17 @@ class OdeSystem:
                 _rk4_code(len(self.state_vars), len(self.param_vars)), namespace
             )
         return self._rk4
+
+    def copied_states(self) -> tuple[Optional[int], ...]:
+        """For each output, the position of the state its readout entry is, or
+        None where the entry is not a bare variable. The readout is scoped to
+        the states, so a bare variable there is always one of them."""
+        readout_dag = self._dags[1]
+        position = {name: j for j, name in enumerate(self.state_vars)}
+        return tuple(
+            position[node.name] if isinstance(node, Var) else None
+            for node in map(readout_dag.nodes.__getitem__, readout_dag.roots)
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -417,6 +435,17 @@ class Trajectory:
                 raise ValidationError("trajectory rows must have uniform widths")
 
 
+def _trajectory(times: tuple, values: tuple, outputs: tuple) -> Trajectory:
+    """The trajectory of these rows, set without checks: the times must be
+    strictly increasing, and `values` and `outputs` must hold one row of a
+    fixed width per time."""
+    traj = Trajectory.__new__(Trajectory)
+    object.__setattr__(traj, "times", times)
+    object.__setattr__(traj, "values", values)
+    object.__setattr__(traj, "outputs", outputs)
+    return traj
+
+
 def _grid(t0: float, t1: float, h: float) -> list[float]:
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValidationError(f"time span must be finite, got [{t0}, {t1}]")
@@ -436,6 +465,13 @@ def _grid(t0: float, t1: float, h: float) -> list[float]:
     times = [t0 + j * h for j in range(n + 1)]
     if times[-1] < t1:
         times.append(t1)
+    # j * h grows by about h, so two grid times can round to one float only
+    # where h is within a few float spacings of the times themselves
+    if h <= 4 * math.ulp(max(abs(t0), abs(t1))) and any(map(operator.ge, times, times[1:])):
+        raise ValidationError(
+            f"time grid [{t0}, {t1}] at step {h} is not strictly increasing: "
+            f"the step is too small for the float spacing of its times"
+        )
     return times
 
 
@@ -566,7 +602,8 @@ def rk4_solve(
         values = sys.integrator()(times, y0, None, lambda t, *state: param_signal(t))
     readout = sys.compiled()[1]
     outputs = [readout(*y) for y in values]
-    return Trajectory(tuple(times), tuple(values), tuple(outputs))
+    # `_grid` increases strictly and the loop and readout give fixed widths
+    return _trajectory(tuple(times), tuple(values), tuple(outputs))
 
 
 @dataclass(frozen=True)
@@ -648,8 +685,16 @@ def check_solve_functoriality(
     readout = sys.compiled()[1]
     bwd = compile_table(lens.bwd, sys.param_vars, sys.output_vars + lens.target_params, "bwd")
 
-    def live(t: float, *state: float) -> tuple[float, ...]:
-        return bwd(*readout(*state), *outer_signal(t))
+    if len(outer_signal.rows) == 1:  # a constant signal, bound once as `rk4_solve` binds it
+        outer = outer_signal.rows[0]
+
+        def live(t: float, *state: float) -> tuple[float, ...]:
+            return bwd(*readout(*state), *outer)
+
+    else:
+
+        def live(t: float, *state: float) -> tuple[float, ...]:
+            return bwd(*readout(*state), *outer_signal(t))
 
     values = sys.integrator()(path_a.times, _initial_state(sys, s0), None, live)
     worst = 0.0

@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from sys import float_info
+from sys import float_info, get_int_max_str_digits
 from typing import Iterable, Iterator, Optional, TextIO, Union
 
 from .deterministic import (
@@ -381,13 +381,24 @@ def project_to_obj(project: ProjectFile) -> dict:
     return obj
 
 
+def _shown(value) -> str:
+    """`repr(value)`, or for an integer past the interpreter's limit on the
+    digits of an int written in decimal, a description of it."""
+    try:
+        return repr(value)
+    except ValueError:
+        what = "an integer" if isinstance(value, int) else "a value holding an integer"
+        return f"({what} of more than {get_int_max_str_digits()} digits)"
+
+
 def project_from_obj(obj) -> ProjectFile:
     top = _shaped(obj, dict, "project")
     for key in top:
         if key != "version" and key not in SECTIONS:
             raise ValidationError(f"project has an unknown field {key!r}")
-    if top.get("version") != 1:
-        raise ValidationError(f"unsupported project version {top.get('version')!r}")
+    version = top.get("version")
+    if version != 1:
+        raise ValidationError(f"unsupported project version {_shown(version)}")
     sets: dict = {}
     sections = {
         section: {

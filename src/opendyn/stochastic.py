@@ -14,7 +14,8 @@ operators: the sum check in `Dist`, the products of `DistEffect.product` and
 `step_dist`, the comparisons of the sampler, and the sum in
 `_accepted_dist`. Weight strings are parsed through one bounded memo, which
 keeps each weight's numerator and denominator with it, so a string that
-repeats across a document is parsed once. `DistEffect.product` builds
+repeats across a document is parsed once, and which refuses a decimal
+exponent beyond `MAX_WEIGHT_EXPONENT` before `Fraction` builds its power. `DistEffect.product` builds
 through `_dist`, which sets a `Dist`'s slots without its checks, since the
 product of two distributions is already normalized; so does
 `_accepted_dist`, the project loader's reading of an update cell, which
@@ -39,11 +40,28 @@ from .finset import FinSet, join_labels
 WeightLike = Union[Fraction, int, str]
 
 
+#: Largest decimal exponent, of either sign, that a weight string may carry
+#: (Python's default limit on the digits of an int read from text).
+#: `Fraction` builds the power of ten itself, in time that grows with the
+#: exponent's value, so `"1e-99999999"` would hold a load for minutes.
+MAX_WEIGHT_EXPONENT = 4300
+
+
 @lru_cache(maxsize=4096)
 def _parse_weight(value: Union[int, str]) -> tuple[Fraction, int, int]:
     """`Fraction(value)` with its numerator and denominator, raising what it
-    raises. A document repeats a few weight strings many times, so parsing
-    goes through this one bounded memo."""
+    raises, and ValueError for a string whose exponent lies beyond
+    `MAX_WEIGHT_EXPONENT`. A document repeats a few weight strings many
+    times, so parsing goes through this one bounded memo."""
+    if isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
+        if e:
+            try:
+                too_far = abs(int(exponent)) > MAX_WEIGHT_EXPONENT
+            except ValueError:  # not an exponent: `Fraction` names the fault
+                too_far = False
+            if too_far:
+                raise ValueError(f"exponent beyond {MAX_WEIGHT_EXPONENT} in either direction")
     w = Fraction(value)
     return w, w.numerator, w.denominator
 

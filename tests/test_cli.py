@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from opendyn.cli import main
 from opendyn.expr import MAX_NODES
 from opendyn.laws import _lv_fixture, random_interface
 from opendyn.project import ProjectFile, project_from_obj
+from opendyn.stochastic import MAX_WEIGHT_EXPONENT
 
 from helpers import (
     feedback_lens,
@@ -371,6 +373,32 @@ class TestSimulate:
         assert proc.stderr == message
         assert not (tmp_path / "x.csv").exists()
 
+    def test_a_readout_failing_mid_run_leaves_the_out_file_as_it_was(self, tmp_path):
+        # s = 1, 0.5, 0.0, ...: the readout log(s) fails at the third row,
+        # after the integration, and before the output file is opened
+        project = tmp_path / "log.json"
+        save_project(ProjectFile(1, {"decay": OdeSystem(
+            ["s"], ["y"], [], {"y": "log(s)"}, {"s": "-1"})}, {}, {}), project)
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"kept\r\n\x00 as it was")
+        proc = run_cli("simulate", project, "--system", "decay", "--init", "1",
+                       "--t1", "2", "--h", "0.5", "--out", out)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: readout component 'y': log(0.0) is undefined\n"
+        assert out.read_bytes() == b"kept\r\n\x00 as it was"
+
+    def test_a_step_below_the_float_spacing_exits_2_before_integrating(self, tmp_path):
+        # at 1e16 the floats are 2 apart, so t0 + j * 0.5 repeats a time
+        proc = run_cli("simulate", LV, "--system", "lotka_volterra", "--init", "1,1",
+                       "--params", "1,1,1,1", "--t0", "1e16", "--t1", "1.0000000000000004e16",
+                       "--h", "0.5", "--out", tmp_path / "x.csv")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: time grid [1e+16, 1.0000000000000004e+16] at step 0.5 is not strictly "
+            "increasing: the step is too small for the float spacing of its times\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
     def test_a_grid_past_max_steps_exits_2_at_once(self, tmp_path):
         proc = run_cli("simulate", LV, "--system", "lotka_volterra", "--init", "1,1",
                        "--params", "1,1,1,1", "--t1", "10", "--h", "1e-300",
@@ -409,6 +437,16 @@ CSV_SYSTEMS = {
     "one_state": OdeSystem(["z"], ["w"], [], {"w": "z*z"}, {"z": "-0.5*z"}),
     "edge": OdeSystem(["s", "z"], ["big", "huge", "neg"], [],
                       {"big": "1e16", "huge": "1e22", "neg": "-0*s"}, {"s": "0", "z": "0*z"}),
+    # outputs that copy states, in another order than the states'
+    "shuffled": OdeSystem(["a", "b", "c"], ["oc", "oa", "ob"], [],
+                          {"oc": "c", "oa": "a", "ob": "b"}, {"a": "b", "b": "-a", "c": "0.5*c"}),
+    # one state read by two outputs, and a state no output reads
+    "twice": OdeSystem(["x", "y"], ["y1", "y2"], ["p"],
+                       {"y1": "x", "y2": "x"}, {"x": "p*y", "y": "-x"}),
+    # copied and computed outputs mixed
+    "mixed": OdeSystem(["x", "y"], ["o1", "o2", "o3", "o4"], ["p"],
+                       {"o1": "y", "o2": "x*y", "o3": "x", "o4": "2"}, {"x": "p*y", "y": "-x"}),
+    "no_states": OdeSystem([], ["c", "d"], ["p"], {"c": "2.5", "d": "-0.0"}, {}),
 }
 
 
@@ -425,9 +463,17 @@ class TestOdeCsvBytes:
             ("one_state", (5e-324,), (), (0.0, 1.0, 0.25)),
             ("one_state", (1e22,), (), (-3.0, -2.0, 0.125)),
             ("edge", (-0.0, 5e-324), (), (0.0, 1.0, 0.5)),
+            ("shuffled", (1.0, -2.0, 3.0), (), (0.0, 1.0, 0.1)),
+            ("twice", (0.3, -0.7), (2.0,), (0.0, 1.0, 0.1)),
+            ("mixed", (0.3, -0.7), (2.0,), (0.0, 1.0, 0.1)),
+            ("no_states", (), (1.5,), (0.0, 1.0, 0.25)),
+            # more rows than one write block
+            ("mixed", (0.3, -0.7), (2.0,), (0.0, 2.0, 1e-4)),
+            ("lotka_volterra", (2.0, 1.0), (1.0, 0.5, 0.2, 0.4), (0.0, 20.0, 1e-3)),
         ],
         ids=["lv", "lv-negative", "wired-depth-4", "no-outputs", "one-state-tiny",
-             "one-state-huge", "edge-values"],
+             "one-state-huge", "edge-values", "copies-shuffled", "one-state-read-twice",
+             "copied-and-computed", "no-states", "mixed-20000-steps", "lv-20000-steps"],
     )
     def test_rows_match_csv_writer(self, tmp_path, system, init, params, window):
         project = tmp_path / "systems.json"
@@ -439,6 +485,9 @@ class TestOdeCsvBytes:
                      "--init=" + ",".join(map(repr, init)), "--params=" + ",".join(map(repr, params)),
                      f"--t0={t0!r}", "--t1", repr(t1), "--h", repr(h), "--out", str(out)]) == 0
         assert out.read_bytes() == csv_writer_bytes(entry, init, params, t0, t1, h)
+
+    def test_the_long_grids_span_several_write_blocks(self):
+        assert 20_000 > 4 * cli._CSV_BLOCK_ROWS
 
 
 class TestDeepExpressions:
@@ -898,6 +947,45 @@ class TestFileErrors:
         proc = run_cli(*argv, out)
         assert_named_error(proc, out, "cannot write the file: No such file or directory")
         assert not out.parent.exists()
+
+
+def stoch_with_weights(path, a: str, b: str) -> Path:
+    """The packaged chain with `a` and `b` as the weights of its `a --go->` cell."""
+    doc = json.loads(Path(STOCH).read_text())
+    doc["systems"]["chain"]["update"]["a"]["go"] = {"a": a, "b": b}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestWeightExponentBound:
+    """`Fraction` builds a weight's power of ten in time that grows with the
+    exponent, so one past `MAX_WEIGHT_EXPONENT` is refused before it is built."""
+
+    @pytest.mark.parametrize("weight", ["1e-99999999", "1e99999999", "5E+4301"])
+    def test_a_huge_exponent_is_refused_at_once(self, tmp_path, weight):
+        project = stoch_with_weights(tmp_path / "huge.json", weight, "1/2")
+        out = tmp_path / "out.csv"
+        proc = run_cli("simulate", project, "--system", "chain", "--start", "a", "--word", "go",
+                       "--out", out, timeout=20)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            f"error: {project}: system 'chain': weight of 'a': bad rational {weight!r} "
+            f"(exponent beyond {MAX_WEIGHT_EXPONENT} in either direction)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "a, b", [("0.25", "3/4"), ("1e-3", "999/1000"), ("3/4", "0.25"), ("1e0", "0e4300")]
+    )
+    def test_plain_weights_still_load(self, tmp_path, a, b):
+        project = stoch_with_weights(tmp_path / "plain.json", a, b)
+        out = tmp_path / "out.csv"
+        proc = run_cli("simulate", project, "--system", "chain", "--start", "a", "--word", "go",
+                       "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        weights = load_project(project).system("chain").update["a"]["go"].weights
+        assert weights == {k: Fraction(w) for k, w in {"a": a, "b": b}.items() if Fraction(w)}
 
 
 class TestMatrixSizeBound:

@@ -123,6 +123,15 @@ class TestOdeSystemValidation:
                 {"s": parse("s*t"), "t": BinOp("-", parse("s*t + q"), Var("r"))},
             )
 
+    def test_copied_states_names_each_bare_state_readout(self):
+        sys = OdeSystem(
+            ["a", "b"], ["x", "y", "z", "w", "v"], [],
+            {"x": "b", "y": "a*b", "z": Var("b"), "w": "(a)", "v": "2"}, {"a": "0", "b": "0"},
+        )
+        assert sys.copied_states() == (1, None, 1, 0, None)
+        assert _lv_fixture()[1].copied_states() == (0, 1)
+        assert OdeSystem([], [], [], {}, {}).copied_states() == ()
+
 
 class TestComposeLensOde:
     def test_predation_wiring_produces_the_closed_form(self):
@@ -435,6 +444,26 @@ class TestSolveFunctoriality:
         )
         result = check_solve_functoriality(lens, pair, (2.0, 1.0), sig, 0.0, 3.0, 1e-3, 1e-9)
         assert result
+
+    @pytest.mark.parametrize("case", ["predator-prey", "polynomial"])
+    def test_a_constant_signal_bound_once_gives_the_sampled_result(self, case):
+        # a two-row signal of equal rows is sampled at every stage; a
+        # constant one is bound once: the same parameters, the same result
+        if case == "predator-prey":
+            lens, sys = _lv_fixture()
+            s0, row = (2.0, 1.0), (1.0, 0.5, 0.2, 0.4)
+        else:
+            sys = OdeSystem(["s"], ["y"], ["p", "q"], {"y": "s"}, {"s": "0.7 - p*s^3 - q*s"})
+            lens = OdeLens(["y"], ["p", "q"], ["y2"], ["u", "v"],
+                           {"y2": "y"}, {"p": "u", "q": "v + 0.3*y"})
+            s0, row = (0.5,), (0.3, 0.2)
+        bound = check_solve_functoriality(
+            lens, sys, s0, ParamSignal.constant(row), 0.0, 5.0, 1e-3, 1e-9
+        )
+        sampled = check_solve_functoriality(
+            lens, sys, s0, ParamSignal((0.0, 1.0), (row, row)), 0.0, 5.0, 1e-3, 1e-9
+        )
+        assert bound == sampled and bound
 
 
 class TestConvergenceOrder:

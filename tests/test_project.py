@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -86,6 +87,24 @@ class TestValidation:
             load_project(write_json(tmp_path, {"version": 2}))
         with pytest.raises(ValidationError, match="version"):
             load_project(write_json(tmp_path, {}))
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts integers of any length",
+    )
+    @pytest.mark.parametrize(
+        "version, shown",
+        [(10**5000, "an integer"), (-(10**5000), "an integer"),
+         ([10**5000], "a value holding an integer")],
+        ids=["huge", "huge-negative", "in-a-list"],
+    )
+    def test_a_version_too_long_to_write_is_named_without_its_digits(self, version, shown):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValidationError) as info:
+            project_from_obj({"version": version})
+        assert str(info.value) == (
+            f"unsupported project version ({shown} of more than {limit} digits)"
+        )
 
     def test_unknown_section_is_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="wires"):

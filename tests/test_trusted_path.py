@@ -3,20 +3,28 @@
 The combinators and the law generators build from parts that were already
 checked, and set their results' slots without the public constructors'
 checks (`finset._finmap`, `deterministic._machine`, `deterministic._rewiring`,
-and `stochastic._dist` for the cells of a Markov tensor).
+and `stochastic._dist` for the cells of a Markov tensor), and so does
+`rk4_solve` for its `Trajectory` (`ode._trajectory`).
 Each result here is rebuilt through its public constructor, which checks
 every table and normalizes it to canonical order, and must be `==` to the
 trusted one with every table in the same order, since saved projects are
 written in table order. The inputs are seeded machines of both effects.
 """
 
+import math
 import random
+
+import pytest
 
 from opendyn import (
     DetSystem,
     Dist,
     FinMap,
+    OdeSystem,
+    ParamSignal,
     StochSystem,
+    Trajectory,
+    ValidationError,
     compose_charts,
     compose_lens_system,
     compose_lenses,
@@ -24,6 +32,7 @@ from opendyn import (
     identity_lens,
     random_lens,
     random_system,
+    rk4_solve,
     tensor_systems,
 )
 from opendyn.laws import (
@@ -124,3 +133,34 @@ class TestTrustedResultsEqualPublicOnes:
                 assert_public_cells(both)
                 assert_public_cells(tensor_systems(both, sys))
         assert kinds == {DetSystem: 100, StochSystem: 100}
+
+
+class TestTrustedTrajectory:
+    """`rk4_solve` skips `Trajectory`'s checks, so its grid must be strictly
+    increasing wherever `_grid` returns one, down to steps of a few float
+    spacings, where `_grid` checks every time itself."""
+
+    def test_seeded_grids_pass_the_public_checks(self):
+        rng = random.Random(25)
+        system = OdeSystem(["x", "y"], ["o", "x2"], [], {"o": "x*y", "x2": "x"},
+                           {"x": "0", "y": "0"})
+        refused = 0
+        for _ in range(400):
+            t0 = rng.choice([0.0, 1.0, -1.0]) * 10.0 ** rng.uniform(-3, 18)
+            spacing = math.ulp(t0) if t0 else 5e-324
+            h = spacing * rng.choice([0.5, 1, 1.5, 2, 3, 4, 5, 8, 1e3]) * rng.uniform(0.9, 1.1)
+            t1 = t0 + h * rng.randint(1, 60)
+            try:
+                traj = rk4_solve(system, (1.0, 2.0), ParamSignal.constant(()), t0, t1, h)
+            except ValidationError as exc:
+                assert "not strictly increasing" in str(exc) or "need t1 > t0" in str(exc) \
+                    or "0 < h <= t1 - t0" in str(exc)
+                refused += 1
+                continue
+            assert Trajectory(traj.times, traj.values, traj.outputs) == traj
+        assert 0 < refused < 400
+
+    def test_a_repeated_time_is_refused(self):
+        with pytest.raises(ValidationError, match="not strictly increasing"):
+            rk4_solve(OdeSystem(["x"], [], [], {}, {"x": "0"}), (1.0,),
+                      ParamSignal.constant(()), 1e16, 1e16 + 4, 0.5)
