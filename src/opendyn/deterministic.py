@@ -14,11 +14,15 @@ into a span between these chart sets, and `check_matrix_theorem` verifies
 that rewiring a machine and then collecting its orbits agrees, up to a
 fiberwise bijection, with applying that span to the orbits of the original
 machine. That is span (= matrix-of-sets) arithmetic acting on behaviors.
-The theorem reads these public objects. A chart set is a `ProductSet` and
-is never enumerated; an orbit family holds the rows of the one orbit walk,
-which reads update cells through the effect's `point`; a lens span holds its
-one-step `bwd` preimage table and k, pushes a family through the charts that
-carry orbits only, and forms its matrix one row at a time. `steady` and
+The theorem reads these public objects, and its verdict is decided by the
+span's matrix applied to a count vector. A chart set is a `ProductSet` and
+is never enumerated; an orbit family is bounded when it is made and walks
+when it is read, counting its charts in a pass that forms no element, and
+forming its rows, which read update cells through the effect's `point`,
+only when they are first read; a lens span holds its one-step `bwd`
+preimage table and k, pushes a count vector through that table position by
+position, pushes a family's rows through the charts that carry orbits only,
+and forms its matrix one row at a time. `steady` and
 `matrix` write the same walk's rows and the same span's matrix rows as they
 are formed (`periodic_orbit_rows`, `lens_matrix_rows`). Labels are joined
 with `|` where a Family, Span or FamilyMatch hands them out, or a row is
@@ -31,8 +35,9 @@ The public constructors (`FinMap`, `DetSystem`, `StochSystem`, `DetLens`,
 normalize it to canonical row and column order. The combinators that build
 their results from parts that were already checked, `FinMap.then` and
 `FinMap.identity`, `identity_lens`, `identity_chart`, `compose_lenses`,
-`compose_charts`, `compose_lens_system` and `tensor_systems`, and the
-generators of `opendyn.laws`, build through a trusted path instead
+`compose_charts`, `compose_lens_system` and `tensor_systems`,
+`walking_cycle`, and the generators of `opendyn.laws`, build through a
+trusted path instead
 (`finset._finmap`, `_machine`, `_rewiring`) that sets the same slots without
 checks: each writes its tables in canonical order, so the objects are the
 ones the public constructors would build. The project loader's accept pass
@@ -43,12 +48,13 @@ checked every table itself.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, product
 from typing import ClassVar, Iterable, Iterator, Mapping, Optional
 
-from .errors import BoundaryError, ValidationError
+from .errors import BoundaryError, ValidationError, _shown
 from .finset import (
     Family,
     FamilyMatch,
@@ -105,7 +111,7 @@ class DetInterface:
 
 
 def _label_problem(value, values: FinSet) -> Optional[str]:
-    return None if value in values else f"= {value!r} is not in {values}"
+    return None if value in values else f"= {_shown(value)} is not in {values}"
 
 
 def _check_nested_table(
@@ -115,7 +121,7 @@ def _check_nested_table(
     values)` says what is wrong with one entry, or None."""
     for key in table:
         if key not in rows:
-            raise ValidationError(f"{what} has a row for unknown element {key!r}")
+            raise ValidationError(f"{what} has a row for unknown element {_shown(key)}")
     normalized: dict[str, dict] = {}
     for r in rows:
         if r not in table:
@@ -123,7 +129,7 @@ def _check_nested_table(
         row = table[r]
         for key in row:
             if key not in cols:
-                raise ValidationError(f"{what}[{r!r}] has an entry for unknown element {key!r}")
+                raise ValidationError(f"{what}[{r!r}] has an entry for unknown element {_shown(key)}")
         normalized_row = {}
         for c in cols:
             if c not in row:
@@ -522,9 +528,9 @@ def walking_cycle(k: int) -> DetSystem:
     if k > MAX_PERIOD:
         raise ValidationError(f"cycle length {k} is more than MAX_PERIOD = {MAX_PERIOD}")
     states = FinSet(f"c{j}" for j in range(k))
+    update = {s: {"*": nxt} for s, nxt in zip(states, states.elements[1:] + states.elements[:1])}
     iface = DetInterface(FinSet(["*"]), states)
-    update = {f"c{j}": {"*": f"c{(j + 1) % k}"} for j in range(k)}
-    return DetSystem(states, iface, FinMap.identity(states), update)
+    return _machine(DetSystem, states, iface, FinMap.identity(states), update)
 
 
 def _charts(rep: DetInterface, iface: DetInterface) -> ProductSet:
@@ -540,25 +546,19 @@ def chart_hom_set(rep: DetInterface, iface: DetInterface) -> FinSet:
     return FinSet(_charts(rep, iface))
 
 
-def _maps_into(rep: DetSystem, sys: Machine) -> Iterator[list]:
-    """Every (phi, isharp) from `rep` into `sys`, as blocks of slot columns.
+def _walk_plan(rep: DetSystem, sys: Machine) -> tuple:
+    """The walk of every (phi, isharp) from `rep` into `sys`, planned for
+    `_maps_into` and bounded: a walk past `MAX_WALK` tuples or `MAX_SLOTS`
+    slots (`_walk_size`) is refused here, before any update cell is read.
 
     The slots are phi(s) followed by isharp(s, i) for every rep input i, for
-    every rep state s in canonical order. A block holds one column per filled
-    slot over all of its live rows, and the walk fills one slot at a time
-    across the whole block: a searched slot repeats each row once per value
-    of its domain in canonical order, so the rows stay in the product order
-    over the slots. A slot phi(s') whose constraint phi(update_rep(s, i)) =
-    update(phi(s), isharp(s, i)) has its other two slots earlier is computed
-    rather than searched; every other constraint cuts the rows whose three
-    slots disagree once its last slot is filled. On a walking k-cycle this
-    walks a start state and an input word: |S| * |I|^k tuples tried, not
-    (|S| * |I|)^k. It reads each update cell through the effect's `point`,
-    so a cell that reaches no state for sure cuts its rows. A block whose
-    next slot would take it past `_BLOCK_CELLS` cells (rows times slots) is
-    split in half first, and the second half waits on a stack, so blocks come
-    out in row order. A walk past `MAX_WALK` tuples or `MAX_SLOTS` slots
-    (`_walk_size`) is refused first.
+    every rep state s in canonical order. A slot phi(s') whose constraint
+    phi(update_rep(s, i)) = update(phi(s), isharp(s, i)) has its other two
+    slots earlier is computed rather than searched; every other constraint
+    cuts the rows whose three slots disagree once its last slot is filled.
+    On a walking k-cycle this walks a start state and an input word: |S| *
+    |I|^k tuples tried, not (|S| * |I|)^k. The plan also holds `sys` and the
+    slots per rep state, from which `_chart_columns` reads a block's charts.
     """
     rep_states = rep.states.elements
     rep_inputs = rep.interface.inputs.elements
@@ -590,8 +590,26 @@ def _maps_into(rep: DetSystem, sys: Machine) -> Iterator[list]:
         raise ValidationError(f"the walk from a {m}-state machine fills |S|^{phis}*|I|^{inputs}*"
                               f"{m} = {len(sys.states)}^{phis}*{len(sys.interface.inputs)}^{inputs}*"
                               f"{m} slots; more than MAX_SLOTS = {MAX_SLOTS}")
+    return n, domains, forced, checks, sys, width
+
+
+def _maps_into(plan: tuple) -> Iterator[list]:
+    """Every (phi, isharp) of a `_walk_plan`, as blocks of slot columns.
+
+    A block holds one column per filled slot over all of its live rows, and
+    the walk fills one slot at a time across the whole block: a searched slot
+    repeats each row once per value of its domain in canonical order, so the
+    rows stay in the product order over the slots. It reads each update cell
+    through the effect's `point`, so a cell that reaches no state for sure
+    cuts its rows; the identity effect's cells are read as they are. A block whose next slot would take it past `_BLOCK_CELLS`
+    cells (rows times slots) is split in half first, and the second half
+    waits on a stack, so blocks come out in row order.
+    """
+    n, domains, forced, checks, sys, _ = plan
     point = sys.effect.point
-    update = {s: {i: point(cell) for i, cell in row.items()} for s, row in sys.update.items()}
+    update = sys.update if point is Identity.point else {
+        s: {i: point(cell) for i, cell in row.items()} for s, row in sys.update.items()
+    }
 
     blocks: list[tuple[int, list]] = [(1, [])]  # (rows, columns), the next block last
     while blocks:
@@ -635,20 +653,35 @@ def _keep(cols: list, keep: list[bool]) -> list:
     return [list(compress(col, keep)) for col in cols]
 
 
-def _orbits(rep: DetSystem, sys: Machine) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Every map from `rep` into `sys` as a (chart, element) row of slot
-    tuples, in `_maps_into`'s order: the element is the map's slot tuple, and
-    its chart is that tuple with each phi(s) replaced by its output, read off
-    each block by mapping the readout over the phi columns."""
-    width = 1 + len(rep.interface.inputs)
+def _chart_columns(plan: tuple, cols: list) -> list:
+    """A block's chart columns: its phi columns with the readout mapped over
+    them, its isharp columns as they are."""
+    *_, sys, width = plan
     readout = sys.readout.table.__getitem__
-    for cols in _maps_into(rep, sys):
-        charts = list(zip(*[col if pos % width else map(readout, col) for pos, col in enumerate(cols)]))
+    return [col if pos % width else map(readout, col) for pos, col in enumerate(cols)]
+
+
+def _orbits(plan: tuple) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Every map of a `_walk_plan` as a (chart, element) row of slot tuples,
+    in `_maps_into`'s order: the element is the map's slot tuple, and its
+    chart is that tuple with each phi(s) replaced by its output."""
+    for cols in _maps_into(plan):
+        charts = list(zip(*_chart_columns(plan, cols)))
         elements = list(zip(*cols))
         # free the columns before the rows are paired: small pairs allocated
         # among them would keep their memory from being returned
         cols.clear()
         yield from zip(charts, elements)
+
+
+def _chart_counts(plan: tuple) -> Counter:
+    """How many maps of a `_walk_plan` lie over each chart, keyed by the
+    chart's slot tuple: one pass over `_maps_into`'s blocks that forms the
+    charts only, never an element."""
+    counts: Counter = Counter()
+    for cols in _maps_into(plan):
+        counts.update(zip(*_chart_columns(plan, cols)))
+    return counts
 
 
 def representable_span(rep: DetSystem, sys: Machine) -> Family:
@@ -664,6 +697,11 @@ def representable_span(rep: DetSystem, sys: Machine) -> Family:
     the base encoding. `sys` may have any effect; `rep` must be a DetSystem
     with at least one state, since a map from no states has no slots and so
     no label.
+
+    The walk is checked and bounded in this call (`_walk_plan`), but it runs
+    only when the family is read: its rows (`_orbits`) when they are first
+    read, and its fiber counts, where those are read first, by a walk that
+    forms charts only (`_chart_counts`).
     """
     if not isinstance(rep, DetSystem):
         raise ValidationError(f"representing system must be deterministic, got {type(rep).__name__}")
@@ -671,7 +709,9 @@ def representable_span(rep: DetSystem, sys: Machine) -> Family:
         raise ValidationError("representing system must expose its entire state")
     if not rep.states:
         raise ValidationError("representing system must have at least one state")
-    return _family(_charts(rep.interface, sys.interface), _orbits(rep, sys))
+    plan = _walk_plan(rep, sys)
+    return _family(_charts(rep.interface, sys.interface),
+                   lambda: _orbits(plan), lambda: _chart_counts(plan))
 
 
 def _power(base: int, k: int) -> Optional[int]:
@@ -729,7 +769,7 @@ def periodic_orbit_rows(sys: Machine, k: int) -> Iterator[tuple[str, str]]:
     by element in its total order, each formed as the walk finds it: the rows
     `opendyn steady` streams. The walk's bounds (`_period_walk`) are checked
     in this call, before any row is formed."""
-    return _labelled(_orbits(_period_walk(k, sys), sys))
+    return _labelled(_orbits(_walk_plan(_period_walk(k, sys), sys)))
 
 
 def periodic_orbits(sys: Machine, k: int) -> list[tuple[str, str]]:
@@ -755,12 +795,13 @@ def _lens_apex(steps: Mapping, charts: Iterable[tuple[str, ...]]) -> list[tuple]
 class _LensSpan(Span):
     """A lens's span at period k, held as the one-step preimage table of
     `bwd` and k. Its chart sets and apex are `ProductSet`s, its two legs are
-    formed together (`_legs`) only when asked for, and applying it pushes a
-    family through the preimages of the family's nonempty charts only
-    (`_lens_apex`). Its matrix is the k-th Kronecker power of the one-step
-    matrix, read one row at a time as the sorted columns of the row's 1s
-    (`_ones`), from which `_matrix` fills dense rows and `opendyn matrix`
-    writes each row's text as it is formed."""
+    formed together (`_legs`) only when asked for, applying it to a count
+    vector goes position by position through the table (`_push`), and the
+    rows of a family it is applied to go through the preimages of the
+    family's nonempty charts only (`_lens_apex`). Its matrix is the k-th
+    Kronecker power of the one-step matrix, read one row at a time as the
+    sorted columns of the row's 1s (`_ones`), from which `_matrix` fills
+    dense rows and `opendyn matrix` writes each row's text as it is formed."""
 
     def __init__(self, lens: DetLens, rep_interface: DetInterface):
         self.k = len(rep_interface.outputs)
@@ -772,9 +813,31 @@ class _LensSpan(Span):
         # and column order, so the positions, position by position, sort in
         # the apex's order
         self.steps = {(o, i): [] for o in lens.source.outputs for i in lens.source.inputs}
+        # rights[o, i]: the right legs (fwd(o), i') of steps[o, i], for `_push`
+        self.rights = {pair: [] for pair in self.steps}
         for m, (o, row) in enumerate(lens.bwd.items()):
             for n, (i2, i) in enumerate(row.items()):
-                self.steps[o, i].append(((m, n), (o, i2), (lens.fwd(o), i2)))
+                right = (lens.fwd.table[o], i2)
+                self.steps[o, i].append(((m, n), (o, i2), right))
+                self.rights[o, i].append(right)
+
+    def _push(self, counts: Mapping) -> Counter:
+        """The span's matrix applied to a count vector over source charts,
+        position by position through the one-step table: each step takes a
+        key's first (o, i) pair off its front and appends, for each preimage,
+        the pair's right leg (fwd(o), i'), adding the key's count there. After
+        k steps a key is a target chart; no apex element is formed."""
+        rights = self.rights
+        for _ in range(self.k):
+            pushed: dict = {}
+            get = pushed.get
+            for key, n in counts.items():
+                rest = key[2:]
+                for right in rights[key[:2]]:
+                    key2 = rest + right
+                    pushed[key2] = get(key2, 0) + n
+            counts = pushed
+        return Counter(counts)
 
     def _over(self, points=None) -> list[tuple]:
         if points is None:  # every chart some apex element lies over
@@ -883,11 +946,14 @@ def check_matrix_theorem(lens: DetLens, sys: Machine, k: int) -> FamilyMatch:
     valid input is a defect, not a data problem. The result is
     `families_isomorphic(periodic_orbit_span(compose_lens_system(lens, sys), k),
     apply_span_to_family(lens_to_span(lens, walking_cycle(k).interface),
-    periodic_orbit_span(sys, k)))`: the span is pushed through the charts
-    that carry orbits only, and the verdict reads fiber counts on keys. No
-    element label is formed here: a match forms its witness, with its element
-    labels, when the witness is first read, and a mismatch joins its one
-    chart label. Both machines' walks are bounded before either starts.
+    periodic_orbit_span(sys, k)))`. The verdict is decided by the span's
+    matrix applied to a count vector: the rewired machine's fiber counts,
+    found by a walk that forms charts only, against the span's one-step
+    table applied position by position to the original machine's counts.
+    No orbit element, apex element or element label is formed here: a match
+    forms both families' rows, and its witness with its element labels,
+    when the witness is first read, and a mismatch joins its one chart
+    label. Both machines' walks are bounded before either starts.
     """
     rewired = compose_lens_system(lens, sys)  # refuses a lens whose source is not sys's
     cycle = _period_walk(k, sys, rewired)

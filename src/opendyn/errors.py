@@ -2,7 +2,21 @@
 
 The CLI maps every OpendynError to exit code 2 (bad input, or a file that
 cannot be read or written) and keeps exit code 1 for genuine check failures.
+Messages show a value through `_shown`, so that an integer too long to
+print does not turn a refusal into a bare `ValueError`.
 """
+
+from sys import get_int_max_str_digits
+
+
+def _shown(value, form=repr) -> str:
+    """`form(value)`, or for an integer past the interpreter's limit on the
+    digits of an int written in decimal, a description of it."""
+    try:
+        return form(value)
+    except ValueError:
+        what = "an integer" if isinstance(value, int) else "a value holding an integer"
+        return f"({what} of more than {get_int_max_str_digits()} digits)"
 
 
 class OpendynError(Exception):

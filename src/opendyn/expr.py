@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import ExprEvalError, ExprSyntaxError
+from .errors import ExprEvalError, ExprSyntaxError, _shown
 
 FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -179,7 +179,7 @@ class Dag:
                     raise TypeError(f"constant {e.value!r} is not an int or a float")
                 ops, key = (), ("num", type(e.value), repr(e.value))
             else:
-                raise TypeError(f"{e!r} is not an expression")
+                raise TypeError(f"{_shown(e)} is not an expression")
             position = self.index.setdefault(key, len(self.nodes))
             if position == len(self.nodes):
                 self.nodes.append(e)

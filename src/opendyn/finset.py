@@ -17,13 +17,17 @@ A set of composites can be a `ProductSet`, given by the alphabets of its
 slots and never enumerated unless its labels are asked for. A family is
 stored as its rows, a (base key, element key) pair per element in total
 order, so only its nonempty fibers take room; a key is the tuple of parts
-whose join is the label (a `FinSet` element's key is its label alone).
-Spans act and families compare on keys. Rows become labels in one place,
-`_labelled`, which `Family.labels()` lists for the family's total,
-projection, fibers and equality, and which `opendyn steady` streams;
-`families_isomorphic` counts fibers on keys and joins only the label of a
-mismatch, and the labels of its witness when the witness is first read; a
-span's legs are labelled in one pass (`_legs`).
+whose join is the label (a `FinSet` element's key is its label alone). A
+family also answers its fiber counts, a `Counter` over base keys; a family
+built from a walk or pushed through a span counts without forming its rows,
+and forms them only when they are first read. Spans act and families
+compare on keys: a span applied to a family pushes the family's count
+vector through the span's matrix, and `families_isomorphic` decides on the
+two count vectors, joining only the label of a mismatch, and forms the rows
+and the labels of its witness when the witness is first read. Rows become
+labels in one place, `_labelled`, which `Family.labels()` lists for the
+family's total, projection, fibers and equality, and which `opendyn steady`
+streams; a span's legs are labelled in one pass (`_legs`).
 
 `FinMap(dom, cod, table)` checks its table; `_finmap` sets the same slots
 without checks, for callers whose table has every domain element once, in
@@ -38,9 +42,10 @@ from collections import Counter
 from functools import cached_property
 from itertools import accumulate, product
 from math import prod
-from typing import Iterable, Iterator, Mapping, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .errors import BoundaryError, ValidationError
+from .errors import BoundaryError, ValidationError, _shown
 
 #: Reserved separator for composite element labels.
 SEPARATOR = "|"
@@ -67,7 +72,7 @@ class FinSet:
         for pos, label in enumerate(elements):
             if not isinstance(label, str) or label == "":
                 raise ValidationError(
-                    f"finite-set elements must be non-empty strings, got {label!r}"
+                    f"finite-set elements must be non-empty strings, got {_shown(label)}"
                 )
             if label in index:
                 raise ValidationError(f"duplicate element label {label!r}")
@@ -209,14 +214,14 @@ class FinMap:
     def __init__(self, dom: FinSet, cod: FinSet, table: Mapping[str, str]):
         for key in table:
             if key not in dom:
-                raise ValidationError(f"table key {key!r} is not in the domain {dom}")
+                raise ValidationError(f"table key {_shown(key)} is not in the domain {dom}")
         normalized: dict[str, str] = {}
         for x in dom:
             if x not in table:
                 raise ValidationError(f"map table is missing domain element {x!r}")
             y = table[x]
             if y not in cod:
-                raise ValidationError(f"table value {y!r} for {x!r} is not in the codomain {cod}")
+                raise ValidationError(f"table value {_shown(y)} for {x!r} is not in the codomain {cod}")
             normalized[x] = y
         self.dom = dom
         self.cod = cod
@@ -287,6 +292,15 @@ class Span:
             if points is None or left in points:
                 yield self.apex.key(x), left, self.target.key(self.right(x))
 
+    def _push(self, counts: Mapping) -> Counter:
+        """The span's matrix applied to a count vector over the source, keyed
+        by source keys: each apex element over a counted point adds that
+        point's count at its right leg."""
+        pushed: Counter = Counter()
+        for _, left, right in self._over(counts):
+            pushed[right] += counts[left]
+        return pushed
+
     def _matrix(self) -> list[list[int]]:
         """Fiber cardinalities, counted over the apex element by element."""
         matrix = [[0] * len(self.target) for _ in range(len(self.source))]
@@ -314,8 +328,12 @@ class Family:
     Every family is stored as its rows, (base key, element key) in total
     order, so only nonempty fibers take room. `Family(base, total, proj)`
     builds any family from labels; orbit and pushed families are built from
-    rows and form `total` and `proj` when first asked for.
+    a way to form their rows and a way to count their fibers; the rows, the
+    counts, `total` and `proj` are each formed when first asked for.
     """
+
+    #: counts the fibers without forming the rows, where a family knows how
+    _count = None
 
     def __init__(self, base: FinSet, total: FinSet, proj: FinMap):
         if proj.dom != total:
@@ -326,6 +344,18 @@ class Family:
         self.total = total
         self.proj = proj
         self._rows = [(base.key(proj(z)), (z,)) for z in total]
+
+    @cached_property
+    def _rows(self) -> list[_Row]:
+        return list(self._form())
+
+    @cached_property
+    def _counts(self) -> Counter:
+        """Each nonempty fiber's size, keyed by its base key: counted off the
+        rows where they are formed, and otherwise by the family's `_count`."""
+        if "_rows" in self.__dict__ or self._count is None:
+            return Counter(map(itemgetter(0), self._rows))
+        return self._count()
 
     def labels(self) -> list[tuple[str, str]]:
         """The (base label, element label) pairs, in total order, as
@@ -347,6 +377,12 @@ class Family:
         if type(base) is type(self.base):
             return self._rows
         return [(base.key(b), (z,)) for b, z in self.labels()]
+
+    def _counts_over(self, base) -> Counter:
+        """The fiber counts, keyed as `_rows_over(base)` keys the rows."""
+        if type(base) is type(self.base):
+            return self._counts
+        return Counter({base.key(join_labels(*b)): n for b, n in self._counts.items()})
 
     def fiber(self, base_label: str) -> list[str]:
         self.base.key(base_label)  # refuses a label not in the base
@@ -381,10 +417,14 @@ def _labelled(rows: Iterable[_Row]) -> Iterator[tuple[str, str]]:
     return ((join(point), join(element)) for point, element in rows)
 
 
-def _family(base, rows: Iterable[_Row]) -> Family:
-    """The family over `base` with these rows, in total order."""
+def _family(
+    base, form: Callable[[], Iterable[_Row]], count: Optional[Callable[[], Counter]] = None
+) -> Family:
+    """The family over `base` whose rows, in total order, `form()` yields
+    when they are first read, and whose fiber counts `count()` returns when
+    they are first read before the rows; both must describe one family."""
     family = Family.__new__(Family)
-    family.base, family._rows = base, list(rows)
+    family.base, family._form, family._count = base, form, count
     return family
 
 
@@ -433,21 +473,25 @@ def span_to_matrix(s: Span) -> list[list[int]]:
 def apply_span_to_family(s: Span, fam: Family) -> Family:
     """Pull the family back along the left leg, push it forward along the right.
 
-    The result lives over the span's target; its elements are the matching
-    pairs "x|z" with x in the apex and z lying over left(x), by apex element
-    and then in the family's order. Only the apex over the family's nonempty
-    fibers is visited.
+    The result lives over the span's target. Its fiber counts are the span's
+    matrix applied to the family's count vector (`Span._push`), formed when
+    first read, with no element formed. Its elements, formed when its rows
+    are first read, are the matching pairs "x|z" with x in the apex and z
+    lying over left(x), by apex element and then in the family's order; only
+    the apex over the family's nonempty fibers is visited.
     """
     if fam.base != s.source:
         raise BoundaryError(
             f"family base {fam.base} differs from span source {s.source}"
         )
-    over: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for point, element in fam._rows_over(s.source):
-        over.setdefault(point, []).append(element)
-    return _family(s.target, (
-        (right, apex + z) for apex, left, right in s._over(over) for z in over[left]
-    ))
+
+    def form() -> Iterator[_Row]:
+        over: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for point, element in fam._rows_over(s.source):
+            over.setdefault(point, []).append(element)
+        return ((right, apex + z) for apex, left, right in s._over(over) for z in over[left])
+
+    return _family(s.target, form, lambda: s._push(fam._counts_over(s.source)))
 
 
 class FamilyMatch:
@@ -456,12 +500,13 @@ class FamilyMatch:
     When every fiber cardinality agrees the families are isomorphic (these
     are plain sets, so cardinality is a complete invariant) and `witness` is
     a fiber-preserving bijection pairing elements in canonical order. A match
-    that `families_isomorphic` returns forms its witness the first time it is
-    read, once. Otherwise `witness` is None and `mismatch` names the first
-    base point where the counts differ, and `counts` gives both counts.
+    that `families_isomorphic` returns holds the two families and forms its
+    witness from their rows the first time it is read, once. Otherwise
+    `witness` is None and `mismatch` names the first base point where the
+    counts differ, and `counts` gives both counts.
     """
 
-    __slots__ = ("_witness", "_rows", "mismatch", "counts")
+    __slots__ = ("_witness", "_families", "mismatch", "counts")
 
     def __init__(
         self,
@@ -469,13 +514,14 @@ class FamilyMatch:
         mismatch: Optional[str] = None,
         counts: Optional[tuple[int, int]] = None,
     ):
-        self._witness, self._rows = witness, None
+        self._witness, self._families = witness, None
         self.mismatch, self.counts = mismatch, counts
 
     @property
     def witness(self) -> Optional[FinMap]:
-        if self._rows is not None:
-            self._witness, self._rows = _pair_fibers(*self._rows), None
+        if self._families is not None:
+            f1, f2 = self._families
+            self._witness, self._families = _pair_fibers(f1._rows, f2._rows_over(f1.base)), None
         return self._witness
 
     def __bool__(self) -> bool:
@@ -494,20 +540,20 @@ class FamilyMatch:
 
 
 def families_isomorphic(f1: Family, f2: Family) -> FamilyMatch:
-    """Compare fiber sizes where either family has elements, counted on base
-    keys. A mismatch is the first base point in base order whose counts
-    differ. Otherwise the match holds both families' rows, and its witness
-    pairs each fiber's elements in row order when it is first read."""
+    """Compare the families' fiber counts, keyed by base key (`_counts`), so
+    no row is formed where a family can count without. A mismatch is the
+    first base point in base order whose counts differ. Otherwise the match
+    holds both families, and its witness pairs each fiber's elements in row
+    order when it is first read."""
     if f1.base != f2.base:
         raise BoundaryError(f"family bases differ: {f1.base} vs {f2.base}")
-    rows1, rows2 = f1._rows, f2._rows_over(f1.base)
-    counts1, counts2 = Counter(p for p, _ in rows1), Counter(p for p, _ in rows2)
+    counts1, counts2 = f1._counts, f2._counts_over(f1.base)
     differ = {b for b, _ in counts1.items() ^ counts2.items()}  # counted differently, or on one side
     if differ:
         b = min(differ, key=f1.base.position_of)
         return FamilyMatch(None, mismatch=join_labels(*b), counts=(counts1[b], counts2[b]))
     match = FamilyMatch(None)
-    match._rows = rows1, rows2
+    match._families = f1, f2
     return match
 
 

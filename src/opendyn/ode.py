@@ -46,7 +46,7 @@ from functools import lru_cache
 from types import CodeType, FunctionType
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .errors import ExprEvalError, IntegrationError, ValidationError
+from .errors import ExprEvalError, IntegrationError, ValidationError, _shown
 from .expr import MAX_NODES, Dag, Expr, Var, compile_table, parse, substitute
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -64,7 +64,7 @@ def _check_vars(names: Sequence[str], what: str) -> tuple[str, ...]:
     seen = set()
     for name in out:
         if not isinstance(name, str) or not _IDENT.fullmatch(name):
-            raise ValidationError(f"{what}: bad identifier {name!r}")
+            raise ValidationError(f"{what}: bad identifier {_shown(name)}")
         if name in seen:
             raise ValidationError(f"{what}: duplicate identifier {name!r}")
         seen.add(name)
@@ -88,7 +88,7 @@ def _check_expr_table(
     """The table's entries in `keys` order, parsed, and their lowering."""
     for key in table:
         if key not in keys:
-            raise ValidationError(f"{what} has an entry for unknown identifier {key!r}")
+            raise ValidationError(f"{what} has an entry for unknown identifier {_shown(key)}")
     out: dict[str, Expr] = {}
     dag = Dag()
     sizes: list[int] = []  # nodes in the tree each entry of the Dag writes out to

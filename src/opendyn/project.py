@@ -31,13 +31,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from sys import float_info, get_int_max_str_digits
+from sys import float_info
 from typing import Iterable, Iterator, Optional, TextIO, Union
 
 from .deterministic import (
     DetChart, DetInterface, DetLens, DetSystem, Identity, Machine, _machine, _rewiring
 )
-from .errors import FileAccessError, OpendynError, ValidationError
+from .errors import FileAccessError, OpendynError, ValidationError, _shown
 from .expr import Dag, Expr, Num, _dag_text
 from .finset import FinMap, FinSet, _finmap
 from .ode import OdeLens, OdeSystem
@@ -379,16 +379,6 @@ def project_to_obj(project: ProjectFile) -> dict:
         if entries:
             obj[section] = entries
     return obj
-
-
-def _shown(value) -> str:
-    """`repr(value)`, or for an integer past the interpreter's limit on the
-    digits of an int written in decimal, a description of it."""
-    try:
-        return repr(value)
-    except ValueError:
-        what = "an integer" if isinstance(value, int) else "a value holding an integer"
-        return f"({what} of more than {get_int_max_str_digits()} digits)"
 
 
 def project_from_obj(obj) -> ProjectFile:

@@ -34,7 +34,7 @@ from typing import Mapping, Optional, Union
 from .deterministic import (
     DetSystem, Machine, compose_lens_system, simulate_system, steady_span, tensor_systems
 )
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 from .finset import FinSet, join_labels
 
 WeightLike = Union[Fraction, int, str]
@@ -94,20 +94,20 @@ class Dist:
     def __init__(self, support: FinSet, weights: Mapping[str, WeightLike]):
         for label in weights:
             if label not in support:
-                raise ValidationError(f"distribution weight on unknown label {label!r}")
+                raise ValidationError(f"distribution weight on unknown label {_shown(label)}")
         cleaned: dict[str, Fraction] = {}
         # In support order, whatever order the weights were given in.
         for label in sorted(weights, key=support.position):
             w = _as_fraction(weights[label], label)
             if w.numerator < 0:
-                raise ValidationError(f"negative weight {w} on {label!r}")
+                raise ValidationError(f"negative weight {_shown(w, str)} on {label!r}")
             if w.numerator:
                 cleaned[label] = w
         # The sum, over the least common denominator of the nonzero weights.
         den = math.lcm(*(w.denominator for w in cleaned.values()))
         num = sum(w.numerator * (den // w.denominator) for w in cleaned.values())
         if num != den:
-            raise ValidationError(f"weights must sum to 1 exactly, got {Fraction(num, den)}")
+            raise ValidationError(f"weights must sum to 1 exactly, got {_shown(Fraction(num, den), str)}")
         self.support = support
         self.weights = cleaned
 

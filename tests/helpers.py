@@ -21,7 +21,7 @@ from opendyn import (
     compose_lens_ode,
     compose_lens_system,
 )
-from opendyn.laws import random_interface, random_lens
+from opendyn.laws import random_interface, random_lens, random_system
 
 
 def fixture_path(name: str) -> str:
@@ -129,6 +129,19 @@ def random_markov_machine(
         for s in states
     }
     return StochSystem(states, iface, readout, update)
+
+
+def each_machine(rng: random.Random, iface: DetInterface, case: int):
+    """A deterministic machine on odd cases and a Markov machine on even ones."""
+    return random_system(rng, iface, 3) if case % 2 else random_markov_machine(rng, iface, 3)
+
+
+def two_input_rep() -> DetSystem:
+    """A representing machine that is not a cycle: identity readout, two inputs."""
+    states = FinSet(["a", "b"])
+    iface = DetInterface(FinSet(["x", "y"]), states)
+    update = {"a": {"x": "b", "y": "a"}, "b": {"x": "a", "y": "b"}}
+    return DetSystem(states, iface, FinMap.identity(states), update)
 
 
 def random_stoch_system(rng: random.Random, max_size: int = 4) -> StochSystem:

@@ -56,12 +56,14 @@ from dense_oracle import (
     dense_steady_span,
 )
 from helpers import (
+    each_machine,
     feedback_lens,
     fixture_path,
     flipflop,
     matmul,
     oscillator,
     random_markov_machine,
+    two_input_rep,
 )
 
 
@@ -79,14 +81,6 @@ def assert_same_match(sparse, dense) -> None:
     assert sparse.witness.dom.elements == dense.witness.dom.elements
     assert sparse.witness.cod.elements == dense.witness.cod.elements
     assert list(sparse.witness.table.items()) == list(dense.witness.table.items())
-
-
-def two_input_rep() -> DetSystem:
-    """A representing machine that is not a cycle: identity readout, two inputs."""
-    states = FinSet(["a", "b"])
-    iface = DetInterface(FinSet(["x", "y"]), states)
-    update = {"a": {"x": "b", "y": "a"}, "b": {"x": "a", "y": "b"}}
-    return DetSystem(states, iface, FinMap.identity(states), update)
 
 
 def random_rep(rng: random.Random) -> DetSystem:
@@ -446,10 +440,6 @@ class TestScale:
         assert match, match.mismatch
         orbits = sum(1 for _ in periodic_orbits(sys, 5))
         assert len(match.witness.dom) > 0 and orbits > 0
-
-
-def each_machine(rng: random.Random, iface: DetInterface, case: int):
-    return random_system(rng, iface, 3) if case % 2 else random_markov_machine(rng, iface, 3)
 
 
 class TestSparseFamiliesAnswerAsTheDenseOnes:
