@@ -36,10 +36,12 @@ class FileAccessError(OpendynError):
 
 
 class ExprSyntaxError(OpendynError):
-    """Expression text failed to parse. Carries the character offset."""
+    """Expression text failed to parse. Carries the message without its
+    position, and the character offset."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

@@ -9,19 +9,20 @@ Grammar (whitespace insignificant):
     atom    := NUMBER | IDENT | IDENT '(' sum ')' | '(' sum ')'
 
 so '^' binds tighter than unary minus, which binds tighter than '*' and '/'.
-Parentheses, calls, unary minus and exponents nest at most MAX_NESTING deep,
-which bounds the recursive-descent parser's own stack. Nothing else bounds a
-tree's depth: a flat chain such as `x+x+...+x` is parsed by a loop.
-The only functions are sin, cos, exp, log. There are no binders, so
-substitution is plain simultaneous replacement.
+Parentheses, calls, unary minus and exponents nest at most MAX_NESTING deep.
+Nothing else bounds a tree's depth: a flat chain such as `x+x+...+x` parses
+at any length. The only functions are sin, cos, exp, log. There are no
+binders, so substitution is plain simultaneous replacement.
 
 Every walk over expressions is a loop over one list, built without
 recursion: `Dag` lowers expressions to their distinct subtrees in post-order,
 equal subtrees sharing one entry. So no walk recurses, and a subtree that
-many paths reach, as wiring by substitution builds, is visited once.
-`compile_table` turns a table into the Python function `opendyn.ode`
-evaluates fields with; `evaluate` defines what it computes and explains
-every error it meets.
+many paths reach, as wiring by substitution builds, is visited once. `parse`
+reads text in one pass, an explicit stack of pending operators in place of
+the grammar's recursion, and given a `Dag` it lowers each node into it as
+it reads. `compile_table` turns a table into the Python function
+`opendyn.ode` evaluates fields with, a subtree used once written inline;
+`evaluate` defines what it computes and explains every error it meets.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import chain, islice
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import ExprEvalError, ExprSyntaxError, _shown
@@ -38,8 +40,8 @@ from .errors import ExprEvalError, ExprSyntaxError, _shown
 FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
-#: Deepest nesting of parentheses, calls, unary minus and exponents that the
-#: recursive-descent parser accepts; deeper text would exhaust Python's stack.
+#: Deepest nesting of parentheses, calls, unary minus and exponents that
+#: `parse` accepts, counted in the grammar's `factor` levels.
 MAX_NESTING = 100
 
 #: Most nodes one ODE table entry may have written out as a tree, as a project
@@ -180,134 +182,145 @@ class Dag:
                 ops, key = (), ("num", type(e.value), repr(e.value))
             else:
                 raise TypeError(f"{_shown(e)} is not an expression")
-            position = self.index.setdefault(key, len(self.nodes))
-            if position == len(self.nodes):
-                self.nodes.append(e)
-                self.operands.append(ops)
-            at[id(e)] = position
+            at[id(e)] = self._enter(key, e, ops)
         self.roots.append(at[id(root)])
         return self.roots[-1]
+
+    def _enter(self, key: tuple, node: Expr, ops: tuple[int, ...]) -> int:
+        """The position of the entry keyed `key`; when there is none yet,
+        `node` with operands at `ops` is appended as it."""
+        position = self.index.setdefault(key, len(self.nodes))
+        if position == len(self.nodes):
+            self.nodes.append(node)
+            self.operands.append(ops)
+        return position
 
 
 # -- parsing -----------------------------------------------------------------
 
+#: One token after optional whitespace: a numeral, a name or an operator,
+#: tried in that order at each position.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[a-zA-Z_][a-zA-Z0-9_]*)"
-    r"|(?P<op>[+\-*/^()]))"
+    r"\s*(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+    r"|[a-zA-Z_][a-zA-Z0-9_]*|[+\-*/^()])"
 )
+_OPERATORS = frozenset("+-*/^()")
+#: How tightly each binary operator binds; a pending operator binding at
+#: least as tightly as the next one is reduced before it.
+_BINDS = {"+": 1, "-": 1, "*": 2, "/": 2}
+_UNARY = 3  # a pending unary minus or exponent: reduced when its factor ends
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.lastgroup is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprSyntaxError(
-                f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
+def parse(text: str, dag: Dag | None = None) -> Expr:
+    """The expression `text` spells, as a tree. Given a `dag`, each node is
+    entered into it as soon as it is read, operands first, so `dag` gets
+    the entries and root `dag.add` would give the tree; a text that fails
+    to parse may leave entries of what was read before the fault.
+
+    One regex pass tokenizes the text, and an explicit stack of pending
+    operators takes the place of the grammar's recursion; `depth` counts
+    the open factors, and a factor that would open at MAX_NESTING is
+    refused. A fault raises ExprSyntaxError at the token the grammar meets
+    it on, after any character that is no token.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    # `findall` skips what no token starts at; `split` drops the same
+    # whitespace as the regex's `\s`, so any other skipped character shows
+    if sum(map(len, tokens)) != sum(map(len, text.split())):
+        raise _character_error(text)
+    tokens.append("")  # the end of input
+    if dag is None:
+        dag = Dag()
+    enter = dag._enter
+    # pending operators, innermost last, as (binds, operator, left operand,
+    # its position); a group, "(" or a function name, binds 0, and so does
+    # the end of input, "", under the rest
+    stack: list[tuple] = [(0, "", None, 0)]
+    depth = i = 0
+    while True:  # a factor starts at token i
+        token = tokens[i]
+        if depth == MAX_NESTING:
+            raise _syntax_error(
+                f"expression nests deeper than {MAX_NESTING} levels", text, tokens, i
             )
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.nesting = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect_op(self, op: str) -> None:
-        kind, value, position = self.peek()
-        if kind != "op" or value != op:
-            raise ExprSyntaxError(f"expected {op!r}", position)
-        self.advance()
-
-    def parse(self) -> Expr:
-        expr = self.sum()
-        kind, value, position = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected {value!r} after expression", position)
-        return expr
-
-    def chain(self, ops: str, operand) -> Expr:
-        """operand ((op in ops) operand)*, associating to the left."""
-        expr = operand()
-        while True:
-            kind, value, _ = self.peek()
-            if kind != "op" or value not in ops:
-                return expr
-            self.advance()
-            expr = BinOp(value, expr, operand())
-
-    def sum(self) -> Expr:
-        return self.chain("+-", self.product)
-
-    def product(self) -> Expr:
-        return self.chain("*/", self.factor)
-
-    def factor(self) -> Expr:
-        kind, value, position = self.peek()
-        if self.nesting == MAX_NESTING:
-            raise ExprSyntaxError(f"expression nests deeper than {MAX_NESTING} levels", position)
-        self.nesting += 1
-        if kind == "op" and value == "-":
-            self.advance()
-            result = Neg(self.factor())
-        else:
-            result = self.power()
-        self.nesting -= 1
-        return result
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            return BinOp("^", base, self.factor())
-        return base
-
-    def atom(self) -> Expr:
-        kind, value, position = self.advance()
-        if kind == "num":
-            number = float(value)
+        depth += 1
+        i += 1
+        if token == "-" or token == "(":
+            stack.append((_UNARY, "neg", None, 0) if token == "-" else (0, "(", None, 0))
+            continue
+        if token.isidentifier():
+            if tokens[i] == "(":
+                if token not in FUNCTIONS:
+                    raise _syntax_error(f"unknown function {token!r}", text, tokens, i - 1)
+                stack.append((0, token, None, 0))
+                i += 1
+                continue
+            node = Var(token)
+            at = enter(("var", token), node, ())
+        elif token and token not in _OPERATORS:
+            number = float(token)
             if number == math.inf:  # it would print as the name inf
-                raise ExprSyntaxError(f"numeral {value!r} is not a finite float", position)
-            return Num(number)
-        if kind == "ident":
-            peek_kind, peek_value, _ = self.peek()
-            if peek_kind == "op" and peek_value == "(":
-                if value not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {value!r}", position)
-                self.advance()
-                arg = self.sum()
-                self.expect_op(")")
-                return Call(value, arg)
-            return Var(value)
-        if kind == "op" and value == "(":
-            result = self.sum()
-            self.expect_op(")")
-            return result
-        shown = value if value else "end of input"
-        raise ExprSyntaxError(f"expected a value, got {shown!r}", position)
+                raise _syntax_error(
+                    f"numeral {token!r} is not a finite float", text, tokens, i - 1
+                )
+            node = Num(number)
+            at = enter(("num", float, repr(number)), node, ())
+        else:
+            shown = token if token else "end of input"
+            raise _syntax_error(f"expected a value, got {shown!r}", text, tokens, i - 1)
+        while True:  # the atom `node` at `at` is read
+            token = tokens[i]
+            if token == "^":
+                stack.append((_UNARY, "^", node, at))
+                i += 1
+                break
+            depth -= 1  # and so is the factor around it
+            binds = _BINDS.get(token, 1)
+            while stack[-1][0] >= binds:
+                pending, op, left, left_at = stack.pop()
+                if pending == _UNARY:  # the factor it is part of ends with it
+                    depth -= 1
+                if left is None:
+                    node = Neg(node)
+                    at = enter(("neg", at), node, (at,))
+                else:
+                    node = BinOp(op, left, node)
+                    at = enter((op, left_at, at), node, (left_at, at))
+            if token in _BINDS:
+                stack.append((_BINDS[token], token, node, at))
+                i += 1
+                break
+            group = stack[-1][1]
+            if not group:
+                if token:
+                    raise _syntax_error(
+                        f"unexpected {token!r} after expression", text, tokens, i
+                    )
+                dag.roots.append(at)
+                return node
+            if token != ")":
+                raise _syntax_error("expected ')'", text, tokens, i)
+            stack.pop()
+            i += 1
+            if group != "(":
+                node = Call(group, node)
+                at = enter(("call", group, at), node, (at,))
 
 
-def parse(text: str) -> Expr:
-    return _Parser(text).parse()
+def _syntax_error(message: str, text: str, tokens: list[str], i: int) -> ExprSyntaxError:
+    """The error `message` at token i, its position found again."""
+    if i == len(tokens) - 1:
+        return ExprSyntaxError(message, len(text))
+    return ExprSyntaxError(message, next(islice(_TOKEN_RE.finditer(text), i, None)).start(1))
+
+
+def _character_error(text: str) -> ExprSyntaxError:
+    """The error at the first character of `text` that no token starts at."""
+    pos = 0
+    while match := _TOKEN_RE.match(text, pos):
+        pos = match.end()
+    stripped = text[pos:].lstrip()
+    return ExprSyntaxError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
 
 
 # -- walks over the lowered list -----------------------------------------------
@@ -425,6 +438,11 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
 
 # -- compilation -------------------------------------------------------------
 
+#: Deepest an entry's code nests inside one generated statement; an entry
+#: whose code would nest deeper is stored in a local. Python's parser takes
+#: fewer than 200 nested parentheses.
+_INLINE_NESTING = 32
+
 
 def compile_table(
     table: Mapping[str, Expr],
@@ -437,48 +455,61 @@ def compile_table(
     tuple of `table[key]` for each key. A caller that has lowered the table
     passes the `dag`, `table[keys[j]]` its root j.
 
-    The function is straight-line Python, a statement per entry of the Dag
-    that is neither a constant nor an argument, so any depth compiles and a
-    shared subtree is computed once. It only computes, with `math` called
-    directly and an unbound name read from an empty dict, giving what
-    `evaluate` gives, bit for bit. It raises exactly when some `evaluate`
-    raises, since Python's `/` refuses exactly the divisors it does (0.0,
-    -0.0 and 0); then `evaluate` replays the table and raises its first
-    error, prefixed `<what> component '<key>': `.
+    The function is straight-line Python. An entry of the Dag that two or
+    more operands or roots use is computed once into a local; one used once
+    is written in parentheses where it is used, unless its code would nest
+    `_INLINE_NESTING` deep, when it gets a local too. So any depth compiles,
+    every entry is computed exactly once, and each expression evaluates its
+    operands left to right. It only computes, with `math` called directly
+    and an unbound name read from an empty dict, giving what `evaluate`
+    gives, bit for bit. It raises exactly when some `evaluate` raises, since
+    Python's `/` refuses exactly the divisors it does (0.0, -0.0 and 0);
+    then `evaluate` replays the table and raises its first error, prefixed
+    `<what> component '<key>': `.
     """
     if dag is None:
         dag = Dag(table[key] for key in keys)
     # a name listed twice reads its last value, as a dict built in order would
     arg_of = {name: f"_a{j}" for j, name in enumerate(args)}
     namespace = {"_pow": math.pow, "_unbound": {}}
+    uses = [0] * len(dag.nodes)
+    for j in chain(dag.roots, *dag.operands):
+        uses[j] += 1
     lines: list[str] = []
-    local: list[str] = []  # the local or constant holding each entry
+    code: list[str] = []  # each entry's code: a local, a constant, or an expression
+    nesting: list[int] = []  # how deep each entry's code nests, 0 for a name
 
     def const(value) -> str:
         name = f"_k{len(namespace)}"
         namespace[name] = value
         return name
 
-    for node, ops in zip(dag.nodes, dag.operands):
-        operand = [local[j] for j in ops]
-        if isinstance(node, Num):
-            local.append(const(node.value))
-            continue
-        if isinstance(node, Var) and node.name in arg_of:
-            local.append(arg_of[node.name])
+    def operand(j: int) -> str:
+        return f"({code[j]})" if nesting[j] else code[j]
+
+    for node, ops, used in zip(dag.nodes, dag.operands, uses):
+        if isinstance(node, Num) or (isinstance(node, Var) and node.name in arg_of):
+            code.append(const(node.value) if isinstance(node, Num) else arg_of[node.name])
+            nesting.append(0)
             continue
         if isinstance(node, Var):
-            rhs = f"_unbound[{const(node.name)}]"
+            text = f"_unbound[{const(node.name)}]"
         elif isinstance(node, Neg):
-            rhs = f"-{operand[0]}"
+            text = f"-{operand(ops[0])}"
         elif isinstance(node, Call):
-            rhs = f"{const(FUNCTIONS[node.fn])}({operand[0]})"
+            text = f"{const(FUNCTIONS[node.fn])}({code[ops[0]]})"
         elif node.op == "^":
-            rhs = f"_pow({operand[0]}, {operand[1]})"
+            text = f"_pow({code[ops[0]]}, {code[ops[1]]})"
         else:
-            rhs = f"{operand[0]} {node.op} {operand[1]}"
-        local.append(f"_v{len(lines)}")
-        lines.append(f"        {local[-1]} = {rhs}")
+            text = f"{operand(ops[0])} {node.op} {operand(ops[1])}"
+        depth = 1 + max([nesting[j] for j in ops], default=0)
+        if used > 1 or depth == _INLINE_NESTING:
+            code.append(f"_v{len(lines)}")
+            nesting.append(0)
+            lines.append(f"        {code[-1]} = {text}")
+        else:
+            code.append(text)
+            nesting.append(depth)
 
     def explain(*values) -> None:
         env = dict(zip(args, values))
@@ -490,7 +521,7 @@ def compile_table(
 
     namespace["_explain"] = explain
     params = ", ".join(f"_a{j}" for j in range(len(args)))
-    returned = "".join(f"{local[root]}, " for root in dag.roots)
+    returned = "".join(f"{code[root]}, " for root in dag.roots)
     source = "\n".join([
         f"def _compiled({params}):",
         "    try:",

@@ -9,11 +9,13 @@ substitution, so wiring two populations into a predator-prey loop literally
 produces the expected right-hand sides.
 
 A system lowers its field and readout to an `expr.Dag` once, when it is
-built: that checks each entry's scope and refuses one of more than
-`expr.MAX_NODES` nodes written out. Every evaluation runs straight-line
-Python that `expr.compile_table` generates from those lowerings on first
-use, each repeated subtree of a deeply wired field computed once. Its
-results are those of `expr.evaluate`, which explains any failure.
+built, a text entry as `expr.parse` reads it: that checks each entry's scope
+and refuses one of more than `expr.MAX_NODES` nodes written out, and any
+fault names the table and key. Every evaluation runs straight-line Python
+that `expr.compile_table` generates from those lowerings on first use, each
+repeated subtree of a deeply wired field computed once into a local and each
+other subtree written inline. Its results are those of `expr.evaluate`,
+which explains any failure.
 
 Solving is fixed-step classical RK4 on a grid of at most MAX_STEPS steps, by
 one loop generated per system and built on first use (`OdeSystem.integrator`):
@@ -46,7 +48,7 @@ from functools import lru_cache
 from types import CodeType, FunctionType
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .errors import ExprEvalError, IntegrationError, ValidationError, _shown
+from .errors import ExprEvalError, ExprSyntaxError, IntegrationError, ValidationError, _shown
 from .expr import MAX_NODES, Dag, Expr, Var, compile_table, parse, substitute
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -85,7 +87,8 @@ def _check_disjoint(groups: Mapping[str, Sequence[str]]) -> None:
 def _check_expr_table(
     table: Mapping[str, ExprLike], keys: tuple[str, ...], allowed: set[str], what: str
 ) -> tuple[dict[str, Expr], Dag]:
-    """The table's entries in `keys` order, parsed, and their lowering."""
+    """The table's entries in `keys` order, parsed, and their lowering; a
+    text entry is lowered as it is parsed."""
     for key in table:
         if key not in keys:
             raise ValidationError(f"{what} has an entry for unknown identifier {_shown(key)}")
@@ -95,12 +98,18 @@ def _check_expr_table(
     for key in keys:
         if key not in table:
             raise ValidationError(f"{what} is missing an entry for {key!r}")
-        e = parse(table[key]) if isinstance(table[key], str) else table[key]
+        e = table[key]
         start = len(dag.nodes)
         try:
-            root = dag.add(e)
+            if isinstance(e, str):
+                e = parse(e, dag)
+            else:
+                dag.add(e)
+        except ExprSyntaxError as exc:
+            raise ExprSyntaxError(f"{what}[{key!r}]: {exc.message}", exc.position) from None
         except TypeError as exc:
             raise ValidationError(f"{what}[{key!r}]: {exc}") from None
+        root = dag.roots[-1]
         # an entry that an earlier key reaches too was checked with that key
         stray = {n.name for n in dag.nodes[start:] if isinstance(n, Var)} - allowed
         if stray:

@@ -503,6 +503,22 @@ class TestDeepExpressions:
         assert proc.stderr.startswith("error:") and "nests deeper" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_a_syntax_error_names_its_entry(self, tmp_path):
+        project = tmp_path / "typo.json"
+        project.write_text(json.dumps({"version": 1, "systems": {"typo": {
+            "kind": "ode", "stateVars": ["x", "y"], "outputVars": ["o"], "paramVars": [],
+            "readout": {"o": "x"}, "field": {"x": "x", "y": "x +* 2"},
+        }}}))
+        out = tmp_path / "x.csv"
+        proc = run_cli("simulate", project, "--system", "typo", "--init", "1,1", "--params", "",
+                       "--t1", "1", "--h", "0.5", "--out", out)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: {project}: system 'typo': field['y']: "
+            "expected a value, got '*' (at position 3)\n"
+        )
+        assert not out.exists()
+
 
     def test_three_thousand_term_field_simulates(self, tmp_path):
         long_sum = "+".join(["x"] * 3000)

@@ -6,9 +6,12 @@ give the trajectories and deviations of the tree-walk integrator in
 `tree_walk_oracle`.
 """
 
+import dis
 import math
 import random
 import struct
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +35,7 @@ from opendyn import (
     substitute,
     to_text,
 )
-from opendyn.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var
+from opendyn.expr import _INLINE_NESTING, FUNCTIONS, BinOp, Call, Dag, Neg, Num, Var
 
 import tree_walk_oracle as oracle
 from helpers import fixture_path, ode_chain, wired
@@ -164,11 +167,69 @@ class TestDeepTrees:
         deep = _deep_chain(LEVELS // 2, "x")
         same_as_tree_walk({"e": BinOp("/", deep, BinOp("-", deep, deep))}, (0.3, 1.5, -0.25))
 
-    def test_each_distinct_node_is_one_statement(self):
+    def test_each_distinct_node_is_computed_once(self):
         f = compile_table({"e": _deep_chain(LEVELS, "x")}, ["e"], ARGS, "t")
-        temporaries = [v for v in f.__code__.co_varnames if v.startswith("_v")]
         # once: y*z, z/y, their difference and 25 sums; per level: 0.5*x and a sum
-        assert len(temporaries) == 3 + 25 + LEVELS * 2
+        assert operations(f) == 3 + 25 + LEVELS * 2
+        # locals: the difference and the block, each used more than once, and
+        # every _INLINE_NESTING-th entry of the one-use chain through the levels
+        assert len(temporaries(f)) == 2 + 2 * LEVELS // _INLINE_NESTING
+
+
+def operations(f) -> int:
+    """The arithmetic operations and calls in `f`'s code, less the one call
+    to `_explain`: one per inner node computed, for a table whose names are
+    all bound (on Python 3.14 an unbound name's lookup is a BINARY_OP too)."""
+    return sum(
+        i.opname in ("UNARY_NEGATIVE", "CALL", "CALL_FUNCTION")
+        or (i.opname.startswith("BINARY_") and i.opname != "BINARY_SUBSCR")
+        for i in dis.get_instructions(f)
+    ) - 1
+
+
+def temporaries(f) -> list[str]:
+    return [v for v in f.__code__.co_varnames if v.startswith("_v")]
+
+
+def inner_entries(dag: Dag) -> tuple[int, int]:
+    """The entries of `dag` that are neither constants nor variables, and
+    how many of them two or more operands or roots use."""
+    uses = Counter(chain(dag.roots, *dag.operands))
+    inner = [j for j, node in enumerate(dag.nodes) if not isinstance(node, (Num, Var))]
+    return len(inner), sum(uses[j] > 1 for j in inner)
+
+
+class TestInlining:
+    """An entry used once is written where it is used, up to a nesting of
+    `_INLINE_NESTING`; the entry that reaches it is stored in a local."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize(
+        "chain_of", [lambda n: "-" * n + "x", lambda n: "+".join(["x"] * (n + 1))]
+    )
+    def test_a_one_use_chain_at_the_cap(self, chain_of, offset):
+        n = _INLINE_NESTING + offset  # operations, each nesting one deeper
+        e = parse(chain_of(n))
+        f = compile_table({"e": e}, ["e"], ARGS, "t")
+        assert operations(f) == n
+        assert len(temporaries(f)) == (0 if offset < 0 else 1)
+        assert f(1.5, 0.0, 0.0) == (evaluate(e, {"x": 1.5}),)
+
+    def test_a_chain_far_past_the_cap_compiles(self):
+        e = Var("x")
+        for _ in range(20_000):
+            e = Neg(e)
+        f = compile_table({"e": e}, ["e"], ARGS, "t")
+        assert len(temporaries(f)) == 20_000 // _INLINE_NESTING
+        assert f(1.5, 0.0, 0.0) == (1.5,)
+
+    def test_a_root_used_twice_is_one_local(self):
+        e = parse("x*y + 1")
+        f = compile_table({"a": e, "b": e, "c": parse("(x*y + 1)/2")}, ["a", "b", "c"], ARGS, "t")
+        # x*y once, inlined; the sum in a local for a, b and c; the quotient inline
+        assert operations(f) == 3
+        assert len(temporaries(f)) == 1
+        assert f(2.0, 3.0, 0.0) == (7.0, 7.0, 3.5)
 
 
 class TestKeywordIdentifiers:
@@ -197,7 +258,7 @@ def _inner_subtrees(e, into: set) -> set:
 
 class TestWiredSystems:
     @pytest.mark.parametrize("depth", [1, 4, 16])
-    def test_shared_subtrees_are_emitted_once(self, depth):
+    def test_shared_subtrees_are_computed_once(self, depth):
         system = wired(depth)
         # a saved and reloaded project shares no node between its copies
         system = OdeSystem(
@@ -209,8 +270,11 @@ class TestWiredSystems:
         distinct = set()
         for e in system.field.values():
             _inner_subtrees(e, distinct)
-        temporaries = [v for v in field.__code__.co_varnames if v.startswith("_v")]
-        assert len(temporaries) == len(distinct)
+        inner, shared = inner_entries(Dag(system.field[k] for k in system.state_vars))
+        assert operations(field) == len(distinct) == inner
+        # a local per entry used twice or more, and one per _INLINE_NESTING
+        # one-use entries at most
+        assert shared <= len(temporaries(field)) <= shared + (inner - shared) // _INLINE_NESTING
         total = sum(_nodes(e) for e in system.field.values())
         if depth == 16:
             assert total > 3 * len(distinct)

@@ -10,6 +10,7 @@ import pytest
 
 from opendyn import (
     ExprEvalError,
+    ExprSyntaxError,
     IntegrationError,
     OdeLens,
     OdeSystem,
@@ -112,6 +113,25 @@ class TestOdeSystemValidation:
             to_text(value)
         with pytest.raises(TypeError, match=f"^{re.escape(problem)}$"):
             compile_table({"x": value}, ["x"], ["x"], "field")
+
+    @pytest.mark.parametrize(
+        "build, message, position",
+        [
+            (lambda: OdeSystem(["x", "y"], [], [], {}, {"x": "x", "y": "x +* 2"}),
+             "field['y']: expected a value, got '*'", 3),
+            (lambda: OdeSystem(["x"], ["o"], [], {"o": "sin(x"}, {"x": "x"}),
+             "readout['o']: expected ')'", 5),
+            (lambda: OdeLens(["y"], ["p"], ["z"], ["q"], {"z": "y $ 1"}, {"p": "q"}),
+             "fwd['z']: unexpected character '$'", 2),
+            (lambda: OdeLens(["y"], ["p"], ["z"], ["q"], {"z": "y"}, {"p": "tan(q)"}),
+             "bwd['p']: unknown function 'tan'", 0),
+        ],
+    )
+    def test_a_syntax_error_names_the_table_and_key(self, build, message, position):
+        with pytest.raises(ExprSyntaxError) as err:
+            build()
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
     def test_a_subtree_shared_across_keys_is_scoped_by_each_key(self):
         shared = parse("s*t + q")

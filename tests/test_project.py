@@ -216,7 +216,7 @@ class TestLoadErrorsNameTheEntryOnce:
             (
                 "systems",
                 ode_entry(field={"x": "1e999*x"}),
-                "system 'e': numeral '1e999' is not a finite float (at position 0)",
+                "system 'e': field['x']: numeral '1e999' is not a finite float (at position 0)",
             ),
         ],
     )
