@@ -7,8 +7,8 @@ and periodic orbits form families over chart sets, lenses induce spans
 (matrices of sets) between those chart sets, and `check_matrix_theorem`
 verifies that wiring commutes with collecting behaviors. A chart set is a
 `ProductSet`, never listed unless its labels are asked for; an orbit family
-holds only the charts that carry orbits, and a lens span its one-step table
-and k. The theorem reads these public objects alone, and `steady` and
+holds only the charts that carry orbits, and a lens span is the k-th tensor
+power of its one-step span (`tensor_spans`). The theorem reads these public objects alone, and `steady` and
 `matrix` stream the same walk's rows and the same span's matrix rows.
 """
 
@@ -35,6 +35,7 @@ from .finset import (
     join_labels,
     product_finset,
     span_to_matrix,
+    tensor_spans,
 )
 from .expr import (
     BinOp,

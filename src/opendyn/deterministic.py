@@ -19,10 +19,10 @@ span's matrix applied to a count vector. A chart set is a `ProductSet` and
 is never enumerated; an orbit family is bounded when it is made and walks
 when it is read, counting its charts in a pass that forms no element, and
 forming its rows, which read update cells through the effect's `point`,
-only when they are first read; a lens span holds its one-step `bwd`
-preimage table and k, pushes a count vector through that table position by
-position, pushes a family's rows through the charts that carry orbits only,
-and forms its matrix one row at a time. `steady` and
+only when they are first read; a lens span is the k-th tensor power
+(`finset.tensor_spans`) of the one-step span of `bwd`, so it pushes a count
+vector factor by factor, pushes a family's rows through the charts that
+carry orbits only, and forms its matrix one row at a time. `steady` and
 `matrix` write the same walk's rows and the same span's matrix rows as they
 are formed (`periodic_orbit_rows`, `lens_matrix_rows`). Labels are joined
 with `|` where a Family, Span or FamilyMatch hands them out, or a row is
@@ -50,8 +50,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, compress, product
+from itertools import compress
 from typing import ClassVar, Iterable, Iterator, Mapping, Optional
 
 from .errors import BoundaryError, ValidationError, _shown
@@ -65,12 +64,13 @@ from .finset import (
     _family,
     _finmap,
     _labelled,
-    _legs,
+    _span,
     apply_span_to_family,
     families_isomorphic,
     join_labels,
     product_finset,
     span_to_matrix,
+    tensor_spans,
 )
 
 #: Most entries a lens span's matrix may have, and most charts either side of
@@ -777,108 +777,6 @@ def periodic_orbits(sys: Machine, k: int) -> list[tuple[str, str]]:
     return list(periodic_orbit_rows(sys, k))
 
 
-def _lens_apex(steps: Mapping, charts: Iterable[tuple[str, ...]]) -> list[tuple]:
-    """The elements of a lens's period-k span over the given source charts
-    (o_j, i_j)_j, as (apex, left, right) slot tuples in the whole apex's
-    product order; the left leg is the chart. The span is the one-step span
-    of `bwd` taken position by position: `steps[o, i]` lists the (o, i')
-    with bwd(o, i') = i, and their right leg is (fwd(o), i')."""
-    elements, flat = [], chain.from_iterable
-    for chart in charts:
-        for combo in product(*[steps[pair] for pair in zip(chart[::2], chart[1::2])]):
-            key, apex, right = zip(*combo)
-            elements.append((key, tuple(flat(apex)), chart, tuple(flat(right))))
-    elements.sort()
-    return [(apex, chart, right) for _key, apex, chart, right in elements]
-
-
-class _LensSpan(Span):
-    """A lens's span at period k, held as the one-step preimage table of
-    `bwd` and k. Its chart sets and apex are `ProductSet`s, its two legs are
-    formed together (`_legs`) only when asked for, applying it to a count
-    vector goes position by position through the table (`_push`), and the
-    rows of a family it is applied to go through the preimages of the
-    family's nonempty charts only (`_lens_apex`). Its matrix is the k-th
-    Kronecker power of the one-step matrix, read one row at a time as the
-    sorted columns of the row's 1s (`_ones`), from which `_matrix` fills
-    dense rows and `opendyn matrix` writes each row's text as it is formed."""
-
-    def __init__(self, lens: DetLens, rep_interface: DetInterface):
-        self.k = len(rep_interface.outputs)
-        self.source = _charts(rep_interface, lens.source)
-        self.target = _charts(rep_interface, lens.target)
-        self.apex = ProductSet((lens.source.outputs, lens.target.inputs) * self.k)
-        # steps[o, i]: the one-step elements over (o, i) as (positions of o and
-        # i', apex slots, right leg slots); `bwd` is normalized to canonical row
-        # and column order, so the positions, position by position, sort in
-        # the apex's order
-        self.steps = {(o, i): [] for o in lens.source.outputs for i in lens.source.inputs}
-        # rights[o, i]: the right legs (fwd(o), i') of steps[o, i], for `_push`
-        self.rights = {pair: [] for pair in self.steps}
-        for m, (o, row) in enumerate(lens.bwd.items()):
-            for n, (i2, i) in enumerate(row.items()):
-                right = (lens.fwd.table[o], i2)
-                self.steps[o, i].append(((m, n), (o, i2), right))
-                self.rights[o, i].append(right)
-
-    def _push(self, counts: Mapping) -> Counter:
-        """The span's matrix applied to a count vector over source charts,
-        position by position through the one-step table: each step takes a
-        key's first (o, i) pair off its front and appends, for each preimage,
-        the pair's right leg (fwd(o), i'), adding the key's count there. After
-        k steps a key is a target chart; no apex element is formed."""
-        rights = self.rights
-        for _ in range(self.k):
-            pushed: dict = {}
-            get = pushed.get
-            for key, n in counts.items():
-                rest = key[2:]
-                for right in rights[key[:2]]:
-                    key2 = rest + right
-                    pushed[key2] = get(key2, 0) + n
-            counts = pushed
-        return Counter(counts)
-
-    def _over(self, points=None) -> list[tuple]:
-        if points is None:  # every chart some apex element lies over
-            hit = [pair for pair, up in self.steps.items() if up]
-            points = (tuple(chain.from_iterable(pairs)) for pairs in product(hit, repeat=self.k))
-        return _lens_apex(self.steps, points)
-
-    @cached_property
-    def _both_legs(self) -> tuple[FinMap, FinMap]:
-        return _legs(self.apex, self.source, self.target, self._over())
-
-    left = property(lambda self: self._both_legs[0])
-    right = property(lambda self: self._both_legs[1])
-
-    def _ones(self) -> Iterator[list[int]]:
-        """Each row of the k-th Kronecker power of the one-step 0/1 matrix, in
-        source order, as the ascending columns of its 1s. One-step row
-        pos(o)*|I| + pos(i) has its 1s at pos(fwd o)*|I'| + pos(i') for each
-        i' with bwd(o, i') = i. The row whose k digits are one-step rows
-        r_1..r_k has its 1s at c_1*n^(k-1) + ... + c_k, each c_j a 1 of r_j and
-        n the one-step column count, ascending when taken in product order.
-        The power stays 0/1, since an apex element is fixed by its two legs."""
-        columns = ProductSet(self.target.alphabets[:2])
-        ones = [[columns.position_of(right) for _, _, right in up] for up in self.steps.values()]
-        n = len(columns)
-        # digit j of a row, its one-step columns scaled to their place value
-        places = [[[c * n**j for c in row] for row in ones] for j in reversed(range(self.k))]
-        for digits in product(*places):
-            yield list(map(sum, product(*digits)))
-
-    def _matrix(self) -> list[list[int]]:
-        """The dense rows of `_ones`."""
-        matrix, width = [], len(self.target)
-        for ones in self._ones():
-            row = [0] * width
-            for c in ones:
-                row[c] = 1
-            matrix.append(row)
-        return matrix
-
-
 def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
     """The span a lens induces between chart sets out of a walking-cycle interface.
 
@@ -886,10 +784,11 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
     new input i'. The left leg fills the old input as bwd(o, i'); the right
     leg pushes the output forward as fwd(o). Both legs are functions of the
     apex, so the matrix of this span has exactly one 1 per apex element.
-    Nothing of the apex's size is built here: the span holds the one-step
-    table of `bwd` and k, and its matrix is the k-th Kronecker power of the
-    one-step matrix. The interface must have one input and at least one
-    output, as a walking cycle's has.
+    The span is the k-th tensor power of the one-step span of `bwd`, with
+    apex (o, i'), left leg (o, bwd(o, i')) and right leg (fwd(o), i'), for
+    k the interface's outputs; nothing of the apex's size is built here. The
+    interface must have one input and at least one output, as a walking
+    cycle's has.
     """
     if len(rep_interface.inputs) != 1:
         raise ValidationError(
@@ -897,10 +796,14 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
         )
     if not rep_interface.outputs:
         raise ValidationError("representing interface must have at least one output (a walking cycle)")
-    return _LensSpan(lens, rep_interface)
+    s, t, fwd = lens.source, lens.target, lens.fwd.table
+    rows = [((o, i2), (o, i), (fwd[o], i2)) for o, row in lens.bwd.items() for i2, i in row.items()]
+    step = _span(ProductSet((s.outputs, s.inputs)), ProductSet((t.outputs, t.inputs)),
+                 ProductSet((s.outputs, t.inputs)), rows)  # bwd's rows, in canonical order
+    return tensor_spans(*[step] * len(rep_interface.outputs))
 
 
-def _period_lens_span(lens: DetLens, k: int) -> _LensSpan:
+def _period_lens_span(lens: DetLens, k: int) -> Span:
     """The lens's span at period k. A matrix of more than
     `MAX_MATRIX_ENTRIES` entries, or with more charts than that on either
     side, is a `ValidationError` that states its size, raised before

@@ -1,8 +1,9 @@
 """Finite sets, total maps, spans, and families over a base.
 
 A span between finite sets behaves like a matrix of sets: the fiber over a
-(source, target) pair is one entry, and composing spans multiplies these
-matrices, with disjoint union playing the role of addition. A family is a
+(source, target) pair is one entry, composing spans multiplies these
+matrices, with disjoint union playing the role of addition, and their tensor
+product is the Kronecker product. A family is a
 set fibered over a base; applying a span to a family pulls the family back
 along the left leg and pushes it forward along the right leg. Everything
 here is immutable after construction and all operations are pure.
@@ -27,7 +28,14 @@ two count vectors, joining only the label of a mismatch, and forms the rows
 and the labels of its witness when the witness is first read. Rows become
 labels in one place, `_labelled`, which `Family.labels()` lists for the
 family's total, projection, fibers and equality, and which `opendyn steady`
-streams; a span's legs are labelled in one pass (`_legs`).
+streams.
+
+`Span` is the one span implementation: a tensor product of factors, each
+holding its apex elements over each source key, so that listing apex
+elements (`_over`), pushing a count vector (`_push`) and forming matrix rows
+(`_ones`) are each written once, and the legs are labelled in one pass when
+first read. A span built from its legs is one factor, and `tensor_spans`
+joins the factors of its arguments over the `ProductSet`s of their sides.
 
 `FinMap(dom, cod, table)` checks its table; `_finmap` sets the same slots
 without checks, for callers whose table has every domain element once, in
@@ -40,7 +48,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional
@@ -269,7 +277,12 @@ def _finmap(dom, cod, table: dict[str, str]) -> FinMap:
 
 
 class Span:
-    """Two legs out of a common apex: source <- apex -> target."""
+    """Two legs out of a common apex: source <- apex -> target.
+
+    It is held as a tensor product of factors (`_factors`), each its source
+    key width, its target, and its apex elements over each source key as
+    (apex position, apex key, right key), in apex order.
+    """
 
     def __init__(self, source: FinSet, target: FinSet, apex: FinSet, left: FinMap, right: FinMap):
         if left.dom != apex or right.dom != apex:
@@ -278,35 +291,78 @@ class Span:
             raise ValidationError(f"left leg codomain {left.cod} is not the source {source}")
         if right.cod != target:
             raise ValidationError(f"right leg codomain {right.cod} is not the target {target}")
-        self.source = source
-        self.target = target
-        self.apex = apex
-        self.left = left
-        self.right = right
+        rows = ((apex.key(x), source.key(left(x)), target.key(right(x))) for x in apex)
+        # the span `_span` builds from the legs' rows, holding the legs themselves
+        vars(self).update(vars(_span(source, target, apex, rows)), _both_legs=(left, right))
 
-    def _over(self, points: Optional[Mapping] = None) -> Iterator[tuple]:
+    @property
+    def _cuts(self) -> list[tuple[int, int]]:
+        """Each factor's (start, end) slots in a source key."""
+        ends = list(accumulate(width for width, _, _ in self._factors))
+        return list(zip([0, *ends], ends))
+
+    def _over(self, points: Optional[Iterable] = None) -> list[tuple]:
         """The apex elements as (apex, left, right) keys, in apex order; only
-        those whose left leg is one of `points` when they are given."""
-        for x in self.apex:
-            left = self.source.key(self.left(x))
-            if points is None or left in points:
-                yield self.apex.key(x), left, self.target.key(self.right(x))
+        those whose left leg is one of `points` when they are given. A point
+        is cut into its factors' keys, and the elements over it are the
+        product of the factors' elements over those, sorted by their tuples
+        of apex positions."""
+        flat, factors = chain.from_iterable, self._factors
+        if points is None:  # every source key some apex element lies over
+            points = (tuple(flat(keys)) for keys in product(*[over for _, _, over in factors]))
+        cut, elements = [(a, b, over) for (a, b), (_, _, over) in zip(self._cuts, factors)], []
+        for point in points:
+            for combo in product(*[over.get(point[a:b], ()) for a, b, over in cut]):
+                pos, apex, right = zip(*combo)
+                elements.append((pos, tuple(flat(apex)), point, tuple(flat(right))))
+        elements.sort()
+        return [(apex, point, right) for _, apex, point, right in elements]
 
     def _push(self, counts: Mapping) -> Counter:
         """The span's matrix applied to a count vector over the source, keyed
-        by source keys: each apex element over a counted point adds that
-        point's count at its right leg."""
-        pushed: Counter = Counter()
-        for _, left, right in self._over(counts):
-            pushed[right] += counts[left]
-        return pushed
+        by source keys, factor by factor: each factor takes its key off the
+        front of a counted key and appends, for each apex element over it,
+        that element's right key, adding the count there. After the last
+        factor a key is a target key; no apex element is formed."""
+        for width, _, over in self._factors:
+            pushed: dict = {}
+            get = pushed.get
+            for key, n in counts.items():
+                rest = key[width:]
+                for _, _, right in over.get(key[:width], ()):
+                    key2 = rest + right
+                    pushed[key2] = get(key2, 0) + n
+            counts = pushed
+        return Counter(counts)
 
-    def _matrix(self) -> list[list[int]]:
-        """Fiber cardinalities, counted over the apex element by element."""
-        matrix = [[0] * len(self.target) for _ in range(len(self.source))]
-        for _, left, right in self._over():
-            matrix[self.source.position_of(left)][self.target.position_of(right)] += 1
-        return matrix
+    def _ones(self) -> Iterator[list[int]]:
+        """Each row of the span's matrix, in source order, as the columns of
+        its apex elements, a column repeated as often as elements lie over
+        it: the Kronecker product of the factors' rows. The row whose factor
+        keys are r_1..r_m has an element at c_1*p_1 + ... + c_m for each
+        choice of columns c_j over r_j, p_j the product of the later
+        factors' column counts. Taken in product order these ascend where no
+        factor has two elements over one (row, column) pair, as in a lens's
+        span, whose rows `opendyn matrix` writes as they are formed."""
+        alphabets, places, scale = _alphabets(self.source), [], 1
+        for (a, b), (_, target, over) in reversed(list(zip(self._cuts, self._factors))):
+            places.append([sorted(target.position_of(right) * scale for _, _, right in over.get(key, ()))
+                           for key in product(*alphabets[a:b])])
+            scale *= len(target)
+        for digits in product(*reversed(places)):
+            yield list(map(sum, product(*digits)))
+
+    @cached_property
+    def _both_legs(self) -> tuple[FinMap, FinMap]:
+        """The left and right legs, labelled in one pass over `_over()`."""
+        left, right = {}, {}
+        for x, v, w in self._over():
+            z = join_labels(*x)
+            left[z], right[z] = join_labels(*v), join_labels(*w)
+        return FinMap(self.apex, self.source, left), FinMap(self.apex, self.target, right)
+
+    left = property(lambda self: self._both_legs[0])
+    right = property(lambda self: self._both_legs[1])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -320,6 +376,24 @@ class Span:
 
     def __repr__(self) -> str:
         return f"Span(source={self.source!r}, target={self.target!r}, apex={self.apex!r})"
+
+
+def _alphabets(side) -> tuple:
+    """The slot alphabets of a set: a `ProductSet`'s own, or a `FinSet` alone."""
+    return side.alphabets if isinstance(side, ProductSet) else (side,)
+
+
+def _span(source, target, apex, rows: Iterable[tuple]) -> Span:
+    """The one-factor span whose apex elements are these (apex, left, right)
+    key rows, in apex order, set without checks; its legs are labelled when
+    first read."""
+    over: dict[tuple, list[tuple]] = {}
+    for pos, (x, v, w) in enumerate(rows):
+        over.setdefault(v, []).append((pos, x, w))
+    span = Span.__new__(Span)
+    span.source, span.target, span.apex = source, target, apex
+    span._factors = ((len(_alphabets(source)), target, over),)
+    return span
 
 
 class Family:
@@ -449,25 +523,35 @@ def compose_spans(s1: Span, s2: Span) -> Span:
         by_middle.setdefault(join_labels(*middle), []).append((y, w))
     rows = [(x + y, v, w) for x, v, m in s1._over() for y, w in by_middle.get(join_labels(*m), ())]
     apex = FinSet(join_labels(*xy) for xy, _, _ in rows)
-    return Span(s1.source, s2.target, apex, *_legs(apex, s1.source, s2.target, rows))
+    return _span(s1.source, s2.target, apex, [((z,), v, w) for z, (_, v, w) in zip(apex, rows)])
 
 
-def _legs(apex, source, target, rows: Iterable[tuple]) -> tuple[FinMap, FinMap]:
-    """The left and right legs of a span whose apex elements are these
-    (apex, left, right) key rows, labelled in one pass over them."""
-    left: dict[str, str] = {}
-    right: dict[str, str] = {}
-    for x, v, w in rows:
-        z = join_labels(*x)
-        left[z], right[z] = join_labels(*v), join_labels(*w)
-    return FinMap(apex, source, left), FinMap(apex, target, right)
+def tensor_spans(first: Span, *rest: Span) -> Span:
+    """The tensor (Kronecker) product of spans: its source, target and apex
+    are the `ProductSet`s of theirs, and its factors are theirs in turn. Its
+    apex elements are the tuples of theirs, in product order, and its matrix
+    is the Kronecker product of their matrices."""
+    spans = (first, *rest)
+    span = Span.__new__(Span)
+    span.source, span.target, span.apex = (
+        ProductSet(chain.from_iterable(map(_alphabets, sides)))
+        for sides in zip(*[(s.source, s.target, s.apex) for s in spans])
+    )
+    span._factors = tuple(chain.from_iterable(s._factors for s in spans))
+    return span
 
 
 def span_to_matrix(s: Span) -> list[list[int]]:
     """Fiber cardinalities as a |source| x |target| matrix of non-negative
-    integers, as the span computes them: a lens span takes a Kronecker power
-    of its one-step matrix, any other span counts its apex element by element."""
-    return s._matrix()
+    integers, filled from the span's rows (`Span._ones`): the Kronecker
+    product of its factors' rows, each column counted once per apex element."""
+    matrix, width = [], len(s.target)
+    for ones in s._ones():
+        row = [0] * width
+        for c in ones:
+            row[c] += 1
+        matrix.append(row)
+    return matrix
 
 
 def apply_span_to_family(s: Span, fam: Family) -> Family:

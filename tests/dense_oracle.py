@@ -1,16 +1,17 @@
 """The dense orbit enumeration, lens span and matrix-theorem check, kept as an oracle.
 
 `opendyn.deterministic` finds orbits by a column walk, builds a lens's
-span from the preimages of its one-step `bwd` table, and compares the
+span as the tensor power of its one-step span, and compares the
 matrix theorem's two sides fiber by fiber on the charts that carry orbits;
 steady states are the orbits of period 1, and a Markov machine's orbits are
 read from its cells through `DistEffect.point`. The functions here are the
 direct definitions it replaced: test every state/input combination, enumerate
-every chart and every apex element in product order, pull a family back and
-push it forward element by element, and compare every fiber of the base,
-reading each family's fibers off its total set and projection table. A
-cell of either effect is tested against a state by `_reaches`, which does not
-use the effects' code. They cost (|S|·|I|)^k and (|O|·|I'|)^k, so they serve
+every chart and every apex element in product order (of a lens span, or of
+a tensor of listed spans), count a span's matrix over its apex, pull a
+family back and push it forward element by element, and compare every fiber
+of the base, reading each family's fibers off its total set and projection
+table. A cell of either effect is tested against a state by `_reaches`,
+which does not use the effects' code. They cost (|S|·|I|)^k and (|O|·|I'|)^k, so they serve
 only small differential tests.
 """
 
@@ -98,6 +99,31 @@ def dense_lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
         left[label] = join_labels(*left_parts)
         right[label] = join_labels(*right_parts)
     apex = FinSet(labels)
+    return Span(source, target, apex, FinMap(apex, source, left), FinMap(apex, target, right))
+
+
+def dense_span_matrix(s: Span) -> list[list[int]]:
+    """Fiber cardinalities, counted over the apex element by element from
+    the labels of its legs."""
+    matrix = [[0] * len(s.target) for _ in s.source]
+    for x in s.apex:
+        matrix[s.source.position(s.left(x))][s.target.position(s.right(x))] += 1
+    return matrix
+
+
+def dense_tensor_spans(*spans: Span) -> Span:
+    """Every tuple of apex elements in product order, each leg the tuple of
+    the factors' legs, all by labels."""
+    source, target, apex = (
+        FinSet(join_labels(*combo) for combo in product(*sides))
+        for sides in zip(*[(s.source, s.target, s.apex) for s in spans])
+    )
+    left: dict[str, str] = {}
+    right: dict[str, str] = {}
+    for combo in product(*[s.apex for s in spans]):
+        label = join_labels(*combo)
+        left[label] = join_labels(*[s.left(x) for s, x in zip(spans, combo)])
+        right[label] = join_labels(*[s.right(x) for s, x in zip(spans, combo)])
     return Span(source, target, apex, FinMap(apex, source, left), FinMap(apex, target, right))
 
 

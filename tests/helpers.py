@@ -84,6 +84,11 @@ def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     ]
 
 
+def kron(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Plain Kronecker product, the independent oracle for the span tensor."""
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
 def random_finset(rng: random.Random, prefix: str, max_size: int, min_size: int = 1) -> FinSet:
     return FinSet(f"{prefix}{n}" for n in range(rng.randint(min_size, max_size)))
 

@@ -2,13 +2,14 @@
 
 `opendyn.finset.apply_span_to_family` answers a pushed family's fiber counts
 by applying the span's matrix to the source family's count vector, and a
-lens span does that position by position through its one-step preimage
-table; `families_isomorphic` compares the two sides' counts. The functions
-here are the path they replaced: list every apex element over the family's
+lens span does that factor by factor through its one-step span;
+`families_isomorphic` compares the two sides' counts. The functions here
+are the path they replaced: list every apex element over the family's
 nonempty charts, with its apex key, sorted into the whole apex's product
 order; pair it with each element over its left leg; and count the pushed
-rows per chart. They cost an element per pushed row, so they serve the
-differential tests.
+rows per chart. A lens span's apex is listed from the preimage table of the
+lens's own `bwd` (`lens_steps`), not from the span. They cost an element per
+pushed row, so they serve the differential tests.
 """
 
 from __future__ import annotations
@@ -18,8 +19,18 @@ from itertools import chain, product
 from typing import Mapping, Optional
 
 from opendyn import DetLens, Family, Machine, Span, compose_lens_system, walking_cycle
-from opendyn.deterministic import _LensSpan, lens_to_span, representable_span
+from opendyn.deterministic import lens_to_span, representable_span
 from opendyn.finset import join_labels
+
+
+def lens_steps(lens: DetLens) -> dict:
+    """steps[o, i]: the (o, i') with bwd(o, i') = i, each as (positions of o
+    and i', apex slots (o, i'), right leg slots (fwd(o), i'))."""
+    steps = {(o, i): [] for o in lens.source.outputs for i in lens.source.inputs}
+    for m, (o, row) in enumerate(lens.bwd.items()):
+        for n, (i2, i) in enumerate(row.items()):
+            steps[o, i].append(((m, n), (o, i2), (lens.fwd(o), i2)))
+    return steps
 
 
 def lens_apex(steps: Mapping, charts) -> list[tuple]:
@@ -34,13 +45,14 @@ def lens_apex(steps: Mapping, charts) -> list[tuple]:
     return [(apex, chart, right) for _key, apex, chart, right in elements]
 
 
-def pushed_rows(span: Span, fam: Family) -> list[tuple]:
+def pushed_rows(span: Span, fam: Family, lens: Optional[DetLens] = None) -> list[tuple]:
     """The rows of the span applied to the family: each apex element over a
-    nonempty fiber, by apex element, paired with each element of that fiber."""
+    nonempty fiber, by apex element, paired with each element of that fiber.
+    Where `span` is `lens`'s span, its apex is listed by `lens_apex`."""
     over: dict[tuple, list[tuple]] = {}
     for point, element in fam._rows_over(span.source):
         over.setdefault(point, []).append(element)
-    apex = lens_apex(span.steps, over) if isinstance(span, _LensSpan) else list(span._over(over))
+    apex = list(span._over(over)) if lens is None else lens_apex(lens_steps(lens), over)
     return [(right, x + z) for x, left, right in apex for z in over[left]]
 
 
@@ -66,5 +78,7 @@ def rows_check_matrix_theorem(lens: DetLens, sys: Machine, k: int, pushed_by: De
     applied to the machine's orbits, counted per chart."""
     cycle = walking_cycle(k)
     rewired = representable_span(cycle, compose_lens_system(lens, sys))
-    span = lens_to_span(pushed_by or lens, cycle.interface)
-    return rows_verdict(rewired.base, rewired._rows, pushed_rows(span, representable_span(cycle, sys)))
+    pushed_by = pushed_by or lens
+    span = lens_to_span(pushed_by, cycle.interface)
+    pushed = pushed_rows(span, representable_span(cycle, sys), pushed_by)
+    return rows_verdict(rewired.base, rewired._rows, pushed)

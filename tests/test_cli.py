@@ -25,6 +25,7 @@ from opendyn import (
     FinSet,
     OdeSystem,
     ParamSignal,
+    Span,
     ValidationError,
     check_solve_functoriality,
     compose_lens_ode,
@@ -1174,7 +1175,7 @@ class TestEveryWalkIsBounded:
             raise AssertionError("a walk or an apex was built")
 
         monkeypatch.setattr(det, "_maps_into", fail)
-        monkeypatch.setattr(det, "_lens_apex", fail)
+        monkeypatch.setattr(Span, "_over", fail)
 
     def test_check_refuses_a_wide_lens_naming_the_pair(self, tmp_path, capsys):
         project = tmp_path / "wide.json"

@@ -20,6 +20,7 @@ from opendyn import (
     FinMap,
     FinSet,
     OdeSystem,
+    Span,
     ValidationError,
     apply_span_to_family,
     check_matrix_theorem,
@@ -71,7 +72,7 @@ class TestCountsAgainstThePushedRows:
             lens = random_lens(rng, iface, random_interface(rng, 4, tag="t"))
             span = lens_to_span(lens, walking_cycle(k).interface)
             counts = apply_span_to_family(span, periodic_orbit_span(machine, k))._counts
-            old_rows = pushed_rows(span, periodic_orbit_span(machine, k))
+            old_rows = pushed_rows(span, periodic_orbit_span(machine, k), lens)
             assert counts == row_counts(old_rows), case
             pushed_some += bool(counts)
             walked = periodic_orbit_span(machine, k)._counts
@@ -138,23 +139,24 @@ class TestMutatedLenses:
         assert mismatches > 50
 
 
-def counting(monkeypatch, *names) -> Counter:
-    """Count the calls of these `opendyn.deterministic` functions."""
-    calls = Counter()
+def counting(monkeypatch, *names, owner=det, calls=None) -> Counter:
+    """Count the calls of these functions of `owner`, `opendyn.deterministic`
+    by default, in `calls` where it is given."""
+    calls = Counter() if calls is None else calls
     for name in names:
-        real = getattr(det, name)
+        real = getattr(owner, name)
 
         def counted(*args, _name=name, _real=real):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(det, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 class TestRowsAreFormedOnFirstRead:
     def test_an_unread_witness_forms_no_apex_and_no_orbit_row(self, monkeypatch):
-        calls = counting(monkeypatch, "_lens_apex", "_orbits")
+        calls = counting(monkeypatch, "_over", owner=Span, calls=counting(monkeypatch, "_orbits"))
         rng = random.Random(35)
         for case in range(30):
             iface = random_interface(rng, 3)
@@ -165,7 +167,7 @@ class TestRowsAreFormedOnFirstRead:
         match = check_matrix_theorem(feedback_lens(), flipflop(), 2)
         assert match and calls == Counter()
         match.witness
-        assert calls == Counter({"_lens_apex": 1, "_orbits": 2})
+        assert calls == Counter({"_over": 1, "_orbits": 2})
 
     def test_formed_rows_are_counted_without_walking_again(self, monkeypatch):
         fam = periodic_orbit_span(flipflop(), 2)

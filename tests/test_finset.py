@@ -20,10 +20,12 @@ from opendyn import (
     families_isomorphic,
     identity_span,
     span_to_matrix,
+    tensor_spans,
 )
 from opendyn.finset import join_labels, product_finset
 
-from helpers import matmul, random_family, random_finset, random_span
+from dense_oracle import dense_span_matrix, dense_tensor_spans
+from helpers import kron, matmul, random_family, random_finset, random_span
 
 
 class TestFinSet:
@@ -314,3 +316,61 @@ class TestSpanAlgebraProperties:
             at_once = apply_span_to_family(compose_spans(s1, s2), fam)
             staged = apply_span_to_family(s2, apply_span_to_family(s1, fam))
             assert families_isomorphic(at_once, staged)
+
+
+def labelled(rows) -> list[tuple[str, str, str]]:
+    """(apex, left, right) key rows as their labels."""
+    return [tuple(join_labels(*key) for key in row) for row in rows]
+
+
+def assert_equals_the_dense_tensor(tensor, dense, rng: random.Random) -> None:
+    """Matrix, rows, pushed counts, apex elements over some points, and legs."""
+    matrix = dense_span_matrix(dense)
+    assert span_to_matrix(tensor) == matrix
+    assert [[ones.count(c) for c in range(len(dense.target))] for ones in tensor._ones()] == matrix
+    counts = {v: rng.randint(1, 4) for v in dense.source if rng.random() < 0.6}
+    pushed = [sum(n * matrix[dense.source.position(v)][w] for v, n in counts.items())
+              for w in range(len(dense.target))]
+    expected = {tensor.target.key(w): n for w, n in zip(dense.target, pushed) if n}
+    assert tensor._push({tensor.source.key(v): n for v, n in counts.items()}) == expected
+    over = [(x, dense.left(x), dense.right(x)) for x in dense.apex if dense.left(x) in counts]
+    assert labelled(tensor._over({tensor.source.key(v): n for v, n in counts.items()})) == over
+    assert labelled(tensor._over()) == [(x, dense.left(x), dense.right(x)) for x in dense.apex]
+    assert tensor.apex.elements == dense.apex.elements
+    assert list(tensor.left.table.items()) == list(dense.left.table.items())
+    assert list(tensor.right.table.items()) == list(dense.right.table.items())
+
+
+class TestTensorSpans:
+    def test_two_factors_equal_the_dense_tensor(self):
+        """The matrix is the Kronecker product, and the rows, pushed counts,
+        apex order and legs are the dense tensor's."""
+        rng, repeated = random.Random(40), 0
+        for case in range(240):
+            a, b, c, d = (random_finset(rng, tag, 3) for tag in "abcd")
+            s1, s2 = random_span(rng, a, b), random_span(rng, c, d)
+            tensor = tensor_spans(s1, s2)
+            assert span_to_matrix(tensor) == kron(span_to_matrix(s1), span_to_matrix(s2)), case
+            assert_equals_the_dense_tensor(tensor, dense_tensor_spans(s1, s2), rng)
+            repeated += any(n > 1 for row in span_to_matrix(tensor) for n in row)
+        assert repeated > 50
+
+    def test_three_factors_associate(self):
+        """Either bracketing of three factors has the dense tensor's rows,
+        apex order and legs."""
+        rng = random.Random(41)
+        for case in range(40):
+            sides = [random_finset(rng, tag, 3) for tag in "abcdef"]
+            s1, s2, s3 = (random_span(rng, *sides[j:j + 2], max_apex=4) for j in (0, 2, 4))
+            dense = dense_tensor_spans(s1, s2, s3)
+            for tensor in (tensor_spans(s1, s2, s3), tensor_spans(tensor_spans(s1, s2), s3),
+                           tensor_spans(s1, tensor_spans(s2, s3))):
+                assert tensor.source == dense.source and tensor.target == dense.target, case
+                assert_equals_the_dense_tensor(tensor, dense, rng)
+
+    def test_a_factor_with_an_empty_apex_empties_the_tensor(self):
+        one, two = FinSet(["p"]), FinSet(["q", "r"])
+        empty = Span(one, two, FinSet([]), FinMap(FinSet([]), one, {}), FinMap(FinSet([]), two, {}))
+        tensor = tensor_spans(identity_span(two), empty)
+        assert span_to_matrix(tensor) == [[0, 0, 0, 0], [0, 0, 0, 0]]
+        assert tensor._over() == [] and tensor._push({("q", "p"): 3}) == {}

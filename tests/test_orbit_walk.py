@@ -52,6 +52,7 @@ from dense_oracle import (
     dense_lens_to_span,
     dense_periodic_orbit_span,
     dense_representable_span,
+    dense_span_matrix,
     dense_steady_rows,
     dense_steady_span,
 )
@@ -326,22 +327,27 @@ class TestLensSpan:
         assert span.apex.elements == ("o|x", "o|y", "o|z", "p|x", "p|y", "p|z")
 
     def test_equals_the_dense_span_on_seeded_lenses(self):
-        """The span, and its action on the orbits of a random machine."""
+        """The span, its matrix and its rows of ascending columns, and its
+        action on the orbits of a random machine."""
         rng, machines = random.Random(9), random.Random(11)
         crossed = 0
-        for case in range(200):
+        for case in range(300):
             k = 1 + case % 3
             iface = random_interface(rng, 3)
             lens = random_lens(rng, iface, random_interface(rng, 3, tag="t"))
             crossed += preimages_out_of_order(lens)
             rep = walking_cycle(k).interface
-            span = lens_to_span(lens, rep)
-            assert_same_span(span, dense_lens_to_span(lens, rep))
+            span, dense = lens_to_span(lens, rep), dense_lens_to_span(lens, rep)
+            assert_same_span(span, dense)
+            matrix, ones = dense_span_matrix(dense), list(span._ones())
+            assert span_to_matrix(span) == matrix, case
+            assert [[int(c in row) for c in range(len(dense.target))] for row in ones] == matrix
+            assert all(row == sorted(set(row)) for row in ones), case
             orbits = periodic_orbit_span(random_system(machines, iface, 3), k)
             assert_same_family(
                 apply_span_to_family(span, orbits), dense_apply_span_to_family(span, orbits)
             )
-        assert 50 < crossed < 200
+        assert 50 < crossed < 300
 
 
 def matrix_bytes(lens: DetLens, name: str, k: int) -> bytes:
