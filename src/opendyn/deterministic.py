@@ -50,8 +50,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from typing import ClassVar, Iterable, Iterator, Mapping, Optional
+from itertools import compress, product
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional
 
 from .errors import BoundaryError, ValidationError, _shown
 from .finset import (
@@ -148,17 +148,19 @@ class Identity:
 
     An effect says what a machine's update lands in. The shared machine code
     calls its static methods: `cell_problem(cell, states)` says what is wrong
-    with one update cell, or None; `product(a, b, states)` is the cell of two
-    machines run side by side, on the product states; `point(cell)` is the
-    state the cell reaches for sure, or None; `sample(cell, rng)` draws one.
-    `opendyn.project` writes and reads the cells of each effect.
+    with one update cell, or None; `product(a, b, states)`, for machines on
+    the states `a` and `b`, is the function that takes a cell of each to
+    their cell on the product states `states`, run side by side; `point(cell)`
+    is the state the cell reaches for sure, or None; `sample(cell, rng)` draws
+    one. `opendyn.project` writes and reads the cells of each effect.
     """
 
     cell_problem = staticmethod(_label_problem)
 
     @staticmethod
-    def product(a: str, b: str, states: FinSet) -> str:
-        return join_labels(a, b)
+    def product(a: FinSet, b: FinSet, states: FinSet) -> Callable[[str, str], str]:
+        """The label of the pair of next states."""
+        return join_labels
 
     @staticmethod
     def point(cell: str) -> str:
@@ -403,7 +405,8 @@ def simulate_system(sys: Machine, s0: str, word: Iterable[str], seed: int = 0) -
 
 def tensor_systems(a: Machine, b: Machine) -> Machine:
     """Run two machines side by side; everything is the componentwise product,
-    and update cells multiply in the machines' shared effect."""
+    and update cells multiply in the machines' shared effect. The product
+    sets list their pairs a-major, so their labels are read off in order."""
     if type(a) is not type(b):
         raise BoundaryError(f"cannot tensor a {type(a).__name__} with a {type(b).__name__}")
     states = product_finset(a.states, b.states)
@@ -411,24 +414,18 @@ def tensor_systems(a: Machine, b: Machine) -> Machine:
         product_finset(a.interface.inputs, b.interface.inputs),
         product_finset(a.interface.outputs, b.interface.outputs),
     )
+    pairs = list(zip(states, product(a.states, b.states)))
+    inputs = list(zip(iface.inputs, product(a.interface.inputs, b.interface.inputs)))
+    readout_a, readout_b = a.readout.table, b.readout.table
     readout = _finmap(
         states,
         iface.outputs,
-        {
-            join_labels(sa, sb): join_labels(a.readout(sa), b.readout(sb))
-            for sa in a.states
-            for sb in b.states
-        },
+        {s: join_labels(readout_a[sa], readout_b[sb]) for s, (sa, sb) in pairs},
     )
-    cell_product = a.effect.product
+    cell_product = a.effect.product(a.states, b.states, states)
     update = {
-        join_labels(sa, sb): {
-            join_labels(ia, ib): cell_product(a.update[sa][ia], b.update[sb][ib], states)
-            for ia in a.interface.inputs
-            for ib in b.interface.inputs
-        }
-        for sa in a.states
-        for sb in b.states
+        s: {i: cell_product(a.update[sa][ia], b.update[sb][ib]) for i, (ia, ib) in inputs}
+        for s, (sa, sb) in pairs
     }
     return _machine(type(a), states, iface, readout, update)
 

@@ -29,7 +29,8 @@ public constructor's O(rows) checks: `_grid` is strictly increasing (it
 refuses a step too small for the float spacing of its times) and the loop
 and readout give rows of fixed widths. `OdeSystem.copied_states` names the
 outputs whose readout is a bare state variable, whose values are then that
-state's very floats.
+state's very floats: `rk4_solve` reads such outputs off the state rows, and
+compiles and runs the readout only when some output is not one.
 `check_residual` replays a trajectory against the field with central
 differences; `check_solve_functoriality` compares substitute-then-solve
 against solving with parameters filled in on the fly at every integrator
@@ -161,30 +162,31 @@ class OdeSystem:
             field, self.state_vars, states | set(self.param_vars), "field"
         )
         self._dags = (field_dag, readout_dag)
-        self._compiled = None
+        self._compiled: dict[str, Callable[..., tuple[float, ...]]] = {}
         self._rk4 = None
 
-    def compiled(self) -> tuple[Callable[..., tuple[float, ...]], Callable[..., tuple[float, ...]]]:
-        """The field, over state then parameter values, and the readout, over
-        state values, as compiled functions; built on first use."""
-        if self._compiled is None:
-            field_dag, readout_dag = self._dags
-            self._compiled = (
-                compile_table(
+    def compiled(self, table: str) -> Callable[..., tuple[float, ...]]:
+        """The "field", over state then parameter values, or the "readout",
+        over state values, as a compiled function; each built on first use."""
+        fn = self._compiled.get(table)
+        if fn is None:
+            if table == "field":
+                fn = compile_table(
                     self.field, self.state_vars, self.state_vars + self.param_vars, "field",
-                    field_dag,
-                ),
-                compile_table(
-                    self.readout, self.output_vars, self.state_vars, "readout", readout_dag
-                ),
-            )
-        return self._compiled
+                    self._dags[0],
+                )
+            else:
+                fn = compile_table(
+                    self.readout, self.output_vars, self.state_vars, "readout", self._dags[1]
+                )
+            self._compiled[table] = fn
+        return fn
 
     def integrator(self) -> Callable[..., list[tuple[float, ...]]]:
         """The RK4 loop over this system's compiled field, `_rk4(times, y,
         p, sample)` of `_rk4_code`; built on first use."""
         if self._rk4 is None:
-            namespace = {**_RK4_HELPERS, "_field": self.compiled()[0], "_names": self.state_vars}
+            namespace = {**_RK4_HELPERS, "_field": self.compiled("field"), "_names": self.state_vars}
             self._rk4 = FunctionType(
                 _rk4_code(len(self.state_vars), len(self.param_vars)), namespace
             )
@@ -374,7 +376,7 @@ def eval_field(
         raise ValidationError(
             f"expected {len(sys.param_vars)} parameter values, got {len(params)}"
         )
-    return sys.compiled()[0](*state, *params)
+    return sys.compiled("field")(*state, *params)
 
 
 def eval_readout(sys: OdeSystem, state: Sequence[float]) -> tuple[float, ...]:
@@ -383,7 +385,7 @@ def eval_readout(sys: OdeSystem, state: Sequence[float]) -> tuple[float, ...]:
         raise ValidationError(
             f"expected {len(sys.state_vars)} state values, got {len(state)}"
         )
-    return sys.compiled()[1](*state)
+    return sys.compiled("readout")(*state)
 
 
 class ParamSignal:
@@ -596,7 +598,8 @@ def rk4_solve(
     """Integrate the system, sampling parameters at each integrator stage time.
 
     A constant signal (one row) gives the same row at every time, so its
-    values are bound once; the outputs are read off after the integration.
+    values are bound once; the outputs are read off after the integration,
+    straight from the state rows where every output copies a state.
     """
     y0 = _initial_state(sys, s0)
     if param_signal.width != len(sys.param_vars):
@@ -609,10 +612,17 @@ def rk4_solve(
         values = sys.integrator()(times, y0, param_signal.rows[0], None)
     else:
         values = sys.integrator()(times, y0, None, lambda t, *state: param_signal(t))
-    readout = sys.compiled()[1]
-    outputs = [readout(*y) for y in values]
+    values = tuple(values)
+    copies = sys.copied_states()
+    if None in copies:
+        readout = sys.compiled("readout")
+        outputs = tuple([readout(*y) for y in values])
+    elif copies == tuple(range(len(y0))):  # the outputs are the states
+        outputs = values
+    else:
+        outputs = tuple([tuple([y[j] for j in copies]) for y in values])
     # `_grid` increases strictly and the loop and readout give fixed widths
-    return _trajectory(tuple(times), tuple(values), tuple(outputs))
+    return _trajectory(tuple(times), values, outputs)
 
 
 @dataclass(frozen=True)
@@ -691,7 +701,7 @@ def check_solve_functoriality(
     composed = compose_lens_ode(lens, sys)
     path_a = rk4_solve(composed, s0, outer_signal, t0, t1, h)
 
-    readout = sys.compiled()[1]
+    readout = sys.compiled("readout")
     bwd = compile_table(lens.bwd, sys.param_vars, sys.output_vars + lens.target_params, "bwd")
 
     if len(outer_signal.rows) == 1:  # a constant signal, bound once as `rk4_solve` binds it

@@ -4,7 +4,10 @@ The one module that knows the format. Every entry carries a `kind` tag
 ("deterministic", "stochastic", or "ode"); `KINDS` maps each section and kind
 to the entry's class and the codec of its shape. Saving is deterministic
 (construction order, fixed key order), so identical projects give identical
-bytes.
+bytes: those of `json.dumps(obj, indent=2)`, from a writer that puts a dict
+or list of strings alone (an update cell, a readout or fwd row, a label
+list) in one join, and a Markov machine's weights as one `str` per distinct
+weight object.
 
 Loading reads a finite entry (a machine of either effect, a lens, a chart)
 in one validating pass, the accept pass (`_accepted`): it walks the JSON
@@ -161,12 +164,34 @@ def _accepted_table(table, rows: FinSet, cols: FinSet, values: FinSet,
 # values to build the entry; `encode(cls, entry)` gives the fields' values;
 # `accept(cls, obj, sets)`, None for ODE entries, is the accept pass.
 
+def _label_table(update: dict) -> dict:
+    """A deterministic machine's update table as JSON: its rows as they are."""
+    return {s: dict(row) for s, row in update.items()}
+
+
+def _dist_table(update: dict) -> dict:
+    """A Markov machine's update table as JSON: one `str` per distinct weight
+    object, keyed by its id, which is sound while the machine holds it."""
+    texts: dict[int, str] = {}
+    table = {}
+    for s, row in update.items():
+        table[s] = out = {}
+        for i, cell in row.items():
+            out[i] = obj = {}
+            for label, w in cell.weights.items():
+                text = texts.get(id(w))
+                if text is None:
+                    text = texts[id(w)] = str(w)
+                obj[label] = text
+    return table
+
+
 #: A finite machine's update cells, per effect: the shape of a cell, the cell
-#: from JSON given the machine's states, the cell to JSON, and the accept
-#: pass's cell from JSON given the states (None where it declines).
+#: from JSON given the machine's states, the update table to JSON, and the
+#: accept pass's cell from JSON given the states (None where it declines).
 CELLS = {
-    Identity: (0, lambda value, states: value, lambda cell: cell, _accepted_label),
-    DistEffect: (1, lambda value, states: Dist(states, value), Dist.to_obj, _accepted_dist),
+    Identity: (0, lambda value, states: value, _label_table, _accepted_label),
+    DistEffect: (1, lambda value, states: Dist(states, value), _dist_table, _accepted_dist),
 }
 
 
@@ -199,13 +224,12 @@ def _machine_accepted(cls: type, obj: dict, sets: dict) -> Optional[Machine]:
 
 
 def _machine_to_obj(cls: type, sys: Machine) -> dict:
-    cell = CELLS[cls.effect][2]
     return {
         "states": list(sys.states),
         "inputs": list(sys.interface.inputs),
         "outputs": list(sys.interface.outputs),
-        "readout": {s: sys.readout(s) for s in sys.states},
-        "update": {s: {i: cell(c) for i, c in row.items()} for s, row in sys.update.items()},
+        "readout": dict(sys.readout.table),
+        "update": CELLS[cls.effect][2](sys.update),
     }
 
 
@@ -463,7 +487,10 @@ def _float_text(x: float) -> str:
 
 
 def _json_lines(value, indent: str, put) -> None:
-    """Put the text of `value`, nested at `indent` ("\n" plus its spaces)."""
+    """Put the text of `value`, nested at `indent` ("\n" plus its spaces). A
+    dict whose values are all strings, or a list whose items are, is put in
+    one join; one whose first item is a string is tried, and `_quote` raises
+    TypeError at the first item that is not."""
     if isinstance(value, str):
         put(_quote(value))
     elif isinstance(value, dict):
@@ -471,22 +498,40 @@ def _json_lines(value, indent: str, put) -> None:
             put("{}")
             return
         inner = indent + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            put(sep + _quote(key) + ": ")
-            _json_lines(item, inner, put)
-            sep = "," + inner
+        text = None
+        if type(next(iter(value.values()))) is str:
+            try:
+                text = ("," + inner).join([_quote(k) + ": " + _quote(v) for k, v in value.items()])
+            except TypeError:
+                pass
+        if text is None:
+            sep = "{" + inner
+            for key, item in value.items():
+                put(sep + _quote(key) + ": ")
+                _json_lines(item, inner, put)
+                sep = "," + inner
+        else:
+            put("{" + inner + text)
         put(indent + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             put("[]")
             return
         inner = indent + "  "
-        sep = "[" + inner
-        for item in value:
-            put(sep)
-            _json_lines(item, inner, put)
-            sep = "," + inner
+        text = None
+        if type(value[0]) is str:
+            try:
+                text = ("," + inner).join(map(_quote, value))
+            except TypeError:
+                pass
+        if text is None:
+            sep = "[" + inner
+            for item in value:
+                put(sep)
+                _json_lines(item, inner, put)
+                sep = "," + inner
+        else:
+            put("[" + inner + text)
         put(indent + "]")
     elif value is None:
         put("null")

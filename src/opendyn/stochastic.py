@@ -15,12 +15,17 @@ operators: the sum check in `Dist`, the products of `DistEffect.product` and
 `_accepted_dist`. Weight strings are parsed through one bounded memo, which
 keeps each weight's numerator and denominator with it, so a string that
 repeats across a document is parsed once, and which refuses a decimal
-exponent beyond `MAX_WEIGHT_EXPONENT` before `Fraction` builds its power. `DistEffect.product` builds
-through `_dist`, which sets a `Dist`'s slots without its checks, since the
-product of two distributions is already normalized; so does
-`_accepted_dist`, the project loader's reading of an update cell, which
-checks what `Dist` checks or declines. The deterministic doctrine embeds by
-sending each transition to the point distribution on its result.
+exponent beyond `MAX_WEIGHT_EXPONENT` before `Fraction` builds its power.
+`tensor_stoch` takes its cell product from `DistEffect.product` once per
+call: a function that multiplies each distinct pair of weight objects once
+and reads each pair's label by position off the product states, so its
+work grows with the distinct weights rather than the cell entries, the
+loader's memo making equal weight strings one object. It builds through
+`_dist`, which sets a `Dist`'s slots without its checks, since the product
+of two distributions is already normalized; so does `_accepted_dist`, the
+project loader's reading of an update cell, which checks what `Dist` checks
+or declines. The deterministic doctrine embeds by sending each transition
+to the point distribution on its result.
 """
 
 from __future__ import annotations
@@ -29,13 +34,13 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .deterministic import (
     DetSystem, Machine, compose_lens_system, simulate_system, steady_span, tensor_systems
 )
 from .errors import ValidationError, _shown
-from .finset import FinSet, join_labels
+from .finset import FinSet
 
 WeightLike = Union[Fraction, int, str]
 
@@ -196,21 +201,45 @@ class DistEffect:
         return f"must be a distribution on {states}"
 
     @staticmethod
-    def product(da: Dist, db: Dist, states: FinSet) -> Dist:
-        """The independent product on the states "ta|tb" of `tensor_systems`,
-        built without checks: taken in the order of both supports, the pairs
-        run in the product's support order, and the weights of two
-        distributions multiply to nonzero weights that sum to 1."""
-        return _dist(
-            states,
-            {
-                join_labels(ta, tb): Fraction(
-                    wa.numerator * wb.numerator, wa.denominator * wb.denominator
-                )
-                for ta, wa in da.weights.items()
-                for tb, wb in db.weights.items()
-            },
-        )
+    def product(a: FinSet, b: FinSet, states: FinSet) -> Callable[[Dist, Dist], Dist]:
+        """The independent product of a distribution on `a` with one on `b`,
+        on their product states "ta|tb" (`states`, in a-major order), built
+        without checks: taken in the order of both supports, the pairs run
+        in the product's support order, and the weights of two distributions
+        multiply to nonzero weights that sum to 1.
+
+        A pair's label is read by position off `states`. Each distinct pair
+        of weight objects is multiplied once, and each distinct cell on `b`
+        has its labels' positions read once, by memos that live as long as
+        the returned function: they key by the ids of the weights and cells
+        and hold those objects, so no key can come to name another object."""
+        elements, width, index_a, index_b = states.elements, len(b), a._index, b._index
+        products: dict[int, dict[int, Fraction]] = {}
+        columns: dict[int, list[tuple[int, int, Fraction]]] = {}
+        held: list = []
+
+        def product(da: Dist, db: Dist) -> Dist:
+            right = columns.get(id(db))
+            if right is None:
+                right = columns[id(db)] = [(index_b[tb], id(wb), wb) for tb, wb in db.weights.items()]
+                held.append(db)
+            weights = {}
+            for ta, wa in da.weights.items():
+                row = products.get(id(wa))
+                if row is None:
+                    row = products[id(wa)] = {}
+                    held.append(wa)
+                base = index_a[ta] * width
+                for pos, key, wb in right:
+                    w = row.get(key)
+                    if w is None:
+                        w = row[key] = Fraction(
+                            wa.numerator * wb.numerator, wa.denominator * wb.denominator
+                        )
+                    weights[elements[base + pos]] = w
+            return _dist(states, weights)
+
+        return product
 
     @staticmethod
     def point(dist: Dist) -> Optional[str]:

@@ -266,7 +266,7 @@ class TestWiredSystems:
             {k: parse(to_text(v)) for k, v in system.readout.items()},
             {k: parse(to_text(v)) for k, v in system.field.items()},
         )
-        field = system.compiled()[0]
+        field = system.compiled("field")
         distinct = set()
         for e in system.field.values():
             _inner_subtrees(e, distinct)

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from opendyn import DetInterface, Dist, FinMap, FinSet, StochSystem, ValidationError
-from opendyn import simulate_stoch, step_dist
-from opendyn.finset import product_finset
-from opendyn.stochastic import DistEffect
+from opendyn import simulate_stoch, step_dist, tensor_stoch
+from opendyn.finset import join_labels, product_finset
+from opendyn.project import project_from_obj
+from opendyn.stochastic import DistEffect, _parse_weight
 
 DERANDOMIZED = dict(derandomize=True, deadline=None)
 
@@ -159,8 +160,123 @@ class TestProduct:
         b = support_of(data.draw(st.integers(1, 4)), "b")
         da, db = data.draw(dists(a)), data.draw(dists(b))
         states = product_finset(a, b)
-        got = outcome(lambda: DistEffect.product(da, db, states).weights)
+        got = outcome(lambda: DistEffect.product(a, b, states)(da, db).weights)
         assert got == outcome(lambda: oracle.product_weights(da.weights, db.weights, states))
+
+
+class Weight(Fraction):
+    """A `Fraction` subclass a caller may hold weights in."""
+
+
+@st.composite
+def held_weights(draw, w: Fraction):
+    """`w` as a fresh `Fraction`, as a `Weight`, or as the one object the
+    loader's weight memo holds for its text."""
+    form = draw(st.sampled_from(["fresh", "subclass", "memo"]))
+    if form == "fresh":
+        return Fraction(w.numerator, w.denominator)
+    if form == "subclass":
+        return Weight(w)
+    return _parse_weight(str(w))[0]
+
+
+@st.composite
+def markov_machines(draw, tag: str):
+    """A Markov machine on `tag`-prefixed states, its weights over small
+    denominators so that equal weights recur, each held as `held_weights`."""
+    states = support_of(draw(st.integers(1, 4)), tag)
+    inputs = support_of(draw(st.integers(1, 3)), tag + "i")
+    iface = DetInterface(inputs, FinSet([tag + "o"]))
+    readout = FinMap(states, iface.outputs, dict.fromkeys(states, tag + "o"))
+    update = {}
+    for s in states:
+        update[s] = {}
+        for i in inputs:
+            d = draw(dists(states, max_den=4))
+            update[s][i] = Dist(states, {t: draw(held_weights(w)) for t, w in d.weights.items()})
+    return StochSystem(states, iface, readout, update)
+
+
+def loaded_machine(rng: random.Random, tag: str, n: int) -> StochSystem:
+    """A Markov machine read from a project document, so equal weight strings
+    share one `Fraction` from the loader's memo."""
+    states = [f"{tag}{k}" for k in range(n)]
+    update = {}
+    for s in states:
+        update[s] = {}
+        for i in ("x", "y"):
+            raw = {t: rng.randint(1, 3) for t in rng.sample(states, rng.randint(1, n))}
+            total = sum(raw.values())
+            update[s][i] = {t: str(Fraction(r, total)) for t, r in sorted(raw.items())}
+    doc = {"version": 1, "systems": {"m": {
+        "kind": "stochastic", "states": states, "inputs": ["x", "y"], "outputs": ["o"],
+        "readout": dict.fromkeys(states, "o"), "update": update,
+    }}}
+    return project_from_obj(doc).system("m")
+
+
+def assert_cells_match_the_oracle(a: StochSystem, b: StochSystem) -> None:
+    """Every update cell of a ⊗ b has the oracle's weights, in its order, on
+    its labels, of its types."""
+    ab = tensor_stoch(a, b)
+    states = product_finset(a.states, b.states)
+    assert ab.states == states
+    assert list(ab.update) == list(states)
+    for sa in a.states:
+        for sb in b.states:
+            row = ab.update[join_labels(sa, sb)]
+            assert list(row) == list(product_finset(a.interface.inputs, b.interface.inputs))
+            for ia in a.interface.inputs:
+                for ib in b.interface.inputs:
+                    da, db = a.update[sa][ia], b.update[sb][ib]
+                    cell = row[join_labels(ia, ib)]
+                    assert cell.support is ab.states
+                    assert outcome(lambda: cell.weights) == outcome(
+                        lambda: oracle.product_weights(da.weights, db.weights, states)
+                    )
+
+
+class TestTensorProduct:
+    @settings(max_examples=100, **DERANDOMIZED)
+    @given(markov_machines("a"), markov_machines("b"))
+    def test_every_cell_matches_the_oracle(self, a, b):
+        assert_cells_match_the_oracle(a, b)
+
+    @settings(max_examples=30, **DERANDOMIZED)
+    @given(markov_machines("a"))
+    def test_a_machine_with_itself_matches_the_oracle(self, a):
+        assert_cells_match_the_oracle(a, a)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_loaded_machines_match_the_oracle(self, seed):
+        rng = random.Random(seed)
+        a, b = loaded_machine(rng, "p", 4), loaded_machine(rng, "q", 5)
+        weights = [w for m in (a, b) for row in m.update.values() for d in row.values()
+                   for w in d.weights.values()]
+        assert len({id(w) for w in weights}) < len(weights)  # the memo shares objects
+        assert_cells_match_the_oracle(a, b)
+
+    @pytest.mark.parametrize("kept", ["a", "b"])
+    def test_one_product_serves_short_lived_distributions(self, kept):
+        # the distributions on one side are dropped once multiplied, so a
+        # memo that did not hold its weights would see their ids taken again
+        # while it still holds keys from the other side
+        rng = random.Random(7)
+        a, b = support_of(3, "a"), support_of(2, "b")
+        states = product_finset(a, b)
+        product = DistEffect.product(a, b, states)
+
+        def fresh(support: FinSet) -> Dist:
+            raw = [rng.randint(0, 3) for _ in support]
+            raw[rng.randrange(len(raw))] += 1
+            return Dist(support, {s: Fraction(r, sum(raw)) for s, r in zip(support, raw)})
+
+        pool = [fresh(a if kept == "a" else b) for _ in range(3)]
+        for _ in range(300):
+            da = rng.choice(pool) if kept == "a" else fresh(a)
+            db = rng.choice(pool) if kept == "b" else fresh(b)
+            want = outcome(lambda: oracle.product_weights(da.weights, db.weights, states))
+            assert outcome(lambda: product(da, db).weights) == want
 
 
 class TestStepDist:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +90,69 @@ class TestAgainstJsonDumps:
 
     def test_tuples_write_as_lists(self):
         assert json_text({"t": (1, "a", (2, 3))}) == dumped({"t": (1, "a", (2, 3))})
+
+
+# strings of every kind the writer's one-join rows quote: empty, non-ASCII,
+# control characters, quotes and backslashes
+flat_strings = st.one_of(
+    keys,
+    st.sampled_from(["", '"', "\\", '"\\', "\x00", "\n\t\r", "\x7f", "é", "\U0001f600", "\ud800", "1/3"]),
+)
+not_strings = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.just([]), st.just({}),
+    st.lists(flat_strings, max_size=2), st.dictionaries(keys, flat_strings, max_size=2),
+)
+
+
+@st.composite
+def mixed_lists(draw):
+    """Strings, then one value that is not a string, then anything."""
+    head = draw(st.lists(flat_strings, min_size=1, max_size=4))
+    return [*head, draw(not_strings), *draw(st.lists(st.one_of(flat_strings, not_strings), max_size=3))]
+
+
+@st.composite
+def mixed_dicts(draw):
+    return dict(zip(draw(st.lists(keys, unique=True, min_size=8, max_size=8)), draw(mixed_lists())))
+
+
+def nested_empties(depth: int):
+    """Each empty container, alone and beside a string, at `depth` levels."""
+    values = [{}, [], (), {"": []}, ["", {}], {"a": "", "b": {}}]
+    for _ in range(depth):
+        values = [wrap for v in values for wrap in ([v], {"k": v}, ["s", v], {"k": "s", "v": v})]
+    return values
+
+
+class TestFlatRows:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(
+        st.dictionaries(keys, flat_strings, min_size=1, max_size=6),
+        st.lists(flat_strings, min_size=1, max_size=6),
+        st.tuples(flat_strings, flat_strings),
+    ))
+    def test_all_string_rows(self, value):
+        for nested in (value, [value], {"row": value}, [[value, value]]):
+            assert json_text(nested) == dumped(nested)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(mixed_lists(), mixed_dicts()))
+    def test_rows_with_a_later_value_that_is_not_a_string(self, value):
+        for nested in (value, [value], {"row": value}, [value, value]):
+            assert json_text(nested) == dumped(nested)
+
+    def test_a_later_value_that_cannot_be_written_is_refused(self):
+        for value in (["a", "b", {1, 2}], {"a": "x", "b": b"x"}, ["a", object()]):
+            with pytest.raises(TypeError) as want:
+                dumped(value)
+            with pytest.raises(TypeError) as got:
+                json_text(value)
+            assert str(got.value) == str(want.value)
+
+    def test_empty_containers_at_every_depth(self):
+        for depth in range(4):
+            for value in nested_empties(depth):
+                assert json_text(value) == dumped(value), value
 
 
 def stoch_lens():

@@ -320,6 +320,32 @@ class TestRk4Solve:
         traj = rk4_solve(predator_prey(), (2.0, 1.0), LV_PARAMS, 0.0, 0.1, 1e-2)
         assert traj.outputs == traj.values  # readout is the identity here
 
+    @pytest.mark.parametrize(
+        "readout, compiles",
+        [
+            ({"x": "r", "y": "f"}, False),  # the states themselves
+            ({"x": "f", "y": "f"}, False),  # a state twice
+            ({"x": "f"}, False),
+            ({}, False),
+            ({"x": "f", "y": "r*f"}, True),
+        ],
+    )
+    def test_outputs_that_copy_states_are_read_off_the_states(self, readout, compiles):
+        def system():
+            pp = predator_prey()
+            return OdeSystem(pp.state_vars, list(readout), pp.param_vars, readout, pp.field)
+
+        sys = system()
+        traj = rk4_solve(sys, (2.0, 1.0), LV_PARAMS, 0.0, 0.1, 1e-2)
+        assert ("readout" in sys._compiled) == compiles
+        assert "field" in sys._compiled
+        # the compiled readout of a fresh copy gives the very same floats
+        expected = tuple(eval_readout(system(), y) for y in traj.values)
+        assert [tuple(map(float.hex, row)) for row in traj.outputs] == [
+            tuple(map(float.hex, row)) for row in expected
+        ]
+        assert all(type(row) is tuple for row in traj.outputs)
+
     def test_degenerate_windows_are_rejected(self):
         with pytest.raises(ValidationError):
             rk4_solve(plain_exp(), (1.0,), NO_PARAMS, 1.0, 1.0, 1e-3)
