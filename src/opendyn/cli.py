@@ -42,7 +42,7 @@ from .deterministic import (
     DetLens,
     DetSquare,
     Machine,
-    check_matrix_theorem,
+    _matrix_theorem,
     check_square,
     lens_matrix_rows,
     periodic_orbit_rows,
@@ -267,9 +267,10 @@ def _project_matrix_scan(project: ProjectFile) -> SuiteResult:
             if not isinstance(sys_entry, Machine) or lens.source != sys_entry.interface:
                 continue
             checked += 1
+            at = _matrix_theorem(lens, sys_entry)
             for k in (1, 2):
                 try:
-                    match = check_matrix_theorem(lens, sys_entry, k)
+                    match = at(k)
                 except ValidationError as exc:
                     raise ValidationError(f"lens {ln!r} on system {sn!r}, k={k}: {exc}") from None
                 if not match:

@@ -24,11 +24,16 @@ only when they are first read; a lens span is the k-th tensor power
 vector factor by factor, pushes a family's rows through the charts that
 carry orbits only, and forms its matrix one row at a time. `steady` and
 `matrix` write the same walk's rows and the same span's matrix rows as they
-are formed (`periodic_orbit_rows`, `lens_matrix_rows`). Labels are joined
-with `|` where a Family, Span or FamilyMatch hands them out, or a row is
-streamed, and print uniquely since a `FinSet`'s labels all have one number
-of parts. One run loop,
-`simulate_system`, draws each step through the effect's `sample`.
+are formed (`periodic_orbit_rows`, `lens_matrix_rows`). One lens and
+machine checked at many periods go through `_matrix_theorem`, which forms
+the rewired machine and the lens's one-step span once per pair; a walking
+cycle and the half of a walk plan that it fixes (`_rep_layout`) are formed
+once per period per process (`_period_cycle`), for the theorem and for
+`steady` alike, and each period's bounds are still checked before it walks.
+Labels are joined with `|` where a Family, Span or FamilyMatch hands them
+out, or a row is streamed, and print uniquely since a `FinSet`'s labels all
+have one number of parts. One run loop, `simulate_system`, draws each step
+through the effect's `sample`.
 
 The public constructors (`FinMap`, `DetSystem`, `StochSystem`, `DetLens`,
 `DetChart`) and the project loader check every table they are given and
@@ -50,6 +55,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, product
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional
 
@@ -522,12 +528,26 @@ def walking_cycle(k: int) -> DetSystem:
     """
     if k < 1:
         raise ValidationError(f"cycle length must be at least 1, got {k}")
-    if k > MAX_PERIOD:
-        raise ValidationError(f"cycle length {k} is more than MAX_PERIOD = {MAX_PERIOD}")
+    _period_bound(k)
     states = FinSet(f"c{j}" for j in range(k))
     update = {s: {"*": nxt} for s, nxt in zip(states, states.elements[1:] + states.elements[:1])}
     iface = DetInterface(FinSet(["*"]), states)
     return _machine(DetSystem, states, iface, FinMap.identity(states), update)
+
+
+def _period_bound(k: int) -> None:
+    """Refuse a period past `MAX_PERIOD`, as a cycle of that length."""
+    if k > MAX_PERIOD:
+        raise ValidationError(f"cycle length {k} is more than MAX_PERIOD = {MAX_PERIOD}")
+
+
+@lru_cache(maxsize=16)
+def _period_cycle(k: int) -> tuple[DetSystem, tuple]:
+    """A walking k-cycle that only this module holds, and its `_rep_layout`,
+    formed once per period per process. The cycle is never handed out, so no
+    caller can change it; `walking_cycle` builds a new one on every call."""
+    cycle = walking_cycle(k)
+    return cycle, _rep_layout(cycle)
 
 
 def _charts(rep: DetInterface, iface: DetInterface) -> ProductSet:
@@ -543,10 +563,10 @@ def chart_hom_set(rep: DetInterface, iface: DetInterface) -> FinSet:
     return FinSet(_charts(rep, iface))
 
 
-def _walk_plan(rep: DetSystem, sys: Machine) -> tuple:
-    """The walk of every (phi, isharp) from `rep` into `sys`, planned for
-    `_maps_into` and bounded: a walk past `MAX_WALK` tuples or `MAX_SLOTS`
-    slots (`_walk_size`) is refused here, before any update cell is read.
+def _rep_layout(rep: DetSystem) -> tuple:
+    """The half of a walk plan that `rep` alone fixes: the slot count, the
+    forced slots and the constraint checks, the slots per rep state, and the
+    counts `_walk_size` takes (phi slots searched, input slots, rep states).
 
     The slots are phi(s) followed by isharp(s, i) for every rep input i, for
     every rep state s in canonical order. A slot phi(s') whose constraint
@@ -554,18 +574,13 @@ def _walk_plan(rep: DetSystem, sys: Machine) -> tuple:
     slots earlier is computed rather than searched; every other constraint
     cuts the rows whose three slots disagree once its last slot is filled.
     On a walking k-cycle this walks a start state and an input word: |S| *
-    |I|^k tuples tried, not (|S| * |I|)^k. The plan also holds `sys` and the
-    slots per rep state, from which `_chart_columns` reads a block's charts.
+    |I|^k tuples tried, not (|S| * |I|)^k.
     """
     rep_states = rep.states.elements
     rep_inputs = rep.interface.inputs.elements
     width = 1 + len(rep_inputs)
     phi_slot = {s: pos * width for pos, s in enumerate(rep_states)}
     n = len(rep_states) * width
-    domains = [
-        sys.states.elements if slot % width == 0 else sys.interface.inputs.elements
-        for slot in range(n)
-    ]
     # forced[slot]: the (phi(s), isharp(s, i)) slots that fix phi(s') there;
     # checks[slot]: the constraints whose last slot is this one
     forced: list[Optional[tuple[int, int]]] = [None] * n
@@ -577,8 +592,19 @@ def _walk_plan(rep: DetSystem, sys: Machine) -> tuple:
                 forced[dst] = (src, inp)
             else:
                 checks[max(inp, dst)].append((src, inp, dst))
-    phis, inputs = sum(forced[slot] is None for slot in phi_slot.values()), n - len(rep_states)
-    tuples, slots = _walk_size(sys, phis, inputs, m := len(rep_states))
+    phis = sum(forced[slot] is None for slot in phi_slot.values())
+    return n, tuple(forced), tuple(map(tuple, checks)), width, phis, n - len(rep_states), len(rep_states)
+
+
+def _walk_plan(layout: tuple, sys: Machine) -> tuple:
+    """The walk of every (phi, isharp) from a representing system into `sys`,
+    planned for `_maps_into` from that system's `_rep_layout` and bounded: a
+    walk past `MAX_WALK` tuples or `MAX_SLOTS` slots (`_walk_size`) is
+    refused here, before any update cell is read. The plan also holds `sys`
+    and the slots per rep state, from which `_chart_columns` reads a block's
+    charts."""
+    n, forced, checks, width, phis, inputs, m = layout
+    tuples, slots = _walk_size(sys, phis, inputs, m)
     if tuples is None or tuples > MAX_WALK:  # printed as formulas: the counts may be huge
         raise ValidationError(f"the walk from a {m}-state machine tries |S|^{phis}*|I|^{inputs} = "
                               f"{len(sys.states)}^{phis}*{len(sys.interface.inputs)}^{inputs} "
@@ -587,6 +613,7 @@ def _walk_plan(rep: DetSystem, sys: Machine) -> tuple:
         raise ValidationError(f"the walk from a {m}-state machine fills |S|^{phis}*|I|^{inputs}*"
                               f"{m} = {len(sys.states)}^{phis}*{len(sys.interface.inputs)}^{inputs}*"
                               f"{m} slots; more than MAX_SLOTS = {MAX_SLOTS}")
+    domains = [sys.states.elements, *[sys.interface.inputs.elements] * (width - 1)] * m
     return n, domains, forced, checks, sys, width
 
 
@@ -681,7 +708,7 @@ def _chart_counts(plan: tuple) -> Counter:
     return counts
 
 
-def representable_span(rep: DetSystem, sys: Machine) -> Family:
+def representable_span(rep: DetSystem, sys: Machine, *, layout: Optional[tuple] = None) -> Family:
     """All ways of mapping `rep` into `sys`, fibered over the chart used.
 
     The base is every chart rep.interface -> sys.interface, a `ProductSet`
@@ -698,15 +725,19 @@ def representable_span(rep: DetSystem, sys: Machine) -> Family:
     The walk is checked and bounded in this call (`_walk_plan`), but it runs
     only when the family is read: its rows (`_orbits`) when they are first
     read, and its fiber counts, where those are read first, by a walk that
-    forms charts only (`_chart_counts`).
+    forms charts only (`_chart_counts`). A caller that holds `rep`'s
+    `_rep_layout` already, a memoized walking cycle's (`_period_cycle`),
+    passes it as `layout`, and `rep` is then taken as checked.
     """
-    if not isinstance(rep, DetSystem):
-        raise ValidationError(f"representing system must be deterministic, got {type(rep).__name__}")
-    if rep.interface.outputs != rep.states or any(rep.readout(s) != s for s in rep.states):
-        raise ValidationError("representing system must expose its entire state")
-    if not rep.states:
-        raise ValidationError("representing system must have at least one state")
-    plan = _walk_plan(rep, sys)
+    if layout is None:
+        if not isinstance(rep, DetSystem):
+            raise ValidationError(f"representing system must be deterministic, got {type(rep).__name__}")
+        if rep.interface.outputs != rep.states or any(rep.readout(s) != s for s in rep.states):
+            raise ValidationError("representing system must expose its entire state")
+        if not rep.states:
+            raise ValidationError("representing system must have at least one state")
+        layout = _rep_layout(rep)
+    plan = _walk_plan(layout, sys)
     return _family(_charts(rep.interface, sys.interface),
                    lambda: _orbits(plan), lambda: _chart_counts(plan))
 
@@ -726,10 +757,11 @@ def _walk_size(sys: Machine, phis: int, inputs: int, rep_states: int) -> tuple:
     return tuples, None if tuples is None else tuples * rep_states
 
 
-def _period_walk(k: int, *machines: Machine) -> DetSystem:
-    """The walking k-cycle once each walk into `machines` (a machine, then it rewired
-    by a lens) is within `MAX_WALK`, k within `MAX_PERIOD` and each walk within
-    `MAX_SLOTS`, in that order, on `_walk_size`'s counts for the cycle."""
+def _period_walk(k: int, *machines: Machine) -> tuple[DetSystem, tuple]:
+    """The walking k-cycle and its layout (`_period_cycle`) once each walk into
+    `machines` (a machine, then it rewired by a lens) is within `MAX_WALK`, k
+    within `MAX_PERIOD` and each walk within `MAX_SLOTS`, in that order, on
+    `_walk_size`'s counts for the cycle."""
     if k < 1:
         raise ValidationError(f"orbit period must be at least 1, got {k}")
     named = [(whose, m, *_walk_size(m, 1, k, k))
@@ -740,19 +772,20 @@ def _period_walk(k: int, *machines: Machine) -> DetSystem:
             raise ValidationError(f"the period-{k} orbit walk{whose} tries |S|*|I|^k = "
                                   f"{len(m.states)}*{len(m.interface.inputs)}^{k}{count} tuples; "
                                   f"more than MAX_WALK = {MAX_WALK}")
-    cycle = walking_cycle(k)
+    _period_bound(k)  # here too: a period the memo holds builds no new cycle
     for whose, m, _, slots in named:
         if slots > MAX_SLOTS:
             raise ValidationError(f"the period-{k} orbit walk{whose} fills |S|*|I|^k*k = "
                                   f"{len(m.states)}*{len(m.interface.inputs)}^{k}*{k} = {slots} "
                                   f"slots; more than MAX_SLOTS = {MAX_SLOTS}")
-    return cycle
+    return _period_cycle(k)
 
 
 def periodic_orbit_span(sys: Machine, k: int) -> Family:
     """Orbits of period dividing k, fibered over k-tuples of (output, input)
     pairs; a walk past `_period_walk`'s bounds is a `ValidationError`."""
-    return representable_span(_period_walk(k, sys), sys)
+    cycle, layout = _period_walk(k, sys)
+    return representable_span(cycle, sys, layout=layout)
 
 
 def steady_span(sys: Machine) -> Family:
@@ -766,7 +799,7 @@ def periodic_orbit_rows(sys: Machine, k: int) -> Iterator[tuple[str, str]]:
     by element in its total order, each formed as the walk finds it: the rows
     `opendyn steady` streams. The walk's bounds (`_period_walk`) are checked
     in this call, before any row is formed."""
-    return _labelled(_orbits(_walk_plan(_period_walk(k, sys), sys)))
+    return _labelled(_orbits(_walk_plan(_period_walk(k, sys)[1], sys)))
 
 
 def periodic_orbits(sys: Machine, k: int) -> list[tuple[str, str]]:
@@ -774,7 +807,7 @@ def periodic_orbits(sys: Machine, k: int) -> list[tuple[str, str]]:
     return list(periodic_orbit_rows(sys, k))
 
 
-def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
+def lens_to_span(lens: DetLens, rep_interface: DetInterface, *, step: Optional[Span] = None) -> Span:
     """The span a lens induces between chart sets out of a walking-cycle interface.
 
     An apex element assigns, to each cycle position, an old output o and a
@@ -785,7 +818,8 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
     apex (o, i'), left leg (o, bwd(o, i')) and right leg (fwd(o), i'), for
     k the interface's outputs; nothing of the apex's size is built here. The
     interface must have one input and at least one output, as a walking
-    cycle's has.
+    cycle's has. A caller that spans one lens at many periods forms the
+    one-step span once (`_lens_step`) and passes it as `step`.
     """
     if len(rep_interface.inputs) != 1:
         raise ValidationError(
@@ -793,11 +827,16 @@ def lens_to_span(lens: DetLens, rep_interface: DetInterface) -> Span:
         )
     if not rep_interface.outputs:
         raise ValidationError("representing interface must have at least one output (a walking cycle)")
+    return tensor_spans(*[_lens_step(lens) if step is None else step] * len(rep_interface.outputs))
+
+
+def _lens_step(lens: DetLens) -> Span:
+    """The lens's one-step span: apex (o, i'), left leg (o, bwd(o, i')), right
+    leg (fwd(o), i'), its rows read off `bwd` in canonical order."""
     s, t, fwd = lens.source, lens.target, lens.fwd.table
     rows = [((o, i2), (o, i), (fwd[o], i2)) for o, row in lens.bwd.items() for i2, i in row.items()]
-    step = _span(ProductSet((s.outputs, s.inputs)), ProductSet((t.outputs, t.inputs)),
-                 ProductSet((s.outputs, t.inputs)), rows)  # bwd's rows, in canonical order
-    return tensor_spans(*[step] * len(rep_interface.outputs))
+    return _span(ProductSet((s.outputs, s.inputs)), ProductSet((t.outputs, t.inputs)),
+                 ProductSet((s.outputs, t.inputs)), rows)
 
 
 def _period_lens_span(lens: DetLens, k: int) -> Span:
@@ -853,14 +892,37 @@ def check_matrix_theorem(lens: DetLens, sys: Machine, k: int) -> FamilyMatch:
     No orbit element, apex element or element label is formed here: a match
     forms both families' rows, and its witness with its element labels,
     when the witness is first read, and a mismatch joins its one chart
-    label. Both machines' walks are bounded before either starts.
+    label. Both machines' walks are bounded before either starts. It is
+    `_matrix_theorem(lens, sys)(k)`.
+    """
+    return _matrix_theorem(lens, sys)(k)
+
+
+def _matrix_theorem(lens: DetLens, sys: Machine) -> Callable[[int], FamilyMatch]:
+    """`check_matrix_theorem(lens, sys, k)` as a function of k, for one lens
+    and machine at many periods.
+
+    The rewired machine and the lens's one-step span are formed here, once,
+    and each period's walking cycle and its half of the walk plan
+    (`_rep_layout`) come from a memo of one per period per process
+    (`_period_cycle`). Each call bounds its own period's walks
+    (`_period_walk`) before it forms anything of them, so a caller gets each
+    period's verdict or refusal in turn, and forms that period's families
+    through `representable_span` and `lens_to_span`. The representing
+    system is where a family other than the walking cycles would plug in.
     """
     rewired = compose_lens_system(lens, sys)  # refuses a lens whose source is not sys's
-    cycle = _period_walk(k, sys, rewired)
-    return families_isomorphic(
-        representable_span(cycle, rewired),
-        apply_span_to_family(lens_to_span(lens, cycle.interface), representable_span(cycle, sys)),
-    )
+    step = _lens_step(lens)
+
+    def at(k: int) -> FamilyMatch:
+        cycle, layout = _period_walk(k, sys, rewired)
+        return families_isomorphic(
+            representable_span(cycle, rewired, layout=layout),
+            apply_span_to_family(lens_to_span(lens, cycle.interface, step=step),
+                                 representable_span(cycle, sys, layout=layout)),
+        )
+
+    return at
 
 
 def run_word(sys: DetSystem, s0: str, word: list[str]) -> list[tuple[str, str]]:

@@ -159,7 +159,7 @@ class ProductSet:
         return size
 
     def __iter__(self) -> Iterator[str]:
-        return (join_labels(*key) for key in product(*self.alphabets))
+        return map(SEPARATOR.join, product(*self.alphabets))
 
     @property
     def elements(self) -> tuple[str, ...]:

@@ -190,3 +190,17 @@ def wired(depth: int) -> OdeSystem:
     for lens in lenses:
         system = compose_lens_ode(lens, system)
     return system
+
+
+def mutated(rng: random.Random, lens: DetLens) -> DetLens:
+    """The lens with one `bwd` cell, or one `fwd` value, changed."""
+    bwd = {o: dict(row) for o, row in lens.bwd.items()}
+    fwd = dict(lens.fwd.table)
+    o = rng.choice(lens.source.outputs.elements)
+    inputs, outputs = lens.source.inputs.elements, lens.target.outputs.elements
+    if len(inputs) > 1 and (len(outputs) == 1 or rng.random() < 0.5):
+        i2 = rng.choice(lens.target.inputs.elements)
+        bwd[o][i2] = rng.choice([i for i in inputs if i != bwd[o][i2]])
+    elif len(outputs) > 1:
+        fwd[o] = rng.choice([p for p in outputs if p != fwd[o]])
+    return DetLens(lens.source, lens.target, FinMap(lens.fwd.dom, lens.fwd.cod, fwd), bwd)

@@ -14,7 +14,6 @@ import pytest
 
 from opendyn import (
     DetInterface,
-    DetLens,
     DetSystem,
     Dist,
     FinMap,
@@ -41,22 +40,10 @@ from dense_oracle import (
     dense_lens_to_span,
     dense_periodic_orbit_span,
 )
-from helpers import each_machine, feedback_lens, flipflop, random_family, random_span, two_input_rep
+from helpers import (
+    each_machine, feedback_lens, flipflop, mutated, random_family, random_span, two_input_rep
+)
 from pushed_rows_oracle import pushed_rows, row_counts, rows_check_matrix_theorem
-
-
-def mutated(rng: random.Random, lens: DetLens) -> DetLens:
-    """The lens with one `bwd` cell, or one `fwd` value, changed."""
-    bwd = {o: dict(row) for o, row in lens.bwd.items()}
-    fwd = dict(lens.fwd.table)
-    o = rng.choice(lens.source.outputs.elements)
-    inputs, outputs = lens.source.inputs.elements, lens.target.outputs.elements
-    if len(inputs) > 1 and (len(outputs) == 1 or rng.random() < 0.5):
-        i2 = rng.choice(lens.target.inputs.elements)
-        bwd[o][i2] = rng.choice([i for i in inputs if i != bwd[o][i2]])
-    elif len(outputs) > 1:
-        fwd[o] = rng.choice([p for p in outputs if p != fwd[o]])
-    return DetLens(lens.source, lens.target, FinMap(lens.fwd.dom, lens.fwd.cod, fwd), bwd)
 
 
 class TestCountsAgainstThePushedRows:

@@ -91,6 +91,29 @@ class TestProductSet:
                     assert ps.position(label) == labels.index(label)
                     assert ps.key(label) == keys[label]
 
+    def test_each_label_is_the_join_of_its_tuple(self):
+        """Iteration joins each tuple once, in product order: the labels are
+        `join_labels` over `product` on seeded alphabets, with multi-part
+        slot values and one-element alphabets, and they are formed lazily."""
+        rng = random.Random(10)
+        by_width = [[f"v{n}" for n in range(5)], [f"v{n}|w{n}" for n in range(5)],
+                    [f"v{n}|w|x{n}" for n in range(5)]]
+        one_element = 0
+        for _ in range(300):
+            alphabets = [
+                FinSet(rng.sample(rng.choice(by_width), rng.choice([1, 1, 2, 3, 5])))
+                for _ in range(rng.randint(1, 5))
+            ]
+            one_element += any(len(alphabet) == 1 for alphabet in alphabets)
+            want = [join_labels(*key) for key in product(*alphabets)]
+            assert list(ProductSet(alphabets)) == want
+            assert ProductSet(alphabets).elements == tuple(want)
+        assert one_element > 100
+        assert list(ProductSet([])) == [join_labels()] == [""]
+        assert list(ProductSet([FinSet(["a"]), FinSet([])])) == []
+        assert list(ProductSet([FinSet(["a|b"])] * 3)) == ["a|b|a|b|a|b"]
+        assert next(iter(ProductSet([FinSet(f"x{n}" for n in range(10))] * 18))) == "|".join(["x0"] * 18)
+
     def test_a_long_label_is_read_in_one_pass(self):
         """Ten thousand slots of width 2: a split and a lookup per slot."""
         ps = ProductSet([FinSet(["a|a", "b|a"])] * 10_000)
