@@ -21,8 +21,10 @@ many paths reach, as wiring by substitution builds, is visited once. `parse`
 reads text in one pass, an explicit stack of pending operators in place of
 the grammar's recursion, and given a `Dag` it lowers each node into it as
 it reads. `compile_table` turns a table into the Python function
-`opendyn.ode` evaluates fields with, a subtree used once written inline;
-`evaluate` defines what it computes and explains every error it meets.
+`opendyn.ode` evaluates fields with, a subtree used once written inline,
+and `compile_tables` chains tables in one function, a later table reading
+an earlier one's roots from locals; `evaluate` defines what they compute
+and explains every error they meet.
 """
 
 from __future__ import annotations
@@ -467,17 +469,23 @@ def compile_table(
     then `evaluate` replays the table and raises its first error, prefixed
     `<what> component '<key>': `.
     """
-    if dag is None:
-        dag = Dag(table[key] for key in keys)
+    return compile_tables(((table, keys, what, dag),), args)
+
+
+def compile_tables(
+    stages: Sequence[tuple[Mapping[str, Expr], Sequence[str], str, Dag | None]],
+    args: Sequence[str],
+) -> Callable[..., tuple[float, ...]]:
+    """`compile_table` of a chain of (table, keys, what, dag) stages: one
+    function of the values of `args` that computes each stage's table in
+    turn and returns the last one's tuple. In a later stage a name is the
+    value of the latest earlier stage's key of that name, else the argument
+    of that name: each earlier root is bound to a local, not substituted.
+    On a failure the stages are replayed through `evaluate` in order."""
     # a name listed twice reads its last value, as a dict built in order would
-    arg_of = {name: f"_a{j}" for j, name in enumerate(args)}
+    scope = {name: f"_a{j}" for j, name in enumerate(args)}
     namespace = {"_pow": math.pow, "_unbound": {}}
-    uses = [0] * len(dag.nodes)
-    for j in chain(dag.roots, *dag.operands):
-        uses[j] += 1
     lines: list[str] = []
-    code: list[str] = []  # each entry's code: a local, a constant, or an expression
-    nesting: list[int] = []  # how deep each entry's code nests, 0 for a name
 
     def const(value) -> str:
         name = f"_k{len(namespace)}"
@@ -487,37 +495,51 @@ def compile_table(
     def operand(j: int) -> str:
         return f"({code[j]})" if nesting[j] else code[j]
 
-    for node, ops, used in zip(dag.nodes, dag.operands, uses):
-        if isinstance(node, Num) or (isinstance(node, Var) and node.name in arg_of):
-            code.append(const(node.value) if isinstance(node, Num) else arg_of[node.name])
-            nesting.append(0)
-            continue
-        if isinstance(node, Var):
-            text = f"_unbound[{const(node.name)}]"
-        elif isinstance(node, Neg):
-            text = f"-{operand(ops[0])}"
-        elif isinstance(node, Call):
-            text = f"{const(FUNCTIONS[node.fn])}({code[ops[0]]})"
-        elif node.op == "^":
-            text = f"_pow({code[ops[0]]}, {code[ops[1]]})"
-        else:
-            text = f"{operand(ops[0])} {node.op} {operand(ops[1])}"
-        depth = 1 + max([nesting[j] for j in ops], default=0)
-        if used > 1 or depth == _INLINE_NESTING:
-            code.append(f"_v{len(lines)}")
-            nesting.append(0)
-            lines.append(f"        {code[-1]} = {text}")
-        else:
-            code.append(text)
-            nesting.append(depth)
+    for k, (table, keys, what, dag) in enumerate(stages, 1):
+        if dag is None:
+            dag = Dag(table[key] for key in keys)
+        uses = [0] * len(dag.nodes)
+        # a root before the last stage counts twice: it gets a local, computed
+        # even where no later stage reads it
+        for j in chain(dag.roots, *dag.operands, dag.roots if k < len(stages) else ()):
+            uses[j] += 1
+        code: list[str] = []  # each entry's code: a local, a constant, or an expression
+        nesting: list[int] = []  # how deep each entry's code nests, 0 for a name
+        for node, ops, used in zip(dag.nodes, dag.operands, uses):
+            if isinstance(node, Num) or (isinstance(node, Var) and node.name in scope):
+                code.append(const(node.value) if isinstance(node, Num) else scope[node.name])
+                nesting.append(0)
+                continue
+            if isinstance(node, Var):
+                text = f"_unbound[{const(node.name)}]"
+            elif isinstance(node, Neg):
+                text = f"-{operand(ops[0])}"
+            elif isinstance(node, Call):
+                text = f"{const(FUNCTIONS[node.fn])}({code[ops[0]]})"
+            elif node.op == "^":
+                text = f"_pow({code[ops[0]]}, {code[ops[1]]})"
+            else:
+                text = f"{operand(ops[0])} {node.op} {operand(ops[1])}"
+            depth = 1 + max([nesting[j] for j in ops], default=0)
+            if used > 1 or depth == _INLINE_NESTING:
+                code.append(f"_v{len(lines)}")
+                nesting.append(0)
+                lines.append(f"        {code[-1]} = {text}")
+            else:
+                code.append(text)
+                nesting.append(depth)
+        scope.update({key: code[root] for key, root in zip(keys, dag.roots)})
 
     def explain(*values) -> None:
         env = dict(zip(args, values))
-        for key in keys:
-            try:
-                evaluate(table[key], env)
-            except ExprEvalError as exc:
-                raise ExprEvalError(f"{what} component {key!r}: {exc}") from None
+        for table, keys, what, _ in stages:
+            out = {}
+            for key in keys:
+                try:
+                    out[key] = evaluate(table[key], env)
+                except ExprEvalError as exc:
+                    raise ExprEvalError(f"{what} component {key!r}: {exc}") from None
+            env.update(out)
 
     namespace["_explain"] = explain
     params = ", ".join(f"_a{j}" for j in range(len(args)))
@@ -532,5 +554,6 @@ def compile_table(
         "        raise",
         "",
     ])
-    exec(compile(source, f"<compiled {what}>", "exec"), namespace)
+    whats = "/".join([what for _, _, what, _ in stages])
+    exec(compile(source, f"<compiled {whats}>", "exec"), namespace)
     return namespace["_compiled"]

@@ -33,9 +33,12 @@ state's very floats: `rk4_solve` reads such outputs off the state rows, and
 compiles and runs the readout only when some output is not one.
 `check_residual` replays a trajectory against the field with central
 differences; `check_solve_functoriality` compares substitute-then-solve
-against solving with parameters filled in on the fly at every integrator
-stage. Both integrations run the same generated loop, so the two paths
-differ only by where expressions are evaluated.
+against solving with the wiring live: at each stage one function that
+`expr.compile_tables` generates from the readout, `bwd` and field tables,
+each lowered apart and none substituted into another, computes the readout,
+then `bwd`, then the field. Both integrations run the same generated loop,
+so the two paths differ only by where expressions are evaluated, and equal
+state rows give deviation 0.0 at t0 with no per-element scan.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from types import CodeType, FunctionType
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import ExprEvalError, ExprSyntaxError, IntegrationError, ValidationError, _shown
-from .expr import MAX_NODES, Dag, Expr, Var, compile_table, parse, substitute
+from .expr import MAX_NODES, Dag, Expr, Var, compile_table, compile_tables, parse, substitute
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -186,10 +189,7 @@ class OdeSystem:
         """The RK4 loop over this system's compiled field, `_rk4(times, y,
         p, sample)` of `_rk4_code`; built on first use."""
         if self._rk4 is None:
-            namespace = {**_RK4_HELPERS, "_field": self.compiled("field"), "_names": self.state_vars}
-            self._rk4 = FunctionType(
-                _rk4_code(len(self.state_vars), len(self.param_vars)), namespace
-            )
+            self._rk4 = _loop(self.compiled("field"), self.state_vars, len(self.param_vars))
         return self._rk4
 
     def copied_states(self) -> tuple[Optional[int], ...]:
@@ -575,6 +575,22 @@ def _rk4_code(n: int, m: int) -> CodeType:
     return namespace["_rk4"].__code__
 
 
+def _loop(field: Callable, names: tuple[str, ...], m: int) -> Callable[..., list]:
+    """The loop of `_rk4_code` over `field`, a function of the states `names`
+    and then m parameters."""
+    namespace = {**_RK4_HELPERS, "_field": field, "_names": names}
+    return FunctionType(_rk4_code(len(names), m), namespace)
+
+
+def _run(loop: Callable, times: Sequence[float], y0: tuple, signal: ParamSignal) -> list:
+    """The states `loop` steps to over `times` from y0: a constant signal (one
+    row) gives the same row at every time, so its values are bound once; a
+    sampled one is called at each stage time."""
+    if len(signal.rows) == 1:
+        return loop(times, y0, signal.rows[0], None)
+    return loop(times, y0, None, lambda t, *state: signal(t))
+
+
 def _initial_state(sys: OdeSystem, s0: Sequence[float]) -> tuple[float, ...]:
     if len(s0) != len(sys.state_vars):
         raise ValidationError(
@@ -595,11 +611,9 @@ def rk4_solve(
     t1: float,
     h: float,
 ) -> Trajectory:
-    """Integrate the system, sampling parameters at each integrator stage time.
-
-    A constant signal (one row) gives the same row at every time, so its
-    values are bound once; the outputs are read off after the integration,
-    straight from the state rows where every output copies a state.
+    """Integrate the system, sampling parameters at each integrator stage time
+    (`_run`); the outputs are read off after the integration, straight from
+    the state rows where every output copies a state.
     """
     y0 = _initial_state(sys, s0)
     if param_signal.width != len(sys.param_vars):
@@ -608,11 +622,7 @@ def rk4_solve(
             f"{len(sys.param_vars)} parameters"
         )
     times = _grid(t0, t1, h)
-    if len(param_signal.rows) == 1:
-        values = sys.integrator()(times, y0, param_signal.rows[0], None)
-    else:
-        values = sys.integrator()(times, y0, None, lambda t, *state: param_signal(t))
-    values = tuple(values)
+    values = tuple(_run(sys.integrator(), times, y0, param_signal))
     copies = sys.copied_states()
     if None in copies:
         readout = sys.compiled("readout")
@@ -695,27 +705,28 @@ def check_solve_functoriality(
 ) -> FunctorialityResult:
     """Integrate the composed system, then integrate the original system while
     filling its parameters from the lens at every stage; compare the states.
-    A tolerance that is negative, infinite or NaN is refused first."""
+    The live-wired field is one compiled function of the state and the outer
+    parameters that computes the readout, then `bwd`, then the field, each
+    table lowered apart, with no substitution. Equal state rows give
+    deviation 0.0 at t0 without a scan: the loop refuses a non-finite state,
+    so no NaN reaches the comparison. A tolerance that is negative, infinite
+    or NaN is refused first."""
     if not 0 <= tol < math.inf:  # also refuses NaN, which compares false
         raise ValidationError(f"tolerance must be finite and nonnegative, got {tol!r}")
     composed = compose_lens_ode(lens, sys)
     path_a = rk4_solve(composed, s0, outer_signal, t0, t1, h)
-
-    readout = sys.compiled("readout")
-    bwd = compile_table(lens.bwd, sys.param_vars, sys.output_vars + lens.target_params, "bwd")
-
-    if len(outer_signal.rows) == 1:  # a constant signal, bound once as `rk4_solve` binds it
-        outer = outer_signal.rows[0]
-
-        def live(t: float, *state: float) -> tuple[float, ...]:
-            return bwd(*readout(*state), *outer)
-
-    else:
-
-        def live(t: float, *state: float) -> tuple[float, ...]:
-            return bwd(*readout(*state), *outer_signal(t))
-
-    values = sys.integrator()(path_a.times, _initial_state(sys, s0), None, live)
+    live = compile_tables(
+        (
+            (sys.readout, sys.output_vars, "readout", sys._dags[1]),
+            (lens.bwd, sys.param_vars, "bwd", None),
+            (sys.field, sys.state_vars, "field", sys._dags[0]),
+        ),
+        sys.state_vars + lens.target_params,
+    )
+    loop = _loop(live, sys.state_vars, len(lens.target_params))
+    values = _run(loop, path_a.times, _initial_state(sys, s0), outer_signal)
+    if all(map(operator.eq, path_a.values, values)):
+        return FunctorialityResult(True, 0.0, t0)
     worst = 0.0
     worst_time = t0
     for t, row_a, row_b in zip(path_a.times, path_a.values, values):
