@@ -7,7 +7,8 @@ canonical float and JSON formatting), so repeated runs are byte-identical.
 of `json.dumps(obj, indent=2)` plus a newline: the projects from
 `project.write_json`, and the matrix from `project.write_json_matrix`, which
 writes each row as the lens span forms it. `steady` sends each orbit row
-through `csv.writer` as the walk finds it, so it holds no rows. An ODE
+through `csv.writer` as the walk finds it, into text that is written a
+block at a time, so it holds no list of rows. An ODE
 `simulate` integrates and reads out the whole run first, so every failure
 comes before its file is opened; it then formats the run a column at a
 time and writes it a block of rows at a time. `matrix` refuses a span
@@ -15,8 +16,10 @@ whose matrix would have more than `deterministic.MAX_MATRIX_ENTRIES`
 entries before building anything of size k, and `steady` and `check`'s
 project scan an orbit walk of more than `deterministic.MAX_WALK` tuples or
 `deterministic.MAX_SLOTS` slots; all three refuse a period past
-`deterministic.MAX_PERIOD`. Every refusal comes before an output file is
-opened, so a refused command leaves an existing file as it was.
+`deterministic.MAX_PERIOD`; `tensor` refuses a product of more than
+`deterministic.MAX_TENSOR_ENTRIES` update cells or weights. Every refusal
+comes before an output file is opened, so a refused command leaves an
+existing file as it was.
 `steady`, `simulate` and `check`'s project scan run one code path for a
 deterministic and a Markov machine alike; an ODE system cannot be `steady`.
 A command line of the usual shape is read straight off the `_COMMANDS`
@@ -32,9 +35,9 @@ UTF-8) or an output file that cannot be written; each names the path.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -62,11 +65,13 @@ from .ode import (
     OdeLens, OdeSystem, ParamSignal, Trajectory, compose_lens_ode, rk4_solve, tensor_ode
 )
 from .project import (
+    _BLOCK_CHARS,
     DOCTRINE_ODE,
     ProjectFile,
     doctrine_of,
     load_project,
     open_output,
+    read_bytes,
     save_project,
     write_json_matrix,
 )
@@ -76,13 +81,21 @@ if TYPE_CHECKING:
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> int:
-    """Write the header and each row as it comes; the number of rows."""
+    """Write the header and each row as it comes through `csv.writer`, into
+    text that is encoded and written a block of `_BLOCK_CHARS` characters at
+    a time; the number of rows."""
     count = 0
+    text = io.StringIO()  # newline="\n" keeps the rows' "\r\n" and, unlike "", scans no write
+    writer = csv.writer(text)
+    writer.writerow(header)
     with open_output(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
         for count, row in enumerate(rows, 1):
             writer.writerow(row)
+            if text.tell() >= _BLOCK_CHARS:
+                f.write(text.getvalue().encode())
+                text.seek(0)
+                text.truncate()
+        f.write(text.getvalue().encode())
     return count
 
 
@@ -99,7 +112,7 @@ def _write_ode_csv(path: str, system: OdeSystem, traj: Trajectory) -> None:
     that state's text, since it holds the same floats. A block is one write."""
     copies = system.copied_states()
     with open_output(path) as f:
-        f.write(",".join(("time", *system.state_vars, *system.output_vars)) + "\r\n")
+        f.write((",".join(("time", *system.state_vars, *system.output_vars)) + "\r\n").encode())
         for start in range(0, len(traj.times), _CSV_BLOCK_ROWS):
             stop = start + _CSV_BLOCK_ROWS
             states = [list(map(repr, col)) for col in zip(*traj.values[start:stop])]
@@ -109,7 +122,7 @@ def _write_ode_csv(path: str, system: OdeSystem, traj: Trajectory) -> None:
                 states[j] if j is not None else list(map(repr, outputs[k]))
                 for k, j in enumerate(copies)
             ]
-            f.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+            f.write(("\r\n".join(map(",".join, zip(*columns))) + "\r\n").encode())
 
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
@@ -228,7 +241,7 @@ def cmd_simulate(args) -> int:
 def _digest(path: str) -> str:
     import hashlib  # here, not at the top: only `check` needs it
 
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(read_bytes(path)).hexdigest()
 
 
 def _project_square_scan(project: ProjectFile) -> SuiteResult:
@@ -314,7 +327,7 @@ def cmd_check(args) -> int:
     sys.stdout.write(report)
     if args.out:
         with open_output(args.out) as f:
-            f.write(report)
+            f.write(report.encode())
     return 0 if overall == "PASS" else 1
 
 

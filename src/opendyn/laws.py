@@ -21,9 +21,9 @@ are those of `check_matrix_theorem` at each period.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from .deterministic import (
@@ -303,10 +303,14 @@ def matrix_suite(seed: int, cases: int) -> SuiteResult:
     return SuiteResult("matrix-theorem", True, cases)
 
 
+#: The packaged fixture `lv.json`.
+_LV_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "lv.json")
+
+
 def _lv_fixture() -> tuple[OdeLens, OdeSystem]:
     """The predator-prey `wiring` lens and the `rabbit_fox` system it wires,
     from the packaged fixture `lv.json`."""
-    project = load_project(Path(__file__).with_name("fixtures") / "lv.json")
+    project = load_project(_LV_PATH)
     return project.lens("wiring"), project.system("rabbit_fox")
 
 

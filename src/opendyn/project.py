@@ -23,6 +23,12 @@ entry it declines, and every ODE entry, goes through the checked decode
 wrong, then builds it through the public constructors, naming the entry ahead
 of any invariant it breaks. So a refused entry gets the same message, and
 the same first fault, as it would with no accept pass.
+
+Every file goes through one reader and one writer. `read_bytes` opens the
+file for bytes, and `read_text` decodes them as UTF-8 once and reads a CRLF
+or a lone CR as LF, as text mode would; `open_output` opens an output for
+bytes, and each writer encodes its text as UTF-8 a block at a time, with no
+newline translation.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
+from os import PathLike, fspath
 from sys import float_info
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 from .deterministic import (
     DetChart, DetInterface, DetLens, DetSystem, Identity, Machine, _machine, _rewiring
@@ -48,6 +54,7 @@ from .stochastic import Dist, DistEffect, StochSystem, _accepted_dist
 
 SystemEntry = Union[DetSystem, StochSystem, OdeSystem]
 LensEntry = Union[DetLens, OdeLens]
+StrPath = Union[str, PathLike]
 
 DOCTRINE_DET = "deterministic"
 DOCTRINE_STOCH = "stochastic"
@@ -445,14 +452,44 @@ def _lone_surrogate(obj) -> Optional[str]:
     return None
 
 
-def load_project(path: Union[str, Path]) -> ProjectFile:
-    """Read and fully validate a project file."""
+def read_bytes(path: StrPath) -> bytes:
+    """The bytes of the file at `path`, as `Path(path).read_bytes()` reads
+    them: "" names the current directory, and a path that pathlib would
+    tidy ("x.json/", "x.json/.") names the file it tidies to. A file that
+    cannot be read is a `FileAccessError` naming the path."""
+    name = fspath(path)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            f = open(name or ".", "rb", buffering=0)
+        except NotADirectoryError:
+            from pathlib import Path  # only here: pathlib drops a trailing "/" or "/."
+
+            f = open(Path(name), "rb", buffering=0)
+        with f:
+            return f.read()
     except OSError as exc:
         raise FileAccessError(f"{path}: cannot read the file: {exc.strerror}") from None
+
+
+def read_text(path: StrPath) -> str:
+    """The text of the UTF-8 file at `path`, with universal newlines ("\r\n"
+    and a lone "\r" read as "\n"), as `Path(path).read_text(encoding="utf-8")`
+    gives it: one read, one decode, and a newline pass only over text that
+    holds a "\r". Bytes that are not UTF-8 are a `FileAccessError` naming
+    the offset of the first."""
+    data = read_bytes(path)
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FileAccessError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def load_project(path: StrPath) -> ProjectFile:
+    """Read and fully validate a project file."""
+    text = read_text(path)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -560,25 +597,35 @@ def json_text(obj) -> str:
 
 
 @contextmanager
-def open_output(path: Union[str, Path]) -> Iterator[TextIO]:
-    """An output file open for UTF-8 text, written as it is (no newline
+def open_output(path: StrPath) -> Iterator[BinaryIO]:
+    """An output file open for bytes: each writer forms a block of its text,
+    encodes it as UTF-8 once and writes it as it is (no newline
     translation). A file that cannot be opened or written is a
     `FileAccessError` naming the path."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as f:
+        with open(path, "wb") as f:
             yield f
     except OSError as exc:
         raise FileAccessError(f"{path}: cannot write the file: {exc.strerror}") from None
 
 
-def write_json(obj, path: Union[str, Path]) -> None:
+#: Parts of `write_json`'s text it joins and encodes into one block.
+_JSON_BLOCK_PARTS = 4096
+
+#: Characters a streamed output (a matrix, a CSV) gathers into one block.
+_BLOCK_CHARS = 1 << 16
+
+
+def write_json(obj, path: StrPath) -> None:
     """Write `json.dumps(obj, indent=2)`'s bytes and a newline to `path`,
-    as the parts `json_text` would join, so the text is never held whole."""
+    as the parts `json_text` would join, a block of parts at a time, so the
+    text is never held whole."""
     parts: list[str] = []
     _json_lines(obj, "\n", parts.append)
     parts.append("\n")
     with open_output(path) as f:
-        f.writelines(parts)
+        for start in range(0, len(parts), _JSON_BLOCK_PARTS):
+            f.write("".join(parts[start:start + _JSON_BLOCK_PARTS]).encode())
 
 
 #: One cell of a matrix row in `write_json_matrix`'s text, with the comma
@@ -588,20 +635,21 @@ _CELL_DIGIT = len(_CELL) - 2
 
 
 def write_json_matrix(head: dict, rows: Iterable[Iterable[int]], width: int,
-                      path: Union[str, Path]) -> None:
+                      path: StrPath) -> None:
     """Write `json.dumps({**head, "matrix": matrix}, indent=2)`'s bytes and a
     newline to `path`, where `matrix` has a 0/1 row of `width` cells for each
     item of `rows`, the ascending columns of that row's 1s.
 
-    The head goes through the JSON writer; then each row's text is written as
-    soon as it is formed, as runs of the all-zero row's text with a "1" put in
-    place of each 1's "0". Neither the matrix nor a list of rows is held.
+    The head goes through the JSON writer; then each row's text is formed as
+    runs of the all-zero row's text with a "1" put in place of each 1's "0",
+    and the rows are written a block of `_BLOCK_CHARS` characters at a time,
+    so no more of the matrix than one block and one row is held.
     """
     text = json_text({**head, "matrix": []})
     zeros = _CELL * width
     close = "\n    ]" if width else "]"
     with open_output(path) as f:
-        f.write(text[:-len('[]\n}')])
+        block, held = [text[:-len('[]\n}')]], 0
         sep = "[\n    "
         for ones in rows:
             parts, start = [sep, "["], 0
@@ -610,11 +658,17 @@ def write_json_matrix(head: dict, rows: Iterable[Iterable[int]], width: int,
                 parts += zeros[start:digit], "1"
                 start = digit + 1
             parts += zeros[start:-1], close
-            f.write("".join(parts))
+            row = "".join(parts)
+            block.append(row)
+            held += len(row)
+            if held >= _BLOCK_CHARS:
+                f.write("".join(block).encode())
+                block, held = [], 0
             sep = ",\n    "
-        f.write("[]\n}\n" if sep == "[\n    " else "\n  ]\n}\n")
+        block.append("[]\n}\n" if sep == "[\n    " else "\n  ]\n}\n")
+        f.write("".join(block).encode())
 
 
-def save_project(project: ProjectFile, path: Union[str, Path]) -> None:
+def save_project(project: ProjectFile, path: StrPath) -> None:
     """Write a project deterministically (stable key order, trailing newline)."""
     write_json(project_to_obj(project), path)

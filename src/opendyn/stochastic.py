@@ -242,6 +242,11 @@ class DistEffect:
         return product
 
     @staticmethod
+    def weights(update: Mapping[str, Mapping[str, Dist]]) -> int:
+        """The weights the cells of an update table hold: |supp| per cell."""
+        return sum(len(cell.weights) for row in update.values() for cell in row.values())
+
+    @staticmethod
     def point(dist: Dist) -> Optional[str]:
         """The label of a one-label distribution; it has weight 1."""
         return next(iter(dist.weights)) if len(dist.weights) == 1 else None
