@@ -13,6 +13,18 @@ writes its rows and columns in canonical order, so it builds through the
 trusted constructors (`finset._finmap`, `deterministic._machine`,
 `deterministic._rewiring`), which skip the public constructors' checks.
 
+A case is drawn a table at a time. Each map, machine update, lens bwd and
+chart push, and each pair of sizes, is drawn in one call of `_draws` or
+`_samples`, which make the very `getrandbits` calls that one
+`Random.choice`, `randint` or `sample` per cell or row would make, in the
+same order. So a seed draws the very cases that per-cell draws gave and
+leaves the generator in the same state: `tests/test_seeded_draws.py` holds
+the generators to the per-cell ones of `tests/draw_oracle.py`, and the
+helpers to `random`'s own calls. The label sets (`i0, i1, ...`, `o0, ...`,
+`s0, ...`) are formed once per prefix and size per process (`_label_set`),
+so `random_finset` returns a `FinSet` that every draw of its prefix and
+size shares.
+
 `matrix_suite` checks each drawn lens and machine at periods 1 to 3 through
 `deterministic._matrix_theorem`, so each pair's composite is formed once and
 each period's walking cycle and walk layout once per process; its verdicts
@@ -24,6 +36,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .deterministic import (
@@ -48,41 +61,102 @@ from .ode import OdeLens, OdeSystem, ParamSignal, check_solve_functoriality
 from .project import load_project
 
 
-def _labels(prefix: str, n: int) -> list[str]:
-    return [f"{prefix}{k}" for k in range(n)]
+def _draws(rng: random.Random, seq, count: int) -> list:
+    """`[rng.choice(seq) for _ in range(count)]`, through the very calls
+    those `choice`s make: `choice(seq)` is `seq[_randbelow(len(seq))]`, and
+    `_randbelow(n)` draws `getrandbits(n.bit_length())` until the value is
+    below n. An empty `seq` is refused first, since `getrandbits(0)` is 0
+    and no value would ever be below n = 0.
+    """
+    n = len(seq)
+    if count and not n:
+        raise ValidationError("cannot draw a map into an empty set")
+    bits, width = rng.getrandbits, n.bit_length()
+    picks = []
+    for _ in range(count):
+        r = bits(width)
+        while r >= n:
+            r = bits(width)
+        picks.append(seq[r])
+    return picks
+
+
+def _samples(rng: random.Random, population, k: int, count: int) -> list[list]:
+    """`[rng.sample(population, k) for _ in range(count)]`, through the very
+    calls those `sample`s make; k must be at most the population's size.
+
+    A population of at most 21 takes `sample`'s pool path: the i-th pick is
+    `pool[_randbelow(n - i)]`, whose slot then takes the pool's last
+    unpicked element. A larger population may take its set path, so it goes
+    through `rng.sample` itself.
+    """
+    n = len(population)
+    if n > 21:
+        return [rng.sample(population, k) for _ in range(count)]
+    bits, drawn = rng.getrandbits, []
+    for _ in range(count):
+        pool, picks = list(population), []
+        for m in range(n, n - k, -1):
+            width = m.bit_length()
+            j = bits(width)
+            while j >= m:
+                j = bits(width)
+            picks.append(pool[j])
+            pool[j] = pool[m - 1]
+        drawn.append(picks)
+    return drawn
+
+
+def _sizes(rng: random.Random, max_size: int, count: int) -> list[int]:
+    """`count` draws of `rng.randint(1, max_size)`, which is
+    `1 + _randbelow(max_size)`."""
+    if max_size < 1:
+        raise ValidationError(f"cannot draw a nonempty set of at most {max_size} elements")
+    return _draws(rng, range(1, max_size + 1), count)
+
+
+def _draw_table(rng: random.Random, rows: FinSet, cols: FinSet, values: FinSet) -> dict:
+    """A row per element of `rows`, a cell per element of `cols`, each cell
+    drawn from `values`, row by row, as one `rng.choice` per cell draws it."""
+    cells = iter(_draws(rng, values.elements, len(rows) * len(cols)))
+    # zip ends at the row's last column before it takes a further cell
+    return {r: dict(zip(cols.elements, cells)) for r in rows.elements}
+
+
+@lru_cache(maxsize=256)
+def _label_set(prefix: str, size: int) -> FinSet:
+    """The labels prefix0, ..., prefix{size - 1}, formed once per (prefix,
+    size) per process: a `FinSet` is never changed, so draws share it."""
+    return FinSet([f"{prefix}{k}" for k in range(size)])
 
 
 def random_finset(rng: random.Random, prefix: str, max_size: int) -> FinSet:
-    return FinSet(_labels(prefix, rng.randint(1, max_size)))
+    """The labels prefix0, prefix1, ... of a size drawn from 1 to `max_size`;
+    the set is shared by every draw of that prefix and size."""
+    return _label_set(prefix, *_sizes(rng, max_size, 1))
 
 
 def random_interface(rng: random.Random, max_size: int = 4, tag: str = "") -> DetInterface:
-    return DetInterface(
-        random_finset(rng, f"{tag}i", max_size), random_finset(rng, f"{tag}o", max_size)
-    )
+    n_inputs, n_outputs = _sizes(rng, max_size, 2)
+    return DetInterface(_label_set(f"{tag}i", n_inputs), _label_set(f"{tag}o", n_outputs))
 
 
 def random_map(rng: random.Random, dom: FinSet, cod: FinSet) -> FinMap:
-    if len(cod) == 0 and len(dom) > 0:
-        raise ValidationError("cannot draw a map into an empty set")
-    return _finmap(dom, cod, {x: rng.choice(cod.elements) for x in dom})
+    return _finmap(dom, cod, dict(zip(dom.elements, _draws(rng, cod.elements, len(dom)))))
 
 
 def random_system(rng: random.Random, iface: DetInterface, max_states: int = 5) -> DetSystem:
     states = random_finset(rng, "s", max_states)
     readout = random_map(rng, states, iface.outputs)
-    update = {
-        s: {i: rng.choice(states.elements) for i in iface.inputs} for s in states
-    }
+    update = _draw_table(rng, states, iface.inputs, states)
     return _machine(DetSystem, states, iface, readout, update)
 
 
 def random_lens(rng: random.Random, source: DetInterface, target: DetInterface) -> DetLens:
+    if not source.inputs and source.outputs and target.inputs:
+        raise ValidationError("cannot draw a lens's bwd into an empty set of inputs")
     fwd = random_map(rng, source.outputs, target.outputs)
-    bwd = {
-        o: {i2: rng.choice(source.inputs.elements) for i2 in target.inputs}
-        for o in source.outputs
-    }
+    bwd = _draw_table(rng, source.outputs, target.inputs, source.inputs)
     return _rewiring(DetLens, source, target, fwd, bwd)
 
 
@@ -97,21 +171,21 @@ def random_injective_chart(
     """
     if len(target.outputs) < len(source.outputs) or len(target.inputs) < len(source.inputs):
         raise ValidationError("target interface too small for an injective chart")
-    images = rng.sample(target.outputs.elements, len(source.outputs))
-    fwd = _finmap(source.outputs, target.outputs, dict(zip(source.outputs, images)))
-    push = {
-        o: dict(zip(source.inputs, rng.sample(target.inputs.elements, len(source.inputs))))
-        for o in source.outputs
-    }
+    outputs, inputs = source.outputs.elements, source.inputs.elements
+    [images] = _samples(rng, target.outputs.elements, len(outputs), 1)
+    fwd = _finmap(source.outputs, target.outputs, dict(zip(outputs, images)))
+    rows = _samples(rng, target.inputs.elements, len(inputs), len(outputs))
+    push = {o: dict(zip(inputs, row)) for o, row in zip(outputs, rows)}
     return _rewiring(DetChart, source, target, fwd, push)
 
 
 def _grow(rng: random.Random, iface: DetInterface, min_inputs: int = 1) -> DetInterface:
     """An interface at least as large as `iface` in both alphabets, and up to
     two larger in each."""
+    more_inputs, more_outputs = _draws(rng, range(3), 2)
     return DetInterface(
-        FinSet(_labels("i", max(min_inputs, len(iface.inputs) + rng.randint(0, 2)))),
-        FinSet(_labels("o", len(iface.outputs) + rng.randint(0, 2))),
+        _label_set("i", max(min_inputs, len(iface.inputs) + more_inputs)),
+        _label_set("o", len(iface.outputs) + more_outputs),
     )
 
 
@@ -136,17 +210,15 @@ def random_square_from(
     bottom = random_injective_chart(rng, iface3, _grow(rng, iface3))
     iface4 = bottom.target
 
-    fwd_table = {o2: rng.choice(iface4.outputs.elements) for o2 in iface2.outputs}
-    bwd_table = {
-        o2: {i4: rng.choice(iface2.inputs.elements) for i4 in iface4.inputs}
-        for o2 in iface2.outputs
-    }
-    for o in iface1.outputs:
-        o2 = top.fwd(o)
-        fwd_table[o2] = bottom.fwd(left.fwd(o))
-        for a3 in iface3.inputs:
-            i4 = bottom.push[left.fwd(o)][a3]
-            bwd_table[o2][i4] = top.push[o][left.bwd[o][a3]]
+    fwd_table = random_map(rng, iface2.outputs, iface4.outputs).table
+    bwd_table = _draw_table(rng, iface2.outputs, iface4.inputs, iface2.inputs)
+    left_fwd, bottom_fwd = left.fwd.table, bottom.fwd.table
+    for o, o2 in top.fwd.table.items():
+        o3 = left_fwd[o]
+        fwd_table[o2] = bottom_fwd[o3]
+        row, pushed, back = bwd_table[o2], top.push[o], left.bwd[o]
+        for a3, i4 in bottom.push[o3].items():
+            row[i4] = pushed[back[a3]]
     right = _rewiring(
         DetLens, iface2, iface4, _finmap(iface2.outputs, iface4.outputs, fwd_table), bwd_table
     )
@@ -172,7 +244,7 @@ def mutate_square(rng: random.Random, sq: DetSquare) -> tuple[DetSquare, tuple[s
     if not choices:
         raise ValidationError("square has no room for a detectable mutation")
     o, a3 = rng.choice(choices)
-    fwd_table = {x: sq.right.fwd(x) for x in sq.right.source.outputs}
+    fwd_table = dict(sq.right.fwd.table)
     bwd_table = {x: dict(row) for x, row in sq.right.bwd.items()}
     if a3 is None:
         old = fwd_table[o2]
@@ -208,6 +280,12 @@ def _suite_rng(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}|{name}")
 
 
+def _cases(cases: int) -> range:
+    if cases < 0:
+        raise ValidationError(f"cases must be nonnegative, got {cases}")
+    return range(cases)
+
+
 def _failed(name: str, case: int, why: str) -> SuiteResult:
     return SuiteResult(name, False, case + 1, f"case {case}: {why}")
 
@@ -215,7 +293,7 @@ def _failed(name: str, case: int, why: str) -> SuiteResult:
 def lens_law_suite(seed: int, cases: int) -> SuiteResult:
     """Units, associativity, and action functoriality of lens composition."""
     rng = _suite_rng(seed, "lens-laws")
-    for case in range(cases):
+    for case in _cases(cases):
         ifaces = [random_interface(rng, tag=str(n)) for n in range(4)]
         l1 = random_lens(rng, ifaces[0], ifaces[1])
         l2 = random_lens(rng, ifaces[1], ifaces[2])
@@ -239,7 +317,7 @@ def lens_law_suite(seed: int, cases: int) -> SuiteResult:
 def square_suite(seed: int, cases: int) -> SuiteResult:
     """Generated squares commute, pastings commute, mutations are caught."""
     rng = _suite_rng(seed, "squares")
-    for case in range(cases):
+    for case in _cases(cases):
         sq = random_square(rng)
         if not check_square(sq):
             return _failed("squares", case, "generated square fails")
@@ -285,7 +363,7 @@ def matrix_suite(seed: int, cases: int) -> SuiteResult:
     """The composition theorem on random systems and lenses, for periods 1 to
     3, each pair rewired once (`_matrix_theorem`)."""
     rng = _suite_rng(seed, "matrix")
-    for case in range(cases):
+    for case in _cases(cases):
         iface = random_interface(rng, 5)
         target = random_interface(rng, 5)
         sys = random_system(rng, iface)
