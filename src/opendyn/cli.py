@@ -39,7 +39,7 @@ import io
 import math
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .deterministic import (
     DetLens,
@@ -453,9 +453,23 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("project")
         for flag, kwargs in options:
+            if "type" in kwargs:
+                kwargs = {**kwargs, "type": _passing_dashes(kwargs["type"])}
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
     return parser
+
+
+def _passing_dashes(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """`convert`, handing a `--` value back as it is, for `main` to refuse:
+    Python 3.13's argparse converts the value of `--k=--`, where 3.10-3.12
+    store []. Its name stays `convert`'s, which argparse's errors print."""
+
+    def typed(value: str) -> object:
+        return value if value == "--" else convert(value)
+
+    typed.__name__ = convert.__name__
+    return typed
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

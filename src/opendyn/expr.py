@@ -14,17 +14,22 @@ Nothing else bounds a tree's depth: a flat chain such as `x+x+...+x` parses
 at any length. The only functions are sin, cos, exp, log. There are no
 binders, so substitution is plain simultaneous replacement.
 
-Every walk over expressions is a loop over one list, built without
-recursion: `Dag` lowers expressions to their distinct subtrees in post-order,
-equal subtrees sharing one entry. So no walk recurses, and a subtree that
-many paths reach, as wiring by substitution builds, is visited once. `parse`
-reads text in one pass, an explicit stack of pending operators in place of
-the grammar's recursion, and given a `Dag` it lowers each node into it as
-it reads. `compile_table` turns a table into the Python function
-`opendyn.ode` evaluates fields with, a subtree used once written inline,
-and `compile_tables` chains tables in one function, a later table reading
-an earlier one's roots from locals; `evaluate` defines what they compute
-and explains every error they meet.
+Nodes are `__slots__` classes whose fields refuse assignment; `parse` and
+`substitute` build them through a cheaper private path than their
+constructors. Every walk over expressions is a loop over one list, built
+without recursion: `Dag` lowers expressions to their distinct subtrees in
+post-order, equal subtrees sharing one entry. So no walk recurses, and a
+subtree that many paths reach, as wiring by substitution builds, is visited
+once. `parse` reads text in one pass, an explicit stack of pending operators
+in place of the grammar's recursion, and given a `Dag` it lowers each node
+into it as it reads. `compile_table` turns a table into the Python function
+`opendyn.ode` evaluates fields with, a subtree used once written inline.
+`compile_tables` chains tables, a later table reading an earlier one's roots
+from locals, and splits the work in two: an outer function of the
+parameters computes the terms that only add, subtract, multiply and negate
+parameters and finite float constants, once per row of parameter values,
+and returns the function of the states that computes the rest. `evaluate`
+defines what they compute and explains every error they meet.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import math
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass, fields
 from itertools import chain, islice
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -54,9 +58,20 @@ MAX_NODES = 1_000_000
 
 class _Node:
     """Equality and hashing on the `Dag`: constants compare by type and repr,
-    so Num(0.0) != Num(-0.0) and Num(1) != Num(1.0)."""
+    so Num(0.0) != Num(-0.0) and Num(1) != Num(1.0). A node's fields are
+    slots, named in order by its class's `_fields`, and refuse assignment."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Node) and Dag((self,)).index == Dag((other,)).index
@@ -72,13 +87,13 @@ class _Node:
         nodes, at, parts = [self], {id(self): 0}, []
         for e in nodes:  # breadth first: `nodes` grows as operands are met
             part = [f"{type(e).__name__}("]
-            for n, f in enumerate(fields(e)):
-                value = getattr(e, f.name)
+            for n, name in enumerate(e._fields):
+                value = getattr(e, name)
                 if isinstance(value, _Node) and id(value) not in at:
                     at[id(value)] = len(nodes)
                     nodes.append(value)
                 shown = at[id(value)] if isinstance(value, _Node) else repr(value)
-                part += (f"{', ' if n else ''}{f.name}=", shown)
+                part += (f"{', ' if n else ''}{name}=", shown)
             parts.append(part + [")"])
         uses = Counter(p for part in parts for p in part if type(p) is int)
         shared = [
@@ -91,35 +106,102 @@ class _Node:
         return f"{text} where {lets}" if lets else text
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+_set = object.__setattr__
+
+
 class Num(_Node):
-    value: float
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
-    arg: "Expr"
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: "Expr"):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(_Node):
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+    __slots__ = _fields = ("op", "left", "right")  # op: one of + - * / ^
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
-    fn: str
-    arg: "Expr"
+    __slots__ = _fields = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: "Expr"):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
+
+
+def _draft(cls: type) -> type:
+    """A subclass of the node class `cls` whose fields take plain stores. The
+    two share their slots, so a draft's `__class__` may be set to `cls`."""
+    return type(f"_{cls.__name__}Draft", (cls,), {
+        "__slots__": (), "__init__": object.__init__,
+        "__setattr__": _set, "__delattr__": object.__delattr__,
+    })
+
+
+_NumDraft, _VarDraft, _NegDraft, _BinOpDraft, _CallDraft = map(
+    _draft, (Num, Var, Neg, BinOp, Call)
+)
+
+# `parse` and `substitute` build nodes through these: a draft, its fields
+# stored, then its class set, at a fraction of the cost of the classes' own
+# `__init__`, whose stores go through `object.__setattr__`.
+
+
+def _num(value: float) -> Num:
+    node = _NumDraft()
+    node.value = value
+    node.__class__ = Num
+    return node
+
+
+def _var(name: str) -> Var:
+    node = _VarDraft()
+    node.name = name
+    node.__class__ = Var
+    return node
+
+
+def _neg(arg: Expr) -> Neg:
+    node = _NegDraft()
+    node.arg = arg
+    node.__class__ = Neg
+    return node
+
+
+def _binop(op: str, left: Expr, right: Expr) -> BinOp:
+    node = _BinOpDraft()
+    node.op, node.left, node.right = op, left, right
+    node.__class__ = BinOp
+    return node
+
+
+def _call(fn: str, arg: Expr) -> Call:
+    node = _CallDraft()
+    node.fn, node.arg = fn, arg
+    node.__class__ = Call
+    return node
+
 
 _DONE = object()  # on the lowering stack, above a node whose operands are being lowered
 
@@ -257,7 +339,7 @@ def parse(text: str, dag: Dag | None = None) -> Expr:
                 stack.append((0, token, None, 0))
                 i += 1
                 continue
-            node = Var(token)
+            node = _var(token)
             at = enter(("var", token), node, ())
         elif token and token not in _OPERATORS:
             number = float(token)
@@ -265,7 +347,7 @@ def parse(text: str, dag: Dag | None = None) -> Expr:
                 raise _syntax_error(
                     f"numeral {token!r} is not a finite float", text, tokens, i - 1
                 )
-            node = Num(number)
+            node = _num(number)
             at = enter(("num", float, repr(number)), node, ())
         else:
             shown = token if token else "end of input"
@@ -283,10 +365,10 @@ def parse(text: str, dag: Dag | None = None) -> Expr:
                 if pending == _UNARY:  # the factor it is part of ends with it
                     depth -= 1
                 if left is None:
-                    node = Neg(node)
+                    node = _neg(node)
                     at = enter(("neg", at), node, (at,))
                 else:
-                    node = BinOp(op, left, node)
+                    node = _binop(op, left, node)
                     at = enter((op, left_at, at), node, (left_at, at))
             if token in _BINDS:
                 stack.append((_BINDS[token], token, node, at))
@@ -305,7 +387,7 @@ def parse(text: str, dag: Dag | None = None) -> Expr:
             stack.pop()
             i += 1
             if group != "(":
-                node = Call(group, node)
+                node = _call(group, node)
                 at = enter(("call", group, at), node, (at,))
 
 
@@ -395,11 +477,11 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
         if isinstance(node, Var):
             node = bindings.get(node.name, node)
         elif isinstance(node, BinOp):
-            node = BinOp(node.op, new[ops[0]], new[ops[1]])
+            node = _binop(node.op, new[ops[0]], new[ops[1]])
         elif isinstance(node, Neg):
-            node = Neg(new[ops[0]])
+            node = _neg(new[ops[0]])
         elif isinstance(node, Call):
-            node = Call(node.fn, new[ops[0]])
+            node = _call(node.fn, new[ops[0]])
         new.append(node)
     return new[dag.roots[0]]
 
@@ -445,6 +527,10 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
 #: fewer than 200 nested parentheses.
 _INLINE_NESTING = 32
 
+#: The binary operators a term computed once per parameter row may hold,
+#: besides unary minus: on floats they never raise.
+_BINDABLE = ("+", "-", "*")
+
 
 def compile_table(
     table: Mapping[str, Expr],
@@ -459,41 +545,55 @@ def compile_table(
 
     The function is straight-line Python. An entry of the Dag that two or
     more operands or roots use is computed once into a local; one used once
-    is written in parentheses where it is used, unless its code would nest
-    `_INLINE_NESTING` deep, when it gets a local too. So any depth compiles,
-    every entry is computed exactly once, and each expression evaluates its
-    operands left to right. It only computes, with `math` called directly
-    and an unbound name read from an empty dict, giving what `evaluate`
-    gives, bit for bit. It raises exactly when some `evaluate` raises, since
-    Python's `/` refuses exactly the divisors it does (0.0, -0.0 and 0);
-    then `evaluate` replays the table and raises its first error, prefixed
-    `<what> component '<key>': `.
+    is written where it is used, parenthesized only where precedence needs
+    it, unless its code would nest `_INLINE_NESTING` deep, when it gets a
+    local too. So any depth compiles, every entry is computed exactly once,
+    and each expression evaluates its operands left to right. It only
+    computes, with `math` called directly, a finite float constant written
+    as a literal and an unbound name read from an empty dict, giving what
+    `evaluate` gives, bit for bit. It raises exactly when some `evaluate`
+    raises, since Python's `/` refuses exactly the divisors it does (0.0,
+    -0.0 and 0); then `evaluate` replays the table and raises its first
+    error, prefixed `<what> component '<key>': `.
     """
-    return compile_tables(((table, keys, what, dag),), args)
+    return compile_tables(((table, keys, what, dag),), args, ())()
 
 
 def compile_tables(
     stages: Sequence[tuple[Mapping[str, Expr], Sequence[str], str, Dag | None]],
-    args: Sequence[str],
-) -> Callable[..., tuple[float, ...]]:
-    """`compile_table` of a chain of (table, keys, what, dag) stages: one
-    function of the values of `args` that computes each stage's table in
-    turn and returns the last one's tuple. In a later stage a name is the
-    value of the latest earlier stage's key of that name, else the argument
-    of that name: each earlier root is bound to a local, not substituted.
-    On a failure the stages are replayed through `evaluate` in order."""
-    # a name listed twice reads its last value, as a dict built in order would
-    scope = {name: f"_a{j}" for j, name in enumerate(args)}
+    states: Sequence[str],
+    params: Sequence[str],
+) -> Callable[..., Callable[..., tuple[float, ...]]]:
+    """`compile_table` of a chain of (table, keys, what, dag) stages over the
+    values of `states` then `params`, split in two. The function returned
+    takes the values of `params` and returns the function of the values of
+    `states` that computes each stage's table in turn and returns the last
+    one's tuple. In a later stage a name is the value of the latest earlier
+    stage's key of that name, else the argument of that name: each earlier
+    root is bound to a local, not substituted. On a failure the stages are
+    replayed through `evaluate` in order, on the state and parameter values.
+
+    A term built from parameters and finite float constants by `+`, `-`,
+    `*` and unary minus alone is computed by the outer function, once per
+    call, and read by the state function from its closure: on floats those
+    operations never raise, so computing such a term early changes no value
+    and no error. With no `params` the outer function takes nothing and
+    computes the constant terms."""
+    args = (*states, *params)
+    # a name listed twice reads its last value, as a dict built in order
+    # would; each name maps to its code and whether it is a parameter's
+    scope = {name: (f"_a{j}", j >= len(states)) for j, name in enumerate(args)}
     namespace = {"_pow": math.pow, "_unbound": {}}
-    lines: list[str] = []
+    outer: list[str] = []  # the lines of the outer function
+    lines: list[str] = []  # the lines of the state function
 
     def const(value) -> str:
         name = f"_k{len(namespace)}"
         namespace[name] = value
         return name
 
-    def operand(j: int) -> str:
-        return f"({code[j]})" if nesting[j] else code[j]
+    def operand(j: int, looser_than: int) -> str:
+        return f"({code[j]})" if prec[j] < looser_than else code[j]
 
     for k, (table, keys, what, dag) in enumerate(stages, 1):
         if dag is None:
@@ -503,32 +603,61 @@ def compile_tables(
         # even where no later stage reads it
         for j in chain(dag.roots, *dag.operands, dag.roots if k < len(stages) else ()):
             uses[j] += 1
-        code: list[str] = []  # each entry's code: a local, a constant, or an expression
+        # which entries the outer function computes, and how many of each
+        # entry's uses are by those; one used otherwise gets a local there
+        bound: list[bool] = []
+        bound_uses = [0] * len(dag.nodes)
+        for node, ops in zip(dag.nodes, dag.operands):
+            if isinstance(node, Num):
+                bound.append(type(node.value) is float and math.isfinite(node.value))
+            elif isinstance(node, Var):
+                bound.append(scope.get(node.name, ("", False))[1])
+            else:
+                bindable = isinstance(node, Neg) or (
+                    isinstance(node, BinOp) and node.op in _BINDABLE
+                )
+                bound.append(bindable and all([bound[j] for j in ops]))
+                if bound[-1]:
+                    for j in ops:
+                        bound_uses[j] += 1
+        code: list[str] = []  # each entry's code: a name, a literal, or an expression
+        prec: list[int] = []  # the precedence of each entry's code, as `_PREC` counts
         nesting: list[int] = []  # how deep each entry's code nests, 0 for a name
-        for node, ops, used in zip(dag.nodes, dag.operands, uses):
+        for j, (node, ops) in enumerate(zip(dag.nodes, dag.operands)):
+            p = _ATOM_PREC
             if isinstance(node, Num) or (isinstance(node, Var) and node.name in scope):
-                code.append(const(node.value) if isinstance(node, Num) else scope[node.name])
+                if isinstance(node, Var):
+                    text = scope[node.name][0]
+                else:
+                    text = repr(node.value) if bound[j] else const(node.value)
+                code.append(f"({text})" if text[0] == "-" else text)
+                prec.append(p)
                 nesting.append(0)
                 continue
             if isinstance(node, Var):
                 text = f"_unbound[{const(node.name)}]"
             elif isinstance(node, Neg):
-                text = f"-{operand(ops[0])}"
+                p = _PREC["neg"]
+                text = f"-{operand(ops[0], p)}"
             elif isinstance(node, Call):
                 text = f"{const(FUNCTIONS[node.fn])}({code[ops[0]]})"
             elif node.op == "^":
                 text = f"_pow({code[ops[0]]}, {code[ops[1]]})"
             else:
-                text = f"{operand(ops[0])} {node.op} {operand(ops[1])}"
-            depth = 1 + max([nesting[j] for j in ops], default=0)
-            if used > 1 or depth == _INLINE_NESTING:
-                code.append(f"_v{len(lines)}")
+                p = _PREC[node.op]
+                text = f"{operand(ops[0], p)} {node.op} {operand(ops[1], p + 1)}"
+            depth = 1 + max([nesting[i] for i in ops], default=0)
+            if uses[j] > 1 or depth == _INLINE_NESTING or (bound[j] and uses[j] > bound_uses[j]):
+                into = outer if bound[j] else lines
+                code.append(f"{'_h' if bound[j] else '_v'}{len(into)}")
+                into.append(f"{code[-1]} = {text}")
+                prec.append(_ATOM_PREC)
                 nesting.append(0)
-                lines.append(f"        {code[-1]} = {text}")
             else:
                 code.append(text)
+                prec.append(p)
                 nesting.append(depth)
-        scope.update({key: code[root] for key, root in zip(keys, dag.roots)})
+        scope.update({key: (code[root], bound[root]) for key, root in zip(keys, dag.roots)})
 
     def explain(*values) -> None:
         env = dict(zip(args, values))
@@ -542,18 +671,21 @@ def compile_tables(
             env.update(out)
 
     namespace["_explain"] = explain
-    params = ", ".join(f"_a{j}" for j in range(len(args)))
+    names = [f"_a{j}" for j in range(len(args))]
     returned = "".join(f"{code[root]}, " for root in dag.roots)
     source = "\n".join([
-        f"def _compiled({params}):",
-        "    try:",
-        *lines,
-        f"        return ({returned})",
-        "    except (ArithmeticError, ValueError, LookupError):",
-        f"        _explain({params})",
-        "        raise",
+        f"def _bind({', '.join(names[len(states):])}):",
+        *[f"    {line}" for line in outer],
+        f"    def _compiled({', '.join(names[:len(states)])}):",
+        "        try:",
+        *[f"            {line}" for line in lines],
+        f"            return ({returned})",
+        "        except (ArithmeticError, ValueError, LookupError):",
+        f"            _explain({', '.join(names)})",
+        "            raise",
+        "    return _compiled",
         "",
     ])
     whats = "/".join([what for _, _, what, _ in stages])
     exec(compile(source, f"<compiled {whats}>", "exec"), namespace)
-    return namespace["_compiled"]
+    return namespace["_bind"]

@@ -19,11 +19,16 @@ which explains any failure.
 
 Solving is fixed-step classical RK4 on a grid of at most MAX_STEPS steps, by
 one loop generated per system and built on first use (`OdeSystem.integrator`):
-a local per coordinate and stage, the compiled field called on unpacked
-locals, and the stage formulas in their textbook float order. A constant
-parameter signal is bound once; a sampled one is called at each stage time.
-An evaluation error names the stage time and state it happened at, and a
-state that leaves the floats names the step and the states on both sides.
+a local per coordinate and stage, the field called on unpacked locals, and
+the stage formulas in their textbook float order. The field is compiled
+by `expr.compile_tables` in two parts: binding it to a row of parameter
+values computes the terms of parameters and finite float constants alone,
+such as the product over parameters that each level of substitution adds,
+and returns the field as a function of the states. A constant parameter
+signal is bound once; a sampled one is called at each stage time and bound
+again when it answers with another row. An evaluation error names the stage
+time and state it happened at, and a state that leaves the floats names the
+step and the states on both sides.
 `rk4_solve` builds its `Trajectory` through `_trajectory`, without the
 public constructor's O(rows) checks: `_grid` is strictly increasing (it
 refuses a step too small for the float spacing of its times) and the loop
@@ -36,9 +41,10 @@ differences; `check_solve_functoriality` compares substitute-then-solve
 against solving with the wiring live: at each stage one function that
 `expr.compile_tables` generates from the readout, `bwd` and field tables,
 each lowered apart and none substituted into another, computes the readout,
-then `bwd`, then the field. Both integrations run the same generated loop,
-so the two paths differ only by where expressions are evaluated, and equal
-state rows give deviation 0.0 at t0 with no per-element scan.
+then `bwd`, then the field, bound per row of outer parameters as above.
+Both integrations run the same generated loop, so the two paths differ only
+by where expressions are evaluated, and equal state rows give deviation 0.0
+at t0 with no per-element scan.
 """
 
 from __future__ import annotations
@@ -170,8 +176,13 @@ class OdeSystem:
 
     def compiled(self, table: str) -> Callable[..., tuple[float, ...]]:
         """The "field", over state then parameter values, or the "readout",
-        over state values, as a compiled function; each built on first use."""
-        fn = self._compiled.get(table)
+        over state values, as a compiled function; each built on first use.
+        `_compiled` keeps them under "field values" and "readout", and under
+        "field" the field that `integrator` runs: `expr.compile_tables` of
+        the states and the parameters, a function of the parameter values
+        returning the function of the state values."""
+        key = "field values" if table == "field" else "readout"
+        fn = self._compiled.get(key)
         if fn is None:
             if table == "field":
                 fn = compile_table(
@@ -182,14 +193,19 @@ class OdeSystem:
                 fn = compile_table(
                     self.readout, self.output_vars, self.state_vars, "readout", self._dags[1]
                 )
-            self._compiled[table] = fn
+            self._compiled[key] = fn
         return fn
 
     def integrator(self) -> Callable[..., list[tuple[float, ...]]]:
-        """The RK4 loop over this system's compiled field, `_rk4(times, y,
-        p, sample)` of `_rk4_code`; built on first use."""
+        """The RK4 loop over this system's field bound per parameter row,
+        `_rk4(times, y, p, sample)` of `_rk4_code`; built on first use."""
         if self._rk4 is None:
-            self._rk4 = _loop(self.compiled("field"), self.state_vars, len(self.param_vars))
+            bind = compile_tables(
+                ((self.field, self.state_vars, "field", self._dags[0]),),
+                self.state_vars, self.param_vars,
+            )
+            self._compiled["field"] = bind
+            self._rk4 = _loop(bind, self.state_vars)
         return self._rk4
 
     def copied_states(self) -> tuple[Optional[int], ...]:
@@ -515,29 +531,30 @@ _RK4_HELPERS = {
 
 
 @lru_cache(maxsize=64)
-def _rk4_code(n: int, m: int) -> CodeType:
-    """The RK4 loop over n state and m parameter coordinates, compiled.
+def _rk4_code(n: int) -> CodeType:
+    """The RK4 loop over n state coordinates, compiled.
 
     `_rk4(times, y, p, sample)` steps from the state tuple `y` over the grid
     `times` and returns the list of state tuples, one per grid time. Each
-    coordinate and stage is a local; the field is the global `_field`, called
-    on unpacked locals, and `_names` names the coordinates in errors. With
-    `sample` None the parameters are the tuple `p`, unpacked once; otherwise
-    each stage calls `sample(stage time, *stage state)` for them. The float
-    operations are those of the textbook stage formulas, in the same order.
-    The code depends on the shape alone and is cached per shape: compiling it
-    takes about 0.8 ms, longer than a 400-step run of a small system.
+    coordinate and stage is a local; the global `_bind`, from
+    `expr.compile_tables`, takes a row of parameter values and returns the
+    field of the states, called on unpacked locals, and `_names` names the
+    coordinates in errors. With `sample` None the parameters are the row
+    `p`, bound once; otherwise each stage calls `sample(stage time, *stage
+    state)` for a row, bound again only when it is another row object. The
+    float operations are those of the textbook stage formulas, in the same
+    order. The code depends on the shape alone and is cached per shape:
+    compiling it takes about 0.8 ms, longer than a 400-step run of a small
+    system.
     """
 
-    def row(name: str, count: int = n) -> str:
-        return "".join(f"{name}{j}, " for j in range(count))
+    def row(name: str) -> str:
+        return "".join(f"{name}{j}, " for j in range(n))
 
-    params = f"[{row('p', m)}]"
     lines = [
         "def _rk4(times, y, p, sample):",
         f"    [{row('y')}] = y",
-        "    if sample is None:",
-        f"        {params} = p",
+        "    field = _bind(*p) if sample is None else None",
         f"    values = [({row('y')})]",
         "    t = times[0]",
         "    for t_next in times[1:]:",
@@ -553,8 +570,11 @@ def _rk4_code(n: int, m: int) -> CodeType:
         lines += [
             "        try:",
             "            if sample is not None:",
-            f"                {params} = sample({ts}, {row(at)})",
-            f"            [{row(k)}] = _field({row(at)}{row('p', m)})",
+            f"                stage_row = sample({ts}, {row(at)})",
+            "                if stage_row is not p:",
+            "                    p = stage_row",
+            "                    field = _bind(*p)",
+            f"            [{row(k)}] = field({row(at)})",
             "        except _Err as e:",
             f"            raise _stage_error(e, {ts}, _names, ({row(at)})) from None",
         ]
@@ -575,17 +595,18 @@ def _rk4_code(n: int, m: int) -> CodeType:
     return namespace["_rk4"].__code__
 
 
-def _loop(field: Callable, names: tuple[str, ...], m: int) -> Callable[..., list]:
-    """The loop of `_rk4_code` over `field`, a function of the states `names`
-    and then m parameters."""
-    namespace = {**_RK4_HELPERS, "_field": field, "_names": names}
-    return FunctionType(_rk4_code(len(names), m), namespace)
+def _loop(bind: Callable, names: tuple[str, ...]) -> Callable[..., list]:
+    """The loop of `_rk4_code` over `bind`, which takes a row of parameter
+    values and returns the field as a function of the states `names`."""
+    namespace = {**_RK4_HELPERS, "_bind": bind, "_names": names}
+    return FunctionType(_rk4_code(len(names)), namespace)
 
 
 def _run(loop: Callable, times: Sequence[float], y0: tuple, signal: ParamSignal) -> list:
     """The states `loop` steps to over `times` from y0: a constant signal (one
     row) gives the same row at every time, so its values are bound once; a
-    sampled one is called at each stage time."""
+    sampled one is called at each stage time, and its values bound again
+    where it answers with another row."""
     if len(signal.rows) == 1:
         return loop(times, y0, signal.rows[0], None)
     return loop(times, y0, None, lambda t, *state: signal(t))
@@ -721,9 +742,9 @@ def check_solve_functoriality(
             (lens.bwd, sys.param_vars, "bwd", None),
             (sys.field, sys.state_vars, "field", sys._dags[0]),
         ),
-        sys.state_vars + lens.target_params,
+        sys.state_vars, lens.target_params,
     )
-    loop = _loop(live, sys.state_vars, len(lens.target_params))
+    loop = _loop(live, sys.state_vars)
     values = _run(loop, path_a.times, _initial_state(sys, s0), outer_signal)
     if all(map(operator.eq, path_a.values, values)):
         return FunctorialityResult(True, 0.0, t0)

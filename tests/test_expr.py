@@ -122,7 +122,8 @@ def tree_depth(e) -> int:
     while stack:
         node, depth = stack.pop()
         deepest = max(deepest, depth)
-        stack.extend((child, depth + 1) for child in vars(node).values() if isinstance(
+        children = [getattr(node, name) for name in node._fields]
+        stack.extend((child, depth + 1) for child in children if isinstance(
             child, (Num, Var, Neg, BinOp, Call)))
     return deepest
 
