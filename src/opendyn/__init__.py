@@ -1,15 +1,10 @@
 """Compositional open dynamical systems over three doctrines.
 
 Finite deterministic machines, finite Markov machines with exact rational
-weights, and expression-defined ODE systems all share one wiring discipline:
-lenses rewire interfaces, tensor places systems side by side. Steady states
-and periodic orbits form families over chart sets, lenses induce spans
-(matrices of sets) between those chart sets, and `check_matrix_theorem`
-verifies that wiring commutes with collecting behaviors. A chart set is a
-`ProductSet`, never listed unless its labels are asked for; an orbit family
-holds only the charts that carry orbits, and a lens span is the k-th tensor
-power of its one-step span (`tensor_spans`). The theorem reads these public objects alone, and `steady` and
-`matrix` stream the same walk's rows and the same span's matrix rows.
+weights, and expression-defined ODE systems share one wiring discipline:
+lenses rewire interfaces, tensor places systems side by side, and
+`check_matrix_theorem` verifies that wiring commutes with collecting
+behaviours. README tours the library.
 """
 
 from .errors import (
@@ -73,9 +68,7 @@ from .deterministic import (
     paste_horizontal,
     paste_vertical,
     periodic_orbit_span,
-    periodic_orbits,
     representable_span,
-    run_word,
     simulate_system,
     steady_span,
     tensor_systems,

@@ -3,33 +3,10 @@
 Subcommands: compose, tensor, steady, matrix, simulate, check. All outputs
 are deterministic for a fixed invocation (no timestamps, seeded randomness,
 canonical float and JSON formatting), so repeated runs are byte-identical.
-`matrix` output and the projects `compose` and `tensor` write are the bytes
-of `json.dumps(obj, indent=2)` plus a newline: the projects from
-`project.write_json`, and the matrix from `project.write_json_matrix`, which
-writes each row as the lens span forms it. `steady` sends each orbit row
-through `csv.writer` as the walk finds it, into text that is written a
-block at a time, so it holds no list of rows. An ODE
-`simulate` integrates and reads out the whole run first, so every failure
-comes before its file is opened; it then formats the run a column at a
-time and writes it a block of rows at a time. `matrix` refuses a span
-whose matrix would have more than `deterministic.MAX_MATRIX_ENTRIES`
-entries before building anything of size k, and `steady` and `check`'s
-project scan an orbit walk of more than `deterministic.MAX_WALK` tuples or
-`deterministic.MAX_SLOTS` slots; all three refuse a period past
-`deterministic.MAX_PERIOD`; `tensor` refuses a product of more than
-`deterministic.MAX_TENSOR_ENTRIES` update cells or weights. Every refusal
-comes before an output file is opened, so a refused command leaves an
-existing file as it was.
-`steady`, `simulate` and `check`'s project scan run one code path for a
-deterministic and a Markov machine alike; an ODE system cannot be `steady`.
-A command line of the usual shape is read straight off the `_COMMANDS`
-table by `_scan`; argparse is imported and built only for any other (help,
-a usage error, an abbreviated flag, a separated value such as `-1`), and
-prints and parses it as it always has. A `--` given as a value
-(`--out=--`) exits 2 naming the option.
-Exit codes: 0 success, 1 a check reported a failure, 2 usage or validation
-problems, a project file that cannot be read (missing, a directory, not
-UTF-8) or an output file that cannot be written; each names the path.
+Every refusal comes before an output file is opened, so a refused command
+leaves an existing file as it was. Exit codes: 0 success, 1 a check reported
+a failure, 2 usage or validation problems, a project file that cannot be
+read or an output file that cannot be written; each names the path.
 """
 
 from __future__ import annotations

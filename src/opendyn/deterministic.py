@@ -1,53 +1,20 @@
-"""Finite deterministic machines composed by lenses.
+"""Finite machines composed by lenses, and the matrix theorem on their orbits.
 
-A system here is a Moore machine: states S, interface (inputs I, outputs O), a
-readout S -> O and an update S x I -> effect(S). `Machine` is the shape shared
-by `DetSystem` (identity effect: the update is S x I -> S) and the stochastic
-module's `StochSystem` (distribution effect). Lenses rewire interfaces (a
-forward map on outputs plus a backward map that fills inputs from outputs),
-charts push interfaces forward covariantly, and squares witness that a lens
-pair and a chart pair are compatible.
+A `Machine` is a Moore machine whose update lands in an effect: `DetSystem`
+has the identity effect, the stochastic module's `StochSystem` the
+distribution effect. Lenses rewire interfaces, charts push them forward, and
+squares witness that a lens pair and a chart pair are compatible. README's
+deterministic doctrine describes the orbit walk, the spans and the theorem.
 
-Steady states and period-k orbits of a machine are organized into a Family
-over the set of charts out of a walking k-cycle; `lens_to_span` turns a lens
-into a span between these chart sets, and `check_matrix_theorem` verifies
-that rewiring a machine and then collecting its orbits agrees, up to a
-fiberwise bijection, with applying that span to the orbits of the original
-machine. That is span (= matrix-of-sets) arithmetic acting on behaviors.
-The theorem reads these public objects, and its verdict is decided by the
-span's matrix applied to a count vector. A chart set is a `ProductSet` and
-is never enumerated; an orbit family is bounded when it is made and walks
-when it is read, counting its charts in a pass that forms no element, and
-forming its rows, which read update cells through the effect's `point`,
-only when they are first read; a lens span is the k-th tensor power
-(`finset.tensor_spans`) of the one-step span of `bwd`, so it pushes a count
-vector factor by factor, pushes a family's rows through the charts that
-carry orbits only, and forms its matrix one row at a time. `steady` and
-`matrix` write the same walk's rows and the same span's matrix rows as they
-are formed (`periodic_orbit_rows`, `lens_matrix_rows`). One lens and
-machine checked at many periods go through `_matrix_theorem`, which forms
-the rewired machine and the lens's one-step span once per pair; a walking
-cycle and the half of a walk plan that it fixes (`_rep_layout`) are formed
-once per period per process (`_period_cycle`), for the theorem and for
-`steady` alike, and each period's bounds are still checked before it walks.
-Labels are joined with `|` where a Family, Span or FamilyMatch hands them
-out, or a row is streamed, and print uniquely since a `FinSet`'s labels all
-have one number of parts. One run loop, `simulate_system`, draws each step
-through the effect's `sample`.
-
-The public constructors (`FinMap`, `DetSystem`, `StochSystem`, `DetLens`,
-`DetChart`) and the project loader check every table they are given and
-normalize it to canonical row and column order. The combinators that build
-their results from parts that were already checked, `FinMap.then` and
-`FinMap.identity`, `identity_lens`, `identity_chart`, `compose_lenses`,
-`compose_charts`, `compose_lens_system` and `tensor_systems`,
-`walking_cycle`, and the generators of `opendyn.laws`, build through a
-trusted path instead
-(`finset._finmap`, `_machine`, `_rewiring`) that sets the same slots without
-checks: each writes its tables in canonical order, so the objects are the
-ones the public constructors would build. The project loader's accept pass
-builds a well-formed finite entry through the same path, once it has
-checked every table itself.
+The public constructors and the project loader check every table they are
+given and normalize it to canonical order. The combinators that build from
+parts already checked (`FinMap.then` and `.identity`, `identity_lens`,
+`identity_chart`, `compose_lenses`, `compose_charts`,
+`compose_lens_system`, `tensor_systems`, `walking_cycle`, the generators of
+`opendyn.laws` and the loader's accept pass) build through a trusted path
+(`finset._finmap`, `_machine`, `_rewiring`) that sets the same slots
+without checks: each writes its tables in canonical order, so the objects
+are the ones the public constructors would build.
 """
 
 from __future__ import annotations
@@ -160,15 +127,9 @@ def _check_nested_table(
 class Identity:
     """The identity effect: a deterministic update cell is the next state itself.
 
-    An effect says what a machine's update lands in. The shared machine code
-    calls its static methods: `cell_problem(cell, states)` says what is wrong
-    with one update cell, or None; `product(a, b, states)`, for machines on
-    the states `a` and `b`, is the function that takes a cell of each to
-    their cell on the product states `states`, run side by side;
-    `weights(update)` counts the weights an update table's cells hold, so a
-    product's before it is built; `point(cell)`
-    is the state the cell reaches for sure, or None; `sample(cell, rng)` draws
-    one. `opendyn.project` writes and reads the cells of each effect.
+    An effect says what a machine's update lands in, through the static
+    methods README lists, and `weights(update)`, which counts the weights an
+    update table's cells hold, so a product's before it is built.
     """
 
     cell_problem = staticmethod(_label_problem)
@@ -337,13 +298,10 @@ class DetChart(_Rewiring):
 
 
 class DetSquare:
-    """A candidate compatibility square.
-
-    Charts run horizontally (top: iface1 -> iface2, bottom: iface3 -> iface4)
-    and lenses vertically (left: iface1 => iface3, right: iface2 => iface4).
-    Construction checks only that the four corners agree; whether the square
-    actually commutes is `check_square`'s job.
-    """
+    """A candidate compatibility square: charts run horizontally (top:
+    iface1 -> iface2, bottom: iface3 -> iface4) and lenses vertically (left:
+    iface1 => iface3, right: iface2 => iface4). Construction checks only that
+    the four corners agree; whether it commutes is `check_square`'s job."""
 
     __slots__ = ("top", "bottom", "left", "right")
 
@@ -474,12 +432,9 @@ class SquareResult:
 
 
 def check_square(sq: DetSquare) -> SquareResult:
-    """Decide whether the square commutes.
-
-    Two conditions, both quantified over the first corner's data:
+    """Decide whether the square commutes: over the first corner's data,
     outputs must agree around the square, and pushing an input forward after
-    pulling it back must equal pulling back after pushing forward.
-    """
+    pulling it back must equal pulling back after pushing forward."""
     for o in sq.top.source.outputs:
         if sq.right.fwd(sq.top.fwd(o)) != sq.bottom.fwd(sq.left.fwd(o)):
             return SquareResult(
@@ -545,12 +500,9 @@ def check_system_morphism(phi: FinMap, sys: DetSystem, sys2: DetSystem) -> bool:
 
 
 def walking_cycle(k: int) -> DetSystem:
-    """The k-state cycle that exposes its entire state.
-
-    Charts out of it pick out period-k orbits; k = 1 is the one-state machine
-    whose charts pick out steady states. A cycle of more than `MAX_PERIOD`
-    states is refused before it is built.
-    """
+    """The k-state cycle that exposes its entire state: charts out of it pick
+    out period-k orbits, and at k = 1 steady states. A cycle of more than
+    `MAX_PERIOD` states is refused before it is built."""
     if k < 1:
         raise ValidationError(f"cycle length must be at least 1, got {k}")
     _period_bound(k)
@@ -648,11 +600,11 @@ def _maps_into(plan: tuple) -> Iterator[list]:
     A block holds one column per filled slot over all of its live rows, and
     the walk fills one slot at a time across the whole block: a searched slot
     repeats each row once per value of its domain in canonical order, so the
-    rows stay in the product order over the slots. It reads each update cell
+    rows stay in the product order over the slots. Each update cell is read
     through the effect's `point`, so a cell that reaches no state for sure
-    cuts its rows; the identity effect's cells are read as they are. A block whose next slot would take it past `_BLOCK_CELLS`
-    cells (rows times slots) is split in half first, and the second half
-    waits on a stack, so blocks come out in row order.
+    cuts its rows. A block whose next slot would take it past `_BLOCK_CELLS`
+    cells (rows times slots) is split in half first, the second half
+    waiting on a stack, so blocks come out in row order.
     """
     n, domains, forced, checks, sys, _ = plan
     point = sys.effect.point
@@ -736,22 +688,16 @@ def _chart_counts(plan: tuple) -> Counter:
 def representable_span(rep: DetSystem, sys: Machine, *, layout: Optional[tuple] = None) -> Family:
     """All ways of mapping `rep` into `sys`, fibered over the chart used.
 
-    The base is every chart rep.interface -> sys.interface, a `ProductSet`
-    that is never enumerated; the family holds the walk's rows, so only the
-    charts that carry a map take room. An element is a state map phi
-    together with an input assignment isharp such that update(phi(s),
-    isharp(s, i)) reaches phi(update_rep(s, i)) for sure, for all (s, i); the
-    output half of its chart is then forced to be readout . phi. The element
-    label interleaves phi(s) with the isharp values slot by slot, mirroring
-    the base encoding. `sys` may have any effect; `rep` must be a DetSystem
-    with at least one state, since a map from no states has no slots and so
-    no label.
+    An element is a state map phi with an input assignment isharp such that
+    update(phi(s), isharp(s, i)) reaches phi(update_rep(s, i)) for sure, for
+    all (s, i); its chart's output half is then readout . phi. Its label
+    interleaves phi(s) with the isharp values slot by slot, as the base
+    does. `sys` may have any effect; `rep` must be a DetSystem with at least
+    one state, since a map from no states has no slots and so no label.
 
-    The walk is checked and bounded in this call (`_walk_plan`), but it runs
-    only when the family is read: its rows (`_orbits`) when they are first
-    read, and its fiber counts, where those are read first, by a walk that
-    forms charts only (`_chart_counts`). A caller that holds `rep`'s
-    `_rep_layout` already, a memoized walking cycle's (`_period_cycle`),
+    The walk is bounded in this call (`_walk_plan`) and runs when the family
+    is read: its rows by `_orbits`, its fiber counts, where read first, by
+    `_chart_counts`. A caller that holds `rep`'s `_rep_layout` already
     passes it as `layout`, and `rep` is then taken as checked.
     """
     if layout is None:
@@ -827,24 +773,15 @@ def periodic_orbit_rows(sys: Machine, k: int) -> Iterator[tuple[str, str]]:
     return _labelled(_orbits(_walk_plan(_period_walk(k, sys)[1], sys)))
 
 
-def periodic_orbits(sys: Machine, k: int) -> list[tuple[str, str]]:
-    """The rows of `periodic_orbit_rows(sys, k)`, as a list."""
-    return list(periodic_orbit_rows(sys, k))
-
-
 def lens_to_span(lens: DetLens, rep_interface: DetInterface, *, step: Optional[Span] = None) -> Span:
     """The span a lens induces between chart sets out of a walking-cycle interface.
 
-    An apex element assigns, to each cycle position, an old output o and a
-    new input i'. The left leg fills the old input as bwd(o, i'); the right
-    leg pushes the output forward as fwd(o). Both legs are functions of the
-    apex, so the matrix of this span has exactly one 1 per apex element.
-    The span is the k-th tensor power of the one-step span of `bwd`, with
-    apex (o, i'), left leg (o, bwd(o, i')) and right leg (fwd(o), i'), for
-    k the interface's outputs; nothing of the apex's size is built here. The
-    interface must have one input and at least one output, as a walking
-    cycle's has. A caller that spans one lens at many periods forms the
-    one-step span once (`_lens_step`) and passes it as `step`.
+    It is the k-th tensor power of the one-step span (`_lens_step`), for k
+    the interface's outputs; nothing of the apex's size is built here. Both
+    legs are functions of the apex, so its matrix has one 1 per apex
+    element. The interface must have one input and at least one output, as
+    a walking cycle's has. A caller that spans one lens at many periods
+    passes the one-step span as `step`.
     """
     if len(rep_interface.inputs) != 1:
         raise ValidationError(
@@ -910,31 +847,19 @@ def check_matrix_theorem(lens: DetLens, sys: Machine, k: int) -> FamilyMatch:
     valid input is a defect, not a data problem. The result is
     `families_isomorphic(periodic_orbit_span(compose_lens_system(lens, sys), k),
     apply_span_to_family(lens_to_span(lens, walking_cycle(k).interface),
-    periodic_orbit_span(sys, k)))`. The verdict is decided by the span's
-    matrix applied to a count vector: the rewired machine's fiber counts,
-    found by a walk that forms charts only, against the span's one-step
-    table applied position by position to the original machine's counts.
-    No orbit element, apex element or element label is formed here: a match
-    forms both families' rows, and its witness with its element labels,
-    when the witness is first read, and a mismatch joins its one chart
-    label. Both machines' walks are bounded before either starts. It is
-    `_matrix_theorem(lens, sys)(k)`.
+    periodic_orbit_span(sys, k)))`, decided on fiber counts, so no element
+    label is formed until the witness is read. Both machines' walks are
+    bounded before either starts.
     """
     return _matrix_theorem(lens, sys)(k)
 
 
 def _matrix_theorem(lens: DetLens, sys: Machine) -> Callable[[int], FamilyMatch]:
     """`check_matrix_theorem(lens, sys, k)` as a function of k, for one lens
-    and machine at many periods.
-
-    The rewired machine and the lens's one-step span are formed here, once,
-    and each period's walking cycle and its half of the walk plan
-    (`_rep_layout`) come from a memo of one per period per process
-    (`_period_cycle`). Each call bounds its own period's walks
+    and machine at many periods: the rewired machine and the lens's one-step
+    span are formed once. Each call bounds its own period's walks
     (`_period_walk`) before it forms anything of them, so a caller gets each
-    period's verdict or refusal in turn, and forms that period's families
-    through `representable_span` and `lens_to_span`. The representing
-    system is where a family other than the walking cycles would plug in.
+    period's verdict or refusal in turn.
     """
     rewired = compose_lens_system(lens, sys)  # refuses a lens whose source is not sys's
     step = _lens_step(lens)
@@ -948,8 +873,3 @@ def _matrix_theorem(lens: DetLens, sys: Machine) -> Callable[[int], FamilyMatch]
         )
 
     return at
-
-
-def run_word(sys: DetSystem, s0: str, word: list[str]) -> list[tuple[str, str]]:
-    """Drive the machine from s0 along a word; returns every (state, output) visited."""
-    return [(state, sys.readout(state)) for state in simulate_system(sys, s0, word)]

@@ -9,27 +9,13 @@ Grammar (whitespace insignificant):
     atom    := NUMBER | IDENT | IDENT '(' sum ')' | '(' sum ')'
 
 so '^' binds tighter than unary minus, which binds tighter than '*' and '/'.
-Parentheses, calls, unary minus and exponents nest at most MAX_NESTING deep.
-Nothing else bounds a tree's depth: a flat chain such as `x+x+...+x` parses
-at any length. The only functions are sin, cos, exp, log. There are no
-binders, so substitution is plain simultaneous replacement.
+Parentheses, calls, unary minus and exponents nest at most MAX_NESTING deep;
+nothing else bounds a tree's depth. The only functions are sin, cos, exp,
+log. There are no binders, so substitution is plain simultaneous replacement.
 
-Nodes are `__slots__` classes whose fields refuse assignment; `parse` and
-`substitute` build them through a cheaper private path than their
-constructors. Every walk over expressions is a loop over one list, built
-without recursion: `Dag` lowers expressions to their distinct subtrees in
-post-order, equal subtrees sharing one entry. So no walk recurses, and a
-subtree that many paths reach, as wiring by substitution builds, is visited
-once. `parse` reads text in one pass, an explicit stack of pending operators
-in place of the grammar's recursion, and given a `Dag` it lowers each node
-into it as it reads. `compile_table` turns a table into the Python function
-`opendyn.ode` evaluates fields with, a subtree used once written inline.
-`compile_tables` chains tables, a later table reading an earlier one's roots
-from locals, and splits the work in two: an outer function of the
-parameters computes the terms that only add, subtract, multiply and negate
-parameters and finite float constants, once per row of parameter values,
-and returns the function of the states that computes the rest. `evaluate`
-defines what they compute and explains every error they meet.
+No walk over expressions recurses: each is a loop over a `Dag`, the
+expressions' distinct subtrees in post-order. `evaluate` defines what the
+compiled functions compute and explains every error they meet.
 """
 
 from __future__ import annotations

@@ -1,46 +1,18 @@
 """Finite sets, total maps, spans, and families over a base.
 
-A span between finite sets behaves like a matrix of sets: the fiber over a
-(source, target) pair is one entry, composing spans multiplies these
-matrices, with disjoint union playing the role of addition, and their tensor
-product is the Kronecker product. A family is a
-set fibered over a base; applying a span to a family pulls the family back
-along the left leg and pushes it forward along the right leg. Everything
-here is immutable after construction and all operations are pure.
+A span between finite sets is a matrix of sets: the fiber over a (source,
+target) pair is one entry, composing spans multiplies the matrices, and
+their tensor product is the Kronecker product. Applying a span to a family
+pulls it back along the left leg and pushes it forward along the right.
+Everything here is immutable after construction and all operations are pure.
 
 Composite elements are labelled by joining constituent labels with "|". The
-labels of a `FinSet` all have one number of "|"-separated parts, its `width`,
-so a join splits back one way only and no two composites print alike.
-Composites run in product order, each coordinate in its set's canonical
-(insertion) order, so repeated runs produce byte-identical output.
-
-A set of composites can be a `ProductSet`, given by the alphabets of its
-slots and never enumerated unless its labels are asked for. A family is
-stored as its rows, a (base key, element key) pair per element in total
-order, so only its nonempty fibers take room; a key is the tuple of parts
-whose join is the label (a `FinSet` element's key is its label alone). A
-family also answers its fiber counts, a `Counter` over base keys; a family
-built from a walk or pushed through a span counts without forming its rows,
-and forms them only when they are first read. Spans act and families
-compare on keys: a span applied to a family pushes the family's count
-vector through the span's matrix, and `families_isomorphic` decides on the
-two count vectors, joining only the label of a mismatch, and forms the rows
-and the labels of its witness when the witness is first read. Rows become
-labels in one place, `_labelled`, which `Family.labels()` lists for the
-family's total, projection, fibers and equality, and which `opendyn steady`
-streams.
-
-`Span` is the one span implementation: a tensor product of factors, each
-holding its apex elements over each source key, so that listing apex
-elements (`_over`), pushing a count vector (`_push`) and forming matrix rows
-(`_ones`) are each written once, and the legs are labelled in one pass when
-first read. A span built from its legs is one factor, and `tensor_spans`
-joins the factors of its arguments over the `ProductSet`s of their sides.
-
-`FinMap(dom, cod, table)` checks its table; `_finmap` sets the same slots
-without checks, for callers whose table has every domain element once, in
-domain order, and only codomain values, because they build it from checked
-maps and sets.
+labels of a `FinSet` all have one number of parts, its `width`, so a join
+splits back one way only and no two composites print alike. Composites run
+in product order, each coordinate in its set's canonical (insertion) order,
+so repeated runs produce byte-identical output. Spans act and families
+compare on keys, the tuples of parts whose join is a label; rows become
+labels in one place, `_labelled`.
 """
 
 from __future__ import annotations
@@ -65,11 +37,9 @@ def join_labels(*parts: str) -> str:
 
 class FinSet:
     """An ordered finite set of distinct string labels, all with the same
-    number of "|"-separated parts, its `width` (1 when it is empty).
-
-    The order is part of the data: it fixes enumeration order for products,
-    hom-sets, and serialized output, and is preserved by round-trips.
-    """
+    number of "|"-separated parts, its `width` (1 when it is empty). The
+    order is part of the data: it fixes enumeration order for products,
+    hom-sets, and serialized output, and is preserved by round-trips."""
 
     __slots__ = ("elements", "_index", "width")
 
@@ -277,12 +247,10 @@ def _finmap(dom, cod, table: dict[str, str]) -> FinMap:
 
 
 class Span:
-    """Two legs out of a common apex: source <- apex -> target.
-
-    It is held as a tensor product of factors (`_factors`), each its source
-    key width, its target, and its apex elements over each source key as
-    (apex position, apex key, right key), in apex order.
-    """
+    """Two legs out of a common apex: source <- apex -> target, held as a
+    tensor product of factors (`_factors`), each its source key width, its
+    target, and its apex elements over each source key as (apex position,
+    apex key, right key), in apex order."""
 
     def __init__(self, source: FinSet, target: FinSet, apex: FinSet, left: FinMap, right: FinMap):
         if left.dom != apex or right.dom != apex:
@@ -400,10 +368,9 @@ class Family:
     """A finite set fibered over a base: proj sends each element to its base point.
 
     Every family is stored as its rows, (base key, element key) in total
-    order, so only nonempty fibers take room. `Family(base, total, proj)`
-    builds any family from labels; orbit and pushed families are built from
-    a way to form their rows and a way to count their fibers; the rows, the
-    counts, `total` and `proj` are each formed when first asked for.
+    order, so only nonempty fibers take room. Orbit and pushed families are
+    built by `_family`; their rows, counts, `total` and `proj` are each
+    formed when first asked for.
     """
 
     #: counts the fibers without forming the rows, where a family knows how
@@ -458,10 +425,6 @@ class Family:
             return self._counts
         return Counter({base.key(join_labels(*b)): n for b, n in self._counts.items()})
 
-    def fiber(self, base_label: str) -> list[str]:
-        self.base.key(base_label)  # refuses a label not in the base
-        return [z for b, z in self.labels() if b == base_label]
-
     def fibers(self) -> dict[str, list[str]]:
         """Every base point's fiber, each in canonical element order."""
         over: dict[str, list[str]] = {b: [] for b in self.base}
@@ -508,12 +471,9 @@ def identity_span(a: FinSet) -> Span:
 
 
 def compose_spans(s1: Span, s2: Span) -> Span:
-    """Pullback composition: apex elements are matching pairs "x|y".
-
-    The fiber of the composite over (v, w) is the disjoint union, over middle
-    points m, of (fiber of s1 over (v, m)) x (fiber of s2 over (m, w)) --
-    entrywise the same sum-of-products as a matrix multiplication.
-    """
+    """Pullback composition: apex elements are matching pairs "x|y". The
+    fiber over (v, w) is the disjoint union, over middle points m, of (fiber
+    of s1 over (v, m)) x (fiber of s2 over (m, w)): a matrix product."""
     if s1.target != s2.source:
         raise BoundaryError(
             f"cannot compose spans: first target {s1.target} differs from second source {s2.source}"
@@ -558,11 +518,10 @@ def apply_span_to_family(s: Span, fam: Family) -> Family:
     """Pull the family back along the left leg, push it forward along the right.
 
     The result lives over the span's target. Its fiber counts are the span's
-    matrix applied to the family's count vector (`Span._push`), formed when
-    first read, with no element formed. Its elements, formed when its rows
-    are first read, are the matching pairs "x|z" with x in the apex and z
-    lying over left(x), by apex element and then in the family's order; only
-    the apex over the family's nonempty fibers is visited.
+    matrix applied to the family's count vector (`Span._push`). Its
+    elements are the matching pairs "x|z" with x in the apex and z lying
+    over left(x), by apex element and then in the family's order, visiting
+    only the apex over nonempty fibers. Both are formed when first read.
     """
     if fam.base != s.source:
         raise BoundaryError(
@@ -583,10 +542,8 @@ class FamilyMatch:
 
     When every fiber cardinality agrees the families are isomorphic (these
     are plain sets, so cardinality is a complete invariant) and `witness` is
-    a fiber-preserving bijection pairing elements in canonical order. A match
-    that `families_isomorphic` returns holds the two families and forms its
-    witness from their rows the first time it is read, once. Otherwise
-    `witness` is None and `mismatch` names the first base point where the
+    a fiber-preserving bijection, formed when first read. Otherwise
+    `witness` is None, `mismatch` names the first base point where the
     counts differ, and `counts` gives both counts.
     """
 

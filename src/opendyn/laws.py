@@ -2,33 +2,17 @@
 
 Everything here is driven by an explicit `random.Random`, so a fixed seed
 reproduces the exact same systems, lenses, squares, and verdicts. The square
-generator is constructive: it draws the left lens and both charts freely
-(with the injectivity that makes the constraints solvable) and then fills in
-the one right-lens table that makes the square commute, so every generated
-square is commuting by construction and any mutation of a reached table cell
+generator draws the left lens and both charts freely (with the injectivity
+that makes the constraints solvable) and then fills in the one right-lens
+table that makes the square commute, so any mutation of a reached table cell
 must be caught.
 
-Every generator here draws each table cell from the sets it was given and
-writes its rows and columns in canonical order, so it builds through the
-trusted constructors (`finset._finmap`, `deterministic._machine`,
-`deterministic._rewiring`), which skip the public constructors' checks.
-
-A case is drawn a table at a time. Each map, machine update, lens bwd and
-chart push, and each pair of sizes, is drawn in one call of `_draws` or
-`_samples`, which make the very `getrandbits` calls that one
-`Random.choice`, `randint` or `sample` per cell or row would make, in the
-same order. So a seed draws the very cases that per-cell draws gave and
-leaves the generator in the same state: `tests/test_seeded_draws.py` holds
-the generators to the per-cell ones of `tests/draw_oracle.py`, and the
-helpers to `random`'s own calls. The label sets (`i0, i1, ...`, `o0, ...`,
-`s0, ...`) are formed once per prefix and size per process (`_label_set`),
-so `random_finset` returns a `FinSet` that every draw of its prefix and
-size shares.
-
-`matrix_suite` checks each drawn lens and machine at periods 1 to 3 through
-`deterministic._matrix_theorem`, so each pair's composite is formed once and
-each period's walking cycle and walk layout once per process; its verdicts
-are those of `check_matrix_theorem` at each period.
+Every generator draws each table cell from the sets it was given and writes
+its rows and columns in canonical order, so it builds through the trusted
+constructors (`finset._finmap`, `deterministic._machine`,
+`deterministic._rewiring`). A table is drawn in one call of `_draws` or
+`_samples`, which make the very `getrandbits` calls that one `Random` call
+per cell would make, so a seed draws the same cases either way.
 """
 
 from __future__ import annotations

@@ -1,50 +1,12 @@
 """Continuous-time systems on Euclidean state spaces, wired by substitution.
 
-An OdeSystem names its state, output, and parameter coordinates and gives
-one expression per output (the readout) and one per state coordinate (the
-vector field). An OdeLens renames the interface: each new output is an
-expression in the old outputs, and each old parameter is an expression in
-the old outputs and the new parameters. Composition is textbook simultaneous
-substitution, so wiring two populations into a predator-prey loop literally
-produces the expected right-hand sides.
-
-A system lowers its field and readout to an `expr.Dag` once, when it is
-built, a text entry as `expr.parse` reads it: that checks each entry's scope
-and refuses one of more than `expr.MAX_NODES` nodes written out, and any
-fault names the table and key. Every evaluation runs straight-line Python
-that `expr.compile_table` generates from those lowerings on first use, each
-repeated subtree of a deeply wired field computed once into a local and each
-other subtree written inline. Its results are those of `expr.evaluate`,
-which explains any failure.
-
-Solving is fixed-step classical RK4 on a grid of at most MAX_STEPS steps, by
-one loop generated per system and built on first use (`OdeSystem.integrator`):
-a local per coordinate and stage, the field called on unpacked locals, and
-the stage formulas in their textbook float order. The field is compiled
-by `expr.compile_tables` in two parts: binding it to a row of parameter
-values computes the terms of parameters and finite float constants alone,
-such as the product over parameters that each level of substitution adds,
-and returns the field as a function of the states. A constant parameter
-signal is bound once; a sampled one is called at each stage time and bound
-again when it answers with another row. An evaluation error names the stage
-time and state it happened at, and a state that leaves the floats names the
-step and the states on both sides.
-`rk4_solve` builds its `Trajectory` through `_trajectory`, without the
-public constructor's O(rows) checks: `_grid` is strictly increasing (it
-refuses a step too small for the float spacing of its times) and the loop
-and readout give rows of fixed widths. `OdeSystem.copied_states` names the
-outputs whose readout is a bare state variable, whose values are then that
-state's very floats: `rk4_solve` reads such outputs off the state rows, and
-compiles and runs the readout only when some output is not one.
-`check_residual` replays a trajectory against the field with central
-differences; `check_solve_functoriality` compares substitute-then-solve
-against solving with the wiring live: at each stage one function that
-`expr.compile_tables` generates from the readout, `bwd` and field tables,
-each lowered apart and none substituted into another, computes the readout,
-then `bwd`, then the field, bound per row of outer parameters as above.
-Both integrations run the same generated loop, so the two paths differ only
-by where expressions are evaluated, and equal state rows give deviation 0.0
-at t0 with no per-element scan.
+Each table of an `OdeSystem` or `OdeLens` is lowered to an `expr.Dag` once,
+when its object is built. A system compiles its field once, on first use, by
+`expr.compile_tables`: a function of a row of parameter values that returns
+the field as a function of the states. `rk4_solve`, `eval_field` and
+`check_residual` all run that one function; the readout is compiled once by
+`expr.compile_table`. README's ODE doctrine describes the compiled code and
+the RK4 loop.
 """
 
 from __future__ import annotations
@@ -98,7 +60,8 @@ def _check_expr_table(
     table: Mapping[str, ExprLike], keys: tuple[str, ...], allowed: set[str], what: str
 ) -> tuple[dict[str, Expr], Dag]:
     """The table's entries in `keys` order, parsed, and their lowering; a
-    text entry is lowered as it is parsed."""
+    text entry is lowered as it is parsed. An entry outside its scope, or of
+    more than `MAX_NODES` nodes written out, is refused naming the key."""
     for key in table:
         if key not in keys:
             raise ValidationError(f"{what} has an entry for unknown identifier {_shown(key)}")
@@ -171,41 +134,33 @@ class OdeSystem:
             field, self.state_vars, states | set(self.param_vars), "field"
         )
         self._dags = (field_dag, readout_dag)
-        self._compiled: dict[str, Callable[..., tuple[float, ...]]] = {}
+        self._compiled: dict[str, Callable] = {}
         self._rk4 = None
 
-    def compiled(self, table: str) -> Callable[..., tuple[float, ...]]:
-        """The "field", over state then parameter values, or the "readout",
-        over state values, as a compiled function; each built on first use.
-        `_compiled` keeps them under "field values" and "readout", and under
-        "field" the field that `integrator` runs: `expr.compile_tables` of
-        the states and the parameters, a function of the parameter values
-        returning the function of the state values."""
-        key = "field values" if table == "field" else "readout"
-        fn = self._compiled.get(key)
+    def compiled(self, table: str) -> Callable[..., Callable[..., tuple[float, ...]]]:
+        """The compiled "field", a function of the parameter values that
+        returns the function of the state values (`expr.compile_tables`), or
+        "readout", a function of the state values (`expr.compile_table`);
+        each built on first use."""
+        fn = self._compiled.get(table)
         if fn is None:
             if table == "field":
-                fn = compile_table(
-                    self.field, self.state_vars, self.state_vars + self.param_vars, "field",
-                    self._dags[0],
+                fn = compile_tables(
+                    ((self.field, self.state_vars, "field", self._dags[0]),),
+                    self.state_vars, self.param_vars,
                 )
             else:
                 fn = compile_table(
                     self.readout, self.output_vars, self.state_vars, "readout", self._dags[1]
                 )
-            self._compiled[key] = fn
+            self._compiled[table] = fn
         return fn
 
     def integrator(self) -> Callable[..., list[tuple[float, ...]]]:
-        """The RK4 loop over this system's field bound per parameter row,
-        `_rk4(times, y, p, sample)` of `_rk4_code`; built on first use."""
+        """The RK4 loop over the compiled field, `_rk4(times, y, p, sample)`
+        of `_rk4_code`; built on first use."""
         if self._rk4 is None:
-            bind = compile_tables(
-                ((self.field, self.state_vars, "field", self._dags[0]),),
-                self.state_vars, self.param_vars,
-            )
-            self._compiled["field"] = bind
-            self._rk4 = _loop(bind, self.state_vars)
+            self._rk4 = _loop(self.compiled("field"), self.state_vars)
         return self._rk4
 
     def copied_states(self) -> tuple[Optional[int], ...]:
@@ -237,11 +192,9 @@ class OdeSystem:
 
 
 class OdeLens:
-    """Interface rewiring by expressions.
-
-    `fwd` defines each new output in terms of old outputs; `bwd` defines each
-    old parameter in terms of old outputs and new parameters.
-    """
+    """Interface rewiring by expressions: `fwd` defines each new output in
+    terms of old outputs; `bwd` each old parameter in terms of old outputs
+    and new parameters."""
 
     __slots__ = (
         "source_outputs",
@@ -312,12 +265,9 @@ def identity_ode_lens(output_vars: Sequence[str], param_vars: Sequence[str]) -> 
 
 
 def compose_lens_ode(lens: OdeLens, sys: OdeSystem) -> OdeSystem:
-    """Wire a system through a lens by substitution.
-
-    Old parameters in the field become their bwd expressions; old outputs
-    inside those become their readout expressions; new outputs are the fwd
-    expressions with readouts substituted in.
-    """
+    """Wire a system through a lens by substitution: old parameters in the
+    field become their bwd expressions, and old outputs inside those and in
+    the fwd expressions become their readout expressions."""
     missing = [o for o in lens.source_outputs if o not in sys.output_vars] + [
         p for p in lens.source_params if p not in sys.param_vars
     ]
@@ -392,7 +342,7 @@ def eval_field(
         raise ValidationError(
             f"expected {len(sys.param_vars)} parameter values, got {len(params)}"
         )
-    return sys.compiled("field")(*state, *params)
+    return sys.compiled("field")(*params)(*state)
 
 
 def eval_readout(sys: OdeSystem, state: Sequence[float]) -> tuple[float, ...]:
@@ -535,15 +485,13 @@ def _rk4_code(n: int) -> CodeType:
     """The RK4 loop over n state coordinates, compiled.
 
     `_rk4(times, y, p, sample)` steps from the state tuple `y` over the grid
-    `times` and returns the list of state tuples, one per grid time. Each
-    coordinate and stage is a local; the global `_bind`, from
-    `expr.compile_tables`, takes a row of parameter values and returns the
-    field of the states, called on unpacked locals, and `_names` names the
-    coordinates in errors. With `sample` None the parameters are the row
-    `p`, bound once; otherwise each stage calls `sample(stage time, *stage
-    state)` for a row, bound again only when it is another row object. The
-    float operations are those of the textbook stage formulas, in the same
-    order. The code depends on the shape alone and is cached per shape:
+    `times` and returns the list of state tuples, one per grid time. Its
+    global `_bind` takes a row of parameter values and returns the field of
+    the states; `_names` names the coordinates in errors. With `sample` None
+    the parameters are the row `p`, bound once; otherwise each stage calls
+    `sample(stage time, *stage state)` for a row, bound again only when it
+    is another row object. The float operations are those of the textbook
+    stage formulas, in the same order. The code is cached per shape:
     compiling it takes about 0.8 ms, longer than a 400-step run of a small
     system.
     """
@@ -676,8 +624,12 @@ def check_residual(
     """Compare the trajectory's central-difference slopes to the field.
 
     Interior grid points only; the largest componentwise absolute defect and
-    its location come back with the verdict.
+    its location come back with the verdict. A NaN defect fails the check at
+    once, reported where it first occurs. A tolerance that is negative,
+    infinite or NaN is refused first.
     """
+    if not 0 <= tol < math.inf:  # also refuses NaN, which compares false
+        raise ValidationError(f"tolerance must be finite and nonnegative, got {tol!r}")
     n = len(traj.times)
     if n < 3:
         raise ValidationError(f"grid too short for central differences ({n} points)")
@@ -698,6 +650,8 @@ def check_residual(
             r = abs(s - fv)
             if r > worst:
                 worst, worst_index, worst_component = r, j, v
+            elif r != r:  # NaN, which no comparison with `worst` catches
+                return ResidualResult(False, r, j, t, v)
     time = traj.times[worst_index] if worst_index >= 0 else traj.times[0]
     return ResidualResult(worst <= tol, worst, worst_index, time, worst_component)
 

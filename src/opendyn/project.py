@@ -2,33 +2,16 @@
 
 The one module that knows the format. Every entry carries a `kind` tag
 ("deterministic", "stochastic", or "ode"); `KINDS` maps each section and kind
-to the entry's class and the codec of its shape. Saving is deterministic
-(construction order, fixed key order), so identical projects give identical
-bytes: those of `json.dumps(obj, indent=2)`, from a writer that puts a dict
-or list of strings alone (an update cell, a readout or fwd row, a label
-list) in one join, and a Markov machine's weights as one `str` per distinct
-weight object.
+to the entry's class and the codec of its shape. Saving is deterministic, so
+identical projects give identical bytes: those of `json.dumps(obj,
+indent=2)`.
 
-Loading reads a finite entry (a machine of either effect, a lens, a chart)
-in one validating pass, the accept pass (`_accepted`): it walks the JSON
-once, checks everything the checked decode and the public constructors
-check (the exact field set; label lists of distinct non-empty strings with
-equal "|" counts; total tables whose values are members; weight strings
-that parse, are non-negative and sum to 1) and builds the entry through the
-trusted constructors (`_finmap`, `_machine`, `_rewiring`, `_dist`), tables in
-canonical order. Equal label lists of one document share one `FinSet`, held
-by a memo that lives for that load only. The accept pass never raises: an
-entry it declines, and every ODE entry, goes through the checked decode
-(`_decoded`), which checks the entry's JSON shape, naming the place that is
-wrong, then builds it through the public constructors, naming the entry ahead
-of any invariant it breaks. So a refused entry gets the same message, and
-the same first fault, as it would with no accept pass.
-
-Every file goes through one reader and one writer. `read_bytes` opens the
-file for bytes, and `read_text` decodes them as UTF-8 once and reads a CRLF
-or a lone CR as LF, as text mode would; `open_output` opens an output for
-bytes, and each writer encodes its text as UTF-8 a block at a time, with no
-newline translation.
+Loading tries each finite entry through the accept pass (`_accepted`),
+which checks what the checked decode and the public constructors check and
+builds through the trusted constructors. It never raises: an entry it
+declines, and every ODE entry, goes through the checked decode
+(`_decoded`). So a refused entry gets the same message, and the same first
+fault, as it would with no accept pass.
 """
 
 from __future__ import annotations
@@ -68,7 +51,6 @@ SECTIONS = {"systems": "system", "lenses": "lens", "charts": "chart"}
 class ProjectFile:
     """A validated project: named entries, insertion-ordered."""
 
-    version: int = 1
     systems: dict[str, SystemEntry] = field(default_factory=dict)
     lenses: dict[str, LensEntry] = field(default_factory=dict)
     charts: dict[str, DetChart] = field(default_factory=dict)
@@ -393,7 +375,7 @@ def _decoded(section: str, obj, what: str):
 
 
 def project_to_obj(project: ProjectFile) -> dict:
-    obj: dict = {"version": project.version}
+    obj: dict = {"version": 1}
     for section in SECTIONS:
         entries = {}
         for name, entry in getattr(project, section).items():
@@ -428,7 +410,7 @@ def project_from_obj(obj) -> ProjectFile:
         }
         for section in SECTIONS
     }
-    return ProjectFile(1, **sections)
+    return ProjectFile(**sections)
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -638,12 +620,9 @@ def write_json_matrix(head: dict, rows: Iterable[Iterable[int]], width: int,
                       path: StrPath) -> None:
     """Write `json.dumps({**head, "matrix": matrix}, indent=2)`'s bytes and a
     newline to `path`, where `matrix` has a 0/1 row of `width` cells for each
-    item of `rows`, the ascending columns of that row's 1s.
-
-    The head goes through the JSON writer; then each row's text is formed as
-    runs of the all-zero row's text with a "1" put in place of each 1's "0",
-    and the rows are written a block of `_BLOCK_CHARS` characters at a time,
-    so no more of the matrix than one block and one row is held.
+    item of `rows`, the ascending columns of that row's 1s. The rows are
+    written a block of `_BLOCK_CHARS` characters at a time, so no more of
+    the matrix than one block and one row is held.
     """
     text = json_text({**head, "matrix": []})
     zeros = _CELL * width

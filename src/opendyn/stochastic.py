@@ -1,31 +1,12 @@
 """Finite Markov machines with exact rational transition weights.
 
 A `StochSystem` is the shared finite `Machine` with the distribution effect:
-readouts are still functions, but the update lands in probability
-distributions. Rewiring, tensor, steady states, orbits and simulation are
-the shared machine functions, some bound here under their stochastic names:
-`DistEffect.point` reads a one-label distribution as the state it reaches
-for sure, so steady states and periodic orbits are those of the point
-transitions, and `DistEffect.sample` draws a step of a run. Weights are
-`fractions.Fraction` throughout, so normalization and the embedding laws are
-exact equalities rather than tolerance checks. The arithmetic runs on their
-integer numerators over a common denominator rather than through `Fraction`
-operators: the sum check in `Dist`, the products of `DistEffect.product` and
-`step_dist`, the comparisons of the sampler, and the sum in
-`_accepted_dist`. Weight strings are parsed through one bounded memo, which
-keeps each weight's numerator and denominator with it, so a string that
-repeats across a document is parsed once, and which refuses a decimal
-exponent beyond `MAX_WEIGHT_EXPONENT` before `Fraction` builds its power.
-`tensor_stoch` takes its cell product from `DistEffect.product` once per
-call: a function that multiplies each distinct pair of weight objects once
-and reads each pair's label by position off the product states, so its
-work grows with the distinct weights rather than the cell entries, the
-loader's memo making equal weight strings one object. It builds through
-`_dist`, which sets a `Dist`'s slots without its checks, since the product
-of two distributions is already normalized; so does `_accepted_dist`, the
-project loader's reading of an update cell, which checks what `Dist` checks
-or declines. The deterministic doctrine embeds by sending each transition
-to the point distribution on its result.
+readouts are still functions, but the update lands in distributions. Weights
+are `fractions.Fraction`, so normalization and the embedding laws are exact
+equalities, not tolerance checks. The arithmetic runs on their integer
+numerators over a common denominator, not through `Fraction` operators.
+`_dist` sets a `Dist`'s slots without its checks, for a caller whose weights
+are already normalized.
 """
 
 from __future__ import annotations

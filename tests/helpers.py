@@ -20,8 +20,20 @@ from opendyn import (
     StochSystem,
     compose_lens_ode,
     compose_lens_system,
+    simulate_system,
 )
+from opendyn.deterministic import periodic_orbit_rows
 from opendyn.laws import random_interface, random_lens, random_system
+
+
+def periodic_orbits(sys, k: int) -> list[tuple[str, str]]:
+    """The rows of `periodic_orbit_rows(sys, k)`, as a list."""
+    return list(periodic_orbit_rows(sys, k))
+
+
+def run_word(sys, s0: str, word: list[str]) -> list[tuple[str, str]]:
+    """Drive the machine from s0 along a word; every (state, output) visited."""
+    return [(state, sys.readout(state)) for state in simulate_system(sys, s0, word)]
 
 
 def fixture_path(name: str) -> str:

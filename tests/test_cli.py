@@ -46,6 +46,7 @@ from helpers import (
     fixture_path,
     flipflop,
     oscillator,
+    periodic_orbits,
     random_markov_machine,
     wide_lens,
     wired,
@@ -108,10 +109,8 @@ class TestCompose:
         merged = tmp_path / "merged.json"
         save_project(
             ProjectFile(
-                1,
-                {"lv": load_project(LV).system("lotka_volterra")},
-                {"feedback": feedback_lens()},
-                {},
+                systems={"lv": load_project(LV).system("lotka_volterra")},
+                lenses={"feedback": feedback_lens()},
             ),
             merged,
         )
@@ -164,10 +163,7 @@ class TestTensor:
         merged = tmp_path / "merged.json"
         save_project(
             ProjectFile(
-                1,
-                {"ff": flipflop(), "lv": load_project(LV).system("lotka_volterra")},
-                {},
-                {},
+                systems={"ff": flipflop(), "lv": load_project(LV).system("lotka_volterra")},
             ),
             merged,
         )
@@ -278,7 +274,7 @@ class TestSimulate:
 
         project = tmp_path / "line.json"
         save_project(
-            ProjectFile(1, {"line": OdeSystem(["s"], ["y"], [], {"y": "s"}, {"s": "1"})}, {}, {}),
+            ProjectFile(systems={"line": OdeSystem(["s"], ["y"], [], {"y": "s"}, {"s": "1"})}),
             project,
         )
         out = tmp_path / "line.csv"
@@ -316,7 +312,7 @@ class TestSimulate:
     def test_a_wrong_value_count_exits_2_naming_the_flag(self, tmp_path, capsys, system, values, message):
         project = tmp_path / "both.json"
         decay = OdeSystem(["s"], ["y"], [], {"y": "s"}, {"s": "-s"})
-        save_project(ProjectFile(1, {"decay": decay, **load_project(LV).systems}, {}, {}), project)
+        save_project(ProjectFile(systems={"decay": decay, **load_project(LV).systems}), project)
         out = tmp_path / "x.csv"
         assert main(["simulate", str(project), "--system", system, *values, "--t1", "1",
                      "--out", str(out)]) == 2
@@ -343,7 +339,7 @@ class TestSimulate:
             {"neg": "-0*s", "tiny": "s", "big": "1e308*10", "nan": "1e308*10 - 1e308*10"},
             {"s": "0", "z": "0"},
         )
-        save_project(ProjectFile(1, {"edge": edge}, {}, {}), project)
+        save_project(ProjectFile(systems={"edge": edge}), project)
         out = tmp_path / "edge.csv"
         assert main(["simulate", str(project), "--system", "edge", "--init=1e-300,-0.0",
                      "--t1", "1", "--h", "0.5", "--out", str(out)]) == 0
@@ -378,8 +374,8 @@ class TestSimulate:
         # s = 1, 0.5, 0.0, ...: the readout log(s) fails at the third row,
         # after the integration, and before the output file is opened
         project = tmp_path / "log.json"
-        save_project(ProjectFile(1, {"decay": OdeSystem(
-            ["s"], ["y"], [], {"y": "log(s)"}, {"s": "-1"})}, {}, {}), project)
+        save_project(ProjectFile(systems={"decay": OdeSystem(
+            ["s"], ["y"], [], {"y": "log(s)"}, {"s": "-1"})}), project)
         out = tmp_path / "x.csv"
         out.write_bytes(b"kept\r\n\x00 as it was")
         proc = run_cli("simulate", project, "--system", "decay", "--init", "1",
@@ -478,7 +474,7 @@ class TestOdeCsvBytes:
     )
     def test_rows_match_csv_writer(self, tmp_path, system, init, params, window):
         project = tmp_path / "systems.json"
-        save_project(ProjectFile(1, {**load_project(LV).systems, **CSV_SYSTEMS}, {}, {}), project)
+        save_project(ProjectFile(systems={**load_project(LV).systems, **CSV_SYSTEMS}), project)
         entry = load_project(project).system(system)
         out = tmp_path / "run.csv"
         t0, t1, h = window
@@ -1069,13 +1065,13 @@ class TestWalkBound:
 
     def test_bound_is_inclusive_and_counts_the_walk(self, monkeypatch):
         monkeypatch.setattr(det, "MAX_WALK", 2 * 3**3)
-        assert len(list(det.periodic_orbits(flipflop(), 3))) > 0
-        assert list(det.periodic_orbits(swap(), 3)) == []
+        assert len(list(periodic_orbits(flipflop(), 3))) > 0
+        assert list(periodic_orbits(swap(), 3)) == []
         monkeypatch.setattr(det, "MAX_WALK", 2 * 3**3 - 1)
         refused = r"2\*3\^3 = 54 tuples; more than MAX_WALK = 53$"
         for machine in (flipflop(), swap()):
             with pytest.raises(ValidationError, match=refused):
-                list(det.periodic_orbits(machine, 3))
+                list(periodic_orbits(machine, 3))
 
 
 def fan_in_project(new_inputs: int) -> dict:
@@ -1131,9 +1127,9 @@ class TestPeriodBound:
     def test_the_bound_is_inclusive(self, tmp_path, monkeypatch):
         monkeypatch.setattr(det, "MAX_PERIOD", 3)
         machine = project_from_obj(one_state_project()).system("one")
-        assert det.periodic_orbits(machine, 3) == [("o|i|o|i|o|i", "s|i|s|i|s|i")]
+        assert periodic_orbits(machine, 3) == [("o|i|o|i|o|i", "s|i|s|i|s|i")]
         with pytest.raises(ValidationError, match="^cycle length 4 is more than MAX_PERIOD = 3$"):
-            det.periodic_orbits(machine, 4)
+            periodic_orbits(machine, 4)
 
 
 class TestARefusalLeavesTheOutputAlone:
@@ -1246,7 +1242,7 @@ class TestWalkSlotsAreBounded:
     def test_the_bound_is_inclusive_and_checked_before_walking(self, monkeypatch):
         monkeypatch.setattr(det, "MAX_SLOTS", 2 * 5)
         machine = fixed_states(2)
-        assert len(det.periodic_orbits(machine, 5)) == 2
+        assert len(periodic_orbits(machine, 5)) == 2
         forbid_walks(monkeypatch)
         with pytest.raises(ValidationError) as err:
             det.periodic_orbit_span(machine, 6)
@@ -1270,7 +1266,7 @@ class TestWalkSlotsAreBounded:
     def test_many_states_at_a_long_period_are_refused_at_once(self):
         start = time.perf_counter()
         with pytest.raises(ValidationError) as err:
-            det.periodic_orbits(fixed_states(2_000), 10_000)
+            periodic_orbits(fixed_states(2_000), 10_000)
         assert str(err.value) == (
             "the period-10000 orbit walk fills |S|*|I|^k*k = 2000*1^10000*10000 = 20000000 "
             "slots; more than MAX_SLOTS = 10000000"
@@ -1358,7 +1354,7 @@ class TestOneWalkBudget:
             "representable_span": lambda: det.representable_span(det.walking_cycle(2), latch),
             "periodic_orbit_span": lambda: det.periodic_orbit_span(latch, 2),
             "steady_span": lambda: det.steady_span(latch),
-            "periodic_orbits": lambda: det.periodic_orbits(latch, 2),
+            "periodic_orbits": lambda: periodic_orbits(latch, 2),
             "check_matrix_theorem": lambda: det.check_matrix_theorem(lens, latch, 2),
             "steady": lambda: main(["steady", FLIPFLOP, "--system", "flipflop", "--k", "2",
                                     "--out", str(out)]),

@@ -266,7 +266,10 @@ class TestWiredSystems:
             {k: parse(to_text(v)) for k, v in system.readout.items()},
             {k: parse(to_text(v)) for k, v in system.field.items()},
         )
-        field = system.compiled("field")
+        # the flat form, over the state then the parameter values
+        field = compile_table(
+            system.field, system.state_vars, system.state_vars + system.param_vars, "field"
+        )
         distinct = set()
         for e in system.field.values():
             _inner_subtrees(e, distinct)

@@ -25,7 +25,6 @@ from opendyn import (
     paste_vertical,
     periodic_orbit_span,
     representable_span,
-    run_word,
     span_to_matrix,
     steady_span,
     tensor_systems,
@@ -41,7 +40,7 @@ from opendyn.laws import (
 )
 
 from dense_oracle import dense_steady_span
-from helpers import feedback_lens, flipflop, oscillator
+from helpers import feedback_lens, flipflop, oscillator, run_word
 
 
 class TestComposeLensSystem:
@@ -276,12 +275,12 @@ class TestRepresentableSpan:
             "hi|set": 1,
             "hi|hold": 1,
         }
-        assert fam.fiber("lo|reset") == ["s0|reset"]
-        assert fam.fiber("lo|set") == []
+        assert fam.fibers()["lo|reset"] == ["s0|reset"]
+        assert fam.fibers()["lo|set"] == []
 
     def test_oscillator_two_cycles_under_the_constant_chart(self):
         fam = representable_span(walking_cycle(2), oscillator())
-        assert fam.fiber("star|tick|star|tick") == ["s0|tick|s1|tick", "s1|tick|s0|tick"]
+        assert fam.fibers()["star|tick|star|tick"] == ["s0|tick|s1|tick", "s1|tick|s0|tick"]
         assert sum(fam.fiber_sizes().values()) == 2
 
     def test_empty_state_set_gives_empty_fibers(self):
@@ -347,8 +346,8 @@ class TestPeriodicOrbitSpan:
     def test_latch_period_two_swap_orbit(self):
         fam = periodic_orbit_span(flipflop(), 2)
         # the swap orbit is driven by reset from s1 and set from s0
-        assert fam.fiber("hi|reset|lo|set") == ["s1|reset|s0|set"]
-        assert fam.fiber("lo|set|hi|reset") == ["s0|set|s1|reset"]
+        assert fam.fibers()["hi|reset|lo|set"] == ["s1|reset|s0|set"]
+        assert fam.fibers()["lo|set|hi|reset"] == ["s0|set|s1|reset"]
 
     def test_period_must_be_positive(self):
         with pytest.raises(ValidationError):

@@ -23,7 +23,6 @@ from opendyn import (
     ValidationError,
     check_matrix_theorem,
     identity_lens,
-    periodic_orbits,
     random_lens,
     representable_span,
     walking_cycle,
@@ -31,7 +30,7 @@ from opendyn import (
 import opendyn.deterministic as det
 from opendyn.laws import matrix_suite, random_interface
 
-from helpers import each_machine, feedback_lens, flipflop, mutated, oscillator
+from helpers import each_machine, feedback_lens, flipflop, mutated, oscillator, periodic_orbits
 from period_theorem_oracle import period_check_matrix_theorem
 
 PERIODS = range(1, 5)

@@ -453,6 +453,66 @@ class TestCheckResidual:
             check_residual(unit_slope(), traj, NO_PARAMS, 1e-5)
 
 
+    @pytest.mark.parametrize(
+        "nan_rows, index",
+        [({0}, 1), ({1}, 2), ({2}, 1), ({3}, 2), ({1, 2}, 1), ({0, 3}, 1)],
+    )
+    def test_a_nan_residual_fails_where_it_first_occurs(self, nan_rows, index):
+        # the field of `b` is 1 everywhere, so a NaN only reaches it through
+        # a slope; `a` stays exact and the first defect is on `b`
+        sys = OdeSystem(["a", "b"], ["y"], [], {"y": "a"}, {"a": "1", "b": "1"})
+        times = (0.0, 0.1, 0.2, 0.3)
+        values = tuple((t, math.nan if j in nan_rows else t) for j, t in enumerate(times))
+        traj = Trajectory(times, values, tuple((t,) for t in times))
+        result = check_residual(sys, traj, NO_PARAMS, 1e-5)
+        assert not result
+        assert math.isnan(result.max_residual)
+        assert (result.index, result.time, result.component) == (index, times[index], "b")
+
+    def test_a_nan_state_fails_even_after_a_larger_finite_defect(self):
+        times = (0.0, 0.1, 0.2, 0.3, 0.4)
+        values = ((0.0,), (5.0,), (0.2,), (math.nan,), (0.4,))
+        traj = Trajectory(times, values, values)
+        result = check_residual(plain_exp(), traj, NO_PARAMS, 100.0)
+        assert not result
+        assert math.isnan(result.max_residual)
+        # the slope at index 2 already reads the NaN at index 3
+        assert (result.index, result.time, result.component) == (2, 0.2, "s")
+
+    @pytest.mark.parametrize("tol", [-1e-9, -math.inf, math.inf, math.nan])
+    def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(self, tol):
+        times = tuple(j * 0.1 for j in range(11))
+        traj = Trajectory(times, tuple((t,) for t in times), tuple((t,) for t in times))
+        with pytest.raises(ValidationError) as err:
+            check_residual(unit_slope(), traj, NO_PARAMS, tol)
+        assert str(err.value) == f"tolerance must be finite and nonnegative, got {tol!r}"
+        assert check_residual(unit_slope(), traj, NO_PARAMS, 0.0)  # an exact line
+
+
+class TestOneFieldCompile:
+    def test_solve_evaluate_and_check_compile_the_field_once(self, monkeypatch):
+        import opendyn.expr as expr
+        import opendyn.ode as ode
+
+        compiled = []
+        real = expr.compile_tables
+
+        def counted(stages, states, params):
+            compiled.append(tuple(what for _, _, what, _ in stages))
+            return real(stages, states, params)
+
+        monkeypatch.setattr(expr, "compile_tables", counted)
+        monkeypatch.setattr(ode, "compile_tables", counted)
+        sys = predator_prey()
+        traj = rk4_solve(sys, (2.0, 1.0), LV_PARAMS, 0.0, 1.0, 1e-2)
+        field = eval_field(sys, (2.0, 1.0), LV_PARAMS(0.0))
+        assert check_residual(sys, traj, LV_PARAMS, 2e-4)
+        assert compiled.count(("field",)) == 1
+        # the same function of the parameters runs in the loop and evaluates
+        assert field == sys.compiled("field")(*LV_PARAMS(0.0))(2.0, 1.0)
+        assert compiled.count(("field",)) == 1
+
+
 class TestSolveFunctoriality:
     def test_identity_lens_gives_identical_paths(self):
         _, pair = _lv_fixture()

@@ -27,7 +27,6 @@ from opendyn import (
     families_isomorphic,
     lens_to_span,
     periodic_orbit_span,
-    periodic_orbits,
     product_finset,
     random_lens,
     random_system,
@@ -63,6 +62,7 @@ from helpers import (
     flipflop,
     matmul,
     oscillator,
+    periodic_orbits,
     random_markov_machine,
     two_input_rep,
 )
@@ -534,7 +534,7 @@ class TestFamilyLabels:
             fibers = dense_fibers(dense)
             assert sparse.fibers() == fibers
             for b in {*dense.proj.table.values(), dense.base.elements[0], rng.choice(dense.base.elements)}:
-                assert sparse.fiber(b) == fibers[b]
+                assert sparse.fibers()[b] == fibers[b]
             assert sparse == dense and dense == sparse
         same = dense_orbits.total == dense_others.total and dense_orbits.proj == dense_others.proj
         assert (orbits == dense_others) == (dense_orbits == others) == same

@@ -88,6 +88,16 @@ class TestValidation:
         with pytest.raises(ValidationError, match="version"):
             load_project(write_json(tmp_path, {}))
 
+    def test_a_saved_project_is_always_version_one(self, tmp_path):
+        # the one version a file may have is not a field that could be set
+        assert "version" not in ProjectFile.__dataclass_fields__
+        project = ProjectFile(systems={"ff": flipflop()})
+        assert project_to_obj(project)["version"] == 1
+        path = tmp_path / "saved.json"
+        save_project(project, str(path))
+        assert json.loads(path.read_text())["version"] == 1
+        assert load_project(str(path)) == project
+
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
         reason="this interpreter converts integers of any length",
@@ -334,7 +344,7 @@ class TestRoundTrip:
 
     def test_composite_labels_round_trip(self, tmp_path):
         both = tensor_systems(flipflop(), flipflop())
-        project = ProjectFile(1, {"both": both}, {}, {})
+        project = ProjectFile(systems={"both": both})
         path = tmp_path / "tensor.json"
         save_project(project, path)
         assert load_project(str(path)).system("both") == both

@@ -18,9 +18,7 @@ from opendyn import (
     compose_lens_system,
     dirac_steady_span,
     embed_det,
-    periodic_orbits,
     representable_span,
-    run_word,
     simulate_stoch,
     steady_span,
     step_dist,
@@ -31,7 +29,16 @@ from opendyn import (
 from opendyn.laws import random_interface, random_lens, random_system
 from opendyn.stochastic import DistEffect
 
-from helpers import chain, feedback_lens, flipflop, oscillator, random_dist, random_stoch_system
+from helpers import (
+    chain,
+    feedback_lens,
+    flipflop,
+    oscillator,
+    periodic_orbits,
+    random_dist,
+    random_stoch_system,
+    run_word,
+)
 
 
 class TestDist:

@@ -25,7 +25,6 @@ from opendyn import (
     StochSystem,
     ValidationError,
     load_project,
-    periodic_orbits,
     random_lens,
     span_to_matrix,
     walking_cycle,
@@ -34,7 +33,7 @@ from opendyn.cli import main
 from opendyn.project import ProjectFile, save_project
 
 from dense_oracle import dense_lens_to_span
-from helpers import fixture_path, random_dist
+from helpers import fixture_path, periodic_orbits, random_dist
 
 FIXTURES = ["flipflop.json", "lv.json", "stoch.json", "square_ok.json", "square_broken.json"]
 
