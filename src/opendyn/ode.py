@@ -330,27 +330,23 @@ def tensor_ode(a: OdeSystem, b: OdeSystem) -> OdeSystem:
     )
 
 
+def _check_width(count: int, names: Sequence[str], what: str) -> None:
+    if count != len(names):
+        raise ValidationError(f"expected {len(names)} {what} values, got {count}")
+
+
 def eval_field(
     sys: OdeSystem, state: Sequence[float], params: Sequence[float]
 ) -> tuple[float, ...]:
     """The field as a plain function: derivative of each state coordinate."""
-    if len(state) != len(sys.state_vars):
-        raise ValidationError(
-            f"expected {len(sys.state_vars)} state values, got {len(state)}"
-        )
-    if len(params) != len(sys.param_vars):
-        raise ValidationError(
-            f"expected {len(sys.param_vars)} parameter values, got {len(params)}"
-        )
+    _check_width(len(state), sys.state_vars, "state")
+    _check_width(len(params), sys.param_vars, "parameter")
     return sys.compiled("field")(*params)(*state)
 
 
 def eval_readout(sys: OdeSystem, state: Sequence[float]) -> tuple[float, ...]:
     """Output coordinates at a state."""
-    if len(state) != len(sys.state_vars):
-        raise ValidationError(
-            f"expected {len(sys.state_vars)} state values, got {len(state)}"
-        )
+    _check_width(len(state), sys.state_vars, "state")
     return sys.compiled("readout")(*state)
 
 
@@ -489,8 +485,8 @@ def _rk4_code(n: int) -> CodeType:
     global `_bind` takes a row of parameter values and returns the field of
     the states; `_names` names the coordinates in errors. With `sample` None
     the parameters are the row `p`, bound once; otherwise each stage calls
-    `sample(stage time, *stage state)` for a row, bound again only when it
-    is another row object. The float operations are those of the textbook
+    `sample(stage time)` for a row, bound again only when it is another
+    row object. The float operations are those of the textbook
     stage formulas, in the same order. The code is cached per shape:
     compiling it takes about 0.8 ms, longer than a 400-step run of a small
     system.
@@ -518,7 +514,7 @@ def _rk4_code(n: int) -> CodeType:
         lines += [
             "        try:",
             "            if sample is not None:",
-            f"                stage_row = sample({ts}, {row(at)})",
+            f"                stage_row = sample({ts})",
             "                if stage_row is not p:",
             "                    p = stage_row",
             "                    field = _bind(*p)",
@@ -553,18 +549,15 @@ def _loop(bind: Callable, names: tuple[str, ...]) -> Callable[..., list]:
 def _run(loop: Callable, times: Sequence[float], y0: tuple, signal: ParamSignal) -> list:
     """The states `loop` steps to over `times` from y0: a constant signal (one
     row) gives the same row at every time, so its values are bound once; a
-    sampled one is called at each stage time, and its values bound again
-    where it answers with another row."""
+    sampled one is the loop's sampler, called with each stage time, and its
+    values bound again where it answers with another row."""
     if len(signal.rows) == 1:
         return loop(times, y0, signal.rows[0], None)
-    return loop(times, y0, None, lambda t, *state: signal(t))
+    return loop(times, y0, None, signal)
 
 
 def _initial_state(sys: OdeSystem, s0: Sequence[float]) -> tuple[float, ...]:
-    if len(s0) != len(sys.state_vars):
-        raise ValidationError(
-            f"expected {len(sys.state_vars)} initial values, got {len(s0)}"
-        )
+    _check_width(len(s0), sys.state_vars, "initial")
     y = tuple(float(x) for x in s0)
     for name, v in zip(sys.state_vars, y):
         if not math.isfinite(v):
@@ -604,6 +597,11 @@ def rk4_solve(
     return _trajectory(tuple(times), values, outputs)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:  # also refuses NaN, which compares false
+        raise ValidationError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class ResidualResult:
     """Largest central-difference defect of a trajectory against a field."""
@@ -626,16 +624,21 @@ def check_residual(
     Interior grid points only; the largest componentwise absolute defect and
     its location come back with the verdict. A NaN defect fails the check at
     once, reported where it first occurs. A tolerance that is negative,
-    infinite or NaN is refused first.
+    infinite or NaN is refused first; rows of the wrong width are refused,
+    in `eval_field`'s words, before any field value. The field is bound to
+    a parameter row once, and again only where the signal answers with
+    another row object, as in the RK4 loop.
     """
-    if not 0 <= tol < math.inf:  # also refuses NaN, which compares false
-        raise ValidationError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    _check_tol(tol)
     n = len(traj.times)
     if n < 3:
         raise ValidationError(f"grid too short for central differences ({n} points)")
     steps = [t2 - t1 for t1, t2 in zip(traj.times, traj.times[1:])]
     if max(steps) - min(steps) > 1e-9 * max(steps):
         raise ValidationError("trajectory grid is not uniform")
+    _check_width(len(traj.values[0]), sys.state_vars, "state")
+    _check_width(param_signal.width, sys.param_vars, "parameter")
+    bind, row, field = sys.compiled("field"), None, None
     worst = 0.0
     worst_index = -1
     worst_component = ""
@@ -645,7 +648,10 @@ def check_residual(
         slope = tuple(
             (a - b) / dt for a, b in zip(traj.values[j + 1], traj.values[j - 1])
         )
-        field_here = eval_field(sys, traj.values[j], param_signal(t))
+        here = param_signal(t)
+        if here is not row:
+            row, field = here, bind(*here)
+        field_here = field(*traj.values[j])
         for v, s, fv in zip(sys.state_vars, slope, field_here):
             r = abs(s - fv)
             if r > worst:
@@ -686,8 +692,7 @@ def check_solve_functoriality(
     deviation 0.0 at t0 without a scan: the loop refuses a non-finite state,
     so no NaN reaches the comparison. A tolerance that is negative, infinite
     or NaN is refused first."""
-    if not 0 <= tol < math.inf:  # also refuses NaN, which compares false
-        raise ValidationError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    _check_tol(tol)
     composed = compose_lens_ode(lens, sys)
     path_a = rk4_solve(composed, s0, outer_signal, t0, t1, h)
     live = compile_tables(

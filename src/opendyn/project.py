@@ -17,7 +17,6 @@ fault, as it would with no accept pass.
 from __future__ import annotations
 
 import json
-import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -495,21 +494,15 @@ def load_project(path: StrPath) -> ProjectFile:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+def _refused(value) -> TypeError:
+    return TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_lines(value, indent: str, put) -> None:
-    """Put the text of `value`, nested at `indent` ("\n" plus its spaces). A
-    dict whose values are all strings, or a list whose items are, is put in
-    one join; one whose first item is a string is tried, and `_quote` raises
-    TypeError at the first item that is not."""
+    """Put the text of `value`, a document value (`json_text`), nested at
+    `indent` ("\n" plus its spaces). A list is put in one join, and so is
+    a dict whose values are all strings; one whose first value is a string
+    is tried, and `_quote` raises TypeError at the first value that is not."""
     if isinstance(value, str):
         put(_quote(value))
     elif isinstance(value, dict):
@@ -532,43 +525,26 @@ def _json_lines(value, indent: str, put) -> None:
         else:
             put("{" + inner + text)
         put(indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
+    elif isinstance(value, list):
         inner = indent + "  "
-        text = None
-        if type(value[0]) is str:
-            try:
-                text = ("," + inner).join(map(_quote, value))
-            except TypeError:
-                pass
-        if text is None:
-            sep = "[" + inner
-            for item in value:
-                put(sep)
-                _json_lines(item, inner, put)
-                sep = "," + inner
-        else:
-            put("[" + inner + text)
-        put(indent + "]")
-    elif value is None:
-        put("null")
-    elif value is True:
-        put("true")
-    elif value is False:
-        put("false")
-    elif isinstance(value, int):
+        try:
+            text = ("," + inner).join(map(_quote, value))
+        except TypeError:
+            raise _refused(next(x for x in value if not isinstance(x, str))) from None
+        put(f"[{inner}{text}{indent}]" if value else "[]")
+    elif type(value) is int:
         put(int.__repr__(value))
-    elif isinstance(value, float):
-        put(_float_text(value))
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        raise _refused(value)
 
 
 def json_text(obj) -> str:
-    """The text of `json.dumps(obj, indent=2)`, for the values opendyn writes:
-    dicts with string keys, lists, strings, ints, floats, bools and None.
+    """The text of `json.dumps(obj, indent=2)` for a document value: a
+    string, an int, a list of strings, or a dict with string keys whose
+    values are document values; the grammar `_shaped` reads. Any other
+    value (None, a bool, a float, a tuple, a list holding anything but
+    strings, a set, bytes) raises TypeError naming its type, in
+    `json.dumps`' own words where `json.dumps` refuses the value too.
 
     `json.dumps` falls back to its pure-Python encoder whenever `indent` is
     set; this writer emits the same bytes.
@@ -601,7 +577,9 @@ _BLOCK_CHARS = 1 << 16
 def write_json(obj, path: StrPath) -> None:
     """Write `json.dumps(obj, indent=2)`'s bytes and a newline to `path`,
     as the parts `json_text` would join, a block of parts at a time, so the
-    text is never held whole."""
+    text is never held whole. `obj` is a document value, as `json_text`
+    names them; any other value raises TypeError before the file is
+    opened."""
     parts: list[str] = []
     _json_lines(obj, "\n", parts.append)
     parts.append("\n")

