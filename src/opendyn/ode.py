@@ -624,10 +624,7 @@ def check_residual(
     Interior grid points only; the largest componentwise absolute defect and
     its location come back with the verdict. A NaN defect fails the check at
     once, reported where it first occurs. A tolerance that is negative,
-    infinite or NaN is refused first; rows of the wrong width are refused,
-    in `eval_field`'s words, before any field value. The field is bound to
-    a parameter row once, and again only where the signal answers with
-    another row object, as in the RK4 loop.
+    infinite or NaN is refused first.
     """
     _check_tol(tol)
     n = len(traj.times)
@@ -636,9 +633,6 @@ def check_residual(
     steps = [t2 - t1 for t1, t2 in zip(traj.times, traj.times[1:])]
     if max(steps) - min(steps) > 1e-9 * max(steps):
         raise ValidationError("trajectory grid is not uniform")
-    _check_width(len(traj.values[0]), sys.state_vars, "state")
-    _check_width(param_signal.width, sys.param_vars, "parameter")
-    bind, row, field = sys.compiled("field"), None, None
     worst = 0.0
     worst_index = -1
     worst_component = ""
@@ -648,10 +642,7 @@ def check_residual(
         slope = tuple(
             (a - b) / dt for a, b in zip(traj.values[j + 1], traj.values[j - 1])
         )
-        here = param_signal(t)
-        if here is not row:
-            row, field = here, bind(*here)
-        field_here = field(*traj.values[j])
+        field_here = eval_field(sys, traj.values[j], param_signal(t))
         for v, s, fv in zip(sys.state_vars, slope, field_here):
             r = abs(s - fv)
             if r > worst:

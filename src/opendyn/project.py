@@ -577,9 +577,8 @@ _BLOCK_CHARS = 1 << 16
 def write_json(obj, path: StrPath) -> None:
     """Write `json.dumps(obj, indent=2)`'s bytes and a newline to `path`,
     as the parts `json_text` would join, a block of parts at a time, so the
-    text is never held whole. `obj` is a document value, as `json_text`
-    names them; any other value raises TypeError before the file is
-    opened."""
+    text is never held whole. `obj` is a value `json_text` takes; a
+    refused one raises before the file is opened."""
     parts: list[str] = []
     _json_lines(obj, "\n", parts.append)
     parts.append("\n")

@@ -9,7 +9,6 @@ text, time and state, under a constant and a sampled signal.
 """
 
 import dis
-import math
 import random
 
 import pytest
@@ -17,21 +16,15 @@ import pytest
 from opendyn import (
     OdeSystem,
     ParamSignal,
-    ResidualResult,
-    Trajectory,
-    ValidationError,
-    check_residual,
     check_solve_functoriality,
     compose_lens_ode,
-    eval_field,
-    load_project,
     parse,
     rk4_solve,
 )
 from opendyn.expr import BinOp, Num, Var, compile_table, compile_tables
 
 import tree_walk_oracle as oracle
-from helpers import fixture_path, ode_chain, wired
+from helpers import ode_chain, wired
 from test_compiled_expr import operations
 from test_fused_rk4 import outcome
 
@@ -133,118 +126,6 @@ def test_a_readout_binds_nothing():
     bind = compile_tables(((table, ["o"], "readout", None),), ["x"], [])
     assert bind.__code__.co_argcount == 0
     assert bind()(2.0) == (2.0 * (2.0 * 3.0) + 1.5,)
-
-
-def per_point_residual(sys, traj, param_signal, tol):
-    """`check_residual` as it was before it bound the field once per row:
-    `eval_field` at each interior grid point."""
-    if not 0 <= tol < math.inf:
-        raise ValidationError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    n = len(traj.times)
-    if n < 3:
-        raise ValidationError(f"grid too short for central differences ({n} points)")
-    steps = [t2 - t1 for t1, t2 in zip(traj.times, traj.times[1:])]
-    if max(steps) - min(steps) > 1e-9 * max(steps):
-        raise ValidationError("trajectory grid is not uniform")
-    worst, worst_index, worst_component = 0.0, -1, ""
-    for j in range(1, n - 1):
-        t = traj.times[j]
-        dt = traj.times[j + 1] - traj.times[j - 1]
-        slope = tuple((a - b) / dt for a, b in zip(traj.values[j + 1], traj.values[j - 1]))
-        field_here = eval_field(sys, traj.values[j], param_signal(t))
-        for v, s, fv in zip(sys.state_vars, slope, field_here):
-            r = abs(s - fv)
-            if r > worst:
-                worst, worst_index, worst_component = r, j, v
-            elif r != r:
-                return ResidualResult(False, r, j, t, v)
-    time = traj.times[worst_index] if worst_index >= 0 else traj.times[0]
-    return ResidualResult(worst <= tol, worst, worst_index, time, worst_component)
-
-
-RESIDUAL_SYSTEMS = ["wired-1", "wired-4", "wired-16", "lv"]
-
-
-def residual_system(name):
-    """A fresh seeded `helpers.wired` tower, or the Lotka-Volterra fixture,
-    with its start state and a row of parameter values."""
-    if name == "lv":
-        lv = load_project(fixture_path("lv.json")).system("lotka_volterra")
-        return lv, (2.0, 1.0), (1.0, 0.5, 0.2, 0.4)
-    return wired(int(name.split("-")[1])), (0.3, -0.7), (0.4, 0.9)
-
-
-def residual_signals(row):
-    """A constant signal and a sampled one of three rows, of `row`'s width."""
-    return {
-        "constant": ParamSignal.constant(row),
-        "sampled": ParamSignal((0.0, 0.25, 0.6), (row, [x * 1.5 for x in row], [-x for x in row])),
-    }
-
-
-def counted_binds(sys):
-    """Swap `sys`'s compiled field for one that counts its binds."""
-    bind, calls = sys.compiled("field"), []
-
-    def counting(*row):
-        calls.append(row)
-        return bind(*row)
-
-    sys._compiled["field"] = counting
-    return calls
-
-
-def outcome_of(check, *args):
-    """The refusal text, or each field of the result with its floats hexed."""
-    try:
-        r = check(*args)
-    except ValidationError as exc:
-        return "refused", str(exc)
-    return r.passed, r.max_residual.hex(), r.index, r.time.hex(), r.component
-
-
-def corrupted(traj, j, value):
-    rows = list(traj.values)
-    rows[j] = (value, *rows[j][1:])
-    return Trajectory(traj.times, tuple(rows), traj.outputs)
-
-
-@pytest.mark.parametrize("signal", ["constant", "sampled"])
-@pytest.mark.parametrize("name", RESIDUAL_SYSTEMS)
-def test_check_residual_binds_once_per_row_and_matches_the_per_point_loop(name, signal):
-    sys, s0, row = residual_system(name)
-    params = residual_signals(row)[signal]
-    traj = rk4_solve(sys, s0, params, 0.0, 1.0, 1 / 64)
-    rows = {id(params(t)) for t in traj.times[1:-1]}
-    assert len(rows) == (1 if signal == "constant" else 3)
-    # a NaN defect stops the scan at its index: rows after it are never bound
-    for path, last in ((traj, -1), (corrupted(traj, 20, 5.0), -1), (corrupted(traj, 50, math.nan), 50)):
-        for tol in (0.0, 1e-3, 10.0):
-            want = outcome_of(per_point_residual, sys, path, params, tol)
-            calls = counted_binds(sys)
-            assert outcome_of(check_residual, sys, path, params, tol) == want
-            assert len(calls) == len({id(params(t)) for t in traj.times[1:last]})
-            del sys._compiled["field"]
-        assert want[1] == "nan" if last == 50 else want[1] != "nan"
-
-
-@pytest.mark.parametrize("name", RESIDUAL_SYSTEMS)
-def test_check_residual_refuses_a_wrong_width_before_any_field_value(name):
-    sys, s0, row = residual_system(name)
-    traj = rk4_solve(sys, s0, ParamSignal.constant(row), 0.0, 1.0, 1 / 16)
-    narrow = Trajectory(traj.times, tuple(v[:-1] for v in traj.values), traj.outputs)
-    for path, params in (
-        (narrow, ParamSignal.constant(row)),
-        (narrow, ParamSignal.constant((*row, 1.0))),
-        (traj, ParamSignal.constant(row[:-1])),
-        (traj, ParamSignal((0.0, 0.5), ((*row, 1.0), (*row, 2.0)))),
-    ):
-        want = outcome_of(per_point_residual, sys, path, params, 1e-3)
-        assert want[0] == "refused"
-        calls = counted_binds(sys)
-        assert outcome_of(check_residual, sys, path, params, 1e-3) == want
-        assert calls == []
-        del sys._compiled["field"]
 
 
 def test_the_loop_samples_with_the_stage_time_alone():

@@ -1,10 +1,5 @@
-"""The indent-2 JSON writer against `json.dumps(indent=2)`, byte for byte.
-
-The writer takes the document grammar the project reader checks: strings,
-ints, lists of strings, and objects of those with string keys. Every other
-value is refused with a TypeError naming its type, in `json.dumps`' own
-words where `json.dumps` refuses the value too.
-"""
+"""The indent-2 JSON writer against `json.dumps(indent=2)`, byte for byte,
+on the document grammar `project.json_text` names, and its refusals."""
 
 import json
 import math
