@@ -506,6 +506,19 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     return values[dag.roots[0]]
 
 
+def evaluate_table(
+    table: Mapping[str, Expr], keys: Sequence[str], env: Mapping[str, float], what: str
+) -> tuple:
+    """`evaluate` of `table[key]` for each key; an error gets `<what> component '<key>': `."""
+    out = []
+    for key in keys:
+        try:
+            out.append(evaluate(table[key], env))
+        except ExprEvalError as exc:
+            raise ExprEvalError(f"{what} component {key!r}: {exc}") from None
+    return tuple(out)
+
+
 # -- compilation -------------------------------------------------------------
 
 #: Deepest an entry's code nests inside one generated statement; an entry
@@ -513,9 +526,8 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
 #: fewer than 200 nested parentheses.
 _INLINE_NESTING = 32
 
-#: The binary operators a term computed once per parameter row may hold,
-#: besides unary minus: on floats they never raise.
-_BINDABLE = ("+", "-", "*")
+#: The kinds of term computed once per parameter row: on floats they never raise.
+_BINDABLE = ("+", "-", "*", "neg")
 
 
 def compile_table(
@@ -549,22 +561,25 @@ def compile_tables(
     stages: Sequence[tuple[Mapping[str, Expr], Sequence[str], str, Dag | None]],
     states: Sequence[str],
     params: Sequence[str],
+    readout: bool = False,
 ) -> Callable[..., Callable[..., tuple[float, ...]]]:
     """`compile_table` of a chain of (table, keys, what, dag) stages over the
-    values of `states` then `params`, split in two. The function returned
-    takes the values of `params` and returns the function of the values of
-    `states` that computes each stage's table in turn and returns the last
-    one's tuple. In a later stage a name is the value of the latest earlier
-    stage's key of that name, else the argument of that name: each earlier
-    root is bound to a local, not substituted. On a failure the stages are
-    replayed through `evaluate` in order, on the state and parameter values.
+    values of `states` then `params`, split in two: a function of the values
+    of `params` that returns the function of the values of `states`, which
+    computes each stage's table in turn and returns the last one's tuple. In
+    a later stage a name is the value, bound to a local, of the latest
+    earlier stage's key of that name, else the argument of that name. On a
+    failure the stages are replayed through `evaluate` in order.
 
-    A term built from parameters and finite float constants by `+`, `-`,
-    `*` and unary minus alone is computed by the outer function, once per
-    call, and read by the state function from its closure: on floats those
-    operations never raise, so computing such a term early changes no value
-    and no error. With no `params` the outer function takes nothing and
-    computes the constant terms."""
+    The outer function computes each term built from parameters and finite
+    float constants by `+`, `-`, `*` and unary minus alone, once per call:
+    on floats those never raise, so no value or error changes. With no
+    `params` it takes nothing and computes the constant terms.
+
+    With `readout`, roots of the last stage's `dag` past its keys' are a
+    readout over the states, computed last when the state function gets a
+    function after the states: it gets their tuple, or None where a term
+    only they hold fails."""
     args = (*states, *params)
     # a name listed twice reads its last value, as a dict built in order
     # would; each name maps to its code and whether it is a parameter's
@@ -572,103 +587,98 @@ def compile_tables(
     namespace = {"_pow": math.pow, "_unbound": {}}
     outer: list[str] = []  # the lines of the outer function
     lines: list[str] = []  # the lines of the state function
+    read: list[str] = []  # the lines of its readout
 
     def const(value) -> str:
         name = f"_k{len(namespace)}"
         namespace[name] = value
         return name
 
-    def operand(j: int, looser_than: int) -> str:
-        return f"({code[j]})" if prec[j] < looser_than else code[j]
+    def hoist(j: int) -> None:  # entry j, a parameter term written out, into an outer local
+        outer.append(f"_h{len(outer)} = {code[j]}")
+        code[j], prec[j], nesting[j] = f"_h{len(outer) - 1}", _ATOM_PREC, 0
 
     for k, (table, keys, what, dag) in enumerate(stages, 1):
         if dag is None:
             dag = Dag(table[key] for key in keys)
-        uses = [0] * len(dag.nodes)
+        roots = dag.roots[: len(keys)]
+        own = 1 + max(roots, default=-1)  # the entries the keys' roots reach come first
+        extra = dag.roots[len(keys):] if readout and k == len(stages) else []
+        end = max(own, 1 + max(extra, default=-1))
         # a root before the last stage counts twice: it gets a local, computed
         # even where no later stage reads it
-        for j in chain(dag.roots, *dag.operands, dag.roots if k < len(stages) else ()):
-            uses[j] += 1
-        # which entries the outer function computes, and how many of each
-        # entry's uses are by those; one used otherwise gets a local there
-        bound: list[bool] = []
-        bound_uses = [0] * len(dag.nodes)
-        for node, ops in zip(dag.nodes, dag.operands):
-            if isinstance(node, Num):
-                bound.append(type(node.value) is float and math.isfinite(node.value))
-            elif isinstance(node, Var):
-                bound.append(scope.get(node.name, ("", False))[1])
-            else:
-                bindable = isinstance(node, Neg) or (
-                    isinstance(node, BinOp) and node.op in _BINDABLE
-                )
-                bound.append(bindable and all([bound[j] for j in ops]))
-                if bound[-1]:
-                    for j in ops:
-                        bound_uses[j] += 1
+        uses = Counter(chain(roots, extra, *dag.operands[:end], roots if k < len(stages) else ()))
         code: list[str] = []  # each entry's code: a name, a literal, or an expression
         prec: list[int] = []  # the precedence of each entry's code, as `_PREC` counts
         nesting: list[int] = []  # how deep each entry's code nests, 0 for a name
-        for j, (node, ops) in enumerate(zip(dag.nodes, dag.operands)):
-            p = _ATOM_PREC
-            if isinstance(node, Num) or (isinstance(node, Var) and node.name in scope):
-                if isinstance(node, Var):
-                    text = scope[node.name][0]
+        bound: list[bool] = []  # whether the outer function computes each entry
+        # an entry's key starts with its kind: an operator, "neg", "call", "var" or "num"
+        for j, key, node, ops in zip(range(end), dag.index, dag.nodes, dag.operands):
+            kind, p, depth, b = key[0], _ATOM_PREC, 0, False
+            if kind == "num":
+                b = key[1] is float and math.isfinite(node.value)
+                text = key[2] if b else const(node.value)
+                text = f"({text})" if text[0] == "-" else text
+            elif kind == "var" and key[1] in scope:
+                text, b = scope[key[1]]
+            elif kind == "var":  # read from an empty dict, to fail as `evaluate` does
+                text, depth = f"_unbound[{const(key[1])}]", 1
+            else:
+                b = kind in _BINDABLE and bound[ops[0]] and bound[ops[-1]]  # one or two operands
+                for i in ops:
+                    if not b and bound[i] and nesting[i]:
+                        hoist(i)
+                a = code[ops[0]]
+                depth = 1 + max(nesting[ops[0]], nesting[ops[-1]])
+                if kind == "neg":
+                    p = _PREC["neg"]
+                    text = f"-({a})" if prec[ops[0]] < p else f"-{a}"
+                elif kind == "call":
+                    text = f"{const(FUNCTIONS[key[1]])}({a})"
+                elif kind == "^":
+                    text = f"_pow({a}, {code[ops[1]]})"
                 else:
-                    text = repr(node.value) if bound[j] else const(node.value)
-                code.append(f"({text})" if text[0] == "-" else text)
-                prec.append(p)
-                nesting.append(0)
-                continue
-            if isinstance(node, Var):
-                text = f"_unbound[{const(node.name)}]"
-            elif isinstance(node, Neg):
-                p = _PREC["neg"]
-                text = f"-{operand(ops[0], p)}"
-            elif isinstance(node, Call):
-                text = f"{const(FUNCTIONS[node.fn])}({code[ops[0]]})"
-            elif node.op == "^":
-                text = f"_pow({code[ops[0]]}, {code[ops[1]]})"
-            else:
-                p = _PREC[node.op]
-                text = f"{operand(ops[0], p)} {node.op} {operand(ops[1], p + 1)}"
-            depth = 1 + max([nesting[i] for i in ops], default=0)
-            if uses[j] > 1 or depth == _INLINE_NESTING or (bound[j] and uses[j] > bound_uses[j]):
-                into = outer if bound[j] else lines
-                code.append(f"{'_h' if bound[j] else '_v'}{len(into)}")
-                into.append(f"{code[-1]} = {text}")
-                prec.append(_ATOM_PREC)
-                nesting.append(0)
-            else:
-                code.append(text)
-                prec.append(p)
-                nesting.append(depth)
-        scope.update({key: (code[root], bound[root]) for key, root in zip(keys, dag.roots)})
+                    p, right = _PREC[kind], code[ops[1]]
+                    a = a if prec[ops[0]] >= p else f"({a})"
+                    text = f"{a} {kind} {right if prec[ops[1]] > p else f'({right})'}"
+            if depth and uses[j] > 1 or depth == _INLINE_NESTING:  # not a name or literal
+                name = f"_h{len(outer)}" if b else f"_v{len(lines) + len(read)}"
+                (outer if b else lines if j < own else read).append(f"{name} = {text}")
+                text, p, depth = name, _ATOM_PREC, 0
+            code.append(text)
+            prec.append(p)
+            nesting.append(depth)
+            bound.append(b)
+        for j in chain(roots, extra):
+            if bound[j] and nesting[j]:
+                hoist(j)
+        scope.update({key: (code[root], bound[root]) for key, root in zip(keys, roots)})
 
     def explain(*values) -> None:
         env = dict(zip(args, values))
         for table, keys, what, _ in stages:
-            out = {}
-            for key in keys:
-                try:
-                    out[key] = evaluate(table[key], env)
-                except ExprEvalError as exc:
-                    raise ExprEvalError(f"{what} component {key!r}: {exc}") from None
-            env.update(out)
+            env.update(zip(keys, evaluate_table(table, keys, env, what)))
 
     namespace["_explain"] = explain
     names = [f"_a{j}" for j in range(len(args))]
-    returned = "".join(f"{code[root]}, " for root in dag.roots)
+    caught = "except (ArithmeticError, ValueError, LookupError):"
+    if readout:  # the state function hands the readout to `_read` before it returns
+        handed = [*read, f"_read(({''.join(f'{code[root]}, ' for root in extra)}))"]
+        if read or any([nesting[root] for root in extra]):  # a term only it holds may fail
+            handed = ["try:", *[f"    {line}" for line in handed], caught, "    _read(None)"]
+        read = ["if _read is not None:", *[f"    {line}" for line in handed], "return _f"]
+    returned = f"({''.join(f'{code[root]}, ' for root in roots)})"
     source = "\n".join([
         f"def _bind({', '.join(names[len(states):])}):",
         *[f"    {line}" for line in outer],
-        f"    def _compiled({', '.join(names[:len(states)])}):",
+        f"    def _compiled({', '.join(names[:len(states)] + ['_read=None'] * readout)}):",
         "        try:",
         *[f"            {line}" for line in lines],
-        f"            return ({returned})",
-        "        except (ArithmeticError, ValueError, LookupError):",
+        f"            _f = {returned}" if readout else f"            return {returned}",
+        f"        {caught}",
         f"            _explain({', '.join(names)})",
         "            raise",
+        *[f"        {line}" for line in read],
         "    return _compiled",
         "",
     ])

@@ -9,6 +9,7 @@ same error class and message.
 """
 
 import math
+import random
 import re
 import struct
 from functools import partial
@@ -25,14 +26,18 @@ from opendyn import (
     OdeLens,
     OdeSystem,
     ParamSignal,
+    ProjectFile,
     ValidationError,
     check_solve_functoriality,
+    cli,
     rk4_solve,
+    save_project,
     substitute,
 )
 from opendyn.expr import Num, Var
 
 import tree_walk_oracle
+from helpers import fixture_path, wired
 from test_compiled_expr import _extend, trees
 
 UNFUSED = SimpleNamespace(
@@ -271,3 +276,137 @@ def test_a_non_finite_initial_value_is_refused_by_name(bad):
     with pytest.raises(ValidationError) as err:
         rk4_solve(system, (1.0, bad), ParamSignal.constant(()), 0.0, 1.0, 0.1)
     assert str(err.value) == f"initial value of 'y' must be finite, got {bad!r}"
+
+
+# -- outputs read at stage a ---------------------------------------------------
+
+SIGNALS = {
+    "constant": ParamSignal.constant((0.4, 0.9)),
+    "sampled": ParamSignal((0.0, 0.25, 0.6), ((0.4, 0.9), (0.7, -0.3), (0.1, 1.2))),
+}
+
+
+def hexed(module, *args):
+    """`float.hex` of every time, state and output of `module.rk4_solve`."""
+    traj = module.rk4_solve(*args)
+    return [tuple(map(float.hex, row)) for row in (traj.times, *traj.values, *traj.outputs)]
+
+
+@pytest.mark.parametrize("signal", SIGNALS)
+@pytest.mark.parametrize("depth", [1, 4, 16])
+def test_tower_outputs_are_the_oracles_bit_for_bit(depth, signal):
+    args = (wired(depth), (0.3, -0.7), SIGNALS[signal], 0.0, 1.0, 1 / 64)
+    fused = hexed(opendyn, *args)
+    for oracle in ORACLES:
+        assert fused == hexed(oracle, *args)
+
+
+@pytest.mark.parametrize("signal", SIGNALS)
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_computed_readouts_are_the_oracles_bit_for_bit(seed, signal):
+    # outputs that copy a state, share a field term, or hold terms of their own
+    rng = random.Random(seed)
+    a, b, c = (round(rng.uniform(0.2, 1.0), 3) for _ in range(3))
+    system = OdeSystem(
+        ["x", "y"], ["o1", "o2", "o3", "o4"], ["p", "q"],
+        {"o1": "y", "o2": f"sin(x*y) + {a}*x", "o3": f"exp(y)/(1 + x*x) - {b}", "o4": f"{c}*2.0"},
+        {"x": f"p*cos(y) - {b}*x + 0.1*(sin(x*y) + {a}*x)", "y": f"q*sin(x) - {c}*y"},
+    )
+    args = (system, (rng.uniform(-1, 1), rng.uniform(-1, 1)), SIGNALS[signal], 0.0, 1.0, 1 / 32)
+    fused = hexed(opendyn, *args)
+    for oracle in ORACLES:
+        assert fused == hexed(oracle, *args)
+
+
+def test_a_readout_failing_only_at_the_last_row():
+    # x = t exactly: 1 - x is 0 at the last row alone, which no step starts from
+    system = OdeSystem(["x"], ["o"], [], {"o": "log(1 - x)"}, {"x": "1"})
+    args = (system, (0.0,), ParamSignal.constant(()), 0.0, 1.0, 0.125)
+    fused = outcome(lambda: rk4_solve(*args))
+    assert fused[:2] == (ExprEvalError, "readout component 'o': log(0.0) is undefined")
+    for oracle in ORACLES:
+        assert outcome(lambda: oracle.rk4_solve(*args)) == fused
+
+
+def cubic(trap: float, readout: str):
+    """x' = 1, y' = x*x from (0, 0) over [0, 1] at h = 0.125: x is t exactly,
+    and y's rows and stage states differ. The field of x fails where y is
+    `trap`."""
+    system = OdeSystem(
+        ["x", "y"], ["o"], [], {"o": readout}, {"x": f"1 + 0*log((y - {trap!r})^2)", "y": "x*x"}
+    )
+    return system, (0.0, 0.0), ParamSignal.constant(()), 0.0, 1.0, 0.125
+
+
+def cubic_states():
+    """The rows of `cubic`, and the state of each stage in the loop's order."""
+    stages = []
+
+    def field(t, s):
+        stages.append(s)
+        return (1.0, s[0] * s[0])
+
+    _, rows = tree_walk_oracle.integrate(field, ("x", "y"), (0.0, 0.0), 0.0, 1.0, 0.125)
+    return rows, stages
+
+
+def test_a_readout_failing_only_at_a_stage_state_is_never_evaluated_there():
+    rows, stages = cubic_states()
+    assert stages[1][0] == 0.0625 and all(x != 0.0625 for x, _ in rows)  # stage b, step 1
+    args = cubic(-1.0, "log((x - 0.0625)^2)")
+    fused = hexed(opendyn, *args)
+    for oracle in ORACLES:
+        assert fused == hexed(oracle, *args)
+
+
+def test_a_field_failing_only_at_the_last_row_is_never_evaluated_there():
+    rows, stages = cubic_states()
+    last = rows[-1][1]
+    assert all(y != last for _, y in stages)
+    args = cubic(last, "x*y")
+    fused = hexed(opendyn, *args)
+    assert fused == hexed(opendyn, *cubic(-1.0, "x*y"))
+    for oracle in ORACLES:
+        assert fused == hexed(oracle, *args)
+
+
+def test_a_field_error_wins_over_a_readout_only_error_at_the_same_row():
+    rows, stages = cubic_states()
+    row = rows[4][1]
+    assert [y for _, y in stages].index(row) == 16  # stage a from row 4, and none before
+    # the readout's log((row - y)^2) is a term of its own, and fails at row 4 too
+    args = cubic(row, f"log(({row!r} - y)^2)")
+    fused = outcome(lambda: rk4_solve(*args))
+    assert fused[:2] == (
+        ExprEvalError,
+        f"field component 'x': log(0.0) is undefined at t=0.5 in state (x=0.5, y={row!r})",
+    )
+    for oracle in ORACLES:
+        assert outcome(lambda: oracle.rk4_solve(*args)) == fused
+
+
+@pytest.mark.parametrize("kind", ["tower", "lv"])
+def test_one_compile_per_system_per_simulate_op(kind, tmp_path, monkeypatch, capsys):
+    import opendyn.expr as expr
+
+    if kind == "lv":
+        path, system = fixture_path("lv.json"), "lotka_volterra"
+        options = ["--init=2.0,1.0", "--params=1.0,0.5,0.2,0.4"]
+    else:
+        path, system = tmp_path / "tower.json", "wired"
+        save_project(ProjectFile(systems={"wired": wired(4)}), path)
+        options = ["--init=0.3,-0.7", "--params=0.4,0.9"]
+    argv = ["simulate", str(path), "--system", system, *options, "--t1", "1", "--h", "0.125"]
+    cli.main([*argv, "--out", str(tmp_path / "warm.csv")])  # the RK4 loop of this shape, cached
+    compiled = []
+
+    def counted(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(expr, "compile", counted, raising=False)
+    for op in range(3):
+        assert cli.main([*argv, "--out", str(tmp_path / f"{op}.csv")]) == 0
+        assert compiled == ["<compiled field>"] * (op + 1)
+    assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+    capsys.readouterr()

@@ -337,9 +337,11 @@ class TestRk4Solve:
 
         sys = system()
         traj = rk4_solve(sys, (2.0, 1.0), LV_PARAMS, 0.0, 0.1, 1e-2)
-        assert ("readout" in sys._compiled) == compiles
-        assert "field" in sys._compiled
-        # the compiled readout of a fresh copy gives the very same floats
+        # the field takes a function to hand its readout to only where an
+        # output is computed
+        state_function = sys.compiled()(*LV_PARAMS(0.0))
+        assert ("_read" in state_function.__code__.co_varnames) == compiles
+        # the tree walk of a fresh copy gives the very same floats
         expected = tuple(eval_readout(system(), y) for y in traj.values)
         assert [tuple(map(float.hex, row)) for row in traj.outputs] == [
             tuple(map(float.hex, row)) for row in expected
@@ -490,27 +492,37 @@ class TestCheckResidual:
 
 
 class TestOneFieldCompile:
-    def test_solve_evaluate_and_check_compile_the_field_once(self, monkeypatch):
+    def run_and_count(self, monkeypatch, sys):
+        """The `compile_tables` calls, as (stage names, readout), made while
+        solving, evaluating the field, checking and reading out `sys`."""
         import opendyn.expr as expr
         import opendyn.ode as ode
 
         compiled = []
         real = expr.compile_tables
 
-        def counted(stages, states, params):
-            compiled.append(tuple(what for _, _, what, _ in stages))
-            return real(stages, states, params)
+        def counted(stages, states, params, readout=False):
+            compiled.append((tuple(what for _, _, what, _ in stages), readout))
+            return real(stages, states, params, readout)
 
         monkeypatch.setattr(expr, "compile_tables", counted)
         monkeypatch.setattr(ode, "compile_tables", counted)
-        sys = predator_prey()
         traj = rk4_solve(sys, (2.0, 1.0), LV_PARAMS, 0.0, 1.0, 1e-2)
         field = eval_field(sys, (2.0, 1.0), LV_PARAMS(0.0))
         assert check_residual(sys, traj, LV_PARAMS, 2e-4)
-        assert compiled.count(("field",)) == 1
+        eval_readout(sys, (2.0, 1.0))
         # the same function of the parameters runs in the loop and evaluates
-        assert field == sys.compiled("field")(*LV_PARAMS(0.0))(2.0, 1.0)
-        assert compiled.count(("field",)) == 1
+        assert field == sys.compiled()(*LV_PARAMS(0.0))(2.0, 1.0)
+        return compiled
+
+    def test_solve_evaluate_and_check_compile_the_field_once(self, monkeypatch):
+        assert self.run_and_count(monkeypatch, predator_prey()) == [(("field",), False)]
+
+    def test_a_computed_readout_compiles_in_the_same_emission(self, monkeypatch):
+        pp = predator_prey()
+        readout = {"x": "f", "y": "r*f"}
+        sys = OdeSystem(pp.state_vars, list(readout), pp.param_vars, readout, pp.field)
+        assert self.run_and_count(monkeypatch, sys) == [(("field",), True)]
 
 
 class TestSolveFunctoriality:
