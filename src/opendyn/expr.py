@@ -477,7 +477,14 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     right; the first failure raises ExprEvalError."""
     dag = Dag((e,))
     values: list = []
-    for node, ops in zip(dag.nodes, dag.operands):
+    _walk(dag, env, values, len(dag.nodes))
+    return values[dag.roots[0]]
+
+
+def _walk(dag: Dag, env: Mapping[str, float], values: list, end: int) -> None:
+    """Extend `values`, the values of the first entries of `dag`, through
+    entry `end - 1`, as `evaluate` computes them."""
+    for node, ops in zip(dag.nodes[len(values):end], dag.operands[len(values):end]):
         args = [values[j] for j in ops]
         if isinstance(node, Num):
             value = node.value
@@ -503,20 +510,44 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
             except OverflowError:
                 raise ExprEvalError(f"{shown} overflows") from None
         values.append(value)
-    return values[dag.roots[0]]
 
 
 def evaluate_table(
-    table: Mapping[str, Expr], keys: Sequence[str], env: Mapping[str, float], what: str
+    table: Mapping[str, Expr], keys: Sequence[str], env: Mapping[str, float], what: str,
+    dag: Dag | None = None,
 ) -> tuple:
-    """`evaluate` of `table[key]` for each key; an error gets `<what> component '<key>': `."""
-    out = []
-    for key in keys:
+    """`evaluate` of `table[key]` for each key, walking `dag`, their lowering
+    with `table[keys[j]]` its root j, where the caller has one. An error gets
+    `<what> component '<key>': `. The walk meets the error `evaluate` of the
+    first failing key meets: every entry before that key's first own entry
+    belongs to an earlier key, and its own come in its evaluation order."""
+    if dag is None:
+        dag = Dag(table[key] for key in keys)
+    values: list = []
+    for key, root in zip(keys, dag.roots):
         try:
-            out.append(evaluate(table[key], env))
+            _walk(dag, env, values, root + 1)
         except ExprEvalError as exc:
             raise ExprEvalError(f"{what} component {key!r}: {exc}") from None
-    return tuple(out)
+    return tuple([values[root] for root in dag.roots[: len(keys)]])
+
+
+#: What generated code raises where `evaluate` raises ExprEvalError.
+FAULTS = (ArithmeticError, ValueError, LookupError)
+
+
+def replayed(stages: Sequence[tuple], args: Sequence[str], values: tuple) -> ExprEvalError:
+    """The error `evaluate` meets first computing `stages`, as `compile_tables`
+    takes them, at these `values` of `args`. A caller of the generated code
+    calls it where that code raised one of `FAULTS`; where `evaluate` meets
+    no error, it raises that fault again."""
+    env = dict(zip(args, values))
+    try:
+        for table, keys, what, dag in stages:
+            env.update(zip(keys, evaluate_table(table, keys, env, what, dag)))
+    except ExprEvalError as exc:
+        return exc
+    raise  # the fault being handled
 
 
 # -- compilation -------------------------------------------------------------
@@ -549,12 +580,24 @@ def compile_table(
     and each expression evaluates its operands left to right. It only
     computes, with `math` called directly, a finite float constant written
     as a literal and an unbound name read from an empty dict, giving what
-    `evaluate` gives, bit for bit. It raises exactly when some `evaluate`
-    raises, since Python's `/` refuses exactly the divisors it does (0.0,
-    -0.0 and 0); then `evaluate` replays the table and raises its first
-    error, prefixed `<what> component '<key>': `.
+    `evaluate` gives, bit for bit. It raises one of `FAULTS` exactly when
+    some `evaluate` raises, since Python's `/` refuses exactly the divisors
+    it does (0.0, -0.0 and 0). The function returned calls it and there
+    replays the table through `evaluate` (`replayed`), raising its first
+    error, prefixed `<what> component '<key>': `; its `__wrapped__` is the
+    generated function.
     """
-    return compile_tables(((table, keys, what, dag),), args, ())()
+    stages = ((table, keys, what, dag),)
+    compiled = compile_tables(stages, args, ())()
+
+    def checked(*values: float) -> tuple[float, ...]:
+        try:
+            return compiled(*values)
+        except FAULTS:
+            raise replayed(stages, args, values) from None
+
+    checked.__wrapped__ = compiled
+    return checked
 
 
 def compile_tables(
@@ -568,8 +611,10 @@ def compile_tables(
     of `params` that returns the function of the values of `states`, which
     computes each stage's table in turn and returns the last one's tuple. In
     a later stage a name is the value, bound to a local, of the latest
-    earlier stage's key of that name, else the argument of that name. On a
-    failure the stages are replayed through `evaluate` in order.
+    earlier stage's key of that name, else the argument of that name. The
+    state function holds no exception handler but the readout's below:
+    where it raises one of `FAULTS`, its caller replays the stages
+    (`replayed`).
 
     The outer function computes each term built from parameters and finite
     float constants by `+`, `-`, `*` and unary minus alone, once per call:
@@ -584,7 +629,7 @@ def compile_tables(
     # a name listed twice reads its last value, as a dict built in order
     # would; each name maps to its code and whether it is a parameter's
     scope = {name: (f"_a{j}", j >= len(states)) for j, name in enumerate(args)}
-    namespace = {"_pow": math.pow, "_unbound": {}}
+    namespace = {"_pow": math.pow, "_unbound": {}, "_faults": FAULTS}
     outer: list[str] = []  # the lines of the outer function
     lines: list[str] = []  # the lines of the state function
     read: list[str] = []  # the lines of its readout
@@ -654,30 +699,20 @@ def compile_tables(
                 hoist(j)
         scope.update({key: (code[root], bound[root]) for key, root in zip(keys, roots)})
 
-    def explain(*values) -> None:
-        env = dict(zip(args, values))
-        for table, keys, what, _ in stages:
-            env.update(zip(keys, evaluate_table(table, keys, env, what)))
-
-    namespace["_explain"] = explain
     names = [f"_a{j}" for j in range(len(args))]
-    caught = "except (ArithmeticError, ValueError, LookupError):"
     if readout:  # the state function hands the readout to `_read` before it returns
         handed = [*read, f"_read(({''.join(f'{code[root]}, ' for root in extra)}))"]
         if read or any([nesting[root] for root in extra]):  # a term only it holds may fail
-            handed = ["try:", *[f"    {line}" for line in handed], caught, "    _read(None)"]
+            handed = ["try:", *[f"    {line}" for line in handed]]
+            handed += ["except _faults:", "    _read(None)"]
         read = ["if _read is not None:", *[f"    {line}" for line in handed], "return _f"]
     returned = f"({''.join(f'{code[root]}, ' for root in roots)})"
     source = "\n".join([
         f"def _bind({', '.join(names[len(states):])}):",
         *[f"    {line}" for line in outer],
         f"    def _compiled({', '.join(names[:len(states)] + ['_read=None'] * readout)}):",
-        "        try:",
-        *[f"            {line}" for line in lines],
-        f"            _f = {returned}" if readout else f"            return {returned}",
-        f"        {caught}",
-        f"            _explain({', '.join(names)})",
-        "            raise",
+        *[f"        {line}" for line in lines],
+        f"        _f = {returned}" if readout else f"        return {returned}",
         *[f"        {line}" for line in read],
         "    return _compiled",
         "",

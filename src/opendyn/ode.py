@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import CodeType, FunctionType
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import ExprEvalError, ExprSyntaxError, IntegrationError, ValidationError, _shown
-from .expr import MAX_NODES, Dag, Expr, Var, compile_tables, evaluate_table, parse, substitute
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+from .expr import (
+    FAULTS, MAX_NODES, Dag, Expr, Var, compile_tables, evaluate_table, parse, replayed, substitute,
+)
 
 #: Most steps a fixed-step time grid may take; `_grid` refuses a longer one
 #: before building it. A step holds a state and an output row, so this keeps
@@ -32,10 +31,12 @@ ExprLike = Union[Expr, str]
 
 
 def _check_vars(names: Sequence[str], what: str) -> tuple[str, ...]:
+    """The names, each an ASCII identifier (`[A-Za-z_][A-Za-z0-9_]*`, which
+    for ASCII text is what `str.isidentifier` accepts), and no two equal."""
     out = tuple(names)
     seen = set()
     for name in out:
-        if not isinstance(name, str) or not _IDENT.fullmatch(name):
+        if not (isinstance(name, str) and name.isidentifier() and name.isascii()):
             raise ValidationError(f"{what}: bad identifier {_shown(name)}")
         if name in seen:
             raise ValidationError(f"{what}: duplicate identifier {name!r}")
@@ -59,7 +60,8 @@ def _check_expr_table(
 ) -> tuple[dict[str, Expr], Dag]:
     """The table's entries in `keys` order, parsed, and their lowering; a
     text entry is lowered as it is parsed. An entry outside its scope, or of
-    more than `MAX_NODES` nodes written out, is refused naming the key."""
+    more than `MAX_NODES` nodes written out, is refused naming the key, in
+    one pass over the entries each key adds; a scope fault is named first."""
     for key in table:
         if key not in keys:
             raise ValidationError(f"{what} has an entry for unknown identifier {_shown(key)}")
@@ -82,13 +84,20 @@ def _check_expr_table(
             raise ValidationError(f"{what}[{key!r}]: {exc}") from None
         root = dag.roots[-1]
         # an entry that an earlier key reaches too was checked with that key
-        stray = {n.name for n in dag.nodes[start:] if isinstance(n, Var)} - allowed
+        stray = set()
+        for node, ops in zip(dag.nodes[start:], dag.operands[start:]):
+            if not ops:
+                sizes.append(1)
+                if isinstance(node, Var) and node.name not in allowed:
+                    stray.add(node.name)
+            elif len(ops) == 1:
+                sizes.append(1 + sizes[ops[0]])
+            else:
+                sizes.append(1 + sizes[ops[0]] + sizes[ops[1]])
         if stray:
             raise ValidationError(
                 f"{what}[{key!r}] uses identifiers outside its scope: {sorted(stray)}"
             )
-        for ops in dag.operands[start:]:
-            sizes.append(1 + sum([sizes[j] for j in ops]))
         if sizes[root] > MAX_NODES:
             raise ValidationError(
                 f"{what}[{key!r}] has {sizes[root]} nodes written out, "
@@ -153,8 +162,15 @@ class OdeSystem:
         """The RK4 loop over `compiled()`, `_rk4(times, y, p, sample, read)`
         of `_rk4_code`; built on first use."""
         if self._rk4 is None:
-            self._rk4 = _loop(self.compiled(), self.state_vars, None in self.copied_states())
+            reads = None in self.copied_states()
+            self._rk4 = _loop(self.compiled(), self.state_vars, self._replayed, reads)
         return self._rk4
+
+    def _replayed(self, values: Sequence[float]) -> ExprEvalError:
+        """The field's error at the state then parameter `values`, from
+        `evaluate` (`expr.replayed`), where its compiled function raised."""
+        stage = (self.field, self.state_vars, "field", self._dags[0])
+        return replayed((stage,), self.state_vars + self.param_vars, values)
 
     def copied_states(self) -> tuple[Optional[int], ...]:
         """For each output, the position of the state its readout entry is, or
@@ -334,13 +350,18 @@ def eval_field(
     """The field as a plain function: derivative of each state coordinate."""
     _check_width(len(state), sys.state_vars, "state")
     _check_width(len(params), sys.param_vars, "parameter")
-    return sys.compiled()(*params)(*state)
+    try:
+        return sys.compiled()(*params)(*state)
+    except FAULTS:
+        raise sys._replayed((*state, *params)) from None
 
 
 def eval_readout(sys: OdeSystem, state: Sequence[float]) -> tuple[float, ...]:
-    """Output coordinates at a state, by `expr.evaluate`."""
+    """Output coordinates at a state, by `expr.evaluate`'s walk of the
+    readout's stored lowering."""
     _check_width(len(state), sys.state_vars, "state")
-    return evaluate_table(sys.readout, sys.output_vars, dict(zip(sys.state_vars, state)), "readout")
+    env = dict(zip(sys.state_vars, state))
+    return evaluate_table(sys.readout, sys.output_vars, env, "readout", sys._dags[1])
 
 
 class ParamSignal:
@@ -462,7 +483,7 @@ def _blow_up(
 
 
 _RK4_HELPERS = {
-    "_Err": ExprEvalError,
+    "_faults": FAULTS,
     "_isfinite": math.isfinite,
     "_stage_error": _stage_error,
     "_blow_up": _blow_up,
@@ -476,7 +497,10 @@ def _rk4_code(n: int, reads: bool) -> CodeType:
     `_rk4(times, y, p, sample, read)` steps from the state tuple `y` over
     the grid `times` and returns the list of state tuples, one per grid time.
     Its global `_bind` takes a row of parameter values and returns the field
-    of the states; `_names` names the coordinates in errors. With `sample`
+    of the states; `_names` names the coordinates in errors. Where the field
+    raises one of `expr.FAULTS`, the stage's handler raises the error that
+    `_replayed` of the stage's state then parameter values returns, with the
+    stage time and state (`_stage_error`). With `sample`
     None the parameters are the row `p`, bound once; otherwise each stage
     calls `sample(stage time)` for a row, bound again only when it is
     another row object. With `reads`, stage a passes the field `read` too
@@ -512,7 +536,8 @@ def _rk4_code(n: int, reads: bool) -> CodeType:
             "                    p = stage_row",
             "                    field = _bind(*p)",
             f"            [{row(k)}] = field({row(at)}{'read' if reads and not j else ''})",
-            "        except _Err as e:",
+            "        except _faults:",
+            f"            e = _replayed(({row(at)}*p,))",
             f"            raise _stage_error(e, {ts}, _names, ({row(at)})) from None",
         ]
     lines.append("        sixth = step / 6.0")
@@ -532,10 +557,11 @@ def _rk4_code(n: int, reads: bool) -> CodeType:
     return namespace["_rk4"].__code__
 
 
-def _loop(bind: Callable, names: tuple[str, ...], reads: bool = False) -> Callable[..., list]:
+def _loop(bind: Callable, names: Sequence[str], replay: Callable, reads: bool = False) -> Callable:
     """The loop of `_rk4_code` over `bind`, which takes a row of parameter
-    values and returns the field as a function of the states `names`."""
-    namespace = {**_RK4_HELPERS, "_bind": bind, "_names": names}
+    values and returns the field as a function of the states `names`, and
+    over `replay`, which gives its error at the state then parameter values."""
+    namespace = {**_RK4_HELPERS, "_bind": bind, "_names": names, "_replayed": replay}
     return FunctionType(_rk4_code(len(names), reads), namespace)
 
 
@@ -677,16 +703,15 @@ def check_solve_functoriality(
     _check_tol(tol)
     composed = compose_lens_ode(lens, sys)
     path_a = rk4_solve(composed, s0, outer_signal, t0, t1, h)
-    live = compile_tables(
-        (
-            (sys.readout, sys.output_vars, "readout", sys._dags[1]),
-            (lens.bwd, sys.param_vars, "bwd", None),
-            (sys.field, sys.state_vars, "field", sys._dags[0]),
-        ),
-        sys.state_vars, lens.target_params,
+    stages = (
+        (sys.readout, sys.output_vars, "readout", sys._dags[1]),
+        (lens.bwd, sys.param_vars, "bwd", None),
+        (sys.field, sys.state_vars, "field", sys._dags[0]),
     )
+    live = compile_tables(stages, sys.state_vars, lens.target_params)
+    replay = partial(replayed, stages, sys.state_vars + lens.target_params)
     y0 = _initial_state(sys, s0)
-    values = _run(_loop(live, sys.state_vars), path_a.times, y0, outer_signal, None)
+    values = _run(_loop(live, sys.state_vars, replay), path_a.times, y0, outer_signal, None)
     if all(map(operator.eq, path_a.values, values)):
         return FunctorialityResult(True, 0.0, t0)
     worst, worst_time = 0.0, t0

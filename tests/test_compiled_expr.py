@@ -104,6 +104,15 @@ class TestAgainstEvaluate:
     def test_tables_with_shared_subtrees(self, table, values):
         same_as_tree_walk(table, values)
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(tables, st.tuples(numbers, numbers, numbers, numbers))
+    def test_eval_readout_walks_the_stored_lowering(self, table, values):
+        # `w` is a state here, so every name is bound; components share subtrees
+        states = (*ARGS, "w")
+        sys = OdeSystem(states, list(table), [], table, {v: Num(0.0) for v in states})
+        expected = outcome(lambda: oracle.eval_readout(sys, values))
+        assert outcome(lambda: eval_readout(sys, values)) == expected
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -177,18 +186,19 @@ class TestDeepTrees:
 
 
 def operations(f) -> int:
-    """The arithmetic operations and calls in `f`'s code, less the one call
-    to `_explain`: one per inner node computed, for a table whose names are
-    all bound (on Python 3.14 an unbound name's lookup is a BINARY_OP too)."""
+    """The arithmetic operations and calls in the code of `f`, or of the
+    generated function that `f` wraps (`compile_table`'s `__wrapped__`):
+    one per inner node computed, for a table whose names are all bound (on
+    Python 3.14 an unbound name's lookup is a BINARY_OP too)."""
     return sum(
         i.opname in ("UNARY_NEGATIVE", "CALL", "CALL_FUNCTION")
         or (i.opname.startswith("BINARY_") and i.opname != "BINARY_SUBSCR")
-        for i in dis.get_instructions(f)
-    ) - 1
+        for i in dis.get_instructions(getattr(f, "__wrapped__", f))
+    )
 
 
 def temporaries(f) -> list[str]:
-    return [v for v in f.__code__.co_varnames if v.startswith("_v")]
+    return [v for v in getattr(f, "__wrapped__", f).__code__.co_varnames if v.startswith("_v")]
 
 
 def inner_entries(dag: Dag) -> tuple[int, int]:

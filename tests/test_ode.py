@@ -41,8 +41,33 @@ from opendyn.expr import (
     free_vars,
     substitute,
 )
+from opendyn.errors import _shown
 from opendyn.laws import _lv_fixture
-from opendyn.ode import MAX_STEPS, _grid
+from opendyn.ode import MAX_STEPS, _check_vars, _grid
+
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def regex_check_vars(names, what: str) -> tuple:
+    """`ode._check_vars` as it was, by a regex: the oracle for its test."""
+    out = tuple(names)
+    seen = set()
+    for name in out:
+        if not isinstance(name, str) or not _IDENT.fullmatch(name):
+            raise ValidationError(f"{what}: bad identifier {_shown(name)}")
+        if name in seen:
+            raise ValidationError(f"{what}: duplicate identifier {name!r}")
+        seen.add(name)
+    return out
+
+
+def outcome(call):
+    """The value, or the error's class and message."""
+    try:
+        return call()
+    except ValidationError as exc:
+        return ValidationError, str(exc)
 
 
 def predator_prey():
@@ -79,6 +104,19 @@ class TestOdeSystemValidation:
     def test_bad_identifier_is_rejected(self):
         with pytest.raises(ValidationError):
             OdeSystem(["2s"], ["y"], [], {"y": "1"}, {"2s": "1"})
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "x", "_", "_x1", "Alpha_2", "if", "lambda", "None", "2s", "", "é", "ℌ", "ｘ",
+            "a-b", "a b", "x\n", 3, None, ["x"], 10**5000,
+        ],
+        ids=lambda v: ascii(v) if isinstance(v, str) else type(v).__name__,
+    )
+    def test_identifiers_are_judged_as_the_ascii_regex_judged_them(self, name):
+        assert outcome(lambda: _check_vars([name, "y"], "state variables")) == outcome(
+            lambda: regex_check_vars([name, "y"], "state variables")
+        )
 
     def test_missing_table_entry_is_rejected(self):
         with pytest.raises(ValidationError):
@@ -704,3 +742,36 @@ class TestDeepTables:
                 OdeSystem(["x"], ["u"], [], {"u": sized(MAX_NODES + 1)}, {"x": "x"})
             with pytest.raises(ValidationError, match=rf"^fwd\['u'\] {message}$"):
                 OdeLens(["x"], [], ["u"], [], {"u": sized(MAX_NODES + 1)}, {})
+
+    @pytest.mark.parametrize("form", ["text", "tree"])
+    def test_a_scope_fault_is_named_before_a_size_fault(self, monkeypatch, form):
+        import opendyn.ode as ode
+
+        monkeypatch.setattr(ode, "MAX_NODES", 7)
+        shared = "x*x + x*x"  # 7 nodes written out
+        if form == "text":
+            table = {"x": shared, "y": f"({shared})*q + w*w"}
+        else:  # built by substitution, the subtree one object in both keys
+            tree = parse(shared)
+            table = {"x": tree, "y": substitute(parse("a*q + w*w"), {"a": tree})}
+        # past 7 nodes and out of scope: the scope fault, each name once
+        with pytest.raises(ValidationError) as err:
+            OdeSystem(["x", "y"], [], [], {}, table)
+        assert str(err.value) == "field['y'] uses identifiers outside its scope: ['q', 'w']"
+        # the subtree key x added counts in full toward key y's size
+        table["y"] = f"({shared})*y" if form == "text" else BinOp("*", table["x"], Var("y"))
+        with pytest.raises(ValidationError) as err:
+            OdeSystem(["x", "y"], [], [], {}, table)
+        assert str(err.value) == "field['y'] has 9 nodes written out, more than MAX_NODES = 7"
+
+    def test_a_composed_entry_counts_each_readout_it_repeats(self, monkeypatch):
+        import opendyn.ode as ode
+
+        sys = OdeSystem(["x"], ["o"], ["p"], {"o": "x*x + x*x"}, {"x": "p*x"})
+        lens = OdeLens(["o"], ["p"], ["u"], [], {"u": "o"}, {"p": "o + o"})
+        monkeypatch.setattr(ode, "MAX_NODES", 17)
+        assert to_text(compose_lens_ode(lens, sys).field["x"]) == "(x*x + x*x + (x*x + x*x))*x"
+        monkeypatch.setattr(ode, "MAX_NODES", 16)
+        with pytest.raises(ValidationError) as err:
+            compose_lens_ode(lens, sys)
+        assert str(err.value) == "field['x'] has 17 nodes written out, more than MAX_NODES = 16"
