@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional
@@ -45,6 +44,7 @@ from .finset import (
     span_to_matrix,
     tensor_spans,
 )
+from .record import FrozenRecord, Record, _set
 
 #: Most entries a lens span's matrix may have, and most charts either side of
 #: it may have; `lens_matrix` and `lens_matrix_rows` refuse a larger matrix
@@ -80,12 +80,23 @@ MAX_SLOTS = 10_000_000
 _BLOCK_CELLS = 1 << 18
 
 
-@dataclass(frozen=True)
-class DetInterface:
+class DetInterface(FrozenRecord):
     """An interface: the input and output alphabets a machine exposes."""
 
-    inputs: FinSet
-    outputs: FinSet
+    __slots__ = _fields = ("inputs", "outputs")
+
+    def __init__(self, inputs: FinSet, outputs: FinSet):
+        _set(self, "inputs", inputs)
+        _set(self, "outputs", outputs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.inputs is other.inputs or self.inputs == other.inputs) and (
+            self.outputs is other.outputs or self.outputs == other.outputs
+        )
+
+    __hash__ = FrozenRecord.__hash__
 
     def __repr__(self) -> str:
         return f"DetInterface(inputs={self.inputs}, outputs={self.outputs})"
@@ -320,13 +331,21 @@ class DetSquare:
         self.right = right
 
 
+# The combinators below read the tables of their arguments directly: every
+# table the constructors and the trusted path hold is total and in canonical
+# order, so a row's items run over its columns in order, and a map's table
+# over its domain.
+
+
 def identity_lens(iface: DetInterface) -> DetLens:
-    bwd = {o: {i: i for i in iface.inputs} for o in iface.outputs}
+    inputs = iface.inputs.elements
+    bwd = {o: dict(zip(inputs, inputs)) for o in iface.outputs.elements}
     return _rewiring(DetLens, iface, iface, FinMap.identity(iface.outputs), bwd)
 
 
 def identity_chart(iface: DetInterface) -> DetChart:
-    push = {o: {i: i for i in iface.inputs} for o in iface.outputs}
+    inputs = iface.inputs.elements
+    push = {o: dict(zip(inputs, inputs)) for o in iface.outputs.elements}
     return _rewiring(DetChart, iface, iface, FinMap.identity(iface.outputs), push)
 
 
@@ -336,10 +355,8 @@ def compose_lenses(l1: DetLens, l2: DetLens) -> DetLens:
         raise BoundaryError(
             f"cannot compose lenses: first target {l1.target!r} differs from second source {l2.source!r}"
         )
-    bwd = {
-        o: {i2: l1.bwd[o][l2.bwd[l1.fwd(o)][i2]] for i2 in l2.target.inputs}
-        for o in l1.source.outputs
-    }
+    fwd, bwd2 = l1.fwd.table, l2.bwd
+    bwd = {o: {i2: row[a] for i2, a in bwd2[fwd[o]].items()} for o, row in l1.bwd.items()}
     return _rewiring(DetLens, l1.source, l2.target, l1.fwd.then(l2.fwd), bwd)
 
 
@@ -348,10 +365,8 @@ def compose_charts(c1: DetChart, c2: DetChart) -> DetChart:
         raise BoundaryError(
             f"cannot compose charts: first target {c1.target!r} differs from second source {c2.source!r}"
         )
-    push = {
-        o: {i: c2.push[c1.fwd(o)][c1.push[o][i]] for i in c1.source.inputs}
-        for o in c1.source.outputs
-    }
+    fwd, push2 = c1.fwd.table, c2.push
+    push = {o: {i: push2[fwd[o]][a] for i, a in row.items()} for o, row in c1.push.items()}
     return _rewiring(DetChart, c1.source, c2.target, c1.fwd.then(c2.fwd), push)
 
 
@@ -361,10 +376,8 @@ def compose_lens_system(lens: DetLens, sys: Machine) -> Machine:
         raise BoundaryError(
             f"lens source {lens.source!r} does not match system interface {sys.interface!r}"
         )
-    update = {
-        s: {i2: sys.update[s][lens.bwd[sys.readout(s)][i2]] for i2 in lens.target.inputs}
-        for s in sys.states
-    }
+    readout, bwd = sys.readout.table, lens.bwd
+    update = {s: {i2: row[a] for i2, a in bwd[readout[s]].items()} for s, row in sys.update.items()}
     return _machine(type(sys), sys.states, lens.target, sys.readout.then(lens.fwd), update)
 
 
@@ -419,13 +432,17 @@ def tensor_systems(a: Machine, b: Machine) -> Machine:
     return _machine(type(a), states, iface, readout, update)
 
 
-@dataclass
-class SquareResult:
+class SquareResult(Record):
     """Outcome of a square check; `witness` is a failing (output, input) pair."""
 
-    holds: bool
-    witness: Optional[tuple[str, Optional[str]]] = None
-    reason: str = ""
+    __slots__ = _fields = ("holds", "witness", "reason")
+
+    def __init__(
+        self, holds: bool, witness: Optional[tuple[str, Optional[str]]] = None, reason: str = ""
+    ):
+        self.holds = holds
+        self.witness = witness
+        self.reason = reason
 
     def __bool__(self) -> bool:
         return self.holds
@@ -435,20 +452,21 @@ def check_square(sq: DetSquare) -> SquareResult:
     """Decide whether the square commutes: over the first corner's data,
     outputs must agree around the square, and pushing an input forward after
     pulling it back must equal pulling back after pushing forward."""
-    for o in sq.top.source.outputs:
-        if sq.right.fwd(sq.top.fwd(o)) != sq.bottom.fwd(sq.left.fwd(o)):
+    top_fwd, left_fwd = sq.top.fwd.table, sq.left.fwd.table
+    right_fwd, bottom_fwd = sq.right.fwd.table, sq.bottom.fwd.table
+    for o, o2 in top_fwd.items():
+        via_right, via_bottom = right_fwd[o2], bottom_fwd[left_fwd[o]]
+        if via_right != via_bottom:
             return SquareResult(
                 False,
                 witness=(o, None),
-                reason=(
-                    f"outputs disagree at {o!r}: "
-                    f"{sq.right.fwd(sq.top.fwd(o))!r} != {sq.bottom.fwd(sq.left.fwd(o))!r}"
-                ),
+                reason=f"outputs disagree at {o!r}: {via_right!r} != {via_bottom!r}",
             )
-    for o in sq.top.source.outputs:
-        for a3 in sq.bottom.source.inputs:
-            via_top = sq.top.push[o][sq.left.bwd[o][a3]]
-            via_bottom = sq.right.bwd[sq.top.fwd(o)][sq.bottom.push[sq.left.fwd(o)][a3]]
+    for o, o2 in top_fwd.items():
+        pushed, back = sq.top.push[o], sq.left.bwd[o]
+        pulled, forward = sq.right.bwd[o2], sq.bottom.push[left_fwd[o]]
+        for a3, i4 in forward.items():
+            via_top, via_bottom = pushed[back[a3]], pulled[i4]
             if via_top != via_bottom:
                 return SquareResult(
                     False,

@@ -28,6 +28,7 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import ExprEvalError, ExprSyntaxError, _shown
+from .record import FrozenRecord, _set
 
 FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -42,22 +43,12 @@ MAX_NESTING = 100
 MAX_NODES = 1_000_000
 
 
-class _Node:
+class _Node(FrozenRecord):
     """Equality and hashing on the `Dag`: constants compare by type and repr,
     so Num(0.0) != Num(-0.0) and Num(1) != Num(1.0). A node's fields are
     slots, named in order by its class's `_fields`, and refuse assignment."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Node) and Dag((self,)).index == Dag((other,)).index
@@ -90,9 +81,6 @@ class _Node:
         text = _expand(parts, 0)
         lets = ", ".join(f"{names[j]} = {_expand(parts, j)}" for j in shared)
         return f"{text} where {lets}" if lets else text
-
-
-_set = object.__setattr__
 
 
 class Num(_Node):

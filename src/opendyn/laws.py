@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -43,6 +42,7 @@ from .errors import ValidationError
 from .finset import FinMap, FinSet, _finmap
 from .ode import OdeLens, OdeSystem, ParamSignal, check_solve_functoriality
 from .project import load_project
+from .record import Record
 
 
 def _draws(rng: random.Random, seq, count: int) -> list:
@@ -219,12 +219,12 @@ def mutate_square(rng: random.Random, sq: DetSquare) -> tuple[DetSquare, tuple[s
     """Perturb one reached right-lens cell; returns the square and a pair
     (o, a3) at which the check must now fail (a3 is None for a fwd mutation)."""
     o = rng.choice(sq.top.source.outputs.elements)
-    o2 = sq.top.fwd(o)
+    o2 = sq.top.fwd.table[o]
     choices: list[tuple[str, Optional[str]]] = []
     if len(sq.right.target.outputs) > 1:
         choices.append((o, None))
     if len(sq.top.target.inputs) > 1 and len(sq.bottom.source.inputs) > 0:
-        choices.extend((o, a3) for a3 in sq.bottom.source.inputs)
+        choices.extend((o, a3) for a3 in sq.bottom.source.inputs.elements)
     if not choices:
         raise ValidationError("square has no room for a detectable mutation")
     o, a3 = rng.choice(choices)
@@ -232,11 +232,11 @@ def mutate_square(rng: random.Random, sq: DetSquare) -> tuple[DetSquare, tuple[s
     bwd_table = {x: dict(row) for x, row in sq.right.bwd.items()}
     if a3 is None:
         old = fwd_table[o2]
-        fwd_table[o2] = rng.choice([x for x in sq.right.target.outputs if x != old])
+        fwd_table[o2] = rng.choice([x for x in sq.right.target.outputs.elements if x != old])
     else:
-        i4 = sq.bottom.push[sq.left.fwd(o)][a3]
+        i4 = sq.bottom.push[sq.left.fwd.table[o]][a3]
         old = bwd_table[o2][i4]
-        bwd_table[o2][i4] = rng.choice([x for x in sq.top.target.inputs if x != old])
+        bwd_table[o2][i4] = rng.choice([x for x in sq.top.target.inputs.elements if x != old])
     right = _rewiring(
         DetLens,
         sq.right.source,
@@ -247,14 +247,16 @@ def mutate_square(rng: random.Random, sq: DetSquare) -> tuple[DetSquare, tuple[s
     return DetSquare(sq.top, sq.bottom, sq.left, right), (o, a3)
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Record):
     """One law suite's verdict."""
 
-    name: str
-    passed: bool
-    cases: int
-    detail: str = ""
+    __slots__ = _fields = ("name", "passed", "cases", "detail")
+
+    def __init__(self, name: str, passed: bool, cases: int, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.cases = cases
+        self.detail = detail
 
     def __bool__(self) -> bool:
         return self.passed
@@ -334,12 +336,13 @@ def _witness_hits_mutation(
         return False
     o_w, a3_w = witness
     o_m, a3_m = mutated
+    top_fwd, left_fwd = sq.top.fwd.table, sq.left.fwd.table
     if a3_m is None:
-        return a3_w is None and sq.top.fwd(o_w) == sq.top.fwd(o_m)
+        return a3_w is None and top_fwd[o_w] == top_fwd[o_m]
     if a3_w is None:
         return False
-    cell_w = (sq.top.fwd(o_w), sq.bottom.push[sq.left.fwd(o_w)][a3_w])
-    cell_m = (sq.top.fwd(o_m), sq.bottom.push[sq.left.fwd(o_m)][a3_m])
+    cell_w = (top_fwd[o_w], sq.bottom.push[left_fwd[o_w]][a3_w])
+    cell_m = (top_fwd[o_m], sq.bottom.push[left_fwd[o_m]][a3_m])
     return cell_w == cell_m
 
 

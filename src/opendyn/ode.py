@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import CodeType, FunctionType
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -21,6 +20,7 @@ from .errors import ExprEvalError, ExprSyntaxError, IntegrationError, Validation
 from .expr import (
     FAULTS, MAX_NODES, Dag, Expr, Var, compile_tables, evaluate_table, parse, replayed, substitute,
 )
+from .record import FrozenRecord
 
 #: Most steps a fixed-step time grid may take; `_grid` refuses a longer one
 #: before building it. A step holds a state and an output row, so this keeps
@@ -399,27 +399,25 @@ class ParamSignal:
         return self.rows[max(pos, 0)]
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(FrozenRecord):
     """A sampled solution: times with state rows and output rows."""
 
-    times: tuple[float, ...]
-    values: tuple[tuple[float, ...], ...]
-    outputs: tuple[tuple[float, ...], ...]
+    __slots__ = _fields = ("times", "values", "outputs")
 
-    def __post_init__(self):
-        n = len(self.times)
-        if len(self.values) != n or len(self.outputs) != n:
+    def __init__(
+        self, times: tuple[float, ...], values: tuple[tuple, ...], outputs: tuple[tuple, ...]
+    ):
+        n = len(times)
+        if len(values) != n or len(outputs) != n:
             raise ValidationError("trajectory rows must match the time grid")
-        if any(t1 >= t2 for t1, t2 in zip(self.times, self.times[1:])):
+        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise ValidationError("trajectory times must be strictly increasing")
         if n:
-            vw = len(self.values[0])
-            ow = len(self.outputs[0])
-            if any(len(row) != vw for row in self.values) or any(
-                len(row) != ow for row in self.outputs
-            ):
+            vw = len(values[0])
+            ow = len(outputs[0])
+            if any(len(row) != vw for row in values) or any(len(row) != ow for row in outputs):
                 raise ValidationError("trajectory rows must have uniform widths")
+        self._init(times, values, outputs)
 
 
 def _trajectory(times: tuple, values: tuple, outputs: tuple) -> Trajectory:
@@ -427,9 +425,7 @@ def _trajectory(times: tuple, values: tuple, outputs: tuple) -> Trajectory:
     strictly increasing, and `values` and `outputs` must hold one row of a
     fixed width per time."""
     traj = Trajectory.__new__(Trajectory)
-    object.__setattr__(traj, "times", times)
-    object.__setattr__(traj, "values", values)
-    object.__setattr__(traj, "outputs", outputs)
+    traj._init(times, values, outputs)
     return traj
 
 
@@ -623,15 +619,13 @@ def _check_tol(tol: float) -> None:
         raise ValidationError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
-@dataclass(frozen=True)
-class ResidualResult:
+class ResidualResult(FrozenRecord):
     """Largest central-difference defect of a trajectory against a field."""
 
-    passed: bool
-    max_residual: float
-    index: int
-    time: float
-    component: str
+    __slots__ = _fields = ("passed", "max_residual", "index", "time", "component")
+
+    def __init__(self, passed: bool, max_residual: float, index: int, time: float, component: str):
+        self._init(passed, max_residual, index, time, component)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -670,13 +664,13 @@ def check_residual(
     return ResidualResult(worst <= tol, worst, worst_index, time, worst_component)
 
 
-@dataclass(frozen=True)
-class FunctorialityResult:
+class FunctorialityResult(FrozenRecord):
     """Sup-norm gap between substitute-then-solve and solve-with-live-wiring."""
 
-    passed: bool
-    max_deviation: float
-    time: float
+    __slots__ = _fields = ("passed", "max_deviation", "time")
+
+    def __init__(self, passed: bool, max_deviation: float, time: float):
+        self._init(passed, max_deviation, time)
 
     def __bool__(self) -> bool:
         return self.passed

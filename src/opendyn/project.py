@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from os import PathLike, fspath
 from sys import float_info
@@ -32,6 +31,7 @@ from .errors import FileAccessError, OpendynError, ValidationError, _shown
 from .expr import Dag, Expr, Num, _dag_text
 from .finset import FinMap, FinSet, _finmap
 from .ode import OdeLens, OdeSystem
+from .record import Record
 from .stochastic import Dist, DistEffect, StochSystem, _accepted_dist
 
 SystemEntry = Union[DetSystem, StochSystem, OdeSystem]
@@ -46,13 +46,21 @@ DOCTRINE_ODE = "ode"
 SECTIONS = {"systems": "system", "lenses": "lens", "charts": "chart"}
 
 
-@dataclass
-class ProjectFile:
-    """A validated project: named entries, insertion-ordered."""
+class ProjectFile(Record):
+    """A validated project: named entries, insertion-ordered. A section
+    left out starts as a fresh empty dict."""
 
-    systems: dict[str, SystemEntry] = field(default_factory=dict)
-    lenses: dict[str, LensEntry] = field(default_factory=dict)
-    charts: dict[str, DetChart] = field(default_factory=dict)
+    __slots__ = _fields = ("systems", "lenses", "charts")
+
+    def __init__(
+        self,
+        systems: Optional[dict[str, SystemEntry]] = None,
+        lenses: Optional[dict[str, LensEntry]] = None,
+        charts: Optional[dict[str, DetChart]] = None,
+    ):
+        self.systems = {} if systems is None else systems
+        self.lenses = {} if lenses is None else lenses
+        self.charts = {} if charts is None else charts
 
     def system(self, name: str) -> SystemEntry:
         if name not in self.systems:

@@ -828,6 +828,21 @@ class TestLeanParser:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [f"wrote {out} (4 rows)", "[]"]
 
+    def test_a_steady_run_imports_no_dataclasses(self, tmp_path):
+        # the records are slot classes: no `@dataclass`, so no `inspect`
+        # chain, whatever the interpreter held before opendyn came in
+        out = tmp_path / "s.csv"
+        code = (
+            "import sys\n"
+            "bare = set(sys.modules)\n"
+            "import opendyn.cli\n"
+            f"opendyn.cli.main(['steady', {FLIPFLOP!r}, '--system', 'flipflop', '--out', {str(out)!r}])\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - bare)))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"wrote {out} (4 rows)", "[]"]
+
     def test_subcommand_help_is_unchanged(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         proc = run_cli("steady", "-h")

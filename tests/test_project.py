@@ -90,7 +90,9 @@ class TestValidation:
 
     def test_a_saved_project_is_always_version_one(self, tmp_path):
         # the one version a file may have is not a field that could be set
-        assert "version" not in ProjectFile.__dataclass_fields__
+        assert "version" not in ProjectFile._fields
+        with pytest.raises(TypeError, match="version"):
+            ProjectFile(version=2)
         project = ProjectFile(systems={"ff": flipflop()})
         assert project_to_obj(project)["version"] == 1
         path = tmp_path / "saved.json"
