@@ -257,7 +257,7 @@ def _project_matrix_scan(project: ProjectFile) -> SuiteResult:
             if not isinstance(sys_entry, Machine) or lens.source != sys_entry.interface:
                 continue
             checked += 1
-            at = _matrix_theorem(lens, sys_entry)
+            at = _matrix_theorem(lens, sys_entry, 2)
             for k in (1, 2):
                 try:
                     match = at(k)

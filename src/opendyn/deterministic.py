@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from contextlib import suppress
 from functools import lru_cache
-from itertools import compress, product
+from itertools import chain, compress, product
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional
 
 from .errors import BoundaryError, ValidationError, _shown
@@ -703,6 +704,47 @@ def _chart_counts(plan: tuple) -> Counter:
     return counts
 
 
+def _cycle_counts(sys: Machine, top: int) -> list[Counter]:
+    """The fiber counts of the maps into `sys` from the walking j-cycle, for
+    every period j from 1 to `top`, each keyed as `_chart_counts` keys that
+    period's walk: one walk over start states and input words of length `top`.
+
+    A row holds its current state, its start state and its chart so far,
+    the output of each state visited and the input that left it. Each step
+    repeats every row once per input in canonical order, reads the next
+    state through the effect's `point`, a cell with no point cutting its
+    row, and counts the charts of the rows back at their start; the rows
+    then take the next state's output. A block whose next step would take it
+    past `_BLOCK_CELLS` cells is split in half first, as `_maps_into`'s are.
+    """
+    inputs, states, point = sys.interface.inputs.elements, sys.states.elements, sys.effect.point
+    succ = {s: list(map(point, row.values())) for s, row in sys.update.items()}  # input by input
+    readout = sys.readout.table.__getitem__
+    counts = [Counter() for _ in range(top)]
+    blocks = [(0, [states, states, list(map(readout, states))])]  # (steps, [current, start, *chart])
+    while blocks:
+        steps, cols = blocks.pop()
+        for j in range(steps, top):
+            rows = len(cols[0])
+            while rows > 1 and rows * len(inputs) * (len(cols) + 2) > _BLOCK_CELLS:
+                half = rows // 2
+                blocks.append((j, [col[half:] for col in cols]))
+                rows, cols = half, [col[:half] for col in cols]
+            cols[0] = list(chain.from_iterable(map(succ.__getitem__, cols[0])))
+            if len(inputs) > 1:
+                cols[1:] = [_repeat(col, len(inputs)) for col in cols[1:]]
+            cols.append(inputs * rows)
+            if None in cols[0]:
+                cols = _keep(cols, [s is not None for s in cols[0]])
+            closed = [s == start for s, start in zip(cols[0], cols[1])]
+            if True in closed:
+                counts[j].update(zip(*[compress(col, closed) for col in cols[2:]]))
+            if not closed or j + 1 == top:
+                break
+            cols.append(list(map(readout, cols[0])))
+    return counts
+
+
 def representable_span(rep: DetSystem, sys: Machine, *, layout: Optional[tuple] = None) -> Family:
     """All ways of mapping `rep` into `sys`, fibered over the chart used.
 
@@ -867,27 +909,49 @@ def check_matrix_theorem(lens: DetLens, sys: Machine, k: int) -> FamilyMatch:
     apply_span_to_family(lens_to_span(lens, walking_cycle(k).interface),
     periodic_orbit_span(sys, k)))`, decided on fiber counts, so no element
     label is formed until the witness is read. Both machines' walks are
-    bounded before either starts.
+    bounded before either starts. It is `_matrix_theorem(lens, sys, k)` at
+    k: one counting walk per machine serves every period up to k, and a
+    witness, when read, forms period k's rows by period k's own walk.
     """
-    return _matrix_theorem(lens, sys)(k)
+    return _matrix_theorem(lens, sys, k)(k)
 
 
-def _matrix_theorem(lens: DetLens, sys: Machine) -> Callable[[int], FamilyMatch]:
+def _matrix_theorem(lens: DetLens, sys: Machine, top: int) -> Callable[[int], FamilyMatch]:
     """`check_matrix_theorem(lens, sys, k)` as a function of k, for one lens
-    and machine at many periods: the rewired machine and the lens's one-step
-    span are formed once. Each call bounds its own period's walks
-    (`_period_walk`) before it forms anything of them, so a caller gets each
-    period's verdict or refusal in turn.
+    and machine at the periods 1 to `top`: the rewired machine and the lens's
+    one-step span are formed once, and one walk per machine (`_cycle_counts`)
+    counts the orbits of every period up to the deepest one admitted.
+
+    Each call bounds its own period's walks (`_period_walk`) before it forms
+    anything of them, so refusals still come period by period: a caller gets
+    each period's verdict or refusal in turn. The first call, or one past
+    the periods walked so far, then bounds the periods after its own in
+    order up to `top`, and walks each machine once, to the last period
+    before the first one refused. A witness, when read, still forms its
+    period's rows by that period's own walk (`_orbits`).
     """
     rewired = compose_lens_system(lens, sys)  # refuses a lens whose source is not sys's
     step = _lens_step(lens)
+    counts = [[], []]  # sys's and rewired's, a Counter per period walked
+
+    def orbits(cycle: DetSystem, layout: tuple, machine: Machine, period_counts: Counter) -> Family:
+        plan = _walk_plan(layout, machine)
+        return _family(_charts(cycle.interface, machine.interface),
+                       lambda: _orbits(plan), lambda: period_counts)
 
     def at(k: int) -> FamilyMatch:
         cycle, layout = _period_walk(k, sys, rewired)
+        if k > len(counts[0]):
+            deepest = k
+            with suppress(ValidationError):  # the walks stop before the first period refused
+                for later in range(k + 1, top + 1):
+                    _period_walk(later, sys, rewired)
+                    deepest = later
+            counts[:] = _cycle_counts(sys, deepest), _cycle_counts(rewired, deepest)
         return families_isomorphic(
-            representable_span(cycle, rewired, layout=layout),
+            orbits(cycle, layout, rewired, counts[1][k - 1]),
             apply_span_to_family(lens_to_span(lens, cycle.interface, step=step),
-                                 representable_span(cycle, sys, layout=layout)),
+                                 orbits(cycle, layout, sys, counts[0][k - 1])),
         )
 
     return at

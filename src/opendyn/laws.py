@@ -355,7 +355,7 @@ def matrix_suite(seed: int, cases: int) -> SuiteResult:
         target = random_interface(rng, 5)
         sys = random_system(rng, iface)
         lens = random_lens(rng, iface, target)
-        at = _matrix_theorem(lens, sys)
+        at = _matrix_theorem(lens, sys, 3)
         for k in range(1, 4):
             match = at(k)
             if not match:

@@ -1,12 +1,14 @@
 """The matrix theorem checked one period at a time, kept as an oracle.
 
-`opendyn.deterministic._matrix_theorem(lens, sys)` rewires the machine and
-forms the lens's one-step span once for every period it is asked for, and
+`opendyn.deterministic._matrix_theorem(lens, sys, top)` rewires the machine
+and forms the lens's one-step span once for every period it is asked for,
+counts the orbits of every period up to `top` with one walk per machine, and
 takes each period's walking cycle and its half of the walk plan from a memo.
 The function here is the per-period body it replaced: every call composes
 the lens with the machine, builds a new walking cycle, plans both walks from
-it and spans the lens from nothing. It leaves out the period bounds, which
-the tests of `MAX_WALK`, `MAX_SLOTS` and `MAX_PERIOD` pin on the library.
+it, counts each machine's orbits by that period's own walk and spans the
+lens from nothing. It leaves out the period bounds, which the tests of
+`MAX_WALK`, `MAX_SLOTS` and `MAX_PERIOD` pin on the library.
 """
 
 from __future__ import annotations

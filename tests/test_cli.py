@@ -1493,3 +1493,20 @@ class TestStochasticBytes:
         assert self.digest(out) == (
             913, "b9d95f64f02ee8d68b9bcd04d6bf9a6257cc4aa585ee18aa82fd5a0539738f12"
         )
+
+
+class TestCheckBytes:
+    """`check` reports at the default 200 cases, pinned: a changed orbit count
+    or a changed refusal shows here even when two runs still agree. Each
+    fixture is copied and run under its bare name, so the command line the
+    report repeats is fixed."""
+
+    @pytest.mark.parametrize("name, code, digest", [
+        ("flipflop.json", 0, (374, "cf41e46cc1ff3876c3705fcec918fc6ad1a98bdfd0c0ea76012ecd4bbb8acf13")),
+        ("square_broken.json", 1, (474, "3fe8d83499717ccec42e007891d5f87cc59e44e7777a6d3c3eceb7ee68b73ca4")),
+    ])
+    def test_default_cases(self, tmp_path, monkeypatch, name, code, digest):
+        (tmp_path / name).write_bytes(Path(fixture_path(name)).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", name, "--out", "report.txt"]) == code
+        assert TestStochasticBytes.digest(tmp_path / "report.txt") == digest

@@ -1,11 +1,13 @@
 """The matrix theorem at many periods of one lens and machine.
 
-`deterministic._matrix_theorem(lens, sys)` rewires the machine and forms the
-lens's one-step span once, and takes each period's walking cycle and its
-half of the walk plan from a bounded memo (`_period_cycle`). These tests
-hold it to the per-period body it replaced (`period_theorem_oracle`), show
-that no caller can reach or change the memo's cycles, and that each period
-is bounded in turn, before anything of it walks.
+`deterministic._matrix_theorem(lens, sys, top)` rewires the machine and
+forms the lens's one-step span once, counts the orbits of every period up to
+`top` with one walk per machine (`_cycle_counts`), and takes each period's
+walking cycle and its half of the walk plan from a bounded memo
+(`_period_cycle`). These tests hold it to the per-period body it replaced
+(`period_theorem_oracle`), show that no caller can reach or change the
+memo's cycles, and that each period is bounded in turn, before anything of
+it walks.
 """
 
 import random
@@ -62,7 +64,7 @@ class TestAgainstThePerPeriodOracle:
                         patch.setattr(det, "compose_lens_system", lambda _, sys: compose(other, sys))
                     elif side == 2:
                         patch.setattr(det, "_lens_step", lambda _: step(other))
-                    at = det._matrix_theorem(lens, machine)
+                    at = det._matrix_theorem(lens, machine, max(PERIODS))
                     got = [at(k) for k in PERIODS]
                 for k, match in zip(PERIODS, got):
                     want = period_check_matrix_theorem(
@@ -78,9 +80,9 @@ class TestAgainstThePerPeriodOracle:
         calls = Counter()
         real = det._matrix_theorem
 
-        def counted(lens, sys):
+        def counted(lens, sys, top):
             calls["entry"] += 1
-            at = real(lens, sys)
+            at = real(lens, sys, top)
             return lambda k: calls.update(["period"]) or at(k)
 
         monkeypatch.setattr(det, "_matrix_theorem", counted)
@@ -175,24 +177,26 @@ def fan_in(new_inputs: int) -> tuple[DetLens, DetSystem]:
 
 class TestPeriodsAreBoundedInTurn:
     """Where k = 1 fits and k = 2 does not, the entry gives k = 1's verdict
-    and then refuses k = 2 with the per-period text, before k = 2 walks."""
+    and then refuses k = 2 with the per-period text, before k = 2 walks: the
+    counting walks stop at k = 1, and no row of k = 2 is formed."""
 
     def forbid_walks(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a walk, a family or an apex was formed")
 
-        for name in ("_maps_into", "representable_span", "lens_to_span"):
+        for name in ("_maps_into", "_cycle_counts", "representable_span", "lens_to_span"):
             monkeypatch.setattr(det, name, fail)
         monkeypatch.setattr(Span, "_over", fail)
 
     def refuses_k2_after_k1(self, monkeypatch, text):
         lens, machine = fan_in(4)
-        walks = Counter()
-        real = det._maps_into
-        monkeypatch.setattr(det, "_maps_into", lambda plan: walks.update(["walk"]) or real(plan))
-        at = det._matrix_theorem(lens, machine)
+        walks, rows = Counter(), Counter()
+        counts, maps_into = det._cycle_counts, det._maps_into
+        monkeypatch.setattr(det, "_cycle_counts", lambda m, top: walks.update([top]) or counts(m, top))
+        monkeypatch.setattr(det, "_maps_into", lambda plan: rows.update(["walk"]) or maps_into(plan))
+        at = det._matrix_theorem(lens, machine, 2)
         first = at(1)
-        assert first and walks["walk"] == 2  # both machines counted
+        assert first and walks == {1: 2} and not rows  # both machines counted to k = 1
         assert_same_match(first, period_check_matrix_theorem(lens, machine, 1), 1)
         self.forbid_walks(monkeypatch)
         with pytest.raises(ValidationError) as err:
@@ -218,7 +222,7 @@ class TestPeriodsAreBoundedInTurn:
 
     def test_max_period_holds_for_a_period_the_memo_holds(self, monkeypatch):
         lens, machine = fan_in(1)
-        at = det._matrix_theorem(lens, machine)
+        at = det._matrix_theorem(lens, machine, 4)
         assert at(4) and len(periodic_orbits(machine, 4)) == 2  # the memo holds k = 4
         monkeypatch.setattr(det, "MAX_PERIOD", 3)
         self.forbid_walks(monkeypatch)

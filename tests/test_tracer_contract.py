@@ -95,9 +95,11 @@ def test_a_traced_theorem_goes_through_the_public_objects(tracer):
         t.uninstall()
     assert match
     for name in (
-        "deterministic.representable_span.calls",
         "finset.apply_span_to_family.calls",
         "finset.families_isomorphic.calls",
         "deterministic.lens_to_span.apex_elements",
     ):
         assert t.counts[name] > 0, name
+    # the theorem counts its orbits off one walk per machine, not through
+    # `representable_span`, so the tracer's orbit metrics read nothing here
+    assert t.counts["deterministic.representable_span.calls"] == 0
