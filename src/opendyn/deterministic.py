@@ -911,7 +911,7 @@ def check_matrix_theorem(lens: DetLens, sys: Machine, k: int) -> FamilyMatch:
     label is formed until the witness is read. Both machines' walks are
     bounded before either starts. It is `_matrix_theorem(lens, sys, k)` at
     k: one counting walk per machine serves every period up to k, and a
-    witness, when read, forms period k's rows by period k's own walk.
+    witness, when read, plans period k's own walks and forms its rows by them.
     """
     return _matrix_theorem(lens, sys, k)(k)
 
@@ -927,17 +927,18 @@ def _matrix_theorem(lens: DetLens, sys: Machine, top: int) -> Callable[[int], Fa
     each period's verdict or refusal in turn. The first call, or one past
     the periods walked so far, then bounds the periods after its own in
     order up to `top`, and walks each machine once, to the last period
-    before the first one refused. A witness, when read, still forms its
-    period's rows by that period's own walk (`_orbits`).
+    before the first one refused. No verdict plans a row walk: a witness,
+    when read, plans its period's walks (`_walk_plan`) and forms the rows by
+    them (`_orbits`). The plans never refuse, since `_period_walk` bounded
+    the same counts (`_walk_size`).
     """
     rewired = compose_lens_system(lens, sys)  # refuses a lens whose source is not sys's
     step = _lens_step(lens)
     counts = [[], []]  # sys's and rewired's, a Counter per period walked
 
     def orbits(cycle: DetSystem, layout: tuple, machine: Machine, period_counts: Counter) -> Family:
-        plan = _walk_plan(layout, machine)
         return _family(_charts(cycle.interface, machine.interface),
-                       lambda: _orbits(plan), lambda: period_counts)
+                       lambda: _orbits(_walk_plan(layout, machine)), lambda: period_counts)
 
     def at(k: int) -> FamilyMatch:
         cycle, layout = _period_walk(k, sys, rewired)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from functools import cached_property
 from itertools import accumulate, chain, product
 from math import prod
 from operator import itemgetter
@@ -246,11 +245,28 @@ def _finmap(dom, cod, table: dict[str, str]) -> FinMap:
     return fmap
 
 
+class _lazy:
+    """A method read as an attribute, computed on the first read and stored
+    in the instance's `__dict__`, which later reads and assignments reach
+    first: `functools.cached_property` as of Python 3.12, which on 3.10 and
+    3.11 takes a lock on every first read."""
+
+    def __init__(self, func: Callable):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.func.__name__] = self.func(instance)
+        return value
+
+
 class Span:
     """Two legs out of a common apex: source <- apex -> target, held as a
     tensor product of factors (`_factors`), each its source key width, its
-    target, and its apex elements over each source key as (apex position,
-    apex key, right key), in apex order."""
+    target, its apex elements over each source key as (apex position, apex
+    key, right key), in apex order, and its right-key table: those elements'
+    right keys alone over each source key, which `_push` reads."""
 
     def __init__(self, source: FinSet, target: FinSet, apex: FinSet, left: FinMap, right: FinMap):
         if left.dom != apex or right.dom != apex:
@@ -266,7 +282,7 @@ class Span:
     @property
     def _cuts(self) -> list[tuple[int, int]]:
         """Each factor's (start, end) slots in a source key."""
-        ends = list(accumulate(width for width, _, _ in self._factors))
+        ends = list(accumulate(width for width, *_ in self._factors))
         return list(zip([0, *ends], ends))
 
     def _over(self, points: Optional[Iterable] = None) -> list[tuple]:
@@ -277,8 +293,8 @@ class Span:
         of apex positions."""
         flat, factors = chain.from_iterable, self._factors
         if points is None:  # every source key some apex element lies over
-            points = (tuple(flat(keys)) for keys in product(*[over for _, _, over in factors]))
-        cut, elements = [(a, b, over) for (a, b), (_, _, over) in zip(self._cuts, factors)], []
+            points = (tuple(flat(keys)) for keys in product(*[over for _, _, over, _ in factors]))
+        cut, elements = [(a, b, over) for (a, b), (_, _, over, _) in zip(self._cuts, factors)], []
         for point in points:
             for combo in product(*[over.get(point[a:b], ()) for a, b, over in cut]):
                 pos, apex, right = zip(*combo)
@@ -286,22 +302,25 @@ class Span:
         elements.sort()
         return [(apex, point, right) for _, apex, point, right in elements]
 
-    def _push(self, counts: Mapping) -> Counter:
+    def _push(self, counts: Mapping) -> dict:
         """The span's matrix applied to a count vector over the source, keyed
         by source keys, factor by factor: each factor takes its key off the
         front of a counted key and appends, for each apex element over it,
-        that element's right key, adding the count there. After the last
-        factor a key is a target key; no apex element is formed."""
-        for width, _, over in self._factors:
+        that element's right key from the factor's right-key table, adding
+        the count there. After the last factor a key is a target key; no apex
+        element is formed. A target key with no count is absent, not 0."""
+        for width, _, _, rights in self._factors:
             pushed: dict = {}
-            get = pushed.get
+            get, over = pushed.get, rights.get
             for key, n in counts.items():
-                rest = key[width:]
-                for _, _, right in over.get(key[:width], ()):
-                    key2 = rest + right
-                    pushed[key2] = get(key2, 0) + n
+                keys = over(key[:width])
+                if keys:
+                    rest = key[width:]
+                    for right in keys:
+                        key2 = rest + right
+                        pushed[key2] = get(key2, 0) + n
             counts = pushed
-        return Counter(counts)
+        return counts
 
     def _ones(self) -> Iterator[list[int]]:
         """Each row of the span's matrix, in source order, as the columns of
@@ -313,14 +332,14 @@ class Span:
         factor has two elements over one (row, column) pair, as in a lens's
         span, whose rows `opendyn matrix` writes as they are formed."""
         alphabets, places, scale = _alphabets(self.source), [], 1
-        for (a, b), (_, target, over) in reversed(list(zip(self._cuts, self._factors))):
+        for (a, b), (_, target, over, _) in reversed(list(zip(self._cuts, self._factors))):
             places.append([sorted(target.position_of(right) * scale for _, _, right in over.get(key, ()))
                            for key in product(*alphabets[a:b])])
             scale *= len(target)
         for digits in product(*reversed(places)):
             yield list(map(sum, product(*digits)))
 
-    @cached_property
+    @_lazy
     def _both_legs(self) -> tuple[FinMap, FinMap]:
         """The left and right legs, labelled in one pass over `_over()`."""
         left, right = {}, {}
@@ -358,9 +377,10 @@ def _span(source, target, apex, rows: Iterable[tuple]) -> Span:
     over: dict[tuple, list[tuple]] = {}
     for pos, (x, v, w) in enumerate(rows):
         over.setdefault(v, []).append((pos, x, w))
+    rights = {v: [w for _, _, w in elements] for v, elements in over.items()}
     span = Span.__new__(Span)
     span.source, span.target, span.apex = source, target, apex
-    span._factors = ((len(_alphabets(source)), target, over),)
+    span._factors = ((len(_alphabets(source)), target, over, rights),)
     return span
 
 
@@ -370,7 +390,9 @@ class Family:
     Every family is stored as its rows, (base key, element key) in total
     order, so only nonempty fibers take room. Orbit and pushed families are
     built by `_family`; their rows, counts, `total` and `proj` are each
-    formed when first asked for.
+    formed when first read (`_lazy`). The counts hold nonempty fibers only,
+    and a pushed family's are a plain dict, so a missing key reads as 0
+    only through `.get(key, 0)`.
     """
 
     #: counts the fibers without forming the rows, where a family knows how
@@ -386,12 +408,12 @@ class Family:
         self.proj = proj
         self._rows = [(base.key(proj(z)), (z,)) for z in total]
 
-    @cached_property
+    @_lazy
     def _rows(self) -> list[_Row]:
         return list(self._form())
 
-    @cached_property
-    def _counts(self) -> Counter:
+    @_lazy
+    def _counts(self) -> Mapping:
         """Each nonempty fiber's size, keyed by its base key: counted off the
         rows where they are formed, and otherwise by the family's `_count`."""
         if "_rows" in self.__dict__ or self._count is None:
@@ -403,11 +425,11 @@ class Family:
         `_labelled` forms them from the family's rows."""
         return list(_labelled(self._rows))
 
-    @cached_property
+    @_lazy
     def total(self) -> FinSet:
         return FinSet(z for _, z in self.labels())
 
-    @cached_property
+    @_lazy
     def proj(self) -> FinMap:
         return FinMap(self.total, self.base, {z: b for b, z in self.labels()})
 
@@ -419,7 +441,7 @@ class Family:
             return self._rows
         return [(base.key(b), (z,)) for b, z in self.labels()]
 
-    def _counts_over(self, base) -> Counter:
+    def _counts_over(self, base) -> Mapping:
         """The fiber counts, keyed as `_rows_over(base)` keys the rows."""
         if type(base) is type(self.base):
             return self._counts
@@ -493,11 +515,10 @@ def tensor_spans(first: Span, *rest: Span) -> Span:
     is the Kronecker product of their matrices."""
     spans = (first, *rest)
     span = Span.__new__(Span)
-    span.source, span.target, span.apex = (
-        ProductSet(chain.from_iterable(map(_alphabets, sides)))
-        for sides in zip(*[(s.source, s.target, s.apex) for s in spans])
-    )
-    span._factors = tuple(chain.from_iterable(s._factors for s in spans))
+    span.source = ProductSet([a for s in spans for a in _alphabets(s.source)])
+    span.target = ProductSet([a for s in spans for a in _alphabets(s.target)])
+    span.apex = ProductSet([a for s in spans for a in _alphabets(s.apex)])
+    span._factors = tuple([factor for s in spans for factor in s._factors])
     return span
 
 
@@ -589,10 +610,10 @@ def families_isomorphic(f1: Family, f2: Family) -> FamilyMatch:
     if f1.base != f2.base:
         raise BoundaryError(f"family bases differ: {f1.base} vs {f2.base}")
     counts1, counts2 = f1._counts, f2._counts_over(f1.base)
-    differ = {b for b, _ in counts1.items() ^ counts2.items()}  # counted differently, or on one side
-    if differ:
-        b = min(differ, key=f1.base.position_of)
-        return FamilyMatch(None, mismatch=join_labels(*b), counts=(counts1[b], counts2[b]))
+    if counts1.items() != counts2.items():  # counted differently, or on one side
+        b = min({b for b, _ in counts1.items() ^ counts2.items()}, key=f1.base.position_of)
+        counts = counts1.get(b, 0), counts2.get(b, 0)  # a fiber one side lacks counts 0
+        return FamilyMatch(None, mismatch=join_labels(*b), counts=counts)
     match = FamilyMatch(None)
     match._families = f1, f2
     return match

@@ -1390,6 +1390,12 @@ class TestOneWalkBudget:
             asked.append((machine, counts, size))
             return size
 
+        def by_machine() -> dict:
+            calls = {}
+            for walked, counts, size in asked:
+                calls.setdefault(id(walked), []).append((counts, size))
+            return calls
+
         monkeypatch.setattr(det, "_walk_size", recorded)
         rng = random.Random(16)
         for case in range(8):  # every other one a Markov machine
@@ -1399,16 +1405,20 @@ class TestOneWalkBudget:
             lens = random_lens(rng, iface, random_interface(rng, 3, "t"))
             for k in range(1, 7):
                 asked.clear()
-                det.check_matrix_theorem(lens, machine, k)
-                by_machine = {}
-                for walked, counts, size in asked:
-                    by_machine.setdefault(id(walked), []).append((counts, size))
-                # the machine and the rewired one, each asked by the bound and by the walker
-                assert len(by_machine) == 2, (case, k)
-                for calls in by_machine.values():
+                match = det.check_matrix_theorem(lens, machine, k)
+                # the verdict plans no walk: the machine and the rewired one
+                # are each asked once, by the bound
+                bound = by_machine()
+                assert len(bound) == 2, (case, k)
+                assert all(calls == [((1, k, k), calls[0][1])] for calls in bound.values()), (case, k)
+                assert match and match.witness is not None, (case, k)
+                # the witness plans both walks, each asking the bound's counts again
+                walked = by_machine()
+                assert walked.keys() == bound.keys(), (case, k)
+                for calls in walked.values():
                     assert calls == [((1, k, k), calls[0][1])] * 2, (case, k)
                 tuples = len(machine.states) * len(iface.inputs) ** k
-                assert by_machine[id(machine)][0][1] == (tuples, tuples * k)
+                assert walked[id(machine)][0][1] == (tuples, tuples * k)
 
 
 # Two Markov machines with weight denominators 2 to 7, some given out of state

@@ -4,8 +4,10 @@
 forms the lens's one-step span once, counts the orbits of every period up to
 `top` with one walk per machine (`_cycle_counts`), and takes each period's
 walking cycle and its half of the walk plan from a bounded memo
-(`_period_cycle`). These tests hold it to the per-period body it replaced
-(`period_theorem_oracle`), show that no caller can reach or change the
+(`_period_cycle`). Its verdicts are decided on those counts alone: only a
+witness, when read, plans its period's row walks (`_walk_plan`). These tests
+hold it to the per-period body it replaced (`period_theorem_oracle`), show
+that no verdict plans a row walk, that no caller can reach or change the
 memo's cycles, and that each period is bounded in turn, before anything of
 it walks.
 """
@@ -104,6 +106,39 @@ class TestAgainstThePerPeriodOracle:
         monkeypatch.setattr(det, "compose_lens_system", counted)
         assert matrix_suite(6, 5)
         assert len(composed) == len(set(map(id, composed))) == 5
+
+
+class TestVerdictsPlanNoWalk:
+    def test_only_a_witness_plans_its_walks(self, monkeypatch):
+        """Verdicts at k = 1..3 on seeded machines of both effects, a third
+        of them mismatches from a mutated span, are decided with no walk
+        planned (`_walk_plan`) or walked (`_maps_into`, `_orbits`); reading a
+        match's witness then plans both of its period's walks, and the
+        witness is the per-period oracle's."""
+        def fail(*args):
+            raise AssertionError("a verdict planned or walked a row walk")
+
+        rng, verdicts, planned = random.Random(42), Counter(), []
+        step, plan = det._lens_step, det._walk_plan
+        monkeypatch.setattr(det, "_walk_plan", lambda *args: planned.append(args) or plan(*args))
+        for case in range(150):
+            iface = random_interface(rng, 3)
+            machine = each_machine(rng, iface, case)
+            lens = random_lens(rng, iface, random_interface(rng, 3, tag="t"))
+            other = mutated(rng, lens) if case % 3 == 2 else lens
+            with monkeypatch.context() as patch:
+                patch.setattr(det, "_lens_step", lambda _: step(other))
+                for name in ("_walk_plan", "_maps_into", "_orbits"):
+                    patch.setattr(det, name, fail)
+                at = det._matrix_theorem(lens, machine, 3)
+                got = [at(k) for k in range(1, 4)]
+            for k, match in enumerate(got, 1):
+                want = period_check_matrix_theorem(lens, machine, k, pushed_by=other)
+                planned.clear()
+                assert_same_match(match, want, (case, k))  # reads the witnesses
+                assert len(planned) == (2 if match else 0), (case, k)
+                verdicts[bool(match)] += 1
+        assert verdicts[True] > 250 and verdicts[False] > 60, verdicts
 
 
 class TestTheMemoIsPrivate:
