@@ -63,7 +63,6 @@ from .deterministic import (
     compose_lenses,
     identity_chart,
     identity_lens,
-    lens_matrix,
     lens_to_span,
     paste_horizontal,
     paste_vertical,
@@ -78,7 +77,6 @@ from .stochastic import (
     Dist,
     StochSystem,
     compose_lens_stoch,
-    dirac_steady_span,
     embed_det,
     simulate_stoch,
     step_dist,
@@ -94,10 +92,8 @@ from .ode import (
     check_residual,
     check_solve_functoriality,
     compose_lens_ode,
-    compose_ode_lenses,
     eval_field,
     eval_readout,
-    identity_ode_lens,
     rk4_solve,
     tensor_ode,
 )

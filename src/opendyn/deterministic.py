@@ -42,16 +42,15 @@ from .finset import (
     families_isomorphic,
     join_labels,
     product_finset,
-    span_to_matrix,
     tensor_spans,
 )
 from .record import FrozenRecord, Record, _set
 
 #: Most entries a lens span's matrix may have, and most charts either side of
-#: it may have; `lens_matrix` and `lens_matrix_rows` refuse a larger matrix
-#: before they build anything of size k. At k = 3 a lens from 3 outputs x 3
-#: inputs to 4 outputs x 5 inputs has 729 x 8,000 = 5,832,000 entries, and
-#: `opendyn matrix` writes them as 53 MB of JSON.
+#: it may have; `lens_matrix_rows` refuses a larger matrix before it builds
+#: anything of size k. At k = 3 a lens from 3 outputs x 3 inputs to 4
+#: outputs x 5 inputs has 729 x 8,000 = 5,832,000 entries, and `opendyn
+#: matrix` writes them as 53 MB of JSON.
 MAX_MATRIX_ENTRIES = 10_000_000
 
 #: Most update entries a product machine may have (`tensor_systems`): its
@@ -165,11 +164,11 @@ class Identity:
         return cell
 
 
-class Machine:
+class Machine(Record):
     """A Moore machine whose update lands in an effect: readout S -> O,
     update S x I -> effect(S). Subclasses differ only in their `effect`."""
 
-    __slots__ = ("states", "interface", "readout", "update")
+    __slots__ = _fields = ("states", "interface", "readout", "update")
     effect: ClassVar[type]
 
     def __init__(
@@ -188,15 +187,6 @@ class Machine:
         self.readout = readout
         self.update = _check_nested_table(
             update, states, interface.inputs, states, "update", self.effect.cell_problem
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is type(self)
-            and self.states == other.states
-            and self.interface == other.interface
-            and self.readout == other.readout
-            and self.update == other.update
         )
 
     def __repr__(self) -> str:
@@ -222,7 +212,7 @@ class DetSystem(Machine):
     effect = Identity
 
 
-class _Rewiring:
+class _Rewiring(Record):
     """What a lens and a chart share: an interface map given by `fwd` on
     outputs plus one input table, whose attribute name is `table` and whose
     rows, columns and values `axes(source, target)` gives."""
@@ -236,15 +226,6 @@ class _Rewiring:
         self.source = source
         self.target = target
         self.fwd = fwd
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is type(self)
-            and self.source == other.source
-            and self.target == other.target
-            and self.fwd == other.fwd
-            and getattr(self, self.table) == getattr(other, self.table)
-        )
 
 
 def _rewiring(
@@ -263,6 +244,7 @@ class DetLens(_Rewiring):
     """Interface rewiring: fwd on outputs, bwd filling old inputs from (output, new input)."""
 
     __slots__ = ("bwd",)
+    _fields = ("source", "target", "fwd", "bwd")
     table = "bwd"
 
     def __init__(
@@ -288,6 +270,7 @@ class DetChart(_Rewiring):
     """Covariant interface map: fwd on outputs, push sending old inputs forward."""
 
     __slots__ = ("push",)
+    _fields = ("source", "target", "fwd", "push")
     table = "push"
 
     def __init__(
@@ -861,12 +844,15 @@ def _lens_step(lens: DetLens) -> Span:
                  ProductSet((s.outputs, t.inputs)), rows)
 
 
-def _period_lens_span(lens: DetLens, k: int) -> Span:
-    """The lens's span at period k. A matrix of more than
-    `MAX_MATRIX_ENTRIES` entries, or with more charts than that on either
-    side, is a `ValidationError` that states its size, raised before
-    anything of size k is built; a count too large to print is stated as its
-    formula."""
+def lens_matrix_rows(lens: DetLens, k: int) -> tuple[ProductSet, ProductSet, Iterator[list[int]]]:
+    """The lens's span at period k as the source and target chart sets and
+    the rows of its counting matrix, the k-th Kronecker power of the lens's
+    one-step matrix: the rows `opendyn matrix` streams, in order, each
+    formed when it is asked for as the ascending columns of its 1s. A matrix
+    of more than `MAX_MATRIX_ENTRIES` entries, or with more charts than that
+    on either side, is a `ValidationError` that states its size, raised in
+    this call before anything of size k is built; a count too large to print
+    is stated as its formula."""
     sides = [len(iface.outputs) * len(iface.inputs) for iface in (lens.source, lens.target)]
     bases = [*sides, sides[0] * sides[1]]
     counts = [_power(base, max(k, 0)) for base in bases]  # walking_cycle refuses k < 1
@@ -878,25 +864,7 @@ def _period_lens_span(lens: DetLens, k: int) -> Span:
             f"the lens span at period {k} is {n_source} x {n_target} charts, a matrix of "
             f"{entries} entries; more than MAX_MATRIX_ENTRIES = {MAX_MATRIX_ENTRIES}"
         )
-    return lens_to_span(lens, walking_cycle(k).interface)
-
-
-def lens_matrix(lens: DetLens, k: int) -> tuple[FinSet, FinSet, list[list[int]]]:
-    """The lens's span at period k as lists: the source and target chart
-    labels and the counting matrix between them that `opendyn matrix` writes,
-    the k-th Kronecker power of the lens's one-step matrix, with its rows
-    filled from `lens_matrix_rows`'s; no apex element is listed. A matrix
-    past `MAX_MATRIX_ENTRIES` is refused first (`_period_lens_span`)."""
-    span = _period_lens_span(lens, k)
-    return FinSet(span.source), FinSet(span.target), span_to_matrix(span)
-
-
-def lens_matrix_rows(lens: DetLens, k: int) -> tuple[ProductSet, ProductSet, Iterator[list[int]]]:
-    """The source and target chart sets of `lens_matrix(lens, k)`, and its
-    rows in order, each formed when it is asked for as the ascending columns
-    of its 1s: the rows `opendyn matrix` streams. A matrix past
-    `MAX_MATRIX_ENTRIES` is refused in this call, before any row is formed."""
-    span = _period_lens_span(lens, k)
+    span = lens_to_span(lens, walking_cycle(k).interface)
     return span.source, span.target, span._ones()
 
 

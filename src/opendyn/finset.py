@@ -25,6 +25,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import BoundaryError, ValidationError, _shown
+from .record import Record
 
 #: Reserved separator for composite element labels.
 SEPARATOR = "|"
@@ -183,10 +184,10 @@ def product_finset(a: FinSet, b: FinSet) -> FinSet:
     return FinSet(join_labels(x, y) for x in a for y in b)
 
 
-class FinMap:
+class FinMap(Record):
     """A total function between finite sets, given by an explicit table."""
 
-    __slots__ = ("dom", "cod", "table")
+    __slots__ = _fields = ("dom", "cod", "table")
 
     def __init__(self, dom: FinSet, cod: FinSet, table: Mapping[str, str]):
         for key in table:
@@ -222,14 +223,6 @@ class FinMap:
     def identity(a: FinSet) -> "FinMap":
         return _finmap(a, a, {x: x for x in a})
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FinMap)
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.table == other.table
-        )
-
     def __hash__(self) -> int:
         return hash((self.dom, self.cod, tuple(self.table.items())))
 
@@ -261,12 +254,14 @@ class _lazy:
         return value
 
 
-class Span:
+class Span(Record):
     """Two legs out of a common apex: source <- apex -> target, held as a
     tensor product of factors (`_factors`), each its source key width, its
     target, its apex elements over each source key as (apex position, apex
     key, right key), in apex order, and its right-key table: those elements'
     right keys alone over each source key, which `_push` reads."""
+
+    _fields = ("source", "target", "apex", "left", "right")
 
     def __init__(self, source: FinSet, target: FinSet, apex: FinSet, left: FinMap, right: FinMap):
         if left.dom != apex or right.dom != apex:
@@ -350,16 +345,6 @@ class Span:
 
     left = property(lambda self: self._both_legs[0])
     right = property(lambda self: self._both_legs[1])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Span)
-            and self.source == other.source
-            and self.target == other.target
-            and self.apex == other.apex
-            and self.left == other.left
-            and self.right == other.right
-        )
 
     def __repr__(self) -> str:
         return f"Span(source={self.source!r}, target={self.target!r}, apex={self.apex!r})"
@@ -558,7 +543,7 @@ def apply_span_to_family(s: Span, fam: Family) -> Family:
     return _family(s.target, form, lambda: s._push(fam._counts_over(s.source)))
 
 
-class FamilyMatch:
+class FamilyMatch(Record):
     """Result of comparing two families over the same base.
 
     When every fiber cardinality agrees the families are isomorphic (these
@@ -569,6 +554,7 @@ class FamilyMatch:
     """
 
     __slots__ = ("_witness", "_families", "mismatch", "counts")
+    _fields = ("witness", "mismatch", "counts")
 
     def __init__(
         self,
@@ -588,17 +574,6 @@ class FamilyMatch:
 
     def __bool__(self) -> bool:
         return self.mismatch is None
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FamilyMatch) and (self.witness, self.mismatch, self.counts) == (
-            other.witness, other.mismatch, other.counts
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"FamilyMatch(witness={self.witness!r}, mismatch={self.mismatch!r}, "
-            f"counts={self.counts!r})"
-        )
 
 
 def families_isomorphic(f1: Family, f2: Family) -> FamilyMatch:

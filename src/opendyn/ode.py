@@ -20,7 +20,7 @@ from .errors import ExprEvalError, ExprSyntaxError, IntegrationError, Validation
 from .expr import (
     FAULTS, MAX_NODES, Dag, Expr, Var, compile_tables, evaluate_table, parse, replayed, substitute,
 )
-from .record import FrozenRecord
+from .record import FrozenRecord, Record
 
 #: Most steps a fixed-step time grid may take; `_grid` refuses a longer one
 #: before building it. A step holds a state and an output row, so this keeps
@@ -107,13 +107,11 @@ def _check_expr_table(
     return out, dag
 
 
-class OdeSystem:
+class OdeSystem(Record):
     """ds/dt = field(s, params), outputs = readout(s), all coordinatewise."""
 
-    __slots__ = (
-        "state_vars", "output_vars", "param_vars", "readout", "field", "_dags", "_compiled",
-        "_rk4",
-    )
+    _fields = ("state_vars", "output_vars", "param_vars", "readout", "field")
+    __slots__ = (*_fields, "_dags", "_compiled", "_rk4")
 
     def __init__(
         self,
@@ -183,16 +181,6 @@ class OdeSystem:
             for node in map(readout_dag.nodes.__getitem__, readout_dag.roots)
         )
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, OdeSystem)
-            and self.state_vars == other.state_vars
-            and self.output_vars == other.output_vars
-            and self.param_vars == other.param_vars
-            and self.readout == other.readout
-            and self.field == other.field
-        )
-
     def __repr__(self) -> str:
         return (
             f"OdeSystem(states={list(self.state_vars)}, outputs={list(self.output_vars)}, "
@@ -200,12 +188,12 @@ class OdeSystem:
         )
 
 
-class OdeLens:
+class OdeLens(Record):
     """Interface rewiring by expressions: `fwd` defines each new output in
     terms of old outputs; `bwd` each old parameter in terms of old outputs
     and new parameters."""
 
-    __slots__ = (
+    __slots__ = _fields = (
         "source_outputs",
         "source_params",
         "target_outputs",
@@ -244,33 +232,11 @@ class OdeLens:
             "bwd",
         )
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, OdeLens)
-            and self.source_outputs == other.source_outputs
-            and self.source_params == other.source_params
-            and self.target_outputs == other.target_outputs
-            and self.target_params == other.target_params
-            and self.fwd == other.fwd
-            and self.bwd == other.bwd
-        )
-
     def __repr__(self) -> str:
         return (
             f"OdeLens(({list(self.source_outputs)}; {list(self.source_params)}) => "
             f"({list(self.target_outputs)}; {list(self.target_params)}))"
         )
-
-
-def identity_ode_lens(output_vars: Sequence[str], param_vars: Sequence[str]) -> OdeLens:
-    return OdeLens(
-        output_vars,
-        param_vars,
-        output_vars,
-        param_vars,
-        {o: Var(o) for o in output_vars},
-        {p: Var(p) for p in param_vars},
-    )
 
 
 def compose_lens_ode(lens: OdeLens, sys: OdeSystem) -> OdeSystem:
@@ -298,27 +264,6 @@ def compose_lens_ode(lens: OdeLens, sys: OdeSystem) -> OdeSystem:
     }
     return OdeSystem(
         sys.state_vars, lens.target_outputs, lens.target_params, readout, field
-    )
-
-
-def compose_ode_lenses(l1: OdeLens, l2: OdeLens) -> OdeLens:
-    """Rewire twice: substitution chains the same way lens composition does."""
-    if tuple(l1.target_outputs) != tuple(l2.source_outputs) or tuple(
-        l1.target_params
-    ) != tuple(l2.source_params):
-        raise ValidationError("lens boundaries do not match")
-    fwd = {o: substitute(l2.fwd[o], l1.fwd) for o in l2.target_outputs}
-    # the second bwd may mention mid outputs; push those back along l1.fwd
-    # so the composite is scoped by first-source outputs and last-target params
-    mid_bwd = {q: substitute(l2.bwd[q], l1.fwd) for q in l2.source_params}
-    bwd = {p: substitute(l1.bwd[p], mid_bwd) for p in l1.source_params}
-    return OdeLens(
-        l1.source_outputs,
-        l1.source_params,
-        l2.target_outputs,
-        l2.target_params,
-        fwd,
-        bwd,
     )
 
 

@@ -17,11 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Union
 
-from .deterministic import (
-    DetSystem, Machine, compose_lens_system, simulate_system, steady_span, tensor_systems
-)
+from .deterministic import DetSystem, Machine, compose_lens_system, simulate_system, tensor_systems
 from .errors import ValidationError, _shown
 from .finset import FinSet
+from .record import Record
 
 WeightLike = Union[Fraction, int, str]
 
@@ -67,7 +66,7 @@ def _as_fraction(value: WeightLike, label: str) -> Fraction:
     )
 
 
-class Dist:
+class Dist(Record):
     """A probability distribution on a finite set, with exact weights.
 
     Zero-weight labels may be omitted; they are dropped on construction, so
@@ -75,7 +74,7 @@ class Dist:
     same nonzero weights.
     """
 
-    __slots__ = ("support", "weights")
+    __slots__ = _fields = ("support", "weights")
 
     def __init__(self, support: FinSet, weights: Mapping[str, WeightLike]):
         for label in weights:
@@ -105,13 +104,6 @@ class Dist:
         if label not in self.support:
             raise ValidationError(f"unknown label {label!r}")
         return self.weights.get(label, Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Dist)
-            and self.support == other.support
-            and self.weights == other.weights
-        )
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{label}: {w}" for label, w in self.weights.items())
@@ -257,12 +249,10 @@ class StochSystem(Machine):
 
 
 # Rewiring leaves transition weights untouched; the product of two Markov
-# machines multiplies weights; a steady state's update is the point
-# distribution on itself; a run samples each step. One definition each
+# machines multiplies weights; a run samples each step. One definition each
 # serves every effect.
 compose_lens_stoch = compose_lens_system
 tensor_stoch = tensor_systems
-dirac_steady_span = steady_span
 simulate_stoch = simulate_system
 
 

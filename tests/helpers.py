@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from importlib.resources import files
+from typing import Sequence
 
 from opendyn import (
     DetInterface,
@@ -18,9 +19,12 @@ from opendyn import (
     OdeSystem,
     Span,
     StochSystem,
+    ValidationError,
+    Var,
     compose_lens_ode,
     compose_lens_system,
     simulate_system,
+    substitute,
 )
 from opendyn.deterministic import periodic_orbit_rows
 from opendyn.laws import random_interface, random_lens, random_system
@@ -216,3 +220,36 @@ def mutated(rng: random.Random, lens: DetLens) -> DetLens:
     elif len(outputs) > 1:
         fwd[o] = rng.choice([p for p in outputs if p != fwd[o]])
     return DetLens(lens.source, lens.target, FinMap(lens.fwd.dom, lens.fwd.cod, fwd), bwd)
+
+
+def identity_ode_lens(output_vars: Sequence[str], param_vars: Sequence[str]) -> OdeLens:
+    """The ODE lens that passes each output and parameter through."""
+    return OdeLens(
+        output_vars,
+        param_vars,
+        output_vars,
+        param_vars,
+        {o: Var(o) for o in output_vars},
+        {p: Var(p) for p in param_vars},
+    )
+
+
+def compose_ode_lenses(l1: OdeLens, l2: OdeLens) -> OdeLens:
+    """Rewire twice: substitution chains the same way lens composition does."""
+    if tuple(l1.target_outputs) != tuple(l2.source_outputs) or tuple(
+        l1.target_params
+    ) != tuple(l2.source_params):
+        raise ValidationError("lens boundaries do not match")
+    fwd = {o: substitute(l2.fwd[o], l1.fwd) for o in l2.target_outputs}
+    # the second bwd may mention mid outputs; push those back along l1.fwd
+    # so the composite is scoped by first-source outputs and last-target params
+    mid_bwd = {q: substitute(l2.bwd[q], l1.fwd) for q in l2.source_params}
+    bwd = {p: substitute(l1.bwd[p], mid_bwd) for p in l1.source_params}
+    return OdeLens(
+        l1.source_outputs,
+        l1.source_params,
+        l2.target_outputs,
+        l2.target_params,
+        fwd,
+        bwd,
+    )

@@ -20,11 +20,9 @@ from opendyn import (
     check_residual,
     check_solve_functoriality,
     compose_lens_ode,
-    compose_ode_lenses,
     eval_field,
     eval_readout,
     evaluate,
-    identity_ode_lens,
     parse,
     rk4_solve,
     tensor_ode,
@@ -44,6 +42,8 @@ from opendyn.expr import (
 from opendyn.errors import _shown
 from opendyn.laws import _lv_fixture
 from opendyn.ode import MAX_STEPS, _check_vars, _grid
+
+from helpers import compose_ode_lenses, identity_ode_lens
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -708,6 +708,13 @@ def sized_lens(rng: random.Random) -> DetLens:
     return random_lens(rng, iface("", n_in, n_out), iface("t", new_in, new_out))
 
 
+def lens_matrix(lens: DetLens, k: int) -> tuple[FinSet, FinSet, list[list[int]]]:
+    """The lens's span at period k as lists: both chart label lists and the
+    counting matrix that `span_to_matrix` fills from the span's rows."""
+    span = lens_to_span(lens, walking_cycle(k).interface)
+    return FinSet(span.source), FinSet(span.target), span_to_matrix(span)
+
+
 class TestLensMatrixPower:
     """`lens_matrix`, the k-th Kronecker power of the one-step matrix, against
     the dense span's matrix, counted over its apex element by element."""
@@ -719,7 +726,7 @@ class TestLensMatrixPower:
             lens = sized_lens(rng)
             for k in (1, 2, 3):
                 dense = dense_lens_to_span(lens, walking_cycle(k).interface)
-                assert det.lens_matrix(lens, k) == (dense.source, dense.target, span_to_matrix(dense))
+                assert lens_matrix(lens, k) == (dense.source, dense.target, span_to_matrix(dense))
             for side in ("source", "target"):
                 iface = getattr(lens, side)
                 empty |= {(side, part) for part in ("inputs", "outputs") if not getattr(iface, part)}

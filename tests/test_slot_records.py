@@ -1,4 +1,5 @@
-"""The seven record classes against the dataclasses they replaced.
+"""The seven record classes against the dataclasses they replaced, and the
+value classes that compare through `Record` too.
 
 `DetInterface`, `SquareResult`, `Trajectory`, `ResidualResult`,
 `FunctorialityResult`, `ProjectFile` and `SuiteResult` are plain
@@ -8,25 +9,45 @@ hash, print, test true or false, refuse assignment, copy, pickle and
 replace its fields as the dataclass did, and refuse bad arguments with the
 same text. Records the library itself returns must print as their
 dataclass copies do.
+
+`Machine`, `DetLens`, `DetChart`, `FinMap`, `Span`, `FamilyMatch`, `Dist`,
+`OdeSystem` and `OdeLens` name their constructor's parameters as their
+`_fields`, so copies, pickles and replaced copies rebuild through the
+constructor and compare equal, whatever caches or thunks a value holds.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
+import random
 
 import pytest
 
 import dataclass_record_oracle as oracle
-from helpers import feedback_lens, fixture_path, flipflop
+from helpers import chain, feedback_lens, fixture_path, flipflop, wired
 from opendyn import laws
-from opendyn.deterministic import DetInterface, SquareResult, check_square
-from opendyn.finset import FinSet, ProductSet
+from opendyn.deterministic import (
+    DetChart,
+    DetInterface,
+    DetLens,
+    Machine,
+    SquareResult,
+    check_matrix_theorem,
+    check_square,
+    lens_to_span,
+    walking_cycle,
+)
+from opendyn.finset import FamilyMatch, FinMap, FinSet, ProductSet, Span
+from opendyn.stochastic import Dist
 from opendyn.laws import SuiteResult
 from opendyn.ode import (
     FunctorialityResult,
+    OdeLens,
+    OdeSystem,
     ParamSignal,
     ResidualResult,
     Trajectory,
@@ -276,3 +297,66 @@ def test_the_records_the_library_returns_print_as_dataclasses():
     for record in records:
         twin = copied(record)
         assert repr(record) == repr(twin) and bool(record) is bool(twin)
+
+
+VALUE_CLASSES = [Machine, DetLens, DetChart, FinMap, Span, FamilyMatch, Dist, OdeSystem, OdeLens]
+
+
+def value_records() -> list:
+    """Values of each class `VALUE_CLASSES` names, some holding caches or
+    unread thunks: a compiled ODE system, a theorem verdict whose witness is
+    not formed yet."""
+    rng = laws._suite_rng(0, "squares")
+    square = laws.random_square(rng)
+    latch, lens = flipflop(), feedback_lens()
+    lv = load_project(fixture_path("lv.json"))
+    compiled = lv.system("rabbit_fox")
+    compiled.compiled()
+    dist = chain().update["a"]["go"]
+    span = lens_to_span(lens, walking_cycle(2).interface)
+    return [
+        latch, chain(), lens, square.top, square.left, latch.readout, span,
+        Span(span.source, span.target, span.apex, span.left, span.right),
+        check_matrix_theorem(lens, latch, 2), FamilyMatch(None, "a", (1, 0)), dist,
+        lv.system("lotka_volterra"), compiled, wired(2), lv.lens("wiring"),
+        laws.random_lens(random.Random(3), *(laws.random_interface(rng) for _ in range(2))),
+    ]
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_value_fields_are_the_constructor_parameters(cls):
+    assert "__eq__" not in vars(cls)
+    assert tuple(inspect.signature(cls).parameters) == cls._fields
+
+
+def test_value_records_copy_pickle_and_replace():
+    values = value_records()
+    assert {type(value) for value in values} >= {DetChart, DetLens, FamilyMatch, Span}
+    for value in values:
+        shown = repr(value)
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),
+                     value.__replace__()):
+            assert type(twin) is type(value) and twin == value and repr(twin) == shown
+        for field in value._fields:
+            changed = {field: copy.deepcopy(getattr(value, field))}
+            assert value.__replace__(**changed) == value
+            if hasattr(copy, "replace"):  # Python 3.13 and later
+                assert copy.replace(value, **changed) == value
+        with pytest.raises(TypeError):
+            value.__replace__(nonesuch=1)
+
+
+def test_a_compiled_ode_system_pickles():
+    system = load_project(fixture_path("lv.json")).system("rabbit_fox")
+    system.compiled()
+    twin = pickle.loads(pickle.dumps(system))
+    assert twin == system and twin._compiled is None
+    params = (1.0, 0.5, 0.2, 0.4)
+    assert twin.compiled()(*params)(2.0, 1.0) == system.compiled()(*params)(2.0, 1.0)
+
+
+def test_a_theorem_verdict_pickles():
+    verdict = check_matrix_theorem(feedback_lens(), flipflop(), 2)
+    twin = pickle.loads(pickle.dumps(verdict))
+    assert twin and twin == verdict and repr(twin) == repr(verdict)
+    assert isinstance(twin.witness, FinMap)

@@ -16,7 +16,6 @@ from opendyn import (
     check_matrix_theorem,
     compose_lens_stoch,
     compose_lens_system,
-    dirac_steady_span,
     embed_det,
     representable_span,
     simulate_stoch,
@@ -98,7 +97,6 @@ class TestStochSystem:
     def test_shares_the_finite_machine_code(self):
         assert compose_lens_stoch is compose_lens_system
         assert tensor_stoch is tensor_systems
-        assert dirac_steady_span is steady_span
 
     def test_never_equals_a_deterministic_machine_with_the_same_fields(self):
         ff = flipflop()
@@ -245,11 +243,11 @@ class TestTensorStoch:
 class TestDiracSteadySpan:
     def test_embedding_preserves_steady_states(self):
         ff = flipflop()
-        assert dirac_steady_span(embed_det(ff)) == steady_span(ff)
+        assert steady_span(embed_det(ff)) == steady_span(ff)
 
     def test_split_transitions_are_never_steady(self):
         sys = chain()
-        fam = dirac_steady_span(sys)
+        fam = steady_span(sys)
         # `go` splits mass, so only the two `stay` loops remain
         sizes = fam.fiber_sizes()
         assert {k: v for k, v in sizes.items() if v} == {"lo|stay": 1, "hi|stay": 1}

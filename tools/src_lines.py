@@ -11,11 +11,16 @@ module's tokens (`tokenize`):
 - doc: the lines of docstrings, the string literals that stand alone as a
   statement.
 
+Below the table it prints how many public names the package exports: the
+names its `__init__.py` binds at the top level, by import, assignment or
+definition, that do not start with "_" (`exported`).
+
 It only reports; it exits 0 whatever the counts are. Stdlib only.
 """
 
 from __future__ import annotations
 
+import ast
 import sys
 import tokenize
 from pathlib import Path
@@ -47,6 +52,19 @@ def count(path: Path) -> tuple[int, int, int]:
     return n_lines, len(code), len(doc - code)
 
 
+def exported(init: Path) -> list[str]:
+    """The public names a package's `__init__.py` binds at its top level."""
+    names = []
+    for node in ast.parse(init.read_bytes()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+    return sorted({name for name in names if not name.startswith("_")})
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "opendyn"
     rows = [(path.relative_to(root).as_posix(), *count(path)) for path in sorted(root.rglob("*.py"))]
@@ -55,6 +73,8 @@ def main(argv: list[str]) -> int:
     print(f"{'module':<{width}} {'lines':>7} {'code':>7} {'doc':>7}")
     for name, lines, code, doc in rows:
         print(f"{name:<{width}} {lines:>7} {code:>7} {doc:>7}")
+    if (root / "__init__.py").exists():
+        print(f"public names exported: {len(exported(root / '__init__.py'))}")
     return 0
 
 
