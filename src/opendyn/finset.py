@@ -575,6 +575,14 @@ class FamilyMatch(Record):
     def __bool__(self) -> bool:
         return self.mismatch is None
 
+    def __copy__(self) -> "FamilyMatch":
+        """A match that shares this one's lazy state, so copying forms no
+        witness. Pickling and `copy.deepcopy` rebuild through the constructor
+        and so form it: the families hold closures, which do not pickle."""
+        match = FamilyMatch(self._witness, self.mismatch, self.counts)
+        match._families = self._families
+        return match
+
 
 def families_isomorphic(f1: Family, f2: Family) -> FamilyMatch:
     """Compare the families' fiber counts, keyed by base key (`_counts`), so

@@ -14,7 +14,7 @@ import operator
 from bisect import bisect_right
 from functools import lru_cache, partial
 from types import CodeType, FunctionType
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ExprEvalError, ExprSyntaxError, IntegrationError, ValidationError, _shown
 from .expr import (
@@ -22,10 +22,16 @@ from .expr import (
 )
 from .record import FrozenRecord, Record
 
-#: Most steps a fixed-step time grid may take; `_grid` refuses a longer one
-#: before building it. A step holds a state and an output row, so this keeps
-#: a run's memory in the hundreds of megabytes.
+#: Most steps a fixed-step time grid may take; `_grid_length` refuses a
+#: longer one before any of it is built. `rk4_solve` and `simulate` hold a
+#: state and an output row per step, so this keeps their memory in the
+#: hundreds of megabytes; `check_solve_functoriality` holds one block of each
+#: run and no grid.
 MAX_STEPS = 1_000_000
+
+#: Steps in each slice of the grid that `check_solve_functoriality` runs at
+#: a time, so its memory does not grow with the grid.
+_BLOCK_STEPS = 1024
 
 ExprLike = Union[Expr, str]
 
@@ -374,7 +380,19 @@ def _trajectory(times: tuple, values: tuple, outputs: tuple) -> Trajectory:
     return traj
 
 
-def _grid(t0: float, t1: float, h: float) -> list[float]:
+def _whole_steps(t0: float, t1: float, h: float) -> int:
+    """floor((t1 - t0) / h), raised while t0 + (n + 1)*h is at most t1."""
+    n = int(math.floor((t1 - t0) / h))
+    while t0 + (n + 1) * h <= t1:
+        n += 1
+    return n
+
+
+def _grid_length(t0: float, t1: float, h: float) -> int:
+    """The number of times in the grid of [t0, t1] at step h (`_grid_slice`),
+    after refusing a span that is not finite, a step that is not in (0, t1 -
+    t0], more than `MAX_STEPS` steps, and times that do not increase
+    strictly."""
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValidationError(f"time span must be finite, got [{t0}, {t1}]")
     if not (t1 > t0):
@@ -387,20 +405,40 @@ def _grid(t0: float, t1: float, h: float) -> list[float]:
             f"time grid [{t0}, {t1}] at step {h} needs about {steps:.6g} steps, "
             f"more than MAX_STEPS = {MAX_STEPS}"
         )
-    n = int(math.floor(steps))
-    while t0 + (n + 1) * h <= t1:
-        n += 1
-    times = [t0 + j * h for j in range(n + 1)]
-    if times[-1] < t1:
-        times.append(t1)
+    n = _whole_steps(t0, t1, h)
+    length = n + 2 if t0 + n * h < t1 else n + 1
     # j * h grows by about h, so two grid times can round to one float only
     # where h is within a few float spacings of the times themselves
-    if h <= 4 * math.ulp(max(abs(t0), abs(t1))) and any(map(operator.ge, times, times[1:])):
+    if h <= 4 * math.ulp(max(abs(t0), abs(t1))) and any(
+        any(map(operator.ge, times, times[1:])) for times in _grid_blocks(t0, t1, h, length)
+    ):
         raise ValidationError(
             f"time grid [{t0}, {t1}] at step {h} is not strictly increasing: "
             f"the step is too small for the float spacing of its times"
         )
+    return length
+
+
+def _grid_slice(t0: float, t1: float, h: float, start: int, stop: int) -> list[float]:
+    """Times start to stop - 1 of the grid that `_grid_length` measures:
+    t0 + j*h for j up to `_whole_steps`, then t1 where the last of those is
+    below it."""
+    n = _whole_steps(t0, t1, h)
+    times = [t0 + j * h for j in range(start, min(stop, n + 1))]
+    if stop > n + 1:  # past the whole steps only where t1 is appended
+        times.append(t1)
     return times
+
+
+def _grid(t0: float, t1: float, h: float) -> list[float]:
+    return _grid_slice(t0, t1, h, 0, _grid_length(t0, t1, h))
+
+
+def _grid_blocks(t0: float, t1: float, h: float, length: int) -> Iterator[list[float]]:
+    """The grid of `length` times in slices of `_BLOCK_STEPS` steps, each
+    starting at the time the one before ends at."""
+    for start in range(0, length - 1, _BLOCK_STEPS):
+        yield _grid_slice(t0, t1, h, start, min(start + _BLOCK_STEPS, length - 1) + 1)
 
 
 def _state_text(names: Sequence[str], values: Sequence[float]) -> str:
@@ -516,13 +554,29 @@ def _run(loop: Callable, times: Sequence[float], y0: tuple, signal: ParamSignal,
     return loop(times, y0, None, signal, read)
 
 
-def _initial_state(sys: OdeSystem, s0: Sequence[float]) -> tuple[float, ...]:
+def _start(sys: OdeSystem, s0: Sequence[float], signal: ParamSignal) -> tuple[float, ...]:
+    """The initial state, after refusing one of the wrong width or not
+    finite, and a signal whose width is not the system's parameter count."""
     _check_width(len(s0), sys.state_vars, "initial")
     y = tuple(float(x) for x in s0)
     for name, v in zip(sys.state_vars, y):
         if not math.isfinite(v):
             raise ValidationError(f"initial value of {name!r} must be finite, got {v!r}")
+    if signal.width != len(sys.param_vars):
+        raise ValidationError(
+            f"signal width {signal.width} does not match {len(sys.param_vars)} parameters"
+        )
     return y
+
+
+def _last_readout(sys: OdeSystem, failed: Optional[tuple], last: tuple) -> tuple[float, ...]:
+    """The computed readout at `last`, the state no step starts at, from
+    `eval_readout`. Where stage a of a step read None (a term only the
+    readout holds failed), `failed` is the first such step's state, and
+    `evaluate`'s error there is raised first."""
+    if failed is not None:
+        eval_readout(sys, failed)
+    return eval_readout(sys, last)
 
 
 def rk4_solve(
@@ -537,20 +591,14 @@ def rk4_solve(
     (`_run`). Stage a of each step reads any computed output at its row; a
     readout that fails raises after a clean integration, for its first row.
     """
-    y0 = _initial_state(sys, s0)
-    if param_signal.width != len(sys.param_vars):
-        raise ValidationError(
-            f"signal width {param_signal.width} does not match "
-            f"{len(sys.param_vars)} parameters"
-        )
+    y0 = _start(sys, s0, param_signal)
     times = _grid(t0, t1, h)
     outputs: list = []
     values = tuple(_run(sys.integrator(), times, y0, param_signal, outputs.append))
     copies = sys.copied_states()
     if None in copies:  # the loop read a row per step; no step starts at the last
-        if None in outputs:  # a term only the readout holds failed; `evaluate` says where
-            eval_readout(sys, values[outputs.index(None)])
-        outputs = (*outputs, eval_readout(sys, values[-1]))
+        failed = values[outputs.index(None)] if None in outputs else None
+        outputs = (*outputs, _last_readout(sys, failed, values[-1]))
     elif copies == tuple(range(len(y0))):  # the outputs are the states
         outputs = values
     else:
@@ -631,17 +679,26 @@ def check_solve_functoriality(
     h: float,
     tol: float,
 ) -> FunctorialityResult:
-    """Integrate the composed system, then integrate the original system while
-    filling its parameters from the lens at every stage; compare the states.
-    The live-wired field is one compiled function of the state and the outer
+    """Integrate the composed system, and the original system while filling
+    its parameters from the lens at every stage; compare the states. The
+    live-wired field is one compiled function of the state and the outer
     parameters that computes the readout, then `bwd`, then the field, each
-    table lowered apart, with no substitution. Equal state rows give
-    deviation 0.0 at t0 without a scan: the loop refuses a non-finite state,
-    so no NaN reaches the comparison. A tolerance that is negative, infinite
-    or NaN is refused first."""
+    table lowered apart, with no substitution.
+
+    Both runs step over the grid one slice of `_BLOCK_STEPS` steps at a time
+    (`_grid_blocks`), each carrying its last state into the next, and their
+    rows are compared as they come, so memory holds one block of each run and
+    no grid. Blocks of equal state rows are not scanned: the loop refuses a
+    non-finite state, so no NaN reaches the comparison, and all rows equal
+    give deviation 0.0 at t0. Errors come as they would from solving the
+    composite whole, then the live path: a composed integration error at
+    once, then a composed readout error (`_last_readout`), then any error of
+    the live path, held from its block. A tolerance that is negative,
+    infinite or NaN is refused first."""
     _check_tol(tol)
     composed = compose_lens_ode(lens, sys)
-    path_a = rk4_solve(composed, s0, outer_signal, t0, t1, h)
+    y_a = y_b = _start(composed, s0, outer_signal)
+    length = _grid_length(t0, t1, h)
     stages = (
         (sys.readout, sys.output_vars, "readout", sys._dags[1]),
         (lens.bwd, sys.param_vars, "bwd", None),
@@ -649,14 +706,30 @@ def check_solve_functoriality(
     )
     live = compile_tables(stages, sys.state_vars, lens.target_params)
     replay = partial(replayed, stages, sys.state_vars + lens.target_params)
-    y0 = _initial_state(sys, s0)
-    values = _run(_loop(live, sys.state_vars, replay), path_a.times, y0, outer_signal, None)
-    if all(map(operator.eq, path_a.values, values)):
-        return FunctorialityResult(True, 0.0, t0)
-    worst, worst_time = 0.0, t0
-    for t, row_a, row_b in zip(path_a.times, path_a.values, values):
-        for a, b in zip(row_a, row_b):
-            d = abs(a - b)
-            if d > worst:
-                worst, worst_time = d, t
+    solve, wired = composed.integrator(), _loop(live, sys.state_vars, replay)
+    worst, worst_time, failed, held = 0.0, t0, None, None
+    for times in _grid_blocks(t0, t1, h, length):
+        outputs: list = []
+        rows_a = _run(solve, times, y_a, outer_signal, outputs.append)
+        y_a = rows_a[-1]
+        if failed is None and None in outputs:
+            failed = rows_a[outputs.index(None)]
+        if held is not None:
+            continue
+        try:
+            rows_b = _run(wired, times, y_b, outer_signal, None)
+        except (ExprEvalError, IntegrationError, *FAULTS) as exc:
+            held = exc  # raised only once the composed run has ended cleanly
+            continue
+        y_b = rows_b[-1]
+        if rows_a != rows_b:
+            for t, row_a, row_b in zip(times, rows_a, rows_b):
+                for a, b in zip(row_a, row_b):
+                    d = abs(a - b)
+                    if d > worst:
+                        worst, worst_time = d, t
+    if None in composed.copied_states():
+        _last_readout(composed, failed, y_a)
+    if held is not None:
+        raise held
     return FunctorialityResult(worst <= tol, worst, worst_time)

@@ -360,3 +360,17 @@ def test_a_theorem_verdict_pickles():
     twin = pickle.loads(pickle.dumps(verdict))
     assert twin and twin == verdict and repr(twin) == repr(verdict)
     assert isinstance(twin.witness, FinMap)
+
+
+def test_copying_a_theorem_verdict_forms_no_witness():
+    """A copy shares the verdict's unread witness: neither side forms it
+    until it is read, and then each forms the same one. A pickle round trip
+    forms it, since the families hold closures, and still compares equal."""
+    verdict = check_matrix_theorem(feedback_lens(), flipflop(), 3)
+    twin = copy.copy(verdict)
+    assert verdict._witness is None and twin._witness is None
+    assert twin and twin.mismatch is None and twin.counts is None
+    assert twin.witness == verdict.witness and isinstance(twin.witness, FinMap)
+    assert pickle.loads(pickle.dumps(verdict)) == verdict == twin
+    mismatch = FamilyMatch(None, "a", (1, 0))
+    assert copy.copy(mismatch) == mismatch and not copy.copy(mismatch)
