@@ -24,9 +24,7 @@ from .finset import (
     ProductSet,
     Span,
     apply_span_to_family,
-    compose_spans,
     families_isomorphic,
-    identity_span,
     join_labels,
     product_finset,
     span_to_matrix,
@@ -57,7 +55,6 @@ from .deterministic import (
     chart_hom_set,
     check_matrix_theorem,
     check_square,
-    check_system_morphism,
     compose_charts,
     compose_lens_system,
     compose_lenses,

@@ -484,23 +484,6 @@ def paste_vertical(sq1: DetSquare, sq2: DetSquare) -> DetSquare:
     )
 
 
-def check_system_morphism(phi: FinMap, sys: DetSystem, sys2: DetSystem) -> bool:
-    """Is phi a machine morphism over the shared interface?"""
-    if sys.interface != sys2.interface:
-        raise BoundaryError("systems do not share an interface")
-    if phi.dom != sys.states or phi.cod != sys2.states:
-        raise BoundaryError(
-            f"morphism must map states {sys.states} to states {sys2.states}"
-        )
-    for s in sys.states:
-        if sys2.readout(phi(s)) != sys.readout(s):
-            return False
-        for i in sys.interface.inputs:
-            if phi(sys.update[s][i]) != sys2.update[phi(s)][i]:
-                return False
-    return True
-
-
 def walking_cycle(k: int) -> DetSystem:
     """The k-state cycle that exposes its entire state: charts out of it pick
     out period-k orbits, and at k = 1 steady states. A cycle of more than

@@ -1,9 +1,11 @@
 """Finite sets, total maps, spans, and families over a base.
 
 A span between finite sets is a matrix of sets: the fiber over a (source,
-target) pair is one entry, composing spans multiplies the matrices, and
-their tensor product is the Kronecker product. Applying a span to a family
-pulls it back along the left leg and pushes it forward along the right.
+target) pair is one entry, and the tensor product of spans is the Kronecker
+product. Composing spans multiplies the matrices; nothing in the library
+composes them, so that operation lives in `tests/helpers.py` until the
+library checks the whole double functor. Applying a span to a family pulls
+it back along the left leg and pushes it forward along the right.
 Everything here is immutable after construction and all operations are pure.
 
 Composite elements are labelled by joining constituent labels with "|". The
@@ -470,27 +472,6 @@ def _family(
     family = Family.__new__(Family)
     family.base, family._form, family._count = base, form, count
     return family
-
-
-def identity_span(a: FinSet) -> Span:
-    ident = FinMap.identity(a)
-    return Span(a, a, a, ident, ident)
-
-
-def compose_spans(s1: Span, s2: Span) -> Span:
-    """Pullback composition: apex elements are matching pairs "x|y". The
-    fiber over (v, w) is the disjoint union, over middle points m, of (fiber
-    of s1 over (v, m)) x (fiber of s2 over (m, w)): a matrix product."""
-    if s1.target != s2.source:
-        raise BoundaryError(
-            f"cannot compose spans: first target {s1.target} differs from second source {s2.source}"
-        )
-    by_middle: dict[str, list[tuple]] = {}
-    for y, middle, w in s2._over():
-        by_middle.setdefault(join_labels(*middle), []).append((y, w))
-    rows = [(x + y, v, w) for x, v, m in s1._over() for y, w in by_middle.get(join_labels(*m), ())]
-    apex = FinSet(join_labels(*xy) for xy, _, _ in rows)
-    return _span(s1.source, s2.target, apex, [((z,), v, w) for z, (_, v, w) in zip(apex, rows)])
 
 
 def tensor_spans(first: Span, *rest: Span) -> Span:

@@ -1,4 +1,7 @@
-"""Shared builders for the test suite: reference machines and random data."""
+"""Shared builders for the test suite: reference machines and random data,
+and the operations that only tests use, which the library does not export:
+ODE lens composition, span composition and its identity, and the
+machine-morphism check."""
 
 from __future__ import annotations
 
@@ -8,6 +11,7 @@ from importlib.resources import files
 from typing import Sequence
 
 from opendyn import (
+    BoundaryError,
     DetInterface,
     DetLens,
     DetSystem,
@@ -23,10 +27,12 @@ from opendyn import (
     Var,
     compose_lens_ode,
     compose_lens_system,
+    join_labels,
     simulate_system,
     substitute,
 )
 from opendyn.deterministic import periodic_orbit_rows
+from opendyn.finset import _span
 from opendyn.laws import random_interface, random_lens, random_system
 
 
@@ -253,3 +259,41 @@ def compose_ode_lenses(l1: OdeLens, l2: OdeLens) -> OdeLens:
         fwd,
         bwd,
     )
+
+
+def identity_span(a: FinSet) -> Span:
+    ident = FinMap.identity(a)
+    return Span(a, a, a, ident, ident)
+
+
+def compose_spans(s1: Span, s2: Span) -> Span:
+    """Pullback composition: apex elements are matching pairs "x|y". The
+    fiber over (v, w) is the disjoint union, over middle points m, of (fiber
+    of s1 over (v, m)) x (fiber of s2 over (m, w)): a matrix product."""
+    if s1.target != s2.source:
+        raise BoundaryError(
+            f"cannot compose spans: first target {s1.target} differs from second source {s2.source}"
+        )
+    by_middle: dict[str, list[tuple]] = {}
+    for y, middle, w in s2._over():
+        by_middle.setdefault(join_labels(*middle), []).append((y, w))
+    rows = [(x + y, v, w) for x, v, m in s1._over() for y, w in by_middle.get(join_labels(*m), ())]
+    apex = FinSet(join_labels(*xy) for xy, _, _ in rows)
+    return _span(s1.source, s2.target, apex, [((z,), v, w) for z, (_, v, w) in zip(apex, rows)])
+
+
+def check_system_morphism(phi: FinMap, sys: DetSystem, sys2: DetSystem) -> bool:
+    """Is phi a machine morphism over the shared interface?"""
+    if sys.interface != sys2.interface:
+        raise BoundaryError("systems do not share an interface")
+    if phi.dom != sys.states or phi.cod != sys2.states:
+        raise BoundaryError(
+            f"morphism must map states {sys.states} to states {sys2.states}"
+        )
+    for s in sys.states:
+        if sys2.readout(phi(s)) != sys.readout(s):
+            return False
+        for i in sys.interface.inputs:
+            if phi(sys.update[s][i]) != sys2.update[phi(s)][i]:
+                return False
+    return True

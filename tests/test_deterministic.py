@@ -15,7 +15,6 @@ from opendyn import (
     ValidationError,
     check_matrix_theorem,
     check_square,
-    check_system_morphism,
     compose_lens_system,
     compose_lenses,
     identity_chart,
@@ -40,7 +39,7 @@ from opendyn.laws import (
 )
 
 from dense_oracle import dense_steady_span
-from helpers import feedback_lens, flipflop, oscillator, run_word
+from helpers import check_system_morphism, feedback_lens, flipflop, oscillator, run_word
 
 
 class TestComposeLensSystem:

@@ -16,16 +16,22 @@ from opendyn import (
     Span,
     ValidationError,
     apply_span_to_family,
-    compose_spans,
     families_isomorphic,
-    identity_span,
     span_to_matrix,
     tensor_spans,
 )
 from opendyn.finset import join_labels, product_finset
 
 from dense_oracle import dense_span_matrix, dense_tensor_spans
-from helpers import kron, matmul, random_family, random_finset, random_span
+from helpers import (
+    compose_spans,
+    identity_span,
+    kron,
+    matmul,
+    random_family,
+    random_finset,
+    random_span,
+)
 
 
 class TestFinSet:

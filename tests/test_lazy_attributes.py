@@ -15,7 +15,6 @@ from opendyn import (
     FinSet,
     Span,
     apply_span_to_family,
-    compose_spans,
     check_matrix_theorem,
     families_isomorphic,
     random_lens,
@@ -23,7 +22,7 @@ from opendyn import (
 from opendyn.finset import Family, _lazy
 from opendyn.laws import random_interface
 
-from helpers import each_machine, random_family, random_span
+from helpers import compose_spans, each_machine, random_family, random_span
 
 LAZY = [(Family, "_rows"), (Family, "_counts"), (Family, "total"), (Family, "proj"),
         (Span, "_both_legs")]

@@ -22,7 +22,6 @@ from opendyn import (
     apply_span_to_family,
     check_matrix_theorem,
     compose_lens_system,
-    compose_spans,
     embed_det,
     families_isomorphic,
     lens_to_span,
@@ -56,6 +55,7 @@ from dense_oracle import (
     dense_steady_span,
 )
 from helpers import (
+    compose_spans,
     each_machine,
     feedback_lens,
     fixture_path,

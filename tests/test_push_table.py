@@ -12,7 +12,6 @@ from collections import Counter
 
 from opendyn import (
     FinSet,
-    compose_spans,
     lens_to_span,
     random_lens,
     tensor_spans,
@@ -21,7 +20,7 @@ from opendyn import (
 from opendyn.finset import _alphabets
 from opendyn.laws import random_interface
 
-from helpers import random_finset, random_span
+from helpers import compose_spans, random_finset, random_span
 
 
 def triple_push(span, counts) -> Counter:
